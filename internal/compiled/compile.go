@@ -19,9 +19,12 @@
 //     occupy two uint64 bit-planes per gate.
 //   - Sim: the fault simulator. Each fault is re-evaluated 64 vectors
 //     per pass against the packed trace, restricted to the fault's
-//     output cone by event-driven plane propagation, with detection
-//     reduced into the standard faults.Result / csim.Stats types so
-//     merging and sharding machinery compose unchanged.
+//     output cone by event-driven plane propagation over one
+//     cache-line-sized node per gate. Faults go in chunks of 256 that
+//     workers pull off a shared counter, all reading the one trace;
+//     detection is reduced into the standard faults.Result /
+//     csim.Stats types so merging and sharding machinery compose
+//     unchanged.
 //
 // Detection semantics are bit-identical to internal/serial (and thus
 // to csim): DESIGN.md §12 gives the argument.

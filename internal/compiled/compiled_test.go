@@ -1,9 +1,12 @@
 package compiled
 
 import (
+	"context"
 	"fmt"
 	"testing"
+	"unsafe"
 
+	"repro/internal/csim"
 	"repro/internal/faults"
 	"repro/internal/gen"
 	"repro/internal/goodsim"
@@ -47,35 +50,89 @@ func compare(t *testing.T, tag string, want, got *faults.Result) {
 }
 
 // runBoth runs the serial oracle and csim-C over the same workload and
-// requires bit-identical results.
+// requires bit-identical results on 1, 2, 3 and 7 workers — uncapped, so
+// a universe of one chunk also covers more workers than chunks — with
+// counters that do not depend on the worker count.
 func runBoth(t *testing.T, tag string, u *faults.Universe, vs *vectors.Set) {
 	t.Helper()
 	want := serial.Simulate(u, vs)
-	sim, err := New(u)
-	if err != nil {
-		t.Fatalf("%s: %v", tag, err)
+	var one csim.Stats
+	for _, nw := range []int{1, 2, 3, 7} {
+		sim, err := New(u)
+		if err != nil {
+			t.Fatalf("%s: %v", tag, err)
+		}
+		got, err := sim.run(context.Background(), vs, nw)
+		if err != nil {
+			t.Fatalf("%s: %d workers: %v", tag, nw, err)
+		}
+		compare(t, fmt.Sprintf("%s/w%d", tag, nw), want, got)
+		st := sim.Stats()
+		if nw == 1 {
+			one = st
+		} else if st.Evals != one.Evals || st.Scheds != one.Scheds ||
+			st.GoodEvals != one.GoodEvals || st.Detections != one.Detections {
+			t.Fatalf("%s: counters on %d workers %+v, on one %+v", tag, nw, st, one)
+		}
 	}
-	compare(t, tag, want, sim.Run(vs))
 }
 
-// TestWidthEdges pins the bit-parallel pass boundaries: vector counts
-// around and across the 64-lane word width, on both fault models.
+// TestWidthEdges pins the bit-parallel pass boundaries — vector counts
+// around and across the 64-lane word width, up to four blocks — on every
+// fault model, over a universe smaller than one chunk and over one of
+// several chunks.
 func TestWidthEdges(t *testing.T) {
-	c := genCircuit(t, 7, 4, 3, 5, 40)
-	for _, nv := range []int{1, 63, 64, 65, 130} {
-		vs := vectors.Random(c, nv, int64(nv))
-		for _, model := range []string{"stuck", "stuck-all", "transition"} {
-			var u *faults.Universe
-			switch model {
-			case "stuck":
-				u = faults.StuckCollapsed(c)
-			case "stuck-all":
-				u = faults.StuckAll(c)
-			case "transition":
-				u = faults.Transition(c)
+	small := genCircuit(t, 7, 4, 3, 5, 40)
+	large := genCircuit(t, 8, 6, 5, 10, 130)
+	if n := faults.StuckCollapsed(small).NumFaults(); n >= chunkFaults {
+		t.Fatalf("small universe has %d faults, want under one chunk of %d", n, chunkFaults)
+	}
+	if n := faults.StuckAll(large).NumFaults(); n <= 2*chunkFaults {
+		t.Fatalf("large universe has %d faults, want over two chunks of %d", n, chunkFaults)
+	}
+	for _, c := range []*netlist.Circuit{small, large} {
+		for _, nv := range []int{1, 63, 64, 65, 130, 200} {
+			vs := vectors.Random(c, nv, int64(nv))
+			for _, model := range []string{"stuck", "stuck-all", "transition"} {
+				var u *faults.Universe
+				switch model {
+				case "stuck":
+					u = faults.StuckCollapsed(c)
+				case "stuck-all":
+					u = faults.StuckAll(c)
+				case "transition":
+					u = faults.Transition(c)
+				}
+				runBoth(t, fmt.Sprintf("%s/%s/n=%d", c.Name, model, nv), u, vs)
 			}
-			runBoth(t, fmt.Sprintf("%s/%s/n=%d", c.Name, model, nv), u, vs)
 		}
+	}
+}
+
+// TestWorkersCap pins the worker count a run uses: what was asked for,
+// at least one, at most one per 512 faults.
+func TestWorkersCap(t *testing.T) {
+	for _, tc := range []struct{ requested, faults, want int }{
+		{0, 5000, 1}, {-3, 5000, 1}, {1, 0, 1},
+		{8, 431, 1}, {8, 1023, 1}, {8, 1024, 2}, {2, 56921, 2}, {200, 56921, 111},
+	} {
+		if got := Workers(tc.requested, tc.faults); got != tc.want {
+			t.Errorf("Workers(%d, %d) = %d, want %d", tc.requested, tc.faults, got, tc.want)
+		}
+	}
+}
+
+// TestNodeFitsCacheLine pins the layout the fault passes are built on,
+// and the sizes the memory accounting uses.
+func TestNodeFitsCacheLine(t *testing.T) {
+	if sz := unsafe.Sizeof(node{}); sz > 64 || sz != nodeBytes {
+		t.Errorf("node is %d bytes, want nodeBytes = %d and at most 64", sz, nodeBytes)
+	}
+	if sz := unsafe.Sizeof(faultState{}); sz != slotBytes {
+		t.Errorf("faultState is %d bytes, slotBytes says %d", sz, slotBytes)
+	}
+	if sz := unsafe.Sizeof(ffDiff{}); sz != diffBytes {
+		t.Errorf("ffDiff is %d bytes, diffBytes says %d", sz, diffBytes)
 	}
 }
 

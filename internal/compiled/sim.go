@@ -1,8 +1,11 @@
 package compiled
 
 import (
+	"context"
 	"fmt"
 	"math/bits"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/csim"
 	"repro/internal/faults"
@@ -33,36 +36,117 @@ type ffDiff struct {
 	val logic.V
 }
 
-// Sim is the csim-C fault simulator. It owns the mutable per-pass
-// scratch (bit-planes, event queue, epoch stamps) and is therefore not
-// safe for concurrent use; share the Program, not the Sim.
+const (
+	// chunkFaults is the number of faults that share one load of a
+	// 64-cycle block's good planes. Loading per fault instead costs
+	// gates × 16 B per fault and block, which dominates on small
+	// circuits with long vector sets.
+	chunkFaults = 256
+
+	// minFaultsPerWorker caps the worker count at faults/512: below two
+	// chunks each a goroutine costs more than it saves, so small jobs
+	// run inline on the caller.
+	minFaultsPerWorker = 2 * chunkFaults
+)
+
+// Sizes of node, faultState and ffDiff for the memory accounting.
+const nodeBytes, slotBytes, diffBytes = 64, 56, 8
+
+// Node flags.
+const (
+	flagSched   uint8 = 1 << iota // queued for evaluation in the current pass
+	flagFeedsFF                   // some flip-flop samples this gate
+	flagPO                        // the gate is a primary output
+)
+
+// node is everything a fault pass reads or writes about one gate, kept
+// within one cache line: evaluating a gate touches one line per fanin,
+// one for itself and one per scheduled fanout.
+type node struct {
+	v1, v0 uint64 // faulty planes, valid while stamp equals the worker's epoch
+	g1, g0 uint64 // good planes of the loaded 64-cycle block
+	stamp  int32
+	level  int32
+	// Fanins are Program.fanins[inOff:inEnd], combinational fanouts
+	// Program.fanouts[outOff:outEnd].
+	inOff, inEnd   int32
+	outOff, outEnd int32
+	code           uint8
+	flags          uint8
+}
+
+// planes returns the gate's faulty planes in the pass numbered epoch:
+// what the pass wrote, else the good planes. It writes nothing, so a
+// stamp equal to the epoch means exactly "written in this pass".
+func (n *node) planes(epoch int32) (uint64, uint64) {
+	if n.stamp == epoch {
+		return n.v1, n.v0
+	}
+	return n.g1, n.g0
+}
+
+// faultState is what one live fault of a chunk carries from pass to
+// pass and from one 64-cycle block to the next.
+type faultState struct {
+	f       *faults.Fault
+	st      siteKind
+	drv     netlist.GateID // transition faults: the site pin's driver
+	prevDrv logic.V        // transition faults: the driver's value one cycle back
+	cyc     int            // first cycle not yet simulated
+	diffs   []ffDiff       // state differences entering cyc
+}
+
+// worker owns the mutable state of the fault passes: one node per gate
+// and the state of one chunk of faults. Workers share the Program and
+// the Trace read-only and nothing else.
+type worker struct {
+	// The pads keep a worker's counters, bumped on every evaluation, off
+	// the cache lines of whatever the allocator placed next to it — the
+	// next worker, for one: sharing a line there halves two-worker speed.
+	_ [64]byte
+
+	p  *Program
+	u  *faults.Universe
+	tr *Trace
+
+	nodes   []node
+	epoch   int32
+	base    int  // first cycle of the loaded block
+	lastLn  uint // last lane of the loaded block that holds a cycle
+	queue   [][]netlist.GateID
+	touched []netlist.GateID // written this pass and sampled by a flip-flop
+	pos     []netlist.GateID // written this pass and a primary output
+
+	slots []faultState
+	live  []int32
+
+	res       *faults.Result
+	evals     int
+	scheds    int
+	curDiffs  int
+	peakDiffs int
+	_         [64]byte
+}
+
+// Sim is the csim-C fault simulator over one Program and one fault
+// universe. A Sim is not safe for concurrent use; share the Program.
 //
-// Each fault is simulated in passes of up to 64 cycles against the
-// packed good trace. A pass speculates that the faulty machine's
+// The faults are cut into chunks of 256. A chunk walks the packed good
+// trace block by block: each 64-cycle block's good planes are loaded
+// into the nodes once, then every live fault of the chunk runs its
+// passes inside the block. A pass speculates that the faulty machine's
 // flip-flop state equals the good machine's in every lane after the
 // first; event-driven plane propagation then finds the earliest lane
 // where a flip-flop input diverges, the pass result is kept exactly up
 // to that lane, and the next pass resumes one cycle later carrying the
 // true state difference list. Output-cone restriction falls out of the
-// event discipline: only gates downstream of an injected difference
-// are ever evaluated.
+// event discipline: only gates downstream of an injected difference are
+// ever evaluated. Chunks are independent, so workers pull them off a
+// shared counter.
 type Sim struct {
 	p     *Program
 	u     *faults.Universe
 	stats csim.Stats
-
-	tr         *Trace
-	trV1, trV0 []uint64 // bit-planes of the current 64-cycle block
-
-	v1, v0    []uint64
-	stamp     []int32
-	epoch     int32
-	sched     []bool
-	queue     [][]netlist.GateID
-	touched   []netlist.GateID
-	touchMark []bool
-	diffs     []ffDiff
-	peakDiffs int
 }
 
 // New compiles u's circuit and returns a simulator over it.
@@ -78,57 +162,202 @@ func NewWith(p *Program, u *faults.Universe) (*Sim, error) {
 		return nil, fmt.Errorf("compiled: universe circuit %q does not match compiled program %q",
 			u.Circuit.Name, p.c.Name)
 	}
-	ng := len(p.c.Gates)
-	s := &Sim{
-		p:         p,
-		u:         u,
-		v1:        make([]uint64, ng),
-		v0:        make([]uint64, ng),
-		stamp:     make([]int32, ng),
-		sched:     make([]bool, ng),
-		queue:     make([][]netlist.GateID, p.maxLevel+1),
-		touchMark: make([]bool, ng),
-	}
-	for i := range s.stamp {
-		s.stamp[i] = -1
-	}
-	return s, nil
+	return &Sim{p: p, u: u}, nil
 }
 
-// Stats returns the run's instrumentation counters in the standard
+// Stats returns the last run's instrumentation counters in the standard
 // csim form, so harness tables, bench cells and the service's stats
 // view consume csim-C runs unchanged.
 func (s *Sim) Stats() csim.Stats { return s.stats }
 
-// Run simulates every fault of the universe over the vector sequence:
-// one compiled good-machine pass building the packed trace, then
-// per-fault bit-parallel re-evaluation. Detections are bit-identical
-// to serial.Simulate, including first-detection vector indices and
-// potential (X at a sampled output) detections.
+// Workers returns how many workers a run over nfaults faults uses when
+// asked for requested: at least one, at most one per 512 faults.
+func Workers(requested, nfaults int) int {
+	if most := nfaults / minFaultsPerWorker; requested > most {
+		requested = most
+	}
+	if requested < 1 {
+		requested = 1
+	}
+	return requested
+}
+
+// Run simulates every fault of the universe over the vector sequence on
+// the calling goroutine: RunContext with one worker and no cancellation.
 func (s *Sim) Run(vs *vectors.Set) *faults.Result {
-	res := faults.NewResult(s.u)
+	res, _ := s.RunContext(context.Background(), vs, 1) // a background context is never cancelled
+	return res
+}
+
+// RunContext simulates every fault of the universe over the vector
+// sequence: one compiled good-machine pass building the packed trace,
+// then the fault chunks on Workers(workers, faults) workers that share
+// it — the caller's goroutine is the first of them. Detections are
+// bit-identical to serial.Simulate, including first-detection vector
+// indices and potential (X at a sampled output) detections, and the
+// evaluation counts do not depend on the worker count. ctx is checked
+// between chunks and between a chunk's 64-cycle blocks; a cancelled run
+// returns ctx.Err().
+func (s *Sim) RunContext(ctx context.Context, vs *vectors.Set, workers int) (*faults.Result, error) {
+	return s.run(ctx, vs, Workers(workers, len(s.u.Faults)))
+}
+
+// run is RunContext on exactly nw >= 1 workers.
+func (s *Sim) run(ctx context.Context, vs *vectors.Set, nw int) (*faults.Result, error) {
 	tr, gevals := s.p.Trace(vs)
-	s.tr = tr
-	s.stats.GoodEvals += int(gevals)
-	nc := vs.Len()
-	if nc > 0 {
-		for fi := range s.u.Faults {
-			s.runFault(&s.u.Faults[fi], nc, res)
+	chunks := (len(s.u.Faults) + chunkFaults - 1) / chunkFaults
+	ws := make([]*worker, nw)
+	for i := range ws {
+		ws[i] = newWorker(s.p, s.u, tr)
+	}
+	var (
+		next atomic.Int64
+		errs = make([]error, len(ws))
+		wg   sync.WaitGroup
+	)
+	for i := 1; i < len(ws); i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = ws[i].run(ctx, &next, chunks)
+		}(i)
+	}
+	errs[0] = ws[0].run(ctx, &next, chunks)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
 	}
+
+	parts := make([]*faults.Result, len(ws))
+	stats := make([]csim.Stats, len(ws))
+	for i, w := range ws {
+		parts[i] = w.res
+		stats[i] = csim.Stats{
+			Evals:     w.evals,
+			Scheds:    w.scheds,
+			PeakElems: w.peakDiffs,
+			CurElems:  w.curDiffs,
+			MemBytes:  w.memBytes(),
+		}
+	}
+	res := faults.MergeResults(parts...)
+	s.stats = csim.MergeStats(stats...)
+	s.stats.GoodEvals = int(gevals)
 	s.stats.Detections = res.NumDet
-	s.stats.PeakElems = s.peakDiffs
-	s.stats.MemBytes = tr.Bytes() +
-		int64(len(s.v1)+len(s.v0))*8 + // scratch planes
-		int64(len(s.stamp))*4 +
-		int64(s.peakDiffs)*8
-	return res
+	s.stats.MemBytes += tr.Bytes()
+	return res, nil
+}
+
+// newWorker builds one worker's nodes from the program's structure.
+func newWorker(p *Program, u *faults.Universe, tr *Trace) *worker {
+	c := p.c
+	// Three slice headers (72 B) of slack on either side keep the bucket
+	// lengths, rewritten on every schedule, on cache lines of their own.
+	nl := int(p.maxLevel) + 1
+	w := &worker{
+		p: p, u: u, tr: tr,
+		nodes: make([]node, len(c.Gates)),
+		queue: make([][]netlist.GateID, nl+6)[3 : nl+3 : nl+3],
+		slots: make([]faultState, min(chunkFaults, len(u.Faults))),
+		live:  make([]int32, 0, min(chunkFaults, len(u.Faults))),
+		res:   faults.NewResult(u),
+	}
+	for i := range w.nodes {
+		n := &w.nodes[i]
+		n.level = p.level[i]
+		n.code = p.code[i]
+		n.inOff, n.inEnd = p.faninOff[i], p.faninOff[i+1]
+		n.outOff, n.outEnd = p.fanoutOff[i], p.fanoutOff[i+1]
+		if p.feedsFF(netlist.GateID(i)) {
+			n.flags |= flagFeedsFF
+		}
+	}
+	for _, po := range c.POs {
+		w.nodes[po].flags |= flagPO
+	}
+	return w
+}
+
+// memBytes accounts the worker's fault-pass state at its peak.
+func (w *worker) memBytes() int64 {
+	return int64(len(w.nodes))*nodeBytes + int64(len(w.slots))*slotBytes + int64(w.peakDiffs)*diffBytes
+}
+
+// run simulates chunks pulled off next until none is left or ctx ends.
+func (w *worker) run(ctx context.Context, next *atomic.Int64, chunks int) error {
+	for {
+		k := int(next.Add(1)) - 1
+		if k >= chunks {
+			return nil
+		}
+		lo := k * chunkFaults
+		if err := w.runChunk(ctx, lo, min(lo+chunkFaults, len(w.u.Faults))); err != nil {
+			return err
+		}
+	}
+}
+
+// runChunk simulates faults [lo, hi) to detection or vector exhaustion,
+// block-major: a block's good planes are loaded once for the whole
+// chunk, and each live fault runs all its passes inside the block before
+// the next fault gets its turn.
+//
+//simlint:hotpath
+func (w *worker) runChunk(ctx context.Context, lo, hi int) error {
+	live := w.live[:0]
+	for i := lo; i < hi; i++ {
+		fs := &w.slots[i-lo]
+		fs.f = &w.u.Faults[i]
+		fs.st, fs.drv = w.classify(fs.f)
+		fs.prevDrv = logic.X
+		fs.cyc = 0
+		fs.diffs = fs.diffs[:0]
+		live = append(live, int32(i-lo))
+	}
+	for b := 0; b < w.tr.blocks && len(live) > 0; b++ {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		w.loadBlock(b)
+		end := w.base + int(w.lastLn) + 1
+		keep := live[:0]
+		for _, si := range live {
+			fs := &w.slots[si]
+			detected := false
+			for fs.cyc < end && !detected {
+				detected = w.pass(fs)
+			}
+			if !detected {
+				keep = append(keep, si)
+			}
+		}
+		live = keep
+	}
+	return nil
+}
+
+// loadBlock copies block b's good planes into the nodes and restarts the
+// pass numbering, which also invalidates every faulty plane.
+//
+//simlint:hotpath
+func (w *worker) loadBlock(b int) {
+	v1, v0 := w.tr.block(b)
+	for i := range w.nodes {
+		n := &w.nodes[i]
+		n.g1, n.g0 = v1[i], v0[i]
+		n.stamp = 0
+	}
+	w.epoch = 0
+	w.base = b * wordW
+	w.lastLn = uint(min(w.tr.cycles-w.base, wordW) - 1)
 }
 
 // classify resolves a fault to its site kind and, for transition
 // faults, the site pin's driver gate.
-func (s *Sim) classify(f *faults.Fault) (siteKind, netlist.GateID) {
-	op := s.p.c.Gate(f.Gate).Op
+func (w *worker) classify(f *faults.Fault) (siteKind, netlist.GateID) {
+	op := w.p.c.Gate(f.Gate).Op
 	if f.Kind.Stuck() {
 		switch op {
 		case logic.OpInput:
@@ -141,36 +370,11 @@ func (s *Sim) classify(f *faults.Fault) (siteKind, netlist.GateID) {
 		}
 		return siteComb, netlist.NoGate
 	}
-	drv := s.p.fanin(f.Gate)[f.Pin]
+	drv := w.p.fanin(f.Gate)[f.Pin]
 	if op == logic.OpDFF {
 		return siteDFFTrans, drv
 	}
 	return siteCombTrans, drv
-}
-
-// runFault simulates one fault to detection or vector exhaustion.
-func (s *Sim) runFault(f *faults.Fault, nc int, res *faults.Result) {
-	st, drv := s.classify(f)
-	s.diffs = s.diffs[:0]
-	prevDrv := logic.X
-	for cyc := 0; cyc < nc; {
-		done, next := s.pass(f, st, drv, cyc, nc, res, &prevDrv)
-		if done {
-			return
-		}
-		cyc = next
-	}
-}
-
-// read returns gate g's faulty bit-planes, lazily initializing them
-// from the good trace on first touch in the current pass.
-func (s *Sim) read(g netlist.GateID) (uint64, uint64) {
-	if s.stamp[g] != s.epoch {
-		s.stamp[g] = s.epoch
-		s.v1[g] = s.trV1[g]
-		s.v0[g] = s.trV0[g]
-	}
-	return s.v1[g], s.v0[g]
 }
 
 // forcePlanes overwrites the masked lanes of a plane pair with v.
@@ -186,76 +390,88 @@ func forcePlanes(a1, a0 uint64, v logic.V, m uint64) (uint64, uint64) {
 	return a1, a0
 }
 
-// force overwrites the masked lanes of gate g's faulty planes with v.
-func (s *Sim) force(g netlist.GateID, v logic.V, m uint64) {
-	s.read(g)
-	s.v1[g], s.v0[g] = forcePlanes(s.v1[g], s.v0[g], v, m)
+// write stores gate g's faulty planes. The first write of a pass stamps
+// the node and lists it for the checks that end the pass: the divergence
+// cutoff and state carry read the flip-flop-sampled gates, detection
+// reads the primary outputs.
+//
+//simlint:hotpath
+func (w *worker) write(g netlist.GateID, n *node, a1, a0 uint64) {
+	if n.stamp != w.epoch {
+		n.stamp = w.epoch
+		if n.flags&flagFeedsFF != 0 {
+			w.touched = append(w.touched, g)
+		}
+		if n.flags&flagPO != 0 {
+			w.pos = append(w.pos, g)
+		}
+	}
+	n.v1, n.v0 = a1, a0
 }
 
-// setLane writes one lane of gate g's faulty planes.
-func (s *Sim) setLane(g netlist.GateID, lane uint, v logic.V) {
-	s.read(g)
-	bit := uint64(1) << lane
-	s.v1[g] = s.v1[g]&^bit | oneBit[v]<<lane
-	s.v0[g] = s.v0[g]&^bit | zeroBit[v]<<lane
+// force overwrites the masked lanes of source gate g's faulty planes
+// with v and schedules its consumers.
+//
+//simlint:hotpath
+func (w *worker) force(g netlist.GateID, v logic.V, m uint64) {
+	n := &w.nodes[g]
+	a1, a0 := n.planes(w.epoch)
+	a1, a0 = forcePlanes(a1, a0, v, m)
+	w.write(g, n, a1, a0)
+	w.schedFanouts(n)
 }
 
 // schedule queues gate g for evaluation at its level.
-func (s *Sim) schedule(g netlist.GateID) {
-	if s.sched[g] {
+//
+//simlint:hotpath
+func (w *worker) schedule(g netlist.GateID) {
+	n := &w.nodes[g]
+	if n.flags&flagSched != 0 {
 		return
 	}
-	s.sched[g] = true
-	s.queue[s.p.level[g]] = append(s.queue[s.p.level[g]], g)
-	s.stats.Scheds++
+	n.flags |= flagSched
+	w.queue[n.level] = append(w.queue[n.level], g)
+	w.scheds++
 }
 
-// schedFanouts queues gate g's combinational consumers.
-func (s *Sim) schedFanouts(g netlist.GateID) {
-	for _, fo := range s.p.fanout(g) {
-		s.schedule(fo)
+// schedFanouts queues the combinational consumers of n's gate.
+//
+//simlint:hotpath
+func (w *worker) schedFanouts(n *node) {
+	for _, fo := range w.p.fanouts[n.outOff:n.outEnd] {
+		w.schedule(fo)
 	}
 }
 
-// touch records that gate g's planes were written this pass, when any
-// flip-flop samples g — the set the divergence cutoff and state carry
-// inspect.
-func (s *Sim) touch(g netlist.GateID) {
-	if !s.p.feedsFF(g) || s.touchMark[g] {
-		return
-	}
-	s.touchMark[g] = true
-	s.touched = append(s.touched, g)
-}
-
-// pass simulates fault f over the lanes [cyc%64, …] of cyc's 64-cycle
-// block. It returns (true, 0) when the fault was detected, else
-// (false, next) with the first cycle the next pass must resume from.
-func (s *Sim) pass(f *faults.Fault, st siteKind, drv netlist.GateID, cyc, nc int, res *faults.Result, prevDrv *logic.V) (bool, int) {
-	p := s.p
-	b := cyc / wordW
-	off := uint(cyc % wordW)
-	n := nc - b*wordW
-	if n > wordW {
-		n = wordW
-	}
-	wEnd := uint(n - 1)
+// pass simulates fs's fault from cycle fs.cyc to the end of the loaded
+// block, or to the first lane where the speculation on the flip-flop
+// state fails. It reports whether the fault was detected; if not, fs
+// holds the cycle and the state differences the next pass starts from.
+//
+//simlint:hotpath
+func (w *worker) pass(fs *faultState) bool {
+	p := w.p
+	f, st := fs.f, fs.st
+	off := uint(fs.cyc - w.base)
+	wEnd := w.lastLn
 	if st == siteDFFTrans {
 		// The latched fault value recurs through the state register, so
 		// this site kind advances one cycle per pass.
 		wEnd = off
 	}
 	mask := maskRange(off, wEnd)
-	s.epoch++
-	s.touched = s.touched[:0]
-	s.trV1, s.trV0 = s.tr.block(b)
+	w.epoch++
+	w.touched = w.touched[:0]
+	w.pos = w.pos[:0]
 
 	// Install the carried state differences at the entry lane.
-	for _, d := range s.diffs {
+	for _, d := range fs.diffs {
 		ffg := p.c.DFFs[d.ff]
-		s.setLane(ffg, off, d.val)
-		s.schedFanouts(ffg)
-		s.touch(ffg)
+		n := &w.nodes[ffg]
+		a1, a0 := n.planes(w.epoch)
+		bit := uint64(1) << off
+		w.write(ffg, n, a1&^bit|oneBit[d.val]<<off, a0&^bit|zeroBit[d.val]<<off)
+		w.schedFanouts(n)
 	}
 
 	// Inject the fault. Flip-flop-sited stuck faults pin the state
@@ -263,40 +479,39 @@ func (s *Sim) pass(f *faults.Fault, st siteKind, drv netlist.GateID, cyc, nc int
 	// exempt from the divergence cutoff and carries its own next-state
 	// difference explicitly.
 	exempt := int32(-1)
+	site := netlist.NoGate
 	switch st {
 	case sitePI:
-		s.force(f.Gate, f.Kind.StuckValue(), mask)
-		s.schedFanouts(f.Gate)
-		s.touch(f.Gate)
+		w.force(f.Gate, f.Kind.StuckValue(), mask)
 	case siteDFFOut:
-		s.force(f.Gate, f.Kind.StuckValue(), mask)
-		s.schedFanouts(f.Gate)
-		s.touch(f.Gate)
+		w.force(f.Gate, f.Kind.StuckValue(), mask)
 		exempt = p.dffIdx[f.Gate]
 	case siteDFFD:
 		// Lane off holds the carried (or good) state; the stuck D pin
 		// fixes every later lane's latched value.
 		if m2 := mask &^ (uint64(1) << off); m2 != 0 {
-			s.force(f.Gate, f.Kind.StuckValue(), m2)
-			s.schedFanouts(f.Gate)
-			s.touch(f.Gate)
+			w.force(f.Gate, f.Kind.StuckValue(), m2)
 		}
 		exempt = p.dffIdx[f.Gate]
 	case siteDFFTrans:
 		exempt = p.dffIdx[f.Gate]
 	case siteComb, siteCombTrans:
-		s.schedule(f.Gate)
+		site = f.Gate
+		w.schedule(site)
 	}
 
 	// Event-driven level-order plane propagation.
 	for l := int32(1); l <= p.maxLevel; l++ {
-		bucket := s.queue[l]
+		bucket := w.queue[l]
 		for i := 0; i < len(bucket); i++ {
 			g := bucket[i]
-			s.sched[g] = false
-			s.evalGate(g, f, st, drv, off, mask, *prevDrv)
+			if g == site {
+				w.evalSite(g, fs, off, mask)
+			} else {
+				w.eval(g)
+			}
 		}
-		s.queue[l] = bucket[:0]
+		w.queue[l] = bucket[:0]
 	}
 
 	// Divergence cutoff: the first lane where a flip-flop input
@@ -304,12 +519,13 @@ func (s *Sim) pass(f *faults.Fault, st siteKind, drv netlist.GateID, cyc, nc int
 	// L itself executed with a correct entering state and stays valid.
 	last := wEnd
 	var div uint64
-	for _, g := range s.touched {
+	for _, g := range w.touched {
 		fed := p.fed(g)
 		if exempt >= 0 && len(fed) == 1 && fed[0] == exempt {
 			continue
 		}
-		div |= (s.v1[g] ^ s.trV1[g]) | (s.v0[g] ^ s.trV0[g])
+		n := &w.nodes[g]
+		div |= (n.v1 ^ n.g1) | (n.v0 ^ n.g0)
 	}
 	if div &= mask; div != 0 {
 		if fl := uint(bits.TrailingZeros64(div)); fl < last {
@@ -317,44 +533,40 @@ func (s *Sim) pass(f *faults.Fault, st siteKind, drv netlist.GateID, cyc, nc int
 		}
 	}
 
-	// Detection over the valid lanes, against the good trace: a hard
+	// Detection over the valid lanes, against the good planes: a hard
 	// detect needs opposite binary planes; a potential detect is good
-	// binary against faulty X. Only epoch-stamped POs can differ.
+	// binary against faulty X. Only a written output can differ.
 	valid := maskRange(off, last)
 	var det, pot uint64
-	for _, po := range p.c.POs {
-		if s.stamp[po] != s.epoch {
-			continue
-		}
-		f1, f0 := s.v1[po], s.v0[po]
-		g1, g0 := s.trV1[po], s.trV0[po]
-		det |= g1&f0 | g0&f1
-		pot |= (g1 | g0) &^ (f1 | f0)
+	for _, po := range w.pos {
+		n := &w.nodes[po]
+		det |= n.g1&n.v0 | n.g0&n.v1
+		pot |= (n.g1 | n.g0) &^ (n.v1 | n.v0)
 	}
 	det &= valid
 	pot &= valid
-	s.clearTouch()
 	if det != 0 {
 		dl := uint(bits.TrailingZeros64(det))
 		// The serial oracle records a potential detect on the detecting
 		// cycle itself, then stops simulating the fault.
 		if pot&maskRange(off, dl) != 0 {
-			res.PotDetect(f.ID)
+			w.res.PotDetect(f.ID)
 		}
-		res.Detect(f.ID, b*wordW+int(dl))
-		return true, 0
+		w.res.Detect(f.ID, w.base+int(dl))
+		return true
 	}
 	if pot != 0 {
-		res.PotDetect(f.ID)
+		w.res.PotDetect(f.ID)
 	}
 
 	// Carry the true state difference out of lane `last` into the next
-	// pass.
-	nd := s.diffs[:0]
-	for _, g := range s.touched {
-		fv := planeVal(s.v1[g], s.v0[g], last)
-		gv := planeVal(s.trV1[g], s.trV0[g], last)
-		if fv == gv {
+	// pass. The carried list was consumed above, so it is rebuilt in
+	// place.
+	nd := fs.diffs[:0]
+	for _, g := range w.touched {
+		n := &w.nodes[g]
+		fv := planeVal(n.v1, n.v0, last)
+		if fv == planeVal(n.g1, n.g0, last) {
 			continue
 		}
 		for _, ffi := range p.fed(g) {
@@ -367,131 +579,153 @@ func (s *Sim) pass(f *faults.Fault, st siteKind, drv netlist.GateID, cyc, nc int
 	switch st {
 	case siteDFFOut, siteDFFD:
 		sv := f.Kind.StuckValue()
-		dd := p.dffD[exempt]
-		if gq := planeVal(s.trV1[dd], s.trV0[dd], last); sv != gq {
+		dd := &w.nodes[p.dffD[exempt]]
+		if sv != planeVal(dd.g1, dd.g0, last) {
 			nd = append(nd, ffDiff{ff: exempt, val: sv})
 		}
 	case siteDFFTrans:
-		raw := s.laneVal(drv, last)
-		fv := faults.TransitionFV(f.Kind, *prevDrv, raw)
-		*prevDrv = raw
-		if gq := planeVal(s.trV1[drv], s.trV0[drv], last); fv != gq {
+		dn := &w.nodes[fs.drv]
+		d1, d0 := dn.planes(w.epoch)
+		raw := planeVal(d1, d0, last)
+		fv := faults.TransitionFV(f.Kind, fs.prevDrv, raw)
+		fs.prevDrv = raw
+		if fv != planeVal(dn.g1, dn.g0, last) {
 			nd = append(nd, ffDiff{ff: exempt, val: fv})
 		}
 	case siteCombTrans:
-		*prevDrv = s.laneVal(drv, last)
+		d1, d0 := w.nodes[fs.drv].planes(w.epoch)
+		fs.prevDrv = planeVal(d1, d0, last)
 	}
-	s.diffs = nd
-	if len(nd) > s.peakDiffs {
-		s.peakDiffs = len(nd)
+	fs.diffs = nd
+	if len(nd) > w.peakDiffs {
+		w.peakDiffs = len(nd)
 	}
-	s.stats.CurElems = len(nd)
-	return false, b*wordW + int(last) + 1
+	w.curDiffs = len(nd)
+	fs.cyc = w.base + int(last) + 1
+	return false
 }
 
-// clearTouch resets the touch marks; the touched list itself survives
-// until the carry step of the same pass reads it.
-func (s *Sim) clearTouch() {
-	for _, g := range s.touched {
-		s.touchMark[g] = false
-	}
-}
-
-// laneVal reads gate g's faulty value at a lane: its planes when
-// written this pass, the good trace otherwise.
-func (s *Sim) laneVal(g netlist.GateID, lane uint) logic.V {
-	if s.stamp[g] == s.epoch {
-		return planeVal(s.v1[g], s.v0[g], lane)
-	}
-	return planeVal(s.trV1[g], s.trV0[g], lane)
-}
-
-// evalGate re-evaluates one gate's bit-planes from its fanin planes,
-// applying the fault's pin or output forcing when g is the site, and
-// schedules the fanout on change.
-func (s *Sim) evalGate(g netlist.GateID, f *faults.Fault, st siteKind, drv netlist.GateID, off uint, mask uint64, prevDrv logic.V) {
-	p := s.p
-	ins := p.fanin(g)
-	code := p.code[g]
-	isSite := g == f.Gate && (st == siteComb || st == siteCombTrans)
-
-	pin := func(j int) (uint64, uint64) {
-		i1, i0 := s.read(ins[j])
-		if isSite && f.Pin == j {
-			if st == siteComb {
-				i1, i0 = forcePlanes(i1, i0, f.Kind.StuckValue(), mask)
-			} else {
-				// Transition: the effective pin value is TransitionFV
-				// (ternary AND for STR, OR for STF) of the driver's
-				// previous-cycle and current values. The driver is
-				// strictly upstream in level order, so its planes are
-				// final; shifting them by one lane yields previous-cycle
-				// values, with the carried scalar spliced into the entry
-				// lane.
-				d1, d0 := s.lanePlanes(drv)
-				bit := uint64(1) << off
-				p1 := d1<<1&^bit | oneBit[prevDrv]<<off
-				p0 := d0<<1&^bit | zeroBit[prevDrv]<<off
-				var e1, e0 uint64
-				if f.Kind == faults.STR {
-					e1, e0 = p1&i1, p0|i0
-				} else {
-					e1, e0 = p1|i1, p0&i0
-				}
-				i1 = i1&^mask | e1&mask
-				i0 = i0&^mask | e0&mask
-			}
-		}
-		return i1, i0
-	}
-
+// eval re-evaluates gate g's planes from its fanin planes and schedules
+// the fanout on change. It is the path of every gate but the fault site.
+//
+//simlint:hotpath
+func (w *worker) eval(g netlist.GateID) {
+	n := &w.nodes[g]
+	n.flags &^= flagSched
+	ep := w.epoch
+	ins := w.p.fanins[n.inOff:n.inEnd]
 	var a1, a0 uint64
-	switch code &^ 1 {
+	switch n.code &^ 1 {
 	case opBuf:
-		a1, a0 = pin(0)
+		a1, a0 = w.nodes[ins[0]].planes(ep)
 	case opAnd:
 		a1, a0 = ^uint64(0), 0
-		for j := range ins {
-			i1, i0 := pin(j)
+		for _, in := range ins {
+			i1, i0 := w.nodes[in].planes(ep)
 			a1 &= i1
 			a0 |= i0
 		}
 	case opOr:
 		a1, a0 = 0, ^uint64(0)
-		for j := range ins {
-			i1, i0 := pin(j)
+		for _, in := range ins {
+			i1, i0 := w.nodes[in].planes(ep)
 			a1 |= i1
 			a0 &= i0
 		}
 	case opXor:
 		a1, a0 = 0, ^uint64(0)
-		for j := range ins {
-			i1, i0 := pin(j)
+		for _, in := range ins {
+			i1, i0 := w.nodes[in].planes(ep)
 			a1, a0 = a1&i0|a0&i1, a1&i1|a0&i0
 		}
 	}
-	if code&1 != 0 {
+	if n.code&1 != 0 {
 		a1, a0 = a0, a1
 	}
-	if isSite && st == siteComb && f.Pin == faults.OutPin {
-		a1, a0 = forcePlanes(a1, a0, f.Kind.StuckValue(), mask)
-	}
-
-	s.stats.Evals++
-	o1, o0 := s.read(g)
-	if a1 == o1 && a0 == o0 {
-		return
-	}
-	s.v1[g], s.v0[g] = a1, a0
-	s.schedFanouts(g)
-	s.touch(g)
+	w.commit(g, n, a1, a0)
 }
 
-// lanePlanes reads gate g's faulty planes without initializing them:
-// the trace planes when untouched this pass.
-func (s *Sim) lanePlanes(g netlist.GateID) (uint64, uint64) {
-	if s.stamp[g] == s.epoch {
-		return s.v1[g], s.v0[g]
+// commit counts one evaluation of gate g and, when the result differs
+// from the gate's current planes, stores it and schedules the fanout.
+//
+//simlint:hotpath
+func (w *worker) commit(g netlist.GateID, n *node, a1, a0 uint64) {
+	w.evals++
+	if o1, o0 := n.planes(w.epoch); a1 == o1 && a0 == o0 {
+		return
 	}
-	return s.trV1[g], s.trV0[g]
+	w.write(g, n, a1, a0)
+	w.schedFanouts(n)
+}
+
+// sitePin returns the planes the fault site sees on input pin j: the
+// driver's planes, with the fault's forcing applied on the faulty pin.
+//
+//simlint:hotpath
+func (w *worker) sitePin(fs *faultState, in netlist.GateID, faulty bool, off uint, mask uint64) (uint64, uint64) {
+	i1, i0 := w.nodes[in].planes(w.epoch)
+	if !faulty {
+		return i1, i0
+	}
+	if fs.st == siteComb {
+		return forcePlanes(i1, i0, fs.f.Kind.StuckValue(), mask)
+	}
+	// Transition: the effective pin value is TransitionFV (ternary AND
+	// for STR, OR for STF) of the driver's previous-cycle and current
+	// values. The driver is strictly upstream in level order, so its
+	// planes are final; shifting them by one lane yields previous-cycle
+	// values, with the carried scalar spliced into the entry lane.
+	bit := uint64(1) << off
+	p1 := i1<<1&^bit | oneBit[fs.prevDrv]<<off
+	p0 := i0<<1&^bit | zeroBit[fs.prevDrv]<<off
+	var e1, e0 uint64
+	if fs.f.Kind == faults.STR {
+		e1, e0 = p1&i1, p0|i0
+	} else {
+		e1, e0 = p1|i1, p0&i0
+	}
+	return i1&^mask | e1&mask, i0&^mask | e0&mask
+}
+
+// evalSite is eval for the gate a combinational fault sits on: the
+// faulty input pin, or the output, is forced in the pass's lanes.
+//
+//simlint:hotpath
+func (w *worker) evalSite(g netlist.GateID, fs *faultState, off uint, mask uint64) {
+	n := &w.nodes[g]
+	n.flags &^= flagSched
+	ins := w.p.fanins[n.inOff:n.inEnd]
+	pin := fs.f.Pin
+	var a1, a0 uint64
+	switch n.code &^ 1 {
+	case opBuf:
+		a1, a0 = w.sitePin(fs, ins[0], pin == 0, off, mask)
+	case opAnd:
+		a1, a0 = ^uint64(0), 0
+		for j, in := range ins {
+			i1, i0 := w.sitePin(fs, in, pin == j, off, mask)
+			a1 &= i1
+			a0 |= i0
+		}
+	case opOr:
+		a1, a0 = 0, ^uint64(0)
+		for j, in := range ins {
+			i1, i0 := w.sitePin(fs, in, pin == j, off, mask)
+			a1 |= i1
+			a0 &= i0
+		}
+	case opXor:
+		a1, a0 = 0, ^uint64(0)
+		for j, in := range ins {
+			i1, i0 := w.sitePin(fs, in, pin == j, off, mask)
+			a1, a0 = a1&i0|a0&i1, a1&i1|a0&i0
+		}
+	}
+	if n.code&1 != 0 {
+		a1, a0 = a0, a1
+	}
+	if fs.st == siteComb && pin == faults.OutPin {
+		a1, a0 = forcePlanes(a1, a0, fs.f.Kind.StuckValue(), mask)
+	}
+	w.commit(g, n, a1, a0)
 }

@@ -27,7 +27,7 @@ func Engines() []EngineInfo {
 		{CsimP, "parallel", "csim-MV fault-partitioned over worker goroutines sharing one good trace"},
 		{CsimV2, "parallel", "csim-MV vector-partitioned into speculative windows with repair"},
 		{CsimGrid, "parallel", "2-D fault x vector grid; unified scheduler picks the shape"},
-		{CsimC, "compiled", "compiled bit-parallel backend: levelized straight-line code, packed 64-vector passes over the fault cone"},
+		{CsimC, "compiled", "compiled bit-parallel backend: levelized straight-line code, packed 64-vector passes over the fault cone; a service job's workers share one good trace"},
 		{PROOFS, "baseline", "bit-parallel single-fault-propagation baseline (PROOFS-style)"},
 		{Serial, "baseline", "brute-force oracle: one full resimulation per fault"},
 		{GoodSim, "good", "interpreted event-driven good machine only, no faults"},

@@ -8,6 +8,7 @@
 package integration
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -110,7 +111,11 @@ func fuzzCase(t *testing.T, seed int64) {
 	if err != nil {
 		t.Fatalf("%s: %v", tag, err)
 	}
-	compare(t, tag+"/csim-C", oracle, csim2.Run(vs))
+	res, err = csim2.RunContext(context.Background(), vs, workers)
+	if err != nil {
+		t.Fatalf("%s: %v", tag, err)
+	}
+	compare(t, tag+"/csim-C", oracle, res)
 }
 
 // fuzzCorpus is the fixed replayed corpus; FuzzDifferential seeds its

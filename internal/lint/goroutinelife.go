@@ -15,6 +15,7 @@ import (
 // goroutine can be legitimate. The fixture package rides along so the
 // analyzer is testable.
 var goroutineLifePackages = map[string]bool{
+	"repro/internal/compiled": true,
 	"repro/internal/dist":     true,
 	"repro/internal/parallel": true,
 	"repro/internal/service":  true,

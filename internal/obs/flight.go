@@ -32,24 +32,25 @@ type FlightEvent struct {
 // Recordf no-op (Recordf before formatting, so disabled call sites pay
 // no fmt cost), Events returns nil.
 type FlightRecorder struct {
-	mu sync.Mutex
+	limit int // ring capacity; buf grows on demand up to it
+	mu    sync.Mutex
 	//simlint:guarded_by(mu)
 	buf []FlightEvent
 	//simlint:guarded_by(mu)
 	next int // write position once the ring is full
 	//simlint:guarded_by(mu)
-	full bool
-	//simlint:guarded_by(mu)
 	dropped int64
 }
 
 // NewFlightRecorder builds a recorder holding at most capacity events
-// (DefaultFlightEvents when capacity <= 0).
+// (DefaultFlightEvents when capacity <= 0). The ring is not allocated
+// up front: a typical job records a handful of events, and a server
+// retains thousands of finished jobs with their recorders.
 func NewFlightRecorder(capacity int) *FlightRecorder {
 	if capacity <= 0 {
 		capacity = DefaultFlightEvents
 	}
-	return &FlightRecorder{buf: make([]FlightEvent, 0, capacity)}
+	return &FlightRecorder{limit: capacity}
 }
 
 // Record appends one event, evicting the oldest when the ring is full.
@@ -59,11 +60,8 @@ func (f *FlightRecorder) Record(kind, detail string) {
 	}
 	ev := FlightEvent{Time: time.Now(), Kind: kind, Detail: detail}
 	f.mu.Lock()
-	if !f.full {
+	if len(f.buf) < f.limit {
 		f.buf = append(f.buf, ev)
-		if len(f.buf) == cap(f.buf) {
-			f.full = true
-		}
 	} else {
 		f.buf[f.next] = ev
 		f.next++
@@ -93,14 +91,11 @@ func (f *FlightRecorder) Events() []FlightEvent {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	// next stays 0 until the ring is full, so this is oldest-first in
+	// both states.
 	out := make([]FlightEvent, 0, len(f.buf))
-	if f.full {
-		out = append(out, f.buf[f.next:]...)
-		out = append(out, f.buf[:f.next]...)
-	} else {
-		out = append(out, f.buf...)
-	}
-	return out
+	out = append(out, f.buf[f.next:]...)
+	return append(out, f.buf[:f.next]...)
 }
 
 // Len returns the number of retained events (0 on nil).

@@ -140,6 +140,25 @@ func TestFlightRecorderWraparound(t *testing.T) {
 	}
 }
 
+// TestFlightRecorderGrowsOnDemand pins that a recorder holds memory for
+// the events it has, not for its limit: a server retains thousands of
+// finished jobs, each with a handful of events.
+func TestFlightRecorderGrowsOnDemand(t *testing.T) {
+	fr := NewFlightRecorder(DefaultFlightEvents)
+	if c := cap(fr.buf); c != 0 {
+		t.Errorf("empty recorder holds %d event slots", c)
+	}
+	for i := 0; i < 6; i++ {
+		fr.Record("ev", "")
+	}
+	if c := cap(fr.buf); c >= DefaultFlightEvents/4 {
+		t.Errorf("6 events hold %d slots of a %d limit", c, DefaultFlightEvents)
+	}
+	if fr.Len() != 6 || fr.Dropped() != 0 {
+		t.Errorf("Len = %d, Dropped = %d, want 6 and 0", fr.Len(), fr.Dropped())
+	}
+}
+
 // TestFlightRecorderNil pins the disabled state.
 func TestFlightRecorderNil(t *testing.T) {
 	var fr *FlightRecorder

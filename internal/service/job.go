@@ -69,9 +69,10 @@ type JobSpec struct {
 	// csim-grid, csim-C (compiled bit-parallel; reuses the circuit's
 	// cached compiled program), PROOFS, serial.
 	Engine string `json:"engine,omitempty"`
-	// Workers is the csim-P partition worker count, or the csim-grid
-	// fault-shard count (<=0: server default; for csim-grid, <=0 with
-	// Windows <=0 lets the scheduler plan the whole shape).
+	// Workers is the csim-P partition worker count, the csim-C worker
+	// count (capped at one per 512 faults), or the csim-grid fault-shard
+	// count (<=0: server default; for csim-grid, <=0 with Windows <=0
+	// lets the scheduler plan the whole shape).
 	Workers int `json:"workers,omitempty"`
 	// Windows is the csim-V2 / csim-grid vector-window count (<=0: server
 	// default for csim-V2; scheduler-planned for csim-grid when Workers is
@@ -338,8 +339,8 @@ type ResultView struct {
 	PotOnly int `json:"pot_only"`
 	// Coverage is hard coverage in [0,1].
 	Coverage float64 `json:"coverage"`
-	// Workers is the csim-P partition / csim-grid fault-shard count
-	// (0 otherwise).
+	// Workers is the csim-P partition / csim-C worker / csim-grid
+	// fault-shard count the run used (0 otherwise).
 	Workers int `json:"workers,omitempty"`
 	// Windows is the csim-V2 / csim-grid vector-window count (0
 	// otherwise).
@@ -419,15 +420,19 @@ type Postmortem struct {
 type job struct {
 	id   string
 	spec JobSpec
-	// cc and cacheHit are fixed at admission (the submit handler compiles
-	// through the cache before enqueueing) and read-only afterwards.
-	cc       *Compiled
+	// cacheHit is fixed at admission (the submit handler compiles through
+	// the cache before enqueueing) and read-only afterwards.
 	cacheHit bool
 	// flight is the job's bounded lifecycle recorder, fixed at admission;
 	// the recorder is internally synchronized.
 	flight *obs.FlightRecorder
 
-	mu        sync.Mutex
+	mu sync.Mutex
+	// cc pins the circuit compiled at admission until the job reaches a
+	// terminal state; a retained finished job must not keep an evicted
+	// circuit alive.
+	//simlint:guarded_by(mu)
+	cc        *Compiled
 	status    Status
 	distPhase string
 	submitted time.Time
@@ -442,9 +447,9 @@ type job struct {
 	done chan struct{}
 }
 
-func newJob(id string, spec JobSpec, now time.Time) *job {
+func newJob(id string, spec JobSpec, cc *Compiled, cacheHit bool, now time.Time) *job {
 	return &job{
-		id: id, spec: spec,
+		id: id, spec: spec, cc: cc, cacheHit: cacheHit,
 		status: StatusQueued, submitted: now,
 		done: make(chan struct{}),
 	}
@@ -525,8 +530,17 @@ func (j *job) finish(status Status, now time.Time, res *ResultView, err string) 
 	j.result = res
 	j.err = err
 	j.cancelRun = nil
+	j.cc = nil
 	j.mu.Unlock()
 	close(j.done)
+}
+
+// compiled returns the circuit pinned at admission, nil once the job is
+// terminal.
+func (j *job) compiled() *Compiled {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.cc
 }
 
 // requestCancel asks a live job to stop: a queued job is finished here
@@ -543,6 +557,7 @@ func (j *job) requestCancel(now time.Time) bool {
 		j.status = StatusCancelled
 		j.finished = now
 		j.err = "cancelled while queued"
+		j.cc = nil
 		j.mu.Unlock()
 		j.flight.Record("finish", "cancelled while queued")
 		close(j.done)

@@ -37,9 +37,10 @@ func BuildVectors(spec *JobSpec, cc *Compiled) (*vectors.Set, error) {
 
 // execute runs one admitted job's engine under ctx and returns the
 // result view. Cancellation granularity: the csim variants check the
-// context between clock cycles; csim-P, csim-V2, csim-grid, csim-C,
-// PROOFS and serial check it only before starting (a cancelled running
-// job of those engines finishes its simulation, then reports cancelled).
+// context between clock cycles and csim-C between fault chunks and
+// between a chunk's 64-cycle blocks; csim-P, csim-V2, csim-grid, PROOFS
+// and serial check it only before starting (a cancelled running job of
+// those engines finishes its simulation, then reports cancelled).
 func execute(ctx context.Context, spec *JobSpec, cc *Compiled, ob *obs.Observer, prefix string, workersDefault int) (*ResultView, error) {
 	u, err := cc.Universe(spec.Model)
 	if err != nil {
@@ -104,7 +105,15 @@ func execute(ctx context.Context, spec *JobSpec, cc *Compiled, ob *obs.Observer,
 		if err != nil {
 			return nil, err
 		}
-		res = sim.Run(vs)
+		workers := spec.Workers
+		if workers <= 0 {
+			workers = workersDefault
+		}
+		rv.Workers = compiled.Workers(workers, u.NumFaults())
+		res, err = sim.RunContext(ctx, vs, workers)
+		if err != nil {
+			return nil, err
+		}
 		fillStats(rv, sim.Stats())
 	case "csim-P":
 		workers := spec.Workers

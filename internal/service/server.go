@@ -43,8 +43,8 @@ type Config struct {
 	// Retained bounds finished jobs kept for polling (default 8192);
 	// beyond it the oldest finished jobs are evicted.
 	Retained int
-	// EngineWorkers is the csim-P partition count when a spec leaves
-	// Workers at 0 (default runtime.NumCPU).
+	// EngineWorkers is the csim-P partition count and the csim-C worker
+	// count when a spec leaves Workers at 0 (default runtime.NumCPU).
 	EngineWorkers int
 	// Obs is the observability bundle. Nil runs with a fresh registry
 	// (metrics always on — the service serves them) and no tracer.
@@ -119,9 +119,9 @@ func (c Config) withDefaults() Config {
 // compiled-circuit cache and full metrics. Create with New, run with
 // Start, stop with Drain (graceful) or Close (hard).
 type Server struct {
-	cfg   Config
-	ob    *obs.Observer
-	log   *obs.Logger
+	cfg    Config
+	ob     *obs.Observer
+	log    *obs.Logger
 	slo    *sloTracker
 	cache  *Cache
 	q      *jobQueue
@@ -367,7 +367,7 @@ func (s *Server) runJob(ctx context.Context, slot int, j *job) {
 	// The submit handler compiled the circuit at admission and pinned it
 	// on the job, so cache eviction between admission and execution can't
 	// fail the run.
-	cc := j.cc
+	cc := j.compiled()
 
 	// One engine-metrics namespace and one trace lane per worker slot:
 	// bounded registry growth no matter how many jobs run. The logger and
@@ -575,8 +575,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	j := newJob(id, spec, time.Now())
-	j.cc, j.cacheHit = cc, hit
+	j := newJob(id, spec, cc, hit, time.Now())
 	j.flight = obs.NewFlightRecorder(s.cfg.FlightEvents)
 	s.jobs[id] = j
 	s.mu.Unlock()

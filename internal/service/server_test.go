@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -317,6 +318,104 @@ func TestJobTimeoutFails(t *testing.T) {
 	}
 	if v.Status != StatusFailed || !strings.Contains(v.Error, "timeout") {
 		t.Fatalf("timed-out job: status %s, error %q", v.Status, v.Error)
+	}
+}
+
+// pollCtx is a context with no deadline and no values that counts Err
+// calls and reports cancellation from the cancelAt-th on, so a test can
+// cancel at an exact point of an engine's work instead of at a
+// wall-clock time.
+type pollCtx struct {
+	polls    atomic.Int64
+	cancelAt int64
+}
+
+func (*pollCtx) Deadline() (time.Time, bool) { return time.Time{}, false }
+func (*pollCtx) Done() <-chan struct{}       { return nil }
+func (*pollCtx) Value(any) any               { return nil }
+
+func (c *pollCtx) Err() error {
+	if c.polls.Add(1) >= c.cancelAt {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestCancelStopsCompiledWork checks that cancellation reaches inside a
+// csim-C run: a cancelled s5378/rand:256 job returns context.Canceled at
+// its workers' next chunk or block boundary, having done a small part of
+// what an uncancelled one does.
+func TestCancelStopsCompiledWork(t *testing.T) {
+	const workers = 2
+	spec := JobSpec{Circuit: "s5378", Engine: "csim-C", Random: 256}
+	if err := spec.normalize(); err != nil {
+		t.Fatal(err)
+	}
+	cc, _, err := NewCache(1, nil).Lookup(&spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(cancelAt int64) (int64, *ResultView, error) {
+		ctx := &pollCtx{cancelAt: cancelAt}
+		rv, err := execute(ctx, &spec, cc, nil, "", workers)
+		return ctx.polls.Load(), rv, err
+	}
+
+	fullPolls, rv, err := run(1 << 62)
+	if err != nil {
+		t.Fatalf("uncancelled run: %v", err)
+	}
+	if rv.Workers != workers {
+		t.Fatalf("run used %d workers, want %d", rv.Workers, workers)
+	}
+	one, err := execute(context.Background(), &spec, cc, nil, "", 1)
+	if err != nil {
+		t.Fatalf("one-worker run: %v", err)
+	}
+	if rv.Detected != one.Detected || rv.PotOnly != one.PotOnly || rv.Stats.Evals != one.Stats.Evals {
+		t.Errorf("%d workers: %d detected, %d potential, %d evals; one worker: %d, %d, %d", workers,
+			rv.Detected, rv.PotOnly, rv.Stats.Evals, one.Detected, one.PotOnly, one.Stats.Evals)
+	}
+	// execute itself polls once before the engine starts; the engine is
+	// cancelled at its third boundary.
+	const cancelAt = 4
+	polls, rv, err := run(cancelAt)
+	if !errors.Is(err, context.Canceled) || rv != nil {
+		t.Fatalf("cancelled run returned (%v, %v), want (nil, context.Canceled)", rv, err)
+	}
+	if polls > cancelAt+workers {
+		t.Errorf("cancelled run polled ctx %d times, want each of %d workers to stop at its next poll after the %dth",
+			polls, workers, cancelAt)
+	}
+	if fullPolls < 10*polls {
+		t.Errorf("cancelled run stopped after %d of an uncancelled run's %d boundaries, want under a tenth", polls, fullPolls)
+	}
+}
+
+// TestFinishedJobReleasesCompiled checks that a retained terminal job no
+// longer pins the circuit compiled at its admission, whichever way it
+// ended.
+func TestFinishedJobReleasesCompiled(t *testing.T) {
+	now := time.Now()
+	cc := &Compiled{}
+
+	done := newJob("a", JobSpec{}, cc, false, now)
+	if done.compiled() != cc {
+		t.Fatal("a queued job does not hold its compiled circuit")
+	}
+	done.setRunning(now, func() {})
+	if done.compiled() != cc {
+		t.Fatal("a running job does not hold its compiled circuit")
+	}
+	done.finish(StatusDone, now, &ResultView{}, "")
+	if done.compiled() != nil {
+		t.Error("a finished job still holds its compiled circuit")
+	}
+
+	queued := newJob("b", JobSpec{}, cc, false, now)
+	queued.requestCancel(now)
+	if queued.compiled() != nil {
+		t.Error("a job cancelled while queued still holds its compiled circuit")
 	}
 }
 
