@@ -233,13 +233,16 @@ func SimulateVectorParallel(u *Universe, vs *Vectors, cfg VectorConfig) (*Result
 
 // CsimGrid configures the 2-D engine: faultShards fault partitions
 // crossed with windows vector windows (each axis <= 0 defaults to 1).
+// With windows <= 1 and 64 vectors or more the shards are workers of
+// the compiled kernel (set Program to reuse a CompiledProgram).
 func CsimGrid(faultShards, windows int) GridConfig {
 	return parallel.GridOptions{FaultShards: faultShards, Windows: windows, Config: csim.MV()}
 }
 
-// SimulateGrid runs the csim-grid engine at the configured shape.
+// SimulateGrid runs the csim-grid engine at the configured shape, to
+// completion (the facade passes no context).
 func SimulateGrid(u *Universe, vs *Vectors, cfg GridConfig) (*Result, SimStats, error) {
-	return parallel.SimulateGrid(u, vs, cfg)
+	return parallel.SimulateGrid(context.Background(), u, vs, cfg)
 }
 
 // PlanGrid asks the unified scheduler for the K×W split it would use
@@ -249,7 +252,7 @@ func PlanGrid(sh JobShape) GridPlan { return parallel.Decide(sh) }
 // SimulateGridAuto lets the scheduler pick the grid shape for the job,
 // runs it, and returns the plan used alongside the merged result.
 func SimulateGridAuto(u *Universe, vs *Vectors, cfg GridAutoConfig) (*Result, SimStats, GridPlan, error) {
-	return parallel.SimulateAuto(u, vs, cfg)
+	return parallel.SimulateAuto(context.Background(), u, vs, cfg)
 }
 
 // NewObserver builds a fully enabled observability bundle: a fresh

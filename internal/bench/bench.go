@@ -146,6 +146,13 @@ func quickSuite() []Cell {
 		Cell{Engine: harness.CsimV2, Circuit: "s1494", Model: ModelStuck, Vectors: Det(), Windows: 2},
 		// One 2-D cell crosses both axes.
 		Cell{Engine: harness.CsimGrid, Circuit: "s1494", Model: ModelStuck, Vectors: Det(), Workers: 2, Windows: 2},
+		// The service benchmark's grid-local job on both of csim-grid's
+		// kernels: the scheduler's plan (K compiled workers, K×1) beside
+		// the same fault list on two pinned interpreted vector windows —
+		// the pair ROADMAP item 2 asks for before the window machinery
+		// (csim/window.go, parallel/vshard.go) may go.
+		Cell{Engine: harness.CsimGrid, Circuit: "s5378", Model: ModelTransition, Vectors: Rand(256)},
+		Cell{Engine: harness.CsimGrid, Circuit: "s5378", Model: ModelTransition, Vectors: Rand(256), Windows: 2},
 		// One transition cell exercises the second fault model.
 		Cell{Engine: harness.CsimMV, Circuit: "s298", Model: ModelTransition, Vectors: Det()},
 		// One transition vector-sharded cell covers driver-history carry.

@@ -50,30 +50,56 @@ func compare(t *testing.T, tag string, want, got *faults.Result) {
 }
 
 // runBoth runs the serial oracle and csim-C over the same workload and
-// requires bit-identical results on 1, 2, 3 and 7 workers — uncapped, so
-// a universe of one chunk also covers more workers than chunks — with
-// counters that do not depend on the worker count.
+// requires bit-identical results on 1, 2, 3 and 7 workers — asked for
+// outright, so a universe of one chunk also covers more workers than
+// chunks — with counters that do not depend on the worker count. The
+// universe dealt into three ID lists, and a fourth empty one, must merge
+// to the same result and the same counters.
 func runBoth(t *testing.T, tag string, u *faults.Universe, vs *vectors.Set) {
 	t.Helper()
 	want := serial.Simulate(u, vs)
-	var one csim.Stats
-	for _, nw := range []int{1, 2, 3, 7} {
+	run := func(ids []int32, nw int) (*faults.Result, csim.Stats) {
+		t.Helper()
 		sim, err := New(u)
 		if err != nil {
 			t.Fatalf("%s: %v", tag, err)
 		}
-		got, err := sim.run(context.Background(), vs, nw)
+		got, err := sim.RunFaults(context.Background(), vs, ids, nw, nil)
 		if err != nil {
 			t.Fatalf("%s: %d workers: %v", tag, nw, err)
 		}
+		return got, sim.Stats()
+	}
+	same := func(a, b csim.Stats) bool {
+		return a.Evals == b.Evals && a.Scheds == b.Scheds && a.Detections == b.Detections
+	}
+	var one csim.Stats
+	for _, nw := range []int{1, 2, 3, 7} {
+		got, st := run(u.IDs(), nw)
 		compare(t, fmt.Sprintf("%s/w%d", tag, nw), want, got)
-		st := sim.Stats()
 		if nw == 1 {
 			one = st
-		} else if st.Evals != one.Evals || st.Scheds != one.Scheds ||
-			st.GoodEvals != one.GoodEvals || st.Detections != one.Detections {
+		} else if !same(st, one) || st.GoodEvals != one.GoodEvals {
 			t.Fatalf("%s: counters on %d workers %+v, on one %+v", tag, nw, st, one)
 		}
+	}
+
+	lists := make([][]int32, 4)
+	for i := u.NumFaults() - 1; i >= 0; i-- {
+		lists[i%3] = append(lists[i%3], int32(i))
+	}
+	var parts []*faults.Result
+	var stats []csim.Stats
+	for _, ids := range lists {
+		got, st := run(ids, 2)
+		if got.NumDet > len(ids) {
+			t.Fatalf("%s: %d detections from a list of %d faults", tag, got.NumDet, len(ids))
+		}
+		parts, stats = append(parts, got), append(stats, st)
+	}
+	compare(t, tag+"/lists", want, faults.MergeResults(parts...))
+	if sum := csim.MergeStats(stats...); !same(sum, one) {
+		t.Fatalf("%s: counters over ID lists %+v, over the universe %+v", tag, sum, one)
 	}
 }
 
@@ -110,11 +136,11 @@ func TestWidthEdges(t *testing.T) {
 }
 
 // TestWorkersCap pins the worker count a run uses: what was asked for,
-// at least one, at most one per 512 faults.
+// at least one, at most one per 256-fault chunk.
 func TestWorkersCap(t *testing.T) {
 	for _, tc := range []struct{ requested, faults, want int }{
 		{0, 5000, 1}, {-3, 5000, 1}, {1, 0, 1},
-		{8, 431, 1}, {8, 1023, 1}, {8, 1024, 2}, {2, 56921, 2}, {200, 56921, 111},
+		{8, 256, 1}, {8, 257, 2}, {8, 431, 2}, {8, 1024, 4}, {2, 56921, 2}, {300, 56921, 223},
 	} {
 		if got := Workers(tc.requested, tc.faults); got != tc.want {
 			t.Errorf("Workers(%d, %d) = %d, want %d", tc.requested, tc.faults, got, tc.want)

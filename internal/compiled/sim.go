@@ -36,18 +36,12 @@ type ffDiff struct {
 	val logic.V
 }
 
-const (
-	// chunkFaults is the number of faults that share one load of a
-	// 64-cycle block's good planes. Loading per fault instead costs
-	// gates × 16 B per fault and block, which dominates on small
-	// circuits with long vector sets.
-	chunkFaults = 256
-
-	// minFaultsPerWorker caps the worker count at faults/512: below two
-	// chunks each a goroutine costs more than it saves, so small jobs
-	// run inline on the caller.
-	minFaultsPerWorker = 2 * chunkFaults
-)
+// chunkFaults is the number of faults that share one load of a
+// 64-cycle block's good planes. Loading per fault instead costs
+// gates × 16 B per fault and block, which dominates on small
+// circuits with long vector sets. A chunk is also the unit workers
+// pull, so a run keeps at most one worker per chunk busy.
+const chunkFaults = 256
 
 // Sizes of node, faultState and ffDiff for the memory accounting.
 const nodeBytes, slotBytes, diffBytes = 64, 56, 8
@@ -105,9 +99,10 @@ type worker struct {
 	// next worker, for one: sharing a line there halves two-worker speed.
 	_ [64]byte
 
-	p  *Program
-	u  *faults.Universe
-	tr *Trace
+	p   *Program
+	u   *faults.Universe
+	tr  *Trace
+	ids []int32 // the run's faults, in simulation order; chunks are ranges of it
 
 	nodes   []node
 	epoch   int32
@@ -121,6 +116,7 @@ type worker struct {
 	live  []int32
 
 	res       *faults.Result
+	simulated int // faults of the chunks this worker ran
 	evals     int
 	scheds    int
 	curDiffs  int
@@ -171,16 +167,23 @@ func NewWith(p *Program, u *faults.Universe) (*Sim, error) {
 func (s *Sim) Stats() csim.Stats { return s.stats }
 
 // Workers returns how many workers a run over nfaults faults uses when
-// asked for requested: at least one, at most one per 512 faults.
+// asked for requested: at least one, at most one per chunk of 256
+// faults, below which it would idle. With one job at a time a worker
+// pays for itself from its first chunk on; a server saturated with
+// sub-millisecond jobs gives some throughput back for it (DESIGN §12
+// has both measurements).
 func Workers(requested, nfaults int) int {
-	if most := nfaults / minFaultsPerWorker; requested > most {
-		requested = most
-	}
-	if requested < 1 {
-		requested = 1
-	}
-	return requested
+	return max(1, min(requested, numChunks(nfaults)))
 }
+
+// numChunks returns how many chunks nfaults faults are cut into.
+func numChunks(nfaults int) int { return (nfaults + chunkFaults - 1) / chunkFaults }
+
+// WorkerFunc observes the workers of a run. Worker i calls it on its own
+// goroutine before it pulls its first chunk (done false) and after its
+// last (done true), then with the number of faults it simulated and how
+// many of those it detected.
+type WorkerFunc func(worker int, done bool, simulated, detected int)
 
 // Run simulates every fault of the universe over the vector sequence on
 // the calling goroutine: RunContext with one worker and no cancellation.
@@ -189,40 +192,51 @@ func (s *Sim) Run(vs *vectors.Set) *faults.Result {
 	return res
 }
 
-// RunContext simulates every fault of the universe over the vector
-// sequence: one compiled good-machine pass building the packed trace,
-// then the fault chunks on Workers(workers, faults) workers that share
-// it — the caller's goroutine is the first of them. Detections are
-// bit-identical to serial.Simulate, including first-detection vector
-// indices and potential (X at a sampled output) detections, and the
-// evaluation counts do not depend on the worker count. ctx is checked
-// between chunks and between a chunk's 64-cycle blocks; a cancelled run
-// returns ctx.Err().
+// RunContext simulates every fault of the universe: RunFaults over all
+// fault IDs.
 func (s *Sim) RunContext(ctx context.Context, vs *vectors.Set, workers int) (*faults.Result, error) {
-	return s.run(ctx, vs, Workers(workers, len(s.u.Faults)))
+	return s.RunFaults(ctx, vs, s.u.IDs(), workers, nil)
 }
 
-// run is RunContext on exactly nw >= 1 workers.
-func (s *Sim) run(ctx context.Context, vs *vectors.Set, nw int) (*faults.Result, error) {
+// RunFaults simulates the faults ids, in that order, over the vector
+// sequence: one compiled good-machine pass building the packed trace,
+// then the fault chunks on Workers(workers, len(ids)) workers that
+// share it — the caller's goroutine is the first of them. The
+// result spans the whole universe; only the listed faults can be
+// detected in it. Detections are bit-identical to serial.Simulate,
+// including first-detection vector indices and potential (X at a
+// sampled output) detections, and neither they nor the evaluation
+// counts depend on the worker count or on how the universe is cut into
+// ID lists. ctx is checked between chunks and between a chunk's
+// 64-cycle blocks; a cancelled run returns ctx.Err(). watch may be nil.
+func (s *Sim) RunFaults(ctx context.Context, vs *vectors.Set, ids []int32, workers int, watch WorkerFunc) (*faults.Result, error) {
 	tr, gevals := s.p.Trace(vs)
-	chunks := (len(s.u.Faults) + chunkFaults - 1) / chunkFaults
-	ws := make([]*worker, nw)
+	chunks := numChunks(len(ids))
+	ws := make([]*worker, Workers(workers, len(ids)))
 	for i := range ws {
-		ws[i] = newWorker(s.p, s.u, tr)
+		ws[i] = newWorker(s.p, s.u, tr, ids)
 	}
 	var (
 		next atomic.Int64
 		errs = make([]error, len(ws))
 		wg   sync.WaitGroup
 	)
+	work := func(i int) {
+		if watch != nil {
+			watch(i, false, 0, 0)
+		}
+		if errs[i] = ws[i].run(ctx, &next, chunks); errs[i] == nil && watch != nil {
+			watch(i, true, ws[i].simulated, ws[i].res.NumDet)
+		}
+	}
 	for i := 1; i < len(ws); i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			errs[i] = ws[i].run(ctx, &next, chunks)
+			work(i)
 		}(i)
 	}
-	errs[0] = ws[0].run(ctx, &next, chunks)
+	work(0)
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
@@ -251,17 +265,17 @@ func (s *Sim) run(ctx context.Context, vs *vectors.Set, nw int) (*faults.Result,
 }
 
 // newWorker builds one worker's nodes from the program's structure.
-func newWorker(p *Program, u *faults.Universe, tr *Trace) *worker {
+func newWorker(p *Program, u *faults.Universe, tr *Trace, ids []int32) *worker {
 	c := p.c
 	// Three slice headers (72 B) of slack on either side keep the bucket
 	// lengths, rewritten on every schedule, on cache lines of their own.
 	nl := int(p.maxLevel) + 1
 	w := &worker{
-		p: p, u: u, tr: tr,
+		p: p, u: u, tr: tr, ids: ids,
 		nodes: make([]node, len(c.Gates)),
 		queue: make([][]netlist.GateID, nl+6)[3 : nl+3 : nl+3],
-		slots: make([]faultState, min(chunkFaults, len(u.Faults))),
-		live:  make([]int32, 0, min(chunkFaults, len(u.Faults))),
+		slots: make([]faultState, min(chunkFaults, len(ids))),
+		live:  make([]int32, 0, min(chunkFaults, len(ids))),
 		res:   faults.NewResult(u),
 	}
 	for i := range w.nodes {
@@ -293,28 +307,30 @@ func (w *worker) run(ctx context.Context, next *atomic.Int64, chunks int) error 
 			return nil
 		}
 		lo := k * chunkFaults
-		if err := w.runChunk(ctx, lo, min(lo+chunkFaults, len(w.u.Faults))); err != nil {
+		chunk := w.ids[lo:min(lo+chunkFaults, len(w.ids))]
+		if err := w.runChunk(ctx, chunk); err != nil {
 			return err
 		}
+		w.simulated += len(chunk)
 	}
 }
 
-// runChunk simulates faults [lo, hi) to detection or vector exhaustion,
+// runChunk simulates the faults ids to detection or vector exhaustion,
 // block-major: a block's good planes are loaded once for the whole
 // chunk, and each live fault runs all its passes inside the block before
 // the next fault gets its turn.
 //
 //simlint:hotpath
-func (w *worker) runChunk(ctx context.Context, lo, hi int) error {
+func (w *worker) runChunk(ctx context.Context, ids []int32) error {
 	live := w.live[:0]
-	for i := lo; i < hi; i++ {
-		fs := &w.slots[i-lo]
-		fs.f = &w.u.Faults[i]
+	for i, id := range ids {
+		fs := &w.slots[i]
+		fs.f = &w.u.Faults[id]
 		fs.st, fs.drv = w.classify(fs.f)
 		fs.prevDrv = logic.X
 		fs.cyc = 0
 		fs.diffs = fs.diffs[:0]
-		live = append(live, int32(i-lo))
+		live = append(live, int32(i))
 	}
 	for b := 0; b < w.tr.blocks && len(live) > 0; b++ {
 		if err := ctx.Err(); err != nil {

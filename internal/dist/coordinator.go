@@ -110,15 +110,13 @@ func (c *Coordinator) RunJob(ctx context.Context, req *service.RunRequest) (*ser
 	// the scheduler decides against the fleet's dispatch capacity.
 	k, w := req.Spec.Workers, req.Spec.Windows
 	if k <= 0 && w <= 0 {
-		shape := parallel.JobShape{
+		plan := parallel.DecideObserved(parallel.JobShape{
 			Gates:    len(req.CC.Circuit.Gates),
 			Faults:   u.NumFaults(),
 			Vectors:  vs.Len(),
 			MaxProcs: c.cfg.MaxProcs,
-		}
-		plan, why := parallel.Explain(shape)
+		}, req.Obs)
 		k, w = plan.FaultShards, plan.Windows
-		req.Obs.Recorder().Recordf("decide", "dist plan %s (%s)", plan, why)
 	}
 	if k <= 0 {
 		k = len(c.reg.workers)
@@ -283,7 +281,8 @@ func (c *Coordinator) runShard(ctx context.Context, req *service.RunRequest, sha
 
 // attemptShard runs one shard attempt against one worker under the
 // shard timeout: submit (idempotent ID; 429 backoff with jitter;
-// ship-once circuit resolution), then poll to a terminal state.
+// ship-once circuit resolution), then hold a status request open until
+// the shard is terminal.
 func (c *Coordinator) attemptShard(ctx context.Context, w *worker, id string, spec *service.JobSpec) (*service.ResultView, error) {
 	actx, cancel := context.WithTimeout(obs.WithJobID(ctx, id), c.cfg.ShardTimeout)
 	defer cancel()
@@ -358,7 +357,7 @@ func (c *Coordinator) attemptShard(ctx context.Context, w *worker, id string, sp
 		w.markShipped(inlineKey)
 	}
 
-	v, err := w.client.Wait(actx, id, c.cfg.Poll)
+	v, err := w.client.Hold(actx, id, c.cfg.Poll)
 	if err != nil {
 		if actx.Err() != nil && ctx.Err() == nil {
 			// Shard timeout (not job cancellation): best-effort cancel on

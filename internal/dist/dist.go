@@ -54,8 +54,10 @@ type Config struct {
 	// backing off on 429s before the attempt counts as failed
 	// (default 10s).
 	MaxRetryWait time.Duration
-	// Poll spaces shard-completion polls against a worker
-	// (default 20ms).
+	// Poll is how long a worker may hold one shard-completion request
+	// open before answering "still running" (default 1s); the worker
+	// answers the moment the shard ends, so this spaces the requests of
+	// a long shard, not the delay of any.
 	Poll time.Duration
 	// MaxProcs caps the scheduler's K×W plan for auto-shaped jobs
 	// (default len(Workers)×PerWorkerInflight).
@@ -94,7 +96,7 @@ func (c Config) withDefaults() Config {
 		c.MaxRetryWait = 10 * time.Second
 	}
 	if c.Poll <= 0 {
-		c.Poll = 20 * time.Millisecond
+		c.Poll = time.Second
 	}
 	if c.MaxProcs <= 0 {
 		c.MaxProcs = len(c.Workers) * c.PerWorkerInflight

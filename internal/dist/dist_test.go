@@ -2,10 +2,13 @@ package dist
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/compiled"
 	"repro/internal/csim"
 	"repro/internal/faults"
 	"repro/internal/iscas"
@@ -23,7 +26,7 @@ func shardPayloads(t *testing.T, u *faults.Universe, vs *vectors.Set, k, w int) 
 	t.Helper()
 	out := make([]*service.ResultView, k)
 	for shard := 0; shard < k; shard++ {
-		res, st, err := parallel.SimulateShard(u, vs, parallel.ShardOptions{
+		res, st, err := parallel.SimulateShard(context.Background(), u, vs, parallel.ShardOptions{
 			Shard: shard, Of: k, Windows: w, Config: csim.MV(),
 		})
 		if err != nil {
@@ -225,7 +228,7 @@ func TestDistributedStatsMatchLocalGrid(t *testing.T) {
 	if err != nil || v.Status != service.StatusDone {
 		t.Fatalf("distributed run: %v / %+v", err, v)
 	}
-	_, gridStats, err := parallel.SimulateGrid(u, vs, parallel.GridOptions{
+	_, gridStats, err := parallel.SimulateGrid(context.Background(), u, vs, parallel.GridOptions{
 		FaultShards: k, Windows: w, Config: csim.MV(),
 	})
 	if err != nil {
@@ -356,5 +359,122 @@ func TestWorkerKillMidJobRequeues(t *testing.T) {
 	}
 	if p, ok := reg.Get("dist.shards_requeued"); !ok || p.Value < 1 {
 		t.Errorf("dist.shards_requeued = %+v, want >= 1", p)
+	}
+}
+
+// TestFleetRunsCompiledShards: from 64 vectors on, an unpinned job
+// through a coordinator is planned K×1 on the compiled kernel and every
+// worker runs its shard's fault IDs on it. The merged result is the
+// oracle's on both fault models — the serial oracle on s298 and s1494,
+// single-threaded csim-MV on s5378, where serial takes a minute — and
+// the merged stats say what ran: csim-C's evaluation counts, and one
+// good trace per worker, since each computes its own.
+func TestFleetRunsCompiledShards(t *testing.T) {
+	cl, _, _ := startCluster(t, 2, nil)
+	ctx := ctxT(t)
+	for _, circuit := range []string{"s298", "s1494", "s5378"} {
+		for _, model := range []string{"stuck", "transition"} {
+			tag := circuit + "/" + model
+			ckt, err := iscas.Get(circuit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			u := faults.StuckCollapsed(ckt)
+			if model == "transition" {
+				u = faults.Transition(ckt)
+			}
+			vs := vectors.Random(ckt, 64, 11)
+			var want *faults.Result
+			if circuit == "s5378" {
+				single, err := csim.New(u, csim.MV())
+				if err != nil {
+					t.Fatal(err)
+				}
+				want = single.Run(vs)
+			} else {
+				want = serial.Simulate(u, vs)
+			}
+			ref, err := compiled.New(u)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref.Run(vs)
+
+			v, err := cl.Run(ctx, service.JobSpec{
+				Circuit: circuit, Model: model, Engine: "csim-grid",
+				Random: 64, Seed: 11, ReturnDetections: true,
+			}, 2*time.Millisecond)
+			if err != nil || v.Status != service.StatusDone || v.Result == nil {
+				t.Fatalf("%s: %v / %+v", tag, err, v)
+			}
+			// Four dispatch slots; every circuit here has more than one
+			// chunk of 256 faults.
+			k := compiled.Workers(4, u.NumFaults())
+			if v.Result.Workers != k || v.Result.Windows != 1 {
+				t.Errorf("%s: shape %dx%d, want %dx1", tag, v.Result.Workers, v.Result.Windows, k)
+			}
+			got, err := v.Result.Detections.Result(u)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if diff := want.Diff(got); diff != "" {
+				t.Errorf("%s: distributed result differs from the oracle:\n%s", tag, diff)
+			}
+			for i := range want.DetectedAt {
+				if want.DetectedAt[i] != got.DetectedAt[i] || want.PotDetected[i] != got.PotDetected[i] {
+					t.Errorf("%s: fault %d detected at %d (potential %t), oracle %d (%t)", tag, i,
+						got.DetectedAt[i], got.PotDetected[i], want.DetectedAt[i], want.PotDetected[i])
+					break
+				}
+			}
+			st, one := v.Result.Stats.Stats(), ref.Stats()
+			if st.Evals != one.Evals || st.Scheds != one.Scheds || st.Detections != want.NumDet {
+				t.Errorf("%s: merged stats %+v, csim-C %+v", tag, st, one)
+			}
+			if st.GoodEvals != k*one.GoodEvals {
+				t.Errorf("%s: merged GoodEvals %d, want %d shards x one trace of %d", tag, st.GoodEvals, k, one.GoodEvals)
+			}
+		}
+	}
+}
+
+// TestHealthGaugeConcurrentFlips: dist.workers_healthy equals the number
+// of healthy workers once concurrent probers have settled, whichever way
+// their transitions interleaved.
+func TestHealthGaugeConcurrentFlips(t *testing.T) {
+	const n = 8
+	reg := obs.NewRegistry()
+	r := &registry{
+		wakeCh:   make(chan struct{}, 1),
+		gHealthy: reg.Gauge("dist.workers_healthy"),
+	}
+	for i := 0; i < n; i++ {
+		r.workers = append(r.workers, &worker{idx: i, gHealthy: reg.Gauge(fmt.Sprintf("dist.worker%d.healthy", i))})
+	}
+	flipAll := func(healthy func(i int) bool) {
+		var wg sync.WaitGroup
+		for i, w := range r.workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				r.setHealth(w, healthy(i), nil)
+			}()
+		}
+		wg.Wait()
+	}
+	for round := 0; round < 200; round++ {
+		for _, tc := range []struct {
+			healthy func(i int) bool
+			want    int64
+		}{
+			{func(int) bool { return true }, n},
+			{func(i int) bool { return i%2 == 0 }, n / 2},
+			{func(int) bool { return false }, 0},
+		} {
+			flipAll(tc.healthy)
+			if got := r.gHealthy.Value(); got != tc.want {
+				t.Fatalf("round %d: dist.workers_healthy = %d with %d workers healthy", round, got, tc.want)
+			}
+		}
 	}
 }

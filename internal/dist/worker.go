@@ -72,6 +72,11 @@ type registry struct {
 	// blocked pickers.
 	wakeCh chan struct{}
 
+	// healthMu makes a health transition and its publication one step:
+	// two probers that each flipped a worker and then counted could
+	// otherwise publish their counts in the wrong order and leave
+	// dist.workers_healthy one short (or one over) until the next flip.
+	healthMu sync.Mutex
 	gHealthy *obs.Gauge // dist.workers_healthy
 
 	stop chan struct{}
@@ -146,7 +151,9 @@ func (r *registry) probeOnce(w *worker, timeout time.Duration) {
 // setHealth records a worker's health verdict, waking pickers and
 // logging on transitions.
 func (r *registry) setHealth(w *worker, healthy bool, cause error) {
+	r.healthMu.Lock()
 	if w.healthy.Load() == healthy {
+		r.healthMu.Unlock()
 		return
 	}
 	w.healthy.Store(healthy)
@@ -156,6 +163,7 @@ func (r *registry) setHealth(w *worker, healthy bool, cause error) {
 		w.gHealthy.Set(0)
 	}
 	r.gHealthy.Set(r.countHealthy())
+	r.healthMu.Unlock()
 	r.wake()
 	if healthy {
 		r.log.Info("dist worker healthy",

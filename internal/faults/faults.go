@@ -85,6 +85,16 @@ type Universe struct {
 // NumFaults returns the number of faults simulators must target.
 func (u *Universe) NumFaults() int { return len(u.Faults) }
 
+// IDs lists every fault ID of the universe in order, freshly allocated:
+// the whole universe in the form engines take a fault subset in.
+func (u *Universe) IDs() []int32 {
+	ids := make([]int32, len(u.Faults))
+	for i := range ids {
+		ids[i] = int32(i)
+	}
+	return ids
+}
+
 // StuckAll builds the complete (uncollapsed) single stuck-at universe:
 // SA0/SA1 on every gate output line and on every input pin of every
 // non-source gate, plus the D input pin of each flip-flop.

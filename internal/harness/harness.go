@@ -4,6 +4,7 @@
 package harness
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -327,11 +328,21 @@ func RunGrid(u *faults.Universe, vs *vectors.Set, faultShards, windows int) (Mea
 	return RunGridObserved(u, vs, faultShards, windows, nil)
 }
 
-// RunGridObserved is RunGrid under the observability layer: per-shard
-// namespaces under "csim-grid.shard<k>.", merged totals under
-// "csim-grid.", and — when the scheduler plans the shape — the
-// "sched.*" decision gauges. ob may be nil.
+// RunGridObserved is RunGrid under the observability layer: merged
+// totals under "csim-grid.", per-shard namespaces under
+// "csim-grid.shard<k>." on the interpreted path, and — when the
+// scheduler plans the shape — the "sched.*" decision gauges. From 64
+// vectors on, unless windows > 1 pins the interpreted pipeline, the
+// shards are workers of the compiled kernel over the memoized program.
+// ob may be nil.
 func RunGridObserved(u *faults.Universe, vs *vectors.Set, faultShards, windows int, ob *obs.Observer) (Measurement, error) {
+	opt := parallel.GridOptions{
+		FaultShards: faultShards, Windows: windows,
+		Config: csim.MV(), Obs: ob,
+	}
+	if parallel.RunsCompiled(windows, vs.Len()) {
+		opt.Program = compiledProgram(u.Circuit)
+	}
 	m := Measurement{
 		Engine:   CsimGrid,
 		Circuit:  u.Circuit.Name,
@@ -346,16 +357,12 @@ func RunGridObserved(u *faults.Universe, vs *vectors.Set, faultShards, windows i
 	)
 	if faultShards <= 0 && windows <= 0 {
 		var plan parallel.Plan
-		res, st, plan, err = parallel.SimulateAuto(u, vs, parallel.AutoOptions{
-			Config: csim.MV(), Obs: ob})
+		res, st, plan, err = parallel.SimulateAuto(context.Background(), u, vs, parallel.AutoOptions{
+			Config: opt.Config, Program: opt.Program, Obs: ob})
 		m.Workers, m.Windows = plan.FaultShards, plan.Windows
 	} else {
-		opt := parallel.GridOptions{
-			FaultShards: faultShards, Windows: windows,
-			Config: csim.MV(), Obs: ob,
-		}
 		m.Workers, m.Windows = opt.EffectiveShape(u.NumFaults(), vs.Len())
-		res, st, err = parallel.SimulateGrid(u, vs, opt)
+		res, st, err = parallel.SimulateGrid(context.Background(), u, vs, opt)
 	}
 	if err != nil {
 		return m, err

@@ -237,12 +237,14 @@ func TestRunGridShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shape := range [][2]int{{1, 1}, {2, 2}, {4, 1}, {1, 4}} {
+	// 80 vectors and no pinned windows run the compiled kernel, which
+	// keeps one worker per chunk of 256 faults busy: 431 faults, two.
+	for _, shape := range [][4]int{{1, 1, 1, 1}, {2, 2, 2, 2}, {4, 1, 2, 1}, {4, 2, 4, 2}, {1, 4, 1, 4}} {
 		m, err := RunGrid(u, vs, shape[0], shape[1])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m.Workers != shape[0] || m.Windows != shape[1] || m.Engine != CsimGrid {
+		if m.Workers != shape[2] || m.Windows != shape[3] || m.Engine != CsimGrid {
 			t.Errorf("shape %v: measurement metadata wrong: %+v", shape, m)
 		}
 		if m.Detected != base.Detected || m.PotOnly != base.PotOnly {

@@ -100,12 +100,36 @@ func fuzzCase(t *testing.T, seed int64) {
 	}
 	compare(t, tag+"/csim-V2", oracle, res)
 
-	res, _, err = parallel.SimulateGrid(u, vs, parallel.GridOptions{
+	res, _, err = parallel.SimulateGrid(context.Background(), u, vs, parallel.GridOptions{
 		FaultShards: gk, Windows: gw, Config: csim.MV()})
 	if err != nil {
 		t.Fatalf("%s: %v", tag, err)
 	}
 	compare(t, tag+"/csim-grid", oracle, res)
+
+	// The scheduler-planned grid runs on every seed: under 64 vectors it
+	// plans interpreted shards, from 64 on workers of the compiled kernel.
+	res, _, plan, err := parallel.SimulateAuto(context.Background(), u, vs, parallel.AutoOptions{
+		MaxProcs: workers, Config: csim.MV()})
+	if err != nil {
+		t.Fatalf("%s: %v", tag, err)
+	}
+	if plan.Compiled != (nvec >= parallel.MinVectorsCompiled) {
+		t.Errorf("%s: plan %v at %d vectors", tag, plan, nvec)
+	}
+	compare(t, tag+"/csim-grid auto "+plan.String(), oracle, res)
+
+	// So do the pinned shards a coordinator would dispatch, one of them
+	// empty when the sample is smaller than the split.
+	parts := make([]*faults.Result, gk*gw)
+	for k := range parts {
+		parts[k], _, err = parallel.SimulateShard(context.Background(), u, vs, parallel.ShardOptions{
+			Shard: k, Of: len(parts), Workers: workers, Config: csim.MV()})
+		if err != nil {
+			t.Fatalf("%s: shard %d: %v", tag, k, err)
+		}
+	}
+	compare(t, tag+"/csim-grid shards", oracle, faults.MergeResults(parts...))
 
 	csim2, err := compiled.New(u)
 	if err != nil {

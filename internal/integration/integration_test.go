@@ -6,6 +6,7 @@
 package integration
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -310,6 +311,64 @@ func TestCompiledAgreesAcrossBundled(t *testing.T) {
 			res := cs.Run(vs)
 			compare(t, tag+"/csim-C-vs-oracle", oracle, res)
 			compare(t, tag+"/csim-C-vs-MV", mv, res)
+		}
+	}
+}
+
+// TestCompiledGridAgreesOnS5378 pins the csim-grid kernel switch on the
+// circuit the service benchmark runs: under both fault models the
+// compiled grid at every K, and the pinned shards of a 2- and a 3-way
+// split merged, equal single-threaded csim-MV over the whole universe
+// and the serial oracle over every 16th fault (the oracle needs a minute
+// for all of them).
+func TestCompiledGridAgreesOnS5378(t *testing.T) {
+	if testing.Short() {
+		t.Skip("s5378 differential is not short")
+	}
+	c := iscas.MustGet("s5378")
+	vs := vectors.Random(c, 130, 1)
+	p := compiled.Compile(c, nil)
+	for _, model := range []string{"stuck", "transition"} {
+		whole := faults.StuckCollapsed(c)
+		if model == "transition" {
+			whole = faults.Transition(c)
+		}
+		sample := &faults.Universe{Circuit: c}
+		for i := 0; i < whole.NumFaults(); i += 16 {
+			f := whole.Faults[i]
+			f.ID = int32(len(sample.Faults))
+			sample.Faults = append(sample.Faults, f)
+		}
+		mvSim, err := csim.New(whole, csim.MV())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			name string
+			u    *faults.Universe
+			want *faults.Result
+		}{
+			{"whole/csim-MV", whole, mvSim.Run(vs)},
+			{"sample/serial", sample, serial.Simulate(sample, vs)},
+		} {
+			for _, k := range []int{1, 2, 3, 7} {
+				tag := fmt.Sprintf("s5378/%s/%s K=%d", model, tc.name, k)
+				res, _, err := parallel.SimulateGrid(context.Background(), tc.u, vs, parallel.GridOptions{FaultShards: k, Program: p})
+				if err != nil {
+					t.Fatalf("%s: %v", tag, err)
+				}
+				compare(t, tag, tc.want, res)
+			}
+			for _, n := range []int{2, 3} {
+				parts := make([]*faults.Result, n)
+				for k := range parts {
+					if parts[k], _, err = parallel.SimulateShard(context.Background(), tc.u, vs, parallel.ShardOptions{
+						Shard: k, Of: n, Workers: 2, Program: p}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				compare(t, fmt.Sprintf("s5378/%s/%s %d shards", model, tc.name, n), tc.want, faults.MergeResults(parts...))
+			}
 		}
 	}
 }

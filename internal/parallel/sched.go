@@ -1,84 +1,80 @@
 package parallel
 
 import (
+	"context"
 	"fmt"
 	"log/slog"
 	"runtime"
 
+	"repro/internal/compiled"
 	"repro/internal/csim"
 	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/vectors"
 )
 
-// The unified fault×vector scheduler: given a job's shape, pick a grid
-// plan — fault-split (csim-P-like), vector-split (csim-V2-like), or a
-// genuine 2-D grid. The heuristics:
+// The scheduler: given a job's shape, pick the grid plan an unpinned
+// csim-grid job runs. The plan is a fault split, K×1, on one of two
+// kernels:
 //
-//   - a fault shard below MinFaultsPerShard faults drowns in per-shard
-//     fixed cost (trace replay, full first-cycle sweep), so the fault
-//     axis offers at most Faults/MinFaultsPerShard useful shards;
-//   - a vector window below MinVectorsPerWindow cycles likewise, and a
-//     high observed drop rate shrinks the useful window count further:
-//     late windows then speculate mostly about already-dropped faults;
-//   - when both axes have capacity, the fault axis is preferred (its
-//     shards never need repair runs) and the vector axis takes the rest
-//     of the processor budget.
+//   - From MinVectorsCompiled vectors on, the K shards are workers of
+//     one compiled bit-parallel run. Its packed passes need no vector
+//     windows, and its workers pull chunks of faults off one counter, so
+//     the fault axis offers one worker per chunk (compiled.Workers).
+//   - Below that, the K shards are interpreted csim-MV simulators over a
+//     shared good trace. A shard below MinFaultsPerShard faults drowns
+//     in per-shard fixed cost (trace replay, full first-cycle sweep), so
+//     the fault axis offers at most Faults/MinFaultsPerShard shards.
+//
+// Either way K is bounded by the processor budget. Vector windows are
+// never planned: a window worth its speculation needs some 32 cycles,
+// and a sequence with room for two of them is already long enough for
+// the compiled kernel. They remain available pinned (GridOptions.Windows
+// > 1), which also pins the interpreted kernel.
 //
 // The decision is a pure function of the JobShape, so the same job
 // always gets the same plan.
 
-// Shard-granularity floors: below these per-shard sizes another shard
-// costs more in fixed overhead than it saves.
-const (
-	MinFaultsPerShard   = 64
-	MinVectorsPerWindow = 32
-)
+// MinFaultsPerShard is the interpreted kernel's shard-granularity floor:
+// below it another shard costs more in fixed overhead than it saves.
+const MinFaultsPerShard = 64
 
-// MinVectorsCompiled is the vector count from which the scheduler
-// recommends the compiled backend (internal/compiled): below one full
-// 64-lane word the packed passes run partly empty and the one-time
-// compile plus packed-trace cost is not amortized.
+// MinVectorsCompiled is the vector count from which a grid without
+// pinned vector windows runs the compiled kernel (internal/compiled):
+// below one full 64-lane word the packed passes run partly empty and the
+// one-time compile plus packed-trace cost is not amortized.
 const MinVectorsCompiled = 64
 
 // JobShape describes one simulation job for the scheduler.
 type JobShape struct {
-	// Gates is the circuit size (informational; granularity floors are
-	// expressed in faults and vectors, which already scale with it).
+	// Gates is the circuit size (informational; the granularity floors
+	// are expressed in faults and vectors, which already scale with it).
 	Gates int
 	// Faults is the fault-universe size.
 	Faults int
 	// Vectors is the vector-sequence length.
 	Vectors int
-	// MaxProcs bounds the total shard count K*W; <= 0 means
-	// runtime.NumCPU(). Pin it for deterministic planning across hosts.
+	// MaxProcs bounds the shard count; <= 0 means runtime.NumCPU(). Pin
+	// it for deterministic planning across hosts.
 	MaxProcs int
-	// DropRate is the expected fraction of faults detected (and thus
-	// dropped) over the run, in [0,1]; 0 when unknown. High drop rates
-	// devalue late vector windows.
-	DropRate float64
 }
 
-// Plan is the scheduler's decision: a K×W fault×vector grid. K=1 is a
-// pure vector split, W=1 a pure fault split, K=W=1 a single simulator.
+// Plan is the scheduler's decision: a K×W fault×vector grid. The
+// scheduler itself only plans W = 1, a pure fault split.
 type Plan struct {
 	// FaultShards is K, the fault-partition count.
 	FaultShards int
 	// Windows is W, the vector-window count.
 	Windows int
-	// Compiled is advisory: the vector sequence is long enough
-	// (MinVectorsCompiled) that the compiled bit-parallel backend
-	// (engine csim-C) would run its packed passes at full word
-	// occupancy. The grid runners ignore it — it exists for callers
-	// choosing an engine before choosing a shard shape.
+	// Compiled says which kernel runs the plan: the vector sequence is
+	// long enough (MinVectorsCompiled) that the shards are workers of one
+	// compiled bit-parallel run (the csim-C kernel) instead of
+	// interpreted csim-MV simulators.
 	Compiled bool
 }
 
-// Grid reports whether the plan splits along both axes.
-func (p Plan) Grid() bool { return p.FaultShards > 1 && p.Windows > 1 }
-
 // String renders the plan as "KxW", with a "+C" suffix when the
-// compiled backend is recommended.
+// compiled kernel runs it.
 func (p Plan) String() string {
 	if p.Compiled {
 		return fmt.Sprintf("%dx%d+C", p.FaultShards, p.Windows)
@@ -95,94 +91,30 @@ func Decide(sh JobShape) Plan {
 }
 
 // Explain is Decide plus the verdict's reasoning: the same plan and a
-// one-line account of the axis capacities and which branch of the
-// heuristic fired — what the flight recorder stores so a postmortem
-// shows not just the K×W split but why it was chosen.
+// one-line account of the fault axis' capacity and the kernel chosen —
+// what the flight recorder stores so a postmortem shows not just the
+// K×W split but why it was chosen.
 func Explain(sh JobShape) (Plan, string) {
 	p := sh.MaxProcs
 	if p <= 0 {
 		p = runtime.NumCPU()
 	}
-	if p < 1 {
-		p = 1
+	compiledOK := RunsCompiled(1, sh.Vectors)
+	k, why := min(p, sh.Faults/MinFaultsPerShard), "too few vectors for the compiled kernel, one interpreted simulator per 64 faults at most"
+	if compiledOK {
+		k, why = compiled.Workers(p, sh.Faults), "compiled passes need no windows, one worker per chunk of 256 faults at most"
 	}
-	clamp := func(v int) int {
-		if v < 1 {
-			return 1
-		}
-		if v > p {
-			return p
-		}
-		return v
-	}
-	maxF := clamp(sh.Faults / MinFaultsPerShard)
-	dr := sh.DropRate
-	if dr < 0 {
-		dr = 0
-	}
-	if dr > 1 {
-		dr = 1
-	}
-	maxW := clamp(int(float64(sh.Vectors/MinVectorsPerWindow) * (1 - dr)))
-	compiled := sh.Vectors >= MinVectorsCompiled
-	caps := fmt.Sprintf("procs=%d fault_axis_cap=%d vector_axis_cap=%d drop_rate=%.2f compiled_ok=%t",
-		p, maxF, maxW, dr, compiled)
-	if maxF == 1 || maxW == 1 {
-		// At most one axis has capacity: single-axis split (or 1×1).
-		why := caps + ": at most one axis clears its granularity floor, single-axis split"
-		if maxF == 1 && maxW == 1 {
-			why = caps + ": both axes below their granularity floors, single simulator"
-		}
-		return Plan{FaultShards: maxF, Windows: maxW, Compiled: compiled}, why
-	}
-	f := maxF
-	if f > p {
-		f = p
-	}
-	why := caps + ": fault axis first, vector axis takes the remaining budget"
-	if f == p && p >= 4 {
-		// Both axes have capacity and faults alone would eat the whole
-		// budget: cede half to the vector axis for a 2-D grid.
-		f = p / 2
-		why = caps + ": fault axis would eat the whole budget, ceding half to the vector axis"
-	}
-	w := p / f
-	if w > maxW {
-		w = maxW
-	}
-	if w < 1 {
-		w = 1
-	}
-	return Plan{FaultShards: f, Windows: w, Compiled: compiled}, why
+	plan := Plan{FaultShards: max(1, k), Windows: 1, Compiled: compiledOK}
+	return plan, fmt.Sprintf("procs=%d faults=%d compiled_ok=%t: %s", p, sh.Faults, compiledOK, why)
 }
 
-// AutoOptions configures a scheduler-planned run.
-type AutoOptions struct {
-	// MaxProcs bounds the total shard count; <= 0 means
-	// runtime.NumCPU().
-	MaxProcs int
-	// DropRate is the expected detected fraction in [0,1] (0: unknown).
-	DropRate float64
-	// Config is the per-simulator variant (typically csim.MV()).
-	Config csim.Config
-	// Obs attaches the observability layer; the chosen plan is published
-	// as "sched.fault_shards" / "sched.windows" / "sched.max_procs"
-	// gauges next to the csim-grid metrics.
-	Obs *obs.Observer
-}
-
-// SimulateAuto lets the scheduler pick the grid shape for the job and
-// runs it, returning the merged result, summed stats and the plan used.
-func SimulateAuto(u *faults.Universe, vs *vectors.Set, opt AutoOptions) (*faults.Result, csim.Stats, Plan, error) {
-	sh := JobShape{
-		Gates:    len(u.Circuit.Gates),
-		Faults:   u.NumFaults(),
-		Vectors:  vs.Len(),
-		MaxProcs: opt.MaxProcs,
-		DropRate: opt.DropRate,
-	}
+// DecideObserved is Explain with the verdict published: the
+// "sched.fault_shards" / "sched.windows" / "sched.max_procs" gauges, a
+// "decide" flight event carrying the plan and its reasoning, and one
+// info log record.
+func DecideObserved(sh JobShape, ob *obs.Observer) Plan {
 	plan, why := Explain(sh)
-	if reg := opt.Obs.Registry(); reg != nil {
+	if reg := ob.Registry(); reg != nil {
 		reg.Gauge("sched.fault_shards").Set(int64(plan.FaultShards))
 		reg.Gauge("sched.windows").Set(int64(plan.Windows))
 		mp := sh.MaxProcs
@@ -191,16 +123,45 @@ func SimulateAuto(u *faults.Universe, vs *vectors.Set, opt AutoOptions) (*faults
 		}
 		reg.Gauge("sched.max_procs").Set(int64(mp))
 	}
-	opt.Obs.Recorder().Recordf("decide", "plan %s (%s)", plan, why)
-	opt.Obs.Logger().Info("sched decide",
+	ob.Recorder().Recordf("decide", "plan %s (%s)", plan, why)
+	ob.Logger().Info("sched decide",
 		slog.String("phase", "decide"),
 		slog.Int("fault_shards", plan.FaultShards),
 		slog.Int("windows", plan.Windows),
 		slog.String("why", why))
-	res, st, err := SimulateGrid(u, vs, GridOptions{
+	return plan
+}
+
+// AutoOptions configures a scheduler-planned run.
+type AutoOptions struct {
+	// MaxProcs bounds the total shard count; <= 0 means
+	// runtime.NumCPU().
+	MaxProcs int
+	// Config is the per-simulator variant of an interpreted plan
+	// (typically csim.MV()).
+	Config csim.Config
+	// Program is the circuit's cached compiled form for a compiled plan;
+	// nil compiles it on demand.
+	Program *compiled.Program
+	// Obs attaches the observability layer; the chosen plan is published
+	// by DecideObserved next to the csim-grid metrics.
+	Obs *obs.Observer
+}
+
+// SimulateAuto lets the scheduler pick the grid shape for the job and
+// runs it, returning the merged result, summed stats and the plan used.
+func SimulateAuto(ctx context.Context, u *faults.Universe, vs *vectors.Set, opt AutoOptions) (*faults.Result, csim.Stats, Plan, error) {
+	plan := DecideObserved(JobShape{
+		Gates:    len(u.Circuit.Gates),
+		Faults:   u.NumFaults(),
+		Vectors:  vs.Len(),
+		MaxProcs: opt.MaxProcs,
+	}, opt.Obs)
+	res, st, err := SimulateGrid(ctx, u, vs, GridOptions{
 		FaultShards: plan.FaultShards,
 		Windows:     plan.Windows,
 		Config:      opt.Config,
+		Program:     opt.Program,
 		Obs:         opt.Obs,
 	})
 	return res, st, plan, err

@@ -1,6 +1,9 @@
 package parallel
 
 import (
+	"context"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/csim"
@@ -9,11 +12,11 @@ import (
 	"repro/internal/vectors"
 )
 
-// TestDecideSplitAxis is the table-driven scheduler test: tiny fault
-// populations with long vector sequences go vector-split, huge fault
-// lists over short sequences go fault-split, and jobs large along both
-// axes get a 2-D grid within the processor budget.
-func TestDecideSplitAxis(t *testing.T) {
+// TestDecidePlansFaultSplit is the table-driven scheduler test: every
+// plan is K×1; from 64 vectors on it is compiled, with one worker per
+// chunk of 256 faults up to the processor budget, and below that it is
+// interpreted, with one shard per 64 faults up to the budget.
+func TestDecidePlansFaultSplit(t *testing.T) {
 	cases := []struct {
 		name string
 		sh   JobShape
@@ -21,41 +24,62 @@ func TestDecideSplitAxis(t *testing.T) {
 	}{
 		{"tiny circuit, huge vectors",
 			JobShape{Gates: 100, Faults: 50, Vectors: 10000, MaxProcs: 8},
-			Plan{FaultShards: 1, Windows: 8, Compiled: true}},
+			Plan{FaultShards: 1, Windows: 1, Compiled: true}},
 		{"huge fault list, short vectors",
 			JobShape{Gates: 50000, Faults: 100000, Vectors: 40, MaxProcs: 8},
 			Plan{FaultShards: 8, Windows: 1}},
 		{"both large",
 			JobShape{Gates: 50000, Faults: 100000, Vectors: 10000, MaxProcs: 8},
-			Plan{FaultShards: 4, Windows: 2, Compiled: true}},
-		{"both large, four procs",
-			JobShape{Gates: 50000, Faults: 100000, Vectors: 10000, MaxProcs: 4},
-			Plan{FaultShards: 2, Windows: 2, Compiled: true}},
-		{"both large, two procs prefer faults",
+			Plan{FaultShards: 8, Windows: 1, Compiled: true}},
+		{"both large, two procs",
 			JobShape{Gates: 50000, Faults: 100000, Vectors: 10000, MaxProcs: 2},
 			Plan{FaultShards: 2, Windows: 1, Compiled: true}},
-		{"fault axis capped, windows take the rest",
-			JobShape{Gates: 1000, Faults: 150, Vectors: 10000, MaxProcs: 8},
-			Plan{FaultShards: 2, Windows: 4, Compiled: true}},
-		{"high drop rate kills late windows",
-			JobShape{Gates: 50000, Faults: 100000, Vectors: 320, DropRate: 0.95, MaxProcs: 8},
-			Plan{FaultShards: 8, Windows: 1, Compiled: true}},
-		{"full drop rate",
-			JobShape{Gates: 50000, Faults: 100000, Vectors: 10000, DropRate: 1.0, MaxProcs: 8},
-			Plan{FaultShards: 8, Windows: 1, Compiled: true}},
+		{"compiled, one chunk",
+			JobShape{Gates: 1000, Faults: 256, Vectors: 64, MaxProcs: 8},
+			Plan{FaultShards: 1, Windows: 1, Compiled: true}},
+		{"compiled, a second chunk of one fault",
+			JobShape{Gates: 1000, Faults: 257, Vectors: 64, MaxProcs: 8},
+			Plan{FaultShards: 2, Windows: 1, Compiled: true}},
+		{"compiled, chunks cap the budget",
+			JobShape{Gates: 1000, Faults: 700, Vectors: 10000, MaxProcs: 8},
+			Plan{FaultShards: 3, Windows: 1, Compiled: true}},
+		{"s5378 transition on two cores",
+			JobShape{Gates: 2993, Faults: 5966, Vectors: 256, MaxProcs: 2},
+			Plan{FaultShards: 2, Windows: 1, Compiled: true}},
+		{"one vector short of compiled",
+			JobShape{Gates: 1000, Faults: 700, Vectors: 63, MaxProcs: 16},
+			Plan{FaultShards: 10, Windows: 1}},
+		{"interpreted, fault floor caps the budget",
+			JobShape{Gates: 1000, Faults: 150, Vectors: 40, MaxProcs: 8},
+			Plan{FaultShards: 2, Windows: 1}},
 		{"tiny everything",
 			JobShape{Gates: 20, Faults: 30, Vectors: 20, MaxProcs: 8},
 			Plan{FaultShards: 1, Windows: 1}},
+		{"no faults",
+			JobShape{Gates: 20, Faults: 0, Vectors: 100, MaxProcs: 8},
+			Plan{FaultShards: 1, Windows: 1, Compiled: true}},
 		{"single proc",
 			JobShape{Gates: 50000, Faults: 100000, Vectors: 10000, MaxProcs: 1},
 			Plan{FaultShards: 1, Windows: 1, Compiled: true}},
 	}
 	for _, tc := range cases {
-		if got := Decide(tc.sh); got != tc.want {
+		got, why := Explain(tc.sh)
+		if got != tc.want {
 			t.Errorf("%s: Decide(%+v) = %v, want %v", tc.name, tc.sh, got, tc.want)
 		}
-		if got := Decide(tc.sh); got.FaultShards*got.Windows > maxProcsOf(tc.sh) {
+		if got.FaultShards*got.Windows > maxProcsOf(tc.sh) {
 			t.Errorf("%s: plan %v exceeds the processor budget %d", tc.name, got, maxProcsOf(tc.sh))
+		}
+		if wantOK := fmt.Sprintf("compiled_ok=%t", tc.want.Compiled); !strings.Contains(why, wantOK) {
+			t.Errorf("%s: reasoning %q lacks %s", tc.name, why, wantOK)
+		}
+		// The plan is the shape the grid then runs, on the kernel it names.
+		opt := GridOptions{FaultShards: got.FaultShards, Windows: got.Windows}
+		if k, w := opt.EffectiveShape(tc.sh.Faults, tc.sh.Vectors); tc.sh.Faults > 0 && (k != got.FaultShards || w != got.Windows) {
+			t.Errorf("%s: plan %v runs as %dx%d", tc.name, got, k, w)
+		}
+		if RunsCompiled(opt.Windows, tc.sh.Vectors) != got.Compiled {
+			t.Errorf("%s: plan %v, grid compiled = %t", tc.name, got, !got.Compiled)
 		}
 	}
 }
@@ -72,7 +96,8 @@ func TestDecideDeterministic(t *testing.T) {
 	shapes := []JobShape{
 		{Gates: 100, Faults: 50, Vectors: 10000, MaxProcs: 8},
 		{Gates: 50000, Faults: 100000, Vectors: 10000, MaxProcs: 8},
-		{Gates: 5000, Faults: 9000, Vectors: 496, DropRate: 0.7, MaxProcs: 16},
+		{Gates: 5000, Faults: 9000, Vectors: 496, MaxProcs: 16},
+		{Gates: 5000, Faults: 9000, Vectors: 40, MaxProcs: 16},
 		{Gates: 5000, Faults: 9000, Vectors: 496}, // MaxProcs from NumCPU, still stable in-process
 	}
 	for _, sh := range shapes {
@@ -98,7 +123,7 @@ func TestSimulateAuto(t *testing.T) {
 	want := single.Run(vs)
 	reg := obs.NewRegistry()
 	ob := &obs.Observer{Metrics: reg}
-	res, _, plan, err := SimulateAuto(u, vs, AutoOptions{MaxProcs: 4, Config: csim.MV(), Obs: ob})
+	res, _, plan, err := SimulateAuto(context.Background(), u, vs, AutoOptions{MaxProcs: 4, Config: csim.MV(), Obs: ob})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/csim"
@@ -41,7 +42,7 @@ func TestSimulateShardMergesToSerial(t *testing.T) {
 		parts := make([]*faults.Result, tc.k)
 		stats := make([]csim.Stats, tc.k)
 		for k := 0; k < tc.k; k++ {
-			parts[k], stats[k], err = SimulateShard(u, vs, ShardOptions{
+			parts[k], stats[k], err = SimulateShard(context.Background(), u, vs, ShardOptions{
 				Shard: k, Of: tc.k, Windows: tc.w, Config: csim.MV(),
 			})
 			if err != nil {
@@ -56,7 +57,7 @@ func TestSimulateShardMergesToSerial(t *testing.T) {
 
 		// The merged shard stats equal a local grid run's merged stats:
 		// per-shard work is identical, only the placement differs.
-		gridRes, gridStats, err := SimulateGrid(u, vs, GridOptions{
+		gridRes, gridStats, err := SimulateGrid(context.Background(), u, vs, GridOptions{
 			FaultShards: tc.k, Windows: tc.w, Config: csim.MV(),
 		})
 		if err != nil {
@@ -82,7 +83,7 @@ func TestSimulateShardEmptyPartition(t *testing.T) {
 	u := faults.StuckCollapsed(ckt)
 	vs := vectors.Random(ckt, 8, 1)
 	k := u.NumFaults() + 3
-	res, st, err := SimulateShard(u, vs, ShardOptions{Shard: k - 1, Of: k, Windows: 2, Config: csim.MV()})
+	res, st, err := SimulateShard(context.Background(), u, vs, ShardOptions{Shard: k - 1, Of: k, Windows: 2, Config: csim.MV()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestSimulateShardBounds(t *testing.T) {
 		{Shard: 2, Of: 2},
 	} {
 		bad.Config = csim.MV()
-		if _, _, err := SimulateShard(u, vs, bad); err == nil {
+		if _, _, err := SimulateShard(context.Background(), u, vs, bad); err == nil {
 			t.Errorf("ShardOptions %+v: want error, got nil", bad)
 		}
 	}

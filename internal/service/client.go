@@ -143,13 +143,31 @@ func (c *Client) Cancel(ctx context.Context, id string) (JobView, error) {
 	return v, err
 }
 
-// Wait polls a job until it reaches a terminal state or ctx expires.
+// The default poll schedule: quickPolls looks a defaultPoll apart, then one
+// every defaultPoll or, when the server suggests a longer gap for the job
+// (JobView.PollMS), every that.
+const (
+	defaultPoll = 10 * time.Millisecond
+	quickPolls  = 2
+)
+
+// Wait polls a job until it reaches a terminal state or ctx expires. The
+// first poll is immediate. With poll > 0 the rest follow on that fixed
+// tick. With poll <= 0 they come every 10 ms, except that from the third
+// on (30 ms in) a gap the server suggests for the job is honoured: the two
+// quick looks catch a job of a few milliseconds whatever it is, and a
+// csim-grid job is then looked at every 100 ms (120, 220, ... ms; see
+// gridPollMS). Poll times are offsets from the first poll, not from the
+// previous reply: a reply that arrives late (a server whose cores are all
+// busy with the job answers slowly) drops the polls it overran and does
+// not shift the ones after it.
 func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (JobView, error) {
-	if poll <= 0 {
-		poll = 10 * time.Millisecond
-	}
-	t := time.NewTicker(poll)
+	start := time.Now()
+	var next time.Duration // offset of the next poll
+	polls := 0             // schedule points passed
+	t := time.NewTimer(0)
 	defer t.Stop()
+	<-t.C // fired and drained: every Reset below finds it so
 	for {
 		v, err := c.Job(ctx, id)
 		if err != nil {
@@ -158,10 +176,36 @@ func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (JobVi
 		if v.Status.Terminal() {
 			return v, nil
 		}
+		for ; time.Since(start) >= next; polls++ {
+			switch suggested := time.Duration(v.PollMS) * time.Millisecond; {
+			case poll > 0:
+				next += poll
+			case polls >= quickPolls && suggested > defaultPoll:
+				next += suggested
+			default:
+				next += defaultPoll
+			}
+		}
+		t.Reset(next - time.Since(start))
 		select {
 		case <-ctx.Done():
 			return v, ctx.Err()
 		case <-t.C:
+		}
+	}
+}
+
+// Hold waits for a job's terminal view by keeping one status request open
+// at a time: each carries ?wait=hold, which the server answers when the
+// job ends or after hold (at most 30 s), whichever is first. It is Wait
+// for a caller that sits next to the server and wants the end when it
+// happens: the coordinator's shard watch.
+func (c *Client) Hold(ctx context.Context, id string, hold time.Duration) (JobView, error) {
+	path := "/api/v1/jobs/" + id + "?wait=" + hold.String()
+	for {
+		var v JobView
+		if err := c.do(ctx, http.MethodGet, path, nil, &v); err != nil || v.Status.Terminal() {
+			return v, err
 		}
 	}
 }

@@ -70,13 +70,16 @@ type JobSpec struct {
 	// cached compiled program), PROOFS, serial.
 	Engine string `json:"engine,omitempty"`
 	// Workers is the csim-P partition worker count, the csim-C worker
-	// count (capped at one per 512 faults), or the csim-grid fault-shard
-	// count (<=0: server default; for csim-grid, <=0 with Windows <=0
-	// lets the scheduler plan the whole shape).
+	// count, or the csim-grid fault-shard count (<=0: server default; for
+	// csim-grid, <=0 with Windows <=0 lets the scheduler plan the whole
+	// shape). With 64 vectors or more and no pinned windows, csim-grid's
+	// shards are workers of the compiled kernel; csim-C and those run at
+	// most one worker per 256 faults.
 	Workers int `json:"workers,omitempty"`
 	// Windows is the csim-V2 / csim-grid vector-window count (<=0: server
 	// default for csim-V2; scheduler-planned for csim-grid when Workers is
-	// also <=0).
+	// also <=0). Above 1 it pins csim-grid to interpreted simulators over
+	// speculative vector windows.
 	Windows int `json:"windows,omitempty"`
 	// Random asks for this many seeded random vectors. Exactly one of
 	// Random and Vectors must be set.
@@ -357,6 +360,19 @@ type ResultView struct {
 	Detections *DetectionsView `json:"detections,omitempty"`
 }
 
+// gridPollMS is the poll gap suggested for a whole csim-grid job (not for
+// one of its pinned shards, which a coordinator holds open instead). The
+// grid keeps every core of the node, or every worker of the fleet, inside
+// the kernel: a status request is answered 20-45 ms late there, and each
+// one preempts a shard worker the job then waits for. It is also what
+// keeps a caller's cycle time off the host's speed of the minute: a grid
+// job of 20 to ~115 ms is reported at 120 ms, so a closed loop of them
+// runs at 8.1 jobs/s to within 1% where 10 ms ticks gave 16-22 jobs/s
+// depending on the host (BENCHMARKS.md). The price is that report: up to
+// 100 ms after the job ended. A caller that wants the end when it
+// happens passes Wait an interval or uses Hold.
+const gridPollMS = 100
+
 // JobView is the job-status response body.
 type JobView struct {
 	// ID is the job identifier ("j1", "j2", ...).
@@ -367,7 +383,13 @@ type JobView struct {
 	// distributed job (pending → dispatched → merging → done/failed);
 	// empty for locally executed jobs.
 	DistPhase string `json:"dist_phase,omitempty"`
-	// Spec echoes the normalized submission.
+	// PollMS, on a job that has not ended, is how many milliseconds the
+	// server suggests between status requests; absent, ask as often as
+	// you like. Client.Wait's default schedule honours it.
+	PollMS int `json:"poll_ms,omitempty"`
+	// Spec echoes the normalized submission — an inline netlist by its
+	// cache key (bench_key, next to bench_name) instead of its text, so
+	// polling a job does not download the netlist again each time.
 	Spec JobSpec `json:"spec"`
 	// Submitted, Started and Finished are RFC3339Nano timestamps; Started
 	// and Finished are empty until reached.
@@ -420,6 +442,9 @@ type Postmortem struct {
 type job struct {
 	id   string
 	spec JobSpec
+	// benchKey is the cache key job views show in place of an inline
+	// netlist's text; fixed at admission, empty for suite circuits.
+	benchKey string
 	// cacheHit is fixed at admission (the submit handler compiles through
 	// the cache before enqueueing) and read-only afterwards.
 	cacheHit bool
@@ -448,11 +473,15 @@ type job struct {
 }
 
 func newJob(id string, spec JobSpec, cc *Compiled, cacheHit bool, now time.Time) *job {
-	return &job{
+	j := &job{
 		id: id, spec: spec, cc: cc, cacheHit: cacheHit,
 		status: StatusQueued, submitted: now,
 		done: make(chan struct{}),
 	}
+	if spec.Bench != "" {
+		j.benchKey = cc.Key
+	}
+	return j
 }
 
 // view snapshots the job for JSON.
@@ -467,6 +496,12 @@ func (j *job) view() JobView {
 		Submitted: j.submitted.Format(time.RFC3339Nano),
 		Error:     j.err,
 		Result:    j.result,
+	}
+	if v.Spec.Bench != "" {
+		v.Spec.Bench, v.Spec.BenchKey = "", j.benchKey
+	}
+	if !j.status.Terminal() && j.spec.Engine == "csim-grid" && j.spec.FaultShards == 0 {
+		v.PollMS = gridPollMS
 	}
 	if !j.started.IsZero() {
 		v.Started = j.started.Format(time.RFC3339Nano)

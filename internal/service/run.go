@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 	"fmt"
-	"log/slog"
 	"time"
 
 	"repro/internal/compiled"
@@ -37,10 +36,12 @@ func BuildVectors(spec *JobSpec, cc *Compiled) (*vectors.Set, error) {
 
 // execute runs one admitted job's engine under ctx and returns the
 // result view. Cancellation granularity: the csim variants check the
-// context between clock cycles and csim-C between fault chunks and
-// between a chunk's 64-cycle blocks; csim-P, csim-V2, csim-grid, PROOFS
-// and serial check it only before starting (a cancelled running job of
-// those engines finishes its simulation, then reports cancelled).
+// context between clock cycles; csim-C, and csim-grid wherever it runs
+// the compiled kernel (64 vectors or more, no pinned windows), between
+// fault chunks and between a chunk's 64-cycle blocks; csim-P, csim-V2,
+// csim-grid on interpreted windows, PROOFS and serial check it only
+// before starting (a cancelled running job of those engines finishes
+// its simulation, then reports cancelled).
 func execute(ctx context.Context, spec *JobSpec, cc *Compiled, ob *obs.Observer, prefix string, workersDefault int) (*ResultView, error) {
 	u, err := cc.Universe(spec.Model)
 	if err != nil {
@@ -53,29 +54,16 @@ func execute(ctx context.Context, spec *JobSpec, cc *Compiled, ob *obs.Observer,
 	// For the scheduler-planned grid, decide (and record) the K×W
 	// verdict before the cancellation check below: a job that times out
 	// before its engine starts still carries the decision in its
-	// postmortem. Explain is pure, so the pinned plan used later is the
-	// exact plan SimulateAuto would have chosen.
+	// postmortem.
 	var autoPlan *parallel.Plan
 	if spec.Engine == "csim-grid" && spec.FaultShards == 0 && spec.Workers <= 0 && spec.Windows <= 0 {
-		sh := parallel.JobShape{
+		plan := parallel.DecideObserved(parallel.JobShape{
 			Gates:    len(cc.Circuit.Gates),
 			Faults:   u.NumFaults(),
 			Vectors:  vs.Len(),
 			MaxProcs: workersDefault,
-		}
-		plan, why := parallel.Explain(sh)
+		}, ob)
 		autoPlan = &plan
-		ob.Recorder().Recordf("decide", "plan %s (%s)", plan, why)
-		ob.Logger().Info("sched decide",
-			slog.String("phase", "decide"),
-			slog.Int("fault_shards", plan.FaultShards),
-			slog.Int("windows", plan.Windows),
-			slog.String("why", why))
-		if reg := ob.Registry(); reg != nil {
-			reg.Gauge("sched.fault_shards").Set(int64(plan.FaultShards))
-			reg.Gauge("sched.windows").Set(int64(plan.Windows))
-			reg.Gauge("sched.max_procs").Set(int64(sh.MaxProcs))
-		}
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -152,49 +140,34 @@ func execute(ctx context.Context, spec *JobSpec, cc *Compiled, ob *obs.Observer,
 		}
 		fillStats(rv, st)
 	case "csim-grid":
-		cfg := csim.MV()
-		cfg.Plan, err = cc.Plan(cfg)
-		if err != nil {
+		opt := parallel.GridOptions{FaultShards: spec.Workers, Windows: spec.Windows, Config: csim.MV(), Obs: ob}
+		if autoPlan != nil {
+			// Neither axis pinned: run the shape the scheduler chose (and
+			// recorded) above.
+			opt.FaultShards, opt.Windows = autoPlan.FaultShards, autoPlan.Windows
+		}
+		// Only the kernel that runs gets its cached artifact: the macro
+		// plan costs a 34 ms extraction on a circuit's first job.
+		if parallel.RunsCompiled(opt.Windows, vs.Len()) {
+			opt.Program = cc.Program()
+		} else if opt.Config.Plan, err = cc.Plan(opt.Config); err != nil {
 			return nil, err
 		}
 		var st csim.Stats
 		if spec.FaultShards > 0 {
-			// One fault-partition × vector-window slice of a distributed
-			// grid: exactly what a coordinator dispatches to this worker.
-			windows := spec.Windows
-			if windows <= 0 {
-				windows = 1
-			}
-			res, st, err = parallel.SimulateShard(u, vs, parallel.ShardOptions{
-				Shard: spec.FaultShard, Of: spec.FaultShards,
-				Windows: windows, Config: cfg, Obs: ob,
+			// One fault-partition slice of a distributed grid: exactly
+			// what a coordinator dispatches to this worker.
+			rv.Workers, rv.Windows = spec.FaultShards, max(spec.Windows, 1)
+			res, st, err = parallel.SimulateShard(ctx, u, vs, parallel.ShardOptions{
+				Shard: spec.FaultShard, Of: spec.FaultShards, Windows: spec.Windows, Workers: workersDefault,
+				Config: opt.Config, Program: opt.Program, Obs: ob,
 			})
-			if err != nil {
-				return nil, err
-			}
-			rv.Workers, rv.Windows = spec.FaultShards, windows
-		} else if autoPlan != nil {
-			// Neither axis pinned: run the shape the scheduler chose (and
-			// recorded) above. SimulateGrid with the pinned plan is what
-			// SimulateAuto would have run.
-			res, st, err = parallel.SimulateGrid(u, vs, parallel.GridOptions{
-				FaultShards: autoPlan.FaultShards, Windows: autoPlan.Windows,
-				Config: cfg, Obs: ob,
-			})
-			if err != nil {
-				return nil, err
-			}
-			rv.Workers, rv.Windows = autoPlan.FaultShards, autoPlan.Windows
 		} else {
-			opt := parallel.GridOptions{
-				FaultShards: spec.Workers, Windows: spec.Windows,
-				Config: cfg, Obs: ob,
-			}
 			rv.Workers, rv.Windows = opt.EffectiveShape(u.NumFaults(), vs.Len())
-			res, st, err = parallel.SimulateGrid(u, vs, opt)
-			if err != nil {
-				return nil, err
-			}
+			res, st, err = parallel.SimulateGrid(ctx, u, vs, opt)
+		}
+		if err != nil {
+			return nil, err
 		}
 		fillStats(rv, st)
 	default:

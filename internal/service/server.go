@@ -43,8 +43,10 @@ type Config struct {
 	// Retained bounds finished jobs kept for polling (default 8192);
 	// beyond it the oldest finished jobs are evicted.
 	Retained int
-	// EngineWorkers is the csim-P partition count and the csim-C worker
-	// count when a spec leaves Workers at 0 (default runtime.NumCPU).
+	// EngineWorkers is the csim-P partition count, the csim-C worker
+	// count and the csim-grid scheduler's processor budget when a spec
+	// leaves Workers at 0, and the worker bound of every pinned compiled
+	// grid shard (default runtime.NumCPU).
 	EngineWorkers int
 	// Obs is the observability bundle. Nil runs with a fresh registry
 	// (metrics always on — the service serves them) and no tracer.
@@ -689,11 +691,37 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	}
 	switch r.Method {
 	case http.MethodGet:
+		hold(r, j)
 		writeJSON(w, http.StatusOK, j.view())
 	case http.MethodDelete:
 		s.cancelJob(w, j)
 	default:
 		writeError(w, http.StatusMethodNotAllowed, "use GET for status or DELETE to cancel", nil)
+	}
+}
+
+// maxHold is the longest one status request is kept open.
+const maxHold = 30 * time.Second
+
+// hold keeps a status request that carries ?wait=<duration> open until
+// the job is terminal, the wait (at most maxHold) has passed or the
+// caller has gone, so a caller learns of the end when it happens rather
+// than at its next poll. Closing the server finishes every live job,
+// which releases the requests held on them.
+func hold(r *http.Request, j *job) {
+	if r.URL.RawQuery == "" {
+		return
+	}
+	d, err := time.ParseDuration(r.URL.Query().Get("wait"))
+	if err != nil || d <= 0 {
+		return
+	}
+	t := time.NewTimer(min(d, maxHold))
+	defer t.Stop()
+	select {
+	case <-j.done:
+	case <-t.C:
+	case <-r.Context().Done():
 	}
 }
 

@@ -1,10 +1,13 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,6 +16,7 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/iscas"
+	"repro/internal/netlist"
 	"repro/internal/obs"
 	"repro/internal/serial"
 	"repro/internal/vectors"
@@ -124,6 +128,39 @@ func TestVectorShardedAndGridJobShapes(t *testing.T) {
 	}
 }
 
+// TestAutoGridRunsThePlanItReports: from 64 vectors on an unpinned
+// csim-grid job is planned K×1 on the compiled kernel, the result reports
+// that K as the workers used, and the decide event names the kernel.
+func TestAutoGridRunsThePlanItReports(t *testing.T) {
+	_, cl := startServer(t, Config{Workers: 1, EngineWorkers: 2})
+	ctx := ctxT(t)
+	want := oracle(t, "s298", "transition", 64, 3)
+	v, err := cl.Run(ctx, JobSpec{Circuit: "s298", Model: "transition", Engine: "csim-grid", Random: 64, Seed: 3}, time.Millisecond)
+	if err != nil || v.Result == nil {
+		t.Fatalf("auto csim-grid: %v / %+v", err, v)
+	}
+	if v.Result.Detected != want.NumDet || v.Result.PotOnly != want.NumPotOnly() {
+		t.Errorf("detected %d/%d potential, oracle %d/%d", v.Result.Detected, v.Result.PotOnly, want.NumDet, want.NumPotOnly())
+	}
+	if v.Result.Workers != 2 || v.Result.Windows != 1 {
+		t.Errorf("shape %dx%d, want 2x1", v.Result.Workers, v.Result.Windows)
+	}
+	pm, err := cl.Debug(ctx, v.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decided, starts := false, 0
+	for _, ev := range pm.Events {
+		decided = decided || ev.Kind == "decide" && strings.HasPrefix(ev.Detail, "plan 2x1+C ")
+		if ev.Kind == "shard_start" && strings.HasPrefix(ev.Detail, "csim-grid shard ") {
+			starts++
+		}
+	}
+	if !decided || starts != 2 {
+		t.Errorf("want a \"plan 2x1+C\" decide event and 2 shard_start events, have %+v", pm.Events)
+	}
+}
+
 func TestTransitionModel(t *testing.T) {
 	_, cl := startServer(t, Config{Workers: 1})
 	ctx := ctxT(t)
@@ -177,6 +214,151 @@ func TestInlineBenchAndCacheHit(t *testing.T) {
 	}
 	if m["serve.jobs_completed"].Value != 2 {
 		t.Errorf("jobs_completed = %d, want 2", m["serve.jobs_completed"].Value)
+	}
+}
+
+// TestPollDoesNotEchoInlineNetlist: a job view names an inline netlist
+// by its cache key; the 75 KB text a client shipped once does not come
+// back with every poll.
+func TestPollDoesNotEchoInlineNetlist(t *testing.T) {
+	s, cl := startServer(t, Config{Workers: 1})
+	ctx := ctxT(t)
+	text := netlist.BenchString(iscas.MustGet("s5378"))
+	if len(text) < 50_000 {
+		t.Fatalf("s5378 .bench is %d bytes, want a large netlist", len(text))
+	}
+	v, err := cl.Run(ctx, JobSpec{Bench: text, BenchName: "mine", Engine: "csim-C", Random: 64}, time.Millisecond)
+	if err != nil || v.Status != StatusDone {
+		t.Fatalf("run: %v / %+v", err, v)
+	}
+	if v.Spec.Bench != "" || v.Spec.BenchKey != InlineKey(text) || v.Spec.BenchName != "mine" {
+		t.Errorf("echoed spec: bench of %d bytes, key %q, name %q", len(v.Spec.Bench), v.Spec.BenchKey, v.Spec.BenchName)
+	}
+	resp, err := http.Get("http://" + s.Addr() + "/api/v1/jobs/" + v.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(body) >= 2048 || !bytes.Contains(body, []byte(`"bench_key":"sha256:`)) {
+		t.Errorf("poll response is %d bytes: %.300s", len(body), body)
+	}
+	// The echoed spec is itself a valid submission while the circuit is
+	// cached.
+	again, err := cl.Run(ctx, v.Spec, time.Millisecond)
+	if err != nil || again.Result == nil || again.Result.Detected != v.Result.Detected {
+		t.Errorf("resubmitting the echoed spec: %v / %+v", err, again)
+	}
+}
+
+// TestWaitDefaultSchedule: with no poll interval given, Wait looks at a
+// job at once, 10 and 20 ms later, and from then on as often as the
+// server suggests (a csim-grid job: every 100 ms) or, with no suggestion,
+// every 10 ms.
+func TestWaitDefaultSchedule(t *testing.T) {
+	looks := func(body string) []time.Duration {
+		var mu sync.Mutex
+		var at []time.Duration
+		var start time.Time
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			mu.Lock()
+			if start.IsZero() {
+				start = time.Now()
+			}
+			at = append(at, time.Since(start))
+			mu.Unlock()
+			_, _ = io.WriteString(w, body)
+		}))
+		defer srv.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 270*time.Millisecond)
+		defer cancel()
+		if _, err := NewClient(srv.URL).Wait(ctx, "j1", 0); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("Wait on a job that never ends: %v, want the context's deadline", err)
+		}
+		return at
+	}
+	// Looks are due at 0, 10, 20, 120 and 220 ms. A loaded host may run a
+	// quick look late enough to drop it, never add one.
+	at := looks(`{"id":"j1","status":"running","poll_ms":100}`)
+	if len(at) < 4 || len(at) > 5 {
+		t.Fatalf("suggested 100 ms: looks at %v, want 4 or 5 (0, 10, 20, 120, 220 ms)", at)
+	}
+	if slow := at[len(at)-1] - at[len(at)-2]; slow < 80*time.Millisecond {
+		t.Errorf("suggested 100 ms: looks at %v, the last two %v apart", at, slow)
+	}
+	if at := looks(`{"id":"j1","status":"running"}`); len(at) < 14 {
+		t.Errorf("no suggestion: %d looks in 270 ms, want one every 10 ms", len(at))
+	}
+}
+
+// TestGridJobsSuggestTheirPollGap: a whole csim-grid job suggests 100 ms
+// between status requests while it is live; a pinned shard, another
+// engine and a finished job suggest nothing.
+func TestGridJobsSuggestTheirPollGap(t *testing.T) {
+	_, cl := startServer(t, Config{Workers: 1})
+	ctx := ctxT(t)
+	// The one worker is busy, so the jobs below are still queued when
+	// their first view is taken.
+	if _, err := cl.Submit(ctx, JobSpec{Circuit: "s5378", Engine: "csim-MV", Random: 100}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		spec JobSpec
+		want int
+	}{
+		{JobSpec{Circuit: "s298", Engine: "csim-grid", Random: 64}, gridPollMS},
+		{JobSpec{Circuit: "s298", Engine: "csim-grid", Random: 64, FaultShards: 2, FaultShard: 1}, 0},
+		{JobSpec{Circuit: "s298", Engine: "csim-C", Random: 64}, 0},
+	} {
+		v, err := cl.Submit(ctx, tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.PollMS != tc.want {
+			t.Errorf("%s shard %d/%d, %s: poll_ms %d, want %d", tc.spec.Engine, tc.spec.FaultShard, tc.spec.FaultShards, v.Status, v.PollMS, tc.want)
+		}
+		if v, err = cl.Wait(ctx, v.ID, time.Millisecond); err != nil || v.Status != StatusDone || v.PollMS != 0 {
+			t.Errorf("%s finished: %v, status %s, poll_ms %d, want done and none", tc.spec.Engine, err, v.Status, v.PollMS)
+		}
+	}
+}
+
+// countingTransport counts the requests a client makes.
+type countingTransport struct{ n atomic.Int64 }
+
+func (c *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	c.n.Add(1)
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// TestHoldAnswersWhenTheJobEnds: a status request with ?wait= is held
+// until the job is terminal, so Hold sees a job through on one request;
+// a wait shorter than the job is answered "running" and asked again.
+func TestHoldAnswersWhenTheJobEnds(t *testing.T) {
+	_, cl := startServer(t, Config{Workers: 1})
+	ctx := ctxT(t)
+	rt := &countingTransport{}
+	cl.HTTPClient = &http.Client{Transport: rt}
+	spec := JobSpec{Circuit: "s1494", Engine: "csim-MV", Random: 300, Seed: 5}
+	for _, tc := range []struct {
+		hold    time.Duration
+		oneLook bool
+	}{{time.Minute, true}, {time.Millisecond, false}} {
+		jv, err := cl.Submit(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt.n.Store(0)
+		v, err := cl.Hold(ctx, jv.ID, tc.hold)
+		if err != nil || v.Status != StatusDone || v.Result == nil {
+			t.Fatalf("Hold(%v): %v / %+v", tc.hold, err, v)
+		}
+		if n := rt.n.Load(); (n == 1) != tc.oneLook {
+			t.Errorf("Hold(%v) took %d requests, want one: %t", tc.hold, n, tc.oneLook)
+		}
 	}
 }
 
@@ -342,53 +524,61 @@ func (c *pollCtx) Err() error {
 }
 
 // TestCancelStopsCompiledWork checks that cancellation reaches inside a
-// csim-C run: a cancelled s5378/rand:256 job returns context.Canceled at
+// compiled run, whichever engine name led to it — csim-C, the
+// scheduler-planned csim-grid, or the pinned grid shard a coordinator
+// dispatches: a cancelled s5378/rand:256 job returns context.Canceled at
 // its workers' next chunk or block boundary, having done a small part of
 // what an uncancelled one does.
 func TestCancelStopsCompiledWork(t *testing.T) {
 	const workers = 2
-	spec := JobSpec{Circuit: "s5378", Engine: "csim-C", Random: 256}
-	if err := spec.normalize(); err != nil {
-		t.Fatal(err)
-	}
-	cc, _, err := NewCache(1, nil).Lookup(&spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(cancelAt int64) (int64, *ResultView, error) {
-		ctx := &pollCtx{cancelAt: cancelAt}
-		rv, err := execute(ctx, &spec, cc, nil, "", workers)
-		return ctx.polls.Load(), rv, err
-	}
+	for _, spec := range []JobSpec{
+		{Circuit: "s5378", Engine: "csim-C", Random: 256},
+		{Circuit: "s5378", Engine: "csim-grid", Random: 256},
+		{Circuit: "s5378", Engine: "csim-grid", Random: 256, FaultShard: 1, FaultShards: 2},
+	} {
+		name := fmt.Sprintf("%s shard %d of %d", spec.Engine, spec.FaultShard, spec.FaultShards)
+		if err := spec.normalize(); err != nil {
+			t.Fatal(err)
+		}
+		cc, _, err := NewCache(1, nil).Lookup(&spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func(cancelAt int64) (int64, *ResultView, error) {
+			ctx := &pollCtx{cancelAt: cancelAt}
+			rv, err := execute(ctx, &spec, cc, nil, "", workers)
+			return ctx.polls.Load(), rv, err
+		}
 
-	fullPolls, rv, err := run(1 << 62)
-	if err != nil {
-		t.Fatalf("uncancelled run: %v", err)
-	}
-	if rv.Workers != workers {
-		t.Fatalf("run used %d workers, want %d", rv.Workers, workers)
-	}
-	one, err := execute(context.Background(), &spec, cc, nil, "", 1)
-	if err != nil {
-		t.Fatalf("one-worker run: %v", err)
-	}
-	if rv.Detected != one.Detected || rv.PotOnly != one.PotOnly || rv.Stats.Evals != one.Stats.Evals {
-		t.Errorf("%d workers: %d detected, %d potential, %d evals; one worker: %d, %d, %d", workers,
-			rv.Detected, rv.PotOnly, rv.Stats.Evals, one.Detected, one.PotOnly, one.Stats.Evals)
-	}
-	// execute itself polls once before the engine starts; the engine is
-	// cancelled at its third boundary.
-	const cancelAt = 4
-	polls, rv, err := run(cancelAt)
-	if !errors.Is(err, context.Canceled) || rv != nil {
-		t.Fatalf("cancelled run returned (%v, %v), want (nil, context.Canceled)", rv, err)
-	}
-	if polls > cancelAt+workers {
-		t.Errorf("cancelled run polled ctx %d times, want each of %d workers to stop at its next poll after the %dth",
-			polls, workers, cancelAt)
-	}
-	if fullPolls < 10*polls {
-		t.Errorf("cancelled run stopped after %d of an uncancelled run's %d boundaries, want under a tenth", polls, fullPolls)
+		fullPolls, rv, err := run(1 << 62)
+		if err != nil {
+			t.Fatalf("%s: uncancelled run: %v", name, err)
+		}
+		if rv.Workers != workers {
+			t.Fatalf("%s: run used %d workers, want %d", name, rv.Workers, workers)
+		}
+		one, err := execute(context.Background(), &spec, cc, nil, "", 1)
+		if err != nil {
+			t.Fatalf("%s: one-worker run: %v", name, err)
+		}
+		if rv.Detected != one.Detected || rv.PotOnly != one.PotOnly || rv.Stats.Evals != one.Stats.Evals {
+			t.Errorf("%s: %d workers: %d detected, %d potential, %d evals; one worker: %d, %d, %d", name, workers,
+				rv.Detected, rv.PotOnly, rv.Stats.Evals, one.Detected, one.PotOnly, one.Stats.Evals)
+		}
+		// execute itself polls once before the engine starts; the engine is
+		// cancelled at its third boundary.
+		const cancelAt = 4
+		polls, rv, err := run(cancelAt)
+		if !errors.Is(err, context.Canceled) || rv != nil {
+			t.Fatalf("%s: cancelled run returned (%v, %v), want (nil, context.Canceled)", name, rv, err)
+		}
+		if polls > cancelAt+workers {
+			t.Errorf("%s: cancelled run polled ctx %d times, want each of %d workers to stop at its next poll after the %dth",
+				name, polls, workers, cancelAt)
+		}
+		if fullPolls < 10*polls {
+			t.Errorf("%s: cancelled run stopped after %d of an uncancelled run's %d boundaries, want under a tenth", name, polls, fullPolls)
+		}
 	}
 }
 

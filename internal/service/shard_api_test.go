@@ -2,6 +2,8 @@ package service
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,49 +14,74 @@ import (
 
 // TestFaultShardJobsMergeToOracle runs every shard of a K-way split as
 // its own job — exactly the coordinator's dispatch pattern — and checks
-// the merged detections against the serial oracle.
+// the merged detections against the serial oracle, on both kernels: 40
+// vectors in two pinned windows are interpreted, 80 with no windows
+// pinned run compiled, and the job's flight record names the shard.
 func TestFaultShardJobsMergeToOracle(t *testing.T) {
 	_, cl := startServer(t, Config{Workers: 2})
 	ctx := ctxT(t)
-	want := oracle(t, "s344", "stuck", 40, 7)
-
 	const k = 3
 	ckt, err := iscas.Get("s344")
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged := faults.NewResult(faults.StuckCollapsed(ckt))
-	for shard := 0; shard < k; shard++ {
-		v, err := cl.Run(ctx, JobSpec{
-			Circuit: "s344", Engine: "csim-grid",
-			FaultShard: shard, FaultShards: k, Windows: 2,
-			Random: 40, Seed: 7, ReturnDetections: true,
-		}, time.Millisecond)
-		if err != nil {
-			t.Fatalf("shard %d: %v", shard, err)
+	for _, tc := range []struct {
+		vectors, windows, wantWindows int
+		startDetail                   string
+	}{
+		{40, 2, 2, "over 2 windows"},
+		{80, 0, 1, "compiled workers"},
+	} {
+		want := oracle(t, "s344", "stuck", tc.vectors, 7)
+		merged := faults.NewResult(faults.StuckCollapsed(ckt))
+		for shard := 0; shard < k; shard++ {
+			v, err := cl.Run(ctx, JobSpec{
+				Circuit: "s344", Engine: "csim-grid",
+				FaultShard: shard, FaultShards: k, Windows: tc.windows,
+				Random: tc.vectors, Seed: 7, ReturnDetections: true,
+			}, time.Millisecond)
+			if err != nil {
+				t.Fatalf("shard %d: %v", shard, err)
+			}
+			if v.Status != StatusDone || v.Result == nil {
+				t.Fatalf("shard %d: status %s, error %q", shard, v.Status, v.Error)
+			}
+			dv := v.Result.Detections
+			if dv == nil {
+				t.Fatalf("shard %d: ReturnDetections set but no detections payload", shard)
+			}
+			if dv.NumDetected() != v.Result.Detected || dv.NumPotOnly() != v.Result.PotOnly {
+				t.Fatalf("shard %d: payload counts %d/%d disagree with result %d/%d",
+					shard, dv.NumDetected(), dv.NumPotOnly(), v.Result.Detected, v.Result.PotOnly)
+			}
+			if v.Result.Workers != k || v.Result.Windows != tc.wantWindows {
+				t.Errorf("shard %d: shape %dx%d, want %dx%d", shard, v.Result.Workers, v.Result.Windows, k, tc.wantWindows)
+			}
+			part, err := dv.Result(faults.StuckCollapsed(ckt))
+			if err != nil {
+				t.Fatalf("shard %d: reconstruct: %v", shard, err)
+			}
+			merged = faults.MergeResults(merged, part)
+
+			pm, err := cl.Debug(ctx, v.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prefix := fmt.Sprintf("shard %d of %d: ", shard, k)
+			started, finished := false, false
+			for _, ev := range pm.Events {
+				if strings.HasPrefix(ev.Detail, prefix) {
+					started = started || ev.Kind == "shard_start" && strings.Contains(ev.Detail, tc.startDetail)
+					finished = finished || ev.Kind == "shard_finish"
+				}
+			}
+			if !started || !finished {
+				t.Errorf("shard %d at %d vectors: no shard_start (%q) / shard_finish pair in %+v", shard, tc.vectors, tc.startDetail, pm.Events)
+			}
 		}
-		if v.Status != StatusDone || v.Result == nil {
-			t.Fatalf("shard %d: status %s, error %q", shard, v.Status, v.Error)
+		if diff := want.Diff(merged); diff != "" {
+			t.Errorf("%d vectors: merged shard jobs differ from serial oracle:\n%s", tc.vectors, diff)
 		}
-		dv := v.Result.Detections
-		if dv == nil {
-			t.Fatalf("shard %d: ReturnDetections set but no detections payload", shard)
-		}
-		if dv.NumDetected() != v.Result.Detected || dv.NumPotOnly() != v.Result.PotOnly {
-			t.Fatalf("shard %d: payload counts %d/%d disagree with result %d/%d",
-				shard, dv.NumDetected(), dv.NumPotOnly(), v.Result.Detected, v.Result.PotOnly)
-		}
-		if v.Result.Workers != k || v.Result.Windows != 2 {
-			t.Errorf("shard %d: shape %dx%d, want %dx2", shard, v.Result.Workers, v.Result.Windows, k)
-		}
-		part, err := dv.Result(faults.StuckCollapsed(ckt))
-		if err != nil {
-			t.Fatalf("shard %d: reconstruct: %v", shard, err)
-		}
-		merged = faults.MergeResults(merged, part)
-	}
-	if diff := want.Diff(merged); diff != "" {
-		t.Errorf("merged shard jobs differ from serial oracle:\n%s", diff)
 	}
 }
 
