@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/harness"
+	"repro/internal/obs"
 )
 
 // tinyCells is the smallest real workload grid: the genuine s27 plus the
@@ -336,6 +337,61 @@ func TestGateFailsOnBehaviorChange(t *testing.T) {
 	}
 	if err := cmp.Gate(); err == nil {
 		t.Fatal("gate passed a detection-count change")
+	}
+}
+
+// TestGateOnWorkCounters: evaluation and pass counts repeat exactly, so
+// a rise of one fails the gate at equal speed, a drop passes and is
+// printed as exact integers, and a counter the baseline never published
+// is not compared.
+func TestGateOnWorkCounters(t *testing.T) {
+	report := func(evals, passes int64) *Report {
+		r := synthetic(1e6, map[string]int64{"a": 100e6})
+		r.Cells[0].Engine = "csim-C"
+		r.Cells[0].Metrics = []obs.Point{{Name: "csim-C.evals", Kind: "counter", Value: evals}}
+		if passes >= 0 {
+			r.Cells[0].Metrics = append(r.Cells[0].Metrics,
+				obs.Point{Name: "csim-C.passes", Kind: "counter", Value: passes})
+		}
+		return r
+	}
+	for _, tc := range []struct {
+		name             string
+		base, cur        *Report
+		counts           int
+		gated            bool
+		inReport, inGate string
+	}{
+		{"equal", report(1000, 50), report(1000, 50), 0, false, "", ""},
+		{"evals drop", report(1000, 50), report(800, 50), 1, false, "| 1000 → 800 | -200 |", ""},
+		{"evals rise by one", report(1000, 50), report(1001, 50), 1, true, "| 1000 → 1001 | +1 **ROSE** |", "csim-C.evals 1000 → 1001"},
+		{"passes rise, evals drop", report(1000, 50), report(900, 60), 2, true, "| 50 → 60 | +10 **ROSE** |", "csim-C.passes 50 → 60"},
+		{"baseline without passes", report(1000, -1), report(1000, 60), 0, false, "", ""},
+	} {
+		cmp, err := Compare(tc.cur, tc.base, CompareOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(cmp.Cells[0].Counts); got != tc.counts {
+			t.Errorf("%s: %d counters moved, want %d", tc.name, got, tc.counts)
+		}
+		err = cmp.Gate()
+		if (err != nil) != tc.gated {
+			t.Errorf("%s: gate error %v, want gated = %v", tc.name, err, tc.gated)
+		}
+		if err != nil && !strings.Contains(err.Error(), tc.inGate) {
+			t.Errorf("%s: gate error %q lacks %q", tc.name, err, tc.inGate)
+		}
+		var md bytes.Buffer
+		if err := cmp.WriteMarkdown(&md); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(md.String(), tc.inReport) {
+			t.Errorf("%s: report lacks %q:\n%s", tc.name, tc.inReport, md.String())
+		}
+		if strings.Contains(md.String(), "**FAIL**") != tc.gated {
+			t.Errorf("%s: report verdict does not match gated = %v:\n%s", tc.name, tc.gated, md.String())
+		}
 	}
 }
 

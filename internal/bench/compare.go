@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"strings"
 	"time"
 )
 
@@ -44,6 +45,21 @@ type PhaseDelta struct {
 	CurNs int64 `json:"cur_ns"`
 }
 
+// CountDelta is one work counter of a cell in the two runs. The counters
+// are exact and repeat from run to run, so any difference is the code's.
+type CountDelta struct {
+	// Name is the registry metric name ("csim-C.evals").
+	Name string `json:"name"`
+	// Base is the baseline run's value.
+	Base int64 `json:"base"`
+	// Cur is the current run's value.
+	Cur int64 `json:"cur"`
+}
+
+// workCounters are the per-engine counters Compare holds a cell to:
+// gate evaluations and fresh fault passes, published as <engine>.<name>.
+var workCounters = []string{"evals", "passes"}
+
 // CellDelta is one cell's baseline comparison.
 type CellDelta struct {
 	// Key is the cell identity both reports share.
@@ -65,6 +81,12 @@ type CellDelta struct {
 	// BehaviorChanged marks a detection-count or coverage mismatch —
 	// never measurement noise, always a functional change.
 	BehaviorChanged bool `json:"behavior_changed,omitempty"`
+	// Counts lists the work counters that both runs published and that
+	// differ between them.
+	Counts []CountDelta `json:"counts,omitempty"`
+	// WorkRose marks a counter above its baseline: the cell does more
+	// work for the same result, whatever the clock says.
+	WorkRose bool `json:"work_rose,omitempty"`
 	// Phases breaks the cell down by tracer phase (sorted by name);
 	// populated for regressed cells.
 	Phases []PhaseDelta `json:"phases,omitempty"`
@@ -135,6 +157,15 @@ func Compare(cur, base *Report, opt CompareOptions) (*Comparison, error) {
 		if d.Regressed {
 			d.Phases = phaseDeltas(b.PhasesNs, c.PhasesNs)
 		}
+		for _, name := range workCounters {
+			name = c.Engine + "." + name
+			bv, bok := b.metric(name)
+			cv, cok := c.metric(name)
+			if bok && cok && bv != cv {
+				d.Counts = append(d.Counts, CountDelta{Name: name, Base: bv, Cur: cv})
+				d.WorkRose = d.WorkRose || cv > bv
+			}
+		}
 		if d.BaseScore > 0 && d.CurScore > 0 {
 			logSum += math.Log(d.BaseScore / d.CurScore)
 			logN++
@@ -194,28 +225,46 @@ func (c *Comparison) BehaviorChanges() []CellDelta {
 	return out
 }
 
+// WorkRises returns the cells with a work counter above its baseline.
+func (c *Comparison) WorkRises() []CellDelta {
+	var out []CellDelta
+	for _, d := range c.Cells {
+		if d.WorkRose {
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
 // Gate returns a non-nil error when the comparison should fail CI: any
-// cell regressed past threshold, or any cell's deterministic outputs
-// (detections, workload sizes) changed against the baseline.
+// cell regressed past threshold, any cell's deterministic outputs
+// (detections, workload sizes) changed against the baseline, or any
+// cell's evaluation or pass count rose — by however little: the counts
+// are exact, so they need no threshold.
 func (c *Comparison) Gate() error {
-	regs := c.Regressions()
-	beh := c.BehaviorChanges()
-	if len(regs) == 0 && len(beh) == 0 {
+	var msgs []string
+	if regs := c.Regressions(); len(regs) > 0 {
+		msgs = append(msgs, fmt.Sprintf("%d cell(s) regressed past %.0f%% (worst: %s %+.1f%%)",
+			len(regs), 100*c.Threshold, regs[0].Key, 100*regs[0].Delta))
+	}
+	if beh := c.BehaviorChanges(); len(beh) > 0 {
+		msgs = append(msgs, fmt.Sprintf("%d cell(s) changed behavior vs baseline (first: %s)",
+			len(beh), beh[0].Key))
+	}
+	if work := c.WorkRises(); len(work) > 0 {
+		first := work[0]
+		for _, n := range first.Counts {
+			if n.Cur > n.Base {
+				msgs = append(msgs, fmt.Sprintf("%d cell(s) do more work than baseline (first: %s %s %d → %d)",
+					len(work), first.Key, n.Name, n.Base, n.Cur))
+				break
+			}
+		}
+	}
+	if len(msgs) == 0 {
 		return nil
 	}
-	msg := ""
-	if len(regs) > 0 {
-		msg = fmt.Sprintf("%d cell(s) regressed past %.0f%% (worst: %s %+.1f%%)",
-			len(regs), 100*c.Threshold, regs[0].Key, 100*regs[0].Delta)
-	}
-	if len(beh) > 0 {
-		if msg != "" {
-			msg += "; "
-		}
-		msg += fmt.Sprintf("%d cell(s) changed behavior vs baseline (first: %s)",
-			len(beh), beh[0].Key)
-	}
-	return fmt.Errorf("bench: %s", msg)
+	return fmt.Errorf("bench: %s", strings.Join(msgs, "; "))
 }
 
 // WriteMarkdown renders the comparison as the regression report: a
@@ -229,13 +278,14 @@ func (c *Comparison) WriteMarkdown(w io.Writer) error {
 	fmt.Fprintf(w, "# Benchmark comparison (%s, threshold %.0f%%)\n\n", mode, 100*c.Threshold)
 	regs := c.Regressions()
 	beh := c.BehaviorChanges()
+	work := c.WorkRises()
 	switch {
-	case len(regs) == 0 && len(beh) == 0:
+	case len(regs) == 0 && len(beh) == 0 && len(work) == 0:
 		fmt.Fprintf(w, "**PASS** — geo-mean speedup vs baseline: **%.3f×** over %d cells\n\n",
 			c.GeoMeanSpeedup, len(c.Cells))
 	default:
-		fmt.Fprintf(w, "**FAIL** — %d regression(s), %d behavior change(s); geo-mean speedup %.3f×\n\n",
-			len(regs), len(beh), c.GeoMeanSpeedup)
+		fmt.Fprintf(w, "**FAIL** — %d regression(s), %d behavior change(s), %d cell(s) doing more work; geo-mean speedup %.3f×\n\n",
+			len(regs), len(beh), len(work), c.GeoMeanSpeedup)
 	}
 	fmt.Fprintln(w, "| cell | base | current | Δ | status |")
 	fmt.Fprintln(w, "|---|---:|---:|---:|---|")
@@ -248,6 +298,8 @@ func (c *Comparison) WriteMarkdown(w io.Writer) error {
 			status = "**BEHAVIOR CHANGED**"
 		case d.Regressed:
 			status = "**REGRESSED**"
+		case d.WorkRose:
+			status = "**MORE WORK**"
 		case d.Delta < -0.05:
 			status = "improved"
 		}
@@ -256,6 +308,26 @@ func (c *Comparison) WriteMarkdown(w io.Writer) error {
 			time.Duration(d.CurNs).Round(time.Microsecond), 100*d.Delta, status)
 	}
 	fmt.Fprintln(w)
+	counts := false
+	for _, d := range c.Cells {
+		for _, n := range d.Counts {
+			if !counts {
+				counts = true
+				fmt.Fprintln(w, "## Work counters that moved (exact; a rise fails the gate)")
+				fmt.Fprintln(w)
+				fmt.Fprintln(w, "| cell | counter | base → current | Δ |")
+				fmt.Fprintln(w, "|---|---|---:|---:|")
+			}
+			mark := ""
+			if n.Cur > n.Base {
+				mark = " **ROSE**"
+			}
+			fmt.Fprintf(w, "| %s | %s | %d → %d | %+d%s |\n", d.Key, n.Name, n.Base, n.Cur, n.Cur-n.Base, mark)
+		}
+	}
+	if counts {
+		fmt.Fprintln(w)
+	}
 	for _, d := range regs {
 		fmt.Fprintf(w, "## %s — phase breakdown\n\n", d.Key)
 		fmt.Fprintln(w, "| phase | base | current | Δ |")

@@ -84,6 +84,17 @@ type CellResult struct {
 	Metrics []obs.Point `json:"metrics,omitempty"`
 }
 
+// metric returns the value of the counter or gauge called name in the
+// cell's metric snapshot, and whether the snapshot has it.
+func (c *CellResult) metric(name string) (int64, bool) {
+	for _, m := range c.Metrics {
+		if m.Name == name {
+			return m.Value, true
+		}
+	}
+	return 0, false
+}
+
 // Report is one complete suite run — the BENCH_<timestamp>.json payload.
 type Report struct {
 	// Schema is the format identifier (the Schema constant).

@@ -3,6 +3,7 @@ package compiled
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -49,15 +50,46 @@ func compare(t *testing.T, tag string, want, got *faults.Result) {
 	}
 }
 
+// checkClean runs the faults ids on nw workers and requires every node
+// of every worker to be good again afterwards: current planes equal to
+// the good ones, neither dirty nor scheduled.
+func checkClean(t *testing.T, tag string, u *faults.Universe, vs *vectors.Set, ids []int32, nw int) {
+	t.Helper()
+	sim, err := New(u)
+	if err != nil {
+		t.Fatalf("%s: %v", tag, err)
+	}
+	tr, _ := sim.p.Trace(vs)
+	ws, err := sim.runWorkers(context.Background(), tr, ids, nw, nil)
+	if err != nil {
+		t.Fatalf("%s: %v", tag, err)
+	}
+	for wi, w := range ws {
+		if len(w.dirty)+len(w.touched)+len(w.pos) != 0 {
+			t.Fatalf("%s: worker %d ended with %d dirty, %d touched, %d output gates listed",
+				tag, wi, len(w.dirty), len(w.touched), len(w.pos))
+		}
+		for g := range w.nodes {
+			n := &w.nodes[g]
+			if n.v1 != n.g1 || n.v0 != n.g0 || n.flags&(flagDirty|flagSched) != 0 {
+				t.Fatalf("%s: worker %d left gate %s dirty: planes %x/%x, good %x/%x, flags %b",
+					tag, wi, u.Circuit.Gates[g].Name, n.v1, n.v0, n.g1, n.g0, n.flags)
+			}
+		}
+	}
+}
+
 // runBoth runs the serial oracle and csim-C over the same workload and
 // requires bit-identical results on 1, 2, 3 and 7 workers — asked for
 // outright, so a universe of one chunk also covers more workers than
 // chunks — with counters that do not depend on the worker count. The
 // universe dealt into three ID lists, and a fourth empty one, must merge
-// to the same result and the same counters.
+// to the same result and the same counters. No run may leave a node
+// dirty.
 func runBoth(t *testing.T, tag string, u *faults.Universe, vs *vectors.Set) {
 	t.Helper()
 	want := serial.Simulate(u, vs)
+	checkClean(t, tag, u, vs, u.IDs(), 3)
 	run := func(ids []int32, nw int) (*faults.Result, csim.Stats) {
 		t.Helper()
 		sim, err := New(u)
@@ -71,7 +103,8 @@ func runBoth(t *testing.T, tag string, u *faults.Universe, vs *vectors.Set) {
 		return got, sim.Stats()
 	}
 	same := func(a, b csim.Stats) bool {
-		return a.Evals == b.Evals && a.Scheds == b.Scheds && a.Detections == b.Detections
+		return a.Evals == b.Evals && a.Scheds == b.Scheds && a.Passes == b.Passes && a.Steps == b.Steps &&
+			a.Detections == b.Detections
 	}
 	var one csim.Stats
 	for _, nw := range []int{1, 2, 3, 7} {
@@ -151,8 +184,11 @@ func TestWorkersCap(t *testing.T) {
 // TestNodeFitsCacheLine pins the layout the fault passes are built on,
 // and the sizes the memory accounting uses.
 func TestNodeFitsCacheLine(t *testing.T) {
-	if sz := unsafe.Sizeof(node{}); sz > 64 || sz != nodeBytes {
-		t.Errorf("node is %d bytes, want nodeBytes = %d and at most 64", sz, nodeBytes)
+	if sz := unsafe.Sizeof(node{}); sz != 64 {
+		t.Errorf("node is %d bytes, want exactly the 64 of a cache line", sz)
+	}
+	if nodeBytes != unsafe.Sizeof(node{}) {
+		t.Errorf("node is %d bytes, nodeBytes says %d", unsafe.Sizeof(node{}), nodeBytes)
 	}
 	if sz := unsafe.Sizeof(faultState{}); sz != slotBytes {
 		t.Errorf("faultState is %d bytes, slotBytes says %d", sz, slotBytes)
@@ -261,28 +297,152 @@ func TestGoodMatchesGoodsim(t *testing.T) {
 	}
 }
 
-// TestStatsAccounting checks that a run reports the standard counters.
+// TestStatsAccounting pins the work a run does, not the time it takes:
+// the exact evaluation, pass and continuation counts on two bundled
+// circuits, so a silent fall-back to one fresh pass per cutoff or a
+// bucket counted twice shows as an integer diff.
 func TestStatsAccounting(t *testing.T) {
-	c := genCircuit(t, 31, 4, 3, 4, 50)
-	u := faults.StuckCollapsed(c)
-	vs := vectors.Random(c, 64, 17)
+	for _, tc := range []struct {
+		circuit, model       string
+		nv                   int
+		evals, passes, steps int
+	}{
+		{"s27", "stuck", 48, 808, 26, 144},
+		{"s27", "stuck", 130, 2071, 60, 378},
+		{"s27", "transition", 48, 141, 324, 51},
+		{"s27", "transition", 130, 349, 888, 131},
+		{"s298", "stuck", 48, 24447, 431, 1231},
+		{"s298", "stuck", 130, 33673, 911, 1953},
+		{"s298", "transition", 48, 13268, 1407, 499},
+		{"s298", "transition", 130, 20134, 3166, 832},
+	} {
+		c, err := iscas.Get(tc.circuit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		u := faults.StuckCollapsed(c)
+		if tc.model == "transition" {
+			u = faults.Transition(c)
+		}
+		sim, err := New(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := sim.Run(vectors.Random(c, tc.nv, 42))
+		st := sim.Stats()
+		tag := fmt.Sprintf("%s/%s/n=%d", tc.circuit, tc.model, tc.nv)
+		if st.Evals != tc.evals || st.Passes != tc.passes || st.Steps != tc.steps {
+			t.Errorf("%s: evals %d, passes %d, steps %d; want %d, %d, %d",
+				tag, st.Evals, st.Passes, st.Steps, tc.evals, tc.passes, tc.steps)
+		}
+		if st.Scheds != st.Evals {
+			t.Errorf("%s: %d gates scheduled, %d evaluated", tag, st.Scheds, st.Evals)
+		}
+		if st.GoodEvals == 0 || st.MemBytes <= 0 {
+			t.Errorf("%s: GoodEvals %d, MemBytes %d not accounted", tag, st.GoodEvals, st.MemBytes)
+		}
+		if st.Detections != res.NumDet {
+			t.Errorf("%s: Detections = %d, result has %d", tag, st.Detections, res.NumDet)
+		}
+	}
+}
+
+// mustParse builds a circuit from .bench text.
+func mustParse(t *testing.T, name, text string) *netlist.Circuit {
+	t.Helper()
+	c, err := netlist.ParseBenchString(name, text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestDegenerateShapes holds the fault passes to the oracle where a loop
+// bound or a list is at its edge: no primary output, state differences
+// that travel from register to register with no gate between them (so
+// the continuation runs on flip-flop nodes a flip-flop samples), a ring
+// of registers that never leaves X, one fault, one vector, a universe of
+// exactly one chunk. runBoth adds more workers than chunks, an empty ID
+// list, and the check that no node stays dirty.
+func TestDegenerateShapes(t *testing.T) {
+	const chain = `
+INPUT(a)
+d = NAND(a, q3)
+q0 = DFF(d)
+q1 = DFF(q0)
+q2 = DFF(q1)
+q3 = DFF(q2)
+r0 = DFF(r1)
+r1 = DFF(r0)
+`
+	ring := mustParse(t, "ring", chain+"OUTPUT(q3)\nOUTPUT(r1)\n")
+	blind := mustParse(t, "blind", chain)
+	large := genCircuit(t, 8, 6, 5, 10, 130)
+	first := func(u *faults.Universe, n int) *faults.Universe {
+		if u.NumFaults() < n {
+			t.Fatalf("universe of %d faults, need %d", u.NumFaults(), n)
+		}
+		return &faults.Universe{Circuit: u.Circuit, Faults: u.Faults[:n]}
+	}
+	for _, tc := range []struct {
+		name string
+		c    *netlist.Circuit
+		nv   int
+		cut  int // keep the first cut faults of each universe; 0 keeps all
+	}{
+		{"ring", ring, 70, 0},
+		{"ring/1-vector", ring, 1, 0},
+		{"no-outputs", blind, 70, 0},
+		{"1-fault", large, 70, 1},
+		{"1-vector", large, 1, 0},
+		{"256-faults", large, 130, chunkFaults},
+	} {
+		vs := vectors.Random(tc.c, tc.nv, 5)
+		for i, u := range []*faults.Universe{faults.StuckAll(tc.c), faults.Transition(tc.c)} {
+			if tc.cut > 0 {
+				u = first(u, tc.cut)
+			}
+			runBoth(t, tc.name+"/"+[]string{"stuck-all", "transition"}[i], u, vs)
+		}
+	}
+}
+
+// TestWorkerPanicIsAnError makes one worker of three panic: the run must
+// return that as an error naming the worker and carrying the stack, not
+// take the process down, and the Sim must run again afterwards.
+func TestWorkerPanicIsAnError(t *testing.T) {
+	c := genCircuit(t, 8, 6, 5, 10, 130)
+	u := faults.StuckAll(c)
+	ids := u.IDs()[:3*chunkFaults]
+	vs := vectors.Random(c, 70, 1)
 	sim, err := New(u)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := sim.Run(vs)
-	st := sim.Stats()
-	if st.GoodEvals == 0 {
-		t.Error("GoodEvals = 0 after a run")
+	watch := func(worker int, done bool, _, _ int) {
+		if worker == 1 && !done {
+			panic("boom")
+		}
 	}
-	if st.Evals == 0 {
-		t.Error("Evals = 0 after a run")
+	res, err := sim.RunFaults(context.Background(), vs, ids, 3, watch)
+	if err == nil || res != nil {
+		t.Fatalf("run with a panicking worker returned result %v, error %v", res, err)
 	}
-	if st.Detections != res.NumDet {
-		t.Errorf("Detections = %d, result has %d", st.Detections, res.NumDet)
+	for _, want := range []string{"compiled: worker 1: panic: boom", "TestWorkerPanicIsAnError"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not contain %q", err, want)
+		}
 	}
-	if st.MemBytes <= 0 {
-		t.Error("MemBytes not accounted")
+	got, err := sim.RunFaults(context.Background(), vs, ids, 3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := serial.Simulate(&faults.Universe{Circuit: c, Faults: u.Faults[:len(ids)]}, vs)
+	for _, id := range ids {
+		if got.DetectedAt[id] != want.DetectedAt[id] || got.PotDetected[id] != want.PotDetected[id] {
+			t.Fatalf("fault %d after the failed run: detected at %d (potential %v), oracle %d (%v)",
+				id, got.DetectedAt[id], got.PotDetected[id], want.DetectedAt[id], want.PotDetected[id])
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -48,18 +49,21 @@ const nodeBytes, slotBytes, diffBytes = 64, 56, 8
 
 // Node flags.
 const (
-	flagSched   uint8 = 1 << iota // queued for evaluation in the current pass
+	flagSched   uint8 = 1 << iota // queued for evaluation
 	flagFeedsFF                   // some flip-flop samples this gate
 	flagPO                        // the gate is a primary output
+	flagDirty                     // written in the running pass: on the worker's undo list
 )
 
 // node is everything a fault pass reads or writes about one gate, kept
-// within one cache line: evaluating a gate touches one line per fanin,
-// one for itself and one per scheduled fanout.
+// to exactly one cache line: evaluating a gate touches one line per
+// fanin, one for itself and one per scheduled fanout.
 type node struct {
-	v1, v0 uint64 // faulty planes, valid while stamp equals the worker's epoch
+	// v1, v0 are the gate's current planes: the good planes after
+	// loadBlock and between passes, the faulty ones once a pass has
+	// written the gate. A read never has to ask which.
+	v1, v0 uint64
 	g1, g0 uint64 // good planes of the loaded 64-cycle block
-	stamp  int32
 	level  int32
 	// Fanins are Program.fanins[inOff:inEnd], combinational fanouts
 	// Program.fanouts[outOff:outEnd].
@@ -67,20 +71,12 @@ type node struct {
 	outOff, outEnd int32
 	code           uint8
 	flags          uint8
+	_              [10]byte // pads the node to the 64 bytes a cache line holds
 }
 
-// planes returns the gate's faulty planes in the pass numbered epoch:
-// what the pass wrote, else the good planes. It writes nothing, so a
-// stamp equal to the epoch means exactly "written in this pass".
-func (n *node) planes(epoch int32) (uint64, uint64) {
-	if n.stamp == epoch {
-		return n.v1, n.v0
-	}
-	return n.g1, n.g0
-}
-
-// faultState is what one live fault of a chunk carries from pass to
-// pass and from one 64-cycle block to the next.
+// faultState is what one live fault of a chunk carries from one pass to
+// the next: across 64-cycle blocks, and for a flip-flop D-pin transition
+// fault across cycles.
 type faultState struct {
 	f       *faults.Fault
 	st      siteKind
@@ -94,9 +90,10 @@ type faultState struct {
 // and the state of one chunk of faults. Workers share the Program and
 // the Trace read-only and nothing else.
 type worker struct {
-	// The pads keep a worker's counters, bumped on every evaluation, off
-	// the cache lines of whatever the allocator placed next to it — the
-	// next worker, for one: sharing a line there halves two-worker speed.
+	// The pads keep a worker's list headers and counters, rewritten on
+	// every write of a gate, off the cache lines of whatever the allocator
+	// placed next to it — the next worker, for one: sharing a line there
+	// halves two-worker speed.
 	_ [64]byte
 
 	p   *Program
@@ -105,20 +102,21 @@ type worker struct {
 	ids []int32 // the run's faults, in simulation order; chunks are ranges of it
 
 	nodes   []node
-	epoch   int32
 	base    int  // first cycle of the loaded block
 	lastLn  uint // last lane of the loaded block that holds a cycle
 	queue   [][]netlist.GateID
-	touched []netlist.GateID // written this pass and sampled by a flip-flop
-	pos     []netlist.GateID // written this pass and a primary output
+	dirty   []netlist.GateID // written in the running pass: the undo list
+	touched []netlist.GateID // of those, the gates a flip-flop samples
+	pos     []netlist.GateID // of those, the primary outputs
 
 	slots []faultState
 	live  []int32
 
 	res       *faults.Result
 	simulated int // faults of the chunks this worker ran
-	evals     int
-	scheds    int
+	evals     int // gates evaluated; each was scheduled exactly once for it
+	passes    int // fresh propagations
+	steps     int // in-place continuations of a pass
 	curDiffs  int
 	peakDiffs int
 	_         [64]byte
@@ -129,16 +127,19 @@ type worker struct {
 //
 // The faults are cut into chunks of 256. A chunk walks the packed good
 // trace block by block: each 64-cycle block's good planes are loaded
-// into the nodes once, then every live fault of the chunk runs its
-// passes inside the block. A pass speculates that the faulty machine's
+// into the nodes once, then every live fault of the chunk runs one pass
+// over the block. A pass speculates that the faulty machine's
 // flip-flop state equals the good machine's in every lane after the
 // first; event-driven plane propagation then finds the earliest lane
-// where a flip-flop input diverges, the pass result is kept exactly up
-// to that lane, and the next pass resumes one cycle later carrying the
-// true state difference list. Output-cone restriction falls out of the
-// event discipline: only gates downstream of an injected difference are
-// ever evaluated. Chunks are independent, so workers pull them off a
-// shared counter.
+// where a flip-flop input diverges and the result is kept exactly up to
+// that lane. The lanes beyond it are what the speculation would yield
+// from there too, so the pass continues in place: the true state
+// differences go into the next lane of the flip-flop nodes and only
+// their events propagate, lane by lane until the fault is detected or
+// the block ends. Output-cone restriction falls out of the event
+// discipline: only gates downstream of an injected difference are ever
+// evaluated. Chunks are independent, so workers pull them off a shared
+// counter.
 type Sim struct {
 	p     *Program
 	u     *faults.Universe
@@ -208,9 +209,43 @@ func (s *Sim) RunContext(ctx context.Context, vs *vectors.Set, workers int) (*fa
 // sampled output) detections, and neither they nor the evaluation
 // counts depend on the worker count or on how the universe is cut into
 // ID lists. ctx is checked between chunks and between a chunk's
-// 64-cycle blocks; a cancelled run returns ctx.Err(). watch may be nil.
+// 64-cycle blocks; a cancelled run returns ctx.Err(). A panic on a
+// worker, watch's included, comes back as an error with the stack. watch
+// may be nil.
 func (s *Sim) RunFaults(ctx context.Context, vs *vectors.Set, ids []int32, workers int, watch WorkerFunc) (*faults.Result, error) {
 	tr, gevals := s.p.Trace(vs)
+	ws, err := s.runWorkers(ctx, tr, ids, workers, watch)
+	if err != nil {
+		return nil, err
+	}
+	parts := make([]*faults.Result, len(ws))
+	stats := make([]csim.Stats, len(ws))
+	for i, w := range ws {
+		parts[i] = w.res
+		stats[i] = csim.Stats{
+			Evals:     w.evals,
+			Scheds:    w.evals,
+			Passes:    w.passes,
+			Steps:     w.steps,
+			PeakElems: w.peakDiffs,
+			CurElems:  w.curDiffs,
+			MemBytes:  w.memBytes(),
+		}
+	}
+	res := faults.MergeResults(parts...)
+	s.stats = csim.MergeStats(stats...)
+	s.stats.GoodEvals = int(gevals)
+	s.stats.Detections = res.NumDet
+	s.stats.MemBytes += tr.Bytes()
+	return res, nil
+}
+
+// runWorkers runs the chunks of ids over the trace and returns the
+// workers that ran them, each holding its share of the result. A worker
+// that panics ends the run with an error carrying the stack instead of
+// taking the process down; workers are built per run, so one that
+// stopped halfway through a pass is never used again.
+func (s *Sim) runWorkers(ctx context.Context, tr *Trace, ids []int32, workers int, watch WorkerFunc) ([]*worker, error) {
 	chunks := numChunks(len(ids))
 	ws := make([]*worker, Workers(workers, len(ids)))
 	for i := range ws {
@@ -222,6 +257,11 @@ func (s *Sim) RunFaults(ctx context.Context, vs *vectors.Set, ids []int32, worke
 		wg   sync.WaitGroup
 	)
 	work := func(i int) {
+		defer func() {
+			if r := recover(); r != nil {
+				errs[i] = fmt.Errorf("compiled: worker %d: panic: %v\n%s", i, r, debug.Stack())
+			}
+		}()
 		if watch != nil {
 			watch(i, false, 0, 0)
 		}
@@ -243,25 +283,7 @@ func (s *Sim) RunFaults(ctx context.Context, vs *vectors.Set, ids []int32, worke
 			return nil, err
 		}
 	}
-
-	parts := make([]*faults.Result, len(ws))
-	stats := make([]csim.Stats, len(ws))
-	for i, w := range ws {
-		parts[i] = w.res
-		stats[i] = csim.Stats{
-			Evals:     w.evals,
-			Scheds:    w.scheds,
-			PeakElems: w.peakDiffs,
-			CurElems:  w.curDiffs,
-			MemBytes:  w.memBytes(),
-		}
-	}
-	res := faults.MergeResults(parts...)
-	s.stats = csim.MergeStats(stats...)
-	s.stats.GoodEvals = int(gevals)
-	s.stats.Detections = res.NumDet
-	s.stats.MemBytes += tr.Bytes()
-	return res, nil
+	return ws, nil
 }
 
 // newWorker builds one worker's nodes from the program's structure.
@@ -317,8 +339,8 @@ func (w *worker) run(ctx context.Context, next *atomic.Int64, chunks int) error 
 
 // runChunk simulates the faults ids to detection or vector exhaustion,
 // block-major: a block's good planes are loaded once for the whole
-// chunk, and each live fault runs all its passes inside the block before
-// the next fault gets its turn.
+// chunk, and each live fault runs the block to its end before the next
+// fault gets its turn.
 //
 //simlint:hotpath
 func (w *worker) runChunk(ctx context.Context, ids []int32) error {
@@ -354,8 +376,8 @@ func (w *worker) runChunk(ctx context.Context, ids []int32) error {
 	return nil
 }
 
-// loadBlock copies block b's good planes into the nodes and restarts the
-// pass numbering, which also invalidates every faulty plane.
+// loadBlock copies block b's good planes into the nodes, as the good
+// planes and as the current ones.
 //
 //simlint:hotpath
 func (w *worker) loadBlock(b int) {
@@ -363,9 +385,8 @@ func (w *worker) loadBlock(b int) {
 	for i := range w.nodes {
 		n := &w.nodes[i]
 		n.g1, n.g0 = v1[i], v0[i]
-		n.stamp = 0
+		n.v1, n.v0 = v1[i], v0[i]
 	}
-	w.epoch = 0
 	w.base = b * wordW
 	w.lastLn = uint(min(w.tr.cycles-w.base, wordW) - 1)
 }
@@ -406,15 +427,16 @@ func forcePlanes(a1, a0 uint64, v logic.V, m uint64) (uint64, uint64) {
 	return a1, a0
 }
 
-// write stores gate g's faulty planes. The first write of a pass stamps
-// the node and lists it for the checks that end the pass: the divergence
-// cutoff and state carry read the flip-flop-sampled gates, detection
-// reads the primary outputs.
+// write stores gate g's planes. The first write of a pass marks the node
+// dirty and lists it: for the undo that ends the pass, and for the checks
+// that follow every propagation — the divergence cutoff and state carry
+// read the flip-flop-sampled gates, detection reads the primary outputs.
 //
 //simlint:hotpath
 func (w *worker) write(g netlist.GateID, n *node, a1, a0 uint64) {
-	if n.stamp != w.epoch {
-		n.stamp = w.epoch
+	if n.flags&flagDirty == 0 {
+		n.flags |= flagDirty
+		w.dirty = append(w.dirty, g)
 		if n.flags&flagFeedsFF != 0 {
 			w.touched = append(w.touched, g)
 		}
@@ -425,16 +447,50 @@ func (w *worker) write(g netlist.GateID, n *node, a1, a0 uint64) {
 	n.v1, n.v0 = a1, a0
 }
 
-// force overwrites the masked lanes of source gate g's faulty planes
-// with v and schedules its consumers.
+// undo ends a pass: every gate it wrote is good again.
+//
+//simlint:hotpath
+func (w *worker) undo() {
+	for _, g := range w.dirty {
+		n := &w.nodes[g]
+		n.v1, n.v0 = n.g1, n.g0
+		n.flags &^= flagDirty
+	}
+	w.dirty = w.dirty[:0]
+	w.touched = w.touched[:0]
+	w.pos = w.pos[:0]
+}
+
+// force overwrites the masked lanes of source gate g's planes with v and
+// schedules its consumers.
 //
 //simlint:hotpath
 func (w *worker) force(g netlist.GateID, v logic.V, m uint64) {
 	n := &w.nodes[g]
-	a1, a0 := n.planes(w.epoch)
-	a1, a0 = forcePlanes(a1, a0, v, m)
+	a1, a0 := forcePlanes(n.v1, n.v0, v, m)
 	w.write(g, n, a1, a0)
 	w.schedFanouts(n)
+}
+
+// install writes the state differences into the given lane of their
+// flip-flops and schedules the consumers of those it changes. A
+// flip-flop-sited stuck fault's own difference changes nothing when the
+// lane is already forced.
+//
+//simlint:hotpath
+func (w *worker) install(diffs []ffDiff, lane uint) {
+	bit := uint64(1) << lane
+	for _, d := range diffs {
+		ffg := w.p.c.DFFs[d.ff]
+		n := &w.nodes[ffg]
+		a1 := n.v1&^bit | oneBit[d.val]<<lane
+		a0 := n.v0&^bit | zeroBit[d.val]<<lane
+		if a1 == n.v1 && a0 == n.v0 {
+			continue
+		}
+		w.write(ffg, n, a1, a0)
+		w.schedFanouts(n)
+	}
 }
 
 // schedule queues gate g for evaluation at its level.
@@ -447,7 +503,6 @@ func (w *worker) schedule(g netlist.GateID) {
 	}
 	n.flags |= flagSched
 	w.queue[n.level] = append(w.queue[n.level], g)
-	w.scheds++
 }
 
 // schedFanouts queues the combinational consumers of n's gate.
@@ -459,10 +514,44 @@ func (w *worker) schedFanouts(n *node) {
 	}
 }
 
+// propagate drains the event queue in level order. A gate's consumers
+// sit on higher levels, so a bucket never grows while it is drained and
+// its length is the number of gates evaluated there.
+//
+//simlint:hotpath
+func (w *worker) propagate(site netlist.GateID, fs *faultState, off uint, mask uint64) {
+	n := 0
+	for l := int32(1); l <= w.p.maxLevel; l++ {
+		bucket := w.queue[l]
+		for _, g := range bucket {
+			if g == site {
+				w.evalSite(g, fs, off, mask)
+			} else {
+				w.eval(g)
+			}
+		}
+		n += len(bucket)
+		w.queue[l] = bucket[:0]
+	}
+	w.evals += n
+}
+
 // pass simulates fs's fault from cycle fs.cyc to the end of the loaded
-// block, or to the first lane where the speculation on the flip-flop
-// state fails. It reports whether the fault was detected; if not, fs
-// holds the cycle and the state differences the next pass starts from.
+// block — one cycle for a flip-flop D-pin transition fault — and leaves
+// the nodes good again. It reports whether the fault was detected; if
+// not, fs holds the cycle and the state differences the next pass starts
+// from.
+//
+// One propagation computes every lane under the speculation that the
+// flip-flop state after the entry lane is the good machine's. The cutoff
+// commits the lanes up to the first one, L, where a flip-flop input
+// diverges. The planes beyond L are what a propagation started at L+1
+// would compute, except for the state differences entering L+1; so
+// those are written into lane L+1 of the flip-flop nodes, only their
+// events propagate, and cutoff, detection and carry run again from L+1.
+// The fault site keeps the entry lane, mask and previous driver value it
+// was injected with: the lanes already committed hold the faulty
+// machine's true values, which is what a later lane's site looks back on.
 //
 //simlint:hotpath
 func (w *worker) pass(fs *faultState) bool {
@@ -476,19 +565,10 @@ func (w *worker) pass(fs *faultState) bool {
 		wEnd = off
 	}
 	mask := maskRange(off, wEnd)
-	w.epoch++
-	w.touched = w.touched[:0]
-	w.pos = w.pos[:0]
+	w.passes++
 
-	// Install the carried state differences at the entry lane.
-	for _, d := range fs.diffs {
-		ffg := p.c.DFFs[d.ff]
-		n := &w.nodes[ffg]
-		a1, a0 := n.planes(w.epoch)
-		bit := uint64(1) << off
-		w.write(ffg, n, a1&^bit|oneBit[d.val]<<off, a0&^bit|zeroBit[d.val]<<off)
-		w.schedFanouts(n)
-	}
+	// The carried state differences enter at the first lane.
+	w.install(fs.diffs, off)
 
 	// Inject the fault. Flip-flop-sited stuck faults pin the state
 	// line's planes exactly (no speculation), so the site register is
@@ -516,173 +596,161 @@ func (w *worker) pass(fs *faultState) bool {
 		w.schedule(site)
 	}
 
-	// Event-driven level-order plane propagation.
-	for l := int32(1); l <= p.maxLevel; l++ {
-		bucket := w.queue[l]
-		for i := 0; i < len(bucket); i++ {
-			g := bucket[i]
-			if g == site {
-				w.evalSite(g, fs, off, mask)
-			} else {
-				w.eval(g)
-			}
-		}
-		w.queue[l] = bucket[:0]
-	}
+	for cur := off; ; {
+		w.propagate(site, fs, off, mask)
 
-	// Divergence cutoff: the first lane where a flip-flop input
-	// diverges invalidates the speculation from the next lane on. Lane
-	// L itself executed with a correct entering state and stays valid.
-	last := wEnd
-	var div uint64
-	for _, g := range w.touched {
-		fed := p.fed(g)
-		if exempt >= 0 && len(fed) == 1 && fed[0] == exempt {
-			continue
-		}
-		n := &w.nodes[g]
-		div |= (n.v1 ^ n.g1) | (n.v0 ^ n.g0)
-	}
-	if div &= mask; div != 0 {
-		if fl := uint(bits.TrailingZeros64(div)); fl < last {
-			last = fl
-		}
-	}
-
-	// Detection over the valid lanes, against the good planes: a hard
-	// detect needs opposite binary planes; a potential detect is good
-	// binary against faulty X. Only a written output can differ.
-	valid := maskRange(off, last)
-	var det, pot uint64
-	for _, po := range w.pos {
-		n := &w.nodes[po]
-		det |= n.g1&n.v0 | n.g0&n.v1
-		pot |= (n.g1 | n.g0) &^ (n.v1 | n.v0)
-	}
-	det &= valid
-	pot &= valid
-	if det != 0 {
-		dl := uint(bits.TrailingZeros64(det))
-		// The serial oracle records a potential detect on the detecting
-		// cycle itself, then stops simulating the fault.
-		if pot&maskRange(off, dl) != 0 {
-			w.res.PotDetect(f.ID)
-		}
-		w.res.Detect(f.ID, w.base+int(dl))
-		return true
-	}
-	if pot != 0 {
-		w.res.PotDetect(f.ID)
-	}
-
-	// Carry the true state difference out of lane `last` into the next
-	// pass. The carried list was consumed above, so it is rebuilt in
-	// place.
-	nd := fs.diffs[:0]
-	for _, g := range w.touched {
-		n := &w.nodes[g]
-		fv := planeVal(n.v1, n.v0, last)
-		if fv == planeVal(n.g1, n.g0, last) {
-			continue
-		}
-		for _, ffi := range p.fed(g) {
-			if ffi == exempt {
+		// Divergence cutoff: the first lane where a flip-flop input
+		// diverges invalidates the speculation from the next lane on. Lane
+		// L itself executed with a correct entering state and stays valid.
+		last := wEnd
+		var div uint64
+		for _, g := range w.touched {
+			fed := p.fed(g)
+			if exempt >= 0 && len(fed) == 1 && fed[0] == exempt {
 				continue
 			}
-			nd = append(nd, ffDiff{ff: ffi, val: fv})
+			n := &w.nodes[g]
+			div |= (n.v1 ^ n.g1) | (n.v0 ^ n.g0)
 		}
+		if div &= maskRange(cur, wEnd); div != 0 {
+			last = uint(bits.TrailingZeros64(div))
+		}
+
+		// Detection over the valid lanes, against the good planes: a hard
+		// detect needs opposite binary planes; a potential detect is good
+		// binary against faulty X. Only a written output can differ.
+		valid := maskRange(cur, last)
+		var det, pot uint64
+		for _, po := range w.pos {
+			n := &w.nodes[po]
+			det |= n.g1&n.v0 | n.g0&n.v1
+			pot |= (n.g1 | n.g0) &^ (n.v1 | n.v0)
+		}
+		det &= valid
+		pot &= valid
+		if det != 0 {
+			dl := uint(bits.TrailingZeros64(det))
+			// The serial oracle records a potential detect on the detecting
+			// cycle itself, then stops simulating the fault.
+			if pot&maskRange(cur, dl) != 0 {
+				w.res.PotDetect(f.ID)
+			}
+			w.res.Detect(f.ID, w.base+int(dl))
+			w.undo()
+			return true
+		}
+		if pot != 0 {
+			w.res.PotDetect(f.ID)
+		}
+
+		// Carry the true state difference out of lane `last`. The carried
+		// list was consumed above, so it is rebuilt in place.
+		nd := fs.diffs[:0]
+		for _, g := range w.touched {
+			n := &w.nodes[g]
+			if ((n.v1^n.g1)|(n.v0^n.g0))>>last&1 == 0 {
+				continue
+			}
+			fv := planeVal(n.v1, n.v0, last)
+			for _, ffi := range p.fed(g) {
+				if ffi != exempt {
+					nd = append(nd, ffDiff{ff: ffi, val: fv})
+				}
+			}
+		}
+		switch st {
+		case siteDFFOut, siteDFFD:
+			sv := f.Kind.StuckValue()
+			dd := &w.nodes[p.dffD[exempt]]
+			if sv != planeVal(dd.g1, dd.g0, last) {
+				nd = append(nd, ffDiff{ff: exempt, val: sv})
+			}
+		case siteDFFTrans:
+			dn := &w.nodes[fs.drv]
+			raw := planeVal(dn.v1, dn.v0, last)
+			if fv := faults.TransitionFV(f.Kind, fs.prevDrv, raw); fv != planeVal(dn.g1, dn.g0, last) {
+				nd = append(nd, ffDiff{ff: exempt, val: fv})
+			}
+		}
+		fs.diffs = nd
+		if len(nd) > w.peakDiffs {
+			w.peakDiffs = len(nd)
+		}
+		w.curDiffs = len(nd)
+
+		if last == wEnd {
+			break
+		}
+		cur = last + 1
+		w.install(nd, cur)
+		w.steps++
 	}
-	switch st {
-	case siteDFFOut, siteDFFD:
-		sv := f.Kind.StuckValue()
-		dd := &w.nodes[p.dffD[exempt]]
-		if sv != planeVal(dd.g1, dd.g0, last) {
-			nd = append(nd, ffDiff{ff: exempt, val: sv})
-		}
-	case siteDFFTrans:
+
+	if fs.drv != netlist.NoGate {
 		dn := &w.nodes[fs.drv]
-		d1, d0 := dn.planes(w.epoch)
-		raw := planeVal(d1, d0, last)
-		fv := faults.TransitionFV(f.Kind, fs.prevDrv, raw)
-		fs.prevDrv = raw
-		if fv != planeVal(dn.g1, dn.g0, last) {
-			nd = append(nd, ffDiff{ff: exempt, val: fv})
-		}
-	case siteCombTrans:
-		d1, d0 := w.nodes[fs.drv].planes(w.epoch)
-		fs.prevDrv = planeVal(d1, d0, last)
+		fs.prevDrv = planeVal(dn.v1, dn.v0, wEnd)
 	}
-	fs.diffs = nd
-	if len(nd) > w.peakDiffs {
-		w.peakDiffs = len(nd)
-	}
-	w.curDiffs = len(nd)
-	fs.cyc = w.base + int(last) + 1
+	fs.cyc = w.base + int(wEnd) + 1
+	w.undo()
 	return false
 }
 
 // eval re-evaluates gate g's planes from its fanin planes and schedules
 // the fanout on change. It is the path of every gate but the fault site.
+// BUF, NOT, AND, NAND, OR and NOR all run the AND form — a1 is the AND
+// of the inputs' one-planes, a0 the OR of their zero-planes — with the
+// planes swapped on the way in for OR and NOR (De Morgan) and on the
+// way out for NOT, NAND and OR; both swaps are masks derived from the
+// opcode bits, not branches.
 //
 //simlint:hotpath
 func (w *worker) eval(g netlist.GateID) {
 	n := &w.nodes[g]
 	n.flags &^= flagSched
-	ep := w.epoch
 	ins := w.p.fanins[n.inOff:n.inEnd]
-	var a1, a0 uint64
-	switch n.code &^ 1 {
-	case opBuf:
-		a1, a0 = w.nodes[ins[0]].planes(ep)
-	case opAnd:
+	code := n.code
+	var a1, a0, so uint64
+	if code >= opXor {
+		a1, a0 = 0, ^uint64(0)
+		for _, in := range ins {
+			i := &w.nodes[in]
+			a1, a0 = a1&i.v0|a0&i.v1, a1&i.v1|a0&i.v0
+		}
+		so = -uint64(code & 1)
+	} else {
+		sx := -uint64(code >> 2)
 		a1, a0 = ^uint64(0), 0
 		for _, in := range ins {
-			i1, i0 := w.nodes[in].planes(ep)
-			a1 &= i1
-			a0 |= i0
+			i := &w.nodes[in]
+			t := (i.v1 ^ i.v0) & sx
+			a1 &= i.v1 ^ t
+			a0 |= i.v0 ^ t
 		}
-	case opOr:
-		a1, a0 = 0, ^uint64(0)
-		for _, in := range ins {
-			i1, i0 := w.nodes[in].planes(ep)
-			a1 |= i1
-			a0 &= i0
-		}
-	case opXor:
-		a1, a0 = 0, ^uint64(0)
-		for _, in := range ins {
-			i1, i0 := w.nodes[in].planes(ep)
-			a1, a0 = a1&i0|a0&i1, a1&i1|a0&i0
-		}
+		so = -uint64((code ^ code>>2) & 1)
 	}
-	if n.code&1 != 0 {
-		a1, a0 = a0, a1
-	}
-	w.commit(g, n, a1, a0)
+	t := (a1 ^ a0) & so
+	w.commit(g, n, a1^t, a0^t)
 }
 
-// commit counts one evaluation of gate g and, when the result differs
-// from the gate's current planes, stores it and schedules the fanout.
+// commit stores gate g's evaluated planes and schedules the fanout when
+// they differ from the gate's current ones.
 //
 //simlint:hotpath
 func (w *worker) commit(g netlist.GateID, n *node, a1, a0 uint64) {
-	w.evals++
-	if o1, o0 := n.planes(w.epoch); a1 == o1 && a0 == o0 {
+	if a1 == n.v1 && a0 == n.v0 {
 		return
 	}
 	w.write(g, n, a1, a0)
 	w.schedFanouts(n)
 }
 
-// sitePin returns the planes the fault site sees on input pin j: the
-// driver's planes, with the fault's forcing applied on the faulty pin.
+// sitePin returns the planes the fault site sees on the faulty input
+// pin: the driver's planes with the fault's forcing applied in the
+// pass's lanes.
 //
 //simlint:hotpath
-func (w *worker) sitePin(fs *faultState, in netlist.GateID, faulty bool, off uint, mask uint64) (uint64, uint64) {
-	i1, i0 := w.nodes[in].planes(w.epoch)
-	if !faulty {
-		return i1, i0
-	}
+func (w *worker) sitePin(fs *faultState, in netlist.GateID, off uint, mask uint64) (uint64, uint64) {
+	i1, i0 := w.nodes[in].v1, w.nodes[in].v0
 	if fs.st == siteComb {
 		return forcePlanes(i1, i0, fs.f.Kind.StuckValue(), mask)
 	}
@@ -712,34 +780,34 @@ func (w *worker) evalSite(g netlist.GateID, fs *faultState, off uint, mask uint6
 	n.flags &^= flagSched
 	ins := w.p.fanins[n.inOff:n.inEnd]
 	pin := fs.f.Pin
-	var a1, a0 uint64
-	switch n.code &^ 1 {
-	case opBuf:
-		a1, a0 = w.sitePin(fs, ins[0], pin == 0, off, mask)
-	case opAnd:
-		a1, a0 = ^uint64(0), 0
-		for j, in := range ins {
-			i1, i0 := w.sitePin(fs, in, pin == j, off, mask)
-			a1 &= i1
-			a0 |= i0
-		}
-	case opOr:
+	code := n.code
+	var a1, a0, so uint64
+	if code >= opXor {
 		a1, a0 = 0, ^uint64(0)
 		for j, in := range ins {
-			i1, i0 := w.sitePin(fs, in, pin == j, off, mask)
-			a1 |= i1
-			a0 &= i0
-		}
-	case opXor:
-		a1, a0 = 0, ^uint64(0)
-		for j, in := range ins {
-			i1, i0 := w.sitePin(fs, in, pin == j, off, mask)
+			i1, i0 := w.nodes[in].v1, w.nodes[in].v0
+			if j == pin {
+				i1, i0 = w.sitePin(fs, in, off, mask)
+			}
 			a1, a0 = a1&i0|a0&i1, a1&i1|a0&i0
 		}
+		so = -uint64(code & 1)
+	} else {
+		sx := -uint64(code >> 2)
+		a1, a0 = ^uint64(0), 0
+		for j, in := range ins {
+			i1, i0 := w.nodes[in].v1, w.nodes[in].v0
+			if j == pin {
+				i1, i0 = w.sitePin(fs, in, off, mask)
+			}
+			t := (i1 ^ i0) & sx
+			a1 &= i1 ^ t
+			a0 |= i0 ^ t
+		}
+		so = -uint64((code ^ code>>2) & 1)
 	}
-	if n.code&1 != 0 {
-		a1, a0 = a0, a1
-	}
+	t := (a1 ^ a0) & so
+	a1, a0 = a1^t, a0^t
 	if fs.st == siteComb && pin == faults.OutPin {
 		a1, a0 = forcePlanes(a1, a0, fs.f.Kind.StuckValue(), mask)
 	}

@@ -23,6 +23,8 @@ type Stats struct {
 	Skips      int   `obs:"skips,counter,sum"`      // merged machines skipped without re-evaluation
 	GoodEvals  int   `obs:"good_evals,counter,sum"` // good-machine value refreshes (evaluations or trace replays)
 	Scheds     int   `obs:"scheds,counter,sum"`     // macro roots scheduled for evaluation
+	Passes     int   `obs:"passes,counter,sum"`     // csim-C: fresh propagations, one per fault × 64-cycle block
+	Steps      int   `obs:"steps,counter,sum"`      // csim-C: continuations of a pass in place after a divergence cutoff
 	PeakElems  int   `obs:"peak_elems,gauge,sum"`   // high-water mark of live fault elements
 	CurElems   int   `obs:"cur_elems,gauge,sum"`    // live fault elements now
 	Macros     int   `obs:"macros,gauge,max"`       // macro count of the plan in use

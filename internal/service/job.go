@@ -279,6 +279,11 @@ type StatsView struct {
 	GoodEvals int `json:"good_evals"`
 	// Scheds counts macro roots scheduled for evaluation.
 	Scheds int `json:"scheds"`
+	// Passes counts csim-C's fresh propagations: one per fault and
+	// 64-cycle block.
+	Passes int `json:"passes,omitempty"`
+	// Steps counts csim-C's in-place continuations of a pass.
+	Steps int `json:"steps,omitempty"`
 	// PeakElems is the high-water mark of live fault elements.
 	PeakElems int `json:"peak_elems"`
 	// CurElems is the live fault-element count at the end of the run.
@@ -300,6 +305,8 @@ func (v StatsView) Stats() csim.Stats {
 		Skips:      v.Skips,
 		GoodEvals:  v.GoodEvals,
 		Scheds:     v.Scheds,
+		Passes:     v.Passes,
+		Steps:      v.Steps,
 		PeakElems:  v.PeakElems,
 		CurElems:   v.CurElems,
 		Macros:     v.Macros,
@@ -315,6 +322,8 @@ func NewStatsView(st csim.Stats) StatsView {
 		Skips:      st.Skips,
 		GoodEvals:  st.GoodEvals,
 		Scheds:     st.Scheds,
+		Passes:     st.Passes,
+		Steps:      st.Steps,
 		PeakElems:  st.PeakElems,
 		CurElems:   st.CurElems,
 		Macros:     st.Macros,

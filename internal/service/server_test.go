@@ -8,12 +8,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/csim"
 	"repro/internal/faults"
 	"repro/internal/iscas"
 	"repro/internal/netlist"
@@ -809,4 +811,19 @@ func waitTerminal(t *testing.T, cl *Client, id string) JobView {
 		t.Fatalf("wait %s: %v", id, err)
 	}
 	return v
+}
+
+// TestStatsViewMirrorsStats fills every csim.Stats field with its own
+// value and sends it through the view and back: StatsView is kept by
+// hand, and a counter added to csim.Stats but not to it would vanish
+// from every job result and from every shard a coordinator merges.
+func TestStatsViewMirrorsStats(t *testing.T) {
+	var st csim.Stats
+	v := reflect.ValueOf(&st).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		v.Field(i).SetInt(int64(i + 1))
+	}
+	if got := NewStatsView(st).Stats(); got != st {
+		t.Errorf("csim.Stats through StatsView and back: %+v, want %+v", got, st)
+	}
 }
