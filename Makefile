@@ -52,4 +52,4 @@ serve:
 serve-load:
 	go run ./cmd/csimload -addr http://127.0.0.1:8416 \
 	    -clients 32 -jobs 2 -circuit s5378 -random 100 -seed 1 \
-	    -expect-detections 4505 -min-cache-hit 0.9
+	    -expect-detections 4505 -min-cache-hit 0.9 -max-requests-per-job 1.1

@@ -8,9 +8,11 @@
 //
 // Endpoints:
 //
-//	POST   /api/v1/jobs            submit a job (JSON JobSpec); 429 + Retry-After when full
+//	POST   /api/v1/jobs            submit a job (JSON JobSpec); 429 + Retry-After when full;
+//	                               ?wait=30s holds the request until the job ends (200 + result)
+//	                               or the wait passes (202 + live view)
 //	GET    /api/v1/jobs            list jobs
-//	GET    /api/v1/jobs/{id}       job status + result
+//	GET    /api/v1/jobs/{id}       job status + result; ?wait= holds it the same way
 //	GET    /api/v1/jobs/{id}/debug flight-recorder postmortem
 //	DELETE /api/v1/jobs/{id}       cancel (frees a queued job's slot immediately)
 //	GET    /healthz                liveness
@@ -64,7 +66,7 @@ func main() {
 		jobTimeout   = flag.Duration("job-timeout", 5*time.Minute, "default per-job run-time bound")
 		maxTimeout   = flag.Duration("max-job-timeout", 30*time.Minute, "cap on spec-requested per-job timeouts")
 		drainTimeout = flag.Duration("drain-timeout", 2*time.Minute, "bound on the graceful drain after SIGTERM")
-		retained     = flag.Int("retained", 8192, "finished jobs kept for polling before eviction")
+		retained     = flag.Int("retained", 2048, "finished jobs kept for late lookups and /debug before eviction")
 		traceOut     = flag.String("trace-out", "", "write a chrome://tracing phase trace (JSON) on exit")
 		logFormat    = flag.String("log-format", "json", "structured log format on stderr: json or text")
 		logLevel     = flag.String("log-level", "info", "log threshold: debug, info, warn or error")

@@ -1,7 +1,9 @@
 // Command csimload load-tests a csimd server: N concurrent clients each
-// submit a stream of identical jobs, wait for results, and the tool
-// reports throughput, latency percentiles, cache behaviour and queue
-// rejections. Assertion flags make it a CI gate:
+// run a stream of identical jobs through service.Client.Run — one held
+// submission per job, or a submission and status requests every -poll
+// when that is set — and the tool reports throughput, latency
+// percentiles, requests per job, cache behaviour and queue rejections.
+// Assertion flags make it a CI gate:
 //
 //	csimload -addr http://127.0.0.1:8416 -clients 64 -jobs 2 \
 //	    -circuit s5378 -random 100 -expect-detections 4505 \
@@ -11,15 +13,16 @@
 // completed job's detection count differs from -expect-detections, when
 // the server-side cache hit rate ends below -min-cache-hit, when the
 // peak number of concurrently in-flight jobs never reaches
-// -min-inflight, or when -expect-reject is set and the run never drew a
-// 429. Queue rejections are retried honouring the server's Retry-After
-// hint (capped per sleep by -max-retry-wait, jittered to de-synchronize
-// the herd, and bounded in total per job by -max-retry-time), so
-// overload slows the run down but never silently livelocks it. With
-// -check-prom the tool also scrapes /metricsz?format=prometheus after
-// the run and fails unless the exposition parses cleanly (with
-// -clients 0 this is a standalone scrape check against an
-// already-running server).
+// -min-inflight, when the clients made more than -max-requests-per-job
+// HTTP requests per completed job, or when -expect-reject is set and the
+// run never drew a 429. Queue rejections are retried honouring the
+// server's Retry-After hint (capped per sleep by -max-retry-wait,
+// jittered to de-synchronize the herd, and bounded in total per job by
+// -max-retry-time), so overload slows the run down but never silently
+// livelocks it. With -check-prom the tool also scrapes
+// /metricsz?format=prometheus after the run and fails unless the
+// exposition parses cleanly (with -clients 0 this is a standalone scrape
+// check against an already-running server).
 //
 // Multi-node mode: -nodes takes a comma-separated list of csimd base
 // URLs (workers or coordinators) and round-robins the client
@@ -31,8 +34,11 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"math/rand"
+	"net/http"
 	"os"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -54,7 +60,7 @@ func main() {
 		engine       = flag.String("engine", "csim-MV", "engine name (see csimd docs)")
 		randomN      = flag.Int("random", 100, "random vectors per job")
 		seed         = flag.Int64("seed", 1, "random vector seed")
-		poll         = flag.Duration("poll", 5*time.Millisecond, "job status poll interval")
+		poll         = flag.Duration("poll", 0, "job status poll interval (0: hold one request open per job, the client's default)")
 		timeout      = flag.Duration("timeout", 5*time.Minute, "whole-run deadline")
 		maxRetryWait = flag.Duration("max-retry-wait", 2*time.Second, "cap on one honoured Retry-After sleep")
 		maxRetryTime = flag.Duration("max-retry-time", 30*time.Second, "cap on a single job's total 429 backoff before its submission fails")
@@ -62,6 +68,7 @@ func main() {
 		expectDet   = flag.Int("expect-detections", -1, "assert every completed job detects exactly this many faults (-1 disables)")
 		minCacheHit = flag.Float64("min-cache-hit", 0, "assert the final server cache hit rate is at least this fraction (0 disables)")
 		minInflight = flag.Int("min-inflight", 0, "assert the peak concurrently in-flight job count reaches this (0 disables)")
+		maxReqs     = flag.Float64("max-requests-per-job", 0, "assert the clients made at most this many HTTP requests per completed job (0 disables)")
 		expectRej   = flag.Bool("expect-reject", false, "assert the run drew at least one 429 queue rejection")
 		checkProm   = flag.Bool("check-prom", false, "fetch /metricsz?format=prometheus after the run and assert it parses")
 	)
@@ -82,9 +89,11 @@ func main() {
 			os.Exit(1)
 		}
 	}
+	var requests countingTransport
 	nodeClients := make([]*service.Client, len(urls))
 	for i, u := range urls {
 		nodeClients[i] = service.NewClient(u)
+		nodeClients[i].HTTPClient = &http.Client{Transport: &requests}
 	}
 	spec := service.JobSpec{
 		Circuit: *circuit, Model: *model, Engine: *engine,
@@ -95,12 +104,14 @@ func main() {
 		mu        sync.Mutex
 		latencies []time.Duration
 		failures  []string
+		// admitted holds the start and end of every Run call the server
+		// admitted; a job is in flight for the client from the one to the
+		// other.
+		admitted []span
 
-		inflight     atomic.Int64
-		peakInflight atomic.Int64
-		rejections   atomic.Int64
-		detMismatch  atomic.Int64
-		completed    atomic.Int64
+		rejections  atomic.Int64
+		detMismatch atomic.Int64
+		completed   atomic.Int64
 	)
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -110,23 +121,14 @@ func main() {
 			defer wg.Done()
 			for i := 0; i < *jobs; i++ {
 				jStart := time.Now()
-				v, err := submitWithRetry(ctx, cl, spec, *maxRetryWait, *maxRetryTime, &rejections)
+				v, ran, err := runWithRetry(ctx, cl, spec, *poll, *maxRetryWait, *maxRetryTime, &rejections)
 				if err != nil {
-					record(&mu, &failures, fmt.Sprintf("submit: %v", err))
+					record(&mu, &failures, fmt.Sprintf("run %s: %v", v.ID, err))
 					return
 				}
-				n := inflight.Add(1)
-				for {
-					if p := peakInflight.Load(); n <= p || peakInflight.CompareAndSwap(p, n) {
-						break
-					}
-				}
-				v, err = cl.Wait(ctx, v.ID, *poll)
-				inflight.Add(-1)
-				if err != nil {
-					record(&mu, &failures, fmt.Sprintf("wait %s: %v", v.ID, err))
-					return
-				}
+				mu.Lock()
+				admitted = append(admitted, ran)
+				mu.Unlock()
 				if v.Status != service.StatusDone || v.Result == nil {
 					record(&mu, &failures, fmt.Sprintf("job %s: status %s, error %q", v.ID, v.Status, v.Error))
 					continue
@@ -144,14 +146,21 @@ func main() {
 	}
 	wg.Wait()
 	wall := time.Since(start)
+	jobRequests := requests.n.Load() // before the scrapes below add theirs
+	peakInflight := peakOverlap(admitted)
 
 	sum := harness.Summarize(latencies, wall)
 	total := *clients * *jobs
 	fmt.Printf("csimload:  %s %s/%s random=%d x %d clients x %d jobs\n",
 		strings.Join(urls, ","), *circuit, *engine, *randomN, *clients, *jobs)
 	fmt.Printf("completed: %d/%d (rejected-then-retried: %d, peak in-flight: %d)\n",
-		completed.Load(), total, rejections.Load(), peakInflight.Load())
+		completed.Load(), total, rejections.Load(), peakInflight)
 	fmt.Printf("latency:   %s\n", sum)
+	reqsPerJob := math.Inf(1)
+	if n := completed.Load(); n > 0 {
+		reqsPerJob = float64(jobRequests) / float64(n)
+	}
+	fmt.Printf("requests:  %.2f per completed job (%d in all)\n", reqsPerJob, jobRequests)
 
 	hitRate := cacheHitRate(ctx, nodeClients)
 	if hitRate >= 0 {
@@ -186,8 +195,11 @@ func main() {
 			fail("cache hit rate %.3f below the required %.3f", hitRate, *minCacheHit)
 		}
 	}
-	if *minInflight > 0 && peakInflight.Load() < int64(*minInflight) {
-		fail("peak in-flight %d never reached the required %d", peakInflight.Load(), *minInflight)
+	if *minInflight > 0 && peakInflight < *minInflight {
+		fail("peak in-flight %d never reached the required %d", peakInflight, *minInflight)
+	}
+	if *maxReqs > 0 && reqsPerJob > *maxReqs {
+		fail("%.2f requests per completed job, above the allowed %.2f", reqsPerJob, *maxReqs)
 	}
 	if *expectRej && rejections.Load() == 0 {
 		fail("expected at least one 429 queue rejection; saw none")
@@ -209,19 +221,53 @@ func main() {
 	}
 }
 
-// submitWithRetry submits a job, backing off on 429 for the server's
-// Retry-After hint — capped per sleep by maxWait, jittered by up to
-// half the sleep so rejected clients don't re-converge on the same
-// instant, and bounded in total by maxTotal so a saturated server
-// fails the job loudly instead of livelocking the run.
-func submitWithRetry(ctx context.Context, cl *service.Client, spec service.JobSpec,
-	maxWait, maxTotal time.Duration, rejections *atomic.Int64) (service.JobView, error) {
+// countingTransport counts the requests made through it.
+type countingTransport struct{ n atomic.Int64 }
+
+// RoundTrip counts the request and forwards it to the default transport.
+func (c *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	c.n.Add(1)
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// span is the interval of one admitted Run call.
+type span struct{ start, end time.Time }
+
+// peakOverlap returns the largest number of spans open at one instant.
+func peakOverlap(spans []span) int {
+	type edge struct {
+		at    time.Time
+		delta int
+	}
+	edges := make([]edge, 0, 2*len(spans))
+	for _, sp := range spans {
+		edges = append(edges, edge{sp.start, 1}, edge{sp.end, -1})
+	}
+	sort.Slice(edges, func(i, k int) bool { return edges[i].at.Before(edges[k].at) })
+	open, peak := 0, 0
+	for _, e := range edges {
+		open += e.delta
+		peak = max(peak, open)
+	}
+	return peak
+}
+
+// runWithRetry runs a job to its terminal view with Client.Run, backing
+// off on 429 for the server's Retry-After hint — capped per sleep by
+// maxWait, jittered by up to half the sleep so rejected clients don't
+// re-converge on the same instant, and bounded in total by maxTotal so a
+// saturated server fails the job loudly instead of livelocking the run.
+// ran is the interval of the Run call that was admitted.
+func runWithRetry(ctx context.Context, cl *service.Client, spec service.JobSpec, poll,
+	maxWait, maxTotal time.Duration, rejections *atomic.Int64) (v service.JobView, ran span, err error) {
 	var waited time.Duration
 	for {
-		v, err := cl.Submit(ctx, spec)
+		ran.start = time.Now()
+		v, err = cl.Run(ctx, spec, poll)
+		ran.end = time.Now()
 		var qf *service.QueueFullError
 		if !errors.As(err, &qf) {
-			return v, err
+			return v, ran, err
 		}
 		rejections.Add(1)
 		wait := qf.RetryAfter
@@ -230,11 +276,11 @@ func submitWithRetry(ctx context.Context, cl *service.Client, spec service.JobSp
 		}
 		wait += time.Duration(rand.Int63n(int64(wait)/2 + 1))
 		if waited+wait > maxTotal {
-			return v, fmt.Errorf("429 retry budget %s exhausted after %s of backoff: %w", maxTotal, waited, err)
+			return v, ran, fmt.Errorf("429 retry budget %s exhausted after %s of backoff: %w", maxTotal, waited, err)
 		}
 		select {
 		case <-ctx.Done():
-			return v, ctx.Err()
+			return v, ran, ctx.Err()
 		case <-time.After(wait):
 		}
 		waited += wait

@@ -9,6 +9,7 @@ import (
 	"log/slog"
 	"math/rand"
 	"net/http"
+	"strings"
 	"sync"
 	"time"
 
@@ -280,9 +281,10 @@ func (c *Coordinator) runShard(ctx context.Context, req *service.RunRequest, sha
 }
 
 // attemptShard runs one shard attempt against one worker under the
-// shard timeout: submit (idempotent ID; 429 backoff with jitter;
-// ship-once circuit resolution), then hold a status request open until
-// the shard is terminal.
+// shard timeout. The submission (idempotent ID; 429 backoff with jitter;
+// ship-once circuit resolution) is held open by the worker until the
+// shard is terminal, so a shard is one request; a status request is held
+// only for a shard that outlives cfg.Poll or was adopted on a 409.
 func (c *Coordinator) attemptShard(ctx context.Context, w *worker, id string, spec *service.JobSpec) (*service.ResultView, error) {
 	actx, cancel := context.WithTimeout(obs.WithJobID(ctx, id), c.cfg.ShardTimeout)
 	defer cancel()
@@ -301,8 +303,10 @@ func (c *Coordinator) attemptShard(ctx context.Context, w *worker, id string, sp
 
 	backoff := c.cfg.RetryBase
 	var waited time.Duration
+	var v service.JobView
 	for submitted := false; !submitted; {
-		_, err := w.client.Submit(actx, s)
+		var err error
+		v, err = w.client.SubmitHold(actx, s, c.cfg.Poll)
 		var qf *service.QueueFullError
 		var ae *service.APIError
 		switch {
@@ -310,7 +314,8 @@ func (c *Coordinator) attemptShard(ctx context.Context, w *worker, id string, sp
 			submitted = true
 		case errors.As(err, &ae) && ae.StatusCode == http.StatusConflict:
 			// The idempotency key is live on this worker — an earlier
-			// delivery of this very shard. Adopt it instead of duplicating.
+			// delivery of this very shard. Adopt it instead of duplicating:
+			// v is empty, so the shard is held below.
 			submitted = true
 		case isBenchKeyMiss(err):
 			// The worker evicted the circuit since we shipped it: forget
@@ -347,39 +352,54 @@ func (c *Coordinator) attemptShard(ctx context.Context, w *worker, id string, sp
 			// around the fleet.
 			return nil, &permanentError{err: fmt.Errorf("submit: %w", err)}
 		default:
-			// Transport error: the worker is gone. Flag it now (don't wait
-			// for the prober) and let the shard re-queue elsewhere.
-			c.reg.setHealth(w, false, err)
-			return nil, fmt.Errorf("submit: %w", err)
+			// The held submission broke off: the shard timed out, the job
+			// was cancelled, or the worker is gone.
+			return nil, c.shardLost(ctx, actx, w, id, "submit", err)
 		}
 	}
 	if s.Bench != "" && inlineKey != "" {
 		w.markShipped(inlineKey)
 	}
 
-	v, err := w.client.Hold(actx, id, c.cfg.Poll)
-	if err != nil {
-		if actx.Err() != nil && ctx.Err() == nil {
-			// Shard timeout (not job cancellation): best-effort cancel on
-			// the worker so the re-queued copy doesn't compete with it.
-			cctx, ccancel := context.WithTimeout(context.Background(), c.cfg.ProbeTimeout)
-			_, _ = w.client.Cancel(cctx, id)
-			ccancel()
-			return nil, fmt.Errorf("shard timeout after %s on %s", c.cfg.ShardTimeout, w.addr)
+	if !v.Status.Terminal() {
+		var err error
+		if v, err = w.client.Hold(actx, id, c.cfg.Poll); err != nil {
+			return nil, c.shardLost(ctx, actx, w, id, "wait", err)
 		}
-		var ae *service.APIError
-		if !errors.As(err, &ae) && ctx.Err() == nil {
-			c.reg.setHealth(w, false, err)
-		}
-		return nil, fmt.Errorf("wait: %w", err)
 	}
 	if v.Status != service.StatusDone {
-		return nil, fmt.Errorf("worker %s reported %s: %s", w.addr, v.Status, v.Error)
+		err := fmt.Errorf("worker %s reported %s: %s", w.addr, v.Status, v.Error)
+		if v.Status == service.StatusFailed && strings.HasPrefix(v.Error, service.PanicErrorPrefix) {
+			// The shard's run panicked: the next worker runs the same code
+			// on the same shard, so re-queueing it only spreads the failure.
+			return nil, &permanentError{err: err}
+		}
+		return nil, err
 	}
 	if v.Result == nil || v.Result.Detections == nil {
 		return nil, fmt.Errorf("worker %s returned no detections payload", w.addr)
 	}
 	return v.Result, nil
+}
+
+// shardLost renders the failure of a request that was waiting for a shard
+// (op names which) and acts on its cause. A shard timeout — not the job's
+// cancellation — gets a best-effort cancel on the worker, so the re-queued
+// copy doesn't compete with it; a transport error while the job is live
+// means the worker is gone, so it is flagged now rather than at the next
+// probe and the shard re-queues elsewhere.
+func (c *Coordinator) shardLost(ctx, actx context.Context, w *worker, id, op string, err error) error {
+	if actx.Err() != nil && ctx.Err() == nil {
+		cctx, ccancel := context.WithTimeout(context.Background(), c.cfg.ProbeTimeout)
+		_, _ = w.client.Cancel(cctx, id) // best effort: the worker may be the reason for the timeout
+		ccancel()
+		return fmt.Errorf("shard timeout after %s on %s", c.cfg.ShardTimeout, w.addr)
+	}
+	var ae *service.APIError
+	if !errors.As(err, &ae) && ctx.Err() == nil {
+		c.reg.setHealth(w, false, err)
+	}
+	return fmt.Errorf("%s: %w", op, err)
 }
 
 // shardSpec derives shard k-of-n's worker-facing spec from the parent

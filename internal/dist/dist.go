@@ -54,10 +54,11 @@ type Config struct {
 	// backing off on 429s before the attempt counts as failed
 	// (default 10s).
 	MaxRetryWait time.Duration
-	// Poll is how long a worker may hold one shard-completion request
-	// open before answering "still running" (default 1s); the worker
-	// answers the moment the shard ends, so this spaces the requests of
-	// a long shard, not the delay of any.
+	// Poll is how long a worker may hold one shard request open — the
+	// submission first, status requests after it — before answering
+	// "still running" (default 1s); the worker answers the moment the
+	// shard ends, so this spaces the requests of a long shard, not the
+	// delay of any, and a shard shorter than it is one request.
 	Poll time.Duration
 	// MaxProcs caps the scheduler's K×W plan for auto-shaped jobs
 	// (default len(Workers)×PerWorkerInflight).

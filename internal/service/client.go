@@ -121,6 +121,25 @@ func (c *Client) Submit(ctx context.Context, spec JobSpec) (JobView, error) {
 	return v, err
 }
 
+// SubmitHold is Submit on a request the server keeps open once the job is
+// admitted (POST ?wait=hold): the view is the terminal one if the job
+// ended within hold, the live one otherwise, so a job that ends in time is
+// one exchange. Rejections come back at once, as Submit's do.
+func (c *Client) SubmitHold(ctx context.Context, spec JobSpec, hold time.Duration) (JobView, error) {
+	var v JobView
+	err := c.do(ctx, http.MethodPost, "/api/v1/jobs?wait="+holdParam(hold), spec, &v)
+	return v, err
+}
+
+// holdParam renders a hold for ?wait=. The server refuses a wait that is
+// not positive, so one stands for the longest the server keeps a request.
+func holdParam(hold time.Duration) string {
+	if hold <= 0 {
+		hold = maxHold
+	}
+	return hold.String()
+}
+
 // Debug fetches a job's flight-recorder postmortem
 // (GET /api/v1/jobs/{id}/debug).
 func (c *Client) Debug(ctx context.Context, id string) (Postmortem, error) {
@@ -143,47 +162,47 @@ func (c *Client) Cancel(ctx context.Context, id string) (JobView, error) {
 	return v, err
 }
 
-// The default poll schedule: quickPolls looks a defaultPoll apart, then one
-// every defaultPoll or, when the server suggests a longer gap for the job
-// (JobView.PollMS), every that.
+// The timed schedule: after the first look, quickPolls looks a defaultPoll
+// apart, then one every gap the server suggests for the job.
 const (
 	defaultPoll = 10 * time.Millisecond
 	quickPolls  = 2
 )
 
-// Wait polls a job until it reaches a terminal state or ctx expires. The
-// first poll is immediate. With poll > 0 the rest follow on that fixed
-// tick. With poll <= 0 they come every 10 ms, except that from the third
-// on (30 ms in) a gap the server suggests for the job is honoured: the two
-// quick looks catch a job of a few milliseconds whatever it is, and a
-// csim-grid job is then looked at every 100 ms (120, 220, ... ms; see
-// gridPollMS). Poll times are offsets from the first poll, not from the
-// previous reply: a reply that arrives late (a server whose cores are all
-// busy with the job answers slowly) drops the polls it overran and does
-// not shift the ones after it.
+// Wait waits for a job's terminal view or for ctx to expire. The first
+// look is immediate. With poll > 0 the rest follow on that fixed tick.
+// With poll <= 0 a job the server has not put on a timer (no poll_ms in
+// its live view) is handed to Hold, so its end arrives on the one request
+// that waited for it. A timed job is looked at again 10 and 20 ms in and
+// from then on at the gap the server suggests: the two quick looks catch a
+// job of a few milliseconds, and a csim-grid job is then looked at every
+// 100 ms (120, 220, ... ms; see JobSpec.timed). Look times are offsets from
+// the first look, not from the previous reply: a reply that arrives late
+// (a server whose cores are all busy with the job answers slowly) drops
+// the looks it overran and does not shift the ones after it.
 func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (JobView, error) {
 	start := time.Now()
-	var next time.Duration // offset of the next poll
-	polls := 0             // schedule points passed
+	var next time.Duration // offset of the next look
+	looks := 0             // schedule points passed
 	t := time.NewTimer(0)
 	defer t.Stop()
 	<-t.C // fired and drained: every Reset below finds it so
 	for {
 		v, err := c.Job(ctx, id)
-		if err != nil {
+		if err != nil || v.Status.Terminal() {
 			return v, err
 		}
-		if v.Status.Terminal() {
-			return v, nil
+		if poll <= 0 && v.PollMS <= 0 {
+			return c.Hold(ctx, id, 0)
 		}
-		for ; time.Since(start) >= next; polls++ {
-			switch suggested := time.Duration(v.PollMS) * time.Millisecond; {
+		for ; time.Since(start) >= next; looks++ {
+			switch {
 			case poll > 0:
 				next += poll
-			case polls >= quickPolls && suggested > defaultPoll:
-				next += suggested
-			default:
+			case looks < quickPolls:
 				next += defaultPoll
+			default:
+				next += max(defaultPoll, time.Duration(v.PollMS)*time.Millisecond)
 			}
 		}
 		t.Reset(next - time.Since(start))
@@ -197,11 +216,10 @@ func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (JobVi
 
 // Hold waits for a job's terminal view by keeping one status request open
 // at a time: each carries ?wait=hold, which the server answers when the
-// job ends or after hold (at most 30 s), whichever is first. It is Wait
-// for a caller that sits next to the server and wants the end when it
-// happens: the coordinator's shard watch.
+// job ends or after hold (at most 30 s, which is also what a hold that is
+// not positive asks for), whichever is first.
 func (c *Client) Hold(ctx context.Context, id string, hold time.Duration) (JobView, error) {
-	path := "/api/v1/jobs/" + id + "?wait=" + hold.String()
+	path := "/api/v1/jobs/" + id + "?wait=" + holdParam(hold)
 	for {
 		var v JobView
 		if err := c.do(ctx, http.MethodGet, path, nil, &v); err != nil || v.Status.Terminal() {
@@ -210,13 +228,25 @@ func (c *Client) Hold(ctx context.Context, id string, hold time.Duration) (JobVi
 	}
 }
 
-// Run submits a job and waits for its terminal view.
+// Run submits a job and waits for its terminal view. With poll <= 0 that
+// is one exchange wherever the server does not put the job on a timer:
+// the submission is held open until the job ends, and only a job that
+// outlives the server's longest hold is asked after again (Hold). A timed
+// job (JobSpec.timed: a whole csim-grid job) is submitted and then looked
+// at on Wait's schedule; poll > 0 does that for any job, on that tick.
 func (c *Client) Run(ctx context.Context, spec JobSpec, poll time.Duration) (JobView, error) {
-	v, err := c.Submit(ctx, spec)
-	if err != nil {
+	if poll > 0 || spec.timed() {
+		v, err := c.Submit(ctx, spec)
+		if err != nil {
+			return v, err
+		}
+		return c.Wait(ctx, v.ID, poll)
+	}
+	v, err := c.SubmitHold(ctx, spec, 0)
+	if err != nil || v.Status.Terminal() {
 		return v, err
 	}
-	return c.Wait(ctx, v.ID, poll)
+	return c.Hold(ctx, v.ID, 0)
 }
 
 // Ready probes the server's /readyz endpoint: nil when the server

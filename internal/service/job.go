@@ -369,18 +369,26 @@ type ResultView struct {
 	Detections *DetectionsView `json:"detections,omitempty"`
 }
 
-// gridPollMS is the poll gap suggested for a whole csim-grid job (not for
-// one of its pinned shards, which a coordinator holds open instead). The
-// grid keeps every core of the node, or every worker of the fleet, inside
-// the kernel: a status request is answered 20-45 ms late there, and each
-// one preempts a shard worker the job then waits for. It is also what
-// keeps a caller's cycle time off the host's speed of the minute: a grid
-// job of 20 to ~115 ms is reported at 120 ms, so a closed loop of them
-// runs at 8.1 jobs/s to within 1% where 10 ms ticks gave 16-22 jobs/s
-// depending on the host (BENCHMARKS.md). The price is that report: up to
-// 100 ms after the job ended. A caller that wants the end when it
-// happens passes Wait an interval or uses Hold.
+// gridPollMS is the poll gap suggested for a timed job; see timed.
 const gridPollMS = 100
+
+// timed reports whether the job is waited for on a timer — poll_ms in its
+// live views, Client.Wait's look schedule — rather than on one held
+// request: a whole csim-grid job, not one of its pinned shards, which a
+// coordinator holds like any other job. It is the one place that is
+// decided; job.view and Client.Run both ask it.
+//
+// The grid keeps every core of the node, or every worker of the fleet,
+// inside the kernel, and the timer is what keeps a caller's cycle time off
+// the host's speed of the minute: a grid job of 20 to ~115 ms is reported
+// at 120 ms, so a closed loop of them runs at 8.1 jobs/s to within 1%
+// where reporting the end when it happens gave 16-22 jobs/s depending on
+// the host (BENCHMARKS.md, DESIGN §10). The price is that report: up to
+// 100 ms after the job ended. A caller that wants the end when it happens
+// passes Wait an interval or uses Hold.
+func (sp *JobSpec) timed() bool {
+	return sp.Engine == "csim-grid" && sp.FaultShards == 0
+}
 
 // JobView is the job-status response body.
 type JobView struct {
@@ -392,9 +400,10 @@ type JobView struct {
 	// distributed job (pending → dispatched → merging → done/failed);
 	// empty for locally executed jobs.
 	DistPhase string `json:"dist_phase,omitempty"`
-	// PollMS, on a job that has not ended, is how many milliseconds the
-	// server suggests between status requests; absent, ask as often as
-	// you like. Client.Wait's default schedule honours it.
+	// PollMS, on a timed job (a whole csim-grid job) that has not ended,
+	// is how many milliseconds the server suggests between status
+	// requests, and Client.Wait's default schedule honours it; absent,
+	// hold a request open on the job instead (?wait=).
 	PollMS int `json:"poll_ms,omitempty"`
 	// Spec echoes the normalized submission — an inline netlist by its
 	// cache key (bench_key, next to bench_name) instead of its text, so
@@ -509,7 +518,7 @@ func (j *job) view() JobView {
 	if v.Spec.Bench != "" {
 		v.Spec.Bench, v.Spec.BenchKey = "", j.benchKey
 	}
-	if !j.status.Terminal() && j.spec.Engine == "csim-grid" && j.spec.FaultShards == 0 {
+	if !j.status.Terminal() && j.spec.timed() {
 		v.PollMS = gridPollMS
 	}
 	if !j.started.IsZero() {

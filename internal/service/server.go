@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"sync"
@@ -40,8 +41,10 @@ type Config struct {
 	MaxTimeout time.Duration
 	// CacheSize bounds the compiled-circuit cache (default 64 circuits).
 	CacheSize int
-	// Retained bounds finished jobs kept for polling (default 8192);
-	// beyond it the oldest finished jobs are evicted.
+	// Retained bounds finished jobs kept for late lookups and /debug
+	// (default 2048); beyond it the oldest finished jobs are evicted. A
+	// held request has its terminal view delivered on the request that
+	// waited for it, so retention is not what a caller's result rides on.
 	Retained int
 	// EngineWorkers is the csim-P partition count, the csim-C worker
 	// count and the csim-grid scheduler's processor budget when a spec
@@ -92,7 +95,7 @@ func (c Config) withDefaults() Config {
 		c.CacheSize = 64
 	}
 	if c.Retained <= 0 {
-		c.Retained = 8192
+		c.Retained = 2048
 	}
 	if c.EngineWorkers <= 0 {
 		c.EngineWorkers = runtime.NumCPU()
@@ -150,6 +153,9 @@ type Server struct {
 	mCompleted  *obs.Counter
 	mFailed     *obs.Counter
 	mCancelled  *obs.Counter
+	mPanics     *obs.Counter
+	mHolds      *obs.Gauge
+	mHeldSubmit *obs.Counter
 	hQueueNS    *obs.Histogram
 	hRunNS      *obs.Histogram
 	hTotalNS    *obs.Histogram
@@ -179,6 +185,9 @@ func New(cfg Config) *Server {
 		mCompleted:  reg.Counter("serve.jobs_completed"),
 		mFailed:     reg.Counter("serve.jobs_failed"),
 		mCancelled:  reg.Counter("serve.jobs_cancelled"),
+		mPanics:     reg.Counter("service.job_panics"),
+		mHolds:      reg.Gauge("service.holds"),
+		mHeldSubmit: reg.Counter("service.held_submits"),
 		hQueueNS:    reg.Histogram("serve.job_queue_ns", latencyBuckets),
 		hRunNS:      reg.Histogram("serve.job_run_ns", latencyBuckets),
 		hTotalNS:    reg.Histogram("serve.job_total_ns", latencyBuckets),
@@ -390,7 +399,7 @@ func (s *Server) runJob(ctx context.Context, slot int, j *job) {
 		engineOb.Faults = nil
 	}
 	sp := s.ob.SpanTID(fmt.Sprintf("%s/%s/%s", j.id, j.spec.Engine, circuitLabel(&j.spec)), slot+1)
-	rv, err := s.runner.RunJob(jctx, &RunRequest{
+	rv, err := s.runContained(jctx, &RunRequest{
 		ID: j.id, Spec: &j.spec, CC: cc,
 		Obs: engineOb, ObsPrefix: prefix,
 		EngineWorkers: s.cfg.EngineWorkers,
@@ -403,7 +412,14 @@ func (s *Server) runJob(ctx context.Context, slot int, j *job) {
 	s.hRunNS.Observe(runNS)
 	s.hTotalNS.Observe(finished.Sub(j.submitted).Nanoseconds())
 	s.slo.observe(j.spec.Engine, runNS)
+	var pe *panicError
 	switch {
+	case errors.As(err, &pe):
+		s.mPanics.Inc()
+		j.flight.Recordf("panic", "%v\n%s", pe.value, pe.stack)
+		j.flight.Record("finish", "failed: "+pe.Error())
+		s.finishJob(j, StatusFailed, nil, pe.Error())
+		s.dumpPostmortem(jlog, j)
 	case err == nil:
 		rv.CacheHit = j.cacheHit
 		j.flight.Recordf("finish", "done: %d/%d detected in %s",
@@ -428,6 +444,34 @@ func (s *Server) runJob(ctx context.Context, slot int, j *job) {
 		s.finishJob(j, StatusFailed, nil, err.Error())
 		s.dumpPostmortem(jlog, j)
 	}
+}
+
+// PanicErrorPrefix starts the error of a job that failed because its run
+// panicked. The fault is in the job or the engine, not the node, so a
+// coordinator that reads it on a shard fails the job instead of trying
+// the shard on the next worker.
+const PanicErrorPrefix = "panic: "
+
+// panicError is a panic recovered at the job boundary.
+type panicError struct {
+	value any
+	stack []byte
+}
+
+// Error renders the panic value behind PanicErrorPrefix.
+func (e *panicError) Error() string { return fmt.Sprintf("%s%v", PanicErrorPrefix, e.value) }
+
+// runContained runs the job and turns a panic on the runner's goroutine
+// into an error carrying the stack: the job fails, the worker slot and
+// the process keep serving. A panic on a goroutine the engine started
+// itself is out of its reach.
+func (s *Server) runContained(ctx context.Context, req *RunRequest) (rv *ResultView, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			rv, err = nil, &panicError{value: p, stack: debug.Stack()}
+		}
+	}()
+	return s.runner.RunJob(ctx, req)
 }
 
 // dumpPostmortem logs a failed/timed-out/cancelled job's flight
@@ -491,10 +535,18 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 
 // handleSubmit admits one job: decode (oversized body → 413), validate
 // (→ 400), compile through the cache (malformed netlist → structured
-// 400), then enqueue (full → 429 + Retry-After).
+// 400), then enqueue (full → 429 + Retry-After). With ?wait=<duration>
+// the admitted job's request is then held like a status request: 200 and
+// the terminal view if the job ends inside the wait, 202 and the live
+// one if not. Rejections are never held.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		writeError(w, http.StatusServiceUnavailable, "server is draining", nil)
+		return
+	}
+	wait, err := waitParam(r)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error(), nil)
 		return
 	}
 	// The JSON framing adds overhead beyond the inline netlist itself;
@@ -617,7 +669,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		slog.String("circuit", circuitLabel(&spec)),
 		slog.String("model", spec.Model),
 		slog.Bool("cache_hit", hit))
-	writeJSON(w, http.StatusAccepted, j.view())
+	if wait > 0 {
+		s.mHeldSubmit.Inc()
+	}
+	v := s.hold(r, j, wait)
+	code := http.StatusAccepted
+	if wait > 0 && v.Status.Terminal() {
+		code = http.StatusOK
+	}
+	writeJSON(w, code, v)
 }
 
 // retryAfter estimates, in whole seconds (>= 1, capped at 60), when a
@@ -691,8 +751,12 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	}
 	switch r.Method {
 	case http.MethodGet:
-		hold(r, j)
-		writeJSON(w, http.StatusOK, j.view())
+		wait, err := waitParam(r)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, err.Error(), nil)
+			return
+		}
+		writeJSON(w, http.StatusOK, s.hold(r, j, wait))
 	case http.MethodDelete:
 		s.cancelJob(w, j)
 	default:
@@ -700,29 +764,52 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// maxHold is the longest one status request is kept open.
+// maxHold is the longest one request is kept open.
 const maxHold = 30 * time.Second
 
-// hold keeps a status request that carries ?wait=<duration> open until
-// the job is terminal, the wait (at most maxHold) has passed or the
-// caller has gone, so a caller learns of the end when it happens rather
-// than at its next poll. Closing the server finishes every live job,
-// which releases the requests held on them.
-func hold(r *http.Request, j *job) {
+// waitParam reads a request's ?wait=<duration>: 0 when it has none, at
+// most maxHold, and an error for one that does not parse or is not
+// positive — answering such a request at once would make a caller that
+// asked to be held spin.
+func waitParam(r *http.Request) (time.Duration, error) {
 	if r.URL.RawQuery == "" {
-		return
+		return 0, nil
 	}
-	d, err := time.ParseDuration(r.URL.Query().Get("wait"))
+	q := r.URL.Query()
+	if !q.Has("wait") {
+		return 0, nil
+	}
+	d, err := time.ParseDuration(q.Get("wait"))
 	if err != nil || d <= 0 {
-		return
+		return 0, fmt.Errorf("invalid wait %q: want a positive duration such as 500ms or 30s", q.Get("wait"))
 	}
-	t := time.NewTimer(min(d, maxHold))
-	defer t.Stop()
+	return min(d, maxHold), nil
+}
+
+// hold snapshots the job for a response, first keeping the request open
+// for up to d while the job is live: until it is terminal, d has passed
+// or the caller has gone, so a caller learns of the end when it happens
+// rather than at its next poll. A terminal view that leaves on a request
+// that waited for it is a "delivered" flight event, so the record shows
+// finish → answer. Closing the server finishes every live job, which
+// releases the requests held on them.
+func (s *Server) hold(r *http.Request, j *job, d time.Duration) JobView {
+	if d <= 0 || j.currentStatus().Terminal() {
+		return j.view()
+	}
+	began := time.Now()
+	s.mHolds.Add(1)
+	t := time.NewTimer(d)
 	select {
 	case <-j.done:
+		j.flight.Recordf("delivered", "terminal view sent on the %s held for %s",
+			r.Method, time.Since(began).Round(time.Microsecond))
 	case <-t.C:
 	case <-r.Context().Done():
 	}
+	t.Stop()
+	s.mHolds.Add(-1)
+	return j.view()
 }
 
 // cancelJob cancels a live job. A queued job is removed from the queue

@@ -257,21 +257,30 @@ func TestPollDoesNotEchoInlineNetlist(t *testing.T) {
 }
 
 // TestWaitDefaultSchedule: with no poll interval given, Wait looks at a
-// job at once, 10 and 20 ms later, and from then on as often as the
-// server suggests (a csim-grid job: every 100 ms) or, with no suggestion,
-// every 10 ms.
+// job at once and then, if the server suggests a gap for it (a csim-grid
+// job: 100 ms), 10 and 20 ms later and from then on that often; with no
+// suggestion the second request is held open until the job ends.
 func TestWaitDefaultSchedule(t *testing.T) {
-	looks := func(body string) []time.Duration {
+	type look struct {
+		at   time.Duration
+		wait string
+	}
+	looks := func(body string) []look {
 		var mu sync.Mutex
-		var at []time.Duration
+		var seen []look
 		var start time.Time
 		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			mu.Lock()
 			if start.IsZero() {
 				start = time.Now()
 			}
-			at = append(at, time.Since(start))
+			wait := r.URL.Query().Get("wait")
+			seen = append(seen, look{time.Since(start), wait})
 			mu.Unlock()
+			if wait != "" {
+				<-r.Context().Done() // held: the job never ends
+				return
+			}
 			_, _ = io.WriteString(w, body)
 		}))
 		defer srv.Close()
@@ -280,7 +289,9 @@ func TestWaitDefaultSchedule(t *testing.T) {
 		if _, err := NewClient(srv.URL).Wait(ctx, "j1", 0); !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("Wait on a job that never ends: %v, want the context's deadline", err)
 		}
-		return at
+		mu.Lock()
+		defer mu.Unlock()
+		return seen
 	}
 	// Looks are due at 0, 10, 20, 120 and 220 ms. A loaded host may run a
 	// quick look late enough to drop it, never add one.
@@ -288,11 +299,17 @@ func TestWaitDefaultSchedule(t *testing.T) {
 	if len(at) < 4 || len(at) > 5 {
 		t.Fatalf("suggested 100 ms: looks at %v, want 4 or 5 (0, 10, 20, 120, 220 ms)", at)
 	}
-	if slow := at[len(at)-1] - at[len(at)-2]; slow < 80*time.Millisecond {
+	if slow := at[len(at)-1].at - at[len(at)-2].at; slow < 80*time.Millisecond {
 		t.Errorf("suggested 100 ms: looks at %v, the last two %v apart", at, slow)
 	}
-	if at := looks(`{"id":"j1","status":"running"}`); len(at) < 14 {
-		t.Errorf("no suggestion: %d looks in 270 ms, want one every 10 ms", len(at))
+	for _, l := range at {
+		if l.wait != "" {
+			t.Errorf("suggested 100 ms: a look with ?wait=%s, want none held", l.wait)
+		}
+	}
+	at = looks(`{"id":"j1","status":"running"}`)
+	if len(at) != 2 || at[0].wait != "" || at[1].wait != maxHold.String() {
+		t.Errorf("no suggestion: looks %v, want one plain and then one held for %v", at, maxHold)
 	}
 }
 
