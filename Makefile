@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain go commands underneath.
 
-.PHONY: build test race lint fuzz bench bench-gate baseline tables verify-tables
+.PHONY: build test race lint fuzz bench bench-gate baseline tables verify-tables loc
 
 build:
 	go build ./...
@@ -42,6 +42,11 @@ tables:
 # Drift check: regenerate and diff with volatile CPU/MEM cells masked.
 verify-tables:
 	go run ./cmd/tables -diff tables_output.txt
+
+# The two sizes ROADMAP tracks at every re-anchor.
+loc:
+	@echo "non-test Go lines outside benchmark/: $$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l)"
+	@echo "_test.go lines outside benchmark/:    $$(find . -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l)"
 
 # Run the fault-simulation service locally (see README "Serving").
 .PHONY: serve serve-load

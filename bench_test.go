@@ -173,36 +173,6 @@ func BenchmarkParallelScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkVectorScaling measures the vector-partition parallel engine
-// (csim-V2) at 1/2/4/8 windows against the single-threaded csim-MV
-// baseline on the two large stand-ins. Each iteration is a full
-// simulation; use -benchtime=1x. Speedup requires real cores: one
-// goroutine per speculative window plus sequential stitch-and-repair; on
-// a single core the ladder measures the speculation overhead instead.
-func BenchmarkVectorScaling(b *testing.B) {
-	for _, name := range []string{"s5378", "s35932"} {
-		u, vs := deterministic(b, name)
-		b.Run(name+"/csim-MV", func(b *testing.B) {
-			runCell(b, harness.CsimMV, u, vs)
-		})
-		for _, w := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/csim-V2/windows=%d", name, w), func(b *testing.B) {
-				var last harness.Measurement
-				for i := 0; i < b.N; i++ {
-					m, err := harness.RunVectorSharded(u, vs, w)
-					if err != nil {
-						b.Fatal(err)
-					}
-					last = m
-				}
-				b.ReportMetric(last.FltCvg(), "cvg%")
-				b.ReportMetric(float64(last.MemBytes)/(1<<20), "structMB")
-				b.ReportMetric(float64(last.Windows), "windows")
-			})
-		}
-	}
-}
-
 // BenchmarkCsimMV pins the flagship engine's hot path against the
 // observability layer. The disabled case is the regression gate: with no
 // observer every probe sits on the nil fast path, so it must cost the

@@ -9,12 +9,11 @@
 // built-in benchmark suite; vectors from a file (one line of 0/1/X per
 // cycle) or a seeded random generator. The engine is one of the paper's
 // variants (csim, csim-V, csim-M, csim-MV), the fault-partition parallel
-// engine (csim-P, sharded over -workers goroutines), the vector-partition
-// engine (csim-V2, speculation + repair over -shards windows), the 2-D
-// grid (csim-grid, fault shards × vector windows via -shards KxW, or
-// scheduler-planned with -shards auto), the compiled bit-parallel engine
-// (csim-C, alias "compiled": levelized straight-line code over packed
-// 64-vector words), the PROOFS baseline, or the serial oracle.
+// engine (csim-P, sharded over -workers goroutines), the fault-sharded
+// grid (csim-grid, -workers shards or scheduler-planned without), the
+// compiled bit-parallel engine (csim-C, alias "compiled": levelized
+// straight-line code over packed 64-vector words), the PROOFS baseline,
+// or the serial oracle.
 //
 // Observability (see OBSERVABILITY.md): -metrics-out snapshots the metric
 // registry to JSON, -trace-out writes a chrome://tracing phase trace,
@@ -28,7 +27,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -52,9 +50,8 @@ func main() {
 		vectorFile  = flag.String("vectors", "", "path to a test vector file")
 		randomN     = flag.Int("random", 0, "generate this many random vectors instead")
 		seed        = flag.Int64("seed", 1, "random vector seed")
-		engine      = flag.String("engine", "csim-MV", "csim | csim-V | csim-M | csim-MV | csim-P | csim-V2 | csim-grid | csim-C (alias: compiled) | PROOFS | serial")
-		workers     = flag.Int("workers", runtime.NumCPU(), "csim-P fault-partition worker count")
-		shards      = flag.String("shards", "auto", "csim-V2 window count (N) or csim-grid shape (KxW fault shards x windows; 'auto' lets the scheduler pick)")
+		engine      = flag.String("engine", "csim-MV", "csim | csim-V | csim-M | csim-MV | csim-P | csim-grid | csim-C (alias: compiled) | PROOFS | serial")
+		workers     = flag.Int("workers", 0, "csim-P worker / csim-grid fault-shard count (0: one per CPU for csim-P, scheduler-planned for csim-grid)")
 		model       = flag.String("faults", "stuck", "fault model: stuck | stuck-all | transition")
 		check       = flag.Bool("check", false, "verify netlist/fault-list/macro-plan invariants and exit without simulating")
 		verbose     = flag.Bool("v", false, "list undetected faults")
@@ -68,10 +65,11 @@ func main() {
 	)
 	flag.Parse()
 
-	// Reject unknown names up front with a hint listing the accepted
-	// values, instead of failing deep inside engine setup.
+	// Reject unknown names up front with the usage line listing the
+	// accepted values, like an unknown flag: exit status 2.
 	if err := validateSelections(*engine, *model, *suite); err != nil {
-		fatal(err)
+		fmt.Fprintln(os.Stderr, "csim:", err)
+		os.Exit(2)
 	}
 
 	// Any observability flag switches the layer on; without them every
@@ -159,21 +157,8 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-	case string(harness.CsimV2):
-		_, w, err2 := parseShards(*shards, false)
-		if err2 != nil {
-			fatal(err2)
-		}
-		m, err = harness.RunVectorShardedObserved(u, vs, w, ob)
-		if err != nil {
-			fatal(err)
-		}
 	case string(harness.CsimGrid):
-		k, w, err2 := parseShards(*shards, true)
-		if err2 != nil {
-			fatal(err2)
-		}
-		m, err = harness.RunGridObserved(u, vs, k, w, ob)
+		m, err = harness.RunGridObserved(u, vs, *workers, ob)
 		if err != nil {
 			fatal(err)
 		}
@@ -201,9 +186,6 @@ func main() {
 	fmt.Printf("engine:    %s\n", m.Engine)
 	if m.Workers > 0 {
 		fmt.Printf("workers:   %d\n", m.Workers)
-	}
-	if m.Windows > 0 {
-		fmt.Printf("windows:   %d\n", m.Windows)
 	}
 	fmt.Printf("faults:    %d (%s)\n", m.Faults, *model)
 	fmt.Printf("patterns:  %d\n", m.Patterns)
@@ -368,42 +350,10 @@ func runCheck(c *netlist.Circuit, model string) error {
 // values, in the spelling the flags document.
 var (
 	engineNames = []string{"csim", "csim-V", "csim-M", "csim-MV",
-		"csim-MV-eagerdrop", "csim-MV-reconvergent", "csim-P", "csim-V2",
+		"csim-MV-eagerdrop", "csim-MV-reconvergent", "csim-P",
 		"csim-grid", "csim-C", "compiled", "PROOFS", "serial"}
 	modelNames = []string{"stuck", "stuck-all", "transition"}
 )
-
-// parseShards resolves the -shards flag. "auto" defers the shape to the
-// engine default (csim-V2: one window per CPU) or the unified scheduler
-// (csim-grid). A bare "N" is a window count for csim-V2 and an N×1
-// fault-shard split for csim-grid; "KxW" pins a full grid shape (csim-V2
-// accepts it only with K=1).
-func parseShards(spec string, grid bool) (k, w int, err error) {
-	if spec == "" || spec == "auto" {
-		return 0, 0, nil
-	}
-	if i := strings.IndexByte(spec, 'x'); i >= 0 {
-		k, err = strconv.Atoi(spec[:i])
-		if err == nil {
-			w, err = strconv.Atoi(spec[i+1:])
-		}
-		if err != nil || k < 1 || w < 1 {
-			return 0, 0, fmt.Errorf("-shards %q: want KxW with K,W >= 1", spec)
-		}
-		if !grid && k != 1 {
-			return 0, 0, fmt.Errorf("-shards %q: csim-V2 splits vectors only; use -engine csim-grid for fault shards", spec)
-		}
-		return k, w, nil
-	}
-	n, err := strconv.Atoi(spec)
-	if err != nil || n < 1 {
-		return 0, 0, fmt.Errorf("-shards %q: want auto, N or KxW", spec)
-	}
-	if grid {
-		return n, 1, nil
-	}
-	return 0, n, nil
-}
 
 // validateSelections rejects unknown -engine/-faults/-suite values with
 // a one-line usage hint listing the accepted names.

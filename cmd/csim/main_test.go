@@ -1,9 +1,42 @@
 package main
 
 import (
+	"errors"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 )
+
+// TestMain lets a test run this binary as the csim command.
+func TestMain(m *testing.M) {
+	if os.Getenv("CSIM_TEST_RUN_MAIN") != "" {
+		main()
+		return
+	}
+	os.Exit(m.Run())
+}
+
+// TestRemovedSelectionsExit2: an engine name that is not (or no longer)
+// accepted and a flag that is no longer defined both end the command
+// with status 2 and a usage line.
+func TestRemovedSelectionsExit2(t *testing.T) {
+	for _, tc := range []struct{ arg, val, wantIn string }{
+		{"-engine", "csim-X", "usage: -engine csim|"},
+		{"-shards", "2x2", "flag provided but not defined: -shards"},
+	} {
+		cmd := exec.Command(os.Args[0], "-suite", "s27", "-random", "4", tc.arg, tc.val)
+		cmd.Env = append(os.Environ(), "CSIM_TEST_RUN_MAIN=1")
+		out, err := cmd.CombinedOutput()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+			t.Errorf("%s %s: %v, want exit status 2\n%s", tc.arg, tc.val, err, out)
+		}
+		if !strings.Contains(string(out), tc.wantIn) {
+			t.Errorf("%s %s: output lacks %q:\n%s", tc.arg, tc.val, tc.wantIn, out)
+		}
+	}
+}
 
 // TestValidateSelections pins the up-front flag validation: unknown
 // -engine/-faults/-suite names are rejected with a one-line hint that

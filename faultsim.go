@@ -25,6 +25,7 @@ package faultsim
 
 import (
 	"context"
+	"errors"
 	"io"
 	"log/slog"
 
@@ -77,14 +78,9 @@ type (
 	// ParallelConfig configures the fault-partition parallel engine
 	// (csim-P): a worker count plus the per-partition variant.
 	ParallelConfig = parallel.Options
-	// VectorConfig configures the vector-partition parallel engine
-	// (csim-V2): a window count plus the per-window variant.
-	VectorConfig = parallel.VOptions
-	// GridConfig configures the 2-D fault×vector grid engine (csim-grid).
-	GridConfig = parallel.GridOptions
 	// GridAutoConfig configures a scheduler-planned grid run.
 	GridAutoConfig = parallel.AutoOptions
-	// GridPlan is the unified scheduler's K×W split decision.
+	// GridPlan is the scheduler's fault-split decision.
 	GridPlan = parallel.Plan
 	// JobShape describes one simulation job to the unified scheduler.
 	JobShape = parallel.JobShape
@@ -105,11 +101,11 @@ type (
 	// trace plus per-fault bit-parallel cone re-evaluation, 64 vectors
 	// per pass.
 	CompiledSim = compiled.Sim
-	// CompiledGood is the compiled good machine: macro-inlined table
-	// lookups over the compiled program, no fault simulation.
+	// CompiledGood is the compiled good machine: the straight-line
+	// evaluator over the compiled program, no fault simulation.
 	CompiledGood = compiled.Good
 	// MacroPlan is a fanout-free-region macro-extraction plan over a
-	// circuit (Config.Plan, CompileCircuit).
+	// circuit (Config.Plan).
 	MacroPlan = macro.Plan
 	// Vectors is an ordered test sequence.
 	Vectors = vectors.Set
@@ -216,40 +212,46 @@ func SimulateParallel(u *Universe, vs *Vectors, cfg ParallelConfig) (*Result, Si
 	return parallel.Simulate(u, vs, cfg)
 }
 
-// CsimV2 configures the vector-partition parallel engine: the csim-MV
-// variant over the vector sequence split into `windows` concurrent
-// speculative windows (windows <= 0 means runtime.NumCPU()), stitched
-// with targeted repair runs. The merged result is bit-identical to the
-// single-threaded run regardless of window count.
-func CsimV2(windows int) VectorConfig {
-	return parallel.VOptions{Windows: windows, Config: csim.MV()}
+// GridConfig configures the fault-sharded grid engine (csim-grid).
+// Config.Plan is pinned by benchmark/ and goes with ROADMAP item 3's
+// [benchmark] refresh.
+type GridConfig struct {
+	parallel.GridOptions
+	// err is CsimGrid's verdict on its windows argument; SimulateGrid
+	// returns it.
+	err error
 }
 
-// SimulateVectorParallel runs the csim-V2 engine and returns the merged
-// detections plus summed instrumentation counters.
-func SimulateVectorParallel(u *Universe, vs *Vectors, cfg VectorConfig) (*Result, SimStats, error) {
-	return parallel.SimulateVectorSharded(u, vs, cfg)
-}
-
-// CsimGrid configures the 2-D engine: faultShards fault partitions
-// crossed with windows vector windows (each axis <= 0 defaults to 1).
-// With windows <= 1 and 64 vectors or more the shards are workers of
-// the compiled kernel (set Program to reuse a CompiledProgram).
+// CsimGrid configures the grid engine: faultShards fault partitions
+// (<= 0 defaults to 1). With 64 vectors or more the shards are workers
+// of the compiled kernel (set Program to reuse a CompiledProgram). The
+// signature is pinned by benchmark/ and goes with ROADMAP item 3's
+// [benchmark] refresh: windows is accepted for source compatibility and
+// must be <= 1, or SimulateGrid errors.
 func CsimGrid(faultShards, windows int) GridConfig {
-	return parallel.GridOptions{FaultShards: faultShards, Windows: windows, Config: csim.MV()}
+	cfg := GridConfig{GridOptions: parallel.GridOptions{FaultShards: faultShards, Config: csim.MV()}}
+	if windows > 1 {
+		cfg.err = errors.New("faultsim: vector windows were removed; csim-grid plans fault shards only")
+	}
+	return cfg
 }
 
-// SimulateGrid runs the csim-grid engine at the configured shape, to
-// completion (the facade passes no context).
+// SimulateGrid runs the csim-grid engine at the configured shard count,
+// to completion (the facade passes no context). Pinned by benchmark/;
+// goes with ROADMAP item 3's [benchmark] refresh.
 func SimulateGrid(u *Universe, vs *Vectors, cfg GridConfig) (*Result, SimStats, error) {
-	return parallel.SimulateGrid(context.Background(), u, vs, cfg)
+	if cfg.err != nil {
+		return nil, SimStats{}, cfg.err
+	}
+	return parallel.SimulateGrid(context.Background(), u, vs, cfg.GridOptions)
 }
 
-// PlanGrid asks the unified scheduler for the K×W split it would use
-// for a job of the given shape. The decision is deterministic.
+// PlanGrid asks the scheduler for the fault split it would use for a
+// job of the given shape. The decision is deterministic. Pinned by
+// benchmark/; goes with ROADMAP item 3's [benchmark] refresh.
 func PlanGrid(sh JobShape) GridPlan { return parallel.Decide(sh) }
 
-// SimulateGridAuto lets the scheduler pick the grid shape for the job,
+// SimulateGridAuto lets the scheduler pick the shard count for the job,
 // runs it, and returns the plan used alongside the merged result.
 func SimulateGridAuto(u *Universe, vs *Vectors, cfg GridAutoConfig) (*Result, SimStats, GridPlan, error) {
 	return parallel.SimulateAuto(context.Background(), u, vs, cfg)
@@ -298,14 +300,15 @@ func New(u *Universe, cfg Config) (*Simulator, error) { return csim.New(u, cfg) 
 // NewProofs builds the PROOFS baseline simulator (stuck-at only).
 func NewProofs(u *Universe) (*Proofs, error) { return proofs.New(u) }
 
-// NewGoodSim builds a fault-free simulator.
+// NewGoodSim builds a fault-free simulator. Pinned by benchmark/; goes
+// with ROADMAP item 3's [benchmark] refresh.
 func NewGoodSim(c *Circuit) *GoodSim { return goodsim.New(c) }
 
-// CompileCircuit lowers a circuit for the csim-C engine. plan may be
-// nil; a non-nil macro plan additionally inlines macros as lookup
-// tables in the compiled good machine (NewCompiledGood).
+// CompileCircuit lowers a circuit for the csim-C engine. The signature
+// is pinned by benchmark/ and goes with ROADMAP item 3's [benchmark]
+// refresh: plan is ignored.
 func CompileCircuit(c *Circuit, plan *MacroPlan) *CompiledProgram {
-	return compiled.Compile(c, plan)
+	return compiled.Compile(c)
 }
 
 // NewCompiled builds the csim-C fault simulator, compiling the
@@ -316,6 +319,7 @@ func NewCompiled(u *Universe) (*CompiledSim, error) { return compiled.New(u) }
 
 // NewCompiledWith builds a csim-C simulator over an already compiled
 // program; the program must be compiled from the universe's circuit.
+// Pinned by benchmark/; goes with ROADMAP item 3's [benchmark] refresh.
 func NewCompiledWith(p *CompiledProgram, u *Universe) (*CompiledSim, error) {
 	return compiled.NewWith(p, u)
 }
@@ -334,7 +338,8 @@ func SimulateCompiled(u *Universe, vs *Vectors) (*Result, error) {
 func NewCompiledGood(p *CompiledProgram) *CompiledGood { return p.NewGood() }
 
 // ExtractMacros builds the fanout-free-region macro plan csim-M/csim-MV
-// use (maxInputs <= 0 uses the default cap).
+// use (maxInputs <= 0 uses the default cap). Pinned by benchmark/; goes
+// with ROADMAP item 3's [benchmark] refresh.
 func ExtractMacros(c *Circuit, maxInputs int) (*MacroPlan, error) {
 	if maxInputs <= 0 {
 		maxInputs = macro.DefaultMaxInputs

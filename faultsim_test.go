@@ -52,27 +52,23 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 			pstats.Detections, pres.NumDet)
 	}
 
-	vres, _, err := faultsim.SimulateVectorParallel(u, vs, faultsim.CsimV2(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := vres.Diff(oracle); d != "" {
-		t.Errorf("csim-V2 vs serial:\n%s", d)
-	}
-	gres, _, err := faultsim.SimulateGrid(u, vs, faultsim.CsimGrid(2, 2))
+	gres, _, err := faultsim.SimulateGrid(u, vs, faultsim.CsimGrid(2, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d := gres.Diff(oracle); d != "" {
 		t.Errorf("csim-grid vs serial:\n%s", d)
 	}
+	if _, _, err := faultsim.SimulateGrid(u, vs, faultsim.CsimGrid(2, 2)); err == nil {
+		t.Error("csim-grid accepted two vector windows")
+	}
 	ares, _, plan, err := faultsim.SimulateGridAuto(u, vs, faultsim.GridAutoConfig{
 		MaxProcs: 4, Config: faultsim.CsimMV()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.FaultShards < 1 || plan.Windows < 1 {
-		t.Errorf("scheduler plan %v has an empty axis", plan)
+	if plan.FaultShards < 1 {
+		t.Errorf("scheduler plan %v has no shard", plan)
 	}
 	if plan != faultsim.PlanGrid(faultsim.JobShape{
 		Gates: len(c.Gates), Faults: u.NumFaults(), Vectors: vs.Len(), MaxProcs: 4,

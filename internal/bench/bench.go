@@ -68,27 +68,19 @@ type Cell struct {
 	Vectors VectorSpec
 	// Workers is the csim-P partition count, or the csim-grid fault-shard
 	// count (0 elsewhere; 0 for csim-P means runtime.NumCPU(), 0 for
-	// csim-grid defers the axis to the scheduler).
+	// csim-grid defers it to the scheduler).
 	Workers int
-	// Windows is the csim-V2 / csim-grid vector-window count (0
-	// elsewhere; 0 for csim-V2 means runtime.NumCPU(), 0 for csim-grid
-	// defers the axis to the scheduler).
-	Windows int
 	// Heavy marks cells too expensive for repeated trials: the runner
 	// clamps them to one trial and no warmup regardless of Options.
 	Heavy bool
 }
 
 // Key is the cell's stable identity in reports and baselines:
-// "circuit/engine/model/vectors" plus "/wN" for explicit worker counts
-// and "/vN" for explicit window counts.
+// "circuit/engine/model/vectors" plus "/wN" for explicit worker counts.
 func (c Cell) Key() string {
 	k := fmt.Sprintf("%s/%s/%s/%s", c.Circuit, c.Engine, c.Model, c.Vectors)
 	if c.Workers > 0 {
 		k += fmt.Sprintf("/w%d", c.Workers)
-	}
-	if c.Windows > 0 {
-		k += fmt.Sprintf("/v%d", c.Windows)
 	}
 	return k
 }
@@ -111,9 +103,9 @@ func SuiteNames() []string { return []string{"quick", "paper", "full"} }
 //     grid, a few seconds end to end.
 //   - "paper": the Table 3 grid up to s5378 (all csim variants, csim-P,
 //     PROOFS) plus transition and oracle spot cells — a couple of minutes.
-//   - "full": paper plus the two large stand-ins with csim-P worker and
-//     csim-V2 window scaling (1/2/4/8 each), 2-D grid cells, and
-//     reduced-vector oracle cells — tens of minutes.
+//   - "full": paper plus the two large stand-ins with csim-P worker
+//     scaling (1/2/4/8), csim-grid cells, and reduced-vector oracle
+//     cells — tens of minutes.
 func Suite(name string) ([]Cell, error) {
 	switch name {
 	case "quick":
@@ -142,21 +134,11 @@ func quickSuite() []Cell {
 		Cell{Engine: harness.Serial, Circuit: "s298", Model: ModelStuck, Vectors: Det()},
 		// One parallel cell exercises the partition/merge path.
 		Cell{Engine: harness.CsimP, Circuit: "s1494", Model: ModelStuck, Vectors: Det(), Workers: 2},
-		// One vector-sharded cell exercises the speculation/repair path.
-		Cell{Engine: harness.CsimV2, Circuit: "s1494", Model: ModelStuck, Vectors: Det(), Windows: 2},
-		// One 2-D cell crosses both axes.
-		Cell{Engine: harness.CsimGrid, Circuit: "s1494", Model: ModelStuck, Vectors: Det(), Workers: 2, Windows: 2},
-		// The service benchmark's grid-local job on both of csim-grid's
-		// kernels: the scheduler's plan (K compiled workers, K×1) beside
-		// the same fault list on two pinned interpreted vector windows —
-		// the pair ROADMAP item 2 asks for before the window machinery
-		// (csim/window.go, parallel/vshard.go) may go.
+		// The service benchmark's grid-local job: the scheduler's plan, K
+		// compiled workers.
 		Cell{Engine: harness.CsimGrid, Circuit: "s5378", Model: ModelTransition, Vectors: Rand(256)},
-		Cell{Engine: harness.CsimGrid, Circuit: "s5378", Model: ModelTransition, Vectors: Rand(256), Windows: 2},
 		// One transition cell exercises the second fault model.
 		Cell{Engine: harness.CsimMV, Circuit: "s298", Model: ModelTransition, Vectors: Det()},
-		// One transition vector-sharded cell covers driver-history carry.
-		Cell{Engine: harness.CsimV2, Circuit: "s298", Model: ModelTransition, Vectors: Det(), Windows: 2},
 		// One compiled transition cell covers masked transition injection.
 		Cell{Engine: harness.CsimC, Circuit: "s298", Model: ModelTransition, Vectors: Det()},
 		// The good-machine throughput pair: interpreted event-driven vs
@@ -200,8 +182,8 @@ func paperSuite() []Cell {
 }
 
 // fullSuite extends the paper grid with the s35932 row, csim-P worker
-// and csim-V2 window scaling on both large stand-ins, 2-D grid cells,
-// and reduced-vector oracle cells (the serial engine is
+// scaling on both large stand-ins, csim-grid cells, and reduced-vector
+// oracle cells (the serial engine is
 // O(faults × vectors × gates); full-length oracle runs on the large
 // circuits would take hours).
 func fullSuite() []Cell {
@@ -221,15 +203,13 @@ func fullSuite() []Cell {
 		cells = append(cells,
 			Cell{Engine: harness.CsimP, Circuit: "s5378", Model: ModelStuck, Vectors: Det(), Workers: w},
 			Cell{Engine: harness.CsimP, Circuit: "s35932", Model: ModelStuck, Vectors: Det(), Workers: w, Heavy: true},
-			// The vector-shard scaling ladder mirrors the worker ladder.
-			Cell{Engine: harness.CsimV2, Circuit: "s5378", Model: ModelStuck, Vectors: Det(), Windows: w},
-			Cell{Engine: harness.CsimV2, Circuit: "s35932", Model: ModelStuck, Vectors: Det(), Windows: w, Heavy: true},
 		)
 	}
 	cells = append(cells,
-		// The 2-D grid and the scheduler-planned shape on both stand-ins.
-		Cell{Engine: harness.CsimGrid, Circuit: "s5378", Model: ModelStuck, Vectors: Det(), Workers: 2, Windows: 2},
-		Cell{Engine: harness.CsimGrid, Circuit: "s35932", Model: ModelStuck, Vectors: Det(), Workers: 2, Windows: 2, Heavy: true},
+		// The grid pinned at two shards on both stand-ins, and the
+		// scheduler's plan.
+		Cell{Engine: harness.CsimGrid, Circuit: "s5378", Model: ModelStuck, Vectors: Det(), Workers: 2},
+		Cell{Engine: harness.CsimGrid, Circuit: "s35932", Model: ModelStuck, Vectors: Det(), Workers: 2, Heavy: true},
 		Cell{Engine: harness.CsimGrid, Circuit: "s5378", Model: ModelStuck, Vectors: Det()},
 	)
 	cells = append(cells,

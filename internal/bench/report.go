@@ -44,9 +44,6 @@ type CellResult struct {
 	// Workers is the explicit csim-P partition / csim-grid fault-shard
 	// count (0 elsewhere).
 	Workers int `json:"workers,omitempty"`
-	// Windows is the explicit csim-V2 / csim-grid vector-window count
-	// (0 elsewhere).
-	Windows int `json:"windows,omitempty"`
 	// Heavy records that the cell ran once without warmup.
 	Heavy bool `json:"heavy,omitempty"`
 

@@ -144,7 +144,6 @@ func runCell(c Cell, opt Options) (CellResult, error) {
 		Model:    c.Model,
 		Vectors:  c.Vectors.String(),
 		Workers:  c.Workers,
-		Windows:  c.Windows,
 		Heavy:    c.Heavy,
 		Patterns: vs.Len(),
 		Faults:   u.NumFaults(),
@@ -204,10 +203,8 @@ func runOnce(c Cell, u *faults.Universe, vs *vectors.Set) (harness.Measurement, 
 	switch c.Engine {
 	case harness.CsimP:
 		m, err = harness.RunParallelObserved(u, vs, c.Workers, ob)
-	case harness.CsimV2:
-		m, err = harness.RunVectorShardedObserved(u, vs, c.Windows, ob)
 	case harness.CsimGrid:
-		m, err = harness.RunGridObserved(u, vs, c.Workers, c.Windows, ob)
+		m, err = harness.RunGridObserved(u, vs, c.Workers, ob)
 	default:
 		m, err = harness.RunObserved(c.Engine, u, vs, ob)
 	}

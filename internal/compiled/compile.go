@@ -8,10 +8,8 @@
 //
 //   - Program: the immutable compiled form — the level-ordered gate
 //     list lowered to a fused two-input instruction stream (one table
-//     lookup per step, wide gates decomposed into chains), flattened
-//     fanin/fanout/DFF adjacency, and (optionally) a macro-inlined
-//     good-machine instruction stream whose macros evaluate by table
-//     lookup.
+//     lookup per step, wide gates decomposed into chains) and
+//     flattened fanin/fanout/DFF adjacency.
 //   - Trace: the packed good-machine waveform. The good machine runs
 //     cycle-serially (the state recurrence of a sequential circuit
 //     admits no 64-cycle shortcut) but deposits every gate's settled
@@ -32,7 +30,6 @@ package compiled
 
 import (
 	"repro/internal/logic"
-	"repro/internal/macro"
 	"repro/internal/netlist"
 )
 
@@ -61,21 +58,6 @@ const (
 type sop struct {
 	out, x, y int32
 	tbl       uint8
-}
-
-// tableMaxInputs caps the leaf count for which the compiler requests a
-// full ternary macro table (4^n entries) from internal/macro; wider
-// macros keep cone replay in the compiled good machine.
-const tableMaxInputs = 8
-
-// goodInstr is one step of the macro-inlined good-machine program:
-// evaluate the macro rooted at root from its leaf values, by table
-// lookup when tbl is non-nil and by cone replay otherwise.
-type goodInstr struct {
-	root   netlist.GateID
-	leaves []netlist.GateID
-	tbl    []logic.V
-	m      *macro.Macro
 }
 
 // Program is a circuit compiled for csim-C. It is immutable once
@@ -118,12 +100,6 @@ type Program struct {
 
 	level    []int32
 	maxLevel int32
-
-	// good is the macro-inlined good-machine program (nil when the
-	// Program was compiled without a plan); goodFrame is the replay
-	// scratch size it needs.
-	good      []goodInstr
-	goodFrame int
 }
 
 // Circuit returns the compiled circuit.
@@ -156,12 +132,8 @@ func opcode(op logic.Op) uint8 {
 	return opBuf
 }
 
-// Compile lowers a levelized circuit into its compiled form. plan may
-// be nil: the fault simulator works purely at gate level, so a plan
-// only adds the macro-inlined good-machine program (used by Good).
-// Macros up to 8 leaves are inlined as full ternary lookup tables
-// (exported by internal/macro); wider macros keep cone replay.
-func Compile(c *netlist.Circuit, plan *macro.Plan) *Program {
+// Compile lowers a levelized circuit into its compiled form.
+func Compile(c *netlist.Circuit) *Program {
 	ng := len(c.Gates)
 	p := &Program{
 		c:         c,
@@ -232,30 +204,7 @@ func Compile(c *netlist.Circuit, plan *macro.Plan) *Program {
 		p.scode = append(p.scode, lowerScalar(p.code[g], int32(g), p.fanin(g))...)
 	}
 
-	if plan != nil {
-		p.compileGood(plan)
-	}
 	return p
-}
-
-// compileGood lowers a macro plan into the inlined good-machine
-// instruction stream: one instruction per macro root, in plan level
-// order, with lookup tables exported for every table-sized macro.
-func (p *Program) compileGood(plan *macro.Plan) {
-	for l := 1; l < len(plan.Levels); l++ {
-		for _, root := range plan.Levels[l] {
-			m := plan.Macro(root)
-			p.good = append(p.good, goodInstr{
-				root:   root,
-				leaves: m.Leaves,
-				tbl:    m.BuildTable(tableMaxInputs),
-				m:      m,
-			})
-			if fs := m.FrameSize(); fs > p.goodFrame {
-				p.goodFrame = fs
-			}
-		}
-	}
 }
 
 // fanin returns gate g's input gates.

@@ -13,7 +13,6 @@ import (
 	"repro/internal/goodsim"
 	"repro/internal/iscas"
 	"repro/internal/logic"
-	"repro/internal/macro"
 	"repro/internal/netlist"
 	"repro/internal/serial"
 	"repro/internal/vectors"
@@ -256,7 +255,7 @@ func TestXVectors(t *testing.T) {
 func TestTraceMatchesGoodsim(t *testing.T) {
 	c := genCircuit(t, 5, 4, 3, 5, 60)
 	vs := vectors.Random(c, 130, 9)
-	p := Compile(c, nil)
+	p := Compile(c)
 	tr, _ := p.Trace(vs)
 	ref := goodsim.Record(c, vs.Vecs)
 	for cyc := 0; cyc < vs.Len(); cyc++ {
@@ -268,32 +267,22 @@ func TestTraceMatchesGoodsim(t *testing.T) {
 	}
 }
 
-// TestGoodMatchesGoodsim checks the macro-inlined good machine against
-// the interpreted one at the primary outputs, with and without a plan.
+// TestGoodMatchesGoodsim checks the compiled good machine against the
+// interpreted one at the primary outputs.
 func TestGoodMatchesGoodsim(t *testing.T) {
 	c := genCircuit(t, 21, 5, 4, 6, 90)
 	vs := vectors.Random(c, 100, 13)
-	plan, err := macro.Extract(c, macro.DefaultMaxInputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name string
-		plan *macro.Plan
-	}{{"macro", plan}, {"fallback", nil}} {
-		p := Compile(c, tc.plan)
-		g := p.NewGood()
-		ref := goodsim.New(c)
-		for cyc := 0; cyc < vs.Len(); cyc++ {
-			g.Cycle(vs.Vecs[cyc])
-			ref.Apply(vs.Vecs[cyc])
-			for i, po := range c.POs {
-				if got, want := g.Val(po), ref.Val(po); got != want {
-					t.Fatalf("%s: cycle %d PO %d: compiled %v, goodsim %v", tc.name, cyc, i, got, want)
-				}
+	g := Compile(c).NewGood()
+	ref := goodsim.New(c)
+	for cyc := 0; cyc < vs.Len(); cyc++ {
+		g.Cycle(vs.Vecs[cyc])
+		ref.Apply(vs.Vecs[cyc])
+		for i, po := range c.POs {
+			if got, want := g.Val(po), ref.Val(po); got != want {
+				t.Fatalf("cycle %d PO %d: compiled %v, goodsim %v", cyc, i, got, want)
 			}
-			ref.Clock()
 		}
+		ref.Clock()
 	}
 }
 
@@ -450,7 +439,7 @@ func TestWorkerPanicIsAnError(t *testing.T) {
 func TestNewWithRejectsMismatch(t *testing.T) {
 	a := genCircuit(t, 41, 3, 2, 2, 20)
 	b := genCircuit(t, 43, 3, 2, 2, 20)
-	if _, err := NewWith(Compile(a, nil), faults.StuckCollapsed(b)); err == nil {
+	if _, err := NewWith(Compile(a), faults.StuckCollapsed(b)); err == nil {
 		t.Fatal("NewWith accepted a universe over a different circuit")
 	}
 }

@@ -2,27 +2,19 @@ package compiled
 
 import (
 	"repro/internal/logic"
-	"repro/internal/macro"
 	"repro/internal/netlist"
 	"repro/internal/vectors"
 )
 
-// Good is the compiled good-machine simulator: per cycle it evaluates
-// the macro-inlined instruction stream — one table lookup per
-// table-sized macro, cone replay for wide ones — over a flat value
-// array, skipping macro-interior gates entirely. When the Program was
-// compiled without a plan it falls back to the straight-line
-// whole-network evaluator. Semantics match goodsim.Sim at the primary
-// outputs and flip-flop state; interior gate values are not
-// maintained.
+// Good is the compiled good-machine simulator: per cycle it runs the
+// straight-line whole-network evaluator over a flat value array.
+// Semantics match goodsim.Sim on every gate.
 type Good struct {
-	p       *Program
-	val     []logic.V
-	next    []logic.V
-	frame   []logic.V
-	leafBuf [logic.MaxPins]logic.V
+	p    *Program
+	val  []logic.V
+	next []logic.V
 
-	// Evals counts macro (or gate) evaluations performed.
+	// Evals counts gate evaluations performed.
 	Evals int64
 }
 
@@ -30,10 +22,9 @@ type Good struct {
 // with every signal initialized to X.
 func (p *Program) NewGood() *Good {
 	g := &Good{
-		p:     p,
-		val:   make([]logic.V, len(p.c.Gates)),
-		next:  make([]logic.V, len(p.c.DFFs)),
-		frame: make([]logic.V, p.goodFrame),
+		p:    p,
+		val:  make([]logic.V, len(p.c.Gates)),
+		next: make([]logic.V, len(p.c.DFFs)),
 	}
 	g.Reset()
 	return g
@@ -46,9 +37,7 @@ func (g *Good) Reset() {
 	}
 }
 
-// Val returns the current value of a gate's output line. Only sources,
-// macro roots and (in the fallback mode) all gates carry meaningful
-// values.
+// Val returns the current value of a gate's output line.
 func (g *Good) Val(id netlist.GateID) logic.V { return g.val[id] }
 
 // Outputs copies the current primary-output values into dst
@@ -71,24 +60,8 @@ func (g *Good) Cycle(vec []logic.V) {
 	for i, pi := range p.c.PIs {
 		g.val[pi] = vec[i].Norm()
 	}
-	if p.good != nil {
-		for i := range p.good {
-			ins := &p.good[i]
-			in := g.leafBuf[:len(ins.leaves)]
-			for j, l := range ins.leaves {
-				in[j] = g.val[l]
-			}
-			if ins.tbl != nil {
-				g.val[ins.root] = ins.tbl[macro.TableIndex(in)]
-			} else {
-				g.val[ins.root] = ins.m.Eval(in, g.frame)
-			}
-		}
-		g.Evals += int64(len(p.good))
-	} else {
-		p.evalScalar(g.val)
-		g.Evals += int64(len(p.order))
-	}
+	p.evalScalar(g.val)
+	g.Evals += int64(len(p.order))
 	for i := range p.c.DFFs {
 		g.next[i] = g.val[p.dffD[i]]
 	}

@@ -148,7 +148,7 @@ type Sim struct {
 
 // New compiles u's circuit and returns a simulator over it.
 func New(u *faults.Universe) (*Sim, error) {
-	return NewWith(Compile(u.Circuit, nil), u)
+	return NewWith(Compile(u.Circuit), u)
 }
 
 // NewWith builds a simulator over an already compiled program — the

@@ -133,11 +133,6 @@ type Simulator struct {
 	sentinel int32 // fault ID of the terminal element (= len(u.Faults))
 	dropped  []bool
 
-	// ids is the sorted fault subset a partition simulator is restricted
-	// to; nil means the whole universe. The window/checkpoint APIs use it
-	// to enumerate exactly the simulated faults.
-	ids []int32
-
 	// goodTrace, when non-nil, supplies prerecorded good-machine values:
 	// evalRoot looks the settled root value up instead of evaluating the
 	// macro's good function (the replay hook behind csim-P).
@@ -281,7 +276,6 @@ func newSim(u *faults.Universe, cfg Config, ids []int32) (*Simulator, error) {
 		pinEvent:  make([]uint32, n),
 		queue:     make([][]netlist.GateID, plan.MaxLevel+1),
 	}
-	s.ids = ids
 	// Arena slot 0 is the sentinel: a terminal element whose fault ID is
 	// larger than every real fault and whose descriptor is never dropped.
 	s.arena = []elem{{fault: s.sentinel, next: 0}}

@@ -88,7 +88,7 @@ func (c *Coordinator) Workers() []string {
 	return out
 }
 
-// RunJob distributes one admitted job across the fleet: plan the K×W
+// RunJob distributes one admitted job across the fleet: plan the fault
 // split, dispatch shards with retry and re-queue, merge the streamed
 // results. The coordinator-side state machine (pending → dispatched →
 // merging → done/failed) is published through req.SetPhase, so it
@@ -107,32 +107,26 @@ func (c *Coordinator) RunJob(ctx context.Context, req *service.RunRequest) (*ser
 		return c.failJob(req, err)
 	}
 
-	// Shape the split: explicit workers/windows pin K and W; otherwise
-	// the scheduler decides against the fleet's dispatch capacity.
-	k, w := req.Spec.Workers, req.Spec.Windows
-	if k <= 0 && w <= 0 {
-		plan := parallel.DecideObserved(parallel.JobShape{
+	// Shape the split: explicit workers pin K; otherwise the scheduler
+	// decides against the fleet's dispatch capacity.
+	k := req.Spec.Workers
+	if k <= 0 {
+		k = parallel.DecideObserved(parallel.JobShape{
 			Gates:    len(req.CC.Circuit.Gates),
 			Faults:   u.NumFaults(),
 			Vectors:  vs.Len(),
 			MaxProcs: c.cfg.MaxProcs,
-		}, req.Obs)
-		k, w = plan.FaultShards, plan.Windows
-	}
-	if k <= 0 {
-		k = len(c.reg.workers)
-	}
-	if w <= 0 {
-		w = 1
+		}, req.Obs).FaultShards
 	}
 
 	jlog := c.log.With(slog.String("job_id", req.ID))
-	req.Obs.Recorder().Recordf("dispatch", "fanning %d fault shards x %d windows over %d workers",
-		k, w, len(c.reg.workers))
+	// The dispatch and requeue kinds are pinned by benchmark/ and go with
+	// ROADMAP item 3's [benchmark] refresh.
+	req.Obs.Recorder().Recordf("dispatch", "fanning %d fault shards over %d workers",
+		k, len(c.reg.workers))
 	jlog.Info("dist job dispatching",
 		slog.String("phase", "dispatch"),
 		slog.Int("fault_shards", k),
-		slog.Int("windows", w),
 		slog.Int("workers", len(c.reg.workers)))
 	req.SetPhase("dispatched")
 
@@ -145,7 +139,7 @@ func (c *Coordinator) RunJob(ctx context.Context, req *service.RunRequest) (*ser
 		wg.Add(1)
 		go func(shard int) {
 			defer wg.Done()
-			rv, err := c.runShard(jctx, req, shard, k, w)
+			rv, err := c.runShard(jctx, req, shard, k)
 			if err == nil {
 				_, err = m.add(shard, rv)
 			}
@@ -181,7 +175,7 @@ func (c *Coordinator) RunJob(ctx context.Context, req *service.RunRequest) (*ser
 		Patterns: vs.Len(),
 		Faults:   u.NumFaults(),
 		Workers:  k,
-		Windows:  w,
+		Windows:  1, // pinned by benchmark/ (it reads the plan as workers x windows)
 		RunNS:    time.Since(start).Nanoseconds(),
 		Detected: res.NumDet,
 		PotOnly:  res.NumPotOnly(),
@@ -234,8 +228,8 @@ func (e *permanentError) Unwrap() error { return e.err }
 // failed one excluded, up to MaxAttempts. When exclusions cover the
 // whole fleet with attempts still in hand, the slate is wiped — a
 // previously failed worker may have recovered.
-func (c *Coordinator) runShard(ctx context.Context, req *service.RunRequest, shard, of, windows int) (*service.ResultView, error) {
-	spec := shardSpec(req.Spec, shard, of, windows, c.cfg.ShardTimeout)
+func (c *Coordinator) runShard(ctx context.Context, req *service.RunRequest, shard, of int) (*service.ResultView, error) {
+	spec := shardSpec(req.Spec, shard, of, c.cfg.ShardTimeout)
 	id := jobid.Shard(req.ID, shard, of, shardHash(req.CC.Key, spec))
 	excluded := map[int]bool{}
 	for attempt := 1; ; attempt++ {
@@ -405,12 +399,11 @@ func (c *Coordinator) shardLost(ctx, actx context.Context, w *worker, id, op str
 // shardSpec derives shard k-of-n's worker-facing spec from the parent
 // job's: the grid engine with pinned shard coordinates, the full
 // vector axis, and the detections payload switched on.
-func shardSpec(parent *service.JobSpec, k, n, windows int, timeout time.Duration) *service.JobSpec {
+func shardSpec(parent *service.JobSpec, k, n int, timeout time.Duration) *service.JobSpec {
 	s := *parent
 	s.Engine = "csim-grid"
 	s.Workers = 0
 	s.FaultShard, s.FaultShards = k, n
-	s.Windows = windows
 	s.ReturnDetections = true
 	s.TimeoutMS = timeout.Milliseconds()
 	return &s
@@ -423,9 +416,9 @@ func shardSpec(parent *service.JobSpec, k, n, windows int, timeout time.Duration
 // what arms the worker's 409-on-live-ID dedup.
 func shardHash(circuitKey string, spec *service.JobSpec) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "%s|%s|%s|%d|%d|s%dof%d|w%d",
+	fmt.Fprintf(h, "%s|%s|%s|%d|%d|s%dof%d",
 		circuitKey, spec.Model, spec.Vectors, spec.Random, spec.Seed,
-		spec.FaultShard, spec.FaultShards, spec.Windows)
+		spec.FaultShard, spec.FaultShards)
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 

@@ -1,6 +1,6 @@
 // Package dist is the distributed tier of csimd: a coordinator that
 // accepts jobs on the ordinary service API, splits each into
-// fault-partition shards with the parallel scheduler's K×W verdict,
+// fault-partition shards with the parallel scheduler's verdict,
 // fans the shards out to a fleet of worker csimd nodes over the same
 // HTTP/JSON job API, and merges the streamed-back shard results with
 // the deterministic first-detection-wins merge the in-process grid
@@ -60,7 +60,7 @@ type Config struct {
 	// shard ends, so this spaces the requests of a long shard, not the
 	// delay of any, and a shard shorter than it is one request.
 	Poll time.Duration
-	// MaxProcs caps the scheduler's K×W plan for auto-shaped jobs
+	// MaxProcs caps the scheduler's plan for auto-shaped jobs
 	// (default len(Workers)×PerWorkerInflight).
 	MaxProcs int
 	// Obs is the coordinator's observability bundle; nil disables

@@ -22,12 +22,12 @@ import (
 
 // shardPayloads runs every shard of a K-way split locally and wraps
 // the results as the worker-facing payloads the coordinator merges.
-func shardPayloads(t *testing.T, u *faults.Universe, vs *vectors.Set, k, w int) []*service.ResultView {
+func shardPayloads(t *testing.T, u *faults.Universe, vs *vectors.Set, k int) []*service.ResultView {
 	t.Helper()
 	out := make([]*service.ResultView, k)
 	for shard := 0; shard < k; shard++ {
 		res, st, err := parallel.SimulateShard(context.Background(), u, vs, parallel.ShardOptions{
-			Shard: shard, Of: k, Windows: w, Config: csim.MV(),
+			Shard: shard, Of: k, Config: csim.MV(),
 		})
 		if err != nil {
 			t.Fatalf("shard %d: %v", shard, err)
@@ -52,8 +52,8 @@ func TestMergerShuffledAndDuplicateArrival(t *testing.T) {
 	u := faults.StuckCollapsed(ckt)
 	vs := vectors.Random(ckt, 50, 9)
 	want := serial.Simulate(u, vs)
-	const k, w = 5, 2
-	payloads := shardPayloads(t, u, vs, k, w)
+	const k = 5
+	payloads := shardPayloads(t, u, vs, k)
 
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 8; trial++ {
@@ -208,7 +208,7 @@ func TestDistributedMatchesSerialOracle(t *testing.T) {
 }
 
 // TestDistributedStatsMatchLocalGrid: the merged worker stats equal a
-// local grid run of the same K×W shape — distribution moves the work,
+// local grid run of the same K — distribution moves the work,
 // it doesn't change it.
 func TestDistributedStatsMatchLocalGrid(t *testing.T) {
 	cl, _, _ := startCluster(t, 2, nil)
@@ -220,16 +220,16 @@ func TestDistributedStatsMatchLocalGrid(t *testing.T) {
 	u := faults.StuckCollapsed(ckt)
 	vs := vectors.Random(ckt, 40, 3)
 
-	const k, w = 3, 2
+	const k = 3
 	v, err := cl.Run(ctx, service.JobSpec{
-		Circuit: "s526", Engine: "csim-grid", Workers: k, Windows: w,
+		Circuit: "s526", Engine: "csim-grid", Workers: k,
 		Random: 40, Seed: 3,
 	}, 2*time.Millisecond)
 	if err != nil || v.Status != service.StatusDone {
 		t.Fatalf("distributed run: %v / %+v", err, v)
 	}
 	_, gridStats, err := parallel.SimulateGrid(context.Background(), u, vs, parallel.GridOptions{
-		FaultShards: k, Windows: w, Config: csim.MV(),
+		FaultShards: k, Config: csim.MV(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -237,8 +237,8 @@ func TestDistributedStatsMatchLocalGrid(t *testing.T) {
 	if got := v.Result.Stats.Stats(); got != gridStats {
 		t.Errorf("distributed stats %+v != local grid stats %+v", got, gridStats)
 	}
-	if v.Result.Workers != k || v.Result.Windows != w {
-		t.Errorf("distributed shape %dx%d, want %dx%d", v.Result.Workers, v.Result.Windows, k, w)
+	if v.Result.Workers != k || v.Result.Windows != 1 {
+		t.Errorf("distributed shape %dx%d, want %dx1", v.Result.Workers, v.Result.Windows, k)
 	}
 }
 
@@ -258,7 +258,7 @@ func TestDistributedInlineBenchShipsOnce(t *testing.T) {
 	for run := 0; run < 2; run++ {
 		v, err := cl.Run(ctx, service.JobSpec{
 			Bench: text, BenchName: "s298", Engine: "csim-grid",
-			Workers: 4, Windows: 1, Random: 30, Seed: 5, ReturnDetections: true,
+			Workers: 4, Random: 30, Seed: 5, ReturnDetections: true,
 		}, 2*time.Millisecond)
 		if err != nil || v.Status != service.StatusDone {
 			t.Fatalf("run %d: %v / status %s error %q", run, err, v.Status, v.Error)
@@ -286,7 +286,11 @@ func TestDistributedInlineBenchShipsOnce(t *testing.T) {
 // TestWorkerKillMidJobRequeues is the fault-tolerance acceptance test:
 // with a shard pinned in flight on a specific worker, killing that
 // worker mid-job must re-queue its shards to the survivor and still
-// finish with the oracle's exact result.
+// finish with the oracle's exact result. The job is sized for the
+// compiled kernel: each of the six s5378 shards packs its own 1024-cycle
+// good trace and runs some 750 faults, tens of milliseconds against the
+// 1 ms the loop below takes to see it in flight. The oracle is
+// single-threaded csim-MV; serial takes minutes here.
 func TestWorkerKillMidJobRequeues(t *testing.T) {
 	victim := startWorker(t)
 	survivor := startWorker(t)
@@ -312,16 +316,20 @@ func TestWorkerKillMidJobRequeues(t *testing.T) {
 	cl := service.NewClient("http://" + front.Addr())
 	ctx := ctxT(t)
 
-	ckt, err := iscas.Get("s1488")
+	ckt, err := iscas.Get("s5378")
 	if err != nil {
 		t.Fatal(err)
 	}
 	u := faults.StuckCollapsed(ckt)
-	want := serial.Simulate(u, vectors.Random(ckt, 250, 13))
+	single, err := csim.New(u, csim.MV())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := single.Run(vectors.Random(ckt, 1024, 13))
 
 	jv, err := cl.Submit(ctx, service.JobSpec{
-		Circuit: "s1488", Engine: "csim-grid", Workers: 6, Windows: 2,
-		Random: 250, Seed: 13, ReturnDetections: true,
+		Circuit: "s5378", Engine: "csim-grid", Workers: 6,
+		Random: 1024, Seed: 13, ReturnDetections: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -355,7 +363,7 @@ func TestWorkerKillMidJobRequeues(t *testing.T) {
 		t.Fatal(err)
 	}
 	if diff := want.Diff(got); diff != "" {
-		t.Errorf("post-kill result differs from serial oracle:\n%s", diff)
+		t.Errorf("post-kill result differs from the csim-MV oracle:\n%s", diff)
 	}
 	if p, ok := reg.Get("dist.shards_requeued"); !ok || p.Value < 1 {
 		t.Errorf("dist.shards_requeued = %+v, want >= 1", p)

@@ -106,7 +106,7 @@ func TestAttemptAdoptsLiveShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := shardSpec(&service.JobSpec{Circuit: "s298", Random: 64, Seed: 3}, 0, 2, 1, time.Minute)
+	spec := shardSpec(&service.JobSpec{Circuit: "s298", Random: 64, Seed: 3}, 0, 2, time.Minute)
 	id := jobid.Shard("adopt", 0, 2, shardHash("s298", spec))
 	if _, err := wcl.Submit(obs.WithJobID(ctx, id), *spec); err != nil {
 		t.Fatalf("first delivery of the shard: %v", err)
@@ -156,7 +156,7 @@ func TestAttemptReshipsAfterBenchKeyMiss(t *testing.T) {
 	w := coord.reg.workers[0]
 	w.markShipped(key) // as far as the coordinator knows; the worker's cache is empty
 
-	spec := shardSpec(&service.JobSpec{Bench: text, BenchName: "s298", Random: 64, Seed: 3}, 1, 2, 1, time.Minute)
+	spec := shardSpec(&service.JobSpec{Bench: text, BenchName: "s298", Random: 64, Seed: 3}, 1, 2, time.Minute)
 	id := jobid.Shard("reship", 1, 2, shardHash(key, spec))
 	rv, err := coord.attemptShard(ctxT(t), w, id, spec)
 	if err != nil || rv == nil || rv.Detections == nil {

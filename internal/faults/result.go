@@ -92,6 +92,7 @@ func (r *Result) DetectedSet() []int32 {
 // index wins, so the merge is deterministic regardless of partition
 // count, partition order, or goroutine scheduling. All parts must cover
 // universes of identical size (normally the same Universe).
+// Pinned by benchmark/; goes with ROADMAP item 3's [benchmark] refresh.
 func MergeResults(parts ...*Result) *Result {
 	if len(parts) == 0 {
 		panic("faults: MergeResults needs at least one result")

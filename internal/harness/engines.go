@@ -25,8 +25,7 @@ func Engines() []EngineInfo {
 		{CsimEager, "concurrent", "csim-MV with eager full-scan fault dropping (ablation)"},
 		{CsimReconv, "concurrent", "csim-MV with reconvergent-macro extension (ablation)"},
 		{CsimP, "parallel", "csim-MV fault-partitioned over worker goroutines sharing one good trace"},
-		{CsimV2, "parallel", "csim-MV vector-partitioned into speculative windows with repair"},
-		{CsimGrid, "parallel", "fault-sharded grid; the scheduler plans K: workers of the compiled kernel from 64 vectors on, interpreted fault x vector-window shards below or when windows are pinned"},
+		{CsimGrid, "parallel", "fault-sharded grid; the scheduler plans K: workers of the compiled kernel from 64 vectors on, interpreted csim-MV shards sharing one good trace below"},
 		{CsimC, "compiled", "compiled bit-parallel backend: levelized straight-line code, packed 64-vector passes over the fault cone; a service job's workers share one good trace"},
 		{PROOFS, "baseline", "bit-parallel single-fault-propagation baseline (PROOFS-style)"},
 		{Serial, "baseline", "brute-force oracle: one full resimulation per fault"},

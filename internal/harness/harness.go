@@ -41,11 +41,9 @@ const (
 	// CsimP is the fault-partition parallel engine: csim-MV sharded over
 	// worker goroutines replaying a shared good-machine trace.
 	CsimP Engine = "csim-P"
-	// CsimV2 is the vector-partition parallel engine: the vector sequence
-	// split into windows simulated concurrently by speculation and repair.
-	CsimV2 Engine = "csim-V2"
-	// CsimGrid is the 2-D engine: fault shards crossed with vector
-	// windows. With both axes unset the unified scheduler picks the shape.
+	// CsimGrid is the fault-sharded engine on whichever kernel the
+	// vector count selects. With the shard count unset the scheduler
+	// picks it.
 	CsimGrid Engine = "csim-grid"
 	// CsimC is the compiled backend: the circuit lowered once into
 	// branch-free levelized straight-line evaluation over flat word
@@ -113,9 +111,6 @@ type Measurement struct {
 	// Workers is the fault-shard goroutine count (csim-P and csim-grid
 	// only; 0 otherwise).
 	Workers int
-	// Windows is the vector-window count (csim-V2 and csim-grid only;
-	// 0 otherwise).
-	Windows int
 }
 
 // FltCvg returns hard coverage in percent.
@@ -148,7 +143,7 @@ func compiledProgram(c *netlist.Circuit) *compiled.Program {
 	defer compiledMu.Unlock()
 	p := compiledCache[c]
 	if p == nil {
-		p = compiled.Compile(c, nil)
+		p = compiled.Compile(c)
 		compiledCache[c] = p
 	}
 	return p
@@ -172,10 +167,8 @@ func RunObserved(engine Engine, u *faults.Universe, vs *vectors.Set, ob *obs.Obs
 	switch engine {
 	case CsimP:
 		return RunParallelObserved(u, vs, 0, ob)
-	case CsimV2:
-		return RunVectorShardedObserved(u, vs, 0, ob)
 	case CsimGrid:
-		return RunGridObserved(u, vs, 0, 0, ob)
+		return RunGridObserved(u, vs, 0, ob)
 	case Serial:
 		sp := ob.Span("fault-sim")
 		res = serial.Simulate(u, vs)
@@ -280,67 +273,22 @@ func RunParallelObserved(u *faults.Universe, vs *vectors.Set, workers int, ob *o
 	return m, nil
 }
 
-// RunVectorSharded measures the vector-partition parallel engine: the
-// csim-MV variant over the vector sequence split into the given number
-// of windows (<= 0 means runtime.NumCPU(), always clamped to the vector
-// count), simulated concurrently by speculation and repair.
-// Measurement.Windows records the effective window count.
-func RunVectorSharded(u *faults.Universe, vs *vectors.Set, windows int) (Measurement, error) {
-	return RunVectorShardedObserved(u, vs, windows, nil)
-}
-
-// RunVectorShardedObserved is RunVectorSharded under the observability
-// layer: phase spans, per-window gauges under "csim-V2.window<i>.",
-// merged run totals under "csim-V2.", and a registry-sourced memory
-// column. ob may be nil.
-func RunVectorShardedObserved(u *faults.Universe, vs *vectors.Set, windows int, ob *obs.Observer) (Measurement, error) {
-	opt := parallel.VOptions{Windows: windows, Config: csim.MV(), Obs: ob}
-	m := Measurement{
-		Engine:   CsimV2,
-		Circuit:  u.Circuit.Name,
-		Patterns: vs.Len(),
-		Faults:   u.NumFaults(),
-		Windows:  opt.EffectiveWindows(vs.Len()),
-	}
-	start := time.Now()
-	res, st, err := parallel.SimulateVectorSharded(u, vs, opt)
-	if err != nil {
-		return m, err
-	}
-	m.CPU = time.Since(start)
-	if rst, ok := csim.StatsFromRegistry(ob.Registry(), parallel.V2Prefix); ok {
-		m.MemBytes = rst.MemBytes
-	} else {
-		m.MemBytes = st.MemBytes
-	}
-	m.Detected = res.NumDet
-	m.PotOnly = res.NumPotOnly()
-	m.Coverage = res.Coverage()
-	return m, nil
-}
-
-// RunGrid measures the 2-D engine: faultShards fault partitions crossed
-// with windows vector windows. When both axes are <= 0 the unified
-// scheduler picks the shape from the job's dimensions; otherwise a
-// non-positive axis defaults to 1. Measurement.Workers and
-// Measurement.Windows record the effective grid shape.
-func RunGrid(u *faults.Universe, vs *vectors.Set, faultShards, windows int) (Measurement, error) {
-	return RunGridObserved(u, vs, faultShards, windows, nil)
+// RunGrid measures the fault-sharded grid engine. faultShards <= 0 lets
+// the scheduler pick the shard count from the job's dimensions.
+// Measurement.Workers records the effective count.
+func RunGrid(u *faults.Universe, vs *vectors.Set, faultShards int) (Measurement, error) {
+	return RunGridObserved(u, vs, faultShards, nil)
 }
 
 // RunGridObserved is RunGrid under the observability layer: merged
 // totals under "csim-grid.", per-shard namespaces under
 // "csim-grid.shard<k>." on the interpreted path, and — when the
-// scheduler plans the shape — the "sched.*" decision gauges. From 64
-// vectors on, unless windows > 1 pins the interpreted pipeline, the
-// shards are workers of the compiled kernel over the memoized program.
-// ob may be nil.
-func RunGridObserved(u *faults.Universe, vs *vectors.Set, faultShards, windows int, ob *obs.Observer) (Measurement, error) {
-	opt := parallel.GridOptions{
-		FaultShards: faultShards, Windows: windows,
-		Config: csim.MV(), Obs: ob,
-	}
-	if parallel.RunsCompiled(windows, vs.Len()) {
+// scheduler plans the run — the "sched.*" decision gauges. From 64
+// vectors on the shards are workers of the compiled kernel over the
+// memoized program. ob may be nil.
+func RunGridObserved(u *faults.Universe, vs *vectors.Set, faultShards int, ob *obs.Observer) (Measurement, error) {
+	opt := parallel.GridOptions{FaultShards: faultShards, Config: csim.MV(), Obs: ob}
+	if parallel.RunsCompiled(vs.Len()) {
 		opt.Program = compiledProgram(u.Circuit)
 	}
 	m := Measurement{
@@ -355,13 +303,13 @@ func RunGridObserved(u *faults.Universe, vs *vectors.Set, faultShards, windows i
 		st  csim.Stats
 		err error
 	)
-	if faultShards <= 0 && windows <= 0 {
+	if faultShards <= 0 {
 		var plan parallel.Plan
 		res, st, plan, err = parallel.SimulateAuto(context.Background(), u, vs, parallel.AutoOptions{
 			Config: opt.Config, Program: opt.Program, Obs: ob})
-		m.Workers, m.Windows = plan.FaultShards, plan.Windows
+		m.Workers = plan.FaultShards
 	} else {
-		m.Workers, m.Windows = opt.EffectiveShape(u.NumFaults(), vs.Len())
+		m.Workers = opt.EffectiveShards(u.NumFaults(), vs.Len())
 		res, st, err = parallel.SimulateGrid(context.Background(), u, vs, opt)
 	}
 	if err != nil {

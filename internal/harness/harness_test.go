@@ -17,7 +17,7 @@ func TestRunEnginesAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	var detected = -1
-	for _, eng := range []Engine{CsimPlain, CsimV, CsimM, CsimMV, CsimEager, CsimP, CsimV2, CsimGrid, PROOFS} {
+	for _, eng := range []Engine{CsimPlain, CsimV, CsimM, CsimMV, CsimEager, CsimP, CsimGrid, PROOFS} {
 		m, err := Run(eng, u, vs)
 		if err != nil {
 			t.Fatalf("%s: %v", eng, err)
@@ -187,43 +187,6 @@ func TestRunParallelWorkerSweep(t *testing.T) {
 	}
 }
 
-func TestRunVectorShardedWindowSweep(t *testing.T) {
-	u, err := StuckUniverse("s298")
-	if err != nil {
-		t.Fatal(err)
-	}
-	vs, err := RandomSet("s298", 80)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := Run(CsimMV, u, vs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{1, 2, 5} {
-		m, err := RunVectorSharded(u, vs, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.Windows != w || m.Engine != CsimV2 {
-			t.Errorf("windows=%d: measurement metadata wrong: %+v", w, m)
-		}
-		if m.Detected != base.Detected || m.PotOnly != base.PotOnly {
-			t.Errorf("windows=%d: detected %d/%d pot, csim-MV %d/%d",
-				w, m.Detected, m.PotOnly, base.Detected, base.PotOnly)
-		}
-	}
-	// An absurd request is clamped; Windows records the effective count.
-	m, err := RunVectorSharded(u, vs, 10_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Windows != vs.Len() {
-		t.Errorf("windows=10000: effective %d, want clamp to %d vectors",
-			m.Windows, vs.Len())
-	}
-}
-
 func TestRunGridShapes(t *testing.T) {
 	u, err := StuckUniverse("s298")
 	if err != nil {
@@ -237,14 +200,14 @@ func TestRunGridShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 80 vectors and no pinned windows run the compiled kernel, which
-	// keeps one worker per chunk of 256 faults busy: 431 faults, two.
-	for _, shape := range [][4]int{{1, 1, 1, 1}, {2, 2, 2, 2}, {4, 1, 2, 1}, {4, 2, 4, 2}, {1, 4, 1, 4}} {
-		m, err := RunGrid(u, vs, shape[0], shape[1])
+	// 80 vectors run the compiled kernel, which keeps one worker per
+	// chunk of 256 faults busy: 431 faults, two.
+	for _, shape := range [][2]int{{1, 1}, {2, 2}, {4, 2}} {
+		m, err := RunGrid(u, vs, shape[0])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m.Workers != shape[2] || m.Windows != shape[3] || m.Engine != CsimGrid {
+		if m.Workers != shape[1] || m.Engine != CsimGrid {
 			t.Errorf("shape %v: measurement metadata wrong: %+v", shape, m)
 		}
 		if m.Detected != base.Detected || m.PotOnly != base.PotOnly {
@@ -252,13 +215,13 @@ func TestRunGridShapes(t *testing.T) {
 				shape, m.Detected, m.PotOnly, base.Detected, base.PotOnly)
 		}
 	}
-	// Auto mode: the scheduler picks the shape and records it.
-	m, err := RunGrid(u, vs, 0, 0)
+	// Auto mode: the scheduler picks the shard count and records it.
+	m, err := RunGrid(u, vs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Workers < 1 || m.Windows < 1 {
-		t.Errorf("auto grid did not record a shape: %+v", m)
+	if m.Workers < 1 {
+		t.Errorf("auto grid did not record its shard count: %+v", m)
 	}
 	if m.Detected != base.Detected {
 		t.Errorf("auto grid detected %d, csim-MV %d", m.Detected, base.Detected)

@@ -79,11 +79,10 @@ func Table3Observed(circuits []string, sink *MetricsSink) (*Table, error) {
 		Title: "Table 3. Deterministic patterns (I)",
 		Header: []string{"ckt",
 			"V:CPU", "V:MEM", "M:CPU", "M:MEM", "MV:CPU", "MV:MEM",
-			"P:CPU", "P:MEM", "V2:CPU", "V2:MEM", "C:CPU", "C:MEM",
+			"P:CPU", "P:MEM", "C:CPU", "C:MEM",
 			"PROOFS:CPU", "PROOFS:MEM"},
 		Caption: "CPU in seconds, MEM in MB of fault-structure storage at peak\n" +
 			"csim-P: csim-MV fault-partitioned over NumCPU worker goroutines\n" +
-			"csim-V2: csim-MV vector-partitioned over NumCPU speculative windows\n" +
 			"csim-C: compiled bit-parallel engine, 64 vectors per masked pass",
 	}
 	for _, name := range circuits {
@@ -96,7 +95,7 @@ func Table3Observed(circuits []string, sink *MetricsSink) (*Table, error) {
 			return nil, err
 		}
 		row := []string{name}
-		for _, eng := range []Engine{CsimV, CsimM, CsimMV, CsimP, CsimV2, CsimC, PROOFS} {
+		for _, eng := range []Engine{CsimV, CsimM, CsimMV, CsimP, CsimC, PROOFS} {
 			reg := obs.NewRegistry()
 			ob := &obs.Observer{Metrics: reg, Tracer: obs.NewTracer(reg)}
 			m, err := RunObserved(eng, u, vs, ob)

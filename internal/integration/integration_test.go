@@ -327,7 +327,7 @@ func TestCompiledGridAgreesOnS5378(t *testing.T) {
 	}
 	c := iscas.MustGet("s5378")
 	vs := vectors.Random(c, 130, 1)
-	p := compiled.Compile(c, nil)
+	p := compiled.Compile(c)
 	for _, model := range []string{"stuck", "transition"} {
 		whole := faults.StuckCollapsed(c)
 		if model == "transition" {

@@ -180,35 +180,6 @@ func (m *Macro) replay(in, frame []logic.V, faultInstr int32, inject func(cur lo
 	return frame[m.Prog[len(m.Prog)-1].Out]
 }
 
-// BuildTable exports the macro's full ternary lookup table for
-// compilation backends that inline macros as table lookups (csim-C).
-// Unlike the Table field — which extraction only fills up to
-// TableMaxInputs leaves — BuildTable computes tables up to maxInputs
-// leaves (4^n entries, indexed by TableIndex), returning the memoized
-// Table when one exists and nil when the macro is wider than
-// maxInputs. The build is pure: the macro is not modified, so callers
-// own any memoization, exactly as with StuckTable.
-func (m *Macro) BuildTable(maxInputs int) []logic.V {
-	if m.Table != nil {
-		return m.Table
-	}
-	n := len(m.Leaves)
-	if n > maxInputs || len(m.Prog) == 0 {
-		return nil
-	}
-	size := 1 << (2 * n)
-	tbl := make([]logic.V, size)
-	in := make([]logic.V, n)
-	frame := make([]logic.V, m.FrameSize())
-	for idx := 0; idx < size; idx++ {
-		for i := 0; i < n; i++ {
-			in[i] = logic.V((idx >> (2 * i)) & logic.VMask).Norm()
-		}
-		tbl[idx] = m.replay(in, frame, -1, nil)
-	}
-	return tbl
-}
-
 // buildTable precomputes the full ternary truth table for small macros.
 func (m *Macro) buildTable() {
 	n := len(m.Leaves)

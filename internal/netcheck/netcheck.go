@@ -38,6 +38,7 @@ func AsError(ps []Problem) error {
 // Check runs every structural circuit check and returns the problems
 // found: driver arity and op arity, fanin/fanout edge mirroring, index
 // table consistency, combinational loops, and level monotonicity.
+// Pinned by benchmark/; goes with ROADMAP item 3's [benchmark] refresh.
 func Check(c *netlist.Circuit) []Problem {
 	var ps []Problem
 	ps = append(ps, checkDrivers(c)...)

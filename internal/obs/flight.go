@@ -12,15 +12,15 @@ const DefaultFlightEvents = 256
 
 // FlightEvent is one entry in a job's flight recorder: a timestamped
 // lifecycle marker (admitted, queued, cache hit/miss, scheduler
-// verdict, shard start/finish, repair, merge, finish).
+// verdict, shard start/finish, merge, finish).
 type FlightEvent struct {
 	// Time is when the event was recorded.
 	Time time.Time `json:"time"`
 	// Kind is the event class (admitted, queued, cache, decide,
-	// shard_start, shard_finish, repair, merge, run_start, finish).
+	// shard_start, shard_finish, merge, run_start, finish).
 	Kind string `json:"kind"`
-	// Detail is the human-readable specifics (chosen K×W split, shard
-	// index and fault count, repair totals, ...).
+	// Detail is the human-readable specifics (chosen plan, shard index
+	// and fault count, ...).
 	Detail string `json:"detail,omitempty"`
 }
 

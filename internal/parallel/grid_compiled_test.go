@@ -38,8 +38,8 @@ func csimC(t *testing.T, u *faults.Universe, vs *vectors.Set) (*faults.Result, c
 	return sim.Run(vs), sim.Stats()
 }
 
-// TestCompiledGridMatchesSerial: from 64 vectors on a grid without
-// pinned windows runs the compiled kernel, and at every K — one worker,
+// TestCompiledGridMatchesSerial: from 64 vectors on a grid runs the
+// compiled kernel, and at every K — one worker,
 // several, more than chunks, more than faults — its detections, first-detection vectors and potentials are
 // the serial oracle's, and its evaluation counts are csim-C's.
 func TestCompiledGridMatchesSerial(t *testing.T) {
@@ -53,7 +53,7 @@ func TestCompiledGridMatchesSerial(t *testing.T) {
 			for _, k := range []int{1, 2, 3, 7, nf/512 + 1, nf/256 + 2, nf + 5} {
 				tag := fmt.Sprintf("%s/%s K=%d", circuit, model, k)
 				opt := GridOptions{FaultShards: k}
-				if !RunsCompiled(opt.Windows, vs.Len()) {
+				if !RunsCompiled(vs.Len()) {
 					t.Fatalf("%s: not on the compiled path", tag)
 				}
 				got, st, err := SimulateGrid(context.Background(), u, vs, opt)
@@ -64,8 +64,8 @@ func TestCompiledGridMatchesSerial(t *testing.T) {
 				if st.Evals != ref.Evals || st.Scheds != ref.Scheds || st.GoodEvals != ref.GoodEvals || st.Detections != want.NumDet {
 					t.Errorf("%s: stats %+v, csim-C %+v", tag, st, ref)
 				}
-				if ek, ew := opt.EffectiveShape(nf, vs.Len()); ek != compiled.Workers(k, nf) || ew != 1 {
-					t.Errorf("%s: effective shape %dx%d", tag, ek, ew)
+				if ek := opt.EffectiveShards(nf, vs.Len()); ek != compiled.Workers(k, nf) {
+					t.Errorf("%s: %d effective shards", tag, ek)
 				}
 			}
 		}
@@ -112,7 +112,7 @@ func TestCompiledShardsMergeToWhole(t *testing.T) {
 
 // TestCompiledGridThreshold straddles MinVectorsCompiled: at 63 vectors
 // the grid is interpreted, from 64 on compiled, and on either side the
-// result is the oracle's and equals the pinned-window interpreted grid's.
+// result is the oracle's.
 func TestCompiledGridThreshold(t *testing.T) {
 	c := testCircuit(t, 8700, 5, 4, 8, 90)
 	for _, u := range []*faults.Universe{faults.StuckCollapsed(c), faults.Transition(c)} {
@@ -120,17 +120,14 @@ func TestCompiledGridThreshold(t *testing.T) {
 			vs := vectors.Random(c, nv, int64(nv))
 			want := serial.Simulate(u, vs)
 			tag := fmt.Sprintf("%d faults, %d vectors", u.NumFaults(), nv)
-			auto := GridOptions{FaultShards: 2, Config: csim.MV()}
-			if got := RunsCompiled(auto.Windows, nv); got != (nv >= 64) {
+			if got := RunsCompiled(nv); got != (nv >= 64) {
 				t.Errorf("%s: compiled = %t", tag, got)
 			}
-			for _, opt := range []GridOptions{auto, {FaultShards: 2, Windows: 2, Config: csim.MV()}} {
-				got, _, err := SimulateGrid(context.Background(), u, vs, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertSameResult(t, fmt.Sprintf("%s, windows %d", tag, opt.Windows), want, got)
+			got, _, err := SimulateGrid(context.Background(), u, vs, GridOptions{FaultShards: 2, Config: csim.MV()})
+			if err != nil {
+				t.Fatal(err)
 			}
+			assertSameResult(t, tag, want, got)
 			parts := make([]*faults.Result, 2)
 			for k := range parts {
 				var err error
@@ -140,7 +137,7 @@ func TestCompiledGridThreshold(t *testing.T) {
 			}
 			assertSameResult(t, tag+", shards", want, faults.MergeResults(parts...))
 			plan := Decide(JobShape{Faults: u.NumFaults(), Vectors: nv, MaxProcs: 2})
-			if plan.Compiled != (nv >= 64) || plan.Windows != 1 {
+			if plan.Compiled != (nv >= 64) {
 				t.Errorf("%s: plan %v", tag, plan)
 			}
 		}
@@ -150,8 +147,8 @@ func TestCompiledGridThreshold(t *testing.T) {
 // TestCompiledGridObserved pins what the compiled path records: one
 // shard_start/shard_finish pair per worker (per pinned shard), whose
 // details start the way the interpreted path's do, a merge event, and
-// the merged totals and shape under "csim-grid." with no per-window
-// names.
+// the merged totals and shard count under "csim-grid." with no
+// per-shard names.
 func TestCompiledGridObserved(t *testing.T) {
 	u := universe(t, "s1494", "stuck")
 	vs := vectors.Random(u.Circuit, 64, 1)
@@ -191,13 +188,12 @@ func TestCompiledGridObserved(t *testing.T) {
 	if simulated != u.NumFaults() {
 		t.Errorf("workers report %d faults simulated, universe has %d", simulated, u.NumFaults())
 	}
-	if count(events, "merge", "csim-grid: 3x1 grid merged") != 1 {
+	if count(events, "merge", "csim-grid: 3 shards merged") != 1 {
 		t.Errorf("no merge event in %+v", events)
 	}
 	for name, want := range map[string]int64{
 		"csim-grid.evals": int64(st.Evals), "csim-grid.good_evals": int64(st.GoodEvals),
 		"csim-grid.detections": int64(res.NumDet), "csim-grid.fault_shards": 3,
-		"csim-grid.windows": 1, "csim-grid.repaired_faults": 0,
 	} {
 		if p, ok := reg.Get(name); !ok || p.Value != want {
 			t.Errorf("%s = %+v, want %d", name, p, want)

@@ -65,6 +65,7 @@ func (o Options) workers(n int) int {
 // and dealt round-robin, so every partition receives a similar mix of
 // shallow and deep fault sites — simulation cost tracks fault activity,
 // not fault count, and activity correlates with site depth.
+// Pinned by benchmark/; goes with ROADMAP item 3's [benchmark] refresh.
 //
 //simlint:deterministic
 func Partition(u *faults.Universe, k int) [][]int32 {
@@ -93,33 +94,60 @@ func Partition(u *faults.Universe, k int) [][]int32 {
 func Simulate(u *faults.Universe, vs *vectors.Set, opt Options) (*faults.Result, csim.Stats, error) {
 	ob := opt.Obs
 	k := opt.workers(u.NumFaults())
-	trace := goodsim.RecordObserved(u.Circuit, vs.Vecs, ob)
 	psp := ob.Span("partition")
 	parts := Partition(u, k)
 	psp.End()
+	res, merged, err := runParts(u, vs, parts, opt.Config, ob,
+		func(i int) string { return fmt.Sprintf("csim-P worker %d", i) }, WorkerPrefix)
+	if err != nil {
+		return nil, csim.Stats{}, err
+	}
+	ob.Recorder().Recordf("merge", "csim-P: %d workers merged, %d detected", k, res.NumDet)
+	ob.Logger().Debug("merge",
+		slog.String("phase", "merge"),
+		slog.Int("workers", k),
+		slog.Int("detected", res.NumDet))
+	if reg := ob.Registry(); reg != nil {
+		// Run totals next to the per-worker namespaces, via the same
+		// generic Stats tag table the merge uses.
+		csim.PublishStats(reg, MergedPrefix, merged)
+		reg.Gauge(MergedPrefix + "workers").Set(int64(k))
+	}
+	return res, merged, nil
+}
 
-	results := make([]*faults.Result, k)
-	stats := make([]csim.Stats, k)
-	errs := make([]error, k)
+// runParts is the interpreted fault-partition runner — csim-P, and
+// csim-grid and its pinned shards under MinVectorsCompiled vectors. The
+// good machine is recorded once; one csim simulator per part replays
+// that trace on its own goroutine; the per-part results and stats merge
+// deterministically. label names part i in flight events ("csim-P
+// worker 0"), prefix namespaces its metrics.
+func runParts(u *faults.Universe, vs *vectors.Set, parts [][]int32, cfg csim.Config, ob *obs.Observer,
+	label, prefix func(i int) string) (*faults.Result, csim.Stats, error) {
+
+	trace := goodsim.RecordObserved(u.Circuit, vs.Vecs, ob)
+	results := make([]*faults.Result, len(parts))
+	stats := make([]csim.Stats, len(parts))
+	errs := make([]error, len(parts))
 	fsp := ob.Span("fault-sim")
 	var wg sync.WaitGroup
 	for i := range parts {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			// Each worker publishes into its own metric namespace and
+			// Each part publishes into its own metric namespace and
 			// trace lane; lane 0 stays for the run-level phases.
 			wsp := ob.SpanTID(fmt.Sprintf("worker%d", i), i+1)
 			defer wsp.End()
-			ob.Recorder().Recordf("shard_start", "csim-P worker %d: %d faults", i, len(parts[i]))
+			ob.Recorder().Recordf("shard_start", "%s: %d faults", label(i), len(parts[i]))
 			ob.Logger().Debug("shard start",
 				slog.String("phase", "fault-sim"),
 				slog.Int("shard", i),
 				slog.Int("faults", len(parts[i])))
-			cfg := opt.Config
-			cfg.Obs = ob
-			cfg.ObsPrefix = WorkerPrefix(i)
-			sim, err := csim.NewPartition(u, cfg, parts[i])
+			pcfg := cfg
+			pcfg.Obs = ob
+			pcfg.ObsPrefix = prefix(i)
+			sim, err := csim.NewPartition(u, pcfg, parts[i])
 			if err != nil {
 				errs[i] = err
 				return
@@ -130,7 +158,7 @@ func Simulate(u *faults.Universe, vs *vectors.Set, opt Options) (*faults.Result,
 			}
 			results[i] = sim.Run(vs)
 			stats[i] = sim.Stats()
-			ob.Recorder().Recordf("shard_finish", "csim-P worker %d: %d detected", i, results[i].NumDet)
+			ob.Recorder().Recordf("shard_finish", "%s: %d detected", label(i), results[i].NumDet)
 			ob.Logger().Debug("shard finish",
 				slog.String("phase", "fault-sim"),
 				slog.Int("shard", i),
@@ -148,17 +176,6 @@ func Simulate(u *faults.Universe, vs *vectors.Set, opt Options) (*faults.Result,
 	res := faults.MergeResults(results...)
 	merged := csim.MergeStats(stats...)
 	msp.End()
-	ob.Recorder().Recordf("merge", "csim-P: %d workers merged, %d detected", k, res.NumDet)
-	ob.Logger().Debug("merge",
-		slog.String("phase", "merge"),
-		slog.Int("workers", k),
-		slog.Int("detected", res.NumDet))
-	if reg := ob.Registry(); reg != nil {
-		// Run totals next to the per-worker namespaces, via the same
-		// generic Stats tag table the merge uses.
-		csim.PublishStats(reg, MergedPrefix, merged)
-		reg.Gauge(MergedPrefix + "workers").Set(int64(k))
-	}
 	return res, merged, nil
 }
 

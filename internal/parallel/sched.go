@@ -13,24 +13,21 @@ import (
 	"repro/internal/vectors"
 )
 
-// The scheduler: given a job's shape, pick the grid plan an unpinned
-// csim-grid job runs. The plan is a fault split, K×1, on one of two
+// The scheduler: given a job's shape, pick the plan an unpinned
+// csim-grid job runs. The plan is a K-way fault split on one of two
 // kernels:
 //
 //   - From MinVectorsCompiled vectors on, the K shards are workers of
-//     one compiled bit-parallel run. Its packed passes need no vector
-//     windows, and its workers pull chunks of faults off one counter, so
-//     the fault axis offers one worker per chunk (compiled.Workers).
+//     one compiled bit-parallel run. Its workers pull chunks of faults
+//     off one counter, so the fault axis offers one worker per chunk
+//     (compiled.Workers).
 //   - Below that, the K shards are interpreted csim-MV simulators over a
 //     shared good trace. A shard below MinFaultsPerShard faults drowns
 //     in per-shard fixed cost (trace replay, full first-cycle sweep), so
 //     the fault axis offers at most Faults/MinFaultsPerShard shards.
 //
-// Either way K is bounded by the processor budget. Vector windows are
-// never planned: a window worth its speculation needs some 32 cycles,
-// and a sequence with room for two of them is already long enough for
-// the compiled kernel. They remain available pinned (GridOptions.Windows
-// > 1), which also pins the interpreted kernel.
+// Either way K is bounded by the processor budget. The vector axis is
+// not split: the compiled kernel already packs 64 cycles into the word.
 //
 // The decision is a pure function of the JobShape, so the same job
 // always gets the same plan.
@@ -39,10 +36,10 @@ import (
 // below it another shard costs more in fixed overhead than it saves.
 const MinFaultsPerShard = 64
 
-// MinVectorsCompiled is the vector count from which a grid without
-// pinned vector windows runs the compiled kernel (internal/compiled):
-// below one full 64-lane word the packed passes run partly empty and the
-// one-time compile plus packed-trace cost is not amortized.
+// MinVectorsCompiled is the vector count from which a grid runs the
+// compiled kernel (internal/compiled): below one full 64-lane word the
+// packed passes run partly empty and the one-time compile plus
+// packed-trace cost is not amortized.
 const MinVectorsCompiled = 64
 
 // JobShape describes one simulation job for the scheduler.
@@ -59,13 +56,10 @@ type JobShape struct {
 	MaxProcs int
 }
 
-// Plan is the scheduler's decision: a K×W fault×vector grid. The
-// scheduler itself only plans W = 1, a pure fault split.
+// Plan is the scheduler's decision: a K-way fault split and its kernel.
 type Plan struct {
 	// FaultShards is K, the fault-partition count.
 	FaultShards int
-	// Windows is W, the vector-window count.
-	Windows int
 	// Compiled says which kernel runs the plan: the vector sequence is
 	// long enough (MinVectorsCompiled) that the shards are workers of one
 	// compiled bit-parallel run (the csim-C kernel) instead of
@@ -73,13 +67,14 @@ type Plan struct {
 	Compiled bool
 }
 
-// String renders the plan as "KxW", with a "+C" suffix when the
-// compiled kernel runs it.
+// String renders the plan as "Kx1" — the shape a job result reports as
+// workers x windows — with a "+C" suffix when the compiled kernel runs
+// it.
 func (p Plan) String() string {
 	if p.Compiled {
-		return fmt.Sprintf("%dx%d+C", p.FaultShards, p.Windows)
+		return fmt.Sprintf("%dx1+C", p.FaultShards)
 	}
-	return fmt.Sprintf("%dx%d", p.FaultShards, p.Windows)
+	return fmt.Sprintf("%dx1", p.FaultShards)
 }
 
 // Decide picks the grid shape for a job. It is deterministic: equal
@@ -93,30 +88,29 @@ func Decide(sh JobShape) Plan {
 // Explain is Decide plus the verdict's reasoning: the same plan and a
 // one-line account of the fault axis' capacity and the kernel chosen —
 // what the flight recorder stores so a postmortem shows not just the
-// K×W split but why it was chosen.
+// split but why it was chosen.
 func Explain(sh JobShape) (Plan, string) {
 	p := sh.MaxProcs
 	if p <= 0 {
 		p = runtime.NumCPU()
 	}
-	compiledOK := RunsCompiled(1, sh.Vectors)
+	compiledOK := RunsCompiled(sh.Vectors)
 	k, why := min(p, sh.Faults/MinFaultsPerShard), "too few vectors for the compiled kernel, one interpreted simulator per 64 faults at most"
 	if compiledOK {
-		k, why = compiled.Workers(p, sh.Faults), "compiled passes need no windows, one worker per chunk of 256 faults at most"
+		k, why = compiled.Workers(p, sh.Faults), "one compiled worker per chunk of 256 faults at most"
 	}
-	plan := Plan{FaultShards: max(1, k), Windows: 1, Compiled: compiledOK}
+	plan := Plan{FaultShards: max(1, k), Compiled: compiledOK}
 	return plan, fmt.Sprintf("procs=%d faults=%d compiled_ok=%t: %s", p, sh.Faults, compiledOK, why)
 }
 
 // DecideObserved is Explain with the verdict published: the
-// "sched.fault_shards" / "sched.windows" / "sched.max_procs" gauges, a
+// "sched.fault_shards" / "sched.max_procs" gauges, a
 // "decide" flight event carrying the plan and its reasoning, and one
 // info log record.
 func DecideObserved(sh JobShape, ob *obs.Observer) Plan {
 	plan, why := Explain(sh)
 	if reg := ob.Registry(); reg != nil {
 		reg.Gauge("sched.fault_shards").Set(int64(plan.FaultShards))
-		reg.Gauge("sched.windows").Set(int64(plan.Windows))
 		mp := sh.MaxProcs
 		if mp <= 0 {
 			mp = runtime.NumCPU()
@@ -127,7 +121,6 @@ func DecideObserved(sh JobShape, ob *obs.Observer) Plan {
 	ob.Logger().Info("sched decide",
 		slog.String("phase", "decide"),
 		slog.Int("fault_shards", plan.FaultShards),
-		slog.Int("windows", plan.Windows),
 		slog.String("why", why))
 	return plan
 }
@@ -148,7 +141,7 @@ type AutoOptions struct {
 	Obs *obs.Observer
 }
 
-// SimulateAuto lets the scheduler pick the grid shape for the job and
+// SimulateAuto lets the scheduler pick the shard count for the job and
 // runs it, returning the merged result, summed stats and the plan used.
 func SimulateAuto(ctx context.Context, u *faults.Universe, vs *vectors.Set, opt AutoOptions) (*faults.Result, csim.Stats, Plan, error) {
 	plan := DecideObserved(JobShape{
@@ -159,7 +152,6 @@ func SimulateAuto(ctx context.Context, u *faults.Universe, vs *vectors.Set, opt 
 	}, opt.Obs)
 	res, st, err := SimulateGrid(ctx, u, vs, GridOptions{
 		FaultShards: plan.FaultShards,
-		Windows:     plan.Windows,
 		Config:      opt.Config,
 		Program:     opt.Program,
 		Obs:         opt.Obs,

@@ -12,8 +12,8 @@ import (
 	"repro/internal/vectors"
 )
 
-// TestDecidePlansFaultSplit is the table-driven scheduler test: every
-// plan is K×1; from 64 vectors on it is compiled, with one worker per
+// TestDecidePlansFaultSplit is the table-driven scheduler test: from
+// 64 vectors on the plan is compiled, with one worker per
 // chunk of 256 faults up to the processor budget, and below that it is
 // interpreted, with one shard per 64 faults up to the budget.
 func TestDecidePlansFaultSplit(t *testing.T) {
@@ -24,61 +24,61 @@ func TestDecidePlansFaultSplit(t *testing.T) {
 	}{
 		{"tiny circuit, huge vectors",
 			JobShape{Gates: 100, Faults: 50, Vectors: 10000, MaxProcs: 8},
-			Plan{FaultShards: 1, Windows: 1, Compiled: true}},
+			Plan{FaultShards: 1, Compiled: true}},
 		{"huge fault list, short vectors",
 			JobShape{Gates: 50000, Faults: 100000, Vectors: 40, MaxProcs: 8},
-			Plan{FaultShards: 8, Windows: 1}},
+			Plan{FaultShards: 8}},
 		{"both large",
 			JobShape{Gates: 50000, Faults: 100000, Vectors: 10000, MaxProcs: 8},
-			Plan{FaultShards: 8, Windows: 1, Compiled: true}},
+			Plan{FaultShards: 8, Compiled: true}},
 		{"both large, two procs",
 			JobShape{Gates: 50000, Faults: 100000, Vectors: 10000, MaxProcs: 2},
-			Plan{FaultShards: 2, Windows: 1, Compiled: true}},
+			Plan{FaultShards: 2, Compiled: true}},
 		{"compiled, one chunk",
 			JobShape{Gates: 1000, Faults: 256, Vectors: 64, MaxProcs: 8},
-			Plan{FaultShards: 1, Windows: 1, Compiled: true}},
+			Plan{FaultShards: 1, Compiled: true}},
 		{"compiled, a second chunk of one fault",
 			JobShape{Gates: 1000, Faults: 257, Vectors: 64, MaxProcs: 8},
-			Plan{FaultShards: 2, Windows: 1, Compiled: true}},
+			Plan{FaultShards: 2, Compiled: true}},
 		{"compiled, chunks cap the budget",
 			JobShape{Gates: 1000, Faults: 700, Vectors: 10000, MaxProcs: 8},
-			Plan{FaultShards: 3, Windows: 1, Compiled: true}},
+			Plan{FaultShards: 3, Compiled: true}},
 		{"s5378 transition on two cores",
 			JobShape{Gates: 2993, Faults: 5966, Vectors: 256, MaxProcs: 2},
-			Plan{FaultShards: 2, Windows: 1, Compiled: true}},
+			Plan{FaultShards: 2, Compiled: true}},
 		{"one vector short of compiled",
 			JobShape{Gates: 1000, Faults: 700, Vectors: 63, MaxProcs: 16},
-			Plan{FaultShards: 10, Windows: 1}},
+			Plan{FaultShards: 10}},
 		{"interpreted, fault floor caps the budget",
 			JobShape{Gates: 1000, Faults: 150, Vectors: 40, MaxProcs: 8},
-			Plan{FaultShards: 2, Windows: 1}},
+			Plan{FaultShards: 2}},
 		{"tiny everything",
 			JobShape{Gates: 20, Faults: 30, Vectors: 20, MaxProcs: 8},
-			Plan{FaultShards: 1, Windows: 1}},
+			Plan{FaultShards: 1}},
 		{"no faults",
 			JobShape{Gates: 20, Faults: 0, Vectors: 100, MaxProcs: 8},
-			Plan{FaultShards: 1, Windows: 1, Compiled: true}},
+			Plan{FaultShards: 1, Compiled: true}},
 		{"single proc",
 			JobShape{Gates: 50000, Faults: 100000, Vectors: 10000, MaxProcs: 1},
-			Plan{FaultShards: 1, Windows: 1, Compiled: true}},
+			Plan{FaultShards: 1, Compiled: true}},
 	}
 	for _, tc := range cases {
 		got, why := Explain(tc.sh)
 		if got != tc.want {
 			t.Errorf("%s: Decide(%+v) = %v, want %v", tc.name, tc.sh, got, tc.want)
 		}
-		if got.FaultShards*got.Windows > maxProcsOf(tc.sh) {
+		if got.FaultShards > maxProcsOf(tc.sh) {
 			t.Errorf("%s: plan %v exceeds the processor budget %d", tc.name, got, maxProcsOf(tc.sh))
 		}
 		if wantOK := fmt.Sprintf("compiled_ok=%t", tc.want.Compiled); !strings.Contains(why, wantOK) {
 			t.Errorf("%s: reasoning %q lacks %s", tc.name, why, wantOK)
 		}
-		// The plan is the shape the grid then runs, on the kernel it names.
-		opt := GridOptions{FaultShards: got.FaultShards, Windows: got.Windows}
-		if k, w := opt.EffectiveShape(tc.sh.Faults, tc.sh.Vectors); tc.sh.Faults > 0 && (k != got.FaultShards || w != got.Windows) {
-			t.Errorf("%s: plan %v runs as %dx%d", tc.name, got, k, w)
+		// The plan is the split the grid then runs, on the kernel it names.
+		opt := GridOptions{FaultShards: got.FaultShards}
+		if k := opt.EffectiveShards(tc.sh.Faults, tc.sh.Vectors); tc.sh.Faults > 0 && k != got.FaultShards {
+			t.Errorf("%s: plan %v runs on %d shards", tc.name, got, k)
 		}
-		if RunsCompiled(opt.Windows, tc.sh.Vectors) != got.Compiled {
+		if RunsCompiled(tc.sh.Vectors) != got.Compiled {
 			t.Errorf("%s: plan %v, grid compiled = %t", tc.name, got, !got.Compiled)
 		}
 	}
@@ -128,14 +128,11 @@ func TestSimulateAuto(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameResult(t, "auto "+plan.String(), want, res)
-	if plan.FaultShards < 1 || plan.Windows < 1 || plan.FaultShards*plan.Windows > 4 {
+	if plan.FaultShards < 1 || plan.FaultShards > 4 {
 		t.Errorf("plan %v outside the MaxProcs=4 budget", plan)
 	}
 	if p, ok := reg.Get("sched.fault_shards"); !ok || p.Value != int64(plan.FaultShards) {
 		t.Errorf("sched.fault_shards gauge = %+v, want %d", p, plan.FaultShards)
-	}
-	if p, ok := reg.Get("sched.windows"); !ok || p.Value != int64(plan.Windows) {
-		t.Errorf("sched.windows gauge = %+v, want %d", p, plan.Windows)
 	}
 	if p, ok := reg.Get("sched.max_procs"); !ok || p.Value != 4 {
 		t.Errorf("sched.max_procs gauge = %+v, want 4", p)

@@ -8,7 +8,6 @@ import (
 	"repro/internal/compiled"
 	"repro/internal/csim"
 	"repro/internal/faults"
-	"repro/internal/goodsim"
 	"repro/internal/obs"
 	"repro/internal/vectors"
 )
@@ -20,18 +19,14 @@ import (
 // computes Partition(u, Of) agrees on which faults shard k holds, and
 // MergeResults over all Of shard results is bit-identical to a local
 // SimulateGrid (and hence to the serial oracle). The kernel is chosen as
-// in a local grid (RunsCompiled): the compiled one runs the
-// shard's fault IDs on Workers workers over a packed trace this node
-// computes for itself, the interpreted one runs them in Windows windows.
+// in a local grid (RunsCompiled): the compiled one runs the shard's
+// fault IDs on Workers workers over a packed trace this node computes
+// for itself, the interpreted one runs them on one simulator (runParts).
 type ShardOptions struct {
 	// Shard is the fault-partition index in [0, Of).
 	Shard int
-	// Of is the total fault-partition count (K of the K×W grid).
+	// Of is the total fault-partition count K.
 	Of int
-	// Windows is the vector-window count run locally over the shard's
-	// faults; <= 0 means 1. Clamped to the vector count. Above 1 it pins
-	// the interpreted window pipeline.
-	Windows int
 	// Workers bounds the compiled path's in-process workers over the
 	// shard's faults (compiled.Workers applies: one per chunk of 256
 	// faults at most); <= 0 means 1.
@@ -44,7 +39,7 @@ type ShardOptions struct {
 	Program *compiled.Program
 	// Obs attaches the observability layer: the shard publishes under
 	// "csim-grid.shard<k>." — its totals on the compiled path, its
-	// windows' metrics on the interpreted one. Nil disables
+	// simulator's metrics on the interpreted one. Nil disables
 	// observability.
 	Obs *obs.Observer
 }
@@ -75,32 +70,12 @@ func SimulateShard(ctx context.Context, u *faults.Universe, vs *vectors.Set, opt
 		// result merges as a no-op.
 		return faults.NewResult(u), csim.Stats{}, nil
 	}
-	if RunsCompiled(opt.Windows, vs.Len()) {
+	if RunsCompiled(vs.Len()) {
 		return shardCompiled(ctx, u, vs, opt, part)
 	}
-	w := max(1, min(opt.Windows, vs.Len()))
-	trace := goodsim.RecordObserved(u.Circuit, vs.Vecs, ob)
-	ob.Recorder().Recordf("shard_start", "shard %d of %d: %d faults over %d windows",
-		opt.Shard, opt.Of, len(part), w)
-	ob.Logger().Debug("shard start",
-		slog.String("phase", "fault-sim"),
-		slog.Int("shard", opt.Shard),
-		slog.Int("of", opt.Of),
-		slog.Int("faults", len(part)),
-		slog.Int("windows", w))
-	res, st, repaired, err := simulateWindows(
-		u, vs, trace, part, w, opt.Config, ob, GridShardPrefix(opt.Shard), opt.Shard*w)
-	if err != nil {
-		return nil, csim.Stats{}, err
-	}
-	ob.Recorder().Recordf("shard_finish", "shard %d of %d: %d detected, %d repaired",
-		opt.Shard, opt.Of, res.NumDet, repaired)
-	ob.Logger().Debug("shard finish",
-		slog.String("phase", "fault-sim"),
-		slog.Int("shard", opt.Shard),
-		slog.Int("detected", res.NumDet),
-		slog.Int("repaired", repaired))
-	return res, st, nil
+	return runParts(u, vs, [][]int32{part}, opt.Config, ob,
+		func(int) string { return fmt.Sprintf("shard %d of %d", opt.Shard, opt.Of) },
+		func(int) string { return GridShardPrefix(opt.Shard) })
 }
 
 // shardCompiled runs the shard's faults, in partition order, on the

@@ -19,12 +19,12 @@ func TestSimulateShardMergesToSerial(t *testing.T) {
 	for _, tc := range []struct {
 		circuit string
 		model   string
-		k, w    int
+		k       int
 	}{
-		{"s344", "stuck", 3, 2},
-		{"s344", "transition", 2, 3},
-		{"s526", "stuck", 4, 1},
-		{"s526", "transition", 1, 4},
+		{"s344", "stuck", 3},
+		{"s344", "transition", 2},
+		{"s526", "stuck", 4},
+		{"s526", "transition", 1},
 	} {
 		ckt, err := iscas.Get(tc.circuit)
 		if err != nil {
@@ -43,7 +43,7 @@ func TestSimulateShardMergesToSerial(t *testing.T) {
 		stats := make([]csim.Stats, tc.k)
 		for k := 0; k < tc.k; k++ {
 			parts[k], stats[k], err = SimulateShard(context.Background(), u, vs, ShardOptions{
-				Shard: k, Of: tc.k, Windows: tc.w, Config: csim.MV(),
+				Shard: k, Of: tc.k, Config: csim.MV(),
 			})
 			if err != nil {
 				t.Fatalf("%s/%s shard %d: %v", tc.circuit, tc.model, k, err)
@@ -51,14 +51,14 @@ func TestSimulateShardMergesToSerial(t *testing.T) {
 		}
 		got := faults.MergeResults(parts...)
 		if diff := want.Diff(got); diff != "" {
-			t.Errorf("%s/%s %dx%d: merged shards differ from serial:\n%s",
-				tc.circuit, tc.model, tc.k, tc.w, diff)
+			t.Errorf("%s/%s K=%d: merged shards differ from serial:\n%s",
+				tc.circuit, tc.model, tc.k, diff)
 		}
 
 		// The merged shard stats equal a local grid run's merged stats:
 		// per-shard work is identical, only the placement differs.
 		gridRes, gridStats, err := SimulateGrid(context.Background(), u, vs, GridOptions{
-			FaultShards: tc.k, Windows: tc.w, Config: csim.MV(),
+			FaultShards: tc.k, Config: csim.MV(),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -67,8 +67,8 @@ func TestSimulateShardMergesToSerial(t *testing.T) {
 			t.Errorf("%s/%s: shards differ from local grid:\n%s", tc.circuit, tc.model, diff)
 		}
 		if merged := csim.MergeStats(stats...); merged != gridStats {
-			t.Errorf("%s/%s %dx%d: shard stats %+v != grid stats %+v",
-				tc.circuit, tc.model, tc.k, tc.w, merged, gridStats)
+			t.Errorf("%s/%s K=%d: shard stats %+v != grid stats %+v",
+				tc.circuit, tc.model, tc.k, merged, gridStats)
 		}
 	}
 }
@@ -83,7 +83,7 @@ func TestSimulateShardEmptyPartition(t *testing.T) {
 	u := faults.StuckCollapsed(ckt)
 	vs := vectors.Random(ckt, 8, 1)
 	k := u.NumFaults() + 3
-	res, st, err := SimulateShard(context.Background(), u, vs, ShardOptions{Shard: k - 1, Of: k, Windows: 2, Config: csim.MV()})
+	res, st, err := SimulateShard(context.Background(), u, vs, ShardOptions{Shard: k - 1, Of: k, Config: csim.MV()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,7 +47,7 @@ func (cc *Compiled) Program() *compiled.Program {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
 	if cc.program == nil {
-		cc.program = compiled.Compile(cc.Circuit, nil)
+		cc.program = compiled.Compile(cc.Circuit)
 	}
 	return cc.program
 }
@@ -76,39 +76,28 @@ func (cc *Compiled) Universe(model string) (*faults.Universe, error) {
 }
 
 // Plan returns the memoized macro plan for a csim configuration,
-// extracting it on first use. The plan key distinguishes trivial,
-// fanout-free and reconvergent extraction at each MacroMaxInputs.
+// extracting it on first use. The plan key distinguishes trivial and
+// fanout-free extraction at each MacroMaxInputs.
 func (cc *Compiled) Plan(cfg csim.Config) (*macro.Plan, error) {
 	maxIn := cfg.MacroMaxInputs
 	if maxIn == 0 {
 		maxIn = macro.DefaultMaxInputs
 	}
-	var key string
-	switch {
-	case cfg.ReconvergentMacros:
-		key = fmt.Sprintf("reconv:%d", maxIn)
-	case cfg.Macros:
+	key := "trivial"
+	if cfg.Macros {
 		key = fmt.Sprintf("ffr:%d", maxIn)
-	default:
-		key = "trivial"
 	}
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
 	if p, ok := cc.plans[key]; ok {
 		return p, nil
 	}
-	var p *macro.Plan
-	var err error
-	switch {
-	case cfg.ReconvergentMacros:
-		p, err = macro.ExtractReconvergent(cc.Circuit, maxIn)
-	case cfg.Macros:
-		p, err = macro.Extract(cc.Circuit, maxIn)
-	default:
-		p = macro.Trivial(cc.Circuit)
-	}
-	if err != nil {
-		return nil, err
+	p := macro.Trivial(cc.Circuit)
+	if cfg.Macros {
+		var err error
+		if p, err = macro.Extract(cc.Circuit, maxIn); err != nil {
+			return nil, err
+		}
 	}
 	cc.plans[key] = p
 	return p, nil

@@ -38,8 +38,7 @@ var (
 	// Models lists the accepted fault models.
 	Models = []string{"stuck", "stuck-all", "transition"}
 	// Engines lists the accepted engine names.
-	Engines = []string{"csim", "csim-V", "csim-M", "csim-MV",
-		"csim-MV-eagerdrop", "csim-MV-reconvergent", "csim-P", "csim-V2",
+	Engines = []string{"csim", "csim-V", "csim-M", "csim-MV", "csim-P",
 		"csim-grid", "csim-C", "PROOFS", "serial"}
 )
 
@@ -65,21 +64,18 @@ type JobSpec struct {
 	// Model is the fault model: stuck (default), stuck-all, transition.
 	Model string `json:"model,omitempty"`
 	// Engine selects the simulator: csim, csim-V, csim-M, csim-MV
-	// (default), csim-MV-eagerdrop, csim-MV-reconvergent, csim-P, csim-V2,
-	// csim-grid, csim-C (compiled bit-parallel; reuses the circuit's
-	// cached compiled program), PROOFS, serial.
+	// (default), csim-P, csim-grid, csim-C (compiled bit-parallel; reuses
+	// the circuit's cached compiled program), PROOFS, serial.
 	Engine string `json:"engine,omitempty"`
 	// Workers is the csim-P partition worker count, the csim-C worker
 	// count, or the csim-grid fault-shard count (<=0: server default; for
-	// csim-grid, <=0 with Windows <=0 lets the scheduler plan the whole
-	// shape). With 64 vectors or more and no pinned windows, csim-grid's
-	// shards are workers of the compiled kernel; csim-C and those run at
-	// most one worker per 256 faults.
+	// csim-grid, the scheduler's plan). With 64 vectors or more
+	// csim-grid's shards are workers of the compiled kernel; csim-C and
+	// those run at most one worker per 256 faults.
 	Workers int `json:"workers,omitempty"`
-	// Windows is the csim-V2 / csim-grid vector-window count (<=0: server
-	// default for csim-V2; scheduler-planned for csim-grid when Workers is
-	// also <=0). Above 1 it pins csim-grid to interpreted simulators over
-	// speculative vector windows.
+	// Windows is the removed vector-window count: 0 and 1 are accepted
+	// and mean the same thing, more is a 400. Pinned by benchmark/ (its
+	// shard specs send 1); goes with ROADMAP item 3's [benchmark] refresh.
 	Windows int `json:"windows,omitempty"`
 	// Random asks for this many seeded random vectors. Exactly one of
 	// Random and Vectors must be set.
@@ -96,8 +92,7 @@ type JobSpec struct {
 	// partitioner into FaultShards groups and only group FaultShard is
 	// simulated. 0 (the default) simulates the whole universe. Shard
 	// specs require engine csim-grid — they are what a distributed
-	// coordinator submits to worker nodes, with Windows carrying the
-	// vector-axis width of the shard.
+	// coordinator submits to worker nodes.
 	FaultShards int `json:"fault_shards,omitempty"`
 	// FaultShard is the partition index in [0, FaultShards) when
 	// FaultShards > 0.
@@ -135,6 +130,9 @@ func (sp *JobSpec) normalize() error {
 	}
 	if !contains(Engines, sp.Engine) {
 		return fmt.Errorf("unknown engine %q (engines: %s)", sp.Engine, strings.Join(Engines, " | "))
+	}
+	if sp.Windows > 1 {
+		return fmt.Errorf("vector windows were removed; csim-grid plans fault shards only")
 	}
 	if sp.Engine == "PROOFS" && sp.Model == "transition" {
 		return fmt.Errorf("engine PROOFS simulates stuck-at faults only")
@@ -209,6 +207,8 @@ type DetectionsView struct {
 }
 
 // NewDetectionsView extracts the detection payload from a result.
+// Pinned, with Result, by benchmark/; goes with ROADMAP item 3's
+// [benchmark] refresh.
 func NewDetectionsView(res *faults.Result) *DetectionsView {
 	dv := &DetectionsView{DetectedAt: make([]int32, len(res.DetectedAt))}
 	copy(dv.DetectedAt, res.DetectedAt)
@@ -354,8 +354,9 @@ type ResultView struct {
 	// Workers is the csim-P partition / csim-C worker / csim-grid
 	// fault-shard count the run used (0 otherwise).
 	Workers int `json:"workers,omitempty"`
-	// Windows is the csim-V2 / csim-grid vector-window count (0
-	// otherwise).
+	// Windows is 1 on every csim-grid result (0 otherwise). Pinned by
+	// benchmark/ (it reads the plan as workers x windows); goes with
+	// ROADMAP item 3's [benchmark] refresh.
 	Windows int `json:"windows,omitempty"`
 	// RunNS is the measured engine wall time in nanoseconds.
 	RunNS int64 `json:"run_ns"`
@@ -425,8 +426,8 @@ type JobView struct {
 // Postmortem is the flight-recorder dump served at
 // GET /api/v1/jobs/{id}/debug: the job's identity and terminal state
 // plus every retained lifecycle event — admission, queueing, cache
-// verdict, the scheduler's K×W decision and why, shard/window
-// start/finish, repair counts, merge — oldest first. It is most useful
+// verdict, the scheduler's decision and why, shard start/finish,
+// merge — oldest first. It is most useful
 // for failed, timed-out or cancelled jobs, but is available for any
 // job still retained.
 type Postmortem struct {
@@ -633,7 +634,9 @@ func (j *job) currentStatus() Status {
 }
 
 // setDistPhase records the coordinator state-machine phase (surfaced in
-// JobView.DistPhase) and mirrors it into the flight recorder.
+// JobView.DistPhase) and mirrors it into the flight recorder. The
+// dist_phase kind (like server.go's run_start) is pinned by benchmark/
+// and goes with ROADMAP item 3's [benchmark] refresh.
 func (j *job) setDistPhase(phase string) {
 	j.mu.Lock()
 	j.distPhase = phase

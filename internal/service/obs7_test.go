@@ -158,7 +158,7 @@ func TestObservabilityDoesNotChangeDetections(t *testing.T) {
 
 // TestTimedOutJobPostmortemHasDecide forces an auto-planned grid job to
 // time out and checks its /debug postmortem still carries the
-// scheduler's K×W verdict: Decide runs (and is recorded) before the
+// scheduler's verdict: Decide runs (and is recorded) before the
 // engine's cancellation check, so even a job that never simulates a
 // cycle explains what shape it would have run.
 func TestTimedOutJobPostmortemHasDecide(t *testing.T) {

@@ -18,7 +18,7 @@ import (
 // BuildVectors materializes the job's vector spec against the compiled
 // circuit. Inline vector parse errors are user errors (400 at admission,
 // where this is first called). The distributed coordinator calls it too,
-// to size the vector axis before planning a K×W split.
+// to pick the kernel before planning the fault split.
 func BuildVectors(spec *JobSpec, cc *Compiled) (*vectors.Set, error) {
 	numPIs := len(cc.Circuit.PIs)
 	if spec.Vectors != "" {
@@ -37,11 +37,10 @@ func BuildVectors(spec *JobSpec, cc *Compiled) (*vectors.Set, error) {
 // execute runs one admitted job's engine under ctx and returns the
 // result view. Cancellation granularity: the csim variants check the
 // context between clock cycles; csim-C, and csim-grid wherever it runs
-// the compiled kernel (64 vectors or more, no pinned windows), between
-// fault chunks and between a chunk's 64-cycle blocks; csim-P, csim-V2,
-// csim-grid on interpreted windows, PROOFS and serial check it only
-// before starting (a cancelled running job of those engines finishes
-// its simulation, then reports cancelled).
+// the compiled kernel (64 vectors or more), between fault chunks and
+// between a chunk's 64-cycle blocks; csim-P, csim-grid under 64 vectors,
+// PROOFS and serial check it only before starting (a cancelled running
+// job of those engines finishes its simulation, then reports cancelled).
 func execute(ctx context.Context, spec *JobSpec, cc *Compiled, ob *obs.Observer, prefix string, workersDefault int) (*ResultView, error) {
 	u, err := cc.Universe(spec.Model)
 	if err != nil {
@@ -51,19 +50,18 @@ func execute(ctx context.Context, spec *JobSpec, cc *Compiled, ob *obs.Observer,
 	if err != nil {
 		return nil, err
 	}
-	// For the scheduler-planned grid, decide (and record) the K×W
-	// verdict before the cancellation check below: a job that times out
+	// For the scheduler-planned grid, decide (and record) the shard
+	// count before the cancellation check below: a job that times out
 	// before its engine starts still carries the decision in its
 	// postmortem.
-	var autoPlan *parallel.Plan
-	if spec.Engine == "csim-grid" && spec.FaultShards == 0 && spec.Workers <= 0 && spec.Windows <= 0 {
-		plan := parallel.DecideObserved(parallel.JobShape{
+	gridShards := spec.Workers
+	if spec.Engine == "csim-grid" && spec.FaultShards == 0 && spec.Workers <= 0 {
+		gridShards = parallel.DecideObserved(parallel.JobShape{
 			Gates:    len(cc.Circuit.Gates),
 			Faults:   u.NumFaults(),
 			Vectors:  vs.Len(),
 			MaxProcs: workersDefault,
-		}, ob)
-		autoPlan = &plan
+		}, ob).FaultShards
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -121,49 +119,27 @@ func execute(ctx context.Context, spec *JobSpec, cc *Compiled, ob *obs.Observer,
 			return nil, err
 		}
 		fillStats(rv, st)
-	case "csim-V2":
-		windows := spec.Windows
-		if windows <= 0 {
-			windows = workersDefault
-		}
-		cfg := csim.MV()
-		cfg.Plan, err = cc.Plan(cfg)
-		if err != nil {
-			return nil, err
-		}
-		opt := parallel.VOptions{Windows: windows, Config: cfg, Obs: ob}
-		rv.Windows = opt.EffectiveWindows(vs.Len())
-		var st csim.Stats
-		res, st, err = parallel.SimulateVectorSharded(u, vs, opt)
-		if err != nil {
-			return nil, err
-		}
-		fillStats(rv, st)
 	case "csim-grid":
-		opt := parallel.GridOptions{FaultShards: spec.Workers, Windows: spec.Windows, Config: csim.MV(), Obs: ob}
-		if autoPlan != nil {
-			// Neither axis pinned: run the shape the scheduler chose (and
-			// recorded) above.
-			opt.FaultShards, opt.Windows = autoPlan.FaultShards, autoPlan.Windows
-		}
+		opt := parallel.GridOptions{FaultShards: gridShards, Config: csim.MV(), Obs: ob}
 		// Only the kernel that runs gets its cached artifact: the macro
 		// plan costs a 34 ms extraction on a circuit's first job.
-		if parallel.RunsCompiled(opt.Windows, vs.Len()) {
+		if parallel.RunsCompiled(vs.Len()) {
 			opt.Program = cc.Program()
 		} else if opt.Config.Plan, err = cc.Plan(opt.Config); err != nil {
 			return nil, err
 		}
+		rv.Windows = 1 // pinned by benchmark/ (it reads the plan as workers x windows)
 		var st csim.Stats
 		if spec.FaultShards > 0 {
 			// One fault-partition slice of a distributed grid: exactly
 			// what a coordinator dispatches to this worker.
-			rv.Workers, rv.Windows = spec.FaultShards, max(spec.Windows, 1)
+			rv.Workers = spec.FaultShards
 			res, st, err = parallel.SimulateShard(ctx, u, vs, parallel.ShardOptions{
-				Shard: spec.FaultShard, Of: spec.FaultShards, Windows: spec.Windows, Workers: workersDefault,
+				Shard: spec.FaultShard, Of: spec.FaultShards, Workers: workersDefault,
 				Config: opt.Config, Program: opt.Program, Obs: ob,
 			})
 		} else {
-			rv.Workers, rv.Windows = opt.EffectiveShape(u.NumFaults(), vs.Len())
+			rv.Workers = opt.EffectiveShards(u.NumFaults(), vs.Len())
 			res, st, err = parallel.SimulateGrid(ctx, u, vs, opt)
 		}
 		if err != nil {
@@ -217,14 +193,6 @@ func engineConfig(engine string) csim.Config {
 		return csim.M()
 	case "csim-MV":
 		return csim.MV()
-	case "csim-MV-eagerdrop":
-		cfg := csim.MV()
-		cfg.EagerDrop = true
-		return cfg
-	case "csim-MV-reconvergent":
-		cfg := csim.MV()
-		cfg.ReconvergentMacros = true
-		return cfg
 	default:
 		return csim.Config{}
 	}

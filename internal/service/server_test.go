@@ -68,7 +68,7 @@ func TestJobMatchesSerialOracle(t *testing.T) {
 	_, cl := startServer(t, Config{Workers: 2})
 	ctx := ctxT(t)
 	want := oracle(t, "s298", "stuck", 40, 7)
-	for _, engine := range []string{"csim", "csim-V", "csim-M", "csim-MV", "csim-P", "csim-V2", "csim-grid", "csim-C", "PROOFS", "serial"} {
+	for _, engine := range []string{"csim", "csim-V", "csim-M", "csim-MV", "csim-P", "csim-grid", "csim-C", "PROOFS", "serial"} {
 		v, err := cl.Run(ctx, JobSpec{Circuit: "s298", Engine: engine, Random: 40, Seed: 7}, time.Millisecond)
 		if err != nil {
 			t.Fatalf("%s: %v", engine, err)
@@ -90,42 +90,35 @@ func TestJobMatchesSerialOracle(t *testing.T) {
 	}
 }
 
-func TestVectorShardedAndGridJobShapes(t *testing.T) {
+// TestGridJobShapes: a csim-grid result reports workers x 1, pinned or
+// planned, and windows 0 and 1 in the spec mean the same thing.
+func TestGridJobShapes(t *testing.T) {
 	_, cl := startServer(t, Config{Workers: 2})
 	ctx := ctxT(t)
 	want := oracle(t, "s298", "stuck", 40, 7)
 
-	v, err := cl.Run(ctx, JobSpec{Circuit: "s298", Engine: "csim-V2", Windows: 3, Random: 40, Seed: 7}, time.Millisecond)
-	if err != nil {
-		t.Fatalf("csim-V2: %v", err)
-	}
-	if v.Result == nil || v.Result.Detected != want.NumDet {
-		t.Fatalf("csim-V2 result %+v, oracle det %d", v.Result, want.NumDet)
-	}
-	if v.Result.Windows != 3 {
-		t.Errorf("csim-V2 windows = %d, want 3", v.Result.Windows)
-	}
-
-	v, err = cl.Run(ctx, JobSpec{Circuit: "s298", Engine: "csim-grid", Workers: 2, Windows: 2, Random: 40, Seed: 7}, time.Millisecond)
-	if err != nil {
-		t.Fatalf("csim-grid: %v", err)
-	}
-	if v.Result == nil || v.Result.Detected != want.NumDet {
-		t.Fatalf("csim-grid result %+v, oracle det %d", v.Result, want.NumDet)
-	}
-	if v.Result.Workers != 2 || v.Result.Windows != 2 {
-		t.Errorf("csim-grid shape = %dx%d, want 2x2", v.Result.Workers, v.Result.Windows)
+	for _, w := range []int{0, 1} {
+		v, err := cl.Run(ctx, JobSpec{Circuit: "s298", Engine: "csim-grid", Workers: 2, Windows: w, Random: 40, Seed: 7}, time.Millisecond)
+		if err != nil {
+			t.Fatalf("csim-grid: %v", err)
+		}
+		if v.Result == nil || v.Result.Detected != want.NumDet {
+			t.Fatalf("csim-grid result %+v, oracle det %d", v.Result, want.NumDet)
+		}
+		if v.Result.Workers != 2 || v.Result.Windows != 1 {
+			t.Errorf("csim-grid windows=%d shape = %dx%d, want 2x1", w, v.Result.Workers, v.Result.Windows)
+		}
 	}
 
-	// Neither axis pinned: the scheduler plans and the result records it.
-	v, err = cl.Run(ctx, JobSpec{Circuit: "s298", Engine: "csim-grid", Random: 40, Seed: 7}, time.Millisecond)
+	// Not pinned: the scheduler plans and the result records it.
+	v, err := cl.Run(ctx, JobSpec{Circuit: "s298", Engine: "csim-grid", Random: 40, Seed: 7}, time.Millisecond)
 	if err != nil {
 		t.Fatalf("auto csim-grid: %v", err)
 	}
 	if v.Result == nil || v.Result.Detected != want.NumDet {
 		t.Fatalf("auto csim-grid result %+v, oracle det %d", v.Result, want.NumDet)
 	}
-	if v.Result.Workers < 1 || v.Result.Windows < 1 {
+	if v.Result.Workers < 1 || v.Result.Windows != 1 {
 		t.Errorf("auto csim-grid did not record a shape: %+v", v.Result)
 	}
 }
@@ -422,25 +415,34 @@ func TestMalformedBenchIsStructured400(t *testing.T) {
 func TestSpecValidation400(t *testing.T) {
 	_, cl := startServer(t, Config{Workers: 1})
 	ctx := ctxT(t)
+	// A removed engine is any unknown name; so are the ablations, which
+	// only cmd/csim and cmd/tables run. The message lists the survivors.
+	survivors := "unknown engine %q (engines: csim | csim-V | csim-M | csim-MV | csim-P | csim-grid | csim-C | PROOFS | serial)"
 	cases := []struct {
-		name string
-		spec JobSpec
+		name    string
+		spec    JobSpec
+		wantMsg string
 	}{
-		{"neither circuit nor bench", JobSpec{Random: 4}},
-		{"both circuit and bench", JobSpec{Circuit: "s27", Bench: iscas.S27Bench, Random: 4}},
-		{"unknown engine", JobSpec{Circuit: "s27", Engine: "csim-X", Random: 4}},
-		{"unknown model", JobSpec{Circuit: "s27", Model: "bridging", Random: 4}},
-		{"PROOFS transition", JobSpec{Circuit: "s27", Engine: "PROOFS", Model: "transition", Random: 4}},
-		{"no vectors", JobSpec{Circuit: "s27"}},
-		{"both vector specs", JobSpec{Circuit: "s27", Random: 4, Vectors: "0000\n"}},
-		{"unknown suite circuit", JobSpec{Circuit: "s999999", Random: 4}},
-		{"bad inline vectors", JobSpec{Circuit: "s27", Vectors: "01\n"}},
+		{"neither circuit nor bench", JobSpec{Random: 4}, ""},
+		{"both circuit and bench", JobSpec{Circuit: "s27", Bench: iscas.S27Bench, Random: 4}, ""},
+		{"unknown engine", JobSpec{Circuit: "s27", Engine: "csim-X", Random: 4}, fmt.Sprintf(survivors, "csim-X")},
+		{"ablation eagerdrop", JobSpec{Circuit: "s27", Engine: "csim-MV-eagerdrop", Random: 4}, fmt.Sprintf(survivors, "csim-MV-eagerdrop")},
+		{"ablation reconvergent", JobSpec{Circuit: "s27", Engine: "csim-MV-reconvergent", Random: 4}, fmt.Sprintf(survivors, "csim-MV-reconvergent")},
+		{"vector windows", JobSpec{Circuit: "s27", Engine: "csim-grid", Windows: 2, Random: 4}, "vector windows were removed; csim-grid plans fault shards only"},
+		{"unknown model", JobSpec{Circuit: "s27", Model: "bridging", Random: 4}, ""},
+		{"PROOFS transition", JobSpec{Circuit: "s27", Engine: "PROOFS", Model: "transition", Random: 4}, ""},
+		{"no vectors", JobSpec{Circuit: "s27"}, ""},
+		{"both vector specs", JobSpec{Circuit: "s27", Random: 4, Vectors: "0000\n"}, ""},
+		{"unknown suite circuit", JobSpec{Circuit: "s999999", Random: 4}, ""},
+		{"bad inline vectors", JobSpec{Circuit: "s27", Vectors: "01\n"}, ""},
 	}
 	for _, tc := range cases {
 		_, err := cl.Submit(ctx, tc.spec)
 		var ae *APIError
 		if !errors.As(err, &ae) || ae.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: got %v, want 400", tc.name, err)
+		} else if tc.wantMsg != "" && ae.Msg != tc.wantMsg {
+			t.Errorf("%s: message %q, want %q", tc.name, ae.Msg, tc.wantMsg)
 		}
 	}
 }

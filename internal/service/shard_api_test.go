@@ -15,8 +15,8 @@ import (
 // TestFaultShardJobsMergeToOracle runs every shard of a K-way split as
 // its own job — exactly the coordinator's dispatch pattern — and checks
 // the merged detections against the serial oracle, on both kernels: 40
-// vectors in two pinned windows are interpreted, 80 with no windows
-// pinned run compiled, and the job's flight record names the shard.
+// vectors are interpreted, 80 run compiled, and the job's flight record
+// names the shard and the kernel.
 func TestFaultShardJobsMergeToOracle(t *testing.T) {
 	_, cl := startServer(t, Config{Workers: 2})
 	ctx := ctxT(t)
@@ -26,18 +26,15 @@ func TestFaultShardJobsMergeToOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		vectors, windows, wantWindows int
-		startDetail                   string
-	}{
-		{40, 2, 2, "over 2 windows"},
-		{80, 0, 1, "compiled workers"},
-	} {
+		vectors  int
+		compiled bool
+	}{{40, false}, {80, true}} {
 		want := oracle(t, "s344", "stuck", tc.vectors, 7)
 		merged := faults.NewResult(faults.StuckCollapsed(ckt))
 		for shard := 0; shard < k; shard++ {
 			v, err := cl.Run(ctx, JobSpec{
 				Circuit: "s344", Engine: "csim-grid",
-				FaultShard: shard, FaultShards: k, Windows: tc.windows,
+				FaultShard: shard, FaultShards: k,
 				Random: tc.vectors, Seed: 7, ReturnDetections: true,
 			}, time.Millisecond)
 			if err != nil {
@@ -54,8 +51,8 @@ func TestFaultShardJobsMergeToOracle(t *testing.T) {
 				t.Fatalf("shard %d: payload counts %d/%d disagree with result %d/%d",
 					shard, dv.NumDetected(), dv.NumPotOnly(), v.Result.Detected, v.Result.PotOnly)
 			}
-			if v.Result.Workers != k || v.Result.Windows != tc.wantWindows {
-				t.Errorf("shard %d: shape %dx%d, want %dx%d", shard, v.Result.Workers, v.Result.Windows, k, tc.wantWindows)
+			if v.Result.Workers != k || v.Result.Windows != 1 {
+				t.Errorf("shard %d: shape %dx%d, want %dx1", shard, v.Result.Workers, v.Result.Windows, k)
 			}
 			part, err := dv.Result(faults.StuckCollapsed(ckt))
 			if err != nil {
@@ -71,12 +68,12 @@ func TestFaultShardJobsMergeToOracle(t *testing.T) {
 			started, finished := false, false
 			for _, ev := range pm.Events {
 				if strings.HasPrefix(ev.Detail, prefix) {
-					started = started || ev.Kind == "shard_start" && strings.Contains(ev.Detail, tc.startDetail)
+					started = started || ev.Kind == "shard_start" && strings.Contains(ev.Detail, "compiled workers") == tc.compiled
 					finished = finished || ev.Kind == "shard_finish"
 				}
 			}
 			if !started || !finished {
-				t.Errorf("shard %d at %d vectors: no shard_start (%q) / shard_finish pair in %+v", shard, tc.vectors, tc.startDetail, pm.Events)
+				t.Errorf("shard %d at %d vectors: no shard_start (compiled %t) / shard_finish pair in %+v", shard, tc.vectors, tc.compiled, pm.Events)
 			}
 		}
 		if diff := want.Diff(merged); diff != "" {
