@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/faults"
 	"repro/internal/harness"
 	"repro/internal/obs"
@@ -18,8 +19,8 @@ import (
 )
 
 // benchEngines are the four measured configurations of Tables 3-5.
-var benchEngines = []harness.Engine{
-	harness.CsimV, harness.CsimM, harness.CsimMV, harness.PROOFS,
+var benchEngines = []string{
+	engine.CsimV, engine.CsimM, engine.CsimMV, engine.PROOFS,
 }
 
 func deterministic(b *testing.B, name string) (*faults.Universe, *vectors.Set) {
@@ -35,11 +36,11 @@ func deterministic(b *testing.B, name string) (*faults.Universe, *vectors.Set) {
 	return u, vs
 }
 
-func runCell(b *testing.B, eng harness.Engine, u *faults.Universe, vs *vectors.Set) {
+func runCell(b *testing.B, eng string, u *faults.Universe, vs *vectors.Set) {
 	b.Helper()
 	var last harness.Measurement
 	for i := 0; i < b.N; i++ {
-		m, err := harness.Run(eng, u, vs)
+		m, err := harness.Run(eng, u, vs, 0, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -86,7 +87,7 @@ func BenchmarkTable3(b *testing.B) {
 func BenchmarkTable3Large(b *testing.B) {
 	for _, name := range []string{"s5378", "s35932"} {
 		u, vs := deterministic(b, name)
-		for _, eng := range []harness.Engine{harness.CsimMV, harness.PROOFS} {
+		for _, eng := range []string{engine.CsimMV, engine.PROOFS} {
 			b.Run(fmt.Sprintf("%s/%s", name, eng), func(b *testing.B) {
 				runCell(b, eng, u, vs)
 			})
@@ -99,7 +100,7 @@ func BenchmarkTable3Large(b *testing.B) {
 func BenchmarkTable4(b *testing.B) {
 	for _, name := range []string{"s298", "s386", "s820", "s1488"} {
 		u, vs := deterministic(b, name)
-		for _, eng := range []harness.Engine{harness.CsimMV, harness.PROOFS} {
+		for _, eng := range []string{engine.CsimMV, engine.PROOFS} {
 			b.Run(fmt.Sprintf("%s/%s", name, eng), func(b *testing.B) {
 				runCell(b, eng, u, vs)
 			})
@@ -119,7 +120,7 @@ func BenchmarkTable5(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, eng := range []harness.Engine{harness.CsimMV, harness.PROOFS} {
+		for _, eng := range []string{engine.CsimMV, engine.PROOFS} {
 			b.Run(fmt.Sprintf("%dptns/%s", n, eng), func(b *testing.B) {
 				runCell(b, eng, u, vs)
 			})
@@ -139,37 +140,8 @@ func BenchmarkTable6(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			runCell(b, harness.CsimMV, u, vs)
+			runCell(b, engine.CsimMV, u, vs)
 		})
-	}
-}
-
-// BenchmarkParallelScaling measures the fault-partition parallel engine
-// (csim-P) at 1/2/4/8 workers against the single-threaded csim-MV
-// baseline on the two large stand-ins. Each iteration is a full
-// simulation; use -benchtime=1x. Speedup requires real cores: one
-// goroutine per fault partition, one shared good-machine trace.
-func BenchmarkParallelScaling(b *testing.B) {
-	for _, name := range []string{"s5378", "s35932"} {
-		u, vs := deterministic(b, name)
-		b.Run(name+"/csim-MV", func(b *testing.B) {
-			runCell(b, harness.CsimMV, u, vs)
-		})
-		for _, w := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/csim-P/workers=%d", name, w), func(b *testing.B) {
-				var last harness.Measurement
-				for i := 0; i < b.N; i++ {
-					m, err := harness.RunParallel(u, vs, w)
-					if err != nil {
-						b.Fatal(err)
-					}
-					last = m
-				}
-				b.ReportMetric(last.FltCvg(), "cvg%")
-				b.ReportMetric(float64(last.MemBytes)/(1<<20), "structMB")
-				b.ReportMetric(float64(last.Workers), "workers")
-			})
-		}
 	}
 }
 
@@ -183,7 +155,7 @@ func BenchmarkParallelScaling(b *testing.B) {
 func BenchmarkCsimMV(b *testing.B) {
 	u, vs := deterministic(b, "s1238")
 	b.Run("disabled", func(b *testing.B) {
-		runCell(b, harness.CsimMV, u, vs)
+		runCell(b, engine.CsimMV, u, vs)
 	})
 	b.Run("observed", func(b *testing.B) {
 		var last harness.Measurement
@@ -194,7 +166,7 @@ func BenchmarkCsimMV(b *testing.B) {
 				Tracer:  obs.NewTracer(reg),
 				Faults:  obs.NewFaultLog(u.NumFaults(), nil, 0),
 			}
-			m, err := harness.RunObserved(harness.CsimMV, u, vs, ob)
+			m, err := harness.Run(engine.CsimMV, u, vs, 0, ob)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -211,7 +183,7 @@ func BenchmarkCsimMV(b *testing.B) {
 // csim-V (split) against the plain single-list simulator.
 func BenchmarkAblationSplit(b *testing.B) {
 	u, vs := deterministic(b, "s1238")
-	for _, eng := range []harness.Engine{harness.CsimV, harness.CsimPlain} {
+	for _, eng := range []string{engine.CsimV, engine.Csim} {
 		b.Run(string(eng), func(b *testing.B) { runCell(b, eng, u, vs) })
 	}
 }
@@ -220,7 +192,7 @@ func BenchmarkAblationSplit(b *testing.B) {
 // csim-V on a deterministic workload.
 func BenchmarkAblationMacro(b *testing.B) {
 	u, vs := deterministic(b, "s1238")
-	for _, eng := range []harness.Engine{harness.CsimMV, harness.CsimV} {
+	for _, eng := range []string{engine.CsimMV, engine.CsimV} {
 		b.Run(string(eng), func(b *testing.B) { runCell(b, eng, u, vs) })
 	}
 }
@@ -229,7 +201,7 @@ func BenchmarkAblationMacro(b *testing.B) {
 // scan-the-whole-circuit alternative the paper rejects.
 func BenchmarkAblationDrop(b *testing.B) {
 	u, vs := deterministic(b, "s1238")
-	for _, eng := range []harness.Engine{harness.CsimMV, harness.CsimEager} {
+	for _, eng := range []string{engine.CsimMV, engine.CsimEager} {
 		b.Run(string(eng), func(b *testing.B) { runCell(b, eng, u, vs) })
 	}
 }
@@ -238,6 +210,6 @@ func BenchmarkAblationDrop(b *testing.B) {
 // with the §2.2 reconvergent-region extension.
 func BenchmarkAblationReconvergent(b *testing.B) {
 	u, vs := deterministic(b, "s1238")
-	b.Run("fanoutfree", func(b *testing.B) { runCell(b, harness.CsimMV, u, vs) })
-	b.Run("reconvergent", func(b *testing.B) { runCell(b, harness.CsimReconv, u, vs) })
+	b.Run("fanoutfree", func(b *testing.B) { runCell(b, engine.CsimMV, u, vs) })
+	b.Run("reconvergent", func(b *testing.B) { runCell(b, engine.CsimReconv, u, vs) })
 }

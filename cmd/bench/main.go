@@ -7,14 +7,14 @@
 //	bench -suite paper -md report.md            # plus a markdown report
 //	bench -suite quick -baseline baselines/bench-quick.json
 //	                                            # compare; exit 1 on >15% regression
-//	                                            # or on an evals/passes count that rose
+//	                                            # or on an evals/passes/steps count that rose
 //	bench -suite quick -baseline b.json -threshold 0.10 -absolute
 //	bench -list                                 # print suite cells, don't run
 //
 // With -baseline the markdown output is the comparison (regression)
 // report; without it, a plain measurement table. The exit status is the
 // CI contract: 0 clean, 1 regression, behavior change or more work (an
-// <engine>.evals or <engine>.passes counter above the baseline's) vs
+// <engine>.evals, .passes or .steps counter above the baseline's) vs
 // baseline, 2 operational error.
 package main
 

@@ -8,12 +8,11 @@
 // The circuit comes either from an ISCAS-89 style .bench file or from the
 // built-in benchmark suite; vectors from a file (one line of 0/1/X per
 // cycle) or a seeded random generator. The engine is one of the paper's
-// variants (csim, csim-V, csim-M, csim-MV), the fault-partition parallel
-// engine (csim-P, sharded over -workers goroutines), the fault-sharded
-// grid (csim-grid, -workers shards or scheduler-planned without), the
-// compiled bit-parallel engine (csim-C, alias "compiled": levelized
-// straight-line code over packed 64-vector words), the PROOFS baseline,
-// or the serial oracle.
+// variants (csim, csim-V, csim-M, csim-MV), the compiled bit-parallel
+// engine (csim-C, alias "compiled": levelized straight-line code over
+// packed 64-vector words, on -workers threads), the same kernel on the
+// scheduler's worker count (csim-grid), the PROOFS baseline, or the
+// serial oracle.
 //
 // Observability (see OBSERVABILITY.md): -metrics-out snapshots the metric
 // registry to JSON, -trace-out writes a chrome://tracing phase trace,
@@ -22,6 +21,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -29,8 +29,8 @@ import (
 	"os/signal"
 	"strconv"
 	"strings"
-	"time"
 
+	"repro/internal/engine"
 	"repro/internal/faults"
 	"repro/internal/harness"
 	"repro/internal/iscas"
@@ -38,7 +38,6 @@ import (
 	"repro/internal/netcheck"
 	"repro/internal/netlist"
 	"repro/internal/obs"
-	"repro/internal/parallel"
 	"repro/internal/serial"
 	"repro/internal/vectors"
 )
@@ -50,8 +49,8 @@ func main() {
 		vectorFile  = flag.String("vectors", "", "path to a test vector file")
 		randomN     = flag.Int("random", 0, "generate this many random vectors instead")
 		seed        = flag.Int64("seed", 1, "random vector seed")
-		engine      = flag.String("engine", "csim-MV", "csim | csim-V | csim-M | csim-MV | csim-P | csim-grid | csim-C (alias: compiled) | PROOFS | serial")
-		workers     = flag.Int("workers", 0, "csim-P worker / csim-grid fault-shard count (0: one per CPU for csim-P, scheduler-planned for csim-grid)")
+		engineName  = flag.String("engine", engine.CsimMV, strings.Join(engineNames(), " | "))
+		workers     = flag.Int("workers", 0, "csim-C / csim-grid worker count (0: one thread for csim-C, scheduler-planned for csim-grid)")
 		model       = flag.String("faults", "stuck", "fault model: stuck | stuck-all | transition")
 		check       = flag.Bool("check", false, "verify netlist/fault-list/macro-plan invariants and exit without simulating")
 		verbose     = flag.Bool("v", false, "list undetected faults")
@@ -67,9 +66,12 @@ func main() {
 
 	// Reject unknown names up front with the usage line listing the
 	// accepted values, like an unknown flag: exit status 2.
-	if err := validateSelections(*engine, *model, *suite); err != nil {
+	if err := validateSelections(*engineName, *model, *suite); err != nil {
 		fmt.Fprintln(os.Stderr, "csim:", err)
 		os.Exit(2)
+	}
+	if canon, ok := engineAliases[*engineName]; ok {
+		*engineName = canon
 	}
 
 	// Any observability flag switches the layer on; without them every
@@ -130,54 +132,14 @@ func main() {
 		}
 		flog = obs.NewFaultLog(u.NumFaults(), ids, 0)
 		ob.Faults = flog
-		if *engine == string(harness.PROOFS) || *engine == "serial" {
-			fmt.Fprintf(os.Stderr, "csim: warning: -trace-faults records nothing under engine %s (csim engines only)\n", *engine)
+		if info, _ := engine.ByName(*engineName); info.Kind != "concurrent" {
+			fmt.Fprintf(os.Stderr, "csim: warning: -trace-faults records nothing under engine %s (csim engines only)\n", *engineName)
 		}
 	}
 
-	var m harness.Measurement
-	switch *engine {
-	case "serial":
-		start := time.Now()
-		ssp := ob.Span("fault-sim")
-		res := serial.Simulate(u, vs)
-		ssp.End()
-		m = harness.Measurement{
-			Engine: "serial", Circuit: c.Name, Patterns: vs.Len(),
-			Faults: u.NumFaults(), Detected: res.NumDet,
-			PotOnly: res.NumPotOnly(), Coverage: res.Coverage(),
-			CPU: time.Since(start),
-		}
-	case string(harness.CsimP):
-		if eff := (parallel.Options{Workers: *workers}).EffectiveWorkers(u.NumFaults()); *workers > eff {
-			fmt.Fprintf(os.Stderr, "csim: warning: -workers %d exceeds the fault-partition count; running %d workers (one per fault)\n",
-				*workers, eff)
-		}
-		m, err = harness.RunParallelObserved(u, vs, *workers, ob)
-		if err != nil {
-			fatal(err)
-		}
-	case string(harness.CsimGrid):
-		m, err = harness.RunGridObserved(u, vs, *workers, ob)
-		if err != nil {
-			fatal(err)
-		}
-	case "compiled": // alias for csim-C
-		m, err = harness.RunObserved(harness.CsimC, u, vs, ob)
-		if err != nil {
-			fatal(err)
-		}
-	default:
-		switch eng := harness.Engine(*engine); eng {
-		case harness.CsimPlain, harness.CsimV, harness.CsimM, harness.CsimMV,
-			harness.CsimEager, harness.CsimReconv, harness.CsimC, harness.PROOFS:
-			m, err = harness.RunObserved(eng, u, vs, ob)
-			if err != nil {
-				fatal(err)
-			}
-		default:
-			fatal(fmt.Errorf("unknown engine %q", *engine))
-		}
+	m, err := harness.Run(*engineName, u, vs, *workers, ob)
+	if err != nil {
+		fatal(err)
 	}
 
 	st := c.Stats()
@@ -214,7 +176,10 @@ func main() {
 	}
 
 	if *verbose {
-		res := serial.Simulate(u, vs) // authoritative listing
+		res, err := serial.Simulate(context.Background(), u, vs) // authoritative listing
+		if err != nil {
+			fatal(err)
+		}
 		fmt.Println("undetected faults:")
 		for i, f := range u.Faults {
 			if !res.Detected[i] {
@@ -346,20 +311,27 @@ func runCheck(c *netlist.Circuit, model string) error {
 	return nil
 }
 
-// engineNames and modelNames are the accepted -engine and -faults
-// values, in the spelling the flags document.
-var (
-	engineNames = []string{"csim", "csim-V", "csim-M", "csim-MV",
-		"csim-MV-eagerdrop", "csim-MV-reconvergent", "csim-P",
-		"csim-grid", "csim-C", "compiled", "PROOFS", "serial"}
-	modelNames = []string{"stuck", "stuck-all", "transition"}
-)
+// engineAliases are the extra -engine spellings, by canonical name.
+var engineAliases = map[string]string{"compiled": engine.CsimC}
+
+// engineNames lists the accepted -engine values: every registered engine
+// that simulates faults, then the aliases.
+func engineNames() []string {
+	names := engine.Names(func(e engine.Info) bool { return e.Kind != "good" })
+	for alias := range engineAliases {
+		names = append(names, alias)
+	}
+	return names
+}
+
+// modelNames are the accepted -faults values.
+var modelNames = []string{"stuck", "stuck-all", "transition"}
 
 // validateSelections rejects unknown -engine/-faults/-suite values with
 // a one-line usage hint listing the accepted names.
-func validateSelections(engine, model, suite string) error {
-	if !containsName(engineNames, engine) {
-		return fmt.Errorf("unknown engine %q; usage: -engine %s", engine, strings.Join(engineNames, "|"))
+func validateSelections(engineName, model, suite string) error {
+	if names := engineNames(); !containsName(names, engineName) {
+		return fmt.Errorf("unknown engine %q; usage: -engine %s", engineName, strings.Join(names, "|"))
 	}
 	if !containsName(modelNames, model) {
 		return fmt.Errorf("unknown fault model %q; usage: -faults %s", model, strings.Join(modelNames, "|"))

@@ -23,6 +23,7 @@ func TestMain(m *testing.M) {
 func TestRemovedSelectionsExit2(t *testing.T) {
 	for _, tc := range []struct{ arg, val, wantIn string }{
 		{"-engine", "csim-X", "usage: -engine csim|"},
+		{"-engine", "csim-" + "P", "usage: -engine csim|csim-V|csim-M|csim-MV|csim-MV-eagerdrop|csim-MV-reconvergent|csim-grid|csim-C|PROOFS|serial|compiled"},
 		{"-shards", "2x2", "flag provided but not defined: -shards"},
 	} {
 		cmd := exec.Command(os.Args[0], "-suite", "s27", "-random", "4", tc.arg, tc.val)
@@ -38,11 +39,33 @@ func TestRemovedSelectionsExit2(t *testing.T) {
 	}
 }
 
+// TestWorkersFlagReachesTheCompiledKernel: -engine csim-C -workers K
+// runs K workers, as a service job with "workers": K does; without the
+// flag csim-C (or its alias) stays on one thread and csim-grid asks the
+// scheduler.
+func TestWorkersFlagReachesTheCompiledKernel(t *testing.T) {
+	for _, tc := range []struct {
+		args   []string
+		wantIn string
+	}{
+		{[]string{"-engine", "csim-C", "-workers", "2"}, "engine:    csim-C\nworkers:   2\n"},
+		{[]string{"-engine", "compiled"}, "engine:    csim-C\nworkers:   1\n"},
+		{[]string{"-engine", "csim-grid", "-workers", "2"}, "engine:    csim-grid\nworkers:   2\n"},
+	} {
+		cmd := exec.Command(os.Args[0], append([]string{"-suite", "s298", "-random", "64"}, tc.args...)...)
+		cmd.Env = append(os.Environ(), "CSIM_TEST_RUN_MAIN=1")
+		out, err := cmd.CombinedOutput()
+		if err != nil || !strings.Contains(string(out), tc.wantIn) {
+			t.Errorf("%v: %v, output lacks %q:\n%s", tc.args, err, tc.wantIn, out)
+		}
+	}
+}
+
 // TestValidateSelections pins the up-front flag validation: unknown
 // -engine/-faults/-suite names are rejected with a one-line hint that
 // lists the accepted values, and every accepted value passes.
 func TestValidateSelections(t *testing.T) {
-	for _, eng := range engineNames {
+	for _, eng := range engineNames() {
 		if err := validateSelections(eng, "stuck", "s27"); err != nil {
 			t.Errorf("engine %q rejected: %v", eng, err)
 		}

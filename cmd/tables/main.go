@@ -20,7 +20,7 @@
 // coverages, table structure — must match. CI runs it against the
 // checked-in tables_output.txt so the file cannot silently go stale.
 //
-// The -engines mode prints harness.Engines() as the markdown table
+// The -engines mode prints engine.Engines() as the markdown table
 // README.md embeds; -engines-readme extracts that table back out of the
 // README (its only three-column table with a backticked first cell) and
 // fails when a row is missing, extra, reordered or reworded — CI runs
@@ -36,6 +36,7 @@ import (
 	"regexp"
 	"strings"
 
+	"repro/internal/engine"
 	"repro/internal/harness"
 )
 
@@ -134,7 +135,7 @@ func diffTables(w io.Writer, path string, table int, quick bool) (ok bool, err e
 // (header excluded): one "| `name` | kind | description |" per engine.
 func engineRows() []string {
 	var rows []string
-	for _, e := range harness.Engines() {
+	for _, e := range engine.Engines() {
 		rows = append(rows, fmt.Sprintf("| `%s` | %s | %s |", e.Name, e.Kind, e.Description))
 	}
 	return rows
@@ -172,7 +173,7 @@ func diffEngines(w io.Writer, path string) (ok bool, err error) {
 		}
 		if g != e {
 			if ok {
-				fmt.Fprintf(w, "tables: engine table in %s disagrees with harness.Engines() (row %d):\n", path, i+1)
+				fmt.Fprintf(w, "tables: engine table in %s disagrees with engine.Engines() (row %d):\n", path, i+1)
 			}
 			ok = false
 			fmt.Fprintf(w, "  registry: %s\n  readme:   %s\n", e, g)

@@ -33,6 +33,7 @@ import (
 	"repro/internal/compiled"
 	"repro/internal/csim"
 	"repro/internal/dist"
+	"repro/internal/engine"
 	"repro/internal/faults"
 	"repro/internal/gen"
 	"repro/internal/goodsim"
@@ -75,11 +76,6 @@ type (
 type (
 	// Config selects the concurrent simulator variant.
 	Config = csim.Config
-	// ParallelConfig configures the fault-partition parallel engine
-	// (csim-P): a worker count plus the per-partition variant.
-	ParallelConfig = parallel.Options
-	// GridAutoConfig configures a scheduler-planned grid run.
-	GridAutoConfig = parallel.AutoOptions
 	// GridPlan is the scheduler's fault-split decision.
 	GridPlan = parallel.Plan
 	// JobShape describes one simulation job to the unified scheduler.
@@ -197,53 +193,49 @@ func CsimM() Config { return csim.M() }
 // CsimMV enables both improvements — the paper's best configuration.
 func CsimMV() Config { return csim.MV() }
 
-// CsimP configures the fault-partition parallel engine: the csim-MV
-// variant sharded over `workers` goroutines (workers <= 0 means
-// runtime.NumCPU()), each replaying a shared good-machine trace. The
-// merged result is bit-identical to the single-threaded run regardless of
-// worker count.
-func CsimP(workers int) ParallelConfig {
-	return parallel.Options{Workers: workers, Config: csim.MV()}
-}
-
-// SimulateParallel runs the csim-P engine over the whole vector set and
-// returns the merged detections plus merged instrumentation counters.
-func SimulateParallel(u *Universe, vs *Vectors, cfg ParallelConfig) (*Result, SimStats, error) {
-	return parallel.Simulate(u, vs, cfg)
-}
-
-// GridConfig configures the fault-sharded grid engine (csim-grid).
-// Config.Plan is pinned by benchmark/ and goes with ROADMAP item 3's
-// [benchmark] refresh.
+// GridConfig configures the grid engine (csim-grid): the compiled
+// kernel on the scheduler's worker count.
 type GridConfig struct {
-	parallel.GridOptions
+	// FaultShards is the processor budget the scheduler plans within;
+	// <= 0 means runtime.NumCPU(). The run uses one worker per chunk of
+	// 256 faults at most.
+	FaultShards int
+	// Config is ignored: the grid has one kernel and it takes no csim
+	// configuration. Pinned by benchmark/ (it assigns Config.Plan); goes
+	// with ROADMAP item 3's [benchmark] refresh.
+	Config Config
+	// Program is the circuit's CompiledProgram to reuse; nil compiles it
+	// per run.
+	Program *CompiledProgram
+	// Obs attaches the observability layer; nil disables it.
+	Obs *Observer
 	// err is CsimGrid's verdict on its windows argument; SimulateGrid
 	// returns it.
 	err error
 }
 
-// CsimGrid configures the grid engine: faultShards fault partitions
-// (<= 0 defaults to 1). With 64 vectors or more the shards are workers
-// of the compiled kernel (set Program to reuse a CompiledProgram). The
-// signature is pinned by benchmark/ and goes with ROADMAP item 3's
-// [benchmark] refresh: windows is accepted for source compatibility and
-// must be <= 1, or SimulateGrid errors.
+// CsimGrid configures the grid engine on a budget of faultShards
+// processors. The signature is pinned by benchmark/ and goes with
+// ROADMAP item 3's [benchmark] refresh: windows is accepted for source
+// compatibility and must be <= 1, or SimulateGrid errors.
 func CsimGrid(faultShards, windows int) GridConfig {
-	cfg := GridConfig{GridOptions: parallel.GridOptions{FaultShards: faultShards, Config: csim.MV()}}
+	cfg := GridConfig{FaultShards: faultShards}
 	if windows > 1 {
 		cfg.err = errors.New("faultsim: vector windows were removed; csim-grid plans fault shards only")
 	}
 	return cfg
 }
 
-// SimulateGrid runs the csim-grid engine at the configured shard count,
-// to completion (the facade passes no context). Pinned by benchmark/;
-// goes with ROADMAP item 3's [benchmark] refresh.
+// SimulateGrid runs the csim-grid engine to completion (the facade
+// passes no context) and returns the detections and summed counters.
+// Pinned by benchmark/; goes with ROADMAP item 3's [benchmark] refresh.
 func SimulateGrid(u *Universe, vs *Vectors, cfg GridConfig) (*Result, SimStats, error) {
 	if cfg.err != nil {
 		return nil, SimStats{}, cfg.err
 	}
-	return parallel.SimulateGrid(context.Background(), u, vs, cfg.GridOptions)
+	return engine.Run(context.Background(), engine.CsimGrid, u, vs, engine.Options{
+		Workers: cfg.FaultShards, Program: cfg.Program, Obs: cfg.Obs,
+	})
 }
 
 // PlanGrid asks the scheduler for the fault split it would use for a
@@ -251,16 +243,10 @@ func SimulateGrid(u *Universe, vs *Vectors, cfg GridConfig) (*Result, SimStats, 
 // benchmark/; goes with ROADMAP item 3's [benchmark] refresh.
 func PlanGrid(sh JobShape) GridPlan { return parallel.Decide(sh) }
 
-// SimulateGridAuto lets the scheduler pick the shard count for the job,
-// runs it, and returns the plan used alongside the merged result.
-func SimulateGridAuto(u *Universe, vs *Vectors, cfg GridAutoConfig) (*Result, SimStats, GridPlan, error) {
-	return parallel.SimulateAuto(context.Background(), u, vs, cfg)
-}
-
 // NewObserver builds a fully enabled observability bundle: a fresh
 // metric registry with a phase tracer feeding it. Attach a fault log by
 // setting the Faults field; attach the bundle through Config.Obs or
-// ParallelConfig.Obs.
+// GridConfig.Obs.
 func NewObserver() *Observer {
 	reg := obs.NewRegistry()
 	return &obs.Observer{Metrics: reg, Tracer: obs.NewTracer(reg)}
@@ -348,7 +334,10 @@ func ExtractMacros(c *Circuit, maxInputs int) (*MacroPlan, error) {
 }
 
 // SimulateSerial runs the brute-force oracle (one resimulation per fault).
-func SimulateSerial(u *Universe, vs *Vectors) *Result { return serial.Simulate(u, vs) }
+func SimulateSerial(u *Universe, vs *Vectors) *Result {
+	res, _ := serial.Simulate(context.Background(), u, vs) // a background context is never cancelled
+	return res
+}
 
 // RandomVectors generates n seeded random binary test vectors.
 func RandomVectors(c *Circuit, n int, seed int64) *Vectors {

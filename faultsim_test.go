@@ -40,43 +40,29 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Errorf("csim vs serial:\n%s", d)
 	}
 
-	pres, pstats, err := faultsim.SimulateParallel(u, vs, faultsim.CsimP(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := pres.Diff(oracle); d != "" {
-		t.Errorf("csim-P vs serial:\n%s", d)
-	}
-	if pstats.Detections != pres.NumDet {
-		t.Errorf("csim-P stats report %d detections, result has %d",
-			pstats.Detections, pres.NumDet)
-	}
-
-	gres, _, err := faultsim.SimulateGrid(u, vs, faultsim.CsimGrid(2, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := gres.Diff(oracle); d != "" {
-		t.Errorf("csim-grid vs serial:\n%s", d)
+	// The grid on a pinned budget (Config.Plan is accepted and ignored)
+	// and on the scheduler's default.
+	for _, procs := range []int{2, 0} {
+		grid := faultsim.CsimGrid(procs, 1)
+		grid.Config.Plan = nil
+		gres, gstats, err := faultsim.SimulateGrid(u, vs, grid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := gres.Diff(oracle); d != "" {
+			t.Errorf("csim-grid on %d procs vs serial:\n%s", procs, d)
+		}
+		if gstats.Detections != gres.NumDet {
+			t.Errorf("csim-grid stats report %d detections, result has %d", gstats.Detections, gres.NumDet)
+		}
 	}
 	if _, _, err := faultsim.SimulateGrid(u, vs, faultsim.CsimGrid(2, 2)); err == nil {
 		t.Error("csim-grid accepted two vector windows")
 	}
-	ares, _, plan, err := faultsim.SimulateGridAuto(u, vs, faultsim.GridAutoConfig{
-		MaxProcs: 4, Config: faultsim.CsimMV()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.FaultShards < 1 {
-		t.Errorf("scheduler plan %v has no shard", plan)
-	}
-	if plan != faultsim.PlanGrid(faultsim.JobShape{
+	if plan := faultsim.PlanGrid(faultsim.JobShape{
 		Gates: len(c.Gates), Faults: u.NumFaults(), Vectors: vs.Len(), MaxProcs: 4,
-	}) {
-		t.Errorf("SimulateGridAuto plan %v differs from PlanGrid", plan)
-	}
-	if d := ares.Diff(oracle); d != "" {
-		t.Errorf("auto csim-grid vs serial:\n%s", d)
+	}); plan.FaultShards < 1 || plan.FaultShards > 4 {
+		t.Errorf("scheduler plan %v outside its budget", plan)
 	}
 
 	tu := faultsim.TransitionFaults(c)

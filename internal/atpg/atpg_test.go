@@ -1,6 +1,7 @@
 package atpg
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/faults"
@@ -69,11 +70,11 @@ func TestS27CoverageBeatsRandom(t *testing.T) {
 	u := faults.StuckCollapsed(c)
 	res := Generate(u, Options{Seed: 7, FillRandom: true})
 	// Cross-check the claimed coverage with the independent serial oracle.
-	oracle := serial.Simulate(u, res.Vectors)
+	oracle, _ := serial.Simulate(context.Background(), u, res.Vectors)
 	if oracle.NumDet != res.Detected {
 		t.Fatalf("campaign reports %d detections, serial oracle %d", res.Detected, oracle.NumDet)
 	}
-	rnd := serial.Simulate(u, vectors.Random(c, 1000, 99))
+	rnd, _ := serial.Simulate(context.Background(), u, vectors.Random(c, 1000, 99))
 	for i := range rnd.Detected {
 		if rnd.Detected[i] && !oracle.Detected[i] {
 			t.Errorf("random-detectable fault %s missed by ATPG", u.Faults[i].Name(c))
@@ -98,7 +99,7 @@ z = OR(a, na)
 		t.Errorf("no untestable faults found in a redundant circuit (aborted=%d)", res.Aborted)
 	}
 	// And the testable ones must still be covered: z SA0 is detectable.
-	oracle := serial.Simulate(u, res.Vectors)
+	oracle, _ := serial.Simulate(context.Background(), u, res.Vectors)
 	var zSA0 int32 = -1
 	for i, f := range u.Faults {
 		if f.Gate == c.MustByName("z") && f.Pin == faults.OutPin && f.Kind == faults.SA0 {

@@ -21,7 +21,7 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/harness"
+	"repro/internal/engine"
 )
 
 // Fault-model names used in cell definitions and report keys.
@@ -59,16 +59,17 @@ func (v VectorSpec) String() string {
 // Cell is one benchmark measurement point: an engine run on one workload.
 type Cell struct {
 	// Engine is the simulator configuration under measurement.
-	Engine harness.Engine
+	Engine string
 	// Circuit names a built-in suite circuit (e.g. "s5378").
 	Circuit string
 	// Model is ModelStuck or ModelTransition.
 	Model string
 	// Vectors selects the test sequence.
 	Vectors VectorSpec
-	// Workers is the csim-P partition count, or the csim-grid fault-shard
-	// count (0 elsewhere; 0 for csim-P means runtime.NumCPU(), 0 for
-	// csim-grid defers it to the scheduler).
+	// Workers is the compiled kernel's processor budget
+	// (engine.Options.Workers): 0 is one thread for csim-C and the
+	// scheduler's plan on every CPU for csim-grid; other engines ignore
+	// it.
 	Workers int
 	// Heavy marks cells too expensive for repeated trials: the runner
 	// clamps them to one trial and no warmup regardless of Options.
@@ -91,7 +92,7 @@ func (c Cell) Key() string {
 // Compare). It must stay cheap, deterministic and untouched by suite
 // edits.
 func Calibration() Cell {
-	return Cell{Engine: harness.CsimMV, Circuit: "s1494", Model: ModelStuck, Vectors: Det()}
+	return Cell{Engine: engine.CsimMV, Circuit: "s1494", Model: ModelStuck, Vectors: Det()}
 }
 
 // SuiteNames lists the predefined suites in -suite flag order.
@@ -101,11 +102,10 @@ func SuiteNames() []string { return []string{"quick", "paper", "full"} }
 //
 //   - "quick": small circuits, every engine family — the CI bench-gate
 //     grid, a few seconds end to end.
-//   - "paper": the Table 3 grid up to s5378 (all csim variants, csim-P,
-//     PROOFS) plus transition and oracle spot cells — a couple of minutes.
-//   - "full": paper plus the two large stand-ins with csim-P worker
-//     scaling (1/2/4/8), csim-grid cells, and reduced-vector oracle
-//     cells — tens of minutes.
+//   - "paper": the Table 3 grid up to s5378 (all csim variants, PROOFS)
+//     plus transition and oracle spot cells — a couple of minutes.
+//   - "full": paper plus the two large stand-ins, csim-grid cells, and
+//     reduced-vector oracle cells — tens of minutes.
 func Suite(name string) ([]Cell, error) {
 	switch name {
 	case "quick":
@@ -123,29 +123,30 @@ func Suite(name string) ([]Cell, error) {
 func quickSuite() []Cell {
 	var cells []Cell
 	for _, ckt := range []string{"s298", "s444", "s1494"} {
-		for _, eng := range []harness.Engine{
-			harness.CsimV, harness.CsimM, harness.CsimMV, harness.CsimC, harness.PROOFS,
+		for _, eng := range []string{
+			engine.CsimV, engine.CsimM, engine.CsimMV, engine.CsimC, engine.PROOFS,
 		} {
 			cells = append(cells, Cell{Engine: eng, Circuit: ckt, Model: ModelStuck, Vectors: Det()})
 		}
 	}
 	cells = append(cells,
 		// One oracle cell pins the throughput floor.
-		Cell{Engine: harness.Serial, Circuit: "s298", Model: ModelStuck, Vectors: Det()},
-		// One parallel cell exercises the partition/merge path.
-		Cell{Engine: harness.CsimP, Circuit: "s1494", Model: ModelStuck, Vectors: Det(), Workers: 2},
+		Cell{Engine: engine.Serial, Circuit: "s298", Model: ModelStuck, Vectors: Det()},
 		// The service benchmark's grid-local job: the scheduler's plan, K
 		// compiled workers.
-		Cell{Engine: harness.CsimGrid, Circuit: "s5378", Model: ModelTransition, Vectors: Rand(256)},
+		Cell{Engine: engine.CsimGrid, Circuit: "s5378", Model: ModelTransition, Vectors: Rand(256)},
+		// The same job under one word: the half-empty-word regime, held
+		// by the exact work counters.
+		Cell{Engine: engine.CsimGrid, Circuit: "s5378", Model: ModelTransition, Vectors: Rand(32)},
 		// One transition cell exercises the second fault model.
-		Cell{Engine: harness.CsimMV, Circuit: "s298", Model: ModelTransition, Vectors: Det()},
+		Cell{Engine: engine.CsimMV, Circuit: "s298", Model: ModelTransition, Vectors: Det()},
 		// One compiled transition cell covers masked transition injection.
-		Cell{Engine: harness.CsimC, Circuit: "s298", Model: ModelTransition, Vectors: Det()},
+		Cell{Engine: engine.CsimC, Circuit: "s298", Model: ModelTransition, Vectors: Det()},
 		// The good-machine throughput pair: interpreted event-driven vs
 		// compiled straight-line evaluation on the largest stand-in
 		// (BENCHMARKS.md "Interpreted vs compiled").
-		Cell{Engine: harness.GoodSim, Circuit: "s35932", Model: ModelStuck, Vectors: Det()},
-		Cell{Engine: harness.GoodC, Circuit: "s35932", Model: ModelStuck, Vectors: Det()},
+		Cell{Engine: engine.GoodSim, Circuit: "s35932", Model: ModelStuck, Vectors: Det()},
+		Cell{Engine: engine.GoodC, Circuit: "s35932", Model: ModelStuck, Vectors: Det()},
 	)
 	return cells
 }
@@ -163,58 +164,51 @@ var paperCircuits = []string{
 func paperSuite() []Cell {
 	var cells []Cell
 	for _, ckt := range paperCircuits {
-		for _, eng := range []harness.Engine{
-			harness.CsimV, harness.CsimM, harness.CsimMV, harness.CsimP, harness.PROOFS,
+		for _, eng := range []string{
+			engine.CsimV, engine.CsimM, engine.CsimMV, engine.PROOFS,
 		} {
 			cells = append(cells, Cell{Engine: eng, Circuit: ckt, Model: ModelStuck, Vectors: Det()})
 		}
 	}
 	for _, ckt := range []string{"s298", "s444", "s1238", "s1494"} {
-		cells = append(cells, Cell{Engine: harness.CsimMV, Circuit: ckt, Model: ModelTransition, Vectors: Det()})
+		cells = append(cells, Cell{Engine: engine.CsimMV, Circuit: ckt, Model: ModelTransition, Vectors: Det()})
 	}
 	for _, ckt := range []string{"s298", "s1494", "s5378"} {
-		cells = append(cells, Cell{Engine: harness.CsimC, Circuit: ckt, Model: ModelStuck, Vectors: Det()})
+		cells = append(cells, Cell{Engine: engine.CsimC, Circuit: ckt, Model: ModelStuck, Vectors: Det()})
 	}
 	for _, ckt := range []string{"s298", "s344", "s386"} {
-		cells = append(cells, Cell{Engine: harness.Serial, Circuit: ckt, Model: ModelStuck, Vectors: Det()})
+		cells = append(cells, Cell{Engine: engine.Serial, Circuit: ckt, Model: ModelStuck, Vectors: Det()})
 	}
 	return cells
 }
 
-// fullSuite extends the paper grid with the s35932 row, csim-P worker
-// scaling on both large stand-ins, csim-grid cells, and reduced-vector
-// oracle cells (the serial engine is
+// fullSuite extends the paper grid with the s35932 row, csim-grid cells,
+// and reduced-vector oracle cells (the serial engine is
 // O(faults × vectors × gates); full-length oracle runs on the large
 // circuits would take hours).
 func fullSuite() []Cell {
 	cells := paperSuite()
-	for _, eng := range []harness.Engine{
-		harness.CsimV, harness.CsimM, harness.CsimMV, harness.CsimC, harness.PROOFS,
+	for _, eng := range []string{
+		engine.CsimV, engine.CsimM, engine.CsimMV, engine.CsimC, engine.PROOFS,
 	} {
 		cells = append(cells, Cell{Engine: eng, Circuit: "s35932", Model: ModelStuck, Vectors: Det(), Heavy: true})
 	}
 	// The good-machine pair on the same circuit, full-length, so the
 	// interpreted-vs-compiled ratio is also recorded at full scale.
 	cells = append(cells,
-		Cell{Engine: harness.GoodSim, Circuit: "s35932", Model: ModelStuck, Vectors: Det()},
-		Cell{Engine: harness.GoodC, Circuit: "s35932", Model: ModelStuck, Vectors: Det()},
+		Cell{Engine: engine.GoodSim, Circuit: "s35932", Model: ModelStuck, Vectors: Det()},
+		Cell{Engine: engine.GoodC, Circuit: "s35932", Model: ModelStuck, Vectors: Det()},
 	)
-	for _, w := range []int{1, 2, 4, 8} {
-		cells = append(cells,
-			Cell{Engine: harness.CsimP, Circuit: "s5378", Model: ModelStuck, Vectors: Det(), Workers: w},
-			Cell{Engine: harness.CsimP, Circuit: "s35932", Model: ModelStuck, Vectors: Det(), Workers: w, Heavy: true},
-		)
-	}
 	cells = append(cells,
 		// The grid pinned at two shards on both stand-ins, and the
 		// scheduler's plan.
-		Cell{Engine: harness.CsimGrid, Circuit: "s5378", Model: ModelStuck, Vectors: Det(), Workers: 2},
-		Cell{Engine: harness.CsimGrid, Circuit: "s35932", Model: ModelStuck, Vectors: Det(), Workers: 2, Heavy: true},
-		Cell{Engine: harness.CsimGrid, Circuit: "s5378", Model: ModelStuck, Vectors: Det()},
+		Cell{Engine: engine.CsimGrid, Circuit: "s5378", Model: ModelStuck, Vectors: Det(), Workers: 2},
+		Cell{Engine: engine.CsimGrid, Circuit: "s35932", Model: ModelStuck, Vectors: Det(), Workers: 2, Heavy: true},
+		Cell{Engine: engine.CsimGrid, Circuit: "s5378", Model: ModelStuck, Vectors: Det()},
 	)
 	cells = append(cells,
-		Cell{Engine: harness.Serial, Circuit: "s5378", Model: ModelStuck, Vectors: Rand(8), Heavy: true},
-		Cell{Engine: harness.Serial, Circuit: "s35932", Model: ModelStuck, Vectors: Rand(2), Heavy: true},
+		Cell{Engine: engine.Serial, Circuit: "s5378", Model: ModelStuck, Vectors: Rand(8), Heavy: true},
+		Cell{Engine: engine.Serial, Circuit: "s35932", Model: ModelStuck, Vectors: Rand(2), Heavy: true},
 	)
 	return cells
 }

@@ -9,7 +9,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/harness"
+	"repro/internal/engine"
 	"repro/internal/obs"
 )
 
@@ -18,9 +18,9 @@ import (
 // engines in well under a second.
 func tinyCells() []Cell {
 	return []Cell{
-		{Engine: harness.CsimMV, Circuit: "s27", Model: ModelStuck, Vectors: Det()},
-		{Engine: harness.Serial, Circuit: "s27", Model: ModelStuck, Vectors: Rand(8)},
-		{Engine: harness.CsimP, Circuit: "s298", Model: ModelStuck, Vectors: Rand(16), Workers: 2},
+		{Engine: engine.CsimMV, Circuit: "s27", Model: ModelStuck, Vectors: Det()},
+		{Engine: engine.Serial, Circuit: "s27", Model: ModelStuck, Vectors: Rand(8)},
+		{Engine: engine.CsimGrid, Circuit: "s298", Model: ModelStuck, Vectors: Rand(16), Workers: 2},
 	}
 }
 
@@ -57,11 +57,11 @@ func TestSuitesResolve(t *testing.T) {
 }
 
 func TestCellKeys(t *testing.T) {
-	c := Cell{Engine: harness.CsimP, Circuit: "s298", Model: ModelStuck, Vectors: Rand(100), Workers: 4}
-	if got, want := c.Key(), "s298/csim-P/stuck/rand:100/w4"; got != want {
+	c := Cell{Engine: engine.CsimGrid, Circuit: "s298", Model: ModelStuck, Vectors: Rand(100), Workers: 4}
+	if got, want := c.Key(), "s298/csim-grid/stuck/rand:100/w4"; got != want {
 		t.Errorf("Key = %q, want %q", got, want)
 	}
-	c = Cell{Engine: harness.CsimMV, Circuit: "s27", Model: ModelTransition, Vectors: Det()}
+	c = Cell{Engine: engine.CsimMV, Circuit: "s27", Model: ModelTransition, Vectors: Det()}
 	if got, want := c.Key(), "s27/csim-MV/transition/det"; got != want {
 		t.Errorf("Key = %q, want %q", got, want)
 	}
@@ -116,7 +116,7 @@ func TestQuickSmoke(t *testing.T) {
 }
 
 func TestHeavyCellClampsTrials(t *testing.T) {
-	cells := []Cell{{Engine: harness.CsimMV, Circuit: "s27", Model: ModelStuck, Vectors: Det(), Heavy: true}}
+	cells := []Cell{{Engine: engine.CsimMV, Circuit: "s27", Model: ModelStuck, Vectors: Det(), Heavy: true}}
 	rep, err := Run("tiny", cells, Options{Trials: 5, Warmup: 3}, time.Unix(0, 0))
 	if err != nil {
 		t.Fatal(err)

@@ -57,8 +57,9 @@ type CountDelta struct {
 }
 
 // workCounters are the per-engine counters Compare holds a cell to:
-// gate evaluations and fresh fault passes, published as <engine>.<name>.
-var workCounters = []string{"evals", "passes"}
+// gate evaluations, fresh fault passes and their in-place continuations,
+// published as <engine>.<name>.
+var workCounters = []string{"evals", "passes", "steps"}
 
 // CellDelta is one cell's baseline comparison.
 type CellDelta struct {

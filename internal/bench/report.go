@@ -25,7 +25,7 @@ type Host struct {
 	OS string `json:"os"`
 	// Arch is runtime.GOARCH.
 	Arch string `json:"arch"`
-	// CPUs is runtime.NumCPU() — the csim-P scaling ceiling.
+	// CPUs is runtime.NumCPU() — the csim-grid scheduler's default budget.
 	CPUs int `json:"cpus"`
 }
 
@@ -33,7 +33,7 @@ type Host struct {
 type CellResult struct {
 	// Key is the cell's stable identity (Cell.Key); baselines join on it.
 	Key string `json:"key"`
-	// Engine is the simulator configuration (harness.Engine).
+	// Engine is the simulator configuration (its internal/engine name).
 	Engine string `json:"engine"`
 	// Circuit is the suite circuit name.
 	Circuit string `json:"circuit"`
@@ -41,8 +41,8 @@ type CellResult struct {
 	Model string `json:"model"`
 	// Vectors is the vector source spec ("det" or "rand:N").
 	Vectors string `json:"vectors"`
-	// Workers is the explicit csim-P partition / csim-grid fault-shard
-	// count (0 elsewhere).
+	// Workers is the cell's explicit processor budget for the compiled
+	// kernel (0: the engine's default).
 	Workers int `json:"workers,omitempty"`
 	// Heavy records that the cell ran once without warmup.
 	Heavy bool `json:"heavy,omitempty"`

@@ -139,7 +139,7 @@ func runCell(c Cell, opt Options) (CellResult, error) {
 	}
 	res := CellResult{
 		Key:      c.Key(),
-		Engine:   string(c.Engine),
+		Engine:   c.Engine,
 		Circuit:  c.Circuit,
 		Model:    c.Model,
 		Vectors:  c.Vectors.String(),
@@ -198,16 +198,7 @@ func runOnce(c Cell, u *faults.Universe, vs *vectors.Set) (harness.Measurement, 
 	var m0 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	t0 := time.Now()
-	var m harness.Measurement
-	var err error
-	switch c.Engine {
-	case harness.CsimP:
-		m, err = harness.RunParallelObserved(u, vs, c.Workers, ob)
-	case harness.CsimGrid:
-		m, err = harness.RunGridObserved(u, vs, c.Workers, ob)
-	default:
-		m, err = harness.RunObserved(c.Engine, u, vs, ob)
-	}
+	m, err := harness.Run(c.Engine, u, vs, c.Workers, ob)
 	wall := time.Since(t0)
 	var m1 runtime.MemStats
 	runtime.ReadMemStats(&m1)

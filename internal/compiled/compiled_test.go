@@ -87,7 +87,7 @@ func checkClean(t *testing.T, tag string, u *faults.Universe, vs *vectors.Set, i
 // dirty.
 func runBoth(t *testing.T, tag string, u *faults.Universe, vs *vectors.Set) {
 	t.Helper()
-	want := serial.Simulate(u, vs)
+	want, _ := serial.Simulate(context.Background(), u, vs)
 	checkClean(t, tag, u, vs, u.IDs(), 3)
 	run := func(ids []int32, nw int) (*faults.Result, csim.Stats) {
 		t.Helper()
@@ -257,13 +257,15 @@ func TestTraceMatchesGoodsim(t *testing.T) {
 	vs := vectors.Random(c, 130, 9)
 	p := Compile(c)
 	tr, _ := p.Trace(vs)
-	ref := goodsim.Record(c, vs.Vecs)
-	for cyc := 0; cyc < vs.Len(); cyc++ {
+	ref := goodsim.New(c)
+	for cyc, vec := range vs.Vecs {
+		ref.Apply(vec)
 		for g := range c.Gates {
-			if got, want := tr.At(cyc, netlist.GateID(g)), ref.At(cyc, netlist.GateID(g)); got != want {
+			if got, want := tr.At(cyc, netlist.GateID(g)), ref.Val(netlist.GateID(g)); got != want {
 				t.Fatalf("cycle %d gate %s: trace %v, goodsim %v", cyc, c.Gates[g].Name, got, want)
 			}
 		}
+		ref.Clock()
 	}
 }
 
@@ -426,7 +428,7 @@ func TestWorkerPanicIsAnError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := serial.Simulate(&faults.Universe{Circuit: c, Faults: u.Faults[:len(ids)]}, vs)
+	want, _ := serial.Simulate(context.Background(), &faults.Universe{Circuit: c, Faults: u.Faults[:len(ids)]}, vs)
 	for _, id := range ids {
 		if got.DetectedAt[id] != want.DetectedAt[id] || got.PotDetected[id] != want.PotDetected[id] {
 			t.Fatalf("fault %d after the failed run: detected at %d (potential %v), oracle %d (%v)",

@@ -38,7 +38,7 @@ func maskRange(lo, hi uint) uint64 {
 // included) and every cycle, the settled ternary value before the
 // clock edge, stored as two uint64 bit-planes per gate per 64-cycle
 // block. It is the fault simulator's shared baseline — the compiled
-// analogue of goodsim.Trace — and is immutable once Trace returns.
+// analogue of stepping a goodsim.Sim — and is immutable once Trace returns.
 //
 //simlint:immutable
 type Trace struct {

@@ -25,10 +25,8 @@ package csim
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/faults"
-	"repro/internal/goodsim"
 	"repro/internal/logic"
 	"repro/internal/macro"
 	"repro/internal/netlist"
@@ -77,9 +75,7 @@ type Config struct {
 	// the nil fast path at zero added allocations.
 	Obs *obs.Observer
 	// ObsPrefix namespaces this simulator's metrics inside the registry;
-	// empty means DefaultObsPrefix ("csim."). The csim-P engine gives
-	// each partition worker its own prefix so per-worker gauges stay
-	// distinguishable.
+	// empty means DefaultObsPrefix ("csim.").
 	ObsPrefix string
 }
 
@@ -132,11 +128,6 @@ type Simulator struct {
 
 	sentinel int32 // fault ID of the terminal element (= len(u.Faults))
 	dropped  []bool
-
-	// goodTrace, when non-nil, supplies prerecorded good-machine values:
-	// evalRoot looks the settled root value up instead of evaluating the
-	// macro's good function (the replay hook behind csim-P).
-	goodTrace *goodsim.Trace
 
 	goodVal  []logic.V    // per gate; meaningful for sources and roots
 	goodWord []logic.Word // per root: packed good leaf values + output
@@ -200,34 +191,6 @@ type pendingElem struct {
 // New builds a simulator for the universe's circuit. The universe may be
 // stuck-at, transition, or mixed.
 func New(u *faults.Universe, cfg Config) (*Simulator, error) {
-	return newSim(u, cfg, nil)
-}
-
-// NewPartition builds a simulator restricted to the subset of u's faults
-// whose IDs are listed in ids. Only subset faults are injected, tracked
-// and detected; results are still reported against the full universe
-// (global fault IDs), so per-partition results from disjoint subsets can
-// be combined with faults.MergeResults. Concurrent fault simulation
-// evolves each faulty machine independently of every other, so a
-// partitioned run detects exactly the faults the full run would.
-func NewPartition(u *faults.Universe, cfg Config, ids []int32) (*Simulator, error) {
-	sub := make([]int32, len(ids))
-	copy(sub, ids)
-	sort.Slice(sub, func(i, j int) bool { return sub[i] < sub[j] })
-	for i, id := range sub {
-		if id < 0 || int(id) >= len(u.Faults) {
-			return nil, fmt.Errorf("csim: partition fault ID %d outside universe of %d", id, len(u.Faults))
-		}
-		if i > 0 && sub[i-1] == id {
-			return nil, fmt.Errorf("csim: duplicate fault ID %d in partition", id)
-		}
-	}
-	return newSim(u, cfg, sub)
-}
-
-// newSim builds the simulator; ids, when non-nil, restricts the simulated
-// faults to that sorted subset of the universe.
-func newSim(u *faults.Universe, cfg Config, ids []int32) (*Simulator, error) {
 	c := u.Circuit
 	if cfg.MacroMaxInputs == 0 {
 		cfg.MacroMaxInputs = macro.DefaultMaxInputs
@@ -296,7 +259,7 @@ func newSim(u *faults.Universe, cfg Config, ids []int32) (*Simulator, error) {
 
 	s.flog = cfg.Obs.FaultLog()
 	if reg := cfg.Obs.Registry(); reg != nil {
-		s.sink = newObsSink(reg, cfg.ObsPrefix, s.numSimFaults(ids))
+		s.sink = newObsSink(reg, cfg.ObsPrefix, len(u.Faults))
 		ms := plan.Summary()
 		reg.Gauge(cfg.ObsPrefix + "macro_absorbed_gates").Set(int64(ms.AbsorbedGates))
 		reg.Gauge(cfg.ObsPrefix + "macro_max_frame").Set(int64(ms.MaxFrame))
@@ -304,11 +267,11 @@ func newSim(u *faults.Universe, cfg Config, ids []int32) (*Simulator, error) {
 	}
 
 	// Fault-site ownership: faults on absorbed gates belong to their
-	// macro's root. A partition-restricted simulator sites only its own
-	// subset; ids is sorted, so per-gate locals stay sorted.
+	// macro's root. Faults are sited in ID order, so per-gate locals stay
+	// sorted.
 	anyTransition := false
-	site := func(id int32) {
-		f := &u.Faults[id]
+	for i := range u.Faults {
+		f := &u.Faults[i]
 		owner := f.Gate
 		if !c.Gate(f.Gate).IsSource() {
 			owner = plan.Owner[f.Gate]
@@ -319,15 +282,6 @@ func newSim(u *faults.Universe, cfg Config, ids []int32) (*Simulator, error) {
 		}
 		if s.flog != nil {
 			s.flog.Emit(obs.FaultEvent{Vec: -1, Fault: f.ID, Gate: int32(owner), Kind: obs.FaultInjected})
-		}
-	}
-	if ids == nil {
-		for i := range u.Faults {
-			site(int32(i))
-		}
-	} else {
-		for _, id := range ids {
-			site(id)
 		}
 	}
 	if anyTransition {
@@ -387,36 +341,8 @@ func (s *Simulator) Stats() Stats {
 	}
 }
 
-// numSimFaults is the simulated fault count: the partition size, or the
-// whole universe when unrestricted.
-func (s *Simulator) numSimFaults(ids []int32) int {
-	if ids != nil {
-		return len(ids)
-	}
-	return len(s.u.Faults)
-}
-
 // Plan exposes the macro plan (inspection/tests).
 func (s *Simulator) Plan() *macro.Plan { return s.plan }
-
-// SetGoodTrace attaches a prerecorded good-machine trace: the simulator
-// replays settled good values from the trace instead of evaluating macro
-// good functions, so the good machine is derived once per vector set no
-// matter how many partitions replay it. The trace must come from a
-// goodsim.Record of the same circuit over the same vector sequence that
-// will be simulated (recording more cycles than are run is fine). Must be
-// called before the first Cycle.
-func (s *Simulator) SetGoodTrace(tr *goodsim.Trace) error {
-	if tr.NumGates() != len(s.c.Gates) {
-		return fmt.Errorf("csim: good trace covers %d gates, circuit has %d",
-			tr.NumGates(), len(s.c.Gates))
-	}
-	if !s.firstCycle || s.vecIndex != 0 {
-		return fmt.Errorf("csim: good trace must be attached before simulation starts")
-	}
-	s.goodTrace = tr
-	return nil
-}
 
 // GoodVal returns the good-machine value of a source or macro-root gate.
 func (s *Simulator) GoodVal(g netlist.GateID) logic.V { return s.goodVal[g] }

@@ -1,10 +1,10 @@
 package csim
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/faults"
-	"repro/internal/goodsim"
 	"repro/internal/logic"
 	"repro/internal/netlist"
 	"repro/internal/serial"
@@ -140,7 +140,7 @@ func TestStuckAtMatchesSerial(t *testing.T) {
 			{"collapsed", faults.StuckCollapsed(c)},
 		} {
 			vs := vectors.Random(c, 150, int64(len(tc.name)*77+1))
-			want := serial.Simulate(uni.u, vs)
+			want, _ := serial.Simulate(context.Background(), uni.u, vs)
 			for _, cf := range configs {
 				sim, err := New(uni.u, cf.cfg)
 				if err != nil {
@@ -177,7 +177,7 @@ func TestTransitionMatchesSerial(t *testing.T) {
 		c := mustParse(t, tc.name, tc.text)
 		u := faults.Transition(c)
 		vs := vectors.Random(c, 200, int64(len(tc.name)*13+5))
-		want := serial.Simulate(u, vs)
+		want, _ := serial.Simulate(context.Background(), u, vs)
 		for _, cf := range configs {
 			sim, err := New(u, cf.cfg)
 			if err != nil {
@@ -472,7 +472,7 @@ func TestWideMacrosUseReplayPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := sim.Run(vs)
-	want := serial.Simulate(u, vs)
+	want, _ := serial.Simulate(context.Background(), u, vs)
 	if d := want.Diff(got); d != "" {
 		t.Errorf("wide-macro csim disagrees with serial:\n%s", d)
 	}
@@ -520,7 +520,7 @@ func TestTransitionRetriggerFlush(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := sim.Run(vs)
-		want := serial.Simulate(u, vs)
+		want, _ := serial.Simulate(context.Background(), u, vs)
 		if d := want.Diff(got); d != "" {
 			t.Errorf("macros=%v: retrigger flush broken:\n%s", cfg.Macros, d)
 		}
@@ -545,153 +545,4 @@ func TestMergeStatsSums(t *testing.T) {
 	if one := MergeStats(a); one != a {
 		t.Errorf("MergeStats of one part = %+v, want %+v", one, a)
 	}
-}
-
-// TestPartitionedMatchesFull: for every test circuit and configuration,
-// splitting the universe into partition simulators and merging their
-// results must reproduce the full run exactly — detections, first
-// detecting vectors, potential detections, and the partition-invariant
-// counters (detections sum; the summed peaks bound the full run's peak).
-func TestPartitionedMatchesFull(t *testing.T) {
-	for _, tc := range testCircuits {
-		c := mustParse(t, tc.name, tc.text)
-		u := faults.StuckCollapsed(c)
-		vs := vectors.Random(c, 60, 5)
-		for _, cf := range configs {
-			full, err := New(u, cf.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := full.Run(vs)
-			const k = 3
-			parts := make([][]int32, k)
-			for i := 0; i < u.NumFaults(); i++ {
-				parts[i%k] = append(parts[i%k], int32(i))
-			}
-			results := make([]*faults.Result, k)
-			var merged Stats
-			for i, ids := range parts {
-				sim, err := NewPartition(u, cf.cfg, ids)
-				if err != nil {
-					t.Fatal(err)
-				}
-				results[i] = sim.Run(vs)
-				merged = MergeStats(merged, sim.Stats())
-			}
-			got := faults.MergeResults(results...)
-			tag := tc.name + "/" + cf.name
-			if d := want.Diff(got); d != "" {
-				t.Errorf("%s: partitioned detections differ:\n%s", tag, d)
-				continue
-			}
-			for i := range want.DetectedAt {
-				if want.DetectedAt[i] != got.DetectedAt[i] {
-					t.Errorf("%s: fault %d first detected at %d, full run %d",
-						tag, i, got.DetectedAt[i], want.DetectedAt[i])
-					break
-				}
-				if want.PotDetected[i] != got.PotDetected[i] {
-					t.Errorf("%s: fault %d potential %v, full run %v",
-						tag, i, got.PotDetected[i], want.PotDetected[i])
-					break
-				}
-			}
-			st := full.Stats()
-			if merged.Detections != st.Detections {
-				t.Errorf("%s: merged detections %d, full run %d",
-					tag, merged.Detections, st.Detections)
-			}
-			if merged.PeakElems < st.PeakElems {
-				t.Errorf("%s: summed partition peaks %d below full-run peak %d",
-					tag, merged.PeakElems, st.PeakElems)
-			}
-		}
-	}
-}
-
-// TestPartitionRejectsBadIDs: out-of-range and duplicate fault IDs must
-// be reported, not silently simulated.
-func TestPartitionRejectsBadIDs(t *testing.T) {
-	c := mustParse(t, "comb", testCircuits[1].text)
-	u := faults.StuckCollapsed(c)
-	if _, err := NewPartition(u, MV(), []int32{0, int32(u.NumFaults())}); err == nil {
-		t.Error("out-of-range fault ID accepted")
-	}
-	if _, err := NewPartition(u, MV(), []int32{-1}); err == nil {
-		t.Error("negative fault ID accepted")
-	}
-	if _, err := NewPartition(u, MV(), []int32{2, 2}); err == nil {
-		t.Error("duplicate fault ID accepted")
-	}
-}
-
-// TestGoodTraceReplayExact: with a recorded good trace attached the
-// simulator must report exactly the same detections and good values as
-// the self-evaluating run, for every configuration (macro good functions
-// and the trace agree on settled values by construction).
-func TestGoodTraceReplayExact(t *testing.T) {
-	for _, tc := range testCircuits {
-		c := mustParse(t, tc.name, tc.text)
-		u := faults.StuckCollapsed(c)
-		vs := vectors.Random(c, 60, 8)
-		tr := goodsim.Record(c, vs.Vecs)
-		for _, cf := range configs {
-			plain, err := New(u, cf.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := plain.Run(vs)
-			replay, err := New(u, cf.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := replay.SetGoodTrace(tr); err != nil {
-				t.Fatal(err)
-			}
-			got := replay.Run(vs)
-			if d := want.Diff(got); d != "" {
-				t.Errorf("%s/%s: replay diverged:\n%s", tc.name, cf.name, d)
-			}
-			if ps, rs := plain.Stats(), replay.Stats(); ps != rs {
-				t.Errorf("%s/%s: replay stats %+v, self-evaluating %+v",
-					tc.name, cf.name, rs, ps)
-			}
-		}
-	}
-}
-
-// TestSetGoodTraceValidation: wrong circuit and late attachment are
-// rejected; running past the recorded trace panics.
-func TestSetGoodTraceValidation(t *testing.T) {
-	c := mustParse(t, "comb", testCircuits[1].text)
-	other := mustParse(t, "s27", s27Bench)
-	u := faults.StuckCollapsed(c)
-	vs := vectors.Random(c, 10, 1)
-	tr := goodsim.Record(c, vs.Vecs)
-
-	sim, err := New(u, MV())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sim.SetGoodTrace(goodsim.Record(other, vectors.Random(other, 10, 1).Vecs)); err == nil {
-		t.Error("trace of a different circuit accepted")
-	}
-	sim.Run(vs.Slice(2))
-	if err := sim.SetGoodTrace(tr); err == nil {
-		t.Error("trace attached after simulation started")
-	}
-
-	short, err := New(u, MV())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := short.SetGoodTrace(goodsim.Record(c, vs.Vecs[:3])); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("running past the recorded trace did not panic")
-		}
-	}()
-	short.Run(vs)
 }

@@ -1,7 +1,6 @@
 package csim
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/faults"
@@ -13,10 +12,6 @@ import (
 // combinational network, look for detections at the primary outputs, then
 // clock the flip-flops (good machine and every faulty machine together).
 func (s *Simulator) Cycle(vec []logic.V) {
-	if s.goodTrace != nil && s.vecIndex >= s.goodTrace.Cycles() {
-		panic(fmt.Sprintf("csim: vector %d beyond the recorded good trace (%d cycles)",
-			s.vecIndex, s.goodTrace.Cycles()))
-	}
 	// Observability is published once per cycle (never per event): with a
 	// sink attached the cycle is timed and the counters flushed at the
 	// end; without one this is a single nil check.

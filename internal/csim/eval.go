@@ -138,13 +138,7 @@ func (s *Simulator) evalRoot(r netlist.GateID) {
 		newGoodOut = oldGoodOut
 		newGW = oldGW
 	} else {
-		if s.goodTrace != nil {
-			// Replay mode: the settled good value was recorded once for
-			// the whole vector set; no per-partition re-derivation.
-			newGoodOut = s.goodTrace.At(s.vecIndex, r)
-		} else {
-			newGoodOut = m.Eval(gin, s.frame)
-		}
+		newGoodOut = m.Eval(gin, s.frame)
 		s.stats.GoodEvals++
 		newGW = logic.PackWord(gin, newGoodOut)
 		s.goodWord[r] = newGW

@@ -1,6 +1,7 @@
 package csim
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -33,7 +34,7 @@ func TestSharedPlanConcurrentSims(t *testing.T) {
 			{"transition", faults.Transition(c)},
 		} {
 			vs := vectors.Random(c, 120, int64(len(tc.name)*31+5))
-			want := serial.Simulate(uni.u, vs)
+			want, _ := serial.Simulate(context.Background(), uni.u, vs)
 			var wg sync.WaitGroup
 			errs := make(chan string, sims)
 			for i := 0; i < sims; i++ {

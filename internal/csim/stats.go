@@ -17,19 +17,20 @@ import (
 // read-back (StatsFromRegistry), and partition merging (MergeStats) — a
 // field added here is automatically registered, published, and merged,
 // and a field missing its tag panics loudly instead of being silently
-// dropped.
+// dropped. The `json` tags are the service's wire form: a job result
+// carries this struct as its "stats" block.
 type Stats struct {
-	Evals      int   `obs:"evals,counter,sum"`      // faulty-machine gate evaluations
-	Skips      int   `obs:"skips,counter,sum"`      // merged machines skipped without re-evaluation
-	GoodEvals  int   `obs:"good_evals,counter,sum"` // good-machine value refreshes (evaluations or trace replays)
-	Scheds     int   `obs:"scheds,counter,sum"`     // macro roots scheduled for evaluation
-	Passes     int   `obs:"passes,counter,sum"`     // csim-C: fresh propagations, one per fault × 64-cycle block
-	Steps      int   `obs:"steps,counter,sum"`      // csim-C: continuations of a pass in place after a divergence cutoff
-	PeakElems  int   `obs:"peak_elems,gauge,sum"`   // high-water mark of live fault elements
-	CurElems   int   `obs:"cur_elems,gauge,sum"`    // live fault elements now
-	Macros     int   `obs:"macros,gauge,max"`       // macro count of the plan in use
-	MemBytes   int64 `obs:"mem_bytes,gauge,sum"`    // accounted fault-element memory at peak
-	Detections int   `obs:"detections,counter,sum"`
+	Evals      int   `json:"evals" obs:"evals,counter,sum"`                     // faulty-machine gate evaluations
+	Skips      int   `json:"skips" obs:"skips,counter,sum"`                     // merged machines skipped without re-evaluation
+	GoodEvals  int   `json:"good_evals" obs:"good_evals,counter,sum"`           // good-machine value refreshes
+	Scheds     int   `json:"scheds" obs:"scheds,counter,sum"`                   // macro roots scheduled for evaluation
+	Passes     int   `json:"passes,omitempty" obs:"passes,counter,sum"`         // csim-C: fresh propagations, one per fault × 64-cycle block
+	Steps      int   `json:"steps,omitempty" obs:"steps,counter,sum"`           // csim-C: continuations of a pass in place after a divergence cutoff
+	PeakElems  int   `json:"peak_elems" obs:"peak_elems,gauge,sum"`             // high-water mark of live fault elements
+	CurElems   int   `json:"cur_elems,omitempty" obs:"cur_elems,gauge,sum"`     // live fault elements now
+	Macros     int   `json:"macros" obs:"macros,gauge,max"`                     // macro count of the plan in use
+	MemBytes   int64 `json:"mem_bytes" obs:"mem_bytes,gauge,sum"`               // accounted fault-element memory at peak
+	Detections int   `json:"detections,omitempty" obs:"detections,counter,sum"` // engine-observed detection events
 }
 
 // mergePolicy says how a Stats field combines across disjoint partitions.

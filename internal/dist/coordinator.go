@@ -13,6 +13,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/jobid"
 	"repro/internal/obs"
 	"repro/internal/parallel"
@@ -180,7 +181,7 @@ func (c *Coordinator) RunJob(ctx context.Context, req *service.RunRequest) (*ser
 		Detected: res.NumDet,
 		PotOnly:  res.NumPotOnly(),
 		Coverage: res.Coverage(),
-		Stats:    service.NewStatsView(st),
+		Stats:    st,
 	}
 	if req.Spec.ReturnDetections {
 		rv.Detections = service.NewDetectionsView(res)
@@ -401,7 +402,7 @@ func (c *Coordinator) shardLost(ctx, actx context.Context, w *worker, id, op str
 // vector axis, and the detections payload switched on.
 func shardSpec(parent *service.JobSpec, k, n int, timeout time.Duration) *service.JobSpec {
 	s := *parent
-	s.Engine = "csim-grid"
+	s.Engine = engine.CsimGrid
 	s.Workers = 0
 	s.FaultShard, s.FaultShards = k, n
 	s.ReturnDetections = true

@@ -10,11 +10,11 @@ import (
 
 	"repro/internal/compiled"
 	"repro/internal/csim"
+	"repro/internal/engine"
 	"repro/internal/faults"
 	"repro/internal/iscas"
 	"repro/internal/netlist"
 	"repro/internal/obs"
-	"repro/internal/parallel"
 	"repro/internal/serial"
 	"repro/internal/service"
 	"repro/internal/vectors"
@@ -26,15 +26,13 @@ func shardPayloads(t *testing.T, u *faults.Universe, vs *vectors.Set, k int) []*
 	t.Helper()
 	out := make([]*service.ResultView, k)
 	for shard := 0; shard < k; shard++ {
-		res, st, err := parallel.SimulateShard(context.Background(), u, vs, parallel.ShardOptions{
-			Shard: shard, Of: k, Config: csim.MV(),
-		})
+		res, st, err := engine.Run(context.Background(), engine.CsimGrid, u, vs, engine.Options{Shard: shard, Of: k})
 		if err != nil {
 			t.Fatalf("shard %d: %v", shard, err)
 		}
 		out[shard] = &service.ResultView{
 			Detections: service.NewDetectionsView(res),
-			Stats:      service.NewStatsView(st),
+			Stats:      st,
 		}
 	}
 	return out
@@ -51,7 +49,7 @@ func TestMergerShuffledAndDuplicateArrival(t *testing.T) {
 	}
 	u := faults.StuckCollapsed(ckt)
 	vs := vectors.Random(ckt, 50, 9)
-	want := serial.Simulate(u, vs)
+	want, _ := serial.Simulate(context.Background(), u, vs)
 	const k = 5
 	payloads := shardPayloads(t, u, vs, k)
 
@@ -178,7 +176,7 @@ func TestDistributedMatchesSerialOracle(t *testing.T) {
 		} else {
 			u = faults.Transition(ckt)
 		}
-		want := serial.Simulate(u, vectors.Random(ckt, 60, 11))
+		want, _ := serial.Simulate(context.Background(), u, vectors.Random(ckt, 60, 11))
 
 		v, err := cl.Run(ctx, service.JobSpec{
 			Circuit: tc.circuit, Model: tc.model, Engine: "csim-grid",
@@ -207,9 +205,10 @@ func TestDistributedMatchesSerialOracle(t *testing.T) {
 	}
 }
 
-// TestDistributedStatsMatchLocalGrid: the merged worker stats equal a
-// local grid run of the same K — distribution moves the work,
-// it doesn't change it.
+// TestDistributedStatsMatchLocalGrid: the merged worker stats count the
+// work of a local grid run of the same K — distribution moves the work,
+// it doesn't change it — except that every shard computes its own good
+// trace, and the memory counters follow the placement.
 func TestDistributedStatsMatchLocalGrid(t *testing.T) {
 	cl, _, _ := startCluster(t, 2, nil)
 	ctx := ctxT(t)
@@ -228,14 +227,15 @@ func TestDistributedStatsMatchLocalGrid(t *testing.T) {
 	if err != nil || v.Status != service.StatusDone {
 		t.Fatalf("distributed run: %v / %+v", err, v)
 	}
-	_, gridStats, err := parallel.SimulateGrid(context.Background(), u, vs, parallel.GridOptions{
-		FaultShards: k, Config: csim.MV(),
-	})
+	_, want, err := engine.Run(context.Background(), engine.CsimGrid, u, vs, engine.Options{Workers: k})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := v.Result.Stats.Stats(); got != gridStats {
-		t.Errorf("distributed stats %+v != local grid stats %+v", got, gridStats)
+	got := v.Result.Stats
+	want.GoodEvals *= k
+	got.PeakElems, got.CurElems, got.MemBytes = want.PeakElems, want.CurElems, want.MemBytes
+	if got != want {
+		t.Errorf("distributed stats %+v, local grid stats with %d traces %+v", got, k, want)
 	}
 	if v.Result.Workers != k || v.Result.Windows != 1 {
 		t.Errorf("distributed shape %dx%d, want %dx1", v.Result.Workers, v.Result.Windows, k)
@@ -253,7 +253,7 @@ func TestDistributedInlineBenchShipsOnce(t *testing.T) {
 	}
 	text := netlist.BenchString(ckt)
 	u := faults.StuckCollapsed(ckt)
-	want := serial.Simulate(u, vectors.Random(ckt, 30, 5))
+	want, _ := serial.Simulate(context.Background(), u, vectors.Random(ckt, 30, 5))
 
 	for run := 0; run < 2; run++ {
 		v, err := cl.Run(ctx, service.JobSpec{
@@ -370,14 +370,14 @@ func TestWorkerKillMidJobRequeues(t *testing.T) {
 	}
 }
 
-// TestFleetRunsCompiledShards: from 64 vectors on, an unpinned job
-// through a coordinator is planned K×1 on the compiled kernel and every
-// worker runs its shard's fault IDs on it. The merged result is the
+// TestFleetShardsAreCompiled: an unpinned job through a coordinator is
+// planned K×1 and every worker runs its shard's fault IDs on the
+// compiled kernel. The merged result is the
 // oracle's on both fault models — the serial oracle on s298 and s1494,
 // single-threaded csim-MV on s5378, where serial takes a minute — and
 // the merged stats say what ran: csim-C's evaluation counts, and one
 // good trace per worker, since each computes its own.
-func TestFleetRunsCompiledShards(t *testing.T) {
+func TestFleetShardsAreCompiled(t *testing.T) {
 	cl, _, _ := startCluster(t, 2, nil)
 	ctx := ctxT(t)
 	for _, circuit := range []string{"s298", "s1494", "s5378"} {
@@ -400,7 +400,7 @@ func TestFleetRunsCompiledShards(t *testing.T) {
 				}
 				want = single.Run(vs)
 			} else {
-				want = serial.Simulate(u, vs)
+				want, _ = serial.Simulate(context.Background(), u, vs)
 			}
 			ref, err := compiled.New(u)
 			if err != nil {
@@ -435,7 +435,7 @@ func TestFleetRunsCompiledShards(t *testing.T) {
 					break
 				}
 			}
-			st, one := v.Result.Stats.Stats(), ref.Stats()
+			st, one := v.Result.Stats, ref.Stats()
 			if st.Evals != one.Evals || st.Scheds != one.Scheds || st.Detections != want.NumDet {
 				t.Errorf("%s: merged stats %+v, csim-C %+v", tag, st, one)
 			}

@@ -25,7 +25,7 @@ type merger struct {
 // shardPayload is one shard's accepted result.
 type shardPayload struct {
 	det   *service.DetectionsView
-	stats service.StatsView
+	stats csim.Stats
 }
 
 // newMerger sizes a merger for a K-shard job.
@@ -83,7 +83,7 @@ func (m *merger) merge(u *faults.Universe) (*faults.Result, csim.Stats, error) {
 			return nil, csim.Stats{}, fmt.Errorf("dist: shard %d payload: %w", k, err)
 		}
 		parts = append(parts, res)
-		stats = append(stats, s.stats.Stats())
+		stats = append(stats, s.stats)
 	}
 	return faults.MergeResults(parts...), csim.MergeStats(stats...), nil
 }

@@ -10,7 +10,6 @@ package goodsim
 import (
 	"repro/internal/logic"
 	"repro/internal/netlist"
-	"repro/internal/obs"
 )
 
 // Sim is a good-machine simulator. The zero value is not usable; call New.
@@ -174,61 +173,4 @@ func Run(c *netlist.Circuit, vecs [][]logic.V) [][]logic.V {
 		out[t] = s.Cycle(v)
 	}
 	return out
-}
-
-// Trace is a read-only record of the good machine's settled value at every
-// gate on every cycle: At(t, g) is gate g's output after the combinational
-// network settled under vector t, before the clock edge. Concurrent fault
-// simulators replay good values from a shared Trace instead of each
-// re-deriving the good machine, so one goodsim run serves any number of
-// fault partitions. A Trace is immutable after Record and safe for
-// concurrent readers.
-//
-//simlint:immutable
-type Trace struct {
-	numGates int
-	cycles   int
-	vals     []logic.V // cycles × numGates, row-major by cycle
-}
-
-// NumGates returns the gate count of the recorded circuit.
-func (tr *Trace) NumGates() int { return tr.numGates }
-
-// Cycles returns the number of recorded clock cycles.
-func (tr *Trace) Cycles() int { return tr.cycles }
-
-// At returns gate g's settled value on the given cycle.
-func (tr *Trace) At(cycle int, g netlist.GateID) logic.V {
-	return tr.vals[cycle*tr.numGates+int(g)]
-}
-
-// Record simulates the whole vector sequence once from the all-X state and
-// captures every gate's settled value each cycle.
-func Record(c *netlist.Circuit, vecs [][]logic.V) *Trace {
-	return RecordObserved(c, vecs, nil)
-}
-
-// RecordObserved is Record under observability: the derivation runs
-// inside a "good-sim" tracer span and publishes the good machine's gate
-// evaluations and recorded cycles as goodsim.* metrics. ob may be nil.
-func RecordObserved(c *netlist.Circuit, vecs [][]logic.V, ob *obs.Observer) *Trace {
-	sp := ob.Span("good-sim")
-	defer sp.End()
-	s := New(c)
-	tr := &Trace{
-		numGates: len(c.Gates),
-		cycles:   len(vecs),
-		vals:     make([]logic.V, len(c.Gates)*len(vecs)),
-	}
-	for t, v := range vecs {
-		s.Apply(v)
-		copy(tr.vals[t*tr.numGates:(t+1)*tr.numGates], s.val)
-		s.Clock()
-	}
-	if reg := ob.Registry(); reg != nil {
-		reg.Counter("goodsim.events").Add(int64(s.Events))
-		reg.Counter("goodsim.cycles").Add(int64(len(vecs)))
-		reg.Gauge("goodsim.trace_bytes").Set(int64(len(tr.vals)))
-	}
-	return tr
 }

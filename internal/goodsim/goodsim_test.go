@@ -231,25 +231,3 @@ func BenchmarkGoodSimS27(b *testing.B) {
 		s.Cycle(vec)
 	}
 }
-
-// TestTraceMatchesLiveSimulation: Record's per-cycle snapshot must equal
-// the values a live simulator holds after each Apply, for every gate.
-func TestTraceMatchesLiveSimulation(t *testing.T) {
-	c := mustParse(t, "s27", s27Bench)
-	vecs := vectors.Random(c, 50, 3).Vecs
-	tr := Record(c, vecs)
-	if tr.Cycles() != len(vecs) || tr.NumGates() != len(c.Gates) {
-		t.Fatalf("trace shape %dx%d, want %dx%d",
-			tr.Cycles(), tr.NumGates(), len(vecs), len(c.Gates))
-	}
-	s := New(c)
-	for cyc, v := range vecs {
-		s.Apply(v)
-		for g := range c.Gates {
-			if got, want := tr.At(cyc, netlist.GateID(g)), s.Val(netlist.GateID(g)); got != want {
-				t.Fatalf("cycle %d gate %d: trace %v, live %v", cyc, g, got, want)
-			}
-		}
-		s.Clock()
-	}
-}

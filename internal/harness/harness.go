@@ -13,85 +13,17 @@ import (
 	"time"
 
 	"repro/internal/compiled"
-	"repro/internal/csim"
+	"repro/internal/engine"
 	"repro/internal/faults"
-	"repro/internal/goodsim"
 	"repro/internal/netlist"
 	"repro/internal/obs"
-	"repro/internal/parallel"
-	"repro/internal/proofs"
-	"repro/internal/serial"
 	"repro/internal/vectors"
 )
 
-// Engine names a simulator configuration under measurement.
-type Engine string
-
-// The measured engines. CsimV/CsimM/CsimMV are the paper's variants;
-// CsimPlain (no improvements) and CsimEager (full-scan dropping) exist for
-// ablations.
-const (
-	CsimPlain Engine = "csim"
-	CsimV     Engine = "csim-V"
-	CsimM     Engine = "csim-M"
-	CsimMV    Engine = "csim-MV"
-	CsimEager Engine = "csim-MV-eagerdrop"
-	// CsimReconv uses the paper's reconvergent-macro extension.
-	CsimReconv Engine = "csim-MV-reconvergent"
-	// CsimP is the fault-partition parallel engine: csim-MV sharded over
-	// worker goroutines replaying a shared good-machine trace.
-	CsimP Engine = "csim-P"
-	// CsimGrid is the fault-sharded engine on whichever kernel the
-	// vector count selects. With the shard count unset the scheduler
-	// picks it.
-	CsimGrid Engine = "csim-grid"
-	// CsimC is the compiled backend: the circuit lowered once into
-	// branch-free levelized straight-line evaluation over flat word
-	// arrays, a packed 64-cycle-per-word good trace, and per-fault
-	// bit-parallel cone re-evaluation (internal/compiled).
-	CsimC Engine = "csim-C"
-	// PROOFS is the bit-parallel single-fault-propagation baseline.
-	PROOFS Engine = "PROOFS"
-	// Serial is the brute-force oracle: one full resimulation per fault.
-	// It is orders of magnitude slower than every other engine and exists
-	// as the ground-truth throughput floor in benchmark reports.
-	Serial Engine = "serial"
-	// GoodSim runs only the interpreted event-driven good machine
-	// (internal/goodsim) — no faults. It exists as the interpreter side
-	// of the good-machine throughput comparison in benchmark reports.
-	GoodSim Engine = "good-sim"
-	// GoodC runs only the compiled good machine: the straight-line fused
-	// table-lookup stream over the flat compiled program. The compiled
-	// side of the good-machine throughput comparison.
-	GoodC Engine = "good-C"
-)
-
-// Config returns the csim configuration for a csim engine.
-func (e Engine) Config() csim.Config {
-	switch e {
-	case CsimV:
-		return csim.V()
-	case CsimM:
-		return csim.M()
-	case CsimMV:
-		return csim.MV()
-	case CsimEager:
-		cfg := csim.MV()
-		cfg.EagerDrop = true
-		return cfg
-	case CsimReconv:
-		cfg := csim.MV()
-		cfg.ReconvergentMacros = true
-		return cfg
-	default:
-		return csim.Config{}
-	}
-}
-
 // Measurement is one table cell group: an engine run on one workload.
 type Measurement struct {
-	// Engine is the measured simulator configuration.
-	Engine Engine
+	// Engine is the measured simulator configuration's registered name.
+	Engine string
 	// Circuit is the workload circuit's name.
 	Circuit string
 	// Patterns is the applied test-vector count.
@@ -108,23 +40,13 @@ type Measurement struct {
 	CPU time.Duration
 	// MemBytes is the accounted fault-structure memory at peak.
 	MemBytes int64
-	// Workers is the fault-shard goroutine count (csim-P and csim-grid
-	// only; 0 otherwise).
+	// Workers is the compiled kernel's worker count (csim-C and
+	// csim-grid; 0 otherwise).
 	Workers int
 }
 
 // FltCvg returns hard coverage in percent.
 func (m Measurement) FltCvg() float64 { return 100 * m.Coverage }
-
-// Run measures one engine over a universe and test set.
-func Run(engine Engine, u *faults.Universe, vs *vectors.Set) (Measurement, error) {
-	return RunObserved(engine, u, vs, nil)
-}
-
-// EnginePrefix is the registry namespace of a csim engine's metrics when
-// run through the harness, e.g. "csim-MV." — per-engine eval counts stay
-// distinguishable in one metrics snapshot.
-func EnginePrefix(engine Engine) string { return string(engine) + "." }
 
 // compiledCache memoizes the compile-once csim-C artifact per circuit.
 // The Program is immutable and shared by design — lowering a circuit is
@@ -149,178 +71,31 @@ func compiledProgram(c *netlist.Circuit) *compiled.Program {
 	return p
 }
 
-// RunObserved measures one engine under the observability layer: the
-// engine registers its metrics into ob's registry (namespaced by
-// EnginePrefix), the simulation runs inside a "fault-sim" tracer span,
-// and — when a registry is attached — the Measurement's memory column is
-// sourced from the registry snapshot rather than the bespoke Stats
-// counters. ob may be nil, which is exactly Run.
-func RunObserved(engine Engine, u *faults.Universe, vs *vectors.Set, ob *obs.Observer) (Measurement, error) {
+// Run measures one engine over a universe and test set: engine.Run on
+// the memoized compiled program, timed. workers is the compiled kernel's
+// processor budget (engine.Options.Workers; other engines ignore it). ob
+// may be nil; with one, the engine's metrics land under "<name>." and
+// the simulation runs inside a "fault-sim" span.
+func Run(name string, u *faults.Universe, vs *vectors.Set, workers int, ob *obs.Observer) (Measurement, error) {
 	m := Measurement{
-		Engine:   engine,
+		Engine:   name,
 		Circuit:  u.Circuit.Name,
 		Patterns: vs.Len(),
 		Faults:   u.NumFaults(),
 	}
-	start := time.Now()
-	var res *faults.Result
-	switch engine {
-	case CsimP:
-		return RunParallelObserved(u, vs, 0, ob)
-	case CsimGrid:
-		return RunGridObserved(u, vs, 0, ob)
-	case Serial:
-		sp := ob.Span("fault-sim")
-		res = serial.Simulate(u, vs)
-		sp.End()
-	case CsimC:
-		sim, err := compiled.NewWith(compiledProgram(u.Circuit), u)
-		if err != nil {
-			return m, err
-		}
-		sp := ob.Span("fault-sim")
-		res = sim.Run(vs)
-		sp.End()
-		st := sim.Stats()
-		csim.PublishStats(ob.Registry(), EnginePrefix(engine), st)
-		m.MemBytes = st.MemBytes
-	case GoodSim:
-		sp := ob.Span("good-sim")
-		s := goodsim.New(u.Circuit)
-		for _, vec := range vs.Vecs {
-			s.Apply(vec)
-			s.Clock()
-		}
-		sp.End()
-		res = faults.NewResult(u)
-		ob.Registry().Counter(EnginePrefix(engine) + "good_evals").Add(int64(s.Events))
-	case GoodC:
-		g := compiledProgram(u.Circuit).NewGood()
-		sp := ob.Span("good-sim")
-		g.Run(vs)
-		sp.End()
-		res = faults.NewResult(u)
-		ob.Registry().Counter(EnginePrefix(engine) + "good_evals").Add(g.Evals)
-	case PROOFS:
-		sim, err := proofs.New(u)
-		if err != nil {
-			return m, err
-		}
-		sp := ob.Span("fault-sim")
-		res = sim.Run(vs)
-		sp.End()
-		m.MemBytes = sim.Stats().MemBytes
-		ob.Registry().Gauge(EnginePrefix(engine) + "mem_bytes").Set(m.MemBytes)
-	default:
-		cfg := engine.Config()
-		cfg.Obs = ob
-		cfg.ObsPrefix = EnginePrefix(engine)
-		sim, err := csim.New(u, cfg)
-		if err != nil {
-			return m, err
-		}
-		sp := ob.Span("fault-sim")
-		res = sim.Run(vs)
-		sp.End()
-		if st, ok := csim.StatsFromRegistry(ob.Registry(), cfg.ObsPrefix); ok {
-			m.MemBytes = st.MemBytes
-		} else {
-			m.MemBytes = sim.Stats().MemBytes
-		}
-	}
-	m.CPU = time.Since(start)
-	m.Detected = res.NumDet
-	m.PotOnly = res.NumPotOnly()
-	m.Coverage = res.Coverage()
-	return m, nil
-}
-
-// RunParallel measures the fault-partition parallel engine: the csim-MV
-// variant sharded over the given number of worker goroutines (<= 0 means
-// runtime.NumCPU(), always clamped to the universe size), replaying one
-// shared good-machine trace. Measurement.Workers records the effective
-// partition count.
-func RunParallel(u *faults.Universe, vs *vectors.Set, workers int) (Measurement, error) {
-	return RunParallelObserved(u, vs, workers, nil)
-}
-
-// RunParallelObserved is RunParallel under the observability layer: phase
-// spans, per-worker gauges under "csim-P.worker<i>.", merged run totals
-// under "csim-P.", and a registry-sourced memory column. ob may be nil.
-func RunParallelObserved(u *faults.Universe, vs *vectors.Set, workers int, ob *obs.Observer) (Measurement, error) {
-	opt := parallel.Options{Workers: workers, Config: csim.MV(), Obs: ob}
-	m := Measurement{
-		Engine:   CsimP,
-		Circuit:  u.Circuit.Name,
-		Patterns: vs.Len(),
-		Faults:   u.NumFaults(),
-		Workers:  opt.EffectiveWorkers(u.NumFaults()),
-	}
-	start := time.Now()
-	res, st, err := parallel.Simulate(u, vs, opt)
-	if err != nil {
-		return m, err
-	}
-	m.CPU = time.Since(start)
-	if rst, ok := csim.StatsFromRegistry(ob.Registry(), parallel.MergedPrefix); ok {
-		m.MemBytes = rst.MemBytes
-	} else {
-		m.MemBytes = st.MemBytes
-	}
-	m.Detected = res.NumDet
-	m.PotOnly = res.NumPotOnly()
-	m.Coverage = res.Coverage()
-	return m, nil
-}
-
-// RunGrid measures the fault-sharded grid engine. faultShards <= 0 lets
-// the scheduler pick the shard count from the job's dimensions.
-// Measurement.Workers records the effective count.
-func RunGrid(u *faults.Universe, vs *vectors.Set, faultShards int) (Measurement, error) {
-	return RunGridObserved(u, vs, faultShards, nil)
-}
-
-// RunGridObserved is RunGrid under the observability layer: merged
-// totals under "csim-grid.", per-shard namespaces under
-// "csim-grid.shard<k>." on the interpreted path, and — when the
-// scheduler plans the run — the "sched.*" decision gauges. From 64
-// vectors on the shards are workers of the compiled kernel over the
-// memoized program. ob may be nil.
-func RunGridObserved(u *faults.Universe, vs *vectors.Set, faultShards int, ob *obs.Observer) (Measurement, error) {
-	opt := parallel.GridOptions{FaultShards: faultShards, Config: csim.MV(), Obs: ob}
-	if parallel.RunsCompiled(vs.Len()) {
+	opt := engine.Options{Workers: workers, Obs: ob}
+	// An unknown name has no artifact; engine.Run reports it.
+	if info, _ := engine.ByName(name); info.Artifact == engine.Program {
 		opt.Program = compiledProgram(u.Circuit)
 	}
-	m := Measurement{
-		Engine:   CsimGrid,
-		Circuit:  u.Circuit.Name,
-		Patterns: vs.Len(),
-		Faults:   u.NumFaults(),
-	}
+	m.Workers = engine.Workers(name, u.NumFaults(), opt)
 	start := time.Now()
-	var (
-		res *faults.Result
-		st  csim.Stats
-		err error
-	)
-	if faultShards <= 0 {
-		var plan parallel.Plan
-		res, st, plan, err = parallel.SimulateAuto(context.Background(), u, vs, parallel.AutoOptions{
-			Config: opt.Config, Program: opt.Program, Obs: ob})
-		m.Workers = plan.FaultShards
-	} else {
-		m.Workers = opt.EffectiveShards(u.NumFaults(), vs.Len())
-		res, st, err = parallel.SimulateGrid(context.Background(), u, vs, opt)
-	}
+	res, st, err := engine.Run(context.Background(), name, u, vs, opt)
 	if err != nil {
 		return m, err
 	}
 	m.CPU = time.Since(start)
-	if rst, ok := csim.StatsFromRegistry(ob.Registry(), parallel.GridPrefix); ok {
-		m.MemBytes = rst.MemBytes
-	} else {
-		m.MemBytes = st.MemBytes
-	}
+	m.MemBytes = st.MemBytes
 	m.Detected = res.NumDet
 	m.PotOnly = res.NumPotOnly()
 	m.Coverage = res.Coverage()

@@ -4,9 +4,13 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/vectors"
 )
 
+// TestRunEnginesAgree holds the measuring wrapper's part on every
+// registered fault engine: the metadata and a measured time, over equal
+// detection counts (internal/engine compares the results to the oracle).
 func TestRunEnginesAgree(t *testing.T) {
 	u, err := StuckUniverse("s298")
 	if err != nil {
@@ -17,12 +21,12 @@ func TestRunEnginesAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	var detected = -1
-	for _, eng := range []Engine{CsimPlain, CsimV, CsimM, CsimMV, CsimEager, CsimP, CsimGrid, PROOFS} {
-		m, err := Run(eng, u, vs)
+	for _, eng := range engine.Names(func(e engine.Info) bool { return e.Kind != "good" }) {
+		m, err := Run(eng, u, vs, 0, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", eng, err)
 		}
-		if m.Faults != u.NumFaults() || m.Patterns != vs.Len() {
+		if m.Engine != eng || m.Faults != u.NumFaults() || m.Patterns != vs.Len() {
 			t.Errorf("%s: measurement metadata wrong: %+v", eng, m)
 		}
 		if detected < 0 {
@@ -110,11 +114,11 @@ func TestTable6TransitionCoverageBelowStuck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sm, err := Run(CsimMV, su, vs)
+	sm, err := Run(engine.CsimMV, su, vs, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tm, err := Run(CsimMV, tu, vs)
+	tm, err := Run(engine.CsimMV, tu, vs, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +134,7 @@ func TestRunRejectsTransitionOnPROOFS(t *testing.T) {
 		t.Fatal(err)
 	}
 	vs := vectors.Random(tu.Circuit, 5, 1)
-	if _, err := Run(PROOFS, tu, vs); err == nil {
+	if _, err := Run(engine.PROOFS, tu, vs, 0, nil); err == nil {
 		t.Error("PROOFS accepted a transition universe")
 	}
 }
@@ -150,43 +154,6 @@ func TestUnknownCircuit(t *testing.T) {
 	}
 }
 
-func TestRunParallelWorkerSweep(t *testing.T) {
-	u, err := StuckUniverse("s298")
-	if err != nil {
-		t.Fatal(err)
-	}
-	vs, err := RandomSet("s298", 80)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := Run(CsimMV, u, vs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{1, 2, 5} {
-		m, err := RunParallel(u, vs, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.Workers != w || m.Engine != CsimP {
-			t.Errorf("workers=%d: measurement metadata wrong: %+v", w, m)
-		}
-		if m.Detected != base.Detected || m.PotOnly != base.PotOnly {
-			t.Errorf("workers=%d: detected %d/%d pot, csim-MV %d/%d",
-				w, m.Detected, m.PotOnly, base.Detected, base.PotOnly)
-		}
-	}
-	// An absurd request is clamped; Workers records the effective count.
-	m, err := RunParallel(u, vs, 10_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Workers != u.NumFaults() {
-		t.Errorf("workers=10000: effective %d, want clamp to %d faults",
-			m.Workers, u.NumFaults())
-	}
-}
-
 func TestRunGridShapes(t *testing.T) {
 	u, err := StuckUniverse("s298")
 	if err != nil {
@@ -196,18 +163,18 @@ func TestRunGridShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := Run(CsimMV, u, vs)
+	base, err := Run(engine.CsimMV, u, vs, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 80 vectors run the compiled kernel, which keeps one worker per
-	// chunk of 256 faults busy: 431 faults, two.
+	// The compiled kernel keeps one worker per chunk of 256 faults busy:
+	// 431 faults, two.
 	for _, shape := range [][2]int{{1, 1}, {2, 2}, {4, 2}} {
-		m, err := RunGrid(u, vs, shape[0])
+		m, err := Run(engine.CsimGrid, u, vs, shape[0], nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m.Workers != shape[1] || m.Engine != CsimGrid {
+		if m.Workers != shape[1] || m.Engine != engine.CsimGrid {
 			t.Errorf("shape %v: measurement metadata wrong: %+v", shape, m)
 		}
 		if m.Detected != base.Detected || m.PotOnly != base.PotOnly {
@@ -216,7 +183,7 @@ func TestRunGridShapes(t *testing.T) {
 		}
 	}
 	// Auto mode: the scheduler picks the shard count and records it.
-	m, err := RunGrid(u, vs, 0)
+	m, err := Run(engine.CsimGrid, u, vs, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 
+	"repro/internal/engine"
 	"repro/internal/iscas"
 	"repro/internal/obs"
 )
@@ -54,7 +55,7 @@ func Table2(circuits []string) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		m, err := Run(CsimMV, u, vs)
+		m, err := Run(engine.CsimMV, u, vs, 0, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -66,23 +67,21 @@ func Table2(circuits []string) (*Table, error) {
 
 // Table3 reproduces the deterministic-patterns comparison of csim-V,
 // csim-M, csim-MV and PROOFS (CPU seconds and memory), extended with a
-// csim-P column: the fault-partition parallel engine at NumCPU workers.
+// csim-C column.
 func Table3(circuits []string) (*Table, error) { return Table3Observed(circuits, nil) }
 
 // Table3Observed regenerates Table 3 under the observability layer: each
-// cell runs with a fresh metric registry and tracer, so the MEM column
-// (and the csim-P per-worker gauges) come from registry snapshots instead
-// of bespoke counters; every cell's snapshot lands in sink when non-nil
-// (the cmd/tables -metrics-out payload).
+// cell runs with a fresh metric registry and tracer, and every cell's
+// snapshot lands in sink when non-nil (the cmd/tables -metrics-out
+// payload).
 func Table3Observed(circuits []string, sink *MetricsSink) (*Table, error) {
 	t := &Table{
 		Title: "Table 3. Deterministic patterns (I)",
 		Header: []string{"ckt",
 			"V:CPU", "V:MEM", "M:CPU", "M:MEM", "MV:CPU", "MV:MEM",
-			"P:CPU", "P:MEM", "C:CPU", "C:MEM",
+			"C:CPU", "C:MEM",
 			"PROOFS:CPU", "PROOFS:MEM"},
 		Caption: "CPU in seconds, MEM in MB of fault-structure storage at peak\n" +
-			"csim-P: csim-MV fault-partitioned over NumCPU worker goroutines\n" +
 			"csim-C: compiled bit-parallel engine, 64 vectors per masked pass",
 	}
 	for _, name := range circuits {
@@ -95,14 +94,14 @@ func Table3Observed(circuits []string, sink *MetricsSink) (*Table, error) {
 			return nil, err
 		}
 		row := []string{name}
-		for _, eng := range []Engine{CsimV, CsimM, CsimMV, CsimP, CsimC, PROOFS} {
+		for _, eng := range []string{engine.CsimV, engine.CsimM, engine.CsimMV, engine.CsimC, engine.PROOFS} {
 			reg := obs.NewRegistry()
 			ob := &obs.Observer{Metrics: reg, Tracer: obs.NewTracer(reg)}
-			m, err := RunObserved(eng, u, vs, ob)
+			m, err := Run(eng, u, vs, 0, ob)
 			if err != nil {
 				return nil, err
 			}
-			sink.Add(name+"/"+string(eng), reg.Snapshot())
+			sink.Add(name+"/"+eng, reg.Snapshot())
 			row = append(row, Seconds(m.CPU), Meg(m.MemBytes))
 		}
 		t.Add(row...)
@@ -127,11 +126,11 @@ func Table4(circuits []string) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		mv, err := Run(CsimMV, u, vs)
+		mv, err := Run(engine.CsimMV, u, vs, 0, nil)
 		if err != nil {
 			return nil, err
 		}
-		pr, err := Run(PROOFS, u, vs)
+		pr, err := Run(engine.PROOFS, u, vs, 0, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -158,11 +157,11 @@ func Table5(name string, counts []int) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		mv, err := Run(CsimMV, u, vs)
+		mv, err := Run(engine.CsimMV, u, vs, 0, nil)
 		if err != nil {
 			return nil, err
 		}
-		pr, err := Run(PROOFS, u, vs)
+		pr, err := Run(engine.PROOFS, u, vs, 0, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -190,7 +189,7 @@ func Table6(circuits []string) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		m, err := Run(CsimMV, u, vs)
+		m, err := Run(engine.CsimMV, u, vs, 0, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -15,8 +15,8 @@ import (
 
 	"repro/internal/compiled"
 	"repro/internal/csim"
+	"repro/internal/engine"
 	"repro/internal/faults"
-	"repro/internal/parallel"
 	"repro/internal/serial"
 	"repro/internal/vectors"
 )
@@ -82,7 +82,7 @@ func fuzzCase(t *testing.T, seed int64) {
 	tag := fmt.Sprintf("seed=%d %s/%s flts=%d vecs=%d w%d K%d of%d",
 		seed, c.Name, model, u.NumFaults(), nvec, workers, gk, gk*spread)
 
-	oracle := serial.Simulate(u, vs)
+	oracle, _ := serial.Simulate(context.Background(), u, vs)
 
 	single, err := csim.New(u, csim.MV())
 	if err != nil {
@@ -90,37 +90,21 @@ func fuzzCase(t *testing.T, seed int64) {
 	}
 	compare(t, tag+"/csim-MV", oracle, single.Run(vs))
 
-	res, _, err := parallel.Simulate(u, vs, parallel.Options{Workers: workers, Config: csim.MV()})
-	if err != nil {
-		t.Fatalf("%s: %v", tag, err)
+	// The grid on a pinned budget and on the drawn one.
+	for _, procs := range []int{gk, workers} {
+		res, _, err := engine.Run(context.Background(), engine.CsimGrid, u, vs, engine.Options{Workers: procs})
+		if err != nil {
+			t.Fatalf("%s: %v", tag, err)
+		}
+		compare(t, fmt.Sprintf("%s/csim-grid procs=%d", tag, procs), oracle, res)
 	}
-	compare(t, tag+"/csim-P", oracle, res)
-
-	res, _, err = parallel.SimulateGrid(context.Background(), u, vs, parallel.GridOptions{
-		FaultShards: gk, Config: csim.MV()})
-	if err != nil {
-		t.Fatalf("%s: %v", tag, err)
-	}
-	compare(t, tag+"/csim-grid", oracle, res)
-
-	// The scheduler-planned grid runs on every seed: under 64 vectors it
-	// plans interpreted shards, from 64 on workers of the compiled kernel.
-	res, _, plan, err := parallel.SimulateAuto(context.Background(), u, vs, parallel.AutoOptions{
-		MaxProcs: workers, Config: csim.MV()})
-	if err != nil {
-		t.Fatalf("%s: %v", tag, err)
-	}
-	if plan.Compiled != (nvec >= parallel.MinVectorsCompiled) {
-		t.Errorf("%s: plan %v at %d vectors", tag, plan, nvec)
-	}
-	compare(t, tag+"/csim-grid auto "+plan.String(), oracle, res)
 
 	// So do the pinned shards a coordinator would dispatch, some of them
 	// empty when the sample is smaller than the split.
 	parts := make([]*faults.Result, gk*spread)
 	for k := range parts {
-		parts[k], _, err = parallel.SimulateShard(context.Background(), u, vs, parallel.ShardOptions{
-			Shard: k, Of: len(parts), Workers: workers, Config: csim.MV()})
+		parts[k], _, err = engine.Run(context.Background(), engine.CsimGrid, u, vs, engine.Options{
+			Shard: k, Of: len(parts), Workers: workers})
 		if err != nil {
 			t.Fatalf("%s: shard %d: %v", tag, k, err)
 		}
@@ -131,7 +115,7 @@ func fuzzCase(t *testing.T, seed int64) {
 	if err != nil {
 		t.Fatalf("%s: %v", tag, err)
 	}
-	res, err = csim2.RunContext(context.Background(), vs, workers)
+	res, err := csim2.RunContext(context.Background(), vs, workers)
 	if err != nil {
 		t.Fatalf("%s: %v", tag, err)
 	}

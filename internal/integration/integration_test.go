@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/compiled"
 	"repro/internal/csim"
+	"repro/internal/engine"
 	"repro/internal/faults"
 	"repro/internal/gen"
 	"repro/internal/iscas"
@@ -20,7 +21,6 @@ import (
 	"repro/internal/macro"
 	"repro/internal/netcheck"
 	"repro/internal/netlist"
-	"repro/internal/parallel"
 	"repro/internal/proofs"
 	"repro/internal/serial"
 	"repro/internal/vectors"
@@ -96,7 +96,7 @@ func TestRandomCircuitsAllEnginesAgree(t *testing.T) {
 			u := faults.StuckCollapsed(c)
 			checkModel(t, c, u)
 			vs := vectors.Random(c, 80, seed)
-			oracle := serial.Simulate(u, vs)
+			oracle, _ := serial.Simulate(context.Background(), u, vs)
 			for _, cf := range configs {
 				sim, err := csim.New(u, cf.cfg)
 				if err != nil {
@@ -116,7 +116,7 @@ func TestRandomCircuitsAllEnginesAgree(t *testing.T) {
 	}
 }
 
-// TestParallelAgreesWithOracle is the csim-P differential property test:
+// TestParallelAgreesWithOracle is the parallel differential property test:
 // on seeded generated circuits and random vectors, the parallel engine's
 // detected-fault sets at several worker counts (including a
 // non-power-of-two) must equal both the serial oracle and single-threaded
@@ -132,7 +132,7 @@ func TestParallelAgreesWithOracle(t *testing.T) {
 			c := genCircuit(t, seed*700+int64(si), shape.pis, shape.pos, shape.ffs, shape.gates)
 			u := faults.StuckCollapsed(c)
 			vs := vectors.Random(c, 80, seed)
-			oracle := serial.Simulate(u, vs)
+			oracle, _ := serial.Simulate(context.Background(), u, vs)
 			single, err := csim.New(u, csim.MV())
 			if err != nil {
 				t.Fatal(err)
@@ -140,13 +140,12 @@ func TestParallelAgreesWithOracle(t *testing.T) {
 			mv := single.Run(vs)
 			compare(t, c.Name+"/csim-MV", oracle, mv)
 			for _, w := range []int{1, 2, 4, 7} {
-				res, _, err := parallel.Simulate(u, vs,
-					parallel.Options{Workers: w, Config: csim.MV()})
+				res, _, err := engine.Run(context.Background(), engine.CsimGrid, u, vs, engine.Options{Workers: w})
 				if err != nil {
 					t.Fatal(err)
 				}
-				compare(t, fmt.Sprintf("%s/csim-P.w%d-vs-oracle", c.Name, w), oracle, res)
-				compare(t, fmt.Sprintf("%s/csim-P.w%d-vs-MV", c.Name, w), mv, res)
+				compare(t, fmt.Sprintf("%s/csim-grid.w%d-vs-oracle", c.Name, w), oracle, res)
+				compare(t, fmt.Sprintf("%s/csim-grid.w%d-vs-MV", c.Name, w), mv, res)
 			}
 		}
 	}
@@ -154,20 +153,19 @@ func TestParallelAgreesWithOracle(t *testing.T) {
 
 // TestParallelTransitionAgreesWithOracle repeats the differential test on
 // the transition-fault model, where per-fault previous-cycle driver state
-// must survive partitioning.
+// must survive the split into chunks.
 func TestParallelTransitionAgreesWithOracle(t *testing.T) {
 	for seed := int64(1); seed <= 2; seed++ {
 		c := genCircuit(t, 1700+seed, 4, 3, 6, 60)
 		u := faults.Transition(c)
 		vs := vectors.Random(c, 100, seed)
-		oracle := serial.Simulate(u, vs)
+		oracle, _ := serial.Simulate(context.Background(), u, vs)
 		for _, w := range []int{2, 7} {
-			res, _, err := parallel.Simulate(u, vs,
-				parallel.Options{Workers: w, Config: csim.MV()})
+			res, _, err := engine.Run(context.Background(), engine.CsimGrid, u, vs, engine.Options{Workers: w})
 			if err != nil {
 				t.Fatal(err)
 			}
-			compare(t, fmt.Sprintf("%s/csim-P.w%d", c.Name, w), oracle, res)
+			compare(t, fmt.Sprintf("%s/csim-grid.w%d", c.Name, w), oracle, res)
 		}
 	}
 }
@@ -183,8 +181,7 @@ func TestParallelDeterministic(t *testing.T) {
 	var ref *faults.Result
 	for _, w := range []int{1, 3, 5, 8} {
 		for rep := 0; rep < 2; rep++ {
-			res, _, err := parallel.Simulate(u, vs,
-				parallel.Options{Workers: w, Config: csim.MV()})
+			res, _, err := engine.Run(context.Background(), engine.CsimGrid, u, vs, engine.Options{Workers: w})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -217,7 +214,7 @@ func TestRandomCircuitsTransitionAgree(t *testing.T) {
 		u := faults.Transition(c)
 		checkModel(t, c, u)
 		vs := vectors.Random(c, 100, seed)
-		oracle := serial.Simulate(u, vs)
+		oracle, _ := serial.Simulate(context.Background(), u, vs)
 		for _, cfg := range []csim.Config{{}, csim.MV()} {
 			sim, err := csim.New(u, cfg)
 			if err != nil {
@@ -297,7 +294,7 @@ func TestCompiledAgreesAcrossBundled(t *testing.T) {
 				u = faults.Transition(c)
 			}
 			tag := name + "/" + model
-			oracle := serial.Simulate(u, vs)
+			oracle, _ := serial.Simulate(context.Background(), u, vs)
 			mvSim, err := csim.New(u, csim.MV())
 			if err != nil {
 				t.Fatal(err)
@@ -343,17 +340,18 @@ func TestCompiledGridAgreesOnS5378(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		oracle, _ := serial.Simulate(context.Background(), sample, vs)
 		for _, tc := range []struct {
 			name string
 			u    *faults.Universe
 			want *faults.Result
 		}{
 			{"whole/csim-MV", whole, mvSim.Run(vs)},
-			{"sample/serial", sample, serial.Simulate(sample, vs)},
+			{"sample/serial", sample, oracle},
 		} {
 			for _, k := range []int{1, 2, 3, 7} {
 				tag := fmt.Sprintf("s5378/%s/%s K=%d", model, tc.name, k)
-				res, _, err := parallel.SimulateGrid(context.Background(), tc.u, vs, parallel.GridOptions{FaultShards: k, Program: p})
+				res, _, err := engine.Run(context.Background(), engine.CsimGrid, tc.u, vs, engine.Options{Workers: k, Program: p})
 				if err != nil {
 					t.Fatalf("%s: %v", tag, err)
 				}
@@ -362,7 +360,7 @@ func TestCompiledGridAgreesOnS5378(t *testing.T) {
 			for _, n := range []int{2, 3} {
 				parts := make([]*faults.Result, n)
 				for k := range parts {
-					if parts[k], _, err = parallel.SimulateShard(context.Background(), tc.u, vs, parallel.ShardOptions{
+					if parts[k], _, err = engine.Run(context.Background(), engine.CsimGrid, tc.u, vs, engine.Options{
 						Shard: k, Of: n, Workers: 2, Program: p}); err != nil {
 						t.Fatal(err)
 					}
@@ -397,8 +395,8 @@ func TestDecomposedCircuitSameDetections(t *testing.T) {
 	uc := faults.StuckAll(c)
 	ud := faults.StuckAll(d)
 	vs := vectors.Random(c, 300, 5)
-	rc := serial.Simulate(uc, vs)
-	rd := serial.Simulate(ud, vs)
+	rc, _ := serial.Simulate(context.Background(), uc, vs)
+	rd, _ := serial.Simulate(context.Background(), ud, vs)
 	for _, name := range in {
 		gc := c.MustByName(name)
 		gd := d.MustByName(name)

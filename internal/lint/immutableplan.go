@@ -17,7 +17,6 @@ import (
 // defining package itself is analyzed, each listed type must carry the
 // in-source marker, so the two spellings cannot drift apart.
 var KnownImmutable = map[string][]string{
-	"repro/internal/goodsim": {"Trace"},
 	"repro/internal/macro":   {"Macro", "Plan"},
 	"repro/internal/netlist": {"Circuit", "Gate"},
 }

@@ -8,7 +8,7 @@ import (
 
 // MapRange forbids map iteration where ordering matters. Go randomizes
 // map iteration order per range statement, so a map walk in the per-cycle
-// hot path or in csim-P's partition merge would make runs nondeterministic
+// hot path or in a shard-result merge would make runs nondeterministic
 // — the parallel engine's contract is bit-identical results regardless of
 // worker count, and the differential tests compare against a serial
 // oracle element by element.
@@ -21,7 +21,7 @@ Reports any range statement over a map inside:
   - functions marked //simlint:hotpath (map walks also defeat the
     no-allocation discipline: hot-path state lives in dense slices);
   - functions marked //simlint:deterministic;
-  - functions whose name starts with "Merge" (the csim-P result/stats
+  - functions whose name starts with "Merge" (the shard result/stats
     merge contract is deterministic output).
 
 Iterate a sorted slice of keys, or keep the data in a slice, instead.`,

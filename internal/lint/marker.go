@@ -21,7 +21,7 @@ const (
 	// and maprange forbids map iteration.
 	MarkerHotPath = "simlint:hotpath"
 	// MarkerDeterministic declares that a function's behavior must not
-	// depend on iteration order (csim-P merge code); maprange forbids map
+	// depend on iteration order (partition and merge code); maprange forbids map
 	// iteration inside it.
 	MarkerDeterministic = "simlint:deterministic"
 	// MarkerStats declares a struct to be a tag-driven stats block even

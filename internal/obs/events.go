@@ -74,7 +74,7 @@ func (e FaultEvent) MarshalJSON() ([]byte, error) {
 // FaultLog collects lifecycle events for a sampled subset of fault IDs
 // (the -trace-faults filter). The nil *FaultLog is the disabled state:
 // Tracks reports false and Emit is a no-op. A single log may be shared by
-// the csim-P partition workers; Emit serializes internally.
+// concurrent simulators; Emit serializes internally.
 type FaultLog struct {
 	track []bool // nil = track every fault
 	limit int

@@ -12,8 +12,8 @@
 // check with zero allocations (asserted by this package's benchmarks and
 // the CI regression gate).
 //
-// All handles are safe for concurrent use (atomics), so the csim-P
-// partition workers publish into one shared registry without locking.
+// All handles are safe for concurrent use (atomics), so concurrent jobs
+// publish into one shared registry without locking.
 package obs
 
 import (
@@ -489,7 +489,7 @@ func (o *Observer) Span(name string) *Span {
 }
 
 // SpanTID opens a span attributed to a specific trace lane (e.g. one
-// csim-P worker).
+// service worker slot).
 func (o *Observer) SpanTID(name string, tid int) *Span {
 	if o == nil {
 		return nil

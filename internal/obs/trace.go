@@ -47,7 +47,7 @@ func NewTracer(metrics *Registry) *Tracer {
 func (t *Tracer) Span(name string) *Span { return t.SpanTID(name, 0) }
 
 // SpanTID opens a span in lane tid (rendered as a chrome://tracing
-// thread; csim-P uses one lane per partition worker).
+// thread; the service uses one lane per worker slot).
 func (t *Tracer) SpanTID(name string, tid int) *Span {
 	if t == nil {
 		return nil

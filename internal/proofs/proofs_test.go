@@ -1,6 +1,7 @@
 package proofs
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/faults"
@@ -100,7 +101,7 @@ func TestMatchesSerial(t *testing.T) {
 			{"collapsed", faults.StuckCollapsed(c)},
 		} {
 			vs := vectors.Random(c, 150, int64(len(tc.name)*31+7))
-			want := serial.Simulate(uni.u, vs)
+			want, _ := serial.Simulate(context.Background(), uni.u, vs)
 			sim, err := New(uni.u)
 			if err != nil {
 				t.Fatalf("%s/%s: New: %v", tc.name, uni.name, err)
@@ -142,7 +143,7 @@ func TestManyFaultsSpanGroups(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := sim.Run(vs)
-	want := serial.Simulate(u, vs)
+	want, _ := serial.Simulate(context.Background(), u, vs)
 	if d := want.Diff(got); d != "" {
 		t.Errorf("multi-group run disagrees with serial:\n%s", d)
 	}

@@ -7,6 +7,8 @@
 package serial
 
 import (
+	"context"
+
 	"repro/internal/faults"
 	"repro/internal/logic"
 	"repro/internal/netlist"
@@ -119,7 +121,8 @@ func detected(good, faulty []logic.V) (hard, potential bool) {
 
 // Simulate runs every fault of u against the vector sequence and returns
 // the detections. It handles stuck-at and transition universes uniformly.
-func Simulate(u *faults.Universe, vecs *vectors.Set) *faults.Result {
+// ctx is checked before every fault; a cancelled run returns ctx.Err().
+func Simulate(ctx context.Context, u *faults.Universe, vecs *vectors.Set) (*faults.Result, error) {
 	c := u.Circuit
 	res := faults.NewResult(u)
 
@@ -131,6 +134,9 @@ func Simulate(u *faults.Universe, vecs *vectors.Set) *faults.Result {
 	}
 
 	for fi := range u.Faults {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		f := &u.Faults[fi]
 		m := newMachine(c, f)
 		for t, vec := range vecs.Vecs {
@@ -145,5 +151,5 @@ func Simulate(u *faults.Universe, vecs *vectors.Set) *faults.Result {
 			}
 		}
 	}
-	return res
+	return res, nil
 }

@@ -1,6 +1,7 @@
 package serial
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/faults"
@@ -30,7 +31,7 @@ func TestBufferStuckAt(t *testing.T) {
 	c := mustParse(t, "buf", "INPUT(a)\nOUTPUT(z)\nz = BUFF(a)\n")
 	u := faults.StuckAll(c)
 	vs := mustVecs(t, "1\n0\n", 1)
-	res := Simulate(u, vs)
+	res, _ := Simulate(context.Background(), u, vs)
 	// Every fault on the a->z line is detected: SA0s by vector 1,
 	// SA1s by vector 0.
 	for i, f := range u.Faults {
@@ -56,7 +57,7 @@ func TestAndGateStuckAt(t *testing.T) {
 	u := faults.StuckAll(c)
 	// 11 detects all SA0 on the cone; 01 detects a-line SA1; 10 b-line SA1.
 	vs := mustVecs(t, "11\n01\n10\n", 2)
-	res := Simulate(u, vs)
+	res, _ := Simulate(context.Background(), u, vs)
 	if res.Coverage() != 1.0 {
 		t.Fatalf("coverage = %v, want 1\nundetected:\n%s", res.Coverage(), undetected(res))
 	}
@@ -85,7 +86,7 @@ func TestSequentialStuckAt(t *testing.T) {
 	c := mustParse(t, "ff", "INPUT(a)\nOUTPUT(z)\nq = DFF(a)\nz = BUFF(q)\n")
 	u := faults.StuckAll(c)
 	vs := mustVecs(t, "1\n0\n1\n", 1)
-	res := Simulate(u, vs)
+	res, _ := Simulate(context.Background(), u, vs)
 	// Detections are delayed one cycle through the FF: SA0 on the a line
 	// needs a=1 latched then observed, i.e. cycle 1 at the earliest.
 	for i, f := range u.Faults {
@@ -114,7 +115,7 @@ func TestStuckOutputOnDFFForcedFromStart(t *testing.T) {
 	// Good machine outputs X at cycle 0 (FF uninitialized), so the forced 1
 	// cannot be detected at cycle 0; a=0 latched for cycle 1 exposes it.
 	vs := mustVecs(t, "0\n0\n", 1)
-	res := Simulate(u, vs)
+	res, _ := Simulate(context.Background(), u, vs)
 	if !res.Detected[q1] || res.DetectedAt[q1] != 1 {
 		t.Errorf("q/O SA1: detected=%v at %d, want detection at 1",
 			res.Detected[q1], res.DetectedAt[q1])
@@ -135,7 +136,7 @@ func TestTransitionBufferSTR(t *testing.T) {
 		}
 	}
 	// 0 then 1: a rising edge the STR fault delays past the sample.
-	res := Simulate(u, mustVecs(t, "0\n1\n", 1))
+	res, _ := Simulate(context.Background(), u, mustVecs(t, "0\n1\n", 1))
 	if !res.Detected[str] || res.DetectedAt[str] != 1 {
 		t.Errorf("STR: detected=%v at %d, want at 1", res.Detected[str], res.DetectedAt[str])
 	}
@@ -143,7 +144,7 @@ func TestTransitionBufferSTR(t *testing.T) {
 		t.Error("STF detected by a rising-only sequence")
 	}
 	// 1 then 0 catches STF, not STR.
-	res = Simulate(u, mustVecs(t, "1\n0\n", 1))
+	res, _ = Simulate(context.Background(), u, mustVecs(t, "1\n0\n", 1))
 	if !res.Detected[stf] || res.DetectedAt[stf] != 1 {
 		t.Errorf("STF: detected=%v at %d, want at 1", res.Detected[stf], res.DetectedAt[stf])
 	}
@@ -165,7 +166,7 @@ func TestTransitionThroughFF(t *testing.T) {
 	// Cycle 1: a=1, 0->1 at the D pin is delayed: FV(0,1)=0, latch 0;
 	//          good latches 1.
 	// Cycle 2: good z = 1, faulty z = 0 -> detected.
-	res := Simulate(u, mustVecs(t, "0\n1\n1\n", 1))
+	res, _ := Simulate(context.Background(), u, mustVecs(t, "0\n1\n1\n", 1))
 	if !res.Detected[strQ] || res.DetectedAt[strQ] != 2 {
 		t.Errorf("STR at FF D pin: detected=%v at %d, want at 2",
 			res.Detected[strQ], res.DetectedAt[strQ])
@@ -176,7 +177,7 @@ func TestTransitionNotDetectedWithoutTransition(t *testing.T) {
 	c := mustParse(t, "buf", "INPUT(a)\nOUTPUT(z)\nz = BUFF(a)\n")
 	u := faults.Transition(c)
 	// Constant input: no transitions, no detections.
-	res := Simulate(u, mustVecs(t, "1\n1\n1\n", 1))
+	res, _ := Simulate(context.Background(), u, mustVecs(t, "1\n1\n1\n", 1))
 	if res.NumDet != 0 {
 		t.Errorf("constant input detected %d transition faults", res.NumDet)
 	}
@@ -186,9 +187,20 @@ func TestSimulateDeterministic(t *testing.T) {
 	c := mustParse(t, "and", "INPUT(a)\nINPUT(b)\nOUTPUT(z)\nz = AND(a, b)\n")
 	u := faults.StuckCollapsed(c)
 	vs := vectors.Random(c, 20, 5)
-	a := Simulate(u, vs)
-	b := Simulate(u, vs)
+	a, _ := Simulate(context.Background(), u, vs)
+	b, _ := Simulate(context.Background(), u, vs)
 	if d := a.Diff(b); d != "" {
 		t.Errorf("nondeterministic results:\n%s", d)
+	}
+}
+
+// TestSimulateStopsOnCancel: a cancelled context ends the run before the
+// next fault with the context's error.
+func TestSimulateStopsOnCancel(t *testing.T) {
+	c := mustParse(t, "buf", "INPUT(a)\nOUTPUT(z)\nz = BUFF(a)\n")
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if res, err := Simulate(ctx, faults.StuckCollapsed(c), mustVecs(t, "1\n", 1)); err != context.Canceled || res != nil {
+		t.Errorf("Simulate on a cancelled context = %v, %v", res, err)
 	}
 }

@@ -22,9 +22,8 @@ import (
 // Compiled is one cached circuit with its derived artifacts: the parsed
 // and verified netlist plus lazily built, memoized fault universes (per
 // model) and macro plans (per extraction mode). All artifacts are
-// immutable once built and safe to share across concurrent jobs — csim
-// reads plans and universes without mutating them, exactly as csim-P's
-// partitions already share one universe.
+// immutable once built and safe to share across concurrent jobs — the
+// engines read plans, programs and universes without mutating them.
 type Compiled struct {
 	// Key is the cache key ("suite:<name>" or "sha256:<hex>").
 	Key string

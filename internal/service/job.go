@@ -3,8 +3,8 @@
 // A job names a circuit (built-in suite member or inline .bench text), a
 // fault model, a vector spec and an engine; jobs are admitted into a
 // bounded queue (full queue → 429 + Retry-After, never a hang), executed
-// by a worker pool that reuses the csim/csim-P engines, and their
-// Result/Stats are retrievable as JSON until evicted. A compiled-circuit
+// by a worker pool over internal/engine, and their Result/Stats are
+// retrievable as JSON until evicted. A compiled-circuit
 // cache keyed by netlist hash memoizes parse + fault-list collapse +
 // macro extraction, so repeated jobs on the same netlist skip cone
 // compilation entirely. See DESIGN.md §10 and the README "Serving"
@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/csim"
+	"repro/internal/engine"
 	"repro/internal/faults"
 	"repro/internal/obs"
 )
@@ -37,9 +38,9 @@ const JobIDHeader = "X-Csim-Job-Id"
 var (
 	// Models lists the accepted fault models.
 	Models = []string{"stuck", "stuck-all", "transition"}
-	// Engines lists the accepted engine names.
-	Engines = []string{"csim", "csim-V", "csim-M", "csim-MV", "csim-P",
-		"csim-grid", "csim-C", "PROOFS", "serial"}
+	// Engines lists the accepted engine names: the registry's served
+	// engines.
+	Engines = engine.Names(func(e engine.Info) bool { return e.Served })
 )
 
 // JobSpec is the submit-request body: what to simulate and how.
@@ -64,14 +65,11 @@ type JobSpec struct {
 	// Model is the fault model: stuck (default), stuck-all, transition.
 	Model string `json:"model,omitempty"`
 	// Engine selects the simulator: csim, csim-V, csim-M, csim-MV
-	// (default), csim-P, csim-grid, csim-C (compiled bit-parallel; reuses
-	// the circuit's cached compiled program), PROOFS, serial.
+	// (default), csim-grid, csim-C (compiled bit-parallel; reuses the
+	// circuit's cached compiled program), PROOFS, serial.
 	Engine string `json:"engine,omitempty"`
-	// Workers is the csim-P partition worker count, the csim-C worker
-	// count, or the csim-grid fault-shard count (<=0: server default; for
-	// csim-grid, the scheduler's plan). With 64 vectors or more
-	// csim-grid's shards are workers of the compiled kernel; csim-C and
-	// those run at most one worker per 256 faults.
+	// Workers is the csim-C / csim-grid worker budget (<=0: the server's
+	// EngineWorkers); either runs at most one worker per 256 faults.
 	Workers int `json:"workers,omitempty"`
 	// Windows is the removed vector-window count: 0 and 1 are accepted
 	// and mean the same thing, more is a 400. Pinned by benchmark/ (its
@@ -88,11 +86,11 @@ type JobSpec struct {
 	// server default. The server caps it at its configured maximum.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 	// FaultShards restricts the job to one fault partition of a K-way
-	// split: the universe is dealt by the deterministic csim-P
-	// partitioner into FaultShards groups and only group FaultShard is
-	// simulated. 0 (the default) simulates the whole universe. Shard
-	// specs require engine csim-grid — they are what a distributed
-	// coordinator submits to worker nodes.
+	// split: the universe is dealt by the deterministic partitioner
+	// (parallel.Partition) into FaultShards groups and only group
+	// FaultShard is simulated. 0 (the default) simulates the whole
+	// universe. Shard specs require engine csim-grid — they are what a
+	// distributed coordinator submits to worker nodes.
 	FaultShards int `json:"fault_shards,omitempty"`
 	// FaultShard is the partition index in [0, FaultShards) when
 	// FaultShards > 0.
@@ -128,14 +126,15 @@ func (sp *JobSpec) normalize() error {
 	if sp.Engine == "" {
 		sp.Engine = "csim-MV"
 	}
-	if !contains(Engines, sp.Engine) {
+	info, ok := engine.ByName(sp.Engine)
+	if !ok || !info.Served {
 		return fmt.Errorf("unknown engine %q (engines: %s)", sp.Engine, strings.Join(Engines, " | "))
 	}
 	if sp.Windows > 1 {
 		return fmt.Errorf("vector windows were removed; csim-grid plans fault shards only")
 	}
-	if sp.Engine == "PROOFS" && sp.Model == "transition" {
-		return fmt.Errorf("engine PROOFS simulates stuck-at faults only")
+	if info.StuckOnly && sp.Model == "transition" {
+		return fmt.Errorf("engine %s simulates stuck-at faults only", sp.Engine)
 	}
 	if (sp.Random > 0) == (sp.Vectors != "") {
 		return fmt.Errorf("exactly one of random > 0 and vectors is required")
@@ -153,8 +152,8 @@ func (sp *JobSpec) normalize() error {
 		return fmt.Errorf("fault_shards must be >= 0")
 	}
 	if sp.FaultShards > 0 {
-		if sp.Engine != "csim-grid" {
-			return fmt.Errorf("fault-shard specs require engine csim-grid, not %q", sp.Engine)
+		if !info.Sharded {
+			return fmt.Errorf("fault-shard specs require engine %s, not %q", engine.CsimGrid, sp.Engine)
 		}
 		if sp.FaultShard < 0 || sp.FaultShard >= sp.FaultShards {
 			return fmt.Errorf("fault_shard %d outside [0, %d)", sp.FaultShard, sp.FaultShards)
@@ -269,69 +268,6 @@ func (dv *DetectionsView) NumPotOnly() int {
 	return n
 }
 
-// StatsView is the engine instrumentation block of a job result.
-type StatsView struct {
-	// Evals counts faulty-machine gate evaluations.
-	Evals int `json:"evals"`
-	// Skips counts merged machines skipped without re-evaluation.
-	Skips int `json:"skips"`
-	// GoodEvals counts good-machine value refreshes.
-	GoodEvals int `json:"good_evals"`
-	// Scheds counts macro roots scheduled for evaluation.
-	Scheds int `json:"scheds"`
-	// Passes counts csim-C's fresh propagations: one per fault and
-	// 64-cycle block.
-	Passes int `json:"passes,omitempty"`
-	// Steps counts csim-C's in-place continuations of a pass.
-	Steps int `json:"steps,omitempty"`
-	// PeakElems is the high-water mark of live fault elements.
-	PeakElems int `json:"peak_elems"`
-	// CurElems is the live fault-element count at the end of the run.
-	CurElems int `json:"cur_elems,omitempty"`
-	// Macros is the macro count of the plan in use.
-	Macros int `json:"macros"`
-	// MemBytes is the accounted fault-element memory at peak.
-	MemBytes int64 `json:"mem_bytes"`
-	// Detections counts the engine-observed detection events.
-	Detections int `json:"detections,omitempty"`
-}
-
-// Stats converts the view back to the engine counter struct, so views
-// collected from remote shards can merge through csim.MergeStats with
-// the exact sum/max policies the local grid merge uses.
-func (v StatsView) Stats() csim.Stats {
-	return csim.Stats{
-		Evals:      v.Evals,
-		Skips:      v.Skips,
-		GoodEvals:  v.GoodEvals,
-		Scheds:     v.Scheds,
-		Passes:     v.Passes,
-		Steps:      v.Steps,
-		PeakElems:  v.PeakElems,
-		CurElems:   v.CurElems,
-		Macros:     v.Macros,
-		MemBytes:   v.MemBytes,
-		Detections: v.Detections,
-	}
-}
-
-// NewStatsView copies the engine counters into the view.
-func NewStatsView(st csim.Stats) StatsView {
-	return StatsView{
-		Evals:      st.Evals,
-		Skips:      st.Skips,
-		GoodEvals:  st.GoodEvals,
-		Scheds:     st.Scheds,
-		Passes:     st.Passes,
-		Steps:      st.Steps,
-		PeakElems:  st.PeakElems,
-		CurElems:   st.CurElems,
-		Macros:     st.Macros,
-		MemBytes:   st.MemBytes,
-		Detections: st.Detections,
-	}
-}
-
 // ResultView is a finished job's payload: the detections and counters a
 // harness.Measurement would carry, as JSON.
 type ResultView struct {
@@ -351,8 +287,8 @@ type ResultView struct {
 	PotOnly int `json:"pot_only"`
 	// Coverage is hard coverage in [0,1].
 	Coverage float64 `json:"coverage"`
-	// Workers is the csim-P partition / csim-C worker / csim-grid
-	// fault-shard count the run used (0 otherwise).
+	// Workers is the csim-C / csim-grid worker count the run used, or
+	// on a pinned shard the split it belongs to (0 otherwise).
 	Workers int `json:"workers,omitempty"`
 	// Windows is 1 on every csim-grid result (0 otherwise). Pinned by
 	// benchmark/ (it reads the plan as workers x windows); goes with
@@ -363,8 +299,9 @@ type ResultView struct {
 	// CacheHit reports whether the compiled-circuit cache served the
 	// netlist (parse + collapse + macro extraction skipped).
 	CacheHit bool `json:"cache_hit"`
-	// Stats is the engine instrumentation block (zero for PROOFS/serial).
-	Stats StatsView `json:"stats"`
+	// Stats is the engine instrumentation block (zero for serial, memory
+	// only for PROOFS).
+	Stats csim.Stats `json:"stats"`
 	// Detections is the per-fault payload, present when the spec set
 	// ReturnDetections.
 	Detections *DetectionsView `json:"detections,omitempty"`
@@ -388,7 +325,8 @@ const gridPollMS = 100
 // 100 ms after the job ended. A caller that wants the end when it happens
 // passes Wait an interval or uses Hold.
 func (sp *JobSpec) timed() bool {
-	return sp.Engine == "csim-grid" && sp.FaultShards == 0
+	info, _ := engine.ByName(sp.Engine)
+	return info.Sharded && sp.FaultShards == 0
 }
 
 // JobView is the job-status response body.

@@ -136,7 +136,7 @@ func TestObservabilityDoesNotChangeDetections(t *testing.T) {
 	_, bare := startServer(t, Config{Workers: 2})
 	ctx := ctxT(t)
 
-	for _, engine := range []string{"csim-P", "csim-grid"} {
+	for _, engine := range []string{"csim-MV", "csim-grid"} {
 		spec := JobSpec{Circuit: "s298", Engine: engine, Random: 40, Seed: 7}
 		a, err := instrumented.Run(ctx, spec, time.Millisecond)
 		if err != nil {

@@ -46,10 +46,10 @@ type Config struct {
 	// held request has its terminal view delivered on the request that
 	// waited for it, so retention is not what a caller's result rides on.
 	Retained int
-	// EngineWorkers is the csim-P partition count, the csim-C worker
-	// count and the csim-grid scheduler's processor budget when a spec
-	// leaves Workers at 0, and the worker bound of every pinned compiled
-	// grid shard (default runtime.NumCPU).
+	// EngineWorkers is the csim-C worker count and the csim-grid
+	// scheduler's processor budget when a spec leaves Workers at 0, and
+	// the worker bound of every pinned grid shard (default
+	// runtime.NumCPU).
 	EngineWorkers int
 	// Obs is the observability bundle. Nil runs with a fresh registry
 	// (metrics always on — the service serves them) and no tracer.
@@ -390,13 +390,6 @@ func (s *Server) runJob(ctx context.Context, slot int, j *job) {
 		Faults:  s.ob.Faults,
 		Log:     jlog,
 		Flight:  j.flight,
-	}
-	if j.spec.Engine == "csim-P" {
-		// csim-P publishes under its own fixed worker prefixes, which
-		// concurrent jobs would trample; keep its registry (and the
-		// fault log, as before) off — tracer, logger and flight stay.
-		engineOb.Metrics = nil
-		engineOb.Faults = nil
 	}
 	sp := s.ob.SpanTID(fmt.Sprintf("%s/%s/%s", j.id, j.spec.Engine, circuitLabel(&j.spec)), slot+1)
 	rv, err := s.runContained(jctx, &RunRequest{

