@@ -17,11 +17,13 @@ lint:
 	go vet -vettool=bin/simlint ./...
 	go run ./cmd/csim -suite s1494 -check
 
-# Differential fuzzing: replay the fixed corpus, then let the native
-# fuzzer search for disagreeing seeds for 30s (raise -fuzztime at will).
+# Fuzzing: replay the fixed corpora, then let the native fuzzer search for
+# 30s each (raise -fuzztime at will) — for seeds on which the engines
+# disagree, and for bytes the .bench front door mishandles.
 fuzz:
-	go test ./internal/integration/ -run Fuzz -count=1
+	go test ./internal/integration/ ./internal/netlist/ -run Fuzz -count=1
 	go test ./internal/integration/ -fuzz=FuzzDifferential -fuzztime=30s
+	go test ./internal/netlist/ -run '^$$' -fuzz=FuzzParseBench -fuzztime=30s
 
 # Full benchmark suite -> BENCH_<timestamp>.json (several minutes).
 bench:

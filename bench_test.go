@@ -11,9 +11,14 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/compiled"
 	"repro/internal/engine"
 	"repro/internal/faults"
+	"repro/internal/gen"
 	"repro/internal/harness"
+	"repro/internal/iscas"
+	"repro/internal/netcheck"
+	"repro/internal/netlist"
 	"repro/internal/obs"
 	"repro/internal/vectors"
 )
@@ -212,4 +217,57 @@ func BenchmarkAblationReconvergent(b *testing.B) {
 	u, vs := deterministic(b, "s1238")
 	b.Run("fanoutfree", func(b *testing.B) { runCell(b, engine.CsimMV, u, vs) })
 	b.Run("reconvergent", func(b *testing.B) { runCell(b, engine.CsimReconv, u, vs) })
+}
+
+// missSink keeps the miss-chain stages' results live.
+var missSink any
+
+// BenchmarkMissChain measures what a compiled-circuit cache miss runs, one
+// sub-benchmark per stage and the four together: parse → netcheck.Check →
+// StuckCollapsed → compiled.Compile, on benchmark/'s svc-cold shape (a
+// generated 35/49/179/2779 netlist shipped as .bench text) and on s35932.
+// MB/s is over the .bench text. Compare parent and change side by side:
+//
+//	go test -run '^$' -bench MissChain -benchtime 20x .
+func BenchmarkMissChain(b *testing.B) {
+	cold, err := gen.Generate(gen.Spec{Name: "gen2779x179-1000", PIs: 35, POs: 49, DFFs: 179, Gates: 2779, Seed: 1000})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, in := range []struct {
+		name string
+		c    *netlist.Circuit
+	}{{"svc-cold", cold}, {"s35932", iscas.MustGet("s35932")}} {
+		text := netlist.BenchString(in.c)
+		parse := func() *netlist.Circuit {
+			c, err := netlist.ParseBenchString(in.c.Name, text)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return c
+		}
+		check := func(c *netlist.Circuit) {
+			if ps := netcheck.Check(c); len(ps) > 0 {
+				b.Fatal(netcheck.AsError(ps))
+			}
+		}
+		stage := func(name string, run func()) {
+			b.Run(in.name+"/"+name, func(b *testing.B) {
+				b.SetBytes(int64(len(text)))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					run()
+				}
+			})
+		}
+		stage("parse", func() { missSink = parse() })
+		stage("netcheck", func() { check(in.c) })
+		stage("collapse", func() { missSink = faults.StuckCollapsed(in.c) })
+		stage("compile", func() { missSink = compiled.Compile(in.c) })
+		stage("chain", func() {
+			c := parse()
+			check(c)
+			missSink = [2]any{faults.StuckCollapsed(c), compiled.Compile(c)}
+		})
+	}
 }

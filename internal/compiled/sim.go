@@ -213,7 +213,10 @@ func (s *Sim) RunContext(ctx context.Context, vs *vectors.Set, workers int) (*fa
 // worker, watch's included, comes back as an error with the stack. watch
 // may be nil.
 func (s *Sim) RunFaults(ctx context.Context, vs *vectors.Set, ids []int32, workers int, watch WorkerFunc) (*faults.Result, error) {
-	tr, gevals := s.p.Trace(vs)
+	tr, gevals, err := s.p.trace(ctx, vs)
+	if err != nil {
+		return nil, err
+	}
 	ws, err := s.runWorkers(ctx, tr, ids, workers, watch)
 	if err != nil {
 		return nil, err

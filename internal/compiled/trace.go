@@ -1,6 +1,8 @@
 package compiled
 
 import (
+	"context"
+
 	"repro/internal/logic"
 	"repro/internal/netlist"
 	"repro/internal/vectors"
@@ -75,6 +77,13 @@ func (tr *Trace) At(cycle int, g netlist.GateID) logic.V {
 // one bit-column, so the fault passes downstream consume the result 64
 // cycles at a time.
 func (p *Program) Trace(vs *vectors.Set) (*Trace, int64) {
+	tr, evals, _ := p.trace(context.Background(), vs)
+	return tr, evals
+}
+
+// trace is Trace under a context, checked once per 64-cycle block: a
+// cancelled run returns ctx.Err() and no trace.
+func (p *Program) trace(ctx context.Context, vs *vectors.Set) (*Trace, int64, error) {
 	nc := vs.Len()
 	ng := len(p.c.Gates)
 	blocks := (nc + wordW - 1) / wordW
@@ -92,6 +101,11 @@ func (p *Program) Trace(vs *vectors.Set) (*Trace, int64) {
 	next := make([]logic.V, len(p.c.DFFs))
 	evals := int64(0)
 	for t := 0; t < nc; t++ {
+		if t%wordW == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, 0, err
+			}
+		}
 		for i, pi := range p.c.PIs {
 			val[pi] = vs.Vecs[t][i].Norm()
 		}
@@ -113,5 +127,5 @@ func (p *Program) Trace(vs *vectors.Set) (*Trace, int64) {
 			val[ff] = next[i]
 		}
 	}
-	return tr, evals
+	return tr, evals, nil
 }

@@ -97,25 +97,32 @@ func (u *Universe) IDs() []int32 {
 
 // StuckAll builds the complete (uncollapsed) single stuck-at universe:
 // SA0/SA1 on every gate output line and on every input pin of every
-// non-source gate, plus the D input pin of each flip-flop.
+// non-source gate, plus the D input pin of each flip-flop. The list is
+// gate-major — a gate's output pair, then a pair per input pin — so the
+// fault at (gate, pin, kind) sits at stuckBase(c)[gate] + 2*(pin+1) + kind.
 func StuckAll(c *netlist.Circuit) *Universe {
-	u := &Universe{Circuit: c}
-	add := func(g netlist.GateID, pin int, k Kind) {
-		u.Faults = append(u.Faults, Fault{
-			ID: int32(len(u.Faults)), Gate: g, Pin: pin, Kind: k,
-		})
-	}
+	base := stuckBase(c)
+	u := &Universe{Circuit: c, Faults: make([]Fault, 0, base[len(c.Gates)])}
 	for i := range c.Gates {
-		g := &c.Gates[i]
-		id := netlist.GateID(i)
-		add(id, OutPin, SA0)
-		add(id, OutPin, SA1)
-		for p := range g.Fanin {
-			add(id, p, SA0)
-			add(id, p, SA1)
+		for pin := OutPin; pin < len(c.Gates[i].Fanin); pin++ {
+			for _, k := range [...]Kind{SA0, SA1} {
+				u.Faults = append(u.Faults, Fault{
+					ID: int32(len(u.Faults)), Gate: netlist.GateID(i), Pin: pin, Kind: k,
+				})
+			}
 		}
 	}
 	return u
+}
+
+// stuckBase returns, per gate, the index of its first fault in StuckAll's
+// list, and the list's length as one more entry.
+func stuckBase(c *netlist.Circuit) []int32 {
+	base := make([]int32, len(c.Gates)+1)
+	for i := range c.Gates {
+		base[i+1] = base[i] + 2*int32(1+len(c.Gates[i].Fanin))
+	}
+	return base
 }
 
 // StuckCollapsed builds the stuck-at universe collapsed by structural
@@ -129,14 +136,15 @@ func StuckAll(c *netlist.Circuit) *Universe {
 // Faults on Universe.Faults are class representatives; Rep maps every
 // uncollapsed fault index to its representative's ID.
 func StuckCollapsed(c *netlist.Circuit) *Universe {
-	full := StuckAll(c)
-	n := len(full.Faults)
+	base := stuckBase(c)
+	n := int(base[len(c.Gates)])
+	// Union-find over StuckAll's indices, without the list itself; a
+	// class's root is its lowest index.
 	parent := make([]int32, n)
 	for i := range parent {
 		parent[i] = int32(i)
 	}
-	var find func(x int32) int32
-	find = func(x int32) int32 {
+	find := func(x int32) int32 {
 		for parent[x] != x {
 			parent[x] = parent[parent[x]]
 			x = parent[x]
@@ -145,24 +153,14 @@ func StuckCollapsed(c *netlist.Circuit) *Universe {
 	}
 	union := func(a, b int32) {
 		ra, rb := find(a), find(b)
-		if ra != rb {
-			if ra < rb {
-				parent[rb] = ra
-			} else {
-				parent[ra] = rb
-			}
+		if ra < rb {
+			parent[rb] = ra
+		} else {
+			parent[ra] = rb
 		}
 	}
-
-	// Index the full universe by site for rule application.
-	idx := make(map[Fault]int32, n)
-	for i, f := range full.Faults {
-		key := f
-		key.ID = 0
-		idx[key] = int32(i)
-	}
 	at := func(g netlist.GateID, pin int, k Kind) int32 {
-		return idx[Fault{Gate: g, Pin: pin, Kind: k}]
+		return base[g] + 2*int32(pin+1) + int32(k)
 	}
 
 	for i := range c.Gates {
@@ -202,19 +200,28 @@ func StuckCollapsed(c *netlist.Circuit) *Universe {
 		}
 	}
 
-	u := &Universe{Circuit: c, Rep: make([]int32, n)}
-	classID := make(map[int32]int32, n)
-	for i := 0; i < n; i++ {
-		root := find(int32(i))
-		cid, ok := classID[root]
-		if !ok {
-			cid = int32(len(u.Faults))
-			classID[root] = cid
-			rep := full.Faults[root]
-			rep.ID = cid
-			u.Faults = append(u.Faults, rep)
+	// A root is met before the rest of its class, so classes are numbered
+	// in the order of their representatives.
+	classes := 0
+	for i := range parent {
+		if parent[i] == int32(i) {
+			classes++
 		}
-		u.Rep[i] = cid
+	}
+	u := &Universe{Circuit: c, Faults: make([]Fault, 0, classes), Rep: make([]int32, n)}
+	i := int32(0) // the index StuckAll gives the site at hand
+	for g := range c.Gates {
+		for pin := OutPin; pin < len(c.Gates[g].Fanin); pin++ {
+			for _, k := range [...]Kind{SA0, SA1} {
+				root := find(i)
+				if root == i {
+					u.Rep[i] = int32(len(u.Faults))
+					u.Faults = append(u.Faults, Fault{ID: u.Rep[i], Gate: netlist.GateID(g), Pin: pin, Kind: k})
+				}
+				u.Rep[i] = u.Rep[root]
+				i++
+			}
+		}
 	}
 	return u
 }

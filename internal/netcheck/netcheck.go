@@ -7,6 +7,7 @@ package netcheck
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/logic"
@@ -53,7 +54,7 @@ func Check(c *netlist.Circuit) []Problem {
 }
 
 func gname(c *netlist.Circuit, id netlist.GateID) string {
-	if id < 0 || int(id) >= len(c.Gates) {
+	if !inRange(id, len(c.Gates)) {
 		return fmt.Sprintf("#%d", id)
 	}
 	return c.Gate(id).Name
@@ -68,7 +69,7 @@ func checkDrivers(c *netlist.Circuit) []Problem {
 	for i := range c.Gates {
 		g := &c.Gates[i]
 		for _, f := range g.Fanin {
-			if f < 0 || int(f) >= len(c.Gates) {
+			if !inRange(f, len(c.Gates)) {
 				ps = append(ps, Problem{"bad-edge",
 					fmt.Sprintf("%s has out-of-range fanin %d", g.Name, f)})
 			}
@@ -93,41 +94,78 @@ func checkDrivers(c *netlist.Circuit) []Problem {
 	return ps
 }
 
+// inRange reports whether id indexes one of n gates.
+func inRange(id netlist.GateID, n int) bool { return id >= 0 && int(id) < n }
+
 // checkEdges verifies the fanin and fanout adjacency lists mirror each
-// other exactly, with matching edge multiplicity.
+// other exactly, with matching edge multiplicity: the fanin references are
+// grouped by driver, and each driver's group is compared, as a multiset of
+// consumers, with the driver's own Fanout list.
 func checkEdges(c *netlist.Circuit) []Problem {
 	var ps []Problem
-	type edge struct{ from, to netlist.GateID }
-	down := map[edge]int{} // from fanin lists
-	up := map[edge]int{}   // from fanout lists
+	n := len(c.Gates)
+	// readers[ends[d]:ends[d+1]] lists, after the fill below, the gates
+	// that name d as a fanin, once per reference.
+	ends := make([]int32, n+1)
+	refs := 0
 	for i := range c.Gates {
-		id := netlist.GateID(i)
 		for _, f := range c.Gates[i].Fanin {
-			if f >= 0 && int(f) < len(c.Gates) {
-				down[edge{f, id}]++
+			if inRange(f, n) {
+				ends[f+1]++
+				refs++
 			}
 		}
-		for _, t := range c.Gates[i].Fanout {
-			if t < 0 || int(t) >= len(c.Gates) {
+	}
+	for d := 0; d < n; d++ {
+		ends[d+1] += ends[d]
+	}
+	readers := make([]netlist.GateID, refs)
+	next := make([]int32, n)
+	copy(next, ends)
+	for i := range c.Gates {
+		for _, f := range c.Gates[i].Fanin {
+			if inRange(f, n) {
+				readers[next[f]] = netlist.GateID(i)
+				next[f]++
+			}
+		}
+	}
+	// down[t] and up[t] count, for the driver at hand, its references from
+	// t's Fanin and to t in its own Fanout; both are all zero between
+	// drivers.
+	down, up := make([]int32, n), make([]int32, n)
+	for d := range c.Gates {
+		id := netlist.GateID(d)
+		in := readers[ends[d]:ends[d+1]]
+		for _, t := range in {
+			down[t]++
+		}
+		for _, t := range c.Gates[d].Fanout {
+			if !inRange(t, n) {
 				ps = append(ps, Problem{"bad-edge",
-					fmt.Sprintf("%s has out-of-range fanout %d", c.Gates[i].Name, t)})
+					fmt.Sprintf("%s has out-of-range fanout %d", c.Gates[d].Name, t)})
 				continue
 			}
-			up[edge{id, t}]++
+			up[t]++
 		}
-	}
-	for e, n := range down {
-		if up[e] != n {
-			ps = append(ps, Problem{"edge-mirror",
-				fmt.Sprintf("%s->%s: %d fanin reference(s) but %d fanout reference(s)",
-					gname(c, e.from), gname(c, e.to), n, up[e])})
+		for _, t := range in {
+			if down[t] == 0 {
+				continue // a repeated reference, reported at the first
+			}
+			if up[t] != down[t] {
+				ps = append(ps, Problem{"edge-mirror",
+					fmt.Sprintf("%s->%s: %d fanin reference(s) but %d fanout reference(s)",
+						gname(c, id), gname(c, t), down[t], up[t])})
+			}
+			down[t], up[t] = 0, 0
 		}
-	}
-	for e, n := range up {
-		if _, ok := down[e]; !ok {
-			ps = append(ps, Problem{"edge-mirror",
-				fmt.Sprintf("%s->%s: %d fanout reference(s) but no fanin reference",
-					gname(c, e.from), gname(c, e.to), n)})
+		for _, t := range c.Gates[d].Fanout {
+			if inRange(t, n) && up[t] != 0 {
+				ps = append(ps, Problem{"edge-mirror",
+					fmt.Sprintf("%s->%s: %d fanout reference(s) but no fanin reference",
+						gname(c, id), gname(c, t), up[t])})
+				up[t] = 0
+			}
 		}
 	}
 	return sortProblems(ps)
@@ -137,40 +175,48 @@ func checkEdges(c *netlist.Circuit) []Problem {
 // and flags.
 func checkIndexes(c *netlist.Circuit) []Problem {
 	var ps []Problem
-	inPIs := map[netlist.GateID]bool{}
+	n := len(c.Gates)
+	const inPIs, inDFFs, inPOs = 1, 2, 4
+	listed := make([]uint8, n) // which of the three lists name the gate
 	for _, pi := range c.PIs {
-		inPIs[pi] = true
-		if int(pi) >= len(c.Gates) || c.Gate(pi).Op != logic.OpInput {
-			ps = append(ps, Problem{"index",
-				fmt.Sprintf("PIs lists %s, which is not an INPUT gate", gname(c, pi))})
+		if inRange(pi, n) {
+			listed[pi] |= inPIs
+			if c.Gate(pi).Op == logic.OpInput {
+				continue
+			}
 		}
+		ps = append(ps, Problem{"index",
+			fmt.Sprintf("PIs lists %s, which is not an INPUT gate", gname(c, pi))})
 	}
-	inDFFs := map[netlist.GateID]bool{}
 	for _, ff := range c.DFFs {
-		inDFFs[ff] = true
-		if int(ff) >= len(c.Gates) || c.Gate(ff).Op != logic.OpDFF {
-			ps = append(ps, Problem{"index",
-				fmt.Sprintf("DFFs lists %s, which is not a DFF gate", gname(c, ff))})
+		if inRange(ff, n) {
+			listed[ff] |= inDFFs
+			if c.Gate(ff).Op == logic.OpDFF {
+				continue
+			}
 		}
+		ps = append(ps, Problem{"index",
+			fmt.Sprintf("DFFs lists %s, which is not a DFF gate", gname(c, ff))})
 	}
-	inPOs := map[netlist.GateID]bool{}
 	for _, po := range c.POs {
-		inPOs[po] = true
-		if int(po) >= len(c.Gates) || !c.Gate(po).PO {
-			ps = append(ps, Problem{"index",
-				fmt.Sprintf("POs lists %s, which is not flagged PO", gname(c, po))})
+		if inRange(po, n) {
+			listed[po] |= inPOs
+			if c.Gate(po).PO {
+				continue
+			}
 		}
+		ps = append(ps, Problem{"index",
+			fmt.Sprintf("POs lists %s, which is not flagged PO", gname(c, po))})
 	}
 	for i := range c.Gates {
-		id := netlist.GateID(i)
 		g := &c.Gates[i]
-		if g.Op == logic.OpInput && !inPIs[id] {
+		if g.Op == logic.OpInput && listed[i]&inPIs == 0 {
 			ps = append(ps, Problem{"index", fmt.Sprintf("INPUT gate %s missing from PIs", g.Name)})
 		}
-		if g.Op == logic.OpDFF && !inDFFs[id] {
+		if g.Op == logic.OpDFF && listed[i]&inDFFs == 0 {
 			ps = append(ps, Problem{"index", fmt.Sprintf("DFF gate %s missing from DFFs", g.Name)})
 		}
-		if g.PO && !inPOs[id] {
+		if g.PO && listed[i]&inPOs == 0 {
 			ps = append(ps, Problem{"index", fmt.Sprintf("PO-flagged gate %s missing from POs", g.Name)})
 		}
 	}
@@ -272,15 +318,24 @@ func checkLevels(c *netlist.Circuit) []Problem {
 		ps = append(ps, Problem{"level",
 			fmt.Sprintf("MaxLevel is %d, deepest gate is at %d", c.MaxLevel, maxSeen)})
 	}
-	seen := map[netlist.GateID]bool{}
+	seen := make([]bool, len(c.Gates))
+	var stray []netlist.GateID // bucketed IDs that index no gate
 	for l, bucket := range c.Levels {
 		for _, id := range bucket {
+			if !inRange(id, len(c.Gates)) {
+				if slices.Contains(stray, id) {
+					ps = append(ps, Problem{"level",
+						fmt.Sprintf("gate %s appears in Levels twice", gname(c, id))})
+				}
+				stray = append(stray, id)
+				continue
+			}
 			if seen[id] {
 				ps = append(ps, Problem{"level",
 					fmt.Sprintf("gate %s appears in Levels twice", gname(c, id))})
 			}
 			seen[id] = true
-			if int(id) < len(c.Gates) && int(c.Gate(id).Level) != l {
+			if int(c.Gate(id).Level) != l {
 				ps = append(ps, Problem{"level",
 					fmt.Sprintf("gate %s bucketed at level %d but has Level %d",
 						gname(c, id), l, c.Gate(id).Level)})
@@ -288,7 +343,7 @@ func checkLevels(c *netlist.Circuit) []Problem {
 		}
 	}
 	for i := range c.Gates {
-		if !c.Gates[i].IsSource() && !seen[netlist.GateID(i)] {
+		if !c.Gates[i].IsSource() && !seen[i] {
 			ps = append(ps, Problem{"level",
 				fmt.Sprintf("gate %s missing from Levels buckets", c.Gates[i].Name)})
 		}
@@ -296,9 +351,9 @@ func checkLevels(c *netlist.Circuit) []Problem {
 	return ps
 }
 
+// sortProblems orders the edge report by text, whichever adjacency list a
+// problem was found on.
 func sortProblems(ps []Problem) []Problem {
-	// Map iteration above makes order nondeterministic; sort for stable
-	// output and stable tests.
 	for i := 1; i < len(ps); i++ {
 		for j := i; j > 0 && ps[j].String() < ps[j-1].String(); j-- {
 			ps[j], ps[j-1] = ps[j-1], ps[j]

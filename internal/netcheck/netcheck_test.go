@@ -1,6 +1,7 @@
 package netcheck
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -181,4 +182,95 @@ func TestTrivialPlanNotMaximal(t *testing.T) {
 		t.Fatalf("trivial plan structurally invalid: %v", err)
 	}
 	wantProblem(t, CheckPlanMaximal(p, macro.DefaultMaxInputs, false), "plan-maximal", "a")
+}
+
+// TestCheckExactProblems pins the report — every problem, as text, in
+// order — for corruptions the fixtures above only probe by substring:
+// multiplicity mismatches between the two adjacency lists and IDs past the
+// end of the gate array in Fanout, PIs and Levels.
+func TestCheckExactProblems(t *testing.T) {
+	// and2 is i, j -> g(AND) -> PO g.
+	and2 := func(t *testing.T) *netlist.Circuit {
+		c, err := netlist.NewBuilder("and2").
+			Input("i").Input("j").
+			Gate("g", logic.OpAnd, "i", "j").
+			Output("g").
+			Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	for _, tc := range []struct {
+		name    string
+		circuit func(*testing.T) *netlist.Circuit
+		corrupt func(c *netlist.Circuit)
+		want    []string
+	}{
+		{"fanin listed twice, one fanout entry", and2, func(c *netlist.Circuit) {
+			i := c.MustByName("i")
+			c.Gates[c.MustByName("g")].Fanin = []netlist.GateID{i, i}
+		}, []string{
+			"edge-mirror: i->g: 2 fanin reference(s) but 1 fanout reference(s)",
+			"edge-mirror: j->g: 1 fanout reference(s) but no fanin reference",
+		}},
+		{"fanout listed twice, one fanin entry", and2, func(c *netlist.Circuit) {
+			i, g := c.MustByName("i"), c.MustByName("g")
+			c.Gates[i].Fanout = []netlist.GateID{g, g}
+		}, []string{
+			"edge-mirror: i->g: 1 fanin reference(s) but 2 fanout reference(s)",
+		}},
+		{"fanout with no fanin", chain, func(c *netlist.Circuit) {
+			i, a, b := c.MustByName("i"), c.MustByName("a"), c.MustByName("b")
+			c.Gates[i].Fanout = []netlist.GateID{a, b}
+		}, []string{
+			"edge-mirror: i->b: 1 fanout reference(s) but no fanin reference",
+		}},
+		{"fanin with no fanout", chain, func(c *netlist.Circuit) {
+			c.Gates[c.MustByName("a")].Fanout = nil
+		}, []string{
+			"edge-mirror: a->b: 1 fanin reference(s) but 0 fanout reference(s)",
+		}},
+		{"fanout IDs out of range", chain, func(c *netlist.Circuit) {
+			i, a := c.MustByName("i"), c.MustByName("a")
+			c.Gates[i].Fanout = []netlist.GateID{99, a, -1}
+		}, []string{
+			"bad-edge: i has out-of-range fanout -1",
+			"bad-edge: i has out-of-range fanout 99",
+		}},
+		{"PI, DFF and PO lists past the end", chain, func(c *netlist.Circuit) {
+			c.PIs = append(c.PIs, 99)
+			c.DFFs = append(c.DFFs, 3)
+			c.POs = append(c.POs, 7)
+		}, []string{
+			"index: PIs lists #99, which is not an INPUT gate",
+			"index: DFFs lists #3, which is not a DFF gate",
+			"index: POs lists #7, which is not flagged PO",
+		}},
+		{"level bucket ID past the end, once", chain, func(c *netlist.Circuit) {
+			c.Levels[1] = append(c.Levels[1], 99)
+		}, nil},
+		{"level bucket ID past the end, twice", chain, func(c *netlist.Circuit) {
+			c.Levels[2] = append(c.Levels[2], 99, 99)
+		}, []string{
+			"level: gate #99 appears in Levels twice",
+		}},
+		{"gate bucketed twice and one missing", chain, func(c *netlist.Circuit) {
+			c.Levels[2] = []netlist.GateID{c.MustByName("a")}
+		}, []string{
+			"level: gate a appears in Levels twice",
+			"level: gate a bucketed at level 2 but has Level 1",
+			"level: gate b missing from Levels buckets",
+		}},
+	} {
+		c := tc.circuit(t)
+		tc.corrupt(c)
+		var got []string
+		for _, p := range Check(c) {
+			got = append(got, p.String())
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%s:\n got %q\nwant %q", tc.name, got, tc.want)
+		}
+	}
 }

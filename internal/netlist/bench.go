@@ -19,40 +19,47 @@ import (
 //
 // Keywords are case-insensitive; whitespace is free-form.
 func ParseBench(name string, r io.Reader) (*Circuit, error) {
-	b := NewBuilder(name)
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<22)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Text()
-		if i := strings.IndexByte(line, '#'); i >= 0 {
-			line = line[:i]
-		}
+	var text strings.Builder
+	if _, err := io.Copy(&text, r); err != nil {
+		return nil, fmt.Errorf("%s: %w", name, err)
+	}
+	return ParseBenchString(name, text.String())
+}
+
+// ParseBenchString parses .bench text from a string. The circuit's gate
+// names are substrings of text, not copies.
+func ParseBenchString(name, text string) (*Circuit, error) {
+	// One gate per line at most, and no line that defines one is shorter
+	// than "a=b(c)\n", whatever the text is padded with.
+	p := benchParser{b: newBuilder(name, min(strings.Count(text, "\n")+1, len(text)/7))}
+	for lineNo := 1; text != ""; lineNo++ {
+		var line string
+		line, text, _ = strings.Cut(text, "\n")
+		line, _, _ = strings.Cut(line, "#")
 		line = strings.TrimSpace(line)
 		if line == "" {
 			continue
 		}
-		if err := parseBenchLine(b, line); err != nil {
+		if err := p.line(line); err != nil {
 			return nil, fmt.Errorf("%s:%d: %w", name, lineNo, err)
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("%s: %w", name, err)
-	}
-	return b.Build()
+	return p.b.Build()
 }
 
-// ParseBenchString parses .bench text from a string.
-func ParseBenchString(name, text string) (*Circuit, error) {
-	return ParseBench(name, strings.NewReader(text))
+// benchParser feeds .bench lines to a Builder.
+type benchParser struct {
+	b *Builder
+	// args is the current line's argument list, reused from line to line;
+	// the builder copies what it keeps.
+	args []string
 }
 
-func parseBenchLine(b *Builder, line string) error {
+// line adds one declaration or gate, comment and outer space stripped.
+func (p *benchParser) line(line string) error {
 	if eq := strings.IndexByte(line, '='); eq >= 0 {
 		lhs := strings.TrimSpace(line[:eq])
-		rhs := strings.TrimSpace(line[eq+1:])
-		op, args, err := parseCall(rhs)
+		op, err := p.call(strings.TrimSpace(line[eq+1:]))
 		if err != nil {
 			return err
 		}
@@ -60,53 +67,52 @@ func parseBenchLine(b *Builder, line string) error {
 		if err != nil {
 			return err
 		}
-		if gop == logic.OpDFF {
-			if len(args) != 1 {
-				return fmt.Errorf("DFF %q needs exactly one input, got %d", lhs, len(args))
-			}
-			b.DFF(lhs, args[0])
-			return nil
+		if gop == logic.OpDFF && len(p.args) != 1 {
+			return fmt.Errorf("DFF %q needs exactly one input, got %d", lhs, len(p.args))
 		}
-		b.Gate(lhs, gop, args...)
+		p.b.define(lhs, gop, p.args)
 		return nil
 	}
-	op, args, err := parseCall(line)
+	op, err := p.call(line)
 	if err != nil {
 		return err
 	}
-	if len(args) != 1 {
-		return fmt.Errorf("%s declaration needs one signal, got %d", op, len(args))
+	if len(p.args) != 1 {
+		return fmt.Errorf("%s declaration needs one signal, got %d", op, len(p.args))
 	}
 	switch strings.ToUpper(op) {
 	case "INPUT":
-		b.Input(args[0])
+		p.b.Input(p.args[0])
 	case "OUTPUT":
-		b.Output(args[0])
+		p.b.Output(p.args[0])
 	default:
 		return fmt.Errorf("unrecognized declaration %q", op)
 	}
 	return nil
 }
 
-// parseCall splits "OP(a, b, c)" into its keyword and arguments.
-func parseCall(s string) (op string, args []string, err error) {
+// call splits "OP(a, b, c)" into its keyword, returned, and its
+// arguments, left in p.args.
+func (p *benchParser) call(s string) (op string, err error) {
+	p.args = p.args[:0]
 	open := strings.IndexByte(s, '(')
-	if open < 0 || !strings.HasSuffix(s, ")") {
-		return "", nil, fmt.Errorf("malformed expression %q", s)
+	if open < 0 || s[len(s)-1] != ')' {
+		return "", fmt.Errorf("malformed expression %q", s)
 	}
 	op = strings.TrimSpace(s[:open])
 	inner := s[open+1 : len(s)-1]
 	if strings.TrimSpace(inner) == "" {
-		return op, nil, nil
+		return op, nil
 	}
-	for _, a := range strings.Split(inner, ",") {
-		a = strings.TrimSpace(a)
-		if a == "" {
-			return "", nil, fmt.Errorf("empty argument in %q", s)
+	for more := true; more; {
+		var a string
+		a, inner, more = strings.Cut(inner, ",")
+		if a = strings.TrimSpace(a); a == "" {
+			return "", fmt.Errorf("empty argument in %q", s)
 		}
-		args = append(args, a)
+		p.args = append(p.args, a)
 	}
-	return op, args, nil
+	return op, nil
 }
 
 // WriteBench serializes the circuit in .bench format. Parsing the output

@@ -3,32 +3,42 @@ package netlist
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/logic"
 )
 
 // Builder assembles a Circuit incrementally by signal name. Signals may be
 // referenced before they are defined; Build resolves everything, validates
-// arities, detects combinational cycles and levelizes.
+// arities, detects combinational cycles and levelizes. A Builder builds
+// one circuit: Build hands its name map to the Circuit.
 type Builder struct {
-	name    string
-	gates   []protoGate
-	byName  map[string]int
-	inputs  []string
+	name  string
+	gates []protoGate
+	// args holds every gate's fanin names back to back; gate i's are
+	// args[gates[i].args:gates[i+1].args].
+	args    []string
+	byName  map[string]GateID
 	outputs []string
 	errs    []error
 }
 
 type protoGate struct {
-	name  string
-	op    logic.Op
-	fanin []string
+	name string
+	op   logic.Op
+	args int32 // offset of the gate's first fanin name in Builder.args
 }
 
 // NewBuilder returns an empty builder for a circuit with the given name.
-func NewBuilder(name string) *Builder {
-	return &Builder{name: name, byName: make(map[string]int)}
+func NewBuilder(name string) *Builder { return newBuilder(name, 0) }
+
+// newBuilder sizes the builder for about n gates.
+func newBuilder(name string, n int) *Builder {
+	return &Builder{
+		name:   name,
+		gates:  make([]protoGate, 0, n),
+		args:   make([]string, 0, 2*n),
+		byName: make(map[string]GateID, n),
+	}
 }
 
 func (b *Builder) errf(format string, args ...any) {
@@ -44,13 +54,13 @@ func (b *Builder) define(name string, op logic.Op, fanin []string) {
 		b.errf("netlist: signal %q defined twice", name)
 		return
 	}
-	b.byName[name] = len(b.gates)
-	b.gates = append(b.gates, protoGate{name: name, op: op, fanin: fanin})
+	b.byName[name] = GateID(len(b.gates))
+	b.gates = append(b.gates, protoGate{name: name, op: op, args: int32(len(b.args))})
+	b.args = append(b.args, fanin...)
 }
 
 // Input declares a primary input signal.
 func (b *Builder) Input(name string) *Builder {
-	b.inputs = append(b.inputs, name)
 	b.define(name, logic.OpInput, nil)
 	return b
 }
@@ -93,34 +103,40 @@ func ArityOK(op logic.Op, n int) bool {
 // stopping at the first defect it validates the whole netlist and returns
 // every problem found, joined, so a malformed .bench file surfaces all of
 // its undefined-fanin and duplicate-definition sites in one pass.
+//
+// Every fanin name is looked up once, into one array of driver IDs that
+// the gates' Fanin slices are cut from; the Fanout slices are cut from a
+// second array of the same length, filled from the first.
 func (b *Builder) Build() (*Circuit, error) {
 	errs := append([]error(nil), b.errs...)
-	c := &Circuit{
-		Name:   b.name,
-		Gates:  make([]Gate, len(b.gates)),
-		byName: make(map[string]GateID, len(b.gates)),
-	}
-	for i, p := range b.gates {
-		c.Gates[i] = Gate{Name: p.name, Op: p.op}
-		c.byName[p.name] = GateID(i)
-	}
-	for i, p := range b.gates {
-		if !ArityOK(p.op, len(p.fanin)) {
-			errs = append(errs, fmt.Errorf("netlist: gate %q (%v) has %d inputs", p.name, p.op, len(p.fanin)))
+	n := len(b.gates)
+	c := &Circuit{Name: b.name, Gates: make([]Gate, n), byName: b.byName}
+	fanin := make([]GateID, 0, len(b.args))
+	outs := make([]int32, n+1) // outs[g+1]: fanout count of g, then its end offset
+	for i := range b.gates {
+		p := &b.gates[i]
+		args := b.args[p.args:]
+		if i+1 < n {
+			args = b.args[p.args:b.gates[i+1].args]
 		}
-		if len(p.fanin) > logic.MaxPins {
+		if !ArityOK(p.op, len(args)) {
+			errs = append(errs, fmt.Errorf("netlist: gate %q (%v) has %d inputs", p.name, p.op, len(args)))
+		}
+		if len(args) > logic.MaxPins {
 			errs = append(errs, fmt.Errorf("netlist: gate %q has %d inputs; exceeds %d (run Decompose)",
-				p.name, len(p.fanin), logic.MaxPins))
+				p.name, len(args), logic.MaxPins))
 		}
-		for _, fn := range p.fanin {
-			src, ok := c.byName[fn]
+		lo := len(fanin)
+		for _, fn := range args {
+			src, ok := b.byName[fn]
 			if !ok {
 				errs = append(errs, fmt.Errorf("netlist: gate %q references undriven signal %q", p.name, fn))
 				continue
 			}
-			c.Gates[i].Fanin = append(c.Gates[i].Fanin, src)
-			c.Gates[src].Fanout = append(c.Gates[src].Fanout, GateID(i))
+			fanin = append(fanin, src)
+			outs[src+1]++
 		}
+		c.Gates[i] = Gate{Name: p.name, Op: p.op, Fanin: cut(fanin, lo, len(fanin))}
 		switch p.op {
 		case logic.OpInput:
 			c.PIs = append(c.PIs, GateID(i))
@@ -128,17 +144,15 @@ func (b *Builder) Build() (*Circuit, error) {
 			c.DFFs = append(c.DFFs, GateID(i))
 		}
 	}
-	seenPO := make(map[string]bool)
 	for _, on := range b.outputs {
-		id, ok := c.byName[on]
+		id, ok := b.byName[on]
 		if !ok {
 			errs = append(errs, fmt.Errorf("netlist: primary output %q is undriven", on))
 			continue
 		}
-		if seenPO[on] {
-			continue
+		if c.Gates[id].PO {
+			continue // declared twice
 		}
-		seenPO[on] = true
 		c.POs = append(c.POs, id)
 		c.Gates[id].PO = true
 	}
@@ -147,38 +161,58 @@ func (b *Builder) Build() (*Circuit, error) {
 	if len(errs) > 0 {
 		return nil, errors.Join(errs...)
 	}
+	// Consumers are visited in ID order, pins in pin order, so a gate that
+	// reads a signal on two pins is listed twice in that signal's Fanout.
+	for g := 0; g < n; g++ {
+		outs[g+1] += outs[g]
+	}
+	fanout := make([]GateID, len(fanin))
+	next := make([]int32, n)
+	copy(next, outs)
+	for i := range c.Gates {
+		for _, src := range c.Gates[i].Fanin {
+			fanout[next[src]] = GateID(i)
+			next[src]++
+		}
+	}
+	for g := range c.Gates {
+		c.Gates[g].Fanout = cut(fanout, int(outs[g]), int(outs[g+1]))
+	}
 	if err := c.levelize(); err != nil {
 		return nil, err
 	}
 	return c, nil
 }
 
+// cut returns ids[lo:hi] with its capacity limited to its length, so an
+// append to one gate's list cannot run into the next gate's; nil when
+// empty.
+func cut(ids []GateID, lo, hi int) []GateID {
+	if lo == hi {
+		return nil
+	}
+	return ids[lo:hi:hi]
+}
+
 // levelize assigns combinational levels: sources (PIs, DFFs) at level 0,
 // every other gate at 1 + max(fanin levels). Detects combinational cycles.
 func (c *Circuit) levelize() error {
 	const unset = int32(-1)
-	for i := range c.Gates {
-		if c.Gates[i].IsSource() {
-			c.Gates[i].Level = 0
-		} else {
-			c.Gates[i].Level = unset
-		}
-	}
 	// Kahn-style: count unresolved combinational fanins.
 	pending := make([]int32, len(c.Gates))
 	queue := make([]GateID, 0, len(c.Gates))
 	for i := range c.Gates {
 		g := &c.Gates[i]
 		if g.IsSource() {
+			g.Level = 0
 			queue = append(queue, GateID(i))
 			continue
 		}
+		g.Level = unset
 		pending[i] = int32(len(g.Fanin))
 	}
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		for _, fo := range c.Gates[id].Fanout {
+	for head := 0; head < len(queue); head++ {
+		for _, fo := range c.Gates[queue[head]].Fanout {
 			fg := &c.Gates[fo]
 			if fg.IsSource() {
 				continue // DFF D-input does not propagate levels
@@ -196,27 +230,37 @@ func (c *Circuit) levelize() error {
 			}
 		}
 	}
-	for i := range c.Gates {
-		if c.Gates[i].Level == unset {
-			return fmt.Errorf("netlist: combinational cycle through gate %q", c.Gates[i].Name)
-		}
-	}
 	c.MaxLevel = 0
 	for i := range c.Gates {
-		if l := c.Gates[i].Level; l > c.MaxLevel {
+		l := c.Gates[i].Level
+		if l == unset {
+			return fmt.Errorf("netlist: combinational cycle through gate %q", c.Gates[i].Name)
+		}
+		if l > c.MaxLevel {
 			c.MaxLevel = l
 		}
 	}
-	c.Levels = make([][]GateID, c.MaxLevel+1)
+	// The buckets are cut from one array and filled in ID order, so each
+	// comes out sorted.
+	ends := make([]int32, c.MaxLevel+2) // ends[l+1]: gates at level l, then the bucket's end
 	for i := range c.Gates {
-		g := &c.Gates[i]
-		if g.IsSource() {
-			continue
+		if g := &c.Gates[i]; !g.IsSource() {
+			ends[g.Level+1]++
 		}
-		c.Levels[g.Level] = append(c.Levels[g.Level], GateID(i))
 	}
-	for _, lv := range c.Levels {
-		sort.Slice(lv, func(a, b int) bool { return lv[a] < lv[b] })
+	for l := int32(0); l <= c.MaxLevel; l++ {
+		ends[l+1] += ends[l]
+	}
+	flat := make([]GateID, ends[c.MaxLevel+1])
+	c.Levels = make([][]GateID, c.MaxLevel+1)
+	for l := range c.Levels {
+		c.Levels[l] = cut(flat, int(ends[l]), int(ends[l+1]))
+	}
+	for i := range c.Gates {
+		if g := &c.Gates[i]; !g.IsSource() {
+			flat[ends[g.Level]] = GateID(i) // ends[l] now walks bucket l
+			ends[g.Level]++
+		}
 	}
 	return nil
 }

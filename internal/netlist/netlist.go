@@ -25,6 +25,10 @@ const NoGate GateID = -1
 // combinational levelization. Gates live in the shared Circuit arena, so
 // they are as frozen as the Circuit that holds them.
 //
+// Fanin and Fanout are windows onto two arrays the whole circuit shares,
+// each as long as its window and no longer: they are read, never appended
+// to in place (an append copies the list out of the array).
+//
 //simlint:immutable
 type Gate struct {
 	Name   string

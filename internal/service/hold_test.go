@@ -7,11 +7,14 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/iscas"
+	"repro/internal/netlist"
 	"repro/internal/obs"
 )
 
@@ -427,5 +430,136 @@ func TestRetentionDefault(t *testing.T) {
 	}
 	if _, err := cl.Job(ctx, fmt.Sprintf("j%d", extra+1)); err != nil {
 		t.Errorf("job %d of %d: %v, want it retained", extra+1, want+extra, err)
+	}
+}
+
+// TestFullQueueRefusesBeforeTheCacheMiss: a submission the queue has no
+// room for is a 429 with Retry-After before its netlist is parsed,
+// verified and cached, so turning it away costs the node no miss and
+// evicts no circuit a queued job is waiting to run on.
+func TestFullQueueRefusesBeforeTheCacheMiss(t *testing.T) {
+	s, cl, g, reg := startGated(t, Config{Workers: 1, QueueDepth: 1, CacheSize: 1})
+	ctx := ctxT(t)
+	if _, err := cl.Submit(ctx, tinySpec); err != nil {
+		t.Fatal(err)
+	}
+	<-g.started // the first job holds the only slot; the second fills the queue
+	if v, err := cl.Submit(ctx, tinySpec); err != nil || v.Status != StatusQueued {
+		t.Fatalf("second job: %v / %+v", err, v)
+	}
+	metric := func(name string) int64 {
+		p, _ := reg.Get(name)
+		return p.Value
+	}
+	misses, evictions, entries := metric("serve.cache_misses"), metric("serve.cache_evictions"), s.cache.Len()
+
+	_, err := cl.Submit(ctx, JobSpec{Bench: iscas.S27Bench, BenchName: "refused", Engine: "csim-C", Random: 4})
+	var qf *QueueFullError
+	if !errors.As(err, &qf) || qf.RetryAfter < time.Second {
+		t.Fatalf("inline submission to a full queue: %v, want a 429 with Retry-After", err)
+	}
+	if m, e, n := metric("serve.cache_misses"), metric("serve.cache_evictions"), s.cache.Len(); m != misses || e != evictions || n != entries {
+		t.Errorf("the refused job moved the cache: misses %d -> %d, evictions %d -> %d, entries %d -> %d",
+			misses, m, evictions, e, entries, n)
+	}
+	if got := metric("serve.jobs_rejected"); got != 1 {
+		t.Errorf("serve.jobs_rejected = %d, want 1", got)
+	}
+	g.open(2)
+}
+
+// jobSpec reads a retained job's spec as the server holds it.
+func jobSpec(t *testing.T, s *Server, id string) JobSpec {
+	t.Helper()
+	s.mu.Lock()
+	j := s.jobs[id]
+	s.mu.Unlock()
+	if j == nil {
+		t.Fatalf("job %s is not retained", id)
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.spec
+}
+
+// TestFinishedJobDropsNetlistText: however a job with an inline netlist
+// ends — done, failed, cancelled while queued — the retained record keeps
+// the netlist's cache key in place of its text, the view reads as it did
+// while the job was live, and the key is a valid resubmission while the
+// circuit is cached. 200 finished 75 KB jobs then hold 200 small records,
+// not 15 MB of text nobody can read back.
+func TestFinishedJobDropsNetlistText(t *testing.T) {
+	s, cl, g, _ := startGated(t, Config{Workers: 1, CacheSize: 4})
+	ctx := ctxT(t)
+	key := InlineKey(iscas.S27Bench)
+	inline := JobSpec{Bench: iscas.S27Bench, BenchName: "mine", Engine: "csim-C", Random: 4}
+	check := func(how string, v JobView, want Status) {
+		t.Helper()
+		if v.Status != want {
+			t.Fatalf("%s: status %s, want %s", how, v.Status, want)
+		}
+		if v.Spec.Bench != "" || v.Spec.BenchKey != key || v.Spec.BenchName != "mine" {
+			t.Errorf("%s: view spec has %d bytes of text, key %q, name %q", how, len(v.Spec.Bench), v.Spec.BenchKey, v.Spec.BenchName)
+		}
+		if sp := jobSpec(t, s, v.ID); sp.Bench != "" || sp.BenchKey != key || sp.BenchName != "mine" {
+			t.Errorf("%s: retained spec has %d bytes of text, key %q, name %q", how, len(sp.Bench), sp.BenchKey, sp.BenchName)
+		}
+	}
+
+	g.open(1)
+	v, err := cl.Run(ctx, inline, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("done", v, StatusDone)
+
+	poisoned := inline
+	poisoned.Seed = panicSeed
+	if v, err = cl.Run(ctx, poisoned, 0); err != nil {
+		t.Fatal(err)
+	}
+	check("failed", v, StatusFailed)
+
+	blocker, err := cl.Submit(ctx, tinySpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitStatus(t, cl, blocker.ID, StatusRunning)
+	queued, err := cl.Submit(ctx, inline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sp := jobSpec(t, s, queued.ID); sp.Bench != iscas.S27Bench {
+		t.Errorf("a queued job's spec holds %d bytes of text, want the netlist", len(sp.Bench))
+	}
+	if v, err = cl.Cancel(ctx, queued.ID); err != nil {
+		t.Fatal(err)
+	}
+	check("cancelled while queued", v, StatusCancelled)
+	g.open(2)
+	waitTerminal(t, cl, blocker.ID)
+	if v, err = cl.Run(ctx, JobSpec{BenchKey: key, Engine: "csim-C", Random: 4}, 0); err != nil || v.Status != StatusDone || !v.Result.CacheHit {
+		t.Errorf("resubmission by bench_key: %v / %+v, want a done job on a cache hit", err, v)
+	}
+
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	text := netlist.BenchString(iscas.MustGet("s5378"))
+	const jobs = 200
+	before := heap()
+	g.open(jobs)
+	for i := 0; i < jobs; i++ {
+		spec := JobSpec{Bench: fmt.Sprintf("%s# variant %d\n", text, i), Engine: "csim-C", Random: 4}
+		if v, err := cl.Run(ctx, spec, 0); err != nil || v.Status != StatusDone || v.Result.CacheHit {
+			t.Fatalf("job %d: %v / %+v, want a done job on a cache miss", i, err, v)
+		}
+	}
+	if grew := int64(heap()) - int64(before); grew > 8<<20 {
+		t.Errorf("%d finished jobs of %d bytes each left the heap %.1f MB larger, want under 8 MB",
+			jobs, len(text), float64(grew)/(1<<20))
 	}
 }

@@ -397,7 +397,10 @@ type Postmortem struct {
 // job is the server-side record. Mutable fields are guarded by mu; done
 // closes exactly once on reaching a terminal state.
 type job struct {
-	id   string
+	id string
+	// spec is fixed at admission but for release, which swaps an inline
+	// netlist's text for its key under mu; the runner reads the text only
+	// while the job runs, before that.
 	spec JobSpec
 	// benchKey is the cache key job views show in place of an inline
 	// netlist's text; fixed at admission, empty for suite circuits.
@@ -412,7 +415,7 @@ type job struct {
 	mu sync.Mutex
 	// cc pins the circuit compiled at admission until the job reaches a
 	// terminal state; a retained finished job must not keep an evicted
-	// circuit alive.
+	// circuit alive, nor its netlist's text (release).
 	//simlint:guarded_by(mu)
 	cc        *Compiled
 	status    Status
@@ -522,9 +525,20 @@ func (j *job) finish(status Status, now time.Time, res *ResultView, err string) 
 	j.result = res
 	j.err = err
 	j.cancelRun = nil
-	j.cc = nil
+	j.release()
 	j.mu.Unlock()
 	close(j.done)
+}
+
+// release drops what only a live job needs: the circuit pinned at
+// admission and an inline netlist's text, which the spec from here on
+// names by its cache key, as views always have. A retained job then costs
+// the same whichever way its circuit arrived. Callers hold j.mu.
+func (j *job) release() {
+	j.cc = nil
+	if j.spec.Bench != "" {
+		j.spec.Bench, j.spec.BenchKey = "", j.benchKey
+	}
 }
 
 // compiled returns the circuit pinned at admission, nil once the job is
@@ -549,7 +563,7 @@ func (j *job) requestCancel(now time.Time) bool {
 		j.status = StatusCancelled
 		j.finished = now
 		j.err = "cancelled while queued"
-		j.cc = nil
+		j.release()
 		j.mu.Unlock()
 		j.flight.Record("finish", "cancelled while queued")
 		close(j.done)

@@ -41,6 +41,15 @@ func (q *jobQueue) push(j *job) bool {
 	return true
 }
 
+// full reports whether a push would fail right now. Admission asks
+// before it spends a cache miss on the job; by the time the job is pushed
+// the answer may have changed either way, and push decides.
+func (q *jobQueue) full() bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.closed || len(q.items) >= q.cap
+}
+
 // pop blocks until a job is available or the queue is closed and empty;
 // ok is false only on that terminal drain.
 func (q *jobQueue) pop() (j *job, ok bool) {

@@ -527,8 +527,9 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSubmit admits one job: decode (oversized body → 413), validate
-// (→ 400), compile through the cache (malformed netlist → structured
-// 400), then enqueue (full → 429 + Retry-After). With ?wait=<duration>
+// (→ 400), look for room in the queue (none → 429 + Retry-After), compile
+// through the cache (malformed netlist → structured 400), then enqueue
+// (full after all → the same 429). With ?wait=<duration>
 // the admitted job's request is then held like a status request: 200 and
 // the terminal view if the job ends inside the wait, 202 and the live
 // one if not. Rejections are never held.
@@ -571,6 +572,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// A full queue refuses the job before the lookup below parses,
+	// verifies and caches its netlist, evicting a circuit some queued job
+	// will want back: a saturated node pays nothing for what it turns away.
+	if s.q.full() {
+		s.rejectFull(w, "", &spec)
+		return
+	}
+
 	// Compile (or hit the cache) at admission so malformed netlists are
 	// rejected with diagnostics immediately instead of failing the job
 	// later, and so the queue only ever holds runnable work.
@@ -587,10 +596,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Vector validation needs the circuit's PI count, so it happens
-	// post-compile; inline vector text errors are 400s too.
-	if _, err := BuildVectors(&spec, cc); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error(), nil)
-		return
+	// post-compile; inline vector text errors are 400s too. Random
+	// vectors cannot fail and are drawn once, on the worker.
+	if spec.Vectors != "" {
+		if _, err := BuildVectors(&spec, cc); err != nil {
+			writeError(w, http.StatusBadRequest, err.Error(), nil)
+			return
+		}
 	}
 
 	// Correlation ID: accept one from the X-Csim-Job-Id header (a
@@ -636,20 +648,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	w.Header().Set(JobIDHeader, id)
 	if !s.q.push(j) {
+		// The queue filled between the check above and here.
 		s.mu.Lock()
 		delete(s.jobs, id)
 		s.mu.Unlock()
-		s.mRejected.Inc()
-		retry := s.retryAfter()
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", retry))
-		s.log.Warn("job rejected",
-			slog.String("job_id", id),
-			slog.String("phase", "admit"),
-			slog.String("engine", spec.Engine),
-			slog.Int("queue_depth", s.q.depth()),
-			slog.Int("retry_after_s", retry))
-		writeError(w, http.StatusTooManyRequests,
-			fmt.Sprintf("queue full (%d queued); retry after %ds", s.q.depth(), retry), nil)
+		s.rejectFull(w, id, &spec)
 		return
 	}
 	s.mSubmitted.Inc()
@@ -671,6 +674,23 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		code = http.StatusOK
 	}
 	writeJSON(w, code, v)
+}
+
+// rejectFull answers a submission the queue has no room for: 429 with a
+// Retry-After hint. id is empty when the job was turned away before it
+// was given one.
+func (s *Server) rejectFull(w http.ResponseWriter, id string, spec *JobSpec) {
+	s.mRejected.Inc()
+	retry := s.retryAfter()
+	w.Header().Set("Retry-After", fmt.Sprintf("%d", retry))
+	s.log.Warn("job rejected",
+		slog.String("job_id", id),
+		slog.String("phase", "admit"),
+		slog.String("engine", spec.Engine),
+		slog.Int("queue_depth", s.q.depth()),
+		slog.Int("retry_after_s", retry))
+	writeError(w, http.StatusTooManyRequests,
+		fmt.Sprintf("queue full (%d queued); retry after %ds", s.q.depth(), retry), nil)
 }
 
 // retryAfter estimates, in whole seconds (>= 1, capped at 60), when a

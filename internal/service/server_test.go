@@ -554,12 +554,8 @@ func TestTimeoutStopsEveryEngine(t *testing.T) {
 	}
 	_, cl := startServer(t, Config{Workers: 1})
 	ctx := ctxT(t)
-	for _, engine := range Engines {
-		spec, ok := shapes[engine]
-		if !ok {
-			t.Errorf("%s: no slow shape for a served engine", engine)
-			continue
-		}
+	timesOut := func(engine string, spec JobSpec) {
+		t.Helper()
 		spec.Engine, spec.TimeoutMS = engine, 20
 		v, err := cl.Run(ctx, spec, time.Millisecond)
 		if err != nil {
@@ -571,12 +567,23 @@ func TestTimeoutStopsEveryEngine(t *testing.T) {
 		started, _ := time.Parse(time.RFC3339Nano, v.Started)
 		finished, _ := time.Parse(time.RFC3339Nano, v.Finished)
 		if ran := finished.Sub(started); ran > raceSlowdown*500*time.Millisecond {
-			t.Errorf("%s: ran %s past a 20 ms timeout", engine, ran)
+			t.Errorf("%s %s/rand:%d: ran %s past a 20 ms timeout", engine, spec.Circuit, spec.Random, ran)
 		}
 		if next, err := cl.Run(ctx, JobSpec{Circuit: "s27", Random: 4}, time.Millisecond); err != nil || next.Status != StatusDone {
 			t.Errorf("%s: the slot did not run the next job: %v / %+v", engine, err, next)
 		}
 	}
+	for _, engine := range Engines {
+		spec, ok := shapes[engine]
+		if !ok {
+			t.Errorf("%s: no slow shape for a served engine", engine)
+			continue
+		}
+		timesOut(engine, spec)
+	}
+	// The good trace of 512 blocks alone runs 0.6 s before the first fault
+	// chunk, and checks its context once a block.
+	timesOut("csim-C", JobSpec{Circuit: "s5378", Random: 32768})
 }
 
 // pollCtx is a context with no deadline and no values that counts Err
