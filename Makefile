@@ -11,10 +11,9 @@ test:
 race:
 	go test -race ./...
 
-# simlint (vet-tool mode) + netcheck battery on one suite member.
+# simlint (four analyzers, whole module) + netcheck battery on one suite member.
 lint:
-	go build -o bin/simlint ./cmd/simlint
-	go vet -vettool=bin/simlint ./...
+	go run ./cmd/simlint ./...
 	go run ./cmd/csim -suite s1494 -check
 
 # Fuzzing: replay the fixed corpora, then let the native fuzzer search for
@@ -45,10 +44,13 @@ tables:
 verify-tables:
 	go run ./cmd/tables -diff tables_output.txt
 
-# The two sizes ROADMAP tracks at every re-anchor.
+# The sizes ROADMAP tracks at every re-anchor: the two totals, and the
+# code-about-the-code subtotals (non-test lines, fixtures included).
 loc:
 	@echo "non-test Go lines outside benchmark/: $$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l)"
 	@echo "_test.go lines outside benchmark/:    $$(find . -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l)"
+	@echo "  internal/lint + cmd/simlint:        $$(find internal/lint cmd/simlint -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
+	@echo "  internal/obs:                       $$(find internal/obs -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 
 # Run the fault-simulation service locally (see README "Serving").
 .PHONY: serve serve-load

@@ -16,8 +16,7 @@
 //
 // Observability (see OBSERVABILITY.md): -metrics-out snapshots the metric
 // registry to JSON, -trace-out writes a chrome://tracing phase trace,
-// -trace-faults records per-fault lifecycle events, and -metrics-addr
-// serves expvar + pprof live during (and, with -hold, after) the run.
+// and -trace-faults records per-fault lifecycle events.
 package main
 
 import (
@@ -26,7 +25,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"strconv"
 	"strings"
 
@@ -59,8 +57,6 @@ func main() {
 		traceOut    = flag.String("trace-out", "", "write a chrome://tracing phase trace (JSON) to this file")
 		traceAlloc  = flag.Bool("trace-alloc", false, "sample allocation deltas at phase boundaries (with -trace-out)")
 		traceFaults = flag.String("trace-faults", "", "record fault lifecycle events: 'all', fault IDs (3,17), or fault-name substrings")
-		metricsAddr = flag.String("metrics-addr", "", "serve expvar + pprof + /metricsz on this address (e.g. :6060)")
-		hold        = flag.Bool("hold", false, "with -metrics-addr: keep serving after the run until interrupted")
 	)
 	flag.Parse()
 
@@ -79,21 +75,11 @@ func main() {
 	var ob *obs.Observer
 	var reg *obs.Registry
 	var tr *obs.Tracer
-	if *metricsAddr != "" || *metricsOut != "" || *traceOut != "" || *traceFaults != "" {
+	if *metricsOut != "" || *traceOut != "" || *traceFaults != "" {
 		reg = obs.NewRegistry()
 		tr = obs.NewTracer(reg)
 		tr.AllocDeltas = *traceAlloc
 		ob = &obs.Observer{Metrics: reg, Tracer: tr}
-	}
-
-	if *metricsAddr != "" {
-		obs.PublishExpvar("faultsim", reg)
-		bound, stop, err := obs.Serve(*metricsAddr, reg)
-		if err != nil {
-			fatal(err)
-		}
-		defer stop()
-		fmt.Printf("metrics:   serving http://%s/debug/vars (pprof under /debug/pprof/)\n", bound)
 	}
 
 	sp := ob.Span("parse")
@@ -186,13 +172,6 @@ func main() {
 				fmt.Printf("  %s\n", f.Name(c))
 			}
 		}
-	}
-
-	if *metricsAddr != "" && *hold {
-		fmt.Println("holding:   metrics endpoint stays up; interrupt (ctrl-c) to exit")
-		ch := make(chan os.Signal, 1)
-		signal.Notify(ch, os.Interrupt)
-		<-ch
 	}
 }
 

@@ -17,7 +17,7 @@
 //	DELETE /api/v1/jobs/{id}       cancel (frees a queued job's slot immediately)
 //	GET    /healthz                liveness
 //	GET    /readyz                 readiness (503 while draining)
-//	GET    /metricsz               metric registry snapshot (also /debug/vars, /debug/pprof);
+//	GET    /metricsz               metric registry snapshot (also /debug/pprof);
 //	                               ?format=prometheus for text exposition
 //
 // Submissions may carry an X-Csim-Job-Id header; the server adopts it as
@@ -42,7 +42,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"log/slog"
 	"os"
 	"os/signal"
@@ -67,7 +66,6 @@ func main() {
 		maxTimeout   = flag.Duration("max-job-timeout", 30*time.Minute, "cap on spec-requested per-job timeouts")
 		drainTimeout = flag.Duration("drain-timeout", 2*time.Minute, "bound on the graceful drain after SIGTERM")
 		retained     = flag.Int("retained", 2048, "finished jobs kept for late lookups and /debug before eviction")
-		traceOut     = flag.String("trace-out", "", "write a chrome://tracing phase trace (JSON) on exit")
 		logFormat    = flag.String("log-format", "json", "structured log format on stderr: json or text")
 		logLevel     = flag.String("log-level", "info", "log threshold: debug, info, warn or error")
 		flightBuf    = flag.Int("flight-buffer", obs.DefaultFlightEvents, "per-job flight-recorder capacity (events)")
@@ -82,19 +80,10 @@ func main() {
 	)
 	flag.Parse()
 
-	// Metrics are always on — the service exists to serve them. The
-	// tracer is unbounded, so it is attached only when a trace file was
-	// asked for.
-	reg := obs.NewRegistry()
-	ob := &obs.Observer{Metrics: reg}
-	var tr *obs.Tracer
-	if *traceOut != "" {
-		tr = obs.NewTracer(reg)
-		ob.Tracer = tr
-	}
-	obs.PublishExpvar("csimd", reg)
-	stopSampler := obs.StartRuntimeSampler(reg, 5*time.Second)
-	defer stopSampler()
+	// Metrics are always on — the service exists to serve them. No
+	// tracer: its span list only grows, and each job's flight recorder
+	// is the timeline a long-lived server keeps.
+	ob := &obs.Observer{Metrics: obs.NewRegistry()}
 
 	lg, err := buildLogger(*logFormat, *logLevel)
 	if err != nil {
@@ -156,11 +145,9 @@ func main() {
 	defer cancel()
 	if err := srv.Drain(ctx); err != nil {
 		fmt.Fprintf(os.Stderr, "csimd: drain incomplete: %v\n", err)
-		writeTrace(*traceOut, tr)
 		os.Exit(1)
 	}
 	fmt.Println("csimd:     drained cleanly")
-	writeTrace(*traceOut, tr)
 }
 
 // workerList resolves the coordinator's fleet from -worker-addrs
@@ -231,31 +218,6 @@ func buildLogger(format, level string) (*obs.Logger, error) {
 	default:
 		return nil, fmt.Errorf("-log-format %q: want json or text", format)
 	}
-}
-
-// writeTrace dumps the phase trace if one was recorded.
-func writeTrace(path string, tr *obs.Tracer) {
-	if path == "" || tr == nil {
-		return
-	}
-	if err := writeTo(path, tr.WriteChrome); err != nil {
-		fmt.Fprintf(os.Stderr, "csimd: trace: %v\n", err)
-		return
-	}
-	fmt.Printf("trace:     wrote %s (load in chrome://tracing or Perfetto)\n", path)
-}
-
-// writeTo creates path and streams write into it.
-func writeTo(path string, write func(w io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func fatal(err error) {

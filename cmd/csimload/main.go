@@ -19,10 +19,7 @@
 // server's Retry-After hint (capped per sleep by -max-retry-wait,
 // jittered to de-synchronize the herd, and bounded in total per job by
 // -max-retry-time), so overload slows the run down but never silently
-// livelocks it. With -check-prom the tool also scrapes
-// /metricsz?format=prometheus after the run and fails unless the
-// exposition parses cleanly (with -clients 0 this is a standalone scrape
-// check against an already-running server).
+// livelocks it.
 //
 // Multi-node mode: -nodes takes a comma-separated list of csimd base
 // URLs (workers or coordinators) and round-robins the client
@@ -45,7 +42,6 @@ import (
 	"time"
 
 	"repro/internal/harness"
-	"repro/internal/obs"
 	"repro/internal/service"
 )
 
@@ -70,7 +66,6 @@ func main() {
 		minInflight = flag.Int("min-inflight", 0, "assert the peak concurrently in-flight job count reaches this (0 disables)")
 		maxReqs     = flag.Float64("max-requests-per-job", 0, "assert the clients made at most this many HTTP requests per completed job (0 disables)")
 		expectRej   = flag.Bool("expect-reject", false, "assert the run drew at least one 429 queue rejection")
-		checkProm   = flag.Bool("check-prom", false, "fetch /metricsz?format=prometheus after the run and assert it parses")
 	)
 	flag.Parse()
 
@@ -203,18 +198,6 @@ func main() {
 	}
 	if *expectRej && rejections.Load() == 0 {
 		fail("expected at least one 429 queue rejection; saw none")
-	}
-	if *checkProm {
-		for i, ncl := range nodeClients {
-			body, err := ncl.MetricszProm(ctx)
-			if err != nil {
-				fail("prometheus scrape (node %d): %v", i, err)
-			} else if n, err := obs.CheckExposition(strings.NewReader(body)); err != nil {
-				fail("prometheus exposition invalid (node %d): %v", i, err)
-			} else {
-				fmt.Printf("prom:      node %d: %d samples, exposition valid\n", i, n)
-			}
-		}
 	}
 	if !ok {
 		os.Exit(1)

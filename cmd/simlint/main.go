@@ -1,418 +1,56 @@
-// Command simlint runs the project's custom static-analysis suite
-// (internal/lint) over Go packages. It has two modes:
+// Command simlint runs the project's static-analysis suite
+// (internal/lint) over Go packages:
 //
-// Standalone multichecker:
+//	simlint [packages]
 //
-//	simlint [-analyzers=hotpathalloc,maprange] [-json] ./...
-//
-// loads packages from source via the go tool, runs the selected
-// analyzers (all by default) and prints diagnostics. //simlint:ignore
-// directives are honored: suppressed diagnostics don't fail the run but
-// are counted (and, with -json, emitted with their suppression reason),
-// while malformed or unused directives are failures in their own right.
-// -json replaces the human output with one sorted array of diagnostic
-// objects — analyzer, position, message, suppression state — for CI
-// artifacts. Exit status is 2 if any active diagnostic, malformed
-// directive or unused suppression remains, 1 on a loading/analysis
-// error, 0 otherwise.
-//
-// Vet tool (unitchecker protocol):
-//
-//	go vet -vettool=$(which simlint) ./...
-//
-// go vet probes the tool with -V=full and -flags, then invokes it once
-// per package with a JSON config file argument; simlint type-checks the
-// unit against the compiler's export data and reports diagnostics the
-// same way cmd/vet does.
+// It loads the packages (default ".") from source through lint.Loader —
+// the same path the analyzer fixtures and TestRepoClean use — runs every
+// analyzer of lint.All and prints the diagnostics to stderr.
+// //simlint:ignore directives are honored: a suppressed diagnostic does
+// not fail the run but is counted, while a malformed or unused directive
+// is a failure in its own right. Exit status is 2 if any active
+// diagnostic, malformed directive or unused suppression remains, 1 on a
+// loading or analysis error, 0 otherwise.
 package main
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
-	"io"
 	"os"
-	"sort"
-	"strings"
 
 	"repro/internal/lint"
 )
 
 func main() {
-	// go vet protocol probes arrive as the sole argument.
-	if len(os.Args) == 2 {
-		switch os.Args[1] {
-		case "-V=full":
-			// The version string participates in go's build cache key.
-			fmt.Printf("%s version simlint-1.1\n", os.Args[0])
-			return
-		case "-flags":
-			printVetFlags()
-			return
-		}
+	patterns := os.Args[1:]
+	if len(patterns) == 0 {
+		patterns = []string{"."}
 	}
-	if cfg := cfgArg(); cfg != "" {
-		os.Exit(unitcheck(cfg))
-	}
-	os.Exit(standalone())
-}
-
-// cfgArg returns the trailing *.cfg argument of a unitchecker
-// invocation, or "".
-func cfgArg() string {
-	if n := len(os.Args); n > 1 && strings.HasSuffix(os.Args[n-1], ".cfg") {
-		return os.Args[n-1]
-	}
-	return ""
-}
-
-// printVetFlags advertises per-analyzer enable flags in the JSON shape
-// `go vet` expects from a vettool's -flags probe.
-func printVetFlags() {
-	type jsonFlag struct {
-		Name  string
-		Bool  bool
-		Usage string
-	}
-	var fs []jsonFlag
-	for _, a := range lint.All() {
-		fs = append(fs, jsonFlag{a.Name, true, firstLine(a.Doc)})
-	}
-	data, err := json.MarshalIndent(fs, "", "\t")
+	pkgs, err := lint.NewLoader(".").Load(patterns...)
 	if err != nil {
 		fatal(err)
 	}
-	os.Stdout.Write(append(data, '\n'))
-}
-
-func firstLine(s string) string {
-	if i := strings.IndexByte(s, '\n'); i >= 0 {
-		return s[:i]
+	r, err := lint.RunAll(pkgs, lint.All())
+	if err != nil {
+		fatal(err)
 	}
-	return s
-}
-
-// selectFlags registers one bool flag per analyzer on fs and returns the
-// map of selections. If no flag is set, all analyzers run.
-func selectFlags(fs *flag.FlagSet) map[string]*bool {
-	sel := map[string]*bool{}
-	for _, a := range lint.All() {
-		sel[a.Name] = fs.Bool(a.Name, false, firstLine(a.Doc))
+	for _, d := range r.Diags {
+		fmt.Fprintln(os.Stderr, d)
 	}
-	return sel
-}
-
-func selected(sel map[string]*bool) []*lint.Analyzer {
-	any := false
-	for _, on := range sel {
-		any = any || *on
+	for _, d := range r.Malformed {
+		fmt.Fprintln(os.Stderr, d)
 	}
-	var out []*lint.Analyzer
-	for _, a := range lint.All() {
-		if !any || *sel[a.Name] {
-			out = append(out, a)
-		}
+	for _, s := range r.Unused {
+		fmt.Fprintf(os.Stderr, "%s: unused suppression: no %s diagnostic on this or the next line\n", s.Pos, s.Analyzer)
 	}
-	return out
+	if n := len(r.Suppressed); n > 0 {
+		fmt.Fprintf(os.Stderr, "simlint: %d diagnostic(s) suppressed by //simlint:ignore\n", n)
+	}
+	if r.Failed() {
+		os.Exit(2)
+	}
 }
 
 func fatal(err error) {
 	fmt.Fprintf(os.Stderr, "simlint: %v\n", err)
 	os.Exit(1)
-}
-
-// ---- standalone multichecker mode ----
-
-func standalone() int {
-	fs := flag.NewFlagSet("simlint", flag.ExitOnError)
-	list := fs.String("analyzers", "", "comma-separated analyzer `names` to run (default: all)")
-	dir := fs.String("C", ".", "change to `dir` before loading packages")
-	jsonOut := fs.Bool("json", false, "emit diagnostics as a JSON array (includes suppressed ones)")
-	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: simlint [flags] [packages]\n\nAnalyzers:\n")
-		for _, a := range lint.All() {
-			fmt.Fprintf(fs.Output(), "  %-17s %s\n", a.Name, firstLine(a.Doc))
-		}
-		fmt.Fprintf(fs.Output(), "\nFlags:\n")
-		fs.PrintDefaults()
-	}
-	fs.Parse(os.Args[1:])
-
-	analyzers := lint.All()
-	if *list != "" {
-		analyzers = nil
-		for _, name := range strings.Split(*list, ",") {
-			a, ok := lint.ByName(strings.TrimSpace(name))
-			if !ok {
-				fatal(fmt.Errorf("unknown analyzer %q", name))
-			}
-			analyzers = append(analyzers, a)
-		}
-	}
-	patterns := fs.Args()
-	if len(patterns) == 0 {
-		patterns = []string{"."}
-	}
-
-	l := lint.NewLoader(*dir)
-	pkgs, err := l.Load(patterns...)
-	if err != nil {
-		fatal(err)
-	}
-	r, err := lint.RunAll(pkgs, analyzers)
-	if err != nil {
-		fatal(err)
-	}
-	if *jsonOut {
-		if err := writeJSONReport(os.Stdout, r); err != nil {
-			fatal(err)
-		}
-	} else {
-		for _, d := range r.Diags {
-			fmt.Fprintln(os.Stderr, d)
-		}
-		for _, d := range r.Malformed {
-			fmt.Fprintln(os.Stderr, d)
-		}
-		for _, s := range r.Unused {
-			fmt.Fprintf(os.Stderr, "%s: unused suppression: no %s diagnostic on this or the next line\n", s.Pos, s.Analyzer)
-		}
-		if n := len(r.Suppressed); n > 0 {
-			fmt.Fprintf(os.Stderr, "simlint: %d diagnostic(s) suppressed by //simlint:ignore\n", n)
-		}
-	}
-	if r.Failed() {
-		return 2
-	}
-	return 0
-}
-
-// jsonDiagnostic is one entry of the -json report: active, suppressed
-// and malformed diagnostics share the shape, and unused suppressions
-// are folded in under the pseudo-analyzer "simlint" so a consumer sees
-// every failure in one sorted list.
-type jsonDiagnostic struct {
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Message  string `json:"message"`
-	// Suppressed diagnostics carry the directive's reason and do not
-	// fail the run.
-	Suppressed bool   `json:"suppressed,omitempty"`
-	Reason     string `json:"reason,omitempty"`
-}
-
-// writeJSONReport emits the full report as one position-sorted array.
-func writeJSONReport(w io.Writer, r *lint.Report) error {
-	out := []jsonDiagnostic{}
-	add := func(d lint.Diagnostic) {
-		out = append(out, jsonDiagnostic{
-			Analyzer:   d.Analyzer,
-			File:       d.Pos.Filename,
-			Line:       d.Pos.Line,
-			Col:        d.Pos.Column,
-			Message:    d.Message,
-			Suppressed: d.Suppressed,
-			Reason:     d.SuppressReason,
-		})
-	}
-	for _, d := range r.Diags {
-		add(d)
-	}
-	for _, d := range r.Suppressed {
-		add(d)
-	}
-	for _, d := range r.Malformed {
-		add(d)
-	}
-	for _, s := range r.Unused {
-		out = append(out, jsonDiagnostic{
-			Analyzer: "simlint",
-			File:     s.Pos.Filename,
-			Line:     s.Pos.Line,
-			Col:      s.Pos.Column,
-			Message:  fmt.Sprintf("unused suppression: no %s diagnostic on this or the next line", s.Analyzer),
-		})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.File != b.File {
-			return a.File < b.File
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		if a.Col != b.Col {
-			return a.Col < b.Col
-		}
-		return a.Analyzer < b.Analyzer
-	})
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "\t")
-	return enc.Encode(out)
-}
-
-// ---- go vet -vettool (unitchecker) mode ----
-
-// vetConfig is the package-unit description cmd/go writes for vet tools.
-type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoFiles                   []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-func unitcheck(cfgPath string) int {
-	fs := flag.NewFlagSet("simlint", flag.ExitOnError)
-	sel := selectFlags(fs)
-	jsonOut := fs.Bool("json", false, "emit JSON diagnostics")
-	fs.Int("c", -1, "ignored (context lines; accepted for vet compatibility)")
-	fs.String("V", "", "ignored (version probe; accepted for vet compatibility)")
-	fs.Parse(os.Args[1 : len(os.Args)-1])
-
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fatal(err)
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fatal(fmt.Errorf("parsing %s: %w", cfgPath, err))
-	}
-
-	// simlint carries no cross-package facts, but go vet caches the
-	// output file per unit, so it must exist.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
-			fatal(err)
-		}
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-
-	pkg, err := typecheckUnit(&cfg)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fatal(err)
-	}
-	analyzers := selected(sel)
-	r, err := lint.RunAll([]*lint.Package{pkg}, analyzers)
-	if err != nil {
-		fatal(err)
-	}
-	diags := append(r.Diags, r.Malformed...)
-	// An unused suppression is only provably stale when every analyzer it
-	// could have silenced actually ran.
-	if len(analyzers) == len(lint.All()) {
-		for _, s := range r.Unused {
-			diags = append(diags, lint.Diagnostic{
-				Analyzer: "simlint",
-				Pos:      s.Pos,
-				Message:  fmt.Sprintf("unused suppression: no %s diagnostic on this or the next line", s.Analyzer),
-			})
-		}
-	}
-	sort.Slice(diags, func(i, j int) bool {
-		a, b := diags[i].Pos, diags[j].Pos
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		return a.Column < b.Column
-	})
-	if *jsonOut {
-		printJSON(cfg.ImportPath, diags)
-		return 0 // JSON consumers read the payload, not the exit status
-	}
-	for _, d := range diags {
-		fmt.Fprintln(os.Stderr, d)
-	}
-	if len(diags) > 0 {
-		return 2
-	}
-	return 0
-}
-
-// typecheckUnit parses the unit's files and type-checks them against the
-// compiler export data listed in the config, mirroring cmd/vet.
-func typecheckUnit(cfg *vetConfig) (*lint.Package, error) {
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	compiler := cfg.Compiler
-	if compiler == "" {
-		compiler = "gc"
-	}
-	imp := importer.ForCompiler(fset, compiler, func(path string) (io.ReadCloser, error) {
-		if mapped, ok := cfg.ImportMap[path]; ok {
-			path = mapped
-		}
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	})
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Implicits:  map[ast.Node]types.Object{},
-		Scopes:     map[ast.Node]*types.Scope{},
-	}
-	conf := types.Config{Importer: imp}
-	tpkg, err := conf.Check(cfg.ImportPath, fset, files, info)
-	if err != nil {
-		return nil, err
-	}
-	return &lint.Package{
-		PkgPath:   cfg.ImportPath,
-		Name:      tpkg.Name(),
-		Dir:       cfg.Dir,
-		Fset:      fset,
-		Syntax:    files,
-		Types:     tpkg,
-		TypesInfo: info,
-	}, nil
-}
-
-// printJSON mirrors unitchecker's -json shape:
-// {pkgpath: {analyzer: [{posn, message}]}}.
-func printJSON(pkgPath string, diags []lint.Diagnostic) {
-	type jsonDiag struct {
-		Posn    string `json:"posn"`
-		Message string `json:"message"`
-	}
-	byAnalyzer := map[string][]jsonDiag{}
-	for _, d := range diags {
-		byAnalyzer[d.Analyzer] = append(byAnalyzer[d.Analyzer], jsonDiag{d.Pos.String(), d.Message})
-	}
-	data, err := json.MarshalIndent(map[string]map[string][]jsonDiag{pkgPath: byAnalyzer}, "", "\t")
-	if err != nil {
-		fatal(err)
-	}
-	os.Stdout.Write(append(data, '\n'))
 }

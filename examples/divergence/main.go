@@ -10,7 +10,8 @@ import (
 	"log"
 
 	faultsim "repro"
-	"repro/internal/csim"
+	"repro/internal/netlist"
+	"repro/internal/obs"
 )
 
 // Like Figure 1: G1 fans out to G3 and G4, so a fault effect at G1 can
@@ -35,19 +36,20 @@ func main() {
 	u := faultsim.StuckFaults(c)
 
 	cfg := faultsim.CsimV() // no macros, so every gate is visible in the trace
-	cfg.Trace = func(ev csim.TraceEvent) {
-		kind := map[csim.TraceKind]string{
-			csim.TraceDiverge:  "diverge ",
-			csim.TraceConverge: "converge",
-			csim.TraceDetect:   "DETECT  ",
-		}[ev.Kind]
-		fmt.Printf("  t=%d  %s  fault %-14s at gate %s\n",
-			ev.Vec, kind, u.Faults[ev.Fault].Name(c), c.Gate(ev.Gate).Name)
-	}
+	flog := faultsim.NewFaultLog(u.NumFaults(), nil, 0)
+	cfg.Obs = &faultsim.Observer{Faults: flog}
 	sim, err := faultsim.New(u, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
+	// The log also carries injected/visible/latched/dropped events; the
+	// Figure 1 story is the three below.
+	kinds := map[obs.FaultEventKind]string{
+		obs.FaultDiverged:  "diverge ",
+		obs.FaultConverged: "converge",
+		obs.FaultDetected:  "DETECT  ",
+	}
+	printed := 0 // events already shown
 
 	seq := [][]byte{
 		{'1', '1', '0'}, // activates faults on the g1 cone
@@ -62,6 +64,14 @@ func main() {
 			log.Fatal(err)
 		}
 		sim.Cycle(vs.Vecs[0])
+		events, _ := flog.Events()
+		for _, ev := range events[printed:] {
+			if kind, ok := kinds[ev.Kind]; ok {
+				fmt.Printf("  t=%d  %s  fault %-14s at gate %s\n",
+					ev.Vec, kind, u.Faults[ev.Fault].Name(c), c.Gate(netlist.GateID(ev.Gate)).Name)
+			}
+		}
+		printed = len(events)
 		st := sim.Stats()
 		fmt.Printf("  live fault elements: %d\n", st.CurElems)
 	}

@@ -65,9 +65,6 @@ type Config struct {
 	// proves no store to them is reachable after extraction returns, so
 	// sharing one Plan across jobs is race-free by construction.
 	Plan *macro.Plan
-	// Trace, when non-nil, receives divergence/convergence/detection
-	// events (used by the Figure 1 walkthrough example).
-	Trace func(ev TraceEvent)
 	// Obs attaches the observability layer: the metric registry the
 	// simulator registers into, the phase tracer, and the fault-lifecycle
 	// event log (see internal/obs and OBSERVABILITY.md). Nil — the
@@ -87,24 +84,6 @@ func V() Config { return Config{SplitLists: true} }
 
 // M returns csim-M (macros, single list per gate).
 func M() Config { return Config{Macros: true} }
-
-// TraceEvent reports one concurrent-simulation event for tracing.
-type TraceEvent struct {
-	Kind  TraceKind
-	Gate  netlist.GateID
-	Fault int32
-	Vec   int
-}
-
-// TraceKind enumerates traceable events.
-type TraceKind uint8
-
-// Trace event kinds.
-const (
-	TraceDiverge TraceKind = iota
-	TraceConverge
-	TraceDetect
-)
 
 // elem is a fault element (Figure 2): fault identifier, packed faulty gate
 // state, and next link. Elements live in an arena indexed by int32; index
@@ -382,12 +361,6 @@ func (s *Simulator) free(idx int32) {
 	s.arena[idx].fault = math.MaxInt32
 	s.freeHead = idx
 	s.stats.CurElems--
-}
-
-func (s *Simulator) trace(kind TraceKind, g netlist.GateID, fault int32) {
-	if s.cfg.Trace != nil {
-		s.cfg.Trace(TraceEvent{Kind: kind, Gate: g, Fault: fault, Vec: s.vecIndex})
-	}
 }
 
 // fev emits one fault-lifecycle event; with no log attached it reduces to

@@ -7,6 +7,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/logic"
 	"repro/internal/netlist"
+	"repro/internal/obs"
 	"repro/internal/serial"
 	"repro/internal/vectors"
 )
@@ -404,9 +405,9 @@ func TestRunPanicsOnWidthMismatch(t *testing.T) {
 func TestTraceEventsEmitted(t *testing.T) {
 	c := mustParse(t, "buf", "INPUT(a)\nOUTPUT(z)\nz = BUFF(a)\n")
 	u := faults.StuckAll(c)
-	var events []TraceEvent
+	flog := obs.NewFaultLog(u.NumFaults(), nil, 0)
 	cfg := MV()
-	cfg.Trace = func(ev TraceEvent) { events = append(events, ev) }
+	cfg.Obs = &obs.Observer{Faults: flog}
 	sim, err := New(u, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -414,16 +415,17 @@ func TestTraceEventsEmitted(t *testing.T) {
 	vs, _ := vectors.ParseString("1\n0\n", 1)
 	sim.Run(vs)
 	var div, det int
+	events, _ := flog.Events()
 	for _, ev := range events {
 		switch ev.Kind {
-		case TraceDiverge:
+		case obs.FaultDiverged:
 			div++
-		case TraceDetect:
+		case obs.FaultDetected:
 			det++
 		}
 	}
 	if div == 0 || det == 0 {
-		t.Errorf("trace recorded %d divergences, %d detections; want both > 0", div, det)
+		t.Errorf("fault log recorded %d divergences, %d detections; want both > 0", div, det)
 	}
 }
 

@@ -103,14 +103,12 @@ func (s *Simulator) applyPIs(vec []logic.V) {
 			if newOut == newGood {
 				if ownIdx >= 0 {
 					s.free(ownIdx)
-					s.trace(TraceConverge, pi, f)
 					s.fev(obs.FaultConverged, pi, f)
 				}
 			} else {
 				w := logic.PackWord(nil, newOut)
 				if ownIdx < 0 {
 					ownIdx = s.alloc(f, w, 0)
-					s.trace(TraceDiverge, pi, f)
 					s.fev(obs.FaultDiverged, pi, f)
 					// A PI element always carries a differing output.
 					s.fev(obs.FaultVisible, pi, f)
@@ -187,7 +185,6 @@ func (s *Simulator) detect() {
 				s.dropped[f] = true
 				s.res.Detect(f, s.vecIndex)
 				s.stats.Detections++
-				s.trace(TraceDetect, po, f)
 				s.fev(obs.FaultDetected, po, f)
 				// Detection drops the fault; its elements are reclaimed
 				// event-driven from here on.

@@ -287,7 +287,6 @@ func (s *Simulator) evalRoot(r netlist.GateID) {
 			newW := s.arena[ownIdx].word
 			if newW == newGW {
 				s.free(ownIdx)
-				s.trace(TraceConverge, r, f)
 				s.fev(obs.FaultConverged, r, f)
 			} else if s.cfg.SplitLists && newW.Out() == newGoodOut {
 				nbInv.append(s, ownIdx)
@@ -342,13 +341,11 @@ func (s *Simulator) evalRoot(r netlist.GateID) {
 			// Converged: state identical to the good machine.
 			if ownIdx >= 0 {
 				s.free(ownIdx)
-				s.trace(TraceConverge, r, f)
 				s.fev(obs.FaultConverged, r, f)
 			}
 		} else {
 			if ownIdx < 0 {
 				ownIdx = s.alloc(f, newW, 0)
-				s.trace(TraceDiverge, r, f)
 				s.fev(obs.FaultDiverged, r, f)
 			} else {
 				s.arena[ownIdx].word = newW

@@ -25,8 +25,8 @@ type LatencySummary struct {
 // quantileBuckets is the nanosecond layout Summarize estimates its
 // percentiles over: 2x exponential steps from ~1µs to ~37min, wide
 // enough for a timed-out 5m job and fine enough (~2x resolution) for a
-// load report. The service's SLO gauges run the same Quantile code over
-// their own layout — one quantile implementation, two layouts.
+// load report. The service's Retry-After hint runs the same Quantile
+// code over its own layout — one quantile implementation, two layouts.
 var quantileBuckets = obs.ExpBuckets(1024, 2, 42)
 
 // Summarize computes a LatencySummary over per-job latencies observed

@@ -11,30 +11,6 @@ func TestHotPathAlloc(t *testing.T) {
 	linttest.Run(t, lint.HotPathAlloc, "testdata/src/hotpath")
 }
 
-func TestMapRange(t *testing.T) {
-	linttest.Run(t, lint.MapRange, "testdata/src/maprange")
-}
-
-func TestAtomicDiscipline(t *testing.T) {
-	linttest.Run(t, lint.AtomicDiscipline, "testdata/src/atomicdiscipline")
-}
-
-func TestCtxDiscipline(t *testing.T) {
-	linttest.Run(t, lint.CtxDiscipline, "testdata/src/ctxdiscipline")
-}
-
-func TestSlogDiscipline(t *testing.T) {
-	linttest.Run(t, lint.SlogDiscipline, "testdata/src/slogdiscipline")
-}
-
-func TestStatsTag(t *testing.T) {
-	linttest.Run(t, lint.StatsTag, "testdata/src/statstag")
-}
-
-func TestExportDoc(t *testing.T) {
-	linttest.Run(t, lint.ExportDoc, "testdata/src/exportdoc")
-}
-
 func TestImmutablePlan(t *testing.T) {
 	linttest.Run(t, lint.ImmutablePlan, "testdata/src/immutableplan")
 }

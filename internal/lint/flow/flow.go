@@ -6,12 +6,11 @@
 // calls away from publication, a lock taken by the caller of a helper, a
 // goroutine body behind a named function.
 //
-// The graph is deliberately per-package: in `go vet -vettool` mode the
-// driver only ever sees one compilation unit's source, so cross-package
-// edges could never be built uniformly. Cross-package *types* still
-// resolve (export data carries them); cross-package *calls* are opaque
-// nodes. The analyzers compensate with package-path manifests where a
-// contract spans packages (see lint.KnownImmutable).
+// The graph is deliberately per-package: an analyzer Pass covers one
+// package's files, so cross-package edges are not built. Cross-package
+// *types* still resolve; cross-package *calls* are opaque nodes. The
+// analyzers compensate with package-path manifests where a contract
+// spans packages (see lint.KnownImmutable).
 //
 // Approximations, all toward under-approximating the edge set (missed
 // edges can hide a diagnostic, never invent one):
@@ -123,10 +122,8 @@ func (g *Graph) NodeOfLit(lit *ast.FuncLit) *Node { return g.byLit[lit] }
 // CallersOf returns the edges targeting n.
 func (g *Graph) CallersOf(n *Node) []*Call { return n.callers }
 
-// Build constructs the call graph for one package's files. Files for
-// which skip returns true (e.g. _test.go files in vet mode) contribute
-// neither nodes nor edges; skip may be nil.
-func Build(fset *token.FileSet, files []*ast.File, info *types.Info, skip func(*ast.File) bool) *Graph {
+// Build constructs the call graph for one package's files.
+func Build(fset *token.FileSet, files []*ast.File, info *types.Info) *Graph {
 	g := &Graph{
 		byObj: map[*types.Func]*Node{},
 		byLit: map[*ast.FuncLit]*Node{},
@@ -135,9 +132,6 @@ func Build(fset *token.FileSet, files []*ast.File, info *types.Info, skip func(*
 	// resolve regardless of declaration order.
 	var roots []*Node
 	for _, f := range files {
-		if skip != nil && skip(f) {
-			continue
-		}
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {

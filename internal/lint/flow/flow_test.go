@@ -28,7 +28,7 @@ func check(t *testing.T, src string) (*flow.Graph, *types.Info, *token.FileSet) 
 	if _, err := conf.Check("g", fset, []*ast.File{f}, info); err != nil {
 		t.Fatal(err)
 	}
-	return flow.Build(fset, []*ast.File{f}, info, nil), info, fset
+	return flow.Build(fset, []*ast.File{f}, info), info, fset
 }
 
 func node(t *testing.T, g *flow.Graph, name string) *flow.Node {

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"repro/internal/lint/flow"
 )
@@ -17,7 +16,6 @@ import (
 var goroutineLifePackages = map[string]bool{
 	"repro/internal/compiled": true,
 	"repro/internal/dist":     true,
-	"repro/internal/parallel": true,
 	"repro/internal/service":  true,
 	"goroutinelife":           true,
 }
@@ -50,10 +48,10 @@ http.Serve pump whose lifetime is the listener's) takes a
 }
 
 func runGoroutineLife(pass *Pass) error {
-	if !goroutineLifePackages[normalizePkgPath(pass.Pkg.Path())] {
+	if !goroutineLifePackages[pass.Pkg.Path()] {
 		return nil
 	}
-	g := flow.Build(pass.Fset, pass.Files, pass.TypesInfo, pass.skipTestFile)
+	g := flow.Build(pass.Fset, pass.Files, pass.TypesInfo)
 	for _, n := range g.Nodes() {
 		body := n.Body()
 		if body == nil {
@@ -72,15 +70,6 @@ func runGoroutineLife(pass *Pass) error {
 		})
 	}
 	return nil
-}
-
-// normalizePkgPath strips the variant suffix `go vet` appends to test
-// units ("repro/internal/service [repro/internal/service.test]").
-func normalizePkgPath(p string) string {
-	if i := strings.IndexByte(p, ' '); i >= 0 {
-		return p[:i]
-	}
-	return p
 }
 
 // checkSpawn validates one go statement inside spawner.
@@ -192,6 +181,20 @@ func (p *Pass) waitGroupOp(call *ast.CallExpr) (base, name string) {
 		return "", ""
 	}
 	return canonicalExpr(sel.X), fn.Name()
+}
+
+// isContextType reports whether t is context.Context (possibly behind an
+// alias).
+func isContextType(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	named, ok := t.(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	return obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
 }
 
 // isWaitGroupType reports whether t is sync.WaitGroup or *sync.WaitGroup.

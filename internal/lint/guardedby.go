@@ -83,7 +83,7 @@ func runGuardedBy(pass *Pass) error {
 	if len(c.guarded) == 0 {
 		return nil
 	}
-	c.graph = flow.Build(pass.Fset, pass.Files, pass.TypesInfo, pass.skipTestFile)
+	c.graph = flow.Build(pass.Fset, pass.Files, pass.TypesInfo)
 	for _, n := range c.graph.Nodes() {
 		body := n.Body()
 		if body == nil {
@@ -121,9 +121,6 @@ func runGuardedBy(pass *Pass) error {
 // that each names a sibling mutex.
 func (c *gbChecker) collectAnnotations() {
 	for _, file := range c.pass.Files {
-		if c.pass.skipTestFile(file) {
-			continue
-		}
 		ast.Inspect(file, func(node ast.Node) bool {
 			st, ok := node.(*ast.StructType)
 			if !ok || st.Fields == nil {

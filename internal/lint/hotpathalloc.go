@@ -24,6 +24,8 @@ Reports, inside any function whose doc comment carries the
   - function literals (closures capture and escape);
   - string <-> []byte/[]rune conversions (copy + allocate);
   - go and defer statements;
+  - range over a map (hot-path state lives in dense slices, and the
+    randomized order would make runs nondeterministic);
   - calls into package fmt (formatting allocates);
   - any call into the observability layer (repro/internal/obs) — hot
     paths keep plain counters and flush once per cycle.`,
@@ -71,6 +73,12 @@ func checkHotPathBody(pass *Pass, fn *ast.FuncDecl) {
 				case *types.Slice:
 					pass.Report(n.Pos(), "slice literal allocates in hot path")
 					return false
+				}
+			}
+		case *ast.RangeStmt:
+			if t := pass.TypeOf(n.X); t != nil {
+				if _, ok := t.Underlying().(*types.Map); ok {
+					pass.Report(n.Pos(), "map iteration in hot path: order is randomized per run; keep the data in a slice")
 				}
 			}
 		case *ast.CallExpr:

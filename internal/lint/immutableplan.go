@@ -4,18 +4,17 @@ import (
 	"fmt"
 	"go/ast"
 	"go/types"
-	"strings"
 
 	"repro/internal/lint/flow"
 )
 
 // KnownImmutable mirrors the //simlint:immutable annotations across
-// package boundaries: compiler export data drops comments, so in
-// `go vet -vettool` mode a package storing to another package's frozen
-// type (csim writing through csim.Config.Plan, say) could not see the
-// marker. The manifest makes the contract visible everywhere; when the
-// defining package itself is analyzed, each listed type must carry the
-// in-source marker, so the two spellings cannot drift apart.
+// package boundaries: a Pass sees only its own package's comments, so a
+// package storing to another package's frozen type (csim writing
+// through csim.Config.Plan, say) could not see the marker. The manifest
+// makes the contract visible everywhere; when the defining package
+// itself is analyzed, each listed type must carry the in-source marker,
+// so the two spellings cannot drift apart.
 var KnownImmutable = map[string][]string{
 	"repro/internal/macro":   {"Macro", "Plan"},
 	"repro/internal/netlist": {"Circuit", "Gate"},
@@ -57,7 +56,7 @@ func runImmutablePlan(pass *Pass) error {
 	manifestCheck(pass, marked)
 	isImm := func(t types.Type) (string, bool) { return immutableName(t, marked) }
 
-	g := flow.Build(pass.Fset, pass.Files, pass.TypesInfo, pass.skipTestFile)
+	g := flow.Build(pass.Fset, pass.Files, pass.TypesInfo)
 	builders := map[*flow.Node]bool{}
 	for _, n := range g.Nodes() {
 		if n.Func != nil && (signatureBuilds(pass, n, marked) || hasBuilderMarker(pass, n)) {
@@ -102,9 +101,6 @@ func runImmutablePlan(pass *Pass) error {
 func markedImmutable(pass *Pass) map[*types.TypeName]bool {
 	marked := map[*types.TypeName]bool{}
 	for _, file := range pass.Files {
-		if pass.skipTestFile(file) {
-			continue
-		}
 		for _, decl := range file.Decls {
 			gd, ok := decl.(*ast.GenDecl)
 			if !ok {
@@ -308,13 +304,4 @@ func checkStoreTarget(pass *Pass, e ast.Expr, report func(pos ast.Node, target s
 			return
 		}
 	}
-}
-
-// skipTestFile reports whether the file is a _test.go file. The three
-// flow analyzers check the production sharing contract only: tests
-// construct adversarial states on purpose, and `go vet` feeds test
-// units through the same driver.
-func (p *Pass) skipTestFile(f *ast.File) bool {
-	name := p.Fset.Position(f.Package).Filename
-	return strings.HasSuffix(name, "_test.go")
 }

@@ -22,8 +22,8 @@ import (
 
 // Analyzer describes one static check.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and flags. By
-	// convention it is a single lowercase word.
+	// Name identifies the analyzer in diagnostics and //simlint:ignore
+	// directives. By convention it is a single lowercase word.
 	Name string
 	// Doc is the help text; the first line is the summary.
 	Doc string
@@ -50,8 +50,8 @@ type Diagnostic struct {
 	Message  string
 	// Suppressed marks a diagnostic silenced by a //simlint:ignore
 	// directive; SuppressReason carries the directive's mandatory
-	// justification. Suppressed diagnostics never fail a run but stay
-	// visible to machine consumers (cmd/simlint -json).
+	// justification. Suppressed diagnostics never fail a run; the
+	// driver counts them and TestRepoClean reads them.
 	Suppressed     bool
 	SuppressReason string
 }
@@ -120,7 +120,7 @@ func (r *Report) Failed() bool {
 // RunAll applies each analyzer to each package, honors the packages'
 // //simlint:ignore directives, and returns the full report with every
 // diagnostic list sorted by (file, line, column, analyzer) — a total,
-// run-independent order, so CI logs and -json artifacts are stable.
+// run-independent order, so CI logs are stable.
 // Analyzer errors (not diagnostics) abort the run.
 func RunAll(pkgs []*Package, analyzers []*Analyzer) (*Report, error) {
 	ran := map[string]bool{}
@@ -208,12 +208,6 @@ func sortDiags(diags []Diagnostic) {
 func All() []*Analyzer {
 	return []*Analyzer{
 		HotPathAlloc,
-		MapRange,
-		AtomicDiscipline,
-		CtxDiscipline,
-		SlogDiscipline,
-		StatsTag,
-		ExportDoc,
 		ImmutablePlan,
 		GuardedBy,
 		GoroutineLife,

@@ -19,8 +19,6 @@ import (
 // Package is one loaded, parsed and type-checked package.
 type Package struct {
 	PkgPath   string
-	Name      string
-	Dir       string
 	Fset      *token.FileSet
 	Syntax    []*ast.File
 	Types     *types.Package
@@ -31,11 +29,8 @@ type Package struct {
 type listPkg struct {
 	Dir        string
 	ImportPath string
-	Name       string
 	Standard   bool
 	GoFiles    []string
-	Imports    []string
-	ImportMap  map[string]string
 	Error      *struct{ Err string }
 }
 
@@ -67,14 +62,11 @@ func NewLoader(dir string) *Loader {
 	}
 }
 
-// Fset returns the loader's shared file set.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
 // goList runs `go list -e -json` with the given extra arguments and
 // merges the streamed package objects into the metadata table, returning
 // them in listing order.
 func (l *Loader) goList(args ...string) ([]*listPkg, error) {
-	cmd := exec.Command("go", append([]string{"list", "-e", "-json=Dir,ImportPath,Name,Standard,GoFiles,Imports,ImportMap,Error"}, args...)...)
+	cmd := exec.Command("go", append([]string{"list", "-e", "-json=Dir,ImportPath,Standard,GoFiles,Error"}, args...)...)
 	cmd.Dir = l.Dir
 	// Pure-Go file lists: packages that would use cgo (net, os/user)
 	// must type-check from their fallback sources.
@@ -215,8 +207,6 @@ func (l *Loader) load(path string) (*Package, error) {
 	l.types[meta.ImportPath] = tp
 	p := &Package{
 		PkgPath:   meta.ImportPath,
-		Name:      meta.Name,
-		Dir:       meta.Dir,
 		Fset:      l.fset,
 		Syntax:    files,
 		Types:     tp,
@@ -255,8 +245,6 @@ func (l *Loader) CheckDir(pkgPath, dir string) (*Package, error) {
 	}
 	return &Package{
 		PkgPath:   pkgPath,
-		Name:      files[0].Name.Name,
-		Dir:       dir,
 		Fset:      l.fset,
 		Syntax:    files,
 		Types:     tp,

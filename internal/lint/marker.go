@@ -17,17 +17,9 @@ import (
 // polluting docs.
 const (
 	// MarkerHotPath declares a function to be on the per-cycle hot path:
-	// hotpathalloc forbids allocations and observability calls inside it,
-	// and maprange forbids map iteration.
+	// hotpathalloc forbids allocations, map iteration and observability
+	// calls inside it.
 	MarkerHotPath = "simlint:hotpath"
-	// MarkerDeterministic declares that a function's behavior must not
-	// depend on iteration order (partition and merge code); maprange forbids map
-	// iteration inside it.
-	MarkerDeterministic = "simlint:deterministic"
-	// MarkerStats declares a struct to be a tag-driven stats block even
-	// if no field is tagged yet; statstag then requires every field to
-	// carry a well-formed `obs` tag.
-	MarkerStats = "simlint:stats"
 	// MarkerImmutable declares a type frozen once its constructor
 	// returns: immutableplan reports any field/slice/map store to it
 	// that is reachable — through the call graph — from outside the

@@ -22,15 +22,15 @@ func TestCollectSuppressions(t *testing.T) {
 	src := `package p
 
 func f() {
-	//simlint:ignore maprange iteration order is irrelevant here
+	//simlint:ignore guardedby the lock is taken by the caller
 	_ = 1
-	//simlint:ignore maprange
+	//simlint:ignore guardedby
 	_ = 2
 	//simlint:ignore nosuchanalyzer a reason
 	_ = 3
 	//simlint:ignore
 	_ = 4
-	//simlint:ignored maprange not a directive at all
+	//simlint:ignored guardedby not a directive at all
 	_ = 5
 }
 `
@@ -39,7 +39,7 @@ func f() {
 		t.Fatalf("got %d suppressions, want 1: %v", len(sups), sups)
 	}
 	s := sups[0]
-	if s.Analyzer != "maprange" || s.Reason != "iteration order is irrelevant here" || s.Pos.Line != 4 {
+	if s.Analyzer != "guardedby" || s.Reason != "the lock is taken by the caller" || s.Pos.Line != 4 {
 		t.Errorf("unexpected suppression: %+v", s)
 	}
 	wantMalformed := []string{
@@ -65,15 +65,15 @@ func TestApplySuppressions(t *testing.T) {
 		return &Suppression{Pos: token.Position{Filename: file, Line: line}, Analyzer: analyzer, Reason: "r"}
 	}
 	sups := []*Suppression{
-		sup("a.go", 10, "maprange"), // matches same line and line below
-		sup("a.go", 50, "maprange"), // matches nothing: stays unused
+		sup("a.go", 10, "guardedby"), // matches same line and line below
+		sup("a.go", 50, "guardedby"), // matches nothing: stays unused
 	}
 	diags := []Diagnostic{
-		diag("a.go", 10, "maprange"),     // same line: suppressed
-		diag("a.go", 11, "maprange"),     // line below: suppressed
-		diag("a.go", 12, "maprange"),     // two lines below: kept
+		diag("a.go", 10, "guardedby"),    // same line: suppressed
+		diag("a.go", 11, "guardedby"),    // line below: suppressed
+		diag("a.go", 12, "guardedby"),    // two lines below: kept
 		diag("a.go", 10, "hotpathalloc"), // other analyzer: kept
-		diag("b.go", 10, "maprange"),     // other file: kept
+		diag("b.go", 10, "guardedby"),    // other file: kept
 	}
 	kept, suppressed := applySuppressions(diags, sups)
 	if len(kept) != 3 || len(suppressed) != 2 {

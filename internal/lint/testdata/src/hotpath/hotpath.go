@@ -10,6 +10,7 @@ import (
 type sim struct {
 	reg   *obs.Registry
 	buf   []int
+	byID  map[int]int
 	evals int
 }
 
@@ -32,6 +33,12 @@ func (s *sim) cycle(reg *obs.Registry) {
 	reg.Counter("evals").Inc() // want `observability call obs\.Counter` `observability call obs\.Inc`
 	b := []byte("hi")          // want `conversion`
 	_ = string(b)              // want `conversion`
+	for _, v := range s.byID { // want `map iteration`
+		s.evals += v
+	}
+	for i := range [4]int{} { // arrays are ordered: fine
+		s.evals += i
+	}
 
 	s.evals++ // plain counters are the sanctioned pattern
 }

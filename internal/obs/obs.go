@@ -1,7 +1,7 @@
 // Package obs is the simulation observability layer: a typed metric
 // registry (counters, gauges, fixed-bucket histograms), a span-style phase
 // tracer emitting chrome://tracing JSON, a fault-lifecycle event log, and
-// opt-in expvar/pprof HTTP serving.
+// the /metricsz + pprof HTTP handlers.
 //
 // The package is built around a nil fast path: every handle method —
 // Counter.Add, Gauge.Set, Histogram.Observe, Tracer.Span, Span.End,
@@ -175,7 +175,7 @@ func (h *Histogram) Buckets() (bounds []int64, counts []int64) {
 // bucket clamp to the last bound (there is no upper edge to
 // interpolate toward). Returns 0 on a nil or empty histogram. This is
 // the one quantile implementation in the tree — the load harness and
-// the service's SLO burn-rate gauges both call it.
+// the service's Retry-After hint both call it.
 func (h *Histogram) Quantile(q float64) float64 {
 	if h == nil {
 		return 0

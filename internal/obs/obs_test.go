@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -279,18 +280,13 @@ func TestObserverNilSafety(t *testing.T) {
 func TestServeEndpoints(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("csim.evals").Add(123)
-	PublishExpvar("faultsim_metrics", r)
-	// Republishing must rebind, not panic.
-	PublishExpvar("faultsim_metrics", r)
-
-	addr, stop, err := Serve("127.0.0.1:0", r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stop()
+	mux := http.NewServeMux()
+	Register(mux, r)
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
 
 	get := func(path string) string {
-		resp, err := http.Get("http://" + addr + path)
+		resp, err := http.Get(srv.URL + path)
 		if err != nil {
 			t.Fatalf("GET %s: %v", path, err)
 		}
@@ -305,8 +301,8 @@ func TestServeEndpoints(t *testing.T) {
 	if body := get("/metricsz"); !strings.Contains(body, "csim.evals") {
 		t.Fatalf("/metricsz missing registry metric:\n%s", body)
 	}
-	if body := get("/debug/vars"); !strings.Contains(body, "faultsim_metrics") {
-		t.Fatalf("/debug/vars missing published registry:\n%s", body)
+	if body := get("/metricsz?format=prometheus"); !strings.Contains(body, "csim_evals 123") {
+		t.Fatalf("/metricsz?format=prometheus missing registry metric:\n%s", body)
 	}
 	if body := get("/debug/pprof/goroutine?debug=1"); !strings.Contains(body, "goroutine") {
 		t.Fatalf("/debug/pprof/goroutine not serving:\n%s", body)

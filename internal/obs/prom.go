@@ -4,8 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -65,199 +63,4 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// promFamily accumulates what CheckExposition has seen of one metric
-// family while scanning the exposition line by line.
-type promFamily struct {
-	typ        string
-	lastLE     float64
-	lastBucket float64
-	infBucket  float64
-	hasInf     bool
-	hasSum     bool
-	count      float64
-	hasCount   bool
-	samples    int
-}
-
-// CheckExposition validates a Prometheus text-format payload against
-// the subset of the 0.0.4 exposition format WritePrometheus emits: well
-// formed metric and label names, parseable sample values, a # TYPE line
-// before each family's samples, and for histograms cumulative
-// non-decreasing buckets ending in le="+Inf" with _count equal to the
-// +Inf bucket. It returns the number of samples validated, or an error
-// naming the first offending line. This is the checker the serve-smoke
-// CI job runs over a live /metricsz?format=prometheus scrape.
-func CheckExposition(r io.Reader) (samples int, err error) {
-	families := map[string]*promFamily{}
-	var order []string
-	family := func(name string) *promFamily {
-		f, ok := families[name]
-		if !ok {
-			f = &promFamily{lastLE: -1}
-			families[name] = f
-			order = append(order, name)
-		}
-		return f
-	}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimRight(sc.Text(), " \t")
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			fields := strings.Fields(line)
-			if len(fields) >= 4 && fields[1] == "TYPE" {
-				switch fields[3] {
-				case "counter", "gauge", "histogram", "summary", "untyped":
-				default:
-					return samples, fmt.Errorf("line %d: unknown metric type %q", lineNo, fields[3])
-				}
-				f := family(fields[2])
-				if f.samples > 0 {
-					return samples, fmt.Errorf("line %d: # TYPE %s after its samples", lineNo, fields[2])
-				}
-				if f.typ != "" {
-					return samples, fmt.Errorf("line %d: duplicate # TYPE for %s", lineNo, fields[2])
-				}
-				f.typ = fields[3]
-			}
-			continue
-		}
-		name, labels, value, perr := parsePromSample(line)
-		if perr != nil {
-			return samples, fmt.Errorf("line %d: %v", lineNo, perr)
-		}
-		base, suffix := name, ""
-		for _, s := range []string{"_bucket", "_sum", "_count"} {
-			trimmed := strings.TrimSuffix(name, s)
-			if trimmed != name && families[trimmed] != nil && families[trimmed].typ == "histogram" {
-				base, suffix = trimmed, s
-				break
-			}
-		}
-		f := family(base)
-		if f.typ == "" {
-			return samples, fmt.Errorf("line %d: sample %s before any # TYPE", lineNo, name)
-		}
-		f.samples++
-		samples++
-		if f.typ == "histogram" {
-			switch suffix {
-			case "_bucket":
-				le, ok := labels["le"]
-				if !ok {
-					return samples, fmt.Errorf("line %d: histogram bucket %s missing le label", lineNo, name)
-				}
-				if le == "+Inf" {
-					f.hasInf = true
-					f.infBucket = value
-				} else {
-					lev, err := strconv.ParseFloat(le, 64)
-					if err != nil {
-						return samples, fmt.Errorf("line %d: bad le value %q", lineNo, le)
-					}
-					if f.lastLE != -1 && lev <= f.lastLE {
-						return samples, fmt.Errorf("line %d: le=%q not ascending", lineNo, le)
-					}
-					f.lastLE = lev
-				}
-				if value < f.lastBucket {
-					return samples, fmt.Errorf("line %d: bucket counts of %s not cumulative", lineNo, base)
-				}
-				f.lastBucket = value
-			case "_sum":
-				f.hasSum = true
-			case "_count":
-				f.hasCount = true
-				f.count = value
-			default:
-				return samples, fmt.Errorf("line %d: histogram %s has non-histogram sample %s", lineNo, base, name)
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return samples, err
-	}
-	sort.Strings(order)
-	for _, name := range order {
-		f := families[name]
-		if f.typ == "" || f.typ != "histogram" {
-			continue
-		}
-		if !f.hasInf {
-			return samples, fmt.Errorf("histogram %s has no le=\"+Inf\" bucket", name)
-		}
-		if !f.hasSum || !f.hasCount {
-			return samples, fmt.Errorf("histogram %s missing _sum or _count", name)
-		}
-		if f.count != f.infBucket {
-			return samples, fmt.Errorf("histogram %s: _count %v != +Inf bucket %v", name, f.count, f.infBucket)
-		}
-	}
-	return samples, nil
-}
-
-// parsePromSample splits one exposition sample line into metric name,
-// labels and value, enforcing the Prometheus name charsets.
-func parsePromSample(line string) (name string, labels map[string]string, value float64, err error) {
-	rest := line
-	i := 0
-	for i < len(rest) && isPromNameChar(rest[i], i == 0) {
-		i++
-	}
-	if i == 0 {
-		return "", nil, 0, fmt.Errorf("bad metric name in %q", line)
-	}
-	name, rest = rest[:i], rest[i:]
-	labels = map[string]string{}
-	if strings.HasPrefix(rest, "{") {
-		end := strings.Index(rest, "}")
-		if end < 0 {
-			return "", nil, 0, fmt.Errorf("unterminated labels in %q", line)
-		}
-		for _, pair := range strings.Split(rest[1:end], ",") {
-			pair = strings.TrimSpace(pair)
-			if pair == "" {
-				continue
-			}
-			k, v, ok := strings.Cut(pair, "=")
-			if !ok || len(v) < 2 || v[0] != '"' || v[len(v)-1] != '"' {
-				return "", nil, 0, fmt.Errorf("bad label %q", pair)
-			}
-			for j := 0; j < len(k); j++ {
-				if !isPromNameChar(k[j], j == 0) {
-					return "", nil, 0, fmt.Errorf("bad label name %q", k)
-				}
-			}
-			labels[k] = v[1 : len(v)-1]
-		}
-		rest = rest[end+1:]
-	}
-	fields := strings.Fields(rest)
-	if len(fields) < 1 || len(fields) > 2 { // optional trailing timestamp
-		return "", nil, 0, fmt.Errorf("expected value after %q", name)
-	}
-	value, err = strconv.ParseFloat(fields[0], 64)
-	if err != nil {
-		return "", nil, 0, fmt.Errorf("bad sample value %q", fields[0])
-	}
-	return name, labels, value, nil
-}
-
-// isPromNameChar reports whether c is legal in a Prometheus metric or
-// label name (digits disallowed in the first position).
-func isPromNameChar(c byte, first bool) bool {
-	switch {
-	case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c == '_', c == ':':
-		return true
-	case c >= '0' && c <= '9':
-		return !first
-	}
-	return false
 }

@@ -1,49 +1,18 @@
 package obs
 
 import (
-	"expvar"
-	"fmt"
-	"net"
 	"net/http"
 	"net/http/pprof"
-	"sync"
 )
-
-// expvarBindings indirects the published expvar funcs: expvar.Publish
-// panics on duplicate names, so each name is published once and later
-// calls just re-point the binding at the new registry.
-var (
-	expvarMu       sync.Mutex
-	expvarBindings = map[string]*Registry{}
-)
-
-// PublishExpvar exposes the registry's snapshot under the given expvar
-// variable name (served at /debug/vars). Republishing the same name
-// rebinds it to r, so tests and repeated runs in one process are safe.
-func PublishExpvar(name string, r *Registry) {
-	expvarMu.Lock()
-	defer expvarMu.Unlock()
-	if _, ok := expvarBindings[name]; !ok {
-		expvar.Publish(name, expvar.Func(func() any {
-			expvarMu.Lock()
-			bound := expvarBindings[name]
-			expvarMu.Unlock()
-			return bound.Snapshot()
-		}))
-	}
-	expvarBindings[name] = r
-}
 
 // Register mounts the observability endpoints on an existing mux:
 //
-//	/debug/vars   expvar JSON (including the registry, once published)
 //	/debug/pprof  the full net/http/pprof suite
 //	/metricsz     the registry snapshot as {"metrics": [...]}; with
 //	              ?format=prometheus, the text exposition format instead
 //
-// csimd composes these with its own job API; Serve uses them standalone.
+// csimd composes these with its own job API.
 func Register(mux *http.ServeMux, r *Registry) {
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -58,19 +27,4 @@ func Register(mux *http.ServeMux, r *Registry) {
 		w.Header().Set("Content-Type", "application/json")
 		_ = r.WriteJSON(w)
 	})
-}
-
-// Serve starts an HTTP server on addr exposing the Register endpoints.
-// It returns the bound address (useful with ":0") and a shutdown
-// function. The server runs until stopped; handler errors are ignored.
-func Serve(addr string, r *Registry) (bound string, stop func(), err error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", nil, fmt.Errorf("obs: listen %s: %w", addr, err)
-	}
-	mux := http.NewServeMux()
-	Register(mux, r)
-	srv := &http.Server{Handler: mux}
-	go func() { _ = srv.Serve(ln) }()
-	return ln.Addr().String(), func() { _ = srv.Close() }, nil
 }

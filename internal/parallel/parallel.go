@@ -21,8 +21,6 @@ import (
 // faults.MergeResults over all k shard results is bit-identical to a
 // whole-universe run.
 // Pinned by benchmark/; goes with ROADMAP item 3's [benchmark] refresh.
-//
-//simlint:deterministic
 func Partition(u *faults.Universe, k int) [][]int32 {
 	order := make([]int32, len(u.Faults))
 	for i := range order {

@@ -295,25 +295,3 @@ func (c *Client) Metricsz(ctx context.Context) (map[string]obs.Point, error) {
 	}
 	return out, nil
 }
-
-// MetricszProm fetches the server's metrics in the Prometheus text
-// exposition format (/metricsz?format=prometheus), raw.
-func (c *Client) MetricszProm(ctx context.Context) (string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/metricsz?format=prometheus", nil)
-	if err != nil {
-		return "", err
-	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("metricsz: HTTP %d", resp.StatusCode)
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return "", fmt.Errorf("metricsz: %w", err)
-	}
-	return string(body), nil
-}

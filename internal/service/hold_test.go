@@ -124,7 +124,7 @@ func TestHeldSubmitAnswersWhenTheJobEnds(t *testing.T) {
 		got <- reply{code, v, err}
 	}()
 	<-g.started
-	waitMetric(t, reg, "service.holds", 1)
+	waitMetric(t, reg, "serve.holds", 1)
 	select {
 	case r := <-got:
 		t.Fatalf("held POST answered while the job ran: %d %+v %v", r.code, r.v, r.err)
@@ -135,8 +135,8 @@ func TestHeldSubmitAnswersWhenTheJobEnds(t *testing.T) {
 	if r.err != nil || r.code != http.StatusOK || r.v.Status != StatusDone || r.v.Result == nil || r.v.Result.Detected != 7 {
 		t.Fatalf("held POST: %d %+v %v, want 200 and the finished job", r.code, r.v, r.err)
 	}
-	waitMetric(t, reg, "service.holds", 0)
-	waitMetric(t, reg, "service.held_submits", 1)
+	waitMetric(t, reg, "serve.holds", 0)
+	waitMetric(t, reg, "serve.held_submits", 1)
 	pm, err := cl.Debug(ctx, r.v.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -182,12 +182,12 @@ func TestHeldSubmitIsReleased(t *testing.T) {
 		errc <- err
 	}()
 	id := <-g.started
-	waitMetric(t, reg, "service.holds", 1)
+	waitMetric(t, reg, "serve.holds", 1)
 	cancel()
 	if err := <-errc; !errors.Is(err, context.Canceled) {
 		t.Fatalf("abandoned POST: %v, want the context's cancellation", err)
 	}
-	waitMetric(t, reg, "service.holds", 0)
+	waitMetric(t, reg, "serve.holds", 0)
 	if v, err := cl.Job(ctx, id); err != nil || v.Status != StatusRunning {
 		t.Fatalf("job of the abandoned POST: %v / %+v, want it still running", err, v)
 	}
@@ -198,7 +198,7 @@ func TestHeldSubmitIsReleased(t *testing.T) {
 		got <- reply{code, v, err}
 	}()
 	<-g.started
-	waitMetric(t, reg, "service.holds", 1)
+	waitMetric(t, reg, "serve.holds", 1)
 	_ = s.Close()
 	select {
 	case r := <-got:
@@ -232,11 +232,11 @@ func TestQueueFullIsNotHeld(t *testing.T) {
 	if took := time.Since(start); took > 5*time.Second {
 		t.Errorf("the 429 took %v; a rejection must not be held", took)
 	}
-	if p, _ := reg.Get("service.holds"); p.Value != 0 {
-		t.Errorf("service.holds = %d after a rejection, want 0", p.Value)
+	if p, _ := reg.Get("serve.holds"); p.Value != 0 {
+		t.Errorf("serve.holds = %d after a rejection, want 0", p.Value)
 	}
-	if p, _ := reg.Get("service.held_submits"); p.Value != 0 {
-		t.Errorf("service.held_submits = %d, want 0: the rejected job was never held", p.Value)
+	if p, _ := reg.Get("serve.held_submits"); p.Value != 0 {
+		t.Errorf("serve.held_submits = %d, want 0: the rejected job was never held", p.Value)
 	}
 }
 
@@ -273,7 +273,7 @@ func TestBadWaitIs400(t *testing.T) {
 		v, _ := cl.Hold(ctx, live.ID, 0)
 		done <- v
 	}()
-	waitMetric(t, reg, "service.holds", 1)
+	waitMetric(t, reg, "serve.holds", 1)
 	g.open(1)
 	if v := <-done; v.Status != StatusDone {
 		t.Fatalf("Hold(0): %+v, want the finished job", v)
@@ -376,7 +376,7 @@ func TestPanicIsContained(t *testing.T) {
 	if v.Status != StatusFailed || !strings.HasPrefix(v.Error, PanicErrorPrefix) || !strings.Contains(v.Error, "poisoned job") {
 		t.Fatalf("panicking job: status %s, error %q, want failed with the panic value", v.Status, v.Error)
 	}
-	waitMetric(t, reg, "service.job_panics", 1)
+	waitMetric(t, reg, "serve.job_panics", 1)
 	waitMetric(t, reg, "serve.jobs_failed", 1)
 	pm, err := cl.Debug(ctx, v.ID)
 	if err != nil {

@@ -60,11 +60,6 @@ type Config struct {
 	// FlightEvents bounds each job's flight-recorder ring (default
 	// obs.DefaultFlightEvents = 256).
 	FlightEvents int
-	// SLOTarget is the default per-engine run-latency objective the
-	// burn-rate gauges measure against (default 5s).
-	SLOTarget time.Duration
-	// SLOByEngine overrides SLOTarget for individual engines.
-	SLOByEngine map[string]time.Duration
 	// Runner substitutes the job execution strategy. Nil runs jobs on
 	// the in-process engines; a distributed coordinator injects itself
 	// here to fan admitted jobs out to a worker fleet.
@@ -113,9 +108,6 @@ func (c Config) withDefaults() Config {
 	if c.FlightEvents <= 0 {
 		c.FlightEvents = obs.DefaultFlightEvents
 	}
-	if c.SLOTarget <= 0 {
-		c.SLOTarget = 5 * time.Second
-	}
 	return c
 }
 
@@ -127,7 +119,6 @@ type Server struct {
 	cfg    Config
 	ob     *obs.Observer
 	log    *obs.Logger
-	slo    *sloTracker
 	cache  *Cache
 	q      *jobQueue
 	runner JobRunner
@@ -173,7 +164,6 @@ func New(cfg Config) *Server {
 		cfg:   cfg,
 		ob:    cfg.Obs,
 		log:   cfg.Log,
-		slo:   newSLOTracker(reg, cfg.SLOTarget, cfg.SLOByEngine),
 		cache: NewCache(cfg.CacheSize, reg),
 		q:     newJobQueue(cfg.QueueDepth),
 		jobs:  map[string]*job{},
@@ -185,9 +175,9 @@ func New(cfg Config) *Server {
 		mCompleted:  reg.Counter("serve.jobs_completed"),
 		mFailed:     reg.Counter("serve.jobs_failed"),
 		mCancelled:  reg.Counter("serve.jobs_cancelled"),
-		mPanics:     reg.Counter("service.job_panics"),
-		mHolds:      reg.Gauge("service.holds"),
-		mHeldSubmit: reg.Counter("service.held_submits"),
+		mPanics:     reg.Counter("serve.job_panics"),
+		mHolds:      reg.Gauge("serve.holds"),
+		mHeldSubmit: reg.Counter("serve.held_submits"),
 		hQueueNS:    reg.Histogram("serve.job_queue_ns", latencyBuckets),
 		hRunNS:      reg.Histogram("serve.job_run_ns", latencyBuckets),
 		hTotalNS:    reg.Histogram("serve.job_total_ns", latencyBuckets),
@@ -233,7 +223,7 @@ func (s *Server) Addr() string {
 }
 
 // Handler builds the service's HTTP mux: the job API plus the
-// observability endpoints (/metricsz, /debug/vars, /debug/pprof) and the
+// observability endpoints (/metricsz, /debug/pprof) and the
 // health probes.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -404,7 +394,6 @@ func (s *Server) runJob(ctx context.Context, slot int, j *job) {
 	runNS := finished.Sub(now).Nanoseconds()
 	s.hRunNS.Observe(runNS)
 	s.hTotalNS.Observe(finished.Sub(j.submitted).Nanoseconds())
-	s.slo.observe(j.spec.Engine, runNS)
 	var pe *panicError
 	switch {
 	case errors.As(err, &pe):
