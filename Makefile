@@ -11,8 +11,10 @@ test:
 race:
 	go test -race ./...
 
-# simlint (four analyzers, whole module) + netcheck battery on one suite member.
+# gofmt, simlint (four analyzers, whole module) + netcheck battery on one
+# suite member.
 lint:
+	test -z "$$(gofmt -l . | tee /dev/stderr)"
 	go run ./cmd/simlint ./...
 	go run ./cmd/csim -suite s1494 -check
 

@@ -89,12 +89,13 @@ func emit(w io.Writer, table int, quick bool, sink *harness.MetricsSink) error {
 var volatileNum = regexp.MustCompile(`\b\d+\.\d\d\b`)
 
 // maskVolatile replaces every CPU/MEM number with a fixed placeholder
-// and trims trailing space (column widths move with the numbers).
+// and collapses each run of spaces to one, trimming both ends: column
+// padding moves with the numbers, as when a CPU cell crosses 10.00 s.
 func maskVolatile(text string) []string {
 	var out []string
 	sc := bufio.NewScanner(strings.NewReader(text))
 	for sc.Scan() {
-		out = append(out, strings.TrimRight(volatileNum.ReplaceAllString(sc.Text(), "#.##"), " "))
+		out = append(out, strings.Join(strings.Fields(volatileNum.ReplaceAllString(sc.Text(), "#.##")), " "))
 	}
 	return out
 }

@@ -181,7 +181,7 @@ func (g *gen) simulate(from int) {
 				for j, fin := range gt.Fanin {
 					p := fr.val[fin]
 					gi[j], fi[j] = p.g, p.f
-					if f.Gate == id && f.Pin == j {
+					if f.Gate == id && int(f.Pin) == j {
 						fi[j] = f.Kind.StuckValue()
 					}
 				}
@@ -258,7 +258,7 @@ func (g *gen) objective(aFrame int) (objectiveT, bool) {
 		if f.Pin != faults.OutPin && !c.Gate(f.Gate).IsSource() {
 			for t := 0; t <= aMax; t++ {
 				if g.frames[t].val[siteLine].g == want {
-					if obj, ok := g.sensitizeGate(f.Gate, t, f.Pin); ok {
+					if obj, ok := g.sensitizeGate(f.Gate, t, int(f.Pin)); ok {
 						return obj, true
 					}
 				}

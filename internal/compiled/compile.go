@@ -69,10 +69,11 @@ type sop struct {
 type Program struct {
 	c *netlist.Circuit
 
-	// order lists the non-source gates in ascending level order; scode
-	// is the same order lowered to fused two-input scalar instructions.
-	order []netlist.GateID
+	// scode is the non-source gates, in ascending level order, lowered to
+	// fused two-input scalar instructions; nEval counts those gates, the
+	// evaluations one cycle of it performs.
 	scode []sop
+	nEval int64
 
 	// code holds the compiled opcode per gate (sources keep opBuf,
 	// never evaluated).
@@ -98,7 +99,6 @@ type Program struct {
 	dffD   []netlist.GateID
 	dffIdx []int32
 
-	level    []int32
 	maxLevel int32
 }
 
@@ -141,7 +141,6 @@ func Compile(c *netlist.Circuit) *Program {
 		faninOff:  make([]int32, ng+1),
 		fanoutOff: make([]int32, ng+1),
 		fedOff:    make([]int32, ng+1),
-		level:     make([]int32, ng),
 		maxLevel:  c.MaxLevel,
 		dffD:      make([]netlist.GateID, len(c.DFFs)),
 		dffIdx:    make([]int32, ng),
@@ -152,15 +151,6 @@ func Compile(c *netlist.Circuit) *Program {
 	for i, ff := range c.DFFs {
 		p.dffD[i] = c.Gate(ff).Fanin[0]
 		p.dffIdx[ff] = int32(i)
-	}
-
-	// Level-ordered non-source gate list.
-	for l := 1; l < len(c.Levels); l++ {
-		for _, g := range c.Levels[l] {
-			if !c.Gate(g).IsSource() {
-				p.order = append(p.order, g)
-			}
-		}
 	}
 
 	// Flattened adjacency and opcodes.
@@ -182,7 +172,6 @@ func Compile(c *netlist.Circuit) *Program {
 	for i := range c.Gates {
 		g := &c.Gates[i]
 		p.code[i] = opcode(g.Op)
-		p.level[i] = g.Level
 		p.faninOff[i] = int32(len(p.fanins))
 		p.fanins = append(p.fanins, g.Fanin...)
 		p.fanoutOff[i] = int32(len(p.fanouts))
@@ -199,9 +188,15 @@ func Compile(c *netlist.Circuit) *Program {
 	p.fanoutOff[ng] = int32(len(p.fanouts))
 	p.fedOff[ng] = int32(len(p.fedFFs))
 
-	// Lower the level order to the fused scalar instruction stream.
-	for _, g := range p.order {
-		p.scode = append(p.scode, lowerScalar(p.code[g], int32(g), p.fanin(g))...)
+	// Lower the non-source gates, level by level, to the fused scalar
+	// instruction stream.
+	for l := 1; l < len(c.Levels); l++ {
+		for _, g := range c.Levels[l] {
+			if !c.Gate(g).IsSource() {
+				p.scode = append(p.scode, lowerScalar(p.code[g], int32(g), p.fanin(g))...)
+				p.nEval++
+			}
+		}
 	}
 
 	return p

@@ -61,7 +61,7 @@ func (g *Good) Cycle(vec []logic.V) {
 		g.val[pi] = vec[i].Norm()
 	}
 	p.evalScalar(g.val)
-	g.Evals += int64(len(p.order))
+	g.Evals += p.nEval
 	for i := range p.c.DFFs {
 		g.next[i] = g.val[p.dffD[i]]
 	}

@@ -305,7 +305,7 @@ func newWorker(p *Program, u *faults.Universe, tr *Trace, ids []int32) *worker {
 	}
 	for i := range w.nodes {
 		n := &w.nodes[i]
-		n.level = p.level[i]
+		n.level = c.Gates[i].Level
 		n.code = p.code[i]
 		n.inOff, n.inEnd = p.faninOff[i], p.faninOff[i+1]
 		n.outOff, n.outEnd = p.fanoutOff[i], p.fanoutOff[i+1]
@@ -782,7 +782,7 @@ func (w *worker) evalSite(g netlist.GateID, fs *faultState, off uint, mask uint6
 	n := &w.nodes[g]
 	n.flags &^= flagSched
 	ins := w.p.fanins[n.inOff:n.inEnd]
-	pin := fs.f.Pin
+	pin := int(fs.f.Pin)
 	code := n.code
 	var a1, a0, so uint64
 	if code >= opXor {

@@ -110,7 +110,7 @@ func (p *Program) trace(ctx context.Context, vs *vectors.Set) (*Trace, int64, er
 			val[pi] = vs.Vecs[t][i].Norm()
 		}
 		p.evalScalar(val)
-		evals += int64(len(p.order))
+		evals += p.nEval
 		base := (t / wordW) * ng
 		lane := uint(t % wordW)
 		for g := 0; g < ng; g++ {

@@ -312,17 +312,17 @@ func (s *Simulator) evalRoot(r netlist.GateID) {
 					// functional table, built once per simulator (§2.2).
 					tbl := s.fstTab[f]
 					if tbl == nil {
-						tbl = m.StuckTable(flt.Gate, flt.Pin, flt.Kind.StuckValue())
+						tbl = m.StuckTable(flt.Gate, int(flt.Pin), flt.Kind.StuckValue())
 						s.fstTab[f] = tbl
 					}
 					newOut = tbl[macro.TableIndex(fin)]
 				} else {
-					newOut = m.EvalStuck(fin, s.frame, flt.Gate, flt.Pin, flt.Kind.StuckValue())
+					newOut = m.EvalStuck(fin, s.frame, flt.Gate, int(flt.Pin), flt.Kind.StuckValue())
 				}
 			} else {
 				prev := s.prevDriver[f]
 				var driver logic.V
-				newOut, driver = m.EvalTransition(fin, s.frame, flt.Gate, flt.Pin, flt.Kind, prev)
+				newOut, driver = m.EvalTransition(fin, s.frame, flt.Gate, int(flt.Pin), flt.Kind, prev)
 				s.prevDriver[f] = driver
 				// A delayed edge fires within the next cycle; the machine
 				// must be re-evaluated then even with no new events.

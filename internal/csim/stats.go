@@ -13,12 +13,12 @@ import (
 // Stats reports instrumentation counters. It is the compatibility facade
 // over the observability layer: each field carries an `obs` tag naming
 // its registry metric, its kind, and its merge policy, and that one tag
-// table drives registration (publishing into an obs.Registry), snapshot
-// read-back (StatsFromRegistry), and partition merging (MergeStats) — a
-// field added here is automatically registered, published, and merged,
-// and a field missing its tag panics loudly instead of being silently
-// dropped. The `json` tags are the service's wire form: a job result
-// carries this struct as its "stats" block.
+// table drives registration (publishing into an obs.Registry) and
+// partition merging (MergeStats) — a field added here is automatically
+// registered, published, and merged, and a field missing its tag panics
+// loudly instead of being silently dropped. The `json` tags are the
+// service's wire form: a job result carries this struct as its "stats"
+// block.
 type Stats struct {
 	Evals      int   `json:"evals" obs:"evals,counter,sum"`                     // faulty-machine gate evaluations
 	Skips      int   `json:"skips" obs:"skips,counter,sum"`                     // merged machines skipped without re-evaluation
@@ -143,25 +143,6 @@ func PublishStats(reg *obs.Registry, prefix string, st Stats) {
 			reg.Gauge(prefix + f.name).Set(v)
 		}
 	}
-}
-
-// StatsFromRegistry reconstructs a Stats block from the metrics published
-// under prefix, reporting ok = false when none are present. The harness
-// sources its table columns from this instead of bespoke counters.
-func StatsFromRegistry(reg *obs.Registry, prefix string) (st Stats, ok bool) {
-	if reg == nil {
-		return Stats{}, false
-	}
-	sv := reflect.ValueOf(&st).Elem()
-	for _, f := range statFields() {
-		p, found := reg.Get(prefix + f.name)
-		if !found {
-			continue
-		}
-		ok = true
-		sv.Field(f.index).SetInt(p.Value)
-	}
-	return st, ok
 }
 
 // DefaultObsPrefix namespaces a simulator's metrics when Config.ObsPrefix

@@ -6,6 +6,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/logic"
 	"repro/internal/netlist"
@@ -54,12 +55,18 @@ func (k Kind) StuckValue() logic.V {
 // OutPin marks a fault on the gate's output line rather than an input pin.
 const OutPin = -1
 
+// A pin index fits Fault.Pin: the Builder refuses gates wider than
+// logic.MaxPins, and this constant does not compile once that is past
+// int16.
+const _ uint = math.MaxInt16 - logic.MaxPins
+
 // Fault is a single fault: a kind at a site (gate, pin). Pin == OutPin
 // places the fault on the gate output (stem); otherwise on input pin Pin.
+// A universe holds one per fault, so a fault is kept to 12 bytes.
 type Fault struct {
 	ID   int32 // dense index within its Universe
 	Gate netlist.GateID
-	Pin  int
+	Pin  int16
 	Kind Kind
 }
 
@@ -107,7 +114,7 @@ func StuckAll(c *netlist.Circuit) *Universe {
 		for pin := OutPin; pin < len(c.Gates[i].Fanin); pin++ {
 			for _, k := range [...]Kind{SA0, SA1} {
 				u.Faults = append(u.Faults, Fault{
-					ID: int32(len(u.Faults)), Gate: netlist.GateID(i), Pin: pin, Kind: k,
+					ID: int32(len(u.Faults)), Gate: netlist.GateID(i), Pin: int16(pin), Kind: k,
 				})
 			}
 		}
@@ -216,7 +223,7 @@ func StuckCollapsed(c *netlist.Circuit) *Universe {
 				root := find(i)
 				if root == i {
 					u.Rep[i] = int32(len(u.Faults))
-					u.Faults = append(u.Faults, Fault{ID: u.Rep[i], Gate: netlist.GateID(g), Pin: pin, Kind: k})
+					u.Faults = append(u.Faults, Fault{ID: u.Rep[i], Gate: netlist.GateID(g), Pin: int16(pin), Kind: k})
 				}
 				u.Rep[i] = u.Rep[root]
 				i++
@@ -239,8 +246,8 @@ func Transition(c *netlist.Circuit) *Universe {
 		}
 		for p := range g.Fanin {
 			u.Faults = append(u.Faults,
-				Fault{ID: int32(len(u.Faults)), Gate: netlist.GateID(i), Pin: p, Kind: STR},
-				Fault{ID: int32(len(u.Faults)) + 1, Gate: netlist.GateID(i), Pin: p, Kind: STF})
+				Fault{ID: int32(len(u.Faults)), Gate: netlist.GateID(i), Pin: int16(p), Kind: STR},
+				Fault{ID: int32(len(u.Faults)) + 1, Gate: netlist.GateID(i), Pin: int16(p), Kind: STF})
 		}
 	}
 	return u

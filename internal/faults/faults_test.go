@@ -3,6 +3,7 @@ package faults
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/logic"
 	"repro/internal/netlist"
@@ -161,6 +162,13 @@ func TestFaultName(t *testing.T) {
 	f2 := Fault{Gate: g9, Pin: OutPin, Kind: STR}
 	if got := f2.Name(c); got != "G9/O STR" {
 		t.Errorf("Name = %q", got)
+	}
+}
+
+// TestFaultIs12Bytes pins the size a universe pays per fault.
+func TestFaultIs12Bytes(t *testing.T) {
+	if sz := unsafe.Sizeof(Fault{}); sz != 12 {
+		t.Errorf("Fault is %d bytes, want 12", sz)
 	}
 }
 

@@ -255,7 +255,7 @@ func TestEvalStuckMatchesFlatInjection(t *testing.T) {
 			if !m.Contains(f.Gate) {
 				continue
 			}
-			got := m.EvalStuck(in, frame, f.Gate, f.Pin, f.Kind.StuckValue())
+			got := m.EvalStuck(in, frame, f.Gate, int(f.Pin), f.Kind.StuckValue())
 			want := flatEvalStuck(c, src, f)
 			if got != want {
 				t.Fatalf("fault %s: macro %v, flat %v (inputs %v)", f.Name(c), got, want, in)
@@ -275,7 +275,7 @@ func flatEvalStuck(c *netlist.Circuit, src map[netlist.GateID]logic.V, f faults.
 			in := make([]logic.V, len(g.Fanin))
 			for j, fi := range g.Fanin {
 				in[j] = val[fi]
-				if f.Gate == id && f.Pin == j {
+				if f.Gate == id && int(f.Pin) == j {
 					in[j] = f.Kind.StuckValue()
 				}
 			}
@@ -516,7 +516,7 @@ func TestReconvergentStuckInjectionMatchesFlat(t *testing.T) {
 			if !m.Contains(f.Gate) {
 				continue
 			}
-			got := m.EvalStuck(in, frame, f.Gate, f.Pin, f.Kind.StuckValue())
+			got := m.EvalStuck(in, frame, f.Gate, int(f.Pin), f.Kind.StuckValue())
 			want := flatEvalStuck(c, src, f)
 			if got != want {
 				t.Fatalf("fault %s: reconvergent macro %v, flat %v", f.Name(c), got, want)
@@ -546,7 +546,7 @@ func TestFaultTableMatchesReplay(t *testing.T) {
 		if !m.Contains(f.Gate) {
 			continue
 		}
-		tbl := m.StuckTable(f.Gate, f.Pin, f.Kind.StuckValue())
+		tbl := m.StuckTable(f.Gate, int(f.Pin), f.Kind.StuckValue())
 		if tbl == nil {
 			t.Fatalf("fault %s: StuckTable returned nil for a table-sized macro", f.Name(c))
 		}
@@ -555,7 +555,7 @@ func TestFaultTableMatchesReplay(t *testing.T) {
 		walk = func(i int) {
 			if i == len(in) {
 				viaTable := tbl[TableIndex(in)]
-				direct := m.EvalStuck(in, frame, f.Gate, f.Pin, f.Kind.StuckValue())
+				direct := m.EvalStuck(in, frame, f.Gate, int(f.Pin), f.Kind.StuckValue())
 				if viaTable != direct {
 					t.Fatalf("fault %s at %v: table %v, replay %v", f.Name(c), in, viaTable, direct)
 				}
@@ -610,7 +610,7 @@ func TestStuckTableNilForWideMacro(t *testing.T) {
 		if !m.Contains(f.Gate) {
 			continue
 		}
-		if tbl := m.StuckTable(f.Gate, f.Pin, f.Kind.StuckValue()); tbl != nil {
+		if tbl := m.StuckTable(f.Gate, int(f.Pin), f.Kind.StuckValue()); tbl != nil {
 			t.Fatalf("fault %s: expected nil table for %d-leaf macro", f.Name(c), m.NumLeaves())
 		}
 		break

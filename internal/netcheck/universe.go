@@ -26,7 +26,7 @@ func CheckUniverse(u *faults.Universe) []Problem {
 			continue
 		}
 		g := c.Gate(f.Gate)
-		if f.Pin != faults.OutPin && (f.Pin < 0 || f.Pin >= len(g.Fanin)) {
+		if f.Pin != faults.OutPin && (f.Pin < 0 || int(f.Pin) >= len(g.Fanin)) {
 			ps = append(ps, Problem{"fault-site",
 				fmt.Sprintf("fault %d on %s pin %d, gate has %d input(s)",
 					f.ID, g.Name, f.Pin, len(g.Fanin))})

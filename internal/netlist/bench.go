@@ -26,8 +26,9 @@ func ParseBench(name string, r io.Reader) (*Circuit, error) {
 	return ParseBenchString(name, text.String())
 }
 
-// ParseBenchString parses .bench text from a string. The circuit's gate
-// names are substrings of text, not copies.
+// ParseBenchString parses .bench text from a string. The parser cuts
+// names out of text without copying them; Build copies them once into the
+// circuit's own string, so the circuit does not keep text alive.
 func ParseBenchString(name, text string) (*Circuit, error) {
 	// One gate per line at most, and no line that defines one is shorter
 	// than "a=b(c)\n", whatever the text is padded with.

@@ -3,14 +3,15 @@ package netlist
 import (
 	"errors"
 	"fmt"
+	"strings"
 
 	"repro/internal/logic"
 )
 
 // Builder assembles a Circuit incrementally by signal name. Signals may be
 // referenced before they are defined; Build resolves everything, validates
-// arities, detects combinational cycles and levelizes. A Builder builds
-// one circuit: Build hands its name map to the Circuit.
+// arities, detects combinational cycles and levelizes. The name map is
+// the Builder's own: the Circuit it builds keeps the names, not the map.
 type Builder struct {
 	name  string
 	gates []protoGate
@@ -106,11 +107,14 @@ func ArityOK(op logic.Op, n int) bool {
 //
 // Every fanin name is looked up once, into one array of driver IDs that
 // the gates' Fanin slices are cut from; the Fanout slices are cut from a
-// second array of the same length, filled from the first.
+// second array of the same length, filled from the first. The gate names
+// are copied into one string the Name fields are cut from, so the circuit
+// holds on to no text it was parsed from.
 func (b *Builder) Build() (*Circuit, error) {
 	errs := append([]error(nil), b.errs...)
 	n := len(b.gates)
-	c := &Circuit{Name: b.name, Gates: make([]Gate, n), byName: b.byName}
+	c := &Circuit{Name: b.name, Gates: make([]Gate, n)}
+	names := b.nameArena()
 	fanin := make([]GateID, 0, len(b.args))
 	outs := make([]int32, n+1) // outs[g+1]: fanout count of g, then its end offset
 	for i := range b.gates {
@@ -136,7 +140,9 @@ func (b *Builder) Build() (*Circuit, error) {
 			fanin = append(fanin, src)
 			outs[src+1]++
 		}
-		c.Gates[i] = Gate{Name: p.name, Op: p.op, Fanin: cut(fanin, lo, len(fanin))}
+		name := names[:len(p.name)]
+		names = names[len(p.name):]
+		c.Gates[i] = Gate{Name: name, Op: p.op, Fanin: cut(fanin, lo, len(fanin))}
 		switch p.op {
 		case logic.OpInput:
 			c.PIs = append(c.PIs, GateID(i))
@@ -182,6 +188,21 @@ func (b *Builder) Build() (*Circuit, error) {
 		return nil, err
 	}
 	return c, nil
+}
+
+// nameArena returns every gate name back to back, in gate order, in one
+// freshly allocated string.
+func (b *Builder) nameArena() string {
+	size := 0
+	for i := range b.gates {
+		size += len(b.gates[i].name)
+	}
+	var sb strings.Builder
+	sb.Grow(size)
+	for i := range b.gates {
+		sb.WriteString(b.gates[i].name)
+	}
+	return sb.String()
 }
 
 // cut returns ids[lo:hi] with its capacity limited to its length, so an

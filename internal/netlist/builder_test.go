@@ -3,6 +3,7 @@ package netlist
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/logic"
 )
@@ -30,6 +31,33 @@ func TestBuildReportsAllErrors(t *testing.T) {
 	} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("joined error missing %q:\n%v", want, err)
+		}
+	}
+}
+
+// TestGateIs72Bytes pins the gate layout a cached circuit pays per node:
+// the fields widest first leave two bytes of padding, not ten.
+func TestGateIs72Bytes(t *testing.T) {
+	if sz := unsafe.Sizeof(Gate{}); sz != 72 {
+		t.Errorf("Gate is %d bytes, want 72", sz)
+	}
+}
+
+// TestGateNamesDoNotAliasTheText: the names of a parsed circuit live in
+// its own string, so the netlist text — a whole request body in the
+// service — is free once the parse returns.
+func TestGateNamesDoNotAliasTheText(t *testing.T) {
+	text := strings.Clone(s27Bench)
+	c, err := ParseBenchString("s27", text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(text)))
+	hi := lo + uintptr(len(text))
+	for i := range c.Gates {
+		name := c.Gates[i].Name
+		if p := uintptr(unsafe.Pointer(unsafe.StringData(name))); p >= lo && p < hi {
+			t.Errorf("gate %q points into the parsed text at offset %d", name, p-lo)
 		}
 	}
 }

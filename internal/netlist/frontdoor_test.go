@@ -42,14 +42,19 @@ func TestMissChainAllocs(t *testing.T) {
 
 // sameByName reports how b differs from a as a netlist — the signals, each
 // one's op, fanin names in pin order and PO flag — or "" if it does not.
-// Gate numbering is not compared: WriteBench lists the inputs first.
+// Gate numbering is not compared: WriteBench lists the inputs first. b's
+// names are indexed once; Circuit.ByName scans.
 func sameByName(a, b *netlist.Circuit) string {
 	if len(a.Gates) != len(b.Gates) || len(a.PIs) != len(b.PIs) || len(a.POs) != len(b.POs) || len(a.DFFs) != len(b.DFFs) {
 		return "shape changed: " + a.Stats().String() + " vs " + b.Stats().String()
 	}
+	byName := make(map[string]netlist.GateID, len(b.Gates))
+	for i := range b.Gates {
+		byName[b.Gates[i].Name] = netlist.GateID(i)
+	}
 	for i := range a.Gates {
 		g := &a.Gates[i]
-		id, ok := b.ByName(g.Name)
+		id, ok := byName[g.Name]
 		if !ok {
 			return "lost signal " + g.Name
 		}

@@ -27,16 +27,19 @@ const NoGate GateID = -1
 //
 // Fanin and Fanout are windows onto two arrays the whole circuit shares,
 // each as long as its window and no longer: they are read, never appended
-// to in place (an append copies the list out of the array).
+// to in place (an append copies the list out of the array). Name is a
+// window onto one string holding every gate name of the circuit.
+//
+// The fields are ordered widest first, so a gate is 72 bytes.
 //
 //simlint:immutable
 type Gate struct {
 	Name   string
-	Op     logic.Op
 	Fanin  []GateID
 	Fanout []GateID
 	Level  int32 // combinational level; 0 for PIs and DFFs
-	PO     bool  // the gate's output line is a primary output
+	Op     logic.Op
+	PO     bool // the gate's output line is a primary output
 }
 
 // IsSource reports whether the gate is a combinational source (PI or DFF).
@@ -60,8 +63,6 @@ type Circuit struct {
 	// Level 0 (sources) is PIs plus DFFs.
 	Levels   [][]GateID
 	MaxLevel int32
-
-	byName map[string]GateID
 }
 
 // NumGates returns the total node count including PIs and DFFs.
@@ -70,15 +71,22 @@ func (c *Circuit) NumGates() int { return len(c.Gates) }
 // Gate returns the gate with the given ID.
 func (c *Circuit) Gate(id GateID) *Gate { return &c.Gates[id] }
 
-// ByName looks a gate up by its signal name.
+// ByName looks a gate up by its signal name. It scans the gates: a
+// circuit keeps no name index, since no simulation path looks a name up.
+// It is for tests and tools; a caller resolving many names builds its own
+// map once.
 func (c *Circuit) ByName(name string) (GateID, bool) {
-	id, ok := c.byName[name]
-	return id, ok
+	for i := range c.Gates {
+		if c.Gates[i].Name == name {
+			return GateID(i), true
+		}
+	}
+	return NoGate, false
 }
 
-// MustByName looks a gate up by name and panics if absent (test helper).
+// MustByName is ByName for tests: it panics if the name is absent.
 func (c *Circuit) MustByName(name string) GateID {
-	id, ok := c.byName[name]
+	id, ok := c.ByName(name)
 	if !ok {
 		panic(fmt.Sprintf("netlist: no gate named %q in %s", name, c.Name))
 	}

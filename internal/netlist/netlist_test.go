@@ -121,9 +121,13 @@ func TestBenchRoundTrip(t *testing.T) {
 		len(c2.POs) != len(c.POs) || len(c2.DFFs) != len(c.DFFs) {
 		t.Fatalf("round trip changed shape: %v vs %v", c2.Stats(), c.Stats())
 	}
+	byName := make(map[string]GateID, len(c2.Gates))
+	for i := range c2.Gates {
+		byName[c2.Gates[i].Name] = GateID(i)
+	}
 	for i := range c.Gates {
 		g := &c.Gates[i]
-		id2, ok := c2.ByName(g.Name)
+		id2, ok := byName[g.Name]
 		if !ok {
 			t.Fatalf("gate %q lost in round trip", g.Name)
 		}

@@ -31,7 +31,7 @@ func TestNilObsZeroAllocs(t *testing.T) {
 		"observer.span":  func() { o.Span("x").End() },
 		// Note logger.With is absent: it is a per-job setup call whose
 		// attrs intentionally escape into the handler, not a hot path.
-		"logger.info": func() { lg.Info("msg", slog.Int("shard", 1)) },
+		"logger.info":   func() { lg.Info("msg", slog.Int("shard", 1)) },
 		"flight.record": func() { fr.Record("kind", "detail") },
 	}
 	for name, fn := range checks {

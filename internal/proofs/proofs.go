@@ -310,7 +310,7 @@ func (s *Sim) runGroup(group []int32) {
 				s.injGates = append(s.injGates, site)
 			}
 			s.inject[site] = append(s.inject[site],
-				injection{lane: lane, pin: f.Pin, val: f.Kind.StuckValue()})
+				injection{lane: lane, pin: int(f.Pin), val: f.Kind.StuckValue()})
 			s.schedule(site)
 		}
 	}

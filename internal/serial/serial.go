@@ -41,7 +41,7 @@ func newMachine(c *netlist.Circuit, f *faults.Fault) *machine {
 // the injected fault if it sits on that pin.
 func (m *machine) pinValue(g netlist.GateID, p int, raw logic.V) logic.V {
 	f := m.fault
-	if f == nil || f.Gate != g || f.Pin != p {
+	if f == nil || f.Gate != g || int(f.Pin) != p {
 		return raw
 	}
 	switch f.Kind {

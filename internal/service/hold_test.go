@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -542,15 +541,9 @@ func TestFinishedJobDropsNetlistText(t *testing.T) {
 		t.Errorf("resubmission by bench_key: %v / %+v, want a done job on a cache hit", err, v)
 	}
 
-	heap := func() uint64 {
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
-	}
 	text := netlist.BenchString(iscas.MustGet("s5378"))
 	const jobs = 200
-	before := heap()
+	before := liveHeap()
 	g.open(jobs)
 	for i := 0; i < jobs; i++ {
 		spec := JobSpec{Bench: fmt.Sprintf("%s# variant %d\n", text, i), Engine: "csim-C", Random: 4}
@@ -558,7 +551,7 @@ func TestFinishedJobDropsNetlistText(t *testing.T) {
 			t.Fatalf("job %d: %v / %+v, want a done job on a cache miss", i, err, v)
 		}
 	}
-	if grew := int64(heap()) - int64(before); grew > 8<<20 {
+	if grew := liveHeap() - before; grew > 8<<20 {
 		t.Errorf("%d finished jobs of %d bytes each left the heap %.1f MB larger, want under 8 MB",
 			jobs, len(text), float64(grew)/(1<<20))
 	}
