@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain go commands underneath.
 
-.PHONY: build test race lint fuzz bench bench-gate baseline tables verify-tables loc
+.PHONY: build test race lint fuzz bench-gate baseline tables verify-tables loc
 
 build:
 	go build ./...
@@ -26,17 +26,14 @@ fuzz:
 	go test ./internal/integration/ -fuzz=FuzzDifferential -fuzztime=30s
 	go test ./internal/netlist/ -run '^$$' -fuzz=FuzzParseBench -fuzztime=30s
 
-# Full benchmark suite -> BENCH_<timestamp>.json (several minutes).
-bench:
-	go run ./cmd/bench -suite full
-
-# What CI runs: quick suite against the checked-in baseline.
+# What CI runs: every quick cell once, each integer held to the baseline.
 bench-gate:
-	go run ./cmd/bench -suite quick -baseline baselines/bench-quick.json
+	go run ./cmd/bench -baseline baselines/bench-quick.json
 
-# Refresh the checked-in quick-suite baseline (run on a quiet machine).
+# Refresh the checked-in baseline after an intended change in detections
+# or work counters (any host: nothing in it is a time).
 baseline:
-	go run ./cmd/bench -suite quick -out baselines/bench-quick.json
+	go run ./cmd/bench -out baselines/bench-quick.json
 
 # Regenerate the committed tables artifact (slow: full circuit lists).
 tables:

@@ -1,28 +1,23 @@
-// Command bench runs the reproducible benchmark suites and gates against
-// baselines (see BENCHMARKS.md).
+// Command bench is the work-counter gate (see BENCHMARKS.md): it runs
+// every cell of the quick grid once, prints each cell's wall time and
+// integers, and holds the integers to a baseline.
 //
 // Usage:
 //
-//	bench -suite quick                          # run, write BENCH_<ts>.json
-//	bench -suite paper -md report.md            # plus a markdown report
-//	bench -suite quick -baseline baselines/bench-quick.json
-//	                                            # compare; exit 1 on >15% regression
-//	                                            # or on an evals/passes/steps count that rose
-//	bench -suite quick -baseline b.json -threshold 0.10 -absolute
-//	bench -list                                 # print suite cells, don't run
+//	bench                                       # run and print
+//	bench -baseline baselines/bench-quick.json  # exit 1 on any difference
+//	bench -out baselines/bench-quick.json       # write the baseline (make baseline)
 //
-// With -baseline the markdown output is the comparison (regression)
-// report; without it, a plain measurement table. The exit status is the
-// CI contract: 0 clean, 1 regression, behavior change or more work (an
-// <engine>.evals, .passes or .steps counter above the baseline's) vs
-// baseline, 2 operational error.
+// The exit status is the CI contract: 0 clean, 1 a cell, size,
+// detection count, K or work counter differs from the baseline, 2
+// operational error. Wall time is never gated.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
+	"sort"
 	"strings"
 	"time"
 
@@ -30,113 +25,51 @@ import (
 )
 
 func main() {
-	var (
-		suite     = flag.String("suite", "quick", "suite to run: quick|paper|full")
-		trials    = flag.Int("trials", 0, "measured trials per cell (0 = default 3)")
-		warmup    = flag.Int("warmup", 0, "warmup runs per cell (0 = default 1, negative = none)")
-		out       = flag.String("out", "", "report path (default BENCH_<timestamp>.json in the working directory)")
-		md        = flag.String("md", "", "write a markdown report/comparison to this file")
-		baseline  = flag.String("baseline", "", "baseline report to compare against")
-		threshold = flag.Float64("threshold", 0, "per-cell regression threshold as a fraction (0 = default 0.15)")
-		absolute  = flag.Bool("absolute", false, "compare raw wall times instead of calibration-normalized scores")
-		list      = flag.Bool("list", false, "list the suite's cells and exit")
-		quiet     = flag.Bool("q", false, "suppress per-cell progress output")
-	)
+	baseline := flag.String("baseline", "", "baseline report to hold the run to")
+	out := flag.String("out", "", "write the run's report (a baseline) to this path")
 	flag.Parse()
 
-	if err := validateSuite(*suite); err != nil {
-		fatal(err)
-	}
-	cells, err := bench.Suite(*suite)
+	rep, err := bench.Run(bench.Quick())
 	if err != nil {
 		fatal(err)
 	}
-	if *list {
-		for _, c := range cells {
-			fmt.Println(c.Key())
-		}
-		return
+	for _, c := range rep.Cells {
+		fmt.Printf("%-44s %9s  patterns %d faults %d detected %d pot_only %d k %d%s\n",
+			c.Key, c.Wall.Round(time.Microsecond), c.Patterns, c.Faults, c.Detected, c.PotOnly, c.K, counters(c.Counters))
 	}
-
-	opt := bench.Options{Trials: *trials, Warmup: *warmup}
-	if !*quiet {
-		opt.Progress = os.Stderr
-	}
-	now := time.Now()
-	rep, err := bench.Run(*suite, cells, opt, now)
-	if err != nil {
-		fatal(err)
-	}
-
-	path := *out
-	if path == "" {
-		path = bench.Filename(now)
-	}
-	if err := rep.WriteFile(path); err != nil {
-		fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s (%d cells)\n", path, len(rep.Cells))
-
-	if *baseline == "" {
-		if err := emitMarkdown(*md, rep.WriteMarkdown); err != nil {
+	if *out != "" {
+		if err := rep.WriteFile(*out); err != nil {
 			fatal(err)
 		}
+		fmt.Fprintf(os.Stderr, "bench: wrote %s (%d cells)\n", *out, len(rep.Cells))
+	}
+	if *baseline == "" {
 		return
 	}
-
 	base, err := bench.ReadReportFile(*baseline)
 	if err != nil {
 		fatal(err)
 	}
-	cmp, err := bench.Compare(rep, base, bench.CompareOptions{
-		Threshold: *threshold, Absolute: *absolute,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	if err := emitMarkdown(*md, cmp.WriteMarkdown); err != nil {
-		fatal(err)
-	}
-	if *md == "" {
-		// No explicit report target: the comparison goes to stdout so the
-		// gate's verdict is always visible.
-		if err := cmp.WriteMarkdown(os.Stdout); err != nil {
-			fatal(err)
-		}
-	}
-	if err := cmp.Gate(); err != nil {
-		fmt.Fprintf(os.Stderr, "bench: GATE FAILED: %v\n", err)
+	if err := bench.Compare(rep, base); err != nil {
+		fmt.Fprintf(os.Stderr, "%v\nbench: GATE FAILED\n", err)
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "bench: gate passed (geo-mean speedup %.3fx over %d cells)\n",
-		cmp.GeoMeanSpeedup, len(cmp.Cells))
+	fmt.Fprintf(os.Stderr, "bench: gate passed (%d cells, every integer equal to %s)\n", len(rep.Cells), *baseline)
 }
 
-// validateSuite rejects unknown -suite names with a one-line usage hint
-// listing the accepted suites.
-func validateSuite(name string) error {
-	for _, s := range bench.SuiteNames() {
-		if s == name {
-			return nil
-		}
+// counters renders a cell's work counters as " name value" pairs in
+// name order.
+func counters(m map[string]int64) string {
+	names := make([]string, 0, len(m))
+	for n := range m {
+		names = append(names, n)
 	}
-	return fmt.Errorf("unknown suite %q; usage: -suite %s", name, strings.Join(bench.SuiteNames(), "|"))
-}
-
-// emitMarkdown writes via render to path when path is non-empty.
-func emitMarkdown(path string, render func(io.Writer) error) error {
-	if path == "" {
-		return nil
+	sort.Strings(names)
+	var b strings.Builder
+	for _, n := range names {
+		fmt.Fprintf(&b, " %s %d", n, m[n])
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	err = render(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return b.String()
 }
 
 func fatal(err error) {

@@ -51,7 +51,7 @@ func (m Measurement) FltCvg() float64 { return 100 * m.Coverage }
 // compiledCache memoizes the compile-once csim-C artifact per circuit.
 // The Program is immutable and shared by design — lowering a circuit is
 // a one-time cost, exactly like the cached universes and deterministic
-// sets — so repeated harness runs (bench trials, table cells) measure
+// sets — so repeated harness runs (gate cells, table cells) measure
 // evaluation, not recompilation. The service layer memoizes the same
 // artifact in its own cache (service.Compiled.Program).
 var (
