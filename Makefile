@@ -7,6 +7,7 @@ build:
 
 test:
 	go test ./...
+	go -C benchmark vet ./... && go -C benchmark test ./...
 
 race:
 	go test -race ./...

@@ -202,7 +202,7 @@ type GridConfig struct {
 	FaultShards int
 	// Config is ignored: the grid has one kernel and it takes no csim
 	// configuration. Pinned by benchmark/ (it assigns Config.Plan); goes
-	// with ROADMAP item 3's [benchmark] refresh.
+	// with the `[benchmark]` yardstick refresh.
 	Config Config
 	// Program is the circuit's CompiledProgram to reuse; nil compiles it
 	// per run.
@@ -216,7 +216,7 @@ type GridConfig struct {
 
 // CsimGrid configures the grid engine on a budget of faultShards
 // processors. The signature is pinned by benchmark/ and goes with
-// ROADMAP item 3's [benchmark] refresh: windows is accepted for source
+// the `[benchmark]` yardstick refresh: windows is accepted for source
 // compatibility and must be <= 1, or SimulateGrid errors.
 func CsimGrid(faultShards, windows int) GridConfig {
 	cfg := GridConfig{FaultShards: faultShards}
@@ -228,7 +228,7 @@ func CsimGrid(faultShards, windows int) GridConfig {
 
 // SimulateGrid runs the csim-grid engine to completion (the facade
 // passes no context) and returns the detections and summed counters.
-// Pinned by benchmark/; goes with ROADMAP item 3's [benchmark] refresh.
+// Pinned by benchmark/; goes with the `[benchmark]` yardstick refresh.
 func SimulateGrid(u *Universe, vs *Vectors, cfg GridConfig) (*Result, SimStats, error) {
 	if cfg.err != nil {
 		return nil, SimStats{}, cfg.err
@@ -240,7 +240,7 @@ func SimulateGrid(u *Universe, vs *Vectors, cfg GridConfig) (*Result, SimStats, 
 
 // PlanGrid asks the scheduler for the fault split it would use for a
 // job of the given shape. The decision is deterministic. Pinned by
-// benchmark/; goes with ROADMAP item 3's [benchmark] refresh.
+// benchmark/; goes with the `[benchmark]` yardstick refresh.
 func PlanGrid(sh JobShape) GridPlan { return parallel.Decide(sh) }
 
 // NewObserver builds a fully enabled observability bundle: a fresh
@@ -287,12 +287,12 @@ func New(u *Universe, cfg Config) (*Simulator, error) { return csim.New(u, cfg) 
 func NewProofs(u *Universe) (*Proofs, error) { return proofs.New(u) }
 
 // NewGoodSim builds a fault-free simulator. Pinned by benchmark/; goes
-// with ROADMAP item 3's [benchmark] refresh.
+// with the `[benchmark]` yardstick refresh.
 func NewGoodSim(c *Circuit) *GoodSim { return goodsim.New(c) }
 
 // CompileCircuit lowers a circuit for the csim-C engine. The signature
-// is pinned by benchmark/ and goes with ROADMAP item 3's [benchmark]
-// refresh: plan is ignored.
+// is pinned by benchmark/ and goes with the `[benchmark]`
+// yardstick refresh: plan is ignored.
 func CompileCircuit(c *Circuit, plan *MacroPlan) *CompiledProgram {
 	return compiled.Compile(c)
 }
@@ -305,7 +305,7 @@ func NewCompiled(u *Universe) (*CompiledSim, error) { return compiled.New(u) }
 
 // NewCompiledWith builds a csim-C simulator over an already compiled
 // program; the program must be compiled from the universe's circuit.
-// Pinned by benchmark/; goes with ROADMAP item 3's [benchmark] refresh.
+// Pinned by benchmark/; goes with the `[benchmark]` yardstick refresh.
 func NewCompiledWith(p *CompiledProgram, u *Universe) (*CompiledSim, error) {
 	return compiled.NewWith(p, u)
 }
@@ -325,7 +325,7 @@ func NewCompiledGood(p *CompiledProgram) *CompiledGood { return p.NewGood() }
 
 // ExtractMacros builds the fanout-free-region macro plan csim-M/csim-MV
 // use (maxInputs <= 0 uses the default cap). Pinned by benchmark/; goes
-// with ROADMAP item 3's [benchmark] refresh.
+// with the `[benchmark]` yardstick refresh.
 func ExtractMacros(c *Circuit, maxInputs int) (*MacroPlan, error) {
 	if maxInputs <= 0 {
 		maxInputs = macro.DefaultMaxInputs

@@ -53,8 +53,7 @@ func (g *gen) ffDistanceToPO() (int, bool) {
 	for len(dq) > 0 {
 		id := dq[0]
 		dq = dq[1:]
-		gt := c.Gate(id)
-		for _, fo := range gt.Fanout {
+		for _, fo := range c.Fanout(id) {
 			w := 0
 			if c.Gate(fo).Op == logic.OpDFF {
 				w = 1
@@ -163,7 +162,7 @@ func (g *gen) simulate(from int) {
 			if t == 0 {
 				p = pair{g: logic.X, f: logic.X}
 			} else {
-				d := c.Gate(ff).Fanin[0]
+				d := c.Fanin(ff)[0]
 				p = g.frames[t-1].val[d]
 				if f.Gate == ff && f.Pin == 0 {
 					p.f = f.Kind.StuckValue()
@@ -177,8 +176,8 @@ func (g *gen) simulate(from int) {
 		var gi, fi [logic.MaxPins]logic.V
 		for _, lv := range c.Levels {
 			for _, id := range lv {
-				gt := c.Gate(id)
-				for j, fin := range gt.Fanin {
+				gt, fanin := c.Gate(id), c.Fanin(id)
+				for j, fin := range fanin {
 					p := fr.val[fin]
 					gi[j], fi[j] = p.g, p.f
 					if f.Gate == id && int(f.Pin) == j {
@@ -186,8 +185,8 @@ func (g *gen) simulate(from int) {
 					}
 				}
 				out := pair{
-					g: logic.Eval(gt.Op, gi[:len(gt.Fanin)]),
-					f: logic.Eval(gt.Op, fi[:len(gt.Fanin)]),
+					g: logic.Eval(gt.Op, gi[:len(fanin)]),
+					f: logic.Eval(gt.Op, fi[:len(fanin)]),
 				}
 				if f.Gate == id && f.Pin == faults.OutPin {
 					out.f = f.Kind.StuckValue()
@@ -228,7 +227,7 @@ func (g *gen) objective(aFrame int) (objectiveT, bool) {
 	// still cross the required number of flip-flops before the last frame.
 	siteLine := f.Gate
 	if f.Pin != faults.OutPin {
-		siteLine = c.Gate(f.Gate).Fanin[f.Pin]
+		siteLine = c.Fanin(f.Gate)[f.Pin]
 	}
 	want := f.Kind.StuckValue().Not()
 	aMax := aFrame
@@ -272,15 +271,14 @@ func (g *gen) objective(aFrame int) (objectiveT, bool) {
 	for t := range g.frames {
 		fr := &g.frames[t]
 		for i := range c.Gates {
-			gt := &c.Gates[i]
-			if gt.IsSource() || fr.val[i].isD() {
+			if c.Gates[i].IsSource() || fr.val[i].isD() {
 				continue
 			}
 			if fr.val[i].g != logic.X && fr.val[i].f != logic.X {
 				continue // fully resolved, not extendable
 			}
 			hasD := false
-			for _, fin := range gt.Fanin {
+			for _, fin := range c.Fanin(netlist.GateID(i)) {
 				if fr.val[fin].isD() {
 					hasD = true
 					break
@@ -319,7 +317,7 @@ func (g *gen) sensitizeGate(id netlist.GateID, t, skipPin int) (objectiveT, bool
 	} else if g.rng.Intn(2) == 0 {
 		nc = logic.Zero // XOR family: any binary value sensitizes
 	}
-	for j, fin := range gt.Fanin {
+	for j, fin := range g.c.Fanin(id) {
 		if j == skipPin {
 			continue
 		}
@@ -363,7 +361,7 @@ func (g *gen) backtraceDFS(gate netlist.GateID, t int, v logic.V, seen map[[2]in
 		if t == 0 {
 			return 0, 0, 0, false // initial state is X, unjustifiable
 		}
-		return g.backtraceDFS(gt.Fanin[0], t-1, v, seen)
+		return g.backtraceDFS(c.Fanin(gate)[0], t-1, v, seen)
 	}
 	base := v
 	if gt.Op.Inverting() {
@@ -380,7 +378,7 @@ func (g *gen) backtraceDFS(gate netlist.GateID, t int, v logic.V, seen map[[2]in
 		// XOR family: any binary value works; bias randomly.
 		targetVal = logic.V(g.rng.Intn(2))
 	}
-	for _, fin := range gt.Fanin {
+	for _, fin := range c.Fanin(gate) {
 		if g.frames[t].val[fin].g != logic.X {
 			continue
 		}

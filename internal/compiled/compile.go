@@ -8,8 +8,9 @@
 //
 //   - Program: the immutable compiled form — the level-ordered gate
 //     list lowered to a fused two-input instruction stream (one table
-//     lookup per step, wide gates decomposed into chains) and
-//     flattened fanin/fanout/DFF adjacency.
+//     lookup per step, wide gates decomposed into chains), the
+//     combinational fanout and the DFF maps. Fanins are read straight
+//     off the circuit's own adjacency arrays.
 //   - Trace: the packed good-machine waveform. The good machine runs
 //     cycle-serially (the state recurrence of a sequential circuit
 //     admits no 64-cycle shortcut) but deposits every gate's settled
@@ -79,12 +80,12 @@ type Program struct {
 	// never evaluated).
 	code []uint8
 
-	// Flattened fanin adjacency: gate g's inputs are
-	// fanins[faninOff[g]:faninOff[g+1]].
-	faninOff []int32
-	fanins   []netlist.GateID
+	// fanins is the circuit's Fanins, not a copy: gate g's inputs are
+	// fanins[c.FaninOff[g]:c.FaninOff[g+1]]. The kernel reads them
+	// through this one header.
+	fanins []netlist.GateID
 
-	// Flattened combinational fanout (source consumers excluded):
+	// Combinational fanout (the circuit's, source consumers excluded):
 	// fanouts[fanoutOff[g]:fanoutOff[g+1]].
 	fanoutOff []int32
 	fanouts   []netlist.GateID
@@ -104,9 +105,6 @@ type Program struct {
 
 // Circuit returns the compiled circuit.
 func (p *Program) Circuit() *netlist.Circuit { return p.c }
-
-// NumGates returns the compiled circuit's gate count.
-func (p *Program) NumGates() int { return len(p.c.Gates) }
 
 // opcode compiles one netlist operation. Sources are never evaluated;
 // OUTPUT markers have buffer semantics.
@@ -132,13 +130,14 @@ func opcode(op logic.Op) uint8 {
 	return opBuf
 }
 
-// Compile lowers a levelized circuit into its compiled form.
+// Compile lowers a levelized circuit into its compiled form. Every
+// array it keeps is allocated once, at its exact length.
 func Compile(c *netlist.Circuit) *Program {
 	ng := len(c.Gates)
 	p := &Program{
 		c:         c,
 		code:      make([]uint8, ng),
-		faninOff:  make([]int32, ng+1),
+		fanins:    c.Fanins,
 		fanoutOff: make([]int32, ng+1),
 		fedOff:    make([]int32, ng+1),
 		maxLevel:  c.MaxLevel,
@@ -149,34 +148,29 @@ func Compile(c *netlist.Circuit) *Program {
 		p.dffIdx[i] = -1
 	}
 	for i, ff := range c.DFFs {
-		p.dffD[i] = c.Gate(ff).Fanin[0]
+		p.dffD[i] = c.Fanin(ff)[0]
 		p.dffIdx[ff] = int32(i)
 	}
 
-	// Flattened adjacency and opcodes.
-	nin, nout, nfed := 0, 0, 0
-	for i := range c.Gates {
-		g := &c.Gates[i]
-		nin += len(g.Fanin)
-		for _, fo := range g.Fanout {
-			if c.Gate(fo).IsSource() {
-				nfed++
-			} else {
-				nout++
-			}
+	// The circuit's fanout, split into combinational consumers and the
+	// flip-flops it feeds; opcodes; and the length of the instruction
+	// stream: a gate of n inputs lowers to max(n-1, 1) sops.
+	nfed, nsop := 0, 0
+	for _, fo := range c.Fanouts {
+		if c.Gate(fo).IsSource() {
+			nfed++
 		}
 	}
-	p.fanins = make([]netlist.GateID, 0, nin)
-	p.fanouts = make([]netlist.GateID, 0, nout)
+	p.fanouts = make([]netlist.GateID, 0, len(c.Fanouts)-nfed)
 	p.fedFFs = make([]int32, 0, nfed)
 	for i := range c.Gates {
-		g := &c.Gates[i]
-		p.code[i] = opcode(g.Op)
-		p.faninOff[i] = int32(len(p.fanins))
-		p.fanins = append(p.fanins, g.Fanin...)
+		p.code[i] = opcode(c.Gates[i].Op)
+		if !c.Gates[i].IsSource() {
+			nsop += max(len(c.Fanin(netlist.GateID(i)))-1, 1)
+		}
 		p.fanoutOff[i] = int32(len(p.fanouts))
 		p.fedOff[i] = int32(len(p.fedFFs))
-		for _, fo := range g.Fanout {
+		for _, fo := range c.Fanout(netlist.GateID(i)) {
 			if c.Gate(fo).IsSource() {
 				p.fedFFs = append(p.fedFFs, p.dffIdx[fo])
 			} else {
@@ -184,32 +178,20 @@ func Compile(c *netlist.Circuit) *Program {
 			}
 		}
 	}
-	p.faninOff[ng] = int32(len(p.fanins))
 	p.fanoutOff[ng] = int32(len(p.fanouts))
 	p.fedOff[ng] = int32(len(p.fedFFs))
 
 	// Lower the non-source gates, level by level, to the fused scalar
 	// instruction stream.
-	for l := 1; l < len(c.Levels); l++ {
-		for _, g := range c.Levels[l] {
-			if !c.Gate(g).IsSource() {
-				p.scode = append(p.scode, lowerScalar(p.code[g], int32(g), p.fanin(g))...)
-				p.nEval++
-			}
+	p.scode = make([]sop, 0, nsop)
+	for _, lv := range c.Levels[1:] {
+		for _, g := range lv {
+			p.scode = lowerScalar(p.scode, p.code[g], int32(g), c.Fanin(g))
+			p.nEval++
 		}
 	}
 
 	return p
-}
-
-// fanin returns gate g's input gates.
-func (p *Program) fanin(g netlist.GateID) []netlist.GateID {
-	return p.fanins[p.faninOff[g]:p.faninOff[g+1]]
-}
-
-// fanout returns gate g's combinational consumers.
-func (p *Program) fanout(g netlist.GateID) []netlist.GateID {
-	return p.fanouts[p.fanoutOff[g]:p.fanoutOff[g+1]]
 }
 
 // fed returns the DFF indices whose D input g drives.
@@ -241,24 +223,22 @@ func init() {
 	}
 }
 
-// lowerScalar decomposes one gate into fused two-input sops. Arity one
+// lowerScalar appends one gate's fused two-input sops to ops. Arity one
 // reduces to a buffer or inverter of the single input; arity two maps
 // directly; wider gates chain the base (non-inverting) function
 // through val[out] and fold any output inversion into the final link.
-func lowerScalar(code uint8, out int32, ins []netlist.GateID) []sop {
+// ins is never empty: the Builder gives every non-source gate an input.
+func lowerScalar(ops []sop, code uint8, out int32, ins []netlist.GateID) []sop {
 	switch len(ins) {
-	case 0:
-		return nil // sources are never in the order
 	case 1:
 		// AND/OR/XOR of one input is the input; the inversion bit
 		// (code&1) picks buffer vs inverter.
 		x := int32(ins[0])
-		return []sop{{out: out, x: x, y: x, tbl: opBuf | code&1}}
+		return append(ops, sop{out: out, x: x, y: x, tbl: opBuf | code&1})
 	case 2:
-		return []sop{{out: out, x: int32(ins[0]), y: int32(ins[1]), tbl: code}}
+		return append(ops, sop{out: out, x: int32(ins[0]), y: int32(ins[1]), tbl: code})
 	}
 	base := code &^ 1
-	ops := make([]sop, 0, len(ins)-1)
 	ops = append(ops, sop{out: out, x: int32(ins[0]), y: int32(ins[1]), tbl: base})
 	for _, f := range ins[2 : len(ins)-1] {
 		ops = append(ops, sop{out: out, x: out, y: int32(f), tbl: base})

@@ -197,6 +197,21 @@ func TestNodeFitsCacheLine(t *testing.T) {
 	}
 }
 
+// TestProgramKeepsNoSlack pins what a cached Program holds: the
+// circuit's own fanin array, not a copy, and an instruction stream
+// allocated at its exact length.
+func TestProgramKeepsNoSlack(t *testing.T) {
+	for _, c := range []*netlist.Circuit{genCircuit(t, 8, 6, 5, 10, 130), iscas.MustGet("s298")} {
+		p := Compile(c)
+		if unsafe.SliceData(p.fanins) != unsafe.SliceData(c.Fanins) || len(p.fanins) != len(c.Fanins) {
+			t.Errorf("%s: the program's fanins are not the circuit's", c.Name)
+		}
+		if cap(p.scode) != len(p.scode) {
+			t.Errorf("%s: %d sops in an array of %d", c.Name, len(p.scode), cap(p.scode))
+		}
+	}
+}
+
 // TestRandomCircuitsAgree sweeps circuit shapes — combinational-only,
 // state-heavy, FF-to-FF chains — against the oracle.
 func TestRandomCircuitsAgree(t *testing.T) {

@@ -65,8 +65,8 @@ type node struct {
 	v1, v0 uint64
 	g1, g0 uint64 // good planes of the loaded 64-cycle block
 	level  int32
-	// Fanins are Program.fanins[inOff:inEnd], combinational fanouts
-	// Program.fanouts[outOff:outEnd].
+	// Fanins are Program.fanins[inOff:inEnd] (the circuit's FaninOff
+	// window), combinational fanouts Program.fanouts[outOff:outEnd].
 	inOff, inEnd   int32
 	outOff, outEnd int32
 	code           uint8
@@ -307,7 +307,7 @@ func newWorker(p *Program, u *faults.Universe, tr *Trace, ids []int32) *worker {
 		n := &w.nodes[i]
 		n.level = c.Gates[i].Level
 		n.code = p.code[i]
-		n.inOff, n.inEnd = p.faninOff[i], p.faninOff[i+1]
+		n.inOff, n.inEnd = c.FaninOff[i], c.FaninOff[i+1]
 		n.outOff, n.outEnd = p.fanoutOff[i], p.fanoutOff[i+1]
 		if p.feedsFF(netlist.GateID(i)) {
 			n.flags |= flagFeedsFF
@@ -410,7 +410,7 @@ func (w *worker) classify(f *faults.Fault) (siteKind, netlist.GateID) {
 		}
 		return siteComb, netlist.NoGate
 	}
-	drv := w.p.fanin(f.Gate)[f.Pin]
+	drv := w.p.c.Fanin(f.Gate)[f.Pin]
 	if op == logic.OpDFF {
 		return siteDFFTrans, drv
 	}

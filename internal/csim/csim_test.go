@@ -251,17 +251,17 @@ func (r *refGood) cycle(vec []logic.V) {
 	}
 	for _, lv := range r.c.Levels {
 		for _, id := range lv {
-			g := r.c.Gate(id)
-			in := make([]logic.V, len(g.Fanin))
-			for j, f := range g.Fanin {
+			fanin := r.c.Fanin(id)
+			in := make([]logic.V, len(fanin))
+			for j, f := range fanin {
 				in[j] = r.val[f]
 			}
-			r.val[id] = logic.Eval(g.Op, in)
+			r.val[id] = logic.Eval(r.c.Gate(id).Op, in)
 		}
 	}
 	next := make([]logic.V, len(r.c.DFFs))
 	for i, ff := range r.c.DFFs {
-		next[i] = r.val[r.c.Gate(ff).Fanin[0]]
+		next[i] = r.val[r.c.Fanin(ff)[0]]
 	}
 	for i, ff := range r.c.DFFs {
 		r.val[ff] = next[i]

@@ -231,7 +231,7 @@ func (s *Simulator) clock() {
 	pendEvent := s.dffEvent
 
 	for di, ff := range s.c.DFFs {
-		d := s.c.Gate(ff).Fanin[0]
+		d := s.c.Fanin(ff)[0]
 		newGoodQ := s.goodVal[d]
 		oldGoodQ := s.goodVal[ff]
 		s.newQ[di] = newGoodQ

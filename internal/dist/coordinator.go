@@ -122,7 +122,7 @@ func (c *Coordinator) RunJob(ctx context.Context, req *service.RunRequest) (*ser
 
 	jlog := c.log.With(slog.String("job_id", req.ID))
 	// The dispatch and requeue kinds are pinned by benchmark/ and go with
-	// ROADMAP item 3's [benchmark] refresh.
+	// the `[benchmark]` yardstick refresh.
 	req.Obs.Recorder().Recordf("dispatch", "fanning %d fault shards over %d workers",
 		k, len(c.reg.workers))
 	jlog.Info("dist job dispatching",

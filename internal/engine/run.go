@@ -185,7 +185,7 @@ func cycles(ctx context.Context, vs *vectors.Set, cycle func(vec []logic.V)) err
 // publishes under "<prefix>shard<k>."; every shard computes its own
 // packed trace, so merged shard stats count one trace per non-empty
 // shard in GoodEvals. The "csim-grid shard %d" detail prefix is pinned
-// by benchmark/ and goes with ROADMAP item 3's [benchmark] refresh.
+// by benchmark/ and goes with the `[benchmark]` yardstick refresh.
 func runCompiled(ctx context.Context, u *faults.Universe, vs *vectors.Set, opt Options, grid bool) (*faults.Result, csim.Stats, error) {
 	ob := opt.Obs
 	rec, log := ob.Recorder(), ob.Logger()

@@ -106,12 +106,12 @@ func (u *Universe) IDs() []int32 {
 // SA0/SA1 on every gate output line and on every input pin of every
 // non-source gate, plus the D input pin of each flip-flop. The list is
 // gate-major — a gate's output pair, then a pair per input pin — so the
-// fault at (gate, pin, kind) sits at stuckBase(c)[gate] + 2*(pin+1) + kind.
+// gates before g hold 2*(g + c.FaninOff[g]) faults, and the fault at
+// (g, pin, kind) sits at 2*(g + c.FaninOff[g]) + 2*(pin+1) + kind.
 func StuckAll(c *netlist.Circuit) *Universe {
-	base := stuckBase(c)
-	u := &Universe{Circuit: c, Faults: make([]Fault, 0, base[len(c.Gates)])}
+	u := &Universe{Circuit: c, Faults: make([]Fault, 0, 2*(len(c.Gates)+len(c.Fanins)))}
 	for i := range c.Gates {
-		for pin := OutPin; pin < len(c.Gates[i].Fanin); pin++ {
+		for pin := OutPin; pin < len(c.Fanin(netlist.GateID(i))); pin++ {
 			for _, k := range [...]Kind{SA0, SA1} {
 				u.Faults = append(u.Faults, Fault{
 					ID: int32(len(u.Faults)), Gate: netlist.GateID(i), Pin: int16(pin), Kind: k,
@@ -120,16 +120,6 @@ func StuckAll(c *netlist.Circuit) *Universe {
 		}
 	}
 	return u
-}
-
-// stuckBase returns, per gate, the index of its first fault in StuckAll's
-// list, and the list's length as one more entry.
-func stuckBase(c *netlist.Circuit) []int32 {
-	base := make([]int32, len(c.Gates)+1)
-	for i := range c.Gates {
-		base[i+1] = base[i] + 2*int32(1+len(c.Gates[i].Fanin))
-	}
-	return base
 }
 
 // StuckCollapsed builds the stuck-at universe collapsed by structural
@@ -143,8 +133,7 @@ func stuckBase(c *netlist.Circuit) []int32 {
 // Faults on Universe.Faults are class representatives; Rep maps every
 // uncollapsed fault index to its representative's ID.
 func StuckCollapsed(c *netlist.Circuit) *Universe {
-	base := stuckBase(c)
-	n := int(base[len(c.Gates)])
+	n := 2 * (len(c.Gates) + len(c.Fanins))
 	// Union-find over StuckAll's indices, without the list itself; a
 	// class's root is its lowest index.
 	parent := make([]int32, n)
@@ -167,40 +156,30 @@ func StuckCollapsed(c *netlist.Circuit) *Universe {
 		}
 	}
 	at := func(g netlist.GateID, pin int, k Kind) int32 {
-		return base[g] + 2*int32(pin+1) + int32(k)
+		return 2*(int32(g)+c.FaninOff[g]) + 2*int32(pin+1) + int32(k)
 	}
 
 	for i := range c.Gates {
 		g := &c.Gates[i]
 		id := netlist.GateID(i)
-		// Rule (a)/(b): gate-local equivalences.
-		switch g.Op {
-		case logic.OpAnd:
-			for p := range g.Fanin {
-				union(at(id, p, SA0), at(id, OutPin, SA0))
+		// Rule (a)/(b): gate-local equivalences. SA0 and SA1 are numbered
+		// like logic.Zero and logic.One, and k^inv is the output fault an
+		// input stuck at k forces.
+		inv := Kind(0)
+		if g.Op.Inverting() {
+			inv = 1
+		}
+		if cv, ok := g.Op.Controlling(); ok {
+			for p := range len(c.Fanin(id)) {
+				union(at(id, p, Kind(cv)), at(id, OutPin, Kind(cv)^inv))
 			}
-		case logic.OpNand:
-			for p := range g.Fanin {
-				union(at(id, p, SA0), at(id, OutPin, SA1))
-			}
-		case logic.OpOr:
-			for p := range g.Fanin {
-				union(at(id, p, SA1), at(id, OutPin, SA1))
-			}
-		case logic.OpNor:
-			for p := range g.Fanin {
-				union(at(id, p, SA1), at(id, OutPin, SA0))
-			}
-		case logic.OpNot:
-			union(at(id, 0, SA0), at(id, OutPin, SA1))
-			union(at(id, 0, SA1), at(id, OutPin, SA0))
-		case logic.OpBuf, logic.OpDFF:
-			union(at(id, 0, SA0), at(id, OutPin, SA0))
-			union(at(id, 0, SA1), at(id, OutPin, SA1))
+		} else if g.Op == logic.OpNot || g.Op == logic.OpBuf || g.Op == logic.OpDFF {
+			union(at(id, 0, SA0), at(id, OutPin, SA0^inv))
+			union(at(id, 0, SA1), at(id, OutPin, SA1^inv))
 		}
 		// Rule (c): fanout-free stems.
-		if len(g.Fanout) == 1 {
-			succ := g.Fanout[0]
+		if fo := c.Fanout(id); len(fo) == 1 {
+			succ := fo[0]
 			p := c.PinOf(succ, id)
 			union(at(id, OutPin, SA0), at(succ, p, SA0))
 			union(at(id, OutPin, SA1), at(succ, p, SA1))
@@ -218,7 +197,7 @@ func StuckCollapsed(c *netlist.Circuit) *Universe {
 	u := &Universe{Circuit: c, Faults: make([]Fault, 0, classes), Rep: make([]int32, n)}
 	i := int32(0) // the index StuckAll gives the site at hand
 	for g := range c.Gates {
-		for pin := OutPin; pin < len(c.Gates[g].Fanin); pin++ {
+		for pin := OutPin; pin < len(c.Fanin(netlist.GateID(g))); pin++ {
 			for _, k := range [...]Kind{SA0, SA1} {
 				root := find(i)
 				if root == i {
@@ -236,15 +215,12 @@ func StuckCollapsed(c *netlist.Circuit) *Universe {
 // Transition builds the transition-fault universe: one STR and one STF
 // fault on every input pin of every non-source gate and on each flip-flop
 // D input ("two transition faults are associated with each gate input",
-// §3).
+// §3). An INPUT gate has no pins, so the universe holds two faults per
+// fanin edge.
 func Transition(c *netlist.Circuit) *Universe {
-	u := &Universe{Circuit: c}
+	u := &Universe{Circuit: c, Faults: make([]Fault, 0, 2*len(c.Fanins))}
 	for i := range c.Gates {
-		g := &c.Gates[i]
-		if g.Op == logic.OpInput {
-			continue
-		}
-		for p := range g.Fanin {
+		for p := range c.Fanin(netlist.GateID(i)) {
 			u.Faults = append(u.Faults,
 				Fault{ID: int32(len(u.Faults)), Gate: netlist.GateID(i), Pin: int16(p), Kind: STR},
 				Fault{ID: int32(len(u.Faults)) + 1, Gate: netlist.GateID(i), Pin: int16(p), Kind: STF})

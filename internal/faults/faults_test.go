@@ -45,15 +45,19 @@ func TestStuckAllCount(t *testing.T) {
 	// Every gate output line x2, every input pin x2.
 	pins := 0
 	for i := range c.Gates {
-		pins += len(c.Gates[i].Fanin)
+		pins += len(c.Fanin(netlist.GateID(i)))
 	}
 	want := 2 * (len(c.Gates) + pins)
-	if got := u.NumFaults(); got != want {
-		t.Errorf("StuckAll count = %d, want %d", got, want)
+	if got := u.NumFaults(); got != want || cap(u.Faults) != want {
+		t.Errorf("StuckAll count = %d (cap %d), want %d", got, cap(u.Faults), want)
 	}
 	for i, f := range u.Faults {
 		if int(f.ID) != i {
 			t.Fatalf("fault %d has ID %d", i, f.ID)
+		}
+		// StuckCollapsed's Rep indexes this list by the same formula.
+		if at := 2*(int32(f.Gate)+c.FaninOff[f.Gate]) + 2*int32(f.Pin+1) + int32(f.Kind); at != int32(i) {
+			t.Fatalf("fault %s at index %d, formula says %d", f.Name(c), i, at)
 		}
 	}
 }
@@ -180,10 +184,13 @@ func TestTransitionUniverse(t *testing.T) {
 		if c.Gates[i].Op == logic.OpInput {
 			continue
 		}
-		pins += len(c.Gates[i].Fanin)
+		pins += len(c.Fanin(netlist.GateID(i)))
 	}
 	if got := u.NumFaults(); got != 2*pins {
 		t.Errorf("Transition count = %d, want %d", got, 2*pins)
+	}
+	if cap(u.Faults) != len(u.Faults) {
+		t.Errorf("Transition holds %d faults in an array of %d", len(u.Faults), cap(u.Faults))
 	}
 	for i, f := range u.Faults {
 		if int(f.ID) != i {

@@ -80,7 +80,7 @@ func TestGenerateSequentialDepthUsable(t *testing.T) {
 	for len(stack) > 0 {
 		g := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, fo := range c.Gate(g).Fanout {
+		for _, fo := range c.Fanout(g) {
 			if c.Gate(fo).Op == logic.OpDFF {
 				feedback = true
 				continue

@@ -76,7 +76,7 @@ func (s *Sim) setSource(id netlist.GateID, v logic.V) {
 		return
 	}
 	s.val[id] = v
-	for _, fo := range s.c.Gate(id).Fanout {
+	for _, fo := range s.c.Fanout(id) {
 		if !s.c.Gate(fo).IsSource() {
 			s.schedule(fo)
 		}
@@ -85,13 +85,13 @@ func (s *Sim) setSource(id netlist.GateID, v logic.V) {
 
 // eval recomputes one gate from its fanin values.
 func (s *Sim) eval(id netlist.GateID) logic.V {
-	g := s.c.Gate(id)
-	in := s.inBuf[:len(g.Fanin)]
-	for j, f := range g.Fanin {
+	fanin := s.c.Fanin(id)
+	in := s.inBuf[:len(fanin)]
+	for j, f := range fanin {
 		in[j] = s.val[f]
 	}
 	s.Events++
-	return logic.Eval(g.Op, in)
+	return logic.Eval(s.c.Gate(id).Op, in)
 }
 
 // settle processes the event queue level by level until quiescent.
@@ -106,7 +106,7 @@ func (s *Sim) settle() {
 				continue
 			}
 			s.val[id] = nv
-			for _, fo := range s.c.Gate(id).Fanout {
+			for _, fo := range s.c.Fanout(id) {
 				if !s.c.Gate(fo).IsSource() {
 					s.schedule(fo)
 				}
@@ -132,7 +132,7 @@ func (s *Sim) Clock() {
 	// Sample all D inputs first so FF-to-FF chains latch simultaneously.
 	next := make([]logic.V, len(s.c.DFFs))
 	for i, ff := range s.c.DFFs {
-		next[i] = s.val[s.c.Gate(ff).Fanin[0]]
+		next[i] = s.val[s.c.Fanin(ff)[0]]
 	}
 	for i, ff := range s.c.DFFs {
 		s.setSource(ff, next[i])

@@ -60,12 +60,12 @@ func (b *brute) cycle(vec []logic.V) []logic.V {
 	}
 	for _, lv := range b.c.Levels {
 		for _, id := range lv {
-			g := b.c.Gate(id)
-			in := make([]logic.V, len(g.Fanin))
-			for j, f := range g.Fanin {
+			fanin := b.c.Fanin(id)
+			in := make([]logic.V, len(fanin))
+			for j, f := range fanin {
 				in[j] = b.val[f]
 			}
-			b.val[id] = logic.Eval(g.Op, in)
+			b.val[id] = logic.Eval(b.c.Gate(id).Op, in)
 		}
 	}
 	out := make([]logic.V, len(b.c.POs))
@@ -74,7 +74,7 @@ func (b *brute) cycle(vec []logic.V) []logic.V {
 	}
 	next := make([]logic.V, len(b.c.DFFs))
 	for i, ff := range b.c.DFFs {
-		next[i] = b.val[b.c.Gate(ff).Fanin[0]]
+		next[i] = b.val[b.c.Fanin(ff)[0]]
 	}
 	for i, ff := range b.c.DFFs {
 		b.val[ff] = next[i]

@@ -280,8 +280,8 @@ func forEachStore(pass *Pass, n *flow.Node, report func(pos ast.Node, target str
 
 // checkStoreTarget peels the assigned expression's selector/index/deref
 // chain outward-in and reports the innermost base whose type is marked
-// immutable: m.gateInstr[g] = v, c.Gates[i].Fanin = x, *p = Plan{} all
-// resolve to their frozen root.
+// immutable: m.gateInstr[g] = v, c.Gates[i].Level = x, c.Fanins[j] = x
+// and *p = Plan{} all resolve to their frozen root.
 func checkStoreTarget(pass *Pass, e ast.Expr, report func(pos ast.Node, target string), isImm func(types.Type) (string, bool)) {
 	orig := e
 	for {

@@ -88,8 +88,8 @@ func Trivial(c *netlist.Circuit) *Plan {
 		}
 		id := netlist.GateID(i)
 		m := &Macro{Root: id, gateInstr: map[netlist.GateID]int32{id: 0}}
-		m.Leaves = append(m.Leaves, g.Fanin...)
-		args := make([]int32, len(g.Fanin))
+		m.Leaves = append(m.Leaves, c.Fanin(id)...)
+		args := make([]int32, len(m.Leaves))
 		for j := range args {
 			args[j] = int32(j)
 		}
@@ -138,15 +138,16 @@ func extract(c *netlist.Circuit, maxInputs int, reconvergent bool) (*Plan, error
 		if g.IsSource() {
 			continue
 		}
-		if g.PO || len(g.Fanout) == 0 {
+		fanout := c.Fanout(netlist.GateID(i))
+		if g.PO || len(fanout) == 0 {
 			isRoot[i] = true
 			continue
 		}
-		if !reconvergent && len(g.Fanout) != 1 {
+		if !reconvergent && len(fanout) != 1 {
 			isRoot[i] = true
 			continue
 		}
-		for _, fo := range g.Fanout {
+		for _, fo := range fanout {
 			if c.Gate(fo).IsSource() { // feeds a DFF D pin
 				isRoot[i] = true
 				break
@@ -176,7 +177,7 @@ func extract(c *netlist.Circuit, maxInputs int, reconvergent bool) (*Plan, error
 				continue
 			}
 			ready := true
-			for _, fo := range g.Fanout {
+			for _, fo := range c.Fanout(netlist.GateID(i)) {
 				fog := c.Gate(fo)
 				if !fog.IsSource() && !absorbed[fo] && !isRoot[fo] {
 					ready = false
@@ -209,7 +210,7 @@ func growMacro(c *netlist.Circuit, root netlist.GateID, maxInputs int, isRoot, a
 			leaves = append(leaves, g)
 		}
 	}
-	for _, f := range c.Gate(root).Fanin {
+	for _, f := range c.Fanin(root) {
 		addLeaf(f)
 	}
 	// Absorb leaves while the cap permits. Work queue order is
@@ -218,15 +219,15 @@ func growMacro(c *netlist.Circuit, root netlist.GateID, maxInputs int, isRoot, a
 		changed = false
 		for li := 0; li < len(leaves); li++ {
 			cand := leaves[li]
-			g := c.Gate(cand)
-			if g.IsSource() || isRoot[cand] || absorbed[cand] {
+			if c.Gate(cand).IsSource() || isRoot[cand] || absorbed[cand] {
 				continue
 			}
-			if !reconvergent && len(g.Fanout) != 1 {
+			fanout := c.Fanout(cand)
+			if !reconvergent && len(fanout) != 1 {
 				continue
 			}
 			inside := true
-			for _, fo := range g.Fanout {
+			for _, fo := range fanout {
 				if !members[fo] {
 					inside = false
 					break
@@ -238,7 +239,7 @@ func growMacro(c *netlist.Circuit, root netlist.GateID, maxInputs int, isRoot, a
 			// Tentative new leaf set.
 			newCount := len(leaves) - 1
 			fresh := 0
-			for _, f := range g.Fanin {
+			for _, f := range c.Fanin(cand) {
 				if !leafSet[f] || f == cand {
 					fresh++
 				}
@@ -251,7 +252,7 @@ func growMacro(c *netlist.Circuit, root netlist.GateID, maxInputs int, isRoot, a
 			delete(leafSet, cand)
 			members[cand] = true
 			absorbed[cand] = true
-			for _, f := range g.Fanin {
+			for _, f := range c.Fanin(cand) {
 				addLeaf(f)
 			}
 			changed = true
@@ -282,8 +283,9 @@ func compile(c *netlist.Circuit, root netlist.GateID, members map[netlist.GateID
 	}
 	for i, g := range order {
 		gg := c.Gate(g)
-		args := make([]int32, len(gg.Fanin))
-		for j, f := range gg.Fanin {
+		fanin := c.Fanin(g)
+		args := make([]int32, len(fanin))
+		for j, f := range fanin {
 			s, ok := slot[f]
 			if !ok {
 				panic(fmt.Sprintf("macro: operand %s of %s unresolved", c.Gate(f).Name, gg.Name))

@@ -176,12 +176,12 @@ func flatEval(c *netlist.Circuit, src map[netlist.GateID]logic.V) map[netlist.Ga
 	}
 	for _, lv := range c.Levels {
 		for _, id := range lv {
-			g := c.Gate(id)
-			in := make([]logic.V, len(g.Fanin))
-			for j, f := range g.Fanin {
+			fanin := c.Fanin(id)
+			in := make([]logic.V, len(fanin))
+			for j, f := range fanin {
 				in[j] = val[f]
 			}
-			val[id] = logic.Eval(g.Op, in)
+			val[id] = logic.Eval(c.Gate(id).Op, in)
 		}
 	}
 	return val
@@ -272,8 +272,9 @@ func flatEvalStuck(c *netlist.Circuit, src map[netlist.GateID]logic.V, f faults.
 	for _, lv := range c.Levels {
 		for _, id := range lv {
 			g := c.Gate(id)
-			in := make([]logic.V, len(g.Fanin))
-			for j, fi := range g.Fanin {
+			fanin := c.Fanin(id)
+			in := make([]logic.V, len(fanin))
+			for j, fi := range fanin {
 				in[j] = val[fi]
 				if f.Gate == id && int(f.Pin) == j {
 					in[j] = f.Kind.StuckValue()

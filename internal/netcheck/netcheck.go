@@ -37,11 +37,16 @@ func AsError(ps []Problem) error {
 }
 
 // Check runs every structural circuit check and returns the problems
-// found: driver arity and op arity, fanin/fanout edge mirroring, index
-// table consistency, combinational loops, and level monotonicity.
-// Pinned by benchmark/; goes with ROADMAP item 3's [benchmark] refresh.
+// found: adjacency layout, driver arity and op arity, fanin/fanout edge
+// mirroring, index table consistency, combinational loops, and level
+// monotonicity. A malformed adjacency is reported alone, since every
+// other check reads the lists it cuts.
+// Pinned by benchmark/; goes with the `[benchmark]` yardstick refresh.
 func Check(c *netlist.Circuit) []Problem {
-	var ps []Problem
+	ps := checkAdjacency(c)
+	if len(ps) > 0 {
+		return ps
+	}
 	ps = append(ps, checkDrivers(c)...)
 	ps = append(ps, checkEdges(c)...)
 	ps = append(ps, checkIndexes(c)...)
@@ -60,6 +65,36 @@ func gname(c *netlist.Circuit, id netlist.GateID) string {
 	return c.Gate(id).Name
 }
 
+// checkAdjacency verifies the two offsets arrays cut their ID arrays into
+// one window per gate: one entry per gate plus one, starting at 0, never
+// falling, and ending at the ID array's length.
+func checkAdjacency(c *netlist.Circuit) []Problem {
+	ps := checkOffsets(c, "Fanin", c.FaninOff, len(c.Fanins))
+	return append(ps, checkOffsets(c, "Fanout", c.FanoutOff, len(c.Fanouts))...)
+}
+
+func checkOffsets(c *netlist.Circuit, dir string, off []int32, ids int) []Problem {
+	if len(off) != len(c.Gates)+1 {
+		return []Problem{{"adjacency",
+			fmt.Sprintf("%sOff has %d entries for %d gates, want %d", dir, len(off), len(c.Gates), len(c.Gates)+1)}}
+	}
+	var ps []Problem
+	if off[0] != 0 {
+		ps = append(ps, Problem{"adjacency", fmt.Sprintf("%sOff starts at %d, want 0", dir, off[0])})
+	}
+	for g := range c.Gates {
+		if off[g+1] < off[g] {
+			ps = append(ps, Problem{"adjacency",
+				fmt.Sprintf("%sOff falls from %d to %d at %s", dir, off[g], off[g+1], c.Gates[g].Name)})
+		}
+	}
+	if end := off[len(c.Gates)]; int(end) != ids {
+		ps = append(ps, Problem{"adjacency",
+			fmt.Sprintf("%sOff ends at %d, but %ss holds %d", dir, end, dir, ids)})
+	}
+	return ps
+}
+
 // checkDrivers verifies every net has exactly the drivers its op allows:
 // INPUT gates are undriven by definition, everything else needs fanin
 // (undriven net), and no op accepts more fanins than its arity (the
@@ -68,27 +103,28 @@ func checkDrivers(c *netlist.Circuit) []Problem {
 	var ps []Problem
 	for i := range c.Gates {
 		g := &c.Gates[i]
-		for _, f := range g.Fanin {
+		fanin := c.Fanin(netlist.GateID(i))
+		for _, f := range fanin {
 			if !inRange(f, len(c.Gates)) {
 				ps = append(ps, Problem{"bad-edge",
 					fmt.Sprintf("%s has out-of-range fanin %d", g.Name, f)})
 			}
 		}
 		if g.Op == logic.OpInput {
-			if len(g.Fanin) != 0 {
+			if len(fanin) != 0 {
 				ps = append(ps, Problem{"multiply-driven",
-					fmt.Sprintf("input %s is driven by %d gate(s)", g.Name, len(g.Fanin))})
+					fmt.Sprintf("input %s is driven by %d gate(s)", g.Name, len(fanin))})
 			}
 			continue
 		}
-		if len(g.Fanin) == 0 {
+		if len(fanin) == 0 {
 			ps = append(ps, Problem{"undriven",
 				fmt.Sprintf("%s (%v) has no fanin", g.Name, g.Op)})
 			continue
 		}
-		if !netlist.ArityOK(g.Op, len(g.Fanin)) {
+		if !netlist.ArityOK(g.Op, len(fanin)) {
 			ps = append(ps, Problem{"arity",
-				fmt.Sprintf("%s: %v cannot take %d input(s)", g.Name, g.Op, len(g.Fanin))})
+				fmt.Sprintf("%s: %v cannot take %d input(s)", g.Name, g.Op, len(fanin))})
 		}
 	}
 	return ps
@@ -108,12 +144,10 @@ func checkEdges(c *netlist.Circuit) []Problem {
 	// that name d as a fanin, once per reference.
 	ends := make([]int32, n+1)
 	refs := 0
-	for i := range c.Gates {
-		for _, f := range c.Gates[i].Fanin {
-			if inRange(f, n) {
-				ends[f+1]++
-				refs++
-			}
+	for _, f := range c.Fanins {
+		if inRange(f, n) {
+			ends[f+1]++
+			refs++
 		}
 	}
 	for d := 0; d < n; d++ {
@@ -123,7 +157,7 @@ func checkEdges(c *netlist.Circuit) []Problem {
 	next := make([]int32, n)
 	copy(next, ends)
 	for i := range c.Gates {
-		for _, f := range c.Gates[i].Fanin {
+		for _, f := range c.Fanin(netlist.GateID(i)) {
 			if inRange(f, n) {
 				readers[next[f]] = netlist.GateID(i)
 				next[f]++
@@ -140,7 +174,8 @@ func checkEdges(c *netlist.Circuit) []Problem {
 		for _, t := range in {
 			down[t]++
 		}
-		for _, t := range c.Gates[d].Fanout {
+		out := c.Fanout(id)
+		for _, t := range out {
 			if !inRange(t, n) {
 				ps = append(ps, Problem{"bad-edge",
 					fmt.Sprintf("%s has out-of-range fanout %d", c.Gates[d].Name, t)})
@@ -159,7 +194,7 @@ func checkEdges(c *netlist.Circuit) []Problem {
 			}
 			down[t], up[t] = 0, 0
 		}
-		for _, t := range c.Gates[d].Fanout {
+		for _, t := range out {
 			if inRange(t, n) && up[t] != 0 {
 				ps = append(ps, Problem{"edge-mirror",
 					fmt.Sprintf("%s->%s: %d fanout reference(s) but no fanin reference",
@@ -249,13 +284,13 @@ func checkCombLoops(c *netlist.Circuit) []Problem {
 		color[start] = gray
 		for len(stack) > 0 {
 			fr := &stack[len(stack)-1]
-			g := &c.Gates[fr.g]
-			if fr.fi >= len(g.Fanin) {
+			fanin := c.Fanin(fr.g)
+			if fr.fi >= len(fanin) {
 				color[fr.g] = black
 				stack = stack[:len(stack)-1]
 				continue
 			}
-			next := g.Fanin[fr.fi]
+			next := fanin[fr.fi]
 			fr.fi++
 			if c.Gate(next).IsSource() {
 				continue // DFF or PI: sequential/terminal, not part of a comb path
@@ -301,7 +336,7 @@ func checkLevels(c *netlist.Circuit) []Problem {
 		if g.Level > maxSeen {
 			maxSeen = g.Level
 		}
-		for _, f := range g.Fanin {
+		for _, f := range c.Fanin(netlist.GateID(i)) {
 			fg := c.Gate(f)
 			fl := fg.Level
 			if fg.IsSource() {

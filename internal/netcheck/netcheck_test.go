@@ -68,6 +68,25 @@ func chain(t *testing.T) *netlist.Circuit {
 	return c
 }
 
+// recut gives gate g the list ids in one direction of a circuit's
+// adjacency, passed as its offsets and ID arrays, and re-cuts both arrays
+// around it: every other gate keeps its list.
+func recut(off *[]int32, all *[]netlist.GateID, g netlist.GateID, ids ...netlist.GateID) {
+	o, a := *off, *all
+	newOff := make([]int32, len(o))
+	var newAll []netlist.GateID
+	for h := range len(o) - 1 {
+		newOff[h] = int32(len(newAll))
+		if h == int(g) {
+			newAll = append(newAll, ids...)
+		} else {
+			newAll = append(newAll, a[o[h]:o[h+1]]...)
+		}
+	}
+	newOff[len(o)-1] = int32(len(newAll))
+	*off, *all = newOff, newAll
+}
+
 func wantProblem(t *testing.T, ps []Problem, check, substr string) {
 	t.Helper()
 	for _, p := range ps {
@@ -80,28 +99,28 @@ func wantProblem(t *testing.T, ps []Problem, check, substr string) {
 
 func TestUndrivenGate(t *testing.T) {
 	c := chain(t)
-	c.Gates[c.MustByName("a")].Fanin = nil
+	recut(&c.FaninOff, &c.Fanins, c.MustByName("a"))
 	wantProblem(t, Check(c), "undriven", "a")
 }
 
 func TestMultiplyDrivenInput(t *testing.T) {
 	c := chain(t)
 	i := c.MustByName("i")
-	c.Gates[i].Fanin = []netlist.GateID{c.MustByName("b")}
+	recut(&c.FaninOff, &c.Fanins, i, c.MustByName("b"))
 	wantProblem(t, Check(c), "multiply-driven", "i")
 }
 
 func TestArityViolation(t *testing.T) {
 	c := chain(t)
 	a := c.MustByName("a")
-	c.Gates[a].Fanin = append(c.Gates[a].Fanin, c.MustByName("i"))
+	recut(&c.FaninOff, &c.Fanins, a, append(c.Fanin(a), c.MustByName("i"))...)
 	wantProblem(t, Check(c), "arity", "a")
 }
 
 func TestEdgeMirrorBreak(t *testing.T) {
 	c := chain(t)
 	i := c.MustByName("i")
-	c.Gates[i].Fanout = nil // a still lists i as fanin
+	recut(&c.FanoutOff, &c.Fanouts, i) // a still lists i as fanin
 	wantProblem(t, Check(c), "edge-mirror", "i")
 }
 
@@ -115,9 +134,9 @@ func TestCombLoop(t *testing.T) {
 	// Rewire a's fanin from i to b: a <- b <- a.
 	c := chain(t)
 	a, b, i := c.MustByName("a"), c.MustByName("b"), c.MustByName("i")
-	c.Gates[a].Fanin = []netlist.GateID{b}
-	c.Gates[b].Fanout = append(c.Gates[b].Fanout, a)
-	c.Gates[i].Fanout = nil
+	recut(&c.FaninOff, &c.Fanins, a, b)
+	recut(&c.FanoutOff, &c.Fanouts, b, append(c.Fanout(b), a)...)
+	recut(&c.FanoutOff, &c.Fanouts, i)
 	ps := Check(c)
 	wantProblem(t, ps, "comb-loop", "a")
 }
@@ -209,31 +228,31 @@ func TestCheckExactProblems(t *testing.T) {
 	}{
 		{"fanin listed twice, one fanout entry", and2, func(c *netlist.Circuit) {
 			i := c.MustByName("i")
-			c.Gates[c.MustByName("g")].Fanin = []netlist.GateID{i, i}
+			recut(&c.FaninOff, &c.Fanins, c.MustByName("g"), i, i)
 		}, []string{
 			"edge-mirror: i->g: 2 fanin reference(s) but 1 fanout reference(s)",
 			"edge-mirror: j->g: 1 fanout reference(s) but no fanin reference",
 		}},
 		{"fanout listed twice, one fanin entry", and2, func(c *netlist.Circuit) {
 			i, g := c.MustByName("i"), c.MustByName("g")
-			c.Gates[i].Fanout = []netlist.GateID{g, g}
+			recut(&c.FanoutOff, &c.Fanouts, i, g, g)
 		}, []string{
 			"edge-mirror: i->g: 1 fanin reference(s) but 2 fanout reference(s)",
 		}},
 		{"fanout with no fanin", chain, func(c *netlist.Circuit) {
 			i, a, b := c.MustByName("i"), c.MustByName("a"), c.MustByName("b")
-			c.Gates[i].Fanout = []netlist.GateID{a, b}
+			recut(&c.FanoutOff, &c.Fanouts, i, a, b)
 		}, []string{
 			"edge-mirror: i->b: 1 fanout reference(s) but no fanin reference",
 		}},
 		{"fanin with no fanout", chain, func(c *netlist.Circuit) {
-			c.Gates[c.MustByName("a")].Fanout = nil
+			recut(&c.FanoutOff, &c.Fanouts, c.MustByName("a"))
 		}, []string{
 			"edge-mirror: a->b: 1 fanin reference(s) but 0 fanout reference(s)",
 		}},
 		{"fanout IDs out of range", chain, func(c *netlist.Circuit) {
 			i, a := c.MustByName("i"), c.MustByName("a")
-			c.Gates[i].Fanout = []netlist.GateID{99, a, -1}
+			recut(&c.FanoutOff, &c.Fanouts, i, 99, a, -1)
 		}, []string{
 			"bad-edge: i has out-of-range fanout -1",
 			"bad-edge: i has out-of-range fanout 99",
@@ -261,6 +280,30 @@ func TestCheckExactProblems(t *testing.T) {
 			"level: gate a appears in Levels twice",
 			"level: gate a bucketed at level 2 but has Level 1",
 			"level: gate b missing from Levels buckets",
+		}},
+		// A malformed adjacency is reported alone: the other checks would
+		// index out of the arrays it cuts.
+		{"fanin offsets falling", chain, func(c *netlist.Circuit) {
+			c.FaninOff[1] = 2
+		}, []string{
+			"adjacency: FaninOff falls from 2 to 1 at a",
+		}},
+		{"fanout offsets not starting at 0", chain, func(c *netlist.Circuit) {
+			c.FanoutOff[0] = 1
+		}, []string{
+			"adjacency: FanoutOff starts at 1, want 0",
+		}},
+		{"fanin offsets past the IDs", chain, func(c *netlist.Circuit) {
+			c.Fanins = c.Fanins[:1]
+		}, []string{
+			"adjacency: FaninOff ends at 2, but Fanins holds 1",
+		}},
+		{"offsets arrays of the wrong length", chain, func(c *netlist.Circuit) {
+			c.FaninOff = append(c.FaninOff, 2)
+			c.FanoutOff = c.FanoutOff[:2]
+		}, []string{
+			"adjacency: FaninOff has 5 entries for 3 gates, want 4",
+			"adjacency: FanoutOff has 2 entries for 3 gates, want 4",
 		}},
 	} {
 		c := tc.circuit(t)

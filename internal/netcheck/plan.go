@@ -125,14 +125,14 @@ func CheckPlanMaximal(p *macro.Plan, maxInputs int, reconvergent bool) []Problem
 // without pushing the leaf count past maxInputs.
 func absorbable(p *macro.Plan, m *macro.Macro, l netlist.GateID, leafSet map[netlist.GateID]bool, maxInputs int, reconvergent bool) bool {
 	c := p.C
-	g := c.Gate(l)
-	if g.IsSource() || g.PO || len(g.Fanout) == 0 {
+	g, fanout := c.Gate(l), c.Fanout(l)
+	if g.IsSource() || g.PO || len(fanout) == 0 {
 		return false
 	}
-	if !reconvergent && len(g.Fanout) != 1 {
+	if !reconvergent && len(fanout) != 1 {
 		return false
 	}
-	for _, fo := range g.Fanout {
+	for _, fo := range fanout {
 		if c.Gate(fo).IsSource() {
 			return false // feeds a DFF D pin: natural root
 		}
@@ -142,7 +142,7 @@ func absorbable(p *macro.Plan, m *macro.Macro, l netlist.GateID, leafSet map[net
 	}
 	newCount := len(m.Leaves) - 1
 	fresh := 0
-	for _, f := range g.Fanin {
+	for _, f := range c.Fanin(l) {
 		if !leafSet[f] || f == l {
 			fresh++
 		}

@@ -25,11 +25,11 @@ func CheckUniverse(u *faults.Universe) []Problem {
 				fmt.Sprintf("fault %d sited at out-of-range gate %d", f.ID, f.Gate)})
 			continue
 		}
-		g := c.Gate(f.Gate)
-		if f.Pin != faults.OutPin && (f.Pin < 0 || int(f.Pin) >= len(g.Fanin)) {
+		g, pins := c.Gate(f.Gate), len(c.Fanin(f.Gate))
+		if f.Pin != faults.OutPin && (f.Pin < 0 || int(f.Pin) >= pins) {
 			ps = append(ps, Problem{"fault-site",
 				fmt.Sprintf("fault %d on %s pin %d, gate has %d input(s)",
-					f.ID, g.Name, f.Pin, len(g.Fanin))})
+					f.ID, g.Name, f.Pin, pins)})
 		}
 		switch f.Kind {
 		case faults.SA0, faults.SA1:

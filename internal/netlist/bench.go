@@ -132,8 +132,9 @@ func WriteBench(w io.Writer, c *Circuit) error {
 		if g.Op == logic.OpInput {
 			continue
 		}
-		names := make([]string, len(g.Fanin))
-		for j, f := range g.Fanin {
+		fanin := c.Fanin(GateID(i))
+		names := make([]string, len(fanin))
+		for j, f := range fanin {
 			names[j] = c.Gates[f].Name
 		}
 		fmt.Fprintf(bw, "%s = %s(%s)\n", g.Name, g.Op, strings.Join(names, ", "))

@@ -105,24 +105,29 @@ func ArityOK(op logic.Op, n int) bool {
 // every problem found, joined, so a malformed .bench file surfaces all of
 // its undefined-fanin and duplicate-definition sites in one pass.
 //
-// Every fanin name is looked up once, into one array of driver IDs that
-// the gates' Fanin slices are cut from; the Fanout slices are cut from a
-// second array of the same length, filled from the first. The gate names
-// are copied into one string the Name fields are cut from, so the circuit
-// holds on to no text it was parsed from.
+// Every fanin name is looked up once, into the circuit's Fanins at the
+// position it holds in the Builder's args, so FaninOff is the args
+// offsets; Fanouts, of the same length, is filled from Fanins. The gate
+// names are copied into one string the Name fields are cut from, so the
+// circuit holds on to no text it was parsed from.
 func (b *Builder) Build() (*Circuit, error) {
 	errs := append([]error(nil), b.errs...)
 	n := len(b.gates)
-	c := &Circuit{Name: b.name, Gates: make([]Gate, n)}
+	c := &Circuit{
+		Name:      b.name,
+		Gates:     make([]Gate, n),
+		FaninOff:  make([]int32, n+1),
+		Fanins:    make([]GateID, len(b.args)),
+		FanoutOff: make([]int32, n+1), // [g+1]: fanout count of g, then its end offset
+	}
 	names := b.nameArena()
-	fanin := make([]GateID, 0, len(b.args))
-	outs := make([]int32, n+1) // outs[g+1]: fanout count of g, then its end offset
+	for i := range b.gates {
+		c.FaninOff[i] = b.gates[i].args
+	}
+	c.FaninOff[n] = int32(len(b.args))
 	for i := range b.gates {
 		p := &b.gates[i]
-		args := b.args[p.args:]
-		if i+1 < n {
-			args = b.args[p.args:b.gates[i+1].args]
-		}
+		args := b.args[p.args:c.FaninOff[i+1]]
 		if !ArityOK(p.op, len(args)) {
 			errs = append(errs, fmt.Errorf("netlist: gate %q (%v) has %d inputs", p.name, p.op, len(args)))
 		}
@@ -130,19 +135,18 @@ func (b *Builder) Build() (*Circuit, error) {
 			errs = append(errs, fmt.Errorf("netlist: gate %q has %d inputs; exceeds %d (run Decompose)",
 				p.name, len(args), logic.MaxPins))
 		}
-		lo := len(fanin)
-		for _, fn := range args {
+		for j, fn := range args {
 			src, ok := b.byName[fn]
 			if !ok {
 				errs = append(errs, fmt.Errorf("netlist: gate %q references undriven signal %q", p.name, fn))
 				continue
 			}
-			fanin = append(fanin, src)
-			outs[src+1]++
+			c.Fanins[int(p.args)+j] = src
+			c.FanoutOff[src+1]++
 		}
 		name := names[:len(p.name)]
 		names = names[len(p.name):]
-		c.Gates[i] = Gate{Name: name, Op: p.op, Fanin: cut(fanin, lo, len(fanin))}
+		c.Gates[i] = Gate{Name: name, Op: p.op}
 		switch p.op {
 		case logic.OpInput:
 			c.PIs = append(c.PIs, GateID(i))
@@ -169,20 +173,18 @@ func (b *Builder) Build() (*Circuit, error) {
 	}
 	// Consumers are visited in ID order, pins in pin order, so a gate that
 	// reads a signal on two pins is listed twice in that signal's Fanout.
+	outs := c.FanoutOff
 	for g := 0; g < n; g++ {
 		outs[g+1] += outs[g]
 	}
-	fanout := make([]GateID, len(fanin))
+	c.Fanouts = make([]GateID, len(c.Fanins))
 	next := make([]int32, n)
 	copy(next, outs)
 	for i := range c.Gates {
-		for _, src := range c.Gates[i].Fanin {
-			fanout[next[src]] = GateID(i)
+		for _, src := range c.Fanin(GateID(i)) {
+			c.Fanouts[next[src]] = GateID(i)
 			next[src]++
 		}
-	}
-	for g := range c.Gates {
-		c.Gates[g].Fanout = cut(fanout, int(outs[g]), int(outs[g+1]))
 	}
 	if err := c.levelize(); err != nil {
 		return nil, err
@@ -205,16 +207,6 @@ func (b *Builder) nameArena() string {
 	return sb.String()
 }
 
-// cut returns ids[lo:hi] with its capacity limited to its length, so an
-// append to one gate's list cannot run into the next gate's; nil when
-// empty.
-func cut(ids []GateID, lo, hi int) []GateID {
-	if lo == hi {
-		return nil
-	}
-	return ids[lo:hi:hi]
-}
-
 // levelize assigns combinational levels: sources (PIs, DFFs) at level 0,
 // every other gate at 1 + max(fanin levels). Detects combinational cycles.
 func (c *Circuit) levelize() error {
@@ -230,10 +222,10 @@ func (c *Circuit) levelize() error {
 			continue
 		}
 		g.Level = unset
-		pending[i] = int32(len(g.Fanin))
+		pending[i] = int32(len(c.Fanin(GateID(i))))
 	}
 	for head := 0; head < len(queue); head++ {
-		for _, fo := range c.Gates[queue[head]].Fanout {
+		for _, fo := range c.Fanout(queue[head]) {
 			fg := &c.Gates[fo]
 			if fg.IsSource() {
 				continue // DFF D-input does not propagate levels
@@ -241,7 +233,7 @@ func (c *Circuit) levelize() error {
 			pending[fo]--
 			if pending[fo] == 0 {
 				lvl := int32(0)
-				for _, fi := range fg.Fanin {
+				for _, fi := range c.Fanin(fo) {
 					if l := c.Gates[fi].Level; l > lvl {
 						lvl = l
 					}
@@ -261,8 +253,9 @@ func (c *Circuit) levelize() error {
 			c.MaxLevel = l
 		}
 	}
-	// The buckets are cut from one array and filled in ID order, so each
-	// comes out sorted.
+	// The buckets are cut from one array, each capped at its length so an
+	// append to one cannot run into the next, and filled in ID order, so
+	// each comes out sorted.
 	ends := make([]int32, c.MaxLevel+2) // ends[l+1]: gates at level l, then the bucket's end
 	for i := range c.Gates {
 		if g := &c.Gates[i]; !g.IsSource() {
@@ -275,7 +268,7 @@ func (c *Circuit) levelize() error {
 	flat := make([]GateID, ends[c.MaxLevel+1])
 	c.Levels = make([][]GateID, c.MaxLevel+1)
 	for l := range c.Levels {
-		c.Levels[l] = cut(flat, int(ends[l]), int(ends[l+1]))
+		c.Levels[l] = flat[ends[l]:ends[l+1]:ends[l+1]]
 	}
 	for i := range c.Gates {
 		if g := &c.Gates[i]; !g.IsSource() {

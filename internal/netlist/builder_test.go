@@ -35,11 +35,38 @@ func TestBuildReportsAllErrors(t *testing.T) {
 	}
 }
 
-// TestGateIs72Bytes pins the gate layout a cached circuit pays per node:
-// the fields widest first leave two bytes of padding, not ten.
-func TestGateIs72Bytes(t *testing.T) {
-	if sz := unsafe.Sizeof(Gate{}); sz != 72 {
-		t.Errorf("Gate is %d bytes, want 72", sz)
+// TestGateIs24Bytes pins the gate layout a cached circuit pays per node:
+// a name window, a level, an op and a flag, and no adjacency.
+func TestGateIs24Bytes(t *testing.T) {
+	if sz := unsafe.Sizeof(Gate{}); sz != 24 {
+		t.Errorf("Gate is %d bytes, want 24", sz)
+	}
+}
+
+// TestAdjacencyWindowsAreCapped: an append to one gate's fanin or fanout
+// list copies it out of the circuit's array instead of overwriting the
+// next gate's list.
+func TestAdjacencyWindowsAreCapped(t *testing.T) {
+	c, err := NewBuilder("pair").
+		Input("i").Input("j").
+		Gate("a", logic.OpAnd, "i", "j").
+		Gate("b", logic.OpOr, "j", "i").
+		Output("a").Output("b").
+		Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	i, j, a, b := c.MustByName("i"), c.MustByName("j"), c.MustByName("a"), c.MustByName("b")
+	if got := c.Fanin(a); cap(got) != len(got) {
+		t.Errorf("Fanin(a) has len %d, cap %d", len(got), cap(got))
+	}
+	_ = append(c.Fanin(a), a)
+	if got := c.Fanin(b); got[0] != j || got[1] != i {
+		t.Errorf("append to Fanin(a) rewrote Fanin(b): %v", got)
+	}
+	_ = append(c.Fanout(i), i)
+	if got := c.Fanout(j); got[0] != a || got[1] != b {
+		t.Errorf("append to Fanout(i) rewrote Fanout(j): %v", got)
 	}
 }
 
@@ -161,7 +188,7 @@ func TestDecomposeWideWithDFFFeedback(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range d.Gates {
-		if n := len(d.Gates[i].Fanin); n > 3 {
+		if n := len(d.Fanin(GateID(i))); n > 3 {
 			t.Errorf("gate %s still has %d fanins", d.Gates[i].Name, n)
 		}
 	}

@@ -23,16 +23,17 @@ func Decompose(c *Circuit, maxFanin int) (*Circuit, error) {
 	aux := 0
 	for i := range c.Gates {
 		g := &c.Gates[i]
+		fanin := c.Fanin(GateID(i))
 		switch g.Op {
 		case logic.OpInput:
 			b.Input(g.Name)
 			continue
 		case logic.OpDFF:
-			b.DFF(g.Name, c.Gates[g.Fanin[0]].Name)
+			b.DFF(g.Name, c.Gates[fanin[0]].Name)
 			continue
 		}
-		names := make([]string, len(g.Fanin))
-		for j, f := range g.Fanin {
+		names := make([]string, len(fanin))
+		for j, f := range fanin {
 			names[j] = c.Gates[f].Name
 		}
 		if len(names) <= maxFanin {

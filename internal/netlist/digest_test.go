@@ -55,8 +55,8 @@ func circuitDigest(c *netlist.Circuit) uint64 {
 			po = 1
 		}
 		d.num(int64(g.Op), int64(g.Level), po)
-		d.ids(g.Fanin)
-		d.ids(g.Fanout)
+		d.ids(c.Fanin(netlist.GateID(i)))
+		d.ids(c.Fanout(netlist.GateID(i)))
 	}
 	d.ids(c.PIs)
 	d.ids(c.POs)

@@ -25,21 +25,16 @@ const NoGate GateID = -1
 // combinational levelization. Gates live in the shared Circuit arena, so
 // they are as frozen as the Circuit that holds them.
 //
-// Fanin and Fanout are windows onto two arrays the whole circuit shares,
-// each as long as its window and no longer: they are read, never appended
-// to in place (an append copies the list out of the array). Name is a
-// window onto one string holding every gate name of the circuit.
-//
-// The fields are ordered widest first, so a gate is 72 bytes.
+// A gate holds no adjacency: its fanin and fanout lists are the
+// circuit's (Circuit.Fanin, Circuit.Fanout). Name is a window onto one
+// string holding every gate name of the circuit. A gate is 24 bytes.
 //
 //simlint:immutable
 type Gate struct {
-	Name   string
-	Fanin  []GateID
-	Fanout []GateID
-	Level  int32 // combinational level; 0 for PIs and DFFs
-	Op     logic.Op
-	PO     bool // the gate's output line is a primary output
+	Name  string
+	Level int32 // combinational level; 0 for PIs and DFFs
+	Op    logic.Op
+	PO    bool // the gate's output line is a primary output
 }
 
 // IsSource reports whether the gate is a combinational source (PI or DFF).
@@ -55,6 +50,15 @@ type Circuit struct {
 	Name  string
 	Gates []Gate
 
+	// The adjacency, one offsets array and one ID array per direction:
+	// gate g's fanins are Fanins[FaninOff[g]:FaninOff[g+1]], its consumers
+	// Fanouts[FanoutOff[g]:FanoutOff[g+1]]. Read them through Fanin and
+	// Fanout.
+	FaninOff  []int32
+	Fanins    []GateID
+	FanoutOff []int32
+	Fanouts   []GateID
+
 	PIs  []GateID // OpInput gates, in declaration order
 	POs  []GateID // driver gates of primary output lines, in declaration order
 	DFFs []GateID // OpDFF gates, in declaration order
@@ -65,11 +69,23 @@ type Circuit struct {
 	MaxLevel int32
 }
 
-// NumGates returns the total node count including PIs and DFFs.
-func (c *Circuit) NumGates() int { return len(c.Gates) }
-
 // Gate returns the gate with the given ID.
 func (c *Circuit) Gate(id GateID) *Gate { return &c.Gates[id] }
+
+// Fanin returns gate g's input gates, in pin order. The window's capacity
+// is its length, so an append copies the list out instead of writing into
+// the next gate's.
+func (c *Circuit) Fanin(g GateID) []GateID {
+	lo, hi := c.FaninOff[g], c.FaninOff[g+1]
+	return c.Fanins[lo:hi:hi]
+}
+
+// Fanout returns the gates that read g, in ID order, a gate reading g on
+// two pins listed twice. Its capacity is its length, as Fanin's is.
+func (c *Circuit) Fanout(g GateID) []GateID {
+	lo, hi := c.FanoutOff[g], c.FanoutOff[g+1]
+	return c.Fanouts[lo:hi:hi]
+}
 
 // ByName looks a gate up by its signal name. It scans the gates: a
 // circuit keeps no name index, since no simulation path looks a name up.
@@ -96,7 +112,7 @@ func (c *Circuit) MustByName(name string) GateID {
 // PinOf returns the input-pin index of gate `from` within gate `to`'s
 // fanin list, or -1 if not connected.
 func (c *Circuit) PinOf(to, from GateID) int {
-	for i, f := range c.Gates[to].Fanin {
+	for i, f := range c.Fanin(to) {
 		if f == from {
 			return i
 		}
@@ -122,18 +138,15 @@ type Stats struct {
 func (c *Circuit) Stats() Stats {
 	s := Stats{
 		Name: c.Name, PIs: len(c.PIs), POs: len(c.POs), DFFs: len(c.DFFs),
-		Ops: make(map[logic.Op]int), MaxLevel: int(c.MaxLevel),
+		Ops: make(map[logic.Op]int), MaxLevel: int(c.MaxLevel), Fanouts: len(c.Fanouts),
 	}
 	for i := range c.Gates {
 		g := &c.Gates[i]
 		s.Ops[g.Op]++
-		s.Fanouts += len(g.Fanout)
 		if !g.IsSource() {
 			s.Gates++
 		}
-		if len(g.Fanin) > s.MaxFanin {
-			s.MaxFanin = len(g.Fanin)
-		}
+		s.MaxFanin = max(s.MaxFanin, len(c.Fanin(GateID(i))))
 	}
 	return s
 }

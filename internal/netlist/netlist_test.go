@@ -68,7 +68,7 @@ func TestLevelization(t *testing.T) {
 		if g.IsSource() {
 			continue
 		}
-		for _, f := range g.Fanin {
+		for _, f := range c.Fanin(GateID(i)) {
 			if c.Gates[f].Level >= g.Level {
 				t.Errorf("gate %s (level %d) not above fanin %s (level %d)",
 					g.Name, g.Level, c.Gates[f].Name, c.Gates[f].Level)
@@ -93,12 +93,12 @@ func TestLevelization(t *testing.T) {
 func TestFanoutConsistency(t *testing.T) {
 	c := parseS27(t)
 	for i := range c.Gates {
-		for _, f := range c.Gates[i].Fanin {
+		for _, f := range c.Fanin(GateID(i)) {
 			if c.PinOf(GateID(i), f) < 0 {
 				t.Fatalf("PinOf broken for %s", c.Gates[i].Name)
 			}
 			found := false
-			for _, fo := range c.Gates[f].Fanout {
+			for _, fo := range c.Fanout(f) {
 				if fo == GateID(i) {
 					found = true
 				}
@@ -132,11 +132,12 @@ func TestBenchRoundTrip(t *testing.T) {
 			t.Fatalf("gate %q lost in round trip", g.Name)
 		}
 		g2 := c2.Gate(id2)
-		if g2.Op != g.Op || len(g2.Fanin) != len(g.Fanin) || g2.PO != g.PO {
+		in, in2 := c.Fanin(GateID(i)), c2.Fanin(id2)
+		if g2.Op != g.Op || len(in2) != len(in) || g2.PO != g.PO {
 			t.Errorf("gate %q changed: op %v->%v", g.Name, g.Op, g2.Op)
 		}
-		for j, f := range g.Fanin {
-			if c2.Gate(g2.Fanin[j]).Name != c.Gate(f).Name {
+		for j, f := range in {
+			if c2.Gate(in2[j]).Name != c.Gate(f).Name {
 				t.Errorf("gate %q fanin %d changed", g.Name, j)
 			}
 		}
@@ -200,7 +201,7 @@ func TestDecompose(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range d.Gates {
-		if n := len(d.Gates[i].Fanin); n > 4 {
+		if n := len(d.Fanin(GateID(i))); n > 4 {
 			t.Errorf("gate %s still has %d fanins", d.Gates[i].Name, n)
 		}
 	}
@@ -232,12 +233,12 @@ func evalFlat(t *testing.T, c *Circuit, piVals map[string]logic.V, out string) l
 	}
 	for _, lv := range c.Levels {
 		for _, id := range lv {
-			g := c.Gate(id)
-			in := make([]logic.V, len(g.Fanin))
-			for j, f := range g.Fanin {
+			fanin := c.Fanin(id)
+			in := make([]logic.V, len(fanin))
+			for j, f := range fanin {
 				in[j] = val[f]
 			}
-			val[id] = logic.Eval(g.Op, in)
+			val[id] = logic.Eval(c.Gate(id).Op, in)
 		}
 	}
 	return val[c.MustByName(out)]

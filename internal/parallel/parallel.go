@@ -20,7 +20,7 @@ import (
 // that computes Partition(u, k) agrees on which faults shard i holds, so
 // faults.MergeResults over all k shard results is bit-identical to a
 // whole-universe run.
-// Pinned by benchmark/; goes with ROADMAP item 3's [benchmark] refresh.
+// Pinned by benchmark/; goes with the `[benchmark]` yardstick refresh.
 func Partition(u *faults.Universe, k int) [][]int32 {
 	order := make([]int32, len(u.Faults))
 	for i := range order {

@@ -105,7 +105,7 @@ func New(u *faults.Universe) (*Sim, error) {
 		s.active[i] = int32(i)
 	}
 	for di, ff := range c.DFFs {
-		d := c.Gate(ff).Fanin[0]
+		d := c.Fanin(ff)[0]
 		s.dffsFedBy[d] = append(s.dffsFedBy[d], int32(di))
 	}
 	return s, nil
@@ -177,7 +177,7 @@ func (s *Sim) schedule(g netlist.GateID) {
 }
 
 func (s *Sim) scheduleFanouts(g netlist.GateID) {
-	for _, fo := range s.c.Gate(g).Fanout {
+	for _, fo := range s.c.Fanout(g) {
 		s.schedule(fo)
 	}
 }
@@ -213,7 +213,7 @@ func (s *Sim) evalGroup(g netlist.GateID, inj []injection) (uint64, uint64) {
 		}
 		first = false
 	}
-	for p, f := range gate.Fanin {
+	for p, f := range s.c.Fanin(g) {
 		a1, a0 := s.planes(f)
 		for _, in := range inj {
 			if in.pin == p {
@@ -394,7 +394,7 @@ func (s *Sim) runGroup(group []int32) {
 			}
 		}
 		for _, ce := range carry {
-			goodNewQ := s.good.Val(c.Gate(c.DFFs[ce.ff]).Fanin[0])
+			goodNewQ := s.good.Val(c.Fanin(c.DFFs[ce.ff])[0])
 			nd = setDiff(nd, ce.ff, ce.val, goodNewQ)
 		}
 		// Faults sited on sources feeding D pins, or on the DFF itself.
@@ -443,7 +443,7 @@ func (s *Sim) applyDFFSiteFault(nd []ffDiff, f *faults.Fault, lane int) []ffDiff
 			break
 		}
 	}
-	goodNewQ := s.good.Val(site.Fanin[0])
+	goodNewQ := s.good.Val(c.Fanin(f.Gate)[0])
 	switch f.Pin {
 	case faults.OutPin:
 		nd = setDiff(nd, di, f.Kind.StuckValue(), goodNewQ)

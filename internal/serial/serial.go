@@ -72,11 +72,11 @@ func (m *machine) cycle(vec []logic.V) []logic.V {
 	in := make([]logic.V, logic.MaxPins)
 	for _, lv := range m.c.Levels {
 		for _, id := range lv {
-			g := m.c.Gate(id)
-			for j, fi := range g.Fanin {
+			fanin := m.c.Fanin(id)
+			for j, fi := range fanin {
 				in[j] = m.pinValue(id, j, m.val[fi])
 			}
-			m.val[id] = m.outValue(id, logic.Eval(g.Op, in[:len(g.Fanin)]))
+			m.val[id] = m.outValue(id, logic.Eval(m.c.Gate(id).Op, in[:len(fanin)]))
 		}
 	}
 	out := make([]logic.V, len(m.c.POs))
@@ -85,7 +85,7 @@ func (m *machine) cycle(vec []logic.V) []logic.V {
 	}
 	next := make([]logic.V, len(m.c.DFFs))
 	for i, ff := range m.c.DFFs {
-		d := m.pinValue(ff, 0, m.val[m.c.Gate(ff).Fanin[0]])
+		d := m.pinValue(ff, 0, m.val[m.c.Fanin(ff)[0]])
 		next[i] = d
 	}
 	// Record the driver value for a transition fault site (the fired,
@@ -93,7 +93,7 @@ func (m *machine) cycle(vec []logic.V) []logic.V {
 	// site reaches the driver's value before the next sample. This must
 	// happen after the D pins were sampled above.
 	if f := m.fault; f != nil && !f.Kind.Stuck() {
-		driver := m.c.Gate(f.Gate).Fanin[f.Pin]
+		driver := m.c.Fanin(f.Gate)[f.Pin]
 		m.prevDriver = m.val[driver]
 	}
 	for i, ff := range m.c.DFFs {

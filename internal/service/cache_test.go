@@ -24,11 +24,13 @@ func liveHeap() int64 {
 // fresh copy of the netlist text as a request body would be, and reading
 // HeapAlloc after runtime.GC() between the stages. The weight is what the
 // cache's count bound multiplies; it read 994 KB per entry when the
-// circuit kept a name map and its gate names pointed into the text.
+// circuit kept a name map and its gate names pointed into the text, and
+// 662 KB when every gate carried its own fanin and fanout slice headers
+// and the program a copy of the fanins.
 // `go test ./internal/service -run TestCacheEntryWeight -v` prints the
 // per-stage figures DESIGN §10 tabulates.
 func TestCacheEntryWeight(t *testing.T) {
-	const entries, maxPerEntry = 40, 700 << 10
+	const entries, maxPerEntry = 40, 540 << 10
 	c, err := gen.Generate(gen.Spec{Name: "gen2779x179-1000", PIs: 35, POs: 49, DFFs: 179, Gates: 2779, Seed: 1000})
 	if err != nil {
 		t.Fatal(err)

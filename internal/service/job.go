@@ -73,7 +73,7 @@ type JobSpec struct {
 	Workers int `json:"workers,omitempty"`
 	// Windows is the removed vector-window count: 0 and 1 are accepted
 	// and mean the same thing, more is a 400. Pinned by benchmark/ (its
-	// shard specs send 1); goes with ROADMAP item 3's [benchmark] refresh.
+	// shard specs send 1); goes with the `[benchmark]` yardstick refresh.
 	Windows int `json:"windows,omitempty"`
 	// Random asks for this many seeded random vectors. Exactly one of
 	// Random and Vectors must be set.
@@ -206,8 +206,8 @@ type DetectionsView struct {
 }
 
 // NewDetectionsView extracts the detection payload from a result.
-// Pinned, with Result, by benchmark/; goes with ROADMAP item 3's
-// [benchmark] refresh.
+// Pinned, with Result, by benchmark/; goes with the
+// `[benchmark]` yardstick refresh.
 func NewDetectionsView(res *faults.Result) *DetectionsView {
 	dv := &DetectionsView{DetectedAt: make([]int32, len(res.DetectedAt))}
 	copy(dv.DetectedAt, res.DetectedAt)
@@ -292,7 +292,7 @@ type ResultView struct {
 	Workers int `json:"workers,omitempty"`
 	// Windows is 1 on every csim-grid result (0 otherwise). Pinned by
 	// benchmark/ (it reads the plan as workers x windows); goes with
-	// ROADMAP item 3's [benchmark] refresh.
+	// the `[benchmark]` yardstick refresh.
 	Windows int `json:"windows,omitempty"`
 	// RunNS is the measured engine wall time in nanoseconds.
 	RunNS int64 `json:"run_ns"`
@@ -588,7 +588,7 @@ func (j *job) currentStatus() Status {
 // setDistPhase records the coordinator state-machine phase (surfaced in
 // JobView.DistPhase) and mirrors it into the flight recorder. The
 // dist_phase kind (like server.go's run_start) is pinned by benchmark/
-// and goes with ROADMAP item 3's [benchmark] refresh.
+// and goes with the `[benchmark]` yardstick refresh.
 func (j *job) setDistPhase(phase string) {
 	j.mu.Lock()
 	j.distPhase = phase
