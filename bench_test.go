@@ -30,7 +30,7 @@ var benchEngines = []string{
 
 func deterministic(b *testing.B, name string) (*faults.Universe, *vectors.Set) {
 	b.Helper()
-	u, err := harness.StuckUniverse(name)
+	u, err := harness.Universe(name, "stuck")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func runCell(b *testing.B, eng string, u *faults.Universe, vs *vectors.Set) {
 func BenchmarkTable2Stats(b *testing.B) {
 	for _, name := range []string{"s298", "s1494", "s5378"} {
 		b.Run(name, func(b *testing.B) {
-			c, err := harness.Circuit(name)
+			c, err := iscas.Get(name)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -117,7 +117,7 @@ func BenchmarkTable4(b *testing.B) {
 // circuit.
 func BenchmarkTable5(b *testing.B) {
 	for _, n := range []int{100, 200} {
-		u, err := harness.StuckUniverse("s35932")
+		u, err := harness.Universe("s35932", "stuck")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -137,7 +137,7 @@ func BenchmarkTable5(b *testing.B) {
 func BenchmarkTable6(b *testing.B) {
 	for _, name := range []string{"s298", "s444", "s1238", "s1494"} {
 		b.Run(name, func(b *testing.B) {
-			u, err := harness.TransitionUniverse(name)
+			u, err := harness.Universe(name, "transition")
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -25,9 +25,11 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
+	"repro/internal/csim"
 	"repro/internal/engine"
 	"repro/internal/faults"
 	"repro/internal/harness"
@@ -93,8 +95,9 @@ func main() {
 	if err := netcheck.AsError(netcheck.Check(c)); err != nil {
 		fatal(err)
 	}
+	a := harness.Artifacts(c)
 	if *check {
-		if err := runCheck(c, *model); err != nil {
+		if err := runCheck(a, *model); err != nil {
 			fatal(err)
 		}
 		return
@@ -104,7 +107,7 @@ func main() {
 		fatal(err)
 	}
 	sp = ob.Span("collapse")
-	u, err := universe(c, *model)
+	u, err := a.Universe(*model)
 	sp.End()
 	if err != nil {
 		fatal(err)
@@ -252,38 +255,33 @@ func writeTo(path string, write func(w io.Writer) error) error {
 
 // runCheck is the -check mode: beyond the structural circuit checks
 // (already run on load), verify the selected fault model's universe and
-// the macro plans every engine variant would extract, then report.
-func runCheck(c *netlist.Circuit, model string) error {
-	u, err := universe(c, model)
+// the macro plans every engine variant would extract — trivial,
+// fanout-free and reconvergent — then report.
+func runCheck(a *engine.Artifacts, model string) error {
+	u, err := a.Universe(model)
 	if err != nil {
 		return err
 	}
 	if err := netcheck.AsError(netcheck.CheckUniverse(u)); err != nil {
 		return err
 	}
-	trivial := macro.Trivial(c)
-	if err := netcheck.AsError(netcheck.CheckPlan(trivial)); err != nil {
-		return err
-	}
-	plans := 1
-	for _, reconv := range []bool{false, true} {
-		var p *macro.Plan
-		if reconv {
-			p, err = macro.ExtractReconvergent(c, macro.DefaultMaxInputs)
-		} else {
-			p, err = macro.Extract(c, macro.DefaultMaxInputs)
-		}
+	plans := 0
+	for _, cfg := range []csim.Config{{}, csim.M(), {ReconvergentMacros: true}} {
+		p, err := a.Plan(cfg)
 		if err != nil {
 			return err
 		}
 		if err := netcheck.AsError(netcheck.CheckPlan(p)); err != nil {
 			return err
 		}
-		if err := netcheck.AsError(netcheck.CheckPlanMaximal(p, macro.DefaultMaxInputs, reconv)); err != nil {
-			return err
+		if cfg.Macros || cfg.ReconvergentMacros {
+			if err := netcheck.AsError(netcheck.CheckPlanMaximal(p, macro.DefaultMaxInputs, cfg.ReconvergentMacros)); err != nil {
+				return err
+			}
 		}
 		plans++
 	}
+	c := a.Circuit
 	st := c.Stats()
 	fmt.Printf("check:     %s OK (%d PI, %d PO, %d FF, %d gates; %d faults [%s]; %d plans verified)\n",
 		c.Name, st.PIs, st.POs, st.DFFs, st.Gates, u.NumFaults(), model, plans)
@@ -303,31 +301,19 @@ func engineNames() []string {
 	return names
 }
 
-// modelNames are the accepted -faults values.
-var modelNames = []string{"stuck", "stuck-all", "transition"}
-
 // validateSelections rejects unknown -engine/-faults/-suite values with
 // a one-line usage hint listing the accepted names.
 func validateSelections(engineName, model, suite string) error {
-	if names := engineNames(); !containsName(names, engineName) {
+	if names := engineNames(); !slices.Contains(names, engineName) {
 		return fmt.Errorf("unknown engine %q; usage: -engine %s", engineName, strings.Join(names, "|"))
 	}
-	if !containsName(modelNames, model) {
-		return fmt.Errorf("unknown fault model %q; usage: -faults %s", model, strings.Join(modelNames, "|"))
+	if !slices.Contains(engine.Models, model) {
+		return fmt.Errorf("unknown fault model %q; usage: -faults %s", model, strings.Join(engine.Models, "|"))
 	}
-	if suite != "" && !containsName(iscas.Names(), suite) {
+	if suite != "" && !slices.Contains(iscas.Names(), suite) {
 		return fmt.Errorf("unknown suite circuit %q; usage: -suite %s", suite, strings.Join(iscas.Names(), "|"))
 	}
 	return nil
-}
-
-func containsName(xs []string, x string) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }
 
 func loadCircuit(file, suite string) (*netlist.Circuit, error) {
@@ -362,18 +348,6 @@ func loadVectors(c *netlist.Circuit, file string, n int, seed int64) (*vectors.S
 		return vectors.Random(c, n, seed), nil
 	}
 	return nil, fmt.Errorf("one of -vectors or -random is required")
-}
-
-func universe(c *netlist.Circuit, model string) (*faults.Universe, error) {
-	switch model {
-	case "stuck":
-		return faults.StuckCollapsed(c), nil
-	case "stuck-all":
-		return faults.StuckAll(c), nil
-	case "transition":
-		return faults.Transition(c), nil
-	}
-	return nil, fmt.Errorf("unknown fault model %q", model)
 }
 
 func fatal(err error) {

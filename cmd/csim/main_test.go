@@ -6,6 +6,8 @@ import (
 	"os/exec"
 	"strings"
 	"testing"
+
+	"repro/internal/engine"
 )
 
 // TestMain lets a test run this binary as the csim command.
@@ -70,7 +72,7 @@ func TestValidateSelections(t *testing.T) {
 			t.Errorf("engine %q rejected: %v", eng, err)
 		}
 	}
-	for _, model := range modelNames {
+	for _, model := range engine.Models {
 		if err := validateSelections("csim-MV", model, ""); err != nil {
 			t.Errorf("model %q rejected: %v", model, err)
 		}

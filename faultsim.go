@@ -205,7 +205,8 @@ type GridConfig struct {
 	// with the `[benchmark]` yardstick refresh.
 	Config Config
 	// Program is the circuit's CompiledProgram to reuse; nil compiles it
-	// per run.
+	// per run. It seeds the run's artifact set, and goes with the
+	// `[benchmark]` yardstick refresh.
 	Program *CompiledProgram
 	// Obs attaches the observability layer; nil disables it.
 	Obs *Observer
@@ -233,9 +234,11 @@ func SimulateGrid(u *Universe, vs *Vectors, cfg GridConfig) (*Result, SimStats, 
 	if cfg.err != nil {
 		return nil, SimStats{}, cfg.err
 	}
-	return engine.Run(context.Background(), engine.CsimGrid, u, vs, engine.Options{
-		Workers: cfg.FaultShards, Program: cfg.Program, Obs: cfg.Obs,
-	})
+	opt := engine.Options{Workers: cfg.FaultShards, Obs: cfg.Obs}
+	if cfg.Program != nil {
+		opt.Artifacts = engine.PrepareProgram(cfg.Program)
+	}
+	return engine.Run(context.Background(), engine.CsimGrid, u, vs, opt)
 }
 
 // PlanGrid asks the scheduler for the fault split it would use for a

@@ -32,16 +32,7 @@ func Run(cells []Cell) (*Report, error) {
 // workload resolves a cell's fault universe and vector set through the
 // harness (the single source of workload truth — see internal/harness).
 func workload(c Cell) (*faults.Universe, *vectors.Set, error) {
-	var u *faults.Universe
-	var err error
-	switch c.Model {
-	case ModelStuck:
-		u, err = harness.StuckUniverse(c.Circuit)
-	case ModelTransition:
-		u, err = harness.TransitionUniverse(c.Circuit)
-	default:
-		return nil, nil, fmt.Errorf("unknown fault model %q", c.Model)
-	}
+	u, err := harness.Universe(c.Circuit, c.Model)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -50,9 +50,6 @@ type Trace struct {
 	v1, v0 []uint64 // blocks × ng, block-major: index b*ng + gate
 }
 
-// Cycles returns the number of recorded clock cycles.
-func (tr *Trace) Cycles() int { return tr.cycles }
-
 // Bytes returns the trace's packed storage size.
 func (tr *Trace) Bytes() int64 { return int64(len(tr.v1)+len(tr.v0)) * 8 }
 

@@ -55,15 +55,15 @@ type Config struct {
 	// elements. Exists as an ablation baseline.
 	EagerDrop bool
 	// Plan, when non-nil, supplies a precompiled macro plan and skips
-	// extraction entirely — the compiled-circuit cache in
-	// internal/service hands the same immutable plan to every job on the
-	// same netlist. The plan must cover the universe's circuit and must
-	// have been extracted with settings matching Macros /
-	// ReconvergentMacros / MacroMaxInputs; the circuit identity is
-	// checked, the settings are the caller's contract. macro.Plan and
-	// its Macros are //simlint:immutable — the immutableplan analyzer
-	// proves no store to them is reachable after extraction returns, so
-	// sharing one Plan across jobs is race-free by construction.
+	// extraction entirely — an engine.Artifacts set hands the same
+	// immutable plan to every run on the same circuit. The plan must
+	// cover the universe's circuit and must have been built by NewPlan
+	// with settings matching Macros / ReconvergentMacros / MacroMaxInputs;
+	// the circuit identity is checked, the settings are the caller's
+	// contract. macro.Plan and its Macros are //simlint:immutable — the
+	// immutableplan analyzer proves no store to them is reachable after
+	// extraction returns, so sharing one Plan across jobs is race-free by
+	// construction.
 	Plan *macro.Plan
 	// Obs attaches the observability layer: the metric registry the
 	// simulator registers into, the phase tracer, and the fault-lifecycle
@@ -171,34 +171,21 @@ type pendingElem struct {
 // stuck-at, transition, or mixed.
 func New(u *faults.Universe, cfg Config) (*Simulator, error) {
 	c := u.Circuit
-	if cfg.MacroMaxInputs == 0 {
-		cfg.MacroMaxInputs = macro.DefaultMaxInputs
-	}
 	if cfg.ObsPrefix == "" {
 		cfg.ObsPrefix = DefaultObsPrefix
 	}
-	var plan *macro.Plan
-	var err error
-	if cfg.Plan != nil {
-		if cfg.Plan.C != c {
-			return nil, fmt.Errorf("csim: precompiled plan is for circuit %q, universe is over %q",
-				cfg.Plan.C.Name, c.Name)
-		}
-		plan = cfg.Plan
-	} else {
+	plan := cfg.Plan
+	if plan == nil {
 		sp := cfg.Obs.Span("macro-extract")
-		switch {
-		case cfg.ReconvergentMacros:
-			plan, err = macro.ExtractReconvergent(c, cfg.MacroMaxInputs)
-		case cfg.Macros:
-			plan, err = macro.Extract(c, cfg.MacroMaxInputs)
-		default:
-			plan = macro.Trivial(c)
-		}
+		var err error
+		plan, err = NewPlan(c, cfg)
 		sp.End()
 		if err != nil {
 			return nil, err
 		}
+	} else if plan.C != c {
+		return nil, fmt.Errorf("csim: precompiled plan is for circuit %q, universe is over %q",
+			plan.C.Name, c.Name)
 	}
 	n := len(c.Gates)
 	s := &Simulator{
@@ -283,6 +270,23 @@ func New(u *faults.Universe, cfg Config) (*Simulator, error) {
 
 	s.resetState()
 	return s, nil
+}
+
+// NewPlan builds the macro plan cfg selects over c: reconvergent macros,
+// fanout-free macros, or one trivial macro per gate, with macro leaves
+// capped at cfg.MacroMaxInputs (0: macro.DefaultMaxInputs).
+func NewPlan(c *netlist.Circuit, cfg Config) (*macro.Plan, error) {
+	maxIn := cfg.MacroMaxInputs
+	if maxIn == 0 {
+		maxIn = macro.DefaultMaxInputs
+	}
+	switch {
+	case cfg.ReconvergentMacros:
+		return macro.ExtractReconvergent(c, maxIn)
+	case cfg.Macros:
+		return macro.Extract(c, maxIn)
+	}
+	return macro.Trivial(c), nil
 }
 
 func (s *Simulator) resetState() {

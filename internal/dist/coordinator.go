@@ -169,23 +169,7 @@ func (c *Coordinator) RunJob(ctx context.Context, req *service.RunRequest) (*ser
 	}
 	c.hMergeNS.Observe(time.Since(t0).Nanoseconds())
 
-	rv := &service.ResultView{
-		Engine:   req.Spec.Engine,
-		Circuit:  req.CC.Circuit.Name,
-		Model:    req.Spec.Model,
-		Patterns: vs.Len(),
-		Faults:   u.NumFaults(),
-		Workers:  k,
-		Windows:  1, // pinned by benchmark/ (it reads the plan as workers x windows)
-		RunNS:    time.Since(start).Nanoseconds(),
-		Detected: res.NumDet,
-		PotOnly:  res.NumPotOnly(),
-		Coverage: res.Coverage(),
-		Stats:    st,
-	}
-	if req.Spec.ReturnDetections {
-		rv.Detections = service.NewDetectionsView(res)
-	}
+	rv := service.NewResultView(req.Spec, res, vs.Len(), k, st, time.Since(start).Nanoseconds())
 	req.SetPhase("done")
 	return rv, nil
 }

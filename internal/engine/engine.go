@@ -37,21 +37,6 @@ const (
 	GoodC   = "good-C"
 )
 
-// Artifact names the per-circuit artifact an engine consumes, so a
-// caller with a cache (the service's compiled-circuit cache, the
-// harness memo) knows what to fetch into Options.
-type Artifact uint8
-
-// The artifacts.
-const (
-	// NoArtifact: the engine needs nothing beyond the universe.
-	NoArtifact Artifact = iota
-	// MacroPlan: Options.Plan, the macro plan for Info.Config.
-	MacroPlan
-	// Program: Options.Program, the compiled program.
-	Program
-)
-
 // Info describes one registered engine. cmd/tables -engines prints the
 // first three fields, and CI diffs them against the README engine table.
 type Info struct {
@@ -65,8 +50,6 @@ type Info struct {
 	Description string
 	// Served says whether csimd accepts the name.
 	Served bool
-	// Artifact is the cached artifact the engine consumes.
-	Artifact Artifact
 	// Config is a concurrent engine's simulator variant, and the
 	// configuration its macro plan is extracted for.
 	Config csim.Config
@@ -84,21 +67,21 @@ var registry = func() []Info {
 	eager.EagerDrop = true
 	reconv.ReconvergentMacros = true
 	return []Info{
-		{Name: Csim, Kind: "concurrent", Served: true, Artifact: MacroPlan,
+		{Name: Csim, Kind: "concurrent", Served: true,
 			Description: "concurrent fault simulation, no improvements (ablation baseline)"},
-		{Name: CsimV, Kind: "concurrent", Served: true, Artifact: MacroPlan, Config: csim.V(),
+		{Name: CsimV, Kind: "concurrent", Served: true, Config: csim.V(),
 			Description: "concurrent with the paper's V improvement (visible/invisible list splitting)"},
-		{Name: CsimM, Kind: "concurrent", Served: true, Artifact: MacroPlan, Config: csim.M(),
+		{Name: CsimM, Kind: "concurrent", Served: true, Config: csim.M(),
 			Description: "concurrent with the paper's M improvement (macro gates)"},
-		{Name: CsimMV, Kind: "concurrent", Served: true, Artifact: MacroPlan, Config: csim.MV(),
+		{Name: CsimMV, Kind: "concurrent", Served: true, Config: csim.MV(),
 			Description: "concurrent with both improvements; the paper's headline engine"},
-		{Name: CsimEager, Kind: "concurrent", Artifact: MacroPlan, Config: eager,
+		{Name: CsimEager, Kind: "concurrent", Config: eager,
 			Description: "csim-MV with eager full-scan fault dropping (ablation)"},
-		{Name: CsimReconv, Kind: "concurrent", Artifact: MacroPlan, Config: reconv,
+		{Name: CsimReconv, Kind: "concurrent", Config: reconv,
 			Description: "csim-MV with reconvergent-macro extension (ablation)"},
-		{Name: CsimGrid, Kind: "parallel", Served: true, Artifact: Program, Sharded: true,
+		{Name: CsimGrid, Kind: "parallel", Served: true, Sharded: true,
 			Description: "csim-C on the scheduler's K: one worker per 256-fault chunk, bounded by the processors; also one pinned fault shard of a fleet job"},
-		{Name: CsimC, Kind: "compiled", Served: true, Artifact: Program,
+		{Name: CsimC, Kind: "compiled", Served: true,
 			Description: "compiled bit-parallel backend: levelized straight-line code, packed 64-vector passes over the fault cone; a job's workers share one good trace"},
 		{Name: PROOFS, Kind: "baseline", Served: true, StuckOnly: true,
 			Description: "bit-parallel single-fault-propagation baseline (PROOFS-style)"},
@@ -106,7 +89,7 @@ var registry = func() []Info {
 			Description: "brute-force oracle: one full resimulation per fault"},
 		{Name: GoodSim, Kind: "good",
 			Description: "interpreted event-driven good machine only, no faults"},
-		{Name: GoodC, Kind: "good", Artifact: Program,
+		{Name: GoodC, Kind: "good",
 			Description: "compiled good machine only: the straight-line fused table-lookup stream"},
 	}
 }()

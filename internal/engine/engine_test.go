@@ -129,8 +129,8 @@ func TestRunRejects(t *testing.T) {
 
 // TestRegistryShape holds the registry to what its readers assume: the
 // names are unique, the served set is the paper's family, csim-grid,
-// csim-C, PROOFS and serial, and every concurrent engine names a macro
-// plan as its artifact.
+// csim-C, PROOFS and serial, and exactly the concurrent engines read a
+// macro plan from the artifact set.
 func TestRegistryShape(t *testing.T) {
 	seen := map[string]bool{}
 	for _, info := range Engines() {
@@ -141,8 +141,9 @@ func TestRegistryShape(t *testing.T) {
 		if got, ok := ByName(info.Name); !ok || !reflect.DeepEqual(got, info) {
 			t.Errorf("ByName(%s) = %+v, %t", info.Name, got, ok)
 		}
-		if (info.Kind == "concurrent") != (info.Artifact == MacroPlan) {
-			t.Errorf("%s: kind %s with artifact %d", info.Name, info.Kind, info.Artifact)
+		plan, _, err := Prepare(iscas.MustGet("s27")).inputs(info)
+		if err != nil || (info.Kind == "concurrent") != (plan != nil) {
+			t.Errorf("%s: kind %s reads plan %v (%v)", info.Name, info.Kind, plan != nil, err)
 		}
 	}
 	served := Names(func(e Info) bool { return e.Served })

@@ -11,7 +11,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/goodsim"
 	"repro/internal/logic"
-	"repro/internal/macro"
 	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/proofs"
@@ -31,12 +30,11 @@ type Options struct {
 	// a worker node. Of == 0 simulates the whole universe. Only a
 	// Sharded engine takes coordinates.
 	Shard, Of int
-	// Program is the circuit's cached compiled form for an engine whose
-	// Artifact is Program; nil compiles it here.
-	Program *compiled.Program
-	// Plan is the cached macro plan for an engine whose Artifact is
-	// MacroPlan, extracted for its Info.Config; nil extracts it here.
-	Plan *macro.Plan
+	// Artifacts is the circuit's artifact set: the run reads the engine's
+	// macro plan or compiled program from it, building one it lacks; nil
+	// prepares a set for this run alone. A set over another circuit is an
+	// error.
+	Artifacts *Artifacts
 	// Obs attaches the observability layer; nil disables it.
 	Obs *obs.Observer
 	// ObsPrefix namespaces the run's metrics in the registry; empty
@@ -70,11 +68,17 @@ func Workers(name string, nfaults int, opt Options) int {
 func Run(ctx context.Context, name string, u *faults.Universe, vs *vectors.Set, opt Options) (*faults.Result, csim.Stats, error) {
 	info, ok := ByName(name)
 	if !ok {
-		return nil, csim.Stats{}, fmt.Errorf("engine: unknown engine %q (engines: %s)", name,
-			strings.Join(Names(func(Info) bool { return true }), " | "))
+		return nil, csim.Stats{}, unknownEngine(name)
 	}
 	if vs.NumPIs != len(u.Circuit.PIs) {
 		return nil, csim.Stats{}, fmt.Errorf("engine: vector width %d, circuit has %d PIs", vs.NumPIs, len(u.Circuit.PIs))
+	}
+	a := opt.Artifacts
+	if a == nil {
+		a = Prepare(u.Circuit)
+	} else if a.Circuit != u.Circuit {
+		return nil, csim.Stats{}, fmt.Errorf("engine: artifacts are for circuit %q, universe is over %q",
+			a.Circuit.Name, u.Circuit.Name)
 	}
 	if opt.Of != 0 || opt.Shard != 0 {
 		if !info.Sharded {
@@ -101,11 +105,15 @@ func Run(ctx context.Context, name string, u *faults.Universe, vs *vectors.Set, 
 	if err := ctx.Err(); err != nil {
 		return nil, csim.Stats{}, err
 	}
+	plan, prog, err := a.inputs(info)
+	if err != nil {
+		return nil, csim.Stats{}, err
+	}
 
 	ob, reg := opt.Obs, opt.Obs.Registry()
 	switch name {
 	case CsimC, CsimGrid:
-		return runCompiled(ctx, u, vs, opt, info.Sharded)
+		return runCompiled(ctx, prog, u, vs, opt, info.Sharded)
 	case Serial:
 		sp := ob.Span("fault-sim")
 		res, err := serial.Simulate(ctx, u, vs)
@@ -136,11 +144,7 @@ func Run(ctx context.Context, name string, u *faults.Universe, vs *vectors.Set, 
 		reg.Counter(opt.ObsPrefix + "good_evals").Add(int64(s.Events))
 		return faults.NewResult(u), csim.Stats{GoodEvals: s.Events}, nil
 	case GoodC:
-		p := opt.Program
-		if p == nil {
-			p = compiled.Compile(u.Circuit)
-		}
-		g := p.NewGood()
+		g := prog.NewGood()
 		sp := ob.Span("good-sim")
 		g.Run(vs)
 		sp.End()
@@ -149,7 +153,7 @@ func Run(ctx context.Context, name string, u *faults.Universe, vs *vectors.Set, 
 	}
 	// The csim family, which publishes its own metric set once per cycle.
 	cfg := info.Config
-	cfg.Plan, cfg.Obs, cfg.ObsPrefix = opt.Plan, ob, opt.ObsPrefix
+	cfg.Plan, cfg.Obs, cfg.ObsPrefix = plan, ob, opt.ObsPrefix
 	sim, err := csim.New(u, cfg)
 	if err != nil {
 		return nil, csim.Stats{}, err
@@ -186,7 +190,7 @@ func cycles(ctx context.Context, vs *vectors.Set, cycle func(vec []logic.V)) err
 // packed trace, so merged shard stats count one trace per non-empty
 // shard in GoodEvals. The "csim-grid shard %d" detail prefix is pinned
 // by benchmark/ and goes with the `[benchmark]` yardstick refresh.
-func runCompiled(ctx context.Context, u *faults.Universe, vs *vectors.Set, opt Options, grid bool) (*faults.Result, csim.Stats, error) {
+func runCompiled(ctx context.Context, p *compiled.Program, u *faults.Universe, vs *vectors.Set, opt Options, grid bool) (*faults.Result, csim.Stats, error) {
 	ob := opt.Obs
 	rec, log := ob.Recorder(), ob.Logger()
 	ids, workers := u.IDs(), compiled.Workers(opt.Workers, u.NumFaults())
@@ -226,10 +230,6 @@ func runCompiled(ctx context.Context, u *faults.Universe, vs *vectors.Set, opt O
 		}
 	}
 
-	p := opt.Program
-	if p == nil {
-		p = compiled.Compile(u.Circuit)
-	}
 	sim, err := compiled.NewWith(p, u)
 	if err != nil {
 		return nil, csim.Stats{}, err
@@ -260,4 +260,11 @@ func runCompiled(ctx context.Context, u *faults.Universe, vs *vectors.Set, opt O
 	}
 	csim.PublishStats(ob.Registry(), opt.ObsPrefix, sim.Stats())
 	return res, sim.Stats(), nil
+}
+
+// unknownEngine is the error for a name the registry lacks; it lists the
+// registered names.
+func unknownEngine(name string) error {
+	return fmt.Errorf("engine: unknown engine %q (engines: %s)", name,
+		strings.Join(Names(func(Info) bool { return true }), " | "))
 }

@@ -46,15 +46,6 @@ func (r *Result) NumPotOnly() int {
 	return n
 }
 
-// CoverageWithPotential counts hard detections plus faults only ever
-// potentially detected.
-func (r *Result) CoverageWithPotential() float64 {
-	if len(r.Detected) == 0 {
-		return 0
-	}
-	return float64(r.NumDet+r.NumPotOnly()) / float64(len(r.Detected))
-}
-
 // Detect marks fault id detected at vector vec. It reports whether the
 // fault was newly detected.
 func (r *Result) Detect(id int32, vec int) bool {

@@ -56,9 +56,6 @@ func (s *Sim) Reset() {
 // Val returns the current value of a gate's output line.
 func (s *Sim) Val(id netlist.GateID) logic.V { return s.val[id] }
 
-// Values returns the underlying value slice (read-only by convention).
-func (s *Sim) Values() []logic.V { return s.val }
-
 func (s *Sim) schedule(id netlist.GateID) {
 	if s.sched[id] {
 		return
@@ -126,8 +123,7 @@ func (s *Sim) Apply(vec []logic.V) {
 }
 
 // Clock latches each flip-flop's D input into its output and schedules the
-// resulting events; they propagate at the next Apply (or an explicit
-// Settle).
+// resulting events; they propagate at the next Apply.
 func (s *Sim) Clock() {
 	// Sample all D inputs first so FF-to-FF chains latch simultaneously.
 	next := make([]logic.V, len(s.c.DFFs))
@@ -138,10 +134,6 @@ func (s *Sim) Clock() {
 		s.setSource(ff, next[i])
 	}
 }
-
-// Settle propagates any pending events (e.g. after Clock) without a new
-// input vector.
-func (s *Sim) Settle() { s.settle() }
 
 // Outputs copies the current primary-output values into dst (allocating if
 // nil) and returns it.

@@ -12,7 +12,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/compiled"
 	"repro/internal/engine"
 	"repro/internal/faults"
 	"repro/internal/netlist"
@@ -48,34 +47,32 @@ type Measurement struct {
 // FltCvg returns hard coverage in percent.
 func (m Measurement) FltCvg() float64 { return 100 * m.Coverage }
 
-// compiledCache memoizes the compile-once csim-C artifact per circuit.
-// The Program is immutable and shared by design — lowering a circuit is
-// a one-time cost, exactly like the cached universes and deterministic
-// sets — so repeated harness runs (gate cells, table cells) measure
-// evaluation, not recompilation. The service layer memoizes the same
-// artifact in its own cache (service.Compiled.Program).
+// sets holds the harness's one artifact set per circuit, so every table
+// and bench cell on a circuit shares its universes, macro plans and
+// compiled program, and no timed run pays for building them.
 var (
-	compiledMu    sync.Mutex
-	compiledCache = map[*netlist.Circuit]*compiled.Program{}
+	setsMu sync.Mutex
+	sets   = map[*netlist.Circuit]*engine.Artifacts{}
 )
 
-// compiledProgram returns the memoized compiled form of a circuit.
-func compiledProgram(c *netlist.Circuit) *compiled.Program {
-	compiledMu.Lock()
-	defer compiledMu.Unlock()
-	p := compiledCache[c]
-	if p == nil {
-		p = compiled.Compile(c)
-		compiledCache[c] = p
+// Artifacts returns the circuit's artifact set, preparing it on first use.
+func Artifacts(c *netlist.Circuit) *engine.Artifacts {
+	setsMu.Lock()
+	defer setsMu.Unlock()
+	a := sets[c]
+	if a == nil {
+		a = engine.Prepare(c)
+		sets[c] = a
 	}
-	return p
+	return a
 }
 
-// Run measures one engine over a universe and test set: engine.Run on
-// the memoized compiled program, timed. workers is the compiled kernel's
-// processor budget (engine.Options.Workers; other engines ignore it). ob
-// may be nil; with one, the engine's metrics land under "<name>." and
-// the simulation runs inside a "fault-sim" span.
+// Run measures one engine over a universe and test set: it builds what
+// the engine reads in the circuit's artifact set, then times engine.Run
+// on that set. workers is the compiled kernel's processor budget
+// (engine.Options.Workers; other engines ignore it). ob may be nil; with
+// one, the engine's metrics land under "<name>." and the simulation runs
+// inside a "fault-sim" span.
 func Run(name string, u *faults.Universe, vs *vectors.Set, workers int, ob *obs.Observer) (Measurement, error) {
 	m := Measurement{
 		Engine:   name,
@@ -83,11 +80,11 @@ func Run(name string, u *faults.Universe, vs *vectors.Set, workers int, ob *obs.
 		Patterns: vs.Len(),
 		Faults:   u.NumFaults(),
 	}
-	opt := engine.Options{Workers: workers, Obs: ob}
-	// An unknown name has no artifact; engine.Run reports it.
-	if info, _ := engine.ByName(name); info.Artifact == engine.Program {
-		opt.Program = compiledProgram(u.Circuit)
+	a := Artifacts(u.Circuit)
+	if err := a.Warm(name); err != nil {
+		return m, err
 	}
+	opt := engine.Options{Workers: workers, Artifacts: a, Obs: ob}
 	m.Workers = engine.Workers(name, u.NumFaults(), opt)
 	start := time.Now()
 	res, st, err := engine.Run(context.Background(), name, u, vs, opt)

@@ -12,7 +12,7 @@ import (
 // registered fault engine: the metadata and a measured time, over equal
 // detection counts (internal/engine compares the results to the oracle).
 func TestRunEnginesAgree(t *testing.T) {
-	u, err := StuckUniverse("s298")
+	u, err := Universe("s298", "stuck")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,11 +102,11 @@ func TestTable6TransitionCoverageBelowStuck(t *testing.T) {
 	// The paper's Table 6 observation: stuck-at tests are poor transition
 	// tests.
 	name := "s344"
-	su, err := StuckUniverse(name)
+	su, err := Universe(name, "stuck")
 	if err != nil {
 		t.Fatal(err)
 	}
-	tu, err := TransitionUniverse(name)
+	tu, err := Universe(name, "transition")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestTable6TransitionCoverageBelowStuck(t *testing.T) {
 }
 
 func TestRunRejectsTransitionOnPROOFS(t *testing.T) {
-	tu, err := TransitionUniverse("s27")
+	tu, err := Universe("s27", "transition")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,8 +140,11 @@ func TestRunRejectsTransitionOnPROOFS(t *testing.T) {
 }
 
 func TestUnknownCircuit(t *testing.T) {
-	if _, err := StuckUniverse("nope"); err == nil {
+	if _, err := Universe("nope", "stuck"); err == nil {
 		t.Error("unknown circuit accepted")
+	}
+	if _, err := Universe("s27", "bridging"); err == nil {
+		t.Error("unknown fault model accepted")
 	}
 	if _, err := DeterministicSet("nope"); err == nil {
 		t.Error("unknown circuit accepted")
@@ -149,13 +152,10 @@ func TestUnknownCircuit(t *testing.T) {
 	if _, err := RandomSet("nope", 5); err == nil {
 		t.Error("unknown circuit accepted")
 	}
-	if _, err := TransitionUniverse("nope"); err == nil {
-		t.Error("unknown circuit accepted")
-	}
 }
 
 func TestRunGridShapes(t *testing.T) {
-	u, err := StuckUniverse("s298")
+	u, err := Universe("s298", "stuck")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,7 +47,7 @@ func Table2(circuits []string) (*Table, error) {
 			return nil, err
 		}
 		st := c.Stats()
-		u, err := StuckUniverse(name)
+		u, err := Universe(name, "stuck")
 		if err != nil {
 			return nil, err
 		}
@@ -65,15 +65,11 @@ func Table2(circuits []string) (*Table, error) {
 	return t, nil
 }
 
-// Table3 reproduces the deterministic-patterns comparison of csim-V,
-// csim-M, csim-MV and PROOFS (CPU seconds and memory), extended with a
-// csim-C column.
-func Table3(circuits []string) (*Table, error) { return Table3Observed(circuits, nil) }
-
-// Table3Observed regenerates Table 3 under the observability layer: each
-// cell runs with a fresh metric registry and tracer, and every cell's
-// snapshot lands in sink when non-nil (the cmd/tables -metrics-out
-// payload).
+// Table3Observed reproduces the deterministic-patterns comparison of
+// csim-V, csim-M, csim-MV and PROOFS (CPU seconds and memory), extended
+// with a csim-C column, under the observability layer: each cell runs
+// with a fresh metric registry and tracer, and every cell's snapshot
+// lands in sink when non-nil (the cmd/tables -metrics-out payload).
 func Table3Observed(circuits []string, sink *MetricsSink) (*Table, error) {
 	t := &Table{
 		Title: "Table 3. Deterministic patterns (I)",
@@ -85,7 +81,7 @@ func Table3Observed(circuits []string, sink *MetricsSink) (*Table, error) {
 			"csim-C: compiled bit-parallel engine, 64 vectors per masked pass",
 	}
 	for _, name := range circuits {
-		u, err := StuckUniverse(name)
+		u, err := Universe(name, "stuck")
 		if err != nil {
 			return nil, err
 		}
@@ -118,7 +114,7 @@ func Table4(circuits []string) (*Table, error) {
 			"MV:CPU", "MV:MEM", "PROOFS:CPU", "PROOFS:MEM"},
 	}
 	for _, name := range circuits {
-		u, err := StuckUniverse(name)
+		u, err := Universe(name, "stuck")
 		if err != nil {
 			return nil, err
 		}
@@ -149,7 +145,7 @@ func Table5(name string, counts []int) (*Table, error) {
 		Caption: "memory stays below the deterministic run of Table 3: faults activate slowly",
 	}
 	for _, n := range counts {
-		u, err := StuckUniverse(name)
+		u, err := Universe(name, "stuck")
 		if err != nil {
 			return nil, err
 		}
@@ -181,7 +177,7 @@ func Table6(circuits []string) (*Table, error) {
 		Caption: "stuck-at test sets are poor transition tests; coverage well below 50%",
 	}
 	for _, name := range circuits {
-		u, err := TransitionUniverse(name)
+		u, err := Universe(name, "transition")
 		if err != nil {
 			return nil, err
 		}

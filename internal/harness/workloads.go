@@ -6,7 +6,6 @@ import (
 	"repro/internal/atpg"
 	"repro/internal/faults"
 	"repro/internal/iscas"
-	"repro/internal/netlist"
 	"repro/internal/vectors"
 )
 
@@ -38,10 +37,11 @@ func DeterministicSet(name string) (*vectors.Set, error) {
 	if vs, ok := detCache[name]; ok {
 		return vs, nil
 	}
-	c, err := iscas.Get(name)
+	u, err := Universe(name, "stuck")
 	if err != nil {
 		return nil, err
 	}
+	c := u.Circuit
 	var vs *vectors.Set
 	if n, big := detPatternsLarge[name]; big || c.Stats().Gates > ATPGCutoffGates {
 		if n == 0 {
@@ -49,7 +49,6 @@ func DeterministicSet(name string) (*vectors.Set, error) {
 		}
 		vs = vectors.Random(c, n, seed(name)+1)
 	} else {
-		u := faults.StuckCollapsed(c)
 		vs = atpg.GenerateVectors(u, atpg.Options{
 			Seed:           seed(name),
 			FillRandom:     true,
@@ -74,28 +73,15 @@ func RandomSet(name string, n int) (*vectors.Set, error) {
 	return vectors.Random(c, n, seed(name)+2), nil
 }
 
-// StuckUniverse returns the collapsed stuck-at universe for a suite
-// circuit.
-func StuckUniverse(name string) (*faults.Universe, error) {
+// Universe returns a suite circuit's fault universe under model (one of
+// engine.Models), from the circuit's artifact set.
+func Universe(name, model string) (*faults.Universe, error) {
 	c, err := iscas.Get(name)
 	if err != nil {
 		return nil, err
 	}
-	return faults.StuckCollapsed(c), nil
+	return Artifacts(c).Universe(model)
 }
-
-// TransitionUniverse returns the transition-fault universe for a suite
-// circuit.
-func TransitionUniverse(name string) (*faults.Universe, error) {
-	c, err := iscas.Get(name)
-	if err != nil {
-		return nil, err
-	}
-	return faults.Transition(c), nil
-}
-
-// Circuit fetches a suite circuit.
-func Circuit(name string) (*netlist.Circuit, error) { return iscas.Get(name) }
 
 func seed(name string) int64 {
 	var h int64 = 99991

@@ -324,7 +324,7 @@ func TestCompiledGridAgreesOnS5378(t *testing.T) {
 	}
 	c := iscas.MustGet("s5378")
 	vs := vectors.Random(c, 130, 1)
-	p := compiled.Compile(c)
+	a := engine.Prepare(c)
 	for _, model := range []string{"stuck", "transition"} {
 		whole := faults.StuckCollapsed(c)
 		if model == "transition" {
@@ -351,7 +351,7 @@ func TestCompiledGridAgreesOnS5378(t *testing.T) {
 		} {
 			for _, k := range []int{1, 2, 3, 7} {
 				tag := fmt.Sprintf("s5378/%s/%s K=%d", model, tc.name, k)
-				res, _, err := engine.Run(context.Background(), engine.CsimGrid, tc.u, vs, engine.Options{Workers: k, Program: p})
+				res, _, err := engine.Run(context.Background(), engine.CsimGrid, tc.u, vs, engine.Options{Workers: k, Artifacts: a})
 				if err != nil {
 					t.Fatalf("%s: %v", tag, err)
 				}
@@ -361,7 +361,7 @@ func TestCompiledGridAgreesOnS5378(t *testing.T) {
 				parts := make([]*faults.Result, n)
 				for k := range parts {
 					if parts[k], _, err = engine.Run(context.Background(), engine.CsimGrid, tc.u, vs, engine.Options{
-						Shard: k, Of: n, Workers: 2, Program: p}); err != nil {
+						Shard: k, Of: n, Workers: 2, Artifacts: a}); err != nil {
 						t.Fatal(err)
 					}
 				}

@@ -116,9 +116,6 @@ func (g *Graph) Nodes() []*Node { return g.nodes }
 // NodeOf returns the node for a declared function object, or nil.
 func (g *Graph) NodeOf(fn *types.Func) *Node { return g.byObj[fn] }
 
-// NodeOfLit returns the node for a function literal, or nil.
-func (g *Graph) NodeOfLit(lit *ast.FuncLit) *Node { return g.byLit[lit] }
-
 // CallersOf returns the edges targeting n.
 func (g *Graph) CallersOf(n *Node) []*Call { return n.callers }
 

@@ -64,12 +64,6 @@ func (w Word) Inputs(n int) []V {
 	return in
 }
 
-// EvalWord evaluates op over the first n input pins of w and returns w
-// with the output field updated.
-func EvalWord(op Op, n int, w Word) Word {
-	return w.WithOut(EvalWordOut(op, n, w))
-}
-
 // EvalWordOut evaluates op over the first n input pins of w.
 func EvalWordOut(op Op, n int, w Word) V {
 	switch op {

@@ -5,101 +5,23 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/compiled"
-	"repro/internal/csim"
-	"repro/internal/faults"
+	"repro/internal/engine"
 	"repro/internal/iscas"
-	"repro/internal/macro"
 	"repro/internal/netcheck"
 	"repro/internal/netlist"
 	"repro/internal/obs"
 )
 
-// Compiled is one cached circuit with its derived artifacts: the parsed
-// and verified netlist plus lazily built, memoized fault universes (per
-// model) and macro plans (per extraction mode). All artifacts are
-// immutable once built and safe to share across concurrent jobs — the
-// engines read plans, programs and universes without mutating them.
+// Compiled is one cached circuit: its key and its engine artifact set —
+// the parsed, netcheck-verified netlist plus the universes, macro plans
+// and compiled program built on first use and shared by every job on it.
 type Compiled struct {
 	// Key is the cache key ("suite:<name>" or "sha256:<hex>").
 	Key string
-	// Circuit is the parsed, netcheck-verified netlist.
-	Circuit *netlist.Circuit
-
-	mu sync.Mutex
-	//simlint:guarded_by(mu)
-	universes map[string]*faults.Universe
-	//simlint:guarded_by(mu)
-	plans map[string]*macro.Plan
-	//simlint:guarded_by(mu)
-	program *compiled.Program
-}
-
-// Program returns the memoized csim-C compiled form of the circuit,
-// lowering it on first use. Like plans and universes it is immutable
-// and shared: every csim-C job on this circuit reuses one Program.
-func (cc *Compiled) Program() *compiled.Program {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	if cc.program == nil {
-		cc.program = compiled.Compile(cc.Circuit)
-	}
-	return cc.program
-}
-
-// Universe returns the memoized fault universe for a model ("stuck",
-// "stuck-all", "transition"), collapsing it on first use.
-func (cc *Compiled) Universe(model string) (*faults.Universe, error) {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	if u, ok := cc.universes[model]; ok {
-		return u, nil
-	}
-	var u *faults.Universe
-	switch model {
-	case "stuck":
-		u = faults.StuckCollapsed(cc.Circuit)
-	case "stuck-all":
-		u = faults.StuckAll(cc.Circuit)
-	case "transition":
-		u = faults.Transition(cc.Circuit)
-	default:
-		return nil, fmt.Errorf("service: unknown fault model %q", model)
-	}
-	cc.universes[model] = u
-	return u, nil
-}
-
-// Plan returns the memoized macro plan for a csim configuration,
-// extracting it on first use. The plan key distinguishes trivial and
-// fanout-free extraction at each MacroMaxInputs.
-func (cc *Compiled) Plan(cfg csim.Config) (*macro.Plan, error) {
-	maxIn := cfg.MacroMaxInputs
-	if maxIn == 0 {
-		maxIn = macro.DefaultMaxInputs
-	}
-	key := "trivial"
-	if cfg.Macros {
-		key = fmt.Sprintf("ffr:%d", maxIn)
-	}
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	if p, ok := cc.plans[key]; ok {
-		return p, nil
-	}
-	p := macro.Trivial(cc.Circuit)
-	if cfg.Macros {
-		var err error
-		if p, err = macro.Extract(cc.Circuit, maxIn); err != nil {
-			return nil, err
-		}
-	}
-	cc.plans[key] = p
-	return p, nil
+	*engine.Artifacts
 }
 
 // CompileError is a structured compilation failure: a parse error or a
@@ -289,11 +211,7 @@ func compile(key string, parse func() (*netlist.Circuit, error)) (*Compiled, err
 		}
 		return nil, ce
 	}
-	return &Compiled{
-		Key: key, Circuit: ckt,
-		universes: map[string]*faults.Universe{},
-		plans:     map[string]*macro.Plan{},
-	}, nil
+	return &Compiled{Key: key, Artifacts: engine.Prepare(ckt)}, nil
 }
 
 // Len reports the current entry count.

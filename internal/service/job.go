@@ -13,6 +13,7 @@ package service
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -33,15 +34,9 @@ import (
 // tier (including 409 on live-ID reuse).
 const JobIDHeader = "X-Csim-Job-Id"
 
-// Fault models and engine names accepted by JobSpec, in the spelling the
-// CLIs use.
-var (
-	// Models lists the accepted fault models.
-	Models = []string{"stuck", "stuck-all", "transition"}
-	// Engines lists the accepted engine names: the registry's served
-	// engines.
-	Engines = engine.Names(func(e engine.Info) bool { return e.Served })
-)
+// Engines lists the engine names JobSpec accepts: the registry's served
+// engines. The fault models it accepts are engine.Models.
+var Engines = engine.Names(func(e engine.Info) bool { return e.Served })
 
 // JobSpec is the submit-request body: what to simulate and how.
 type JobSpec struct {
@@ -120,8 +115,8 @@ func (sp *JobSpec) normalize() error {
 	if sp.Model == "" {
 		sp.Model = "stuck"
 	}
-	if !contains(Models, sp.Model) {
-		return fmt.Errorf("unknown fault model %q (models: %s)", sp.Model, strings.Join(Models, " | "))
+	if !slices.Contains(engine.Models, sp.Model) {
+		return fmt.Errorf("unknown fault model %q (models: %s)", sp.Model, strings.Join(engine.Models, " | "))
 	}
 	if sp.Engine == "" {
 		sp.Engine = "csim-MV"
@@ -162,15 +157,6 @@ func (sp *JobSpec) normalize() error {
 		return fmt.Errorf("fault_shard requires fault_shards > 0")
 	}
 	return nil
-}
-
-func contains(xs []string, x string) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }
 
 // Status is a job's lifecycle state.
@@ -305,6 +291,33 @@ type ResultView struct {
 	// Detections is the per-fault payload, present when the spec set
 	// ReturnDetections.
 	Detections *DetectionsView `json:"detections,omitempty"`
+}
+
+// NewResultView is the view of a finished run of spec: res's counts over
+// its whole universe, the applied vector count, the worker count the run
+// reports, its counters and wall time, and the detections payload when
+// the spec asked for it.
+func NewResultView(spec *JobSpec, res *faults.Result, patterns, workers int, st csim.Stats, runNS int64) *ResultView {
+	rv := &ResultView{
+		Engine:   spec.Engine,
+		Circuit:  res.Universe.Circuit.Name,
+		Model:    spec.Model,
+		Patterns: patterns,
+		Faults:   res.Universe.NumFaults(),
+		Detected: res.NumDet,
+		PotOnly:  res.NumPotOnly(),
+		Coverage: res.Coverage(),
+		Workers:  workers,
+		RunNS:    runNS,
+		Stats:    st,
+	}
+	if info, _ := engine.ByName(spec.Engine); info.Sharded {
+		rv.Windows = 1 // pinned by benchmark/ (it reads the plan as workers x windows)
+	}
+	if spec.ReturnDetections {
+		rv.Detections = NewDetectionsView(res)
+	}
+	return rv
 }
 
 // gridPollMS is the poll gap suggested for a timed job; see timed.

@@ -29,10 +29,10 @@ func BuildVectors(spec *JobSpec, cc *Compiled) (*vectors.Set, error) {
 	return vectors.Random(cc.Circuit, spec.Random, spec.Seed), nil
 }
 
-// execute runs one admitted job's engine under ctx and returns the
-// result view: the cached artifact the registry says the engine consumes,
-// then engine.Run, which stops every engine at its next cycle, fault or
-// fault chunk × block once ctx is done.
+// execute runs one admitted job's engine under ctx on the circuit's
+// cached artifact set and returns the result view. engine.Run builds what
+// the engine reads that the set lacks, and stops every engine at its next
+// cycle, fault or fault chunk × block once ctx is done.
 func execute(ctx context.Context, spec *JobSpec, cc *Compiled, ob *obs.Observer, prefix string, workersDefault int) (*ResultView, error) {
 	u, err := cc.Universe(spec.Model)
 	if err != nil {
@@ -42,55 +42,27 @@ func execute(ctx context.Context, spec *JobSpec, cc *Compiled, ob *obs.Observer,
 	if err != nil {
 		return nil, err
 	}
-	info, _ := engine.ByName(spec.Engine) // validated at admission
 	opt := engine.Options{
 		Workers: spec.Workers, Shard: spec.FaultShard, Of: spec.FaultShards,
-		Obs: ob, ObsPrefix: prefix,
+		Artifacts: cc.Artifacts, Obs: ob, ObsPrefix: prefix,
 	}
 	// A pinned shard runs on the node's own budget whatever the
 	// coordinator's spec said about the fleet-wide split.
 	if opt.Workers <= 0 || opt.Of > 0 {
 		opt.Workers = workersDefault
 	}
-	rv := &ResultView{
-		Engine:   spec.Engine,
-		Circuit:  cc.Circuit.Name,
-		Model:    spec.Model,
-		Patterns: vs.Len(),
-		Faults:   u.NumFaults(),
-		Workers:  engine.Workers(spec.Engine, u.NumFaults(), opt),
-	}
-	if info.Sharded {
-		rv.Windows = 1 // pinned by benchmark/ (it reads the plan as workers x windows)
-		if opt.Of > 0 {
-			// One fault-partition slice of a distributed grid: the result
-			// reports the split it belongs to.
-			rv.Workers = opt.Of
-		}
+	// One fault-partition slice of a distributed grid reports the split
+	// it belongs to.
+	workers := opt.Of
+	if workers == 0 {
+		workers = engine.Workers(spec.Engine, u.NumFaults(), opt)
 	}
 	start := time.Now()
-	// Only the artifact the engine consumes is fetched: the macro plan
-	// costs a 34 ms extraction on a circuit's first job.
-	switch info.Artifact {
-	case engine.MacroPlan:
-		if opt.Plan, err = cc.Plan(info.Config); err != nil {
-			return nil, err
-		}
-	case engine.Program:
-		opt.Program = cc.Program()
-	}
 	res, st, err := engine.Run(ctx, spec.Engine, u, vs, opt)
 	if err != nil {
 		return nil, err
 	}
-	rv.Stats = st
-	rv.RunNS = time.Since(start).Nanoseconds()
-	rv.Detected = res.NumDet
-	rv.PotOnly = res.NumPotOnly()
-	rv.Coverage = res.Coverage()
-	if spec.ReturnDetections {
-		rv.Detections = NewDetectionsView(res)
-	}
+	rv := NewResultView(spec, res, vs.Len(), workers, st, time.Since(start).Nanoseconds())
 	// A cancellation that raced the final cycles still wins: the client
 	// asked for the job to stop, so it reports cancelled, not done.
 	if err := ctx.Err(); err != nil {

@@ -474,7 +474,7 @@ func (s *Server) dumpPostmortem(jlog *obs.Logger, j *job) {
 }
 
 // finishJob records the terminal state, bumps the status counters, and
-// applies the retention bound.
+// retains the job.
 func (s *Server) finishJob(j *job, status Status, rv *ResultView, errMsg string) {
 	j.finish(status, time.Now(), rv, errMsg)
 	switch j.currentStatus() {
@@ -485,14 +485,21 @@ func (s *Server) finishJob(j *job, status Status, rv *ResultView, errMsg string)
 	case StatusCancelled:
 		s.mCancelled.Inc()
 	}
+	s.retain(j.id)
+}
+
+// retain keeps a job that has just turned terminal for lookups and
+// evicts the oldest finished jobs past the Retained bound. Every terminal
+// transition the server makes passes through it.
+func (s *Server) retain(id string) {
 	s.mu.Lock()
-	s.finished = append(s.finished, j.id)
+	defer s.mu.Unlock()
+	s.finished = append(s.finished, id)
 	for len(s.finished) > s.cfg.Retained {
 		evict := s.finished[0]
 		s.finished = s.finished[1:]
 		delete(s.jobs, evict)
 	}
-	s.mu.Unlock()
 }
 
 func circuitLabel(spec *JobSpec) string {
@@ -827,9 +834,7 @@ func (s *Server) cancelJob(w http.ResponseWriter, j *job) {
 		j.requestCancel(time.Now())
 		s.mCancelled.Inc()
 		s.mQueueDepth.Set(int64(s.q.depth()))
-		s.mu.Lock()
-		s.finished = append(s.finished, j.id)
-		s.mu.Unlock()
+		s.retain(j.id)
 		writeJSON(w, http.StatusOK, j.view())
 		return
 	}

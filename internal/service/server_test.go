@@ -845,6 +845,36 @@ func TestRetentionEvictsOldFinishedJobs(t *testing.T) {
 	}
 }
 
+// TestRetentionBoundsCancelledQueuedJobs: a queued job cancelled by
+// DELETE is retained under the same bound as a finished one, so a
+// submit/DELETE loop behind a busy worker does not grow the job table.
+func TestRetentionBoundsCancelledQueuedJobs(t *testing.T) {
+	_, cl, g, _ := startGated(t, Config{Workers: 1, Retained: 3})
+	ctx := ctxT(t)
+	live, err := cl.Submit(ctx, tinySpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-g.started
+	for i := 0; i < 20; i++ {
+		v, err := cl.Submit(ctx, tinySpec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, err = cl.Cancel(ctx, v.ID); err != nil || v.Status != StatusCancelled {
+			t.Fatalf("cancel %s: %v / %s", v.ID, err, v.Status)
+		}
+	}
+	var list struct{ Jobs []JobView }
+	if err := cl.do(ctx, http.MethodGet, "/api/v1/jobs", nil, &list); err != nil {
+		t.Fatal(err)
+	}
+	if len(list.Jobs) > 3+1 {
+		t.Errorf("%d jobs listed, want at most 3 retained plus the running %s", len(list.Jobs), live.ID)
+	}
+	g.open(1)
+}
+
 func TestObsTracerRecordsJobSpans(t *testing.T) {
 	reg := obs.NewRegistry()
 	tr := obs.NewTracer(reg)
