@@ -52,7 +52,7 @@ func runCell(b *testing.B, eng string, u *faults.Universe, vs *vectors.Set) {
 		last = m
 	}
 	b.ReportMetric(last.FltCvg(), "cvg%")
-	b.ReportMetric(float64(last.MemBytes)/(1<<20), "structMB")
+	b.ReportMetric(float64(last.Stats.MemBytes)/(1<<20), "structMB")
 	b.ReportMetric(float64(vs.Len()), "ptns")
 }
 
@@ -155,8 +155,8 @@ func BenchmarkTable6(b *testing.B) {
 // observer every probe sits on the nil fast path, so it must cost the
 // same as the engine did before the layer existed (the obs package's own
 // alloc tests prove the per-op cost is 0 allocs). The observed case
-// bounds what full metrics + phase tracing + fault-lifecycle recording
-// adds when switched on.
+// bounds what phase tracing + fault-lifecycle recording adds when
+// switched on.
 func BenchmarkCsimMV(b *testing.B) {
 	u, vs := deterministic(b, "s1238")
 	b.Run("disabled", func(b *testing.B) {
@@ -165,11 +165,9 @@ func BenchmarkCsimMV(b *testing.B) {
 	b.Run("observed", func(b *testing.B) {
 		var last harness.Measurement
 		for i := 0; i < b.N; i++ {
-			reg := obs.NewRegistry()
 			ob := &obs.Observer{
-				Metrics: reg,
-				Tracer:  obs.NewTracer(reg),
-				Faults:  obs.NewFaultLog(u.NumFaults(), nil, 0),
+				Tracer: obs.NewTracer(),
+				Faults: obs.NewFaultLog(u.NumFaults(), nil, 0),
 			}
 			m, err := harness.Run(engine.CsimMV, u, vs, 0, ob)
 			if err != nil {
@@ -178,7 +176,7 @@ func BenchmarkCsimMV(b *testing.B) {
 			last = m
 		}
 		b.ReportMetric(last.FltCvg(), "cvg%")
-		b.ReportMetric(float64(last.MemBytes)/(1<<20), "structMB")
+		b.ReportMetric(float64(last.Stats.MemBytes)/(1<<20), "structMB")
 	})
 }
 

@@ -14,9 +14,10 @@
 // scheduler's worker count (csim-grid), the PROOFS baseline, or the
 // serial oracle.
 //
-// Observability (see OBSERVABILITY.md): -metrics-out snapshots the metric
-// registry to JSON, -trace-out writes a chrome://tracing phase trace,
-// and -trace-faults records per-fault lifecycle events.
+// The run's non-zero work counters print on one "stats:" line.
+// Observability (see OBSERVABILITY.md): -trace-out writes a
+// chrome://tracing phase trace, and -trace-faults records per-fault
+// lifecycle events.
 package main
 
 import (
@@ -25,6 +26,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"reflect"
 	"slices"
 	"strconv"
 	"strings"
@@ -55,7 +57,6 @@ func main() {
 		check       = flag.Bool("check", false, "verify netlist/fault-list/macro-plan invariants and exit without simulating")
 		verbose     = flag.Bool("v", false, "list undetected faults")
 
-		metricsOut  = flag.String("metrics-out", "", "write a metrics registry snapshot (JSON) to this file")
 		traceOut    = flag.String("trace-out", "", "write a chrome://tracing phase trace (JSON) to this file")
 		traceAlloc  = flag.Bool("trace-alloc", false, "sample allocation deltas at phase boundaries (with -trace-out)")
 		traceFaults = flag.String("trace-faults", "", "record fault lifecycle events: 'all', fault IDs (3,17), or fault-name substrings")
@@ -75,13 +76,11 @@ func main() {
 	// Any observability flag switches the layer on; without them every
 	// probe stays on the nil fast path.
 	var ob *obs.Observer
-	var reg *obs.Registry
 	var tr *obs.Tracer
-	if *metricsOut != "" || *traceOut != "" || *traceFaults != "" {
-		reg = obs.NewRegistry()
-		tr = obs.NewTracer(reg)
+	if *traceOut != "" || *traceFaults != "" {
+		tr = obs.NewTracer()
 		tr.AllocDeltas = *traceAlloc
-		ob = &obs.Observer{Metrics: reg, Tracer: tr}
+		ob = &obs.Observer{Tracer: tr}
 	}
 
 	sp := ob.Span("parse")
@@ -144,18 +143,15 @@ func main() {
 		m.Detected, m.FltCvg(),
 		m.PotOnly, 100*float64(m.Detected+m.PotOnly)/float64(max(1, m.Faults)))
 	fmt.Printf("cpu:       %s s\n", harness.Seconds(m.CPU))
-	if m.MemBytes > 0 {
-		fmt.Printf("mem:       %s MB (fault structures, peak)\n", harness.Meg(m.MemBytes))
+	if m.Stats.MemBytes > 0 {
+		fmt.Printf("mem:       %s MB (fault structures, peak)\n", harness.Meg(m.Stats.MemBytes))
+	}
+	if line := statsLine(m.Stats); line != "" {
+		fmt.Printf("stats:     %s\n", line)
 	}
 
 	if flog != nil {
 		printFaultEvents(flog, u, c)
-	}
-	if *metricsOut != "" {
-		if err := writeTo(*metricsOut, reg.WriteJSON); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("metrics:   wrote %s\n", *metricsOut)
 	}
 	if *traceOut != "" {
 		if err := writeTo(*traceOut, tr.WriteChrome); err != nil {
@@ -228,7 +224,7 @@ func printFaultEvents(flog *obs.FaultLog, u *faults.Universe, c *netlist.Circuit
 	fmt.Printf("fault lifecycle: %d events%s\n", len(events), note)
 	for i, ev := range events {
 		if i == maxPrint {
-			fmt.Printf("  ... %d more (use -metrics-out and the API for the full log)\n", len(events)-maxPrint)
+			fmt.Printf("  ... %d more (the full log: a narrower -trace-faults filter, or the faultsim API)\n", len(events)-maxPrint)
 			break
 		}
 		vec := strconv.Itoa(int(ev.Vec))
@@ -238,6 +234,20 @@ func printFaultEvents(flog *obs.FaultLog, u *faults.Universe, c *netlist.Circuit
 		fmt.Printf("  vec=%-5s fault=%-20s %-21s at %s\n",
 			vec, u.Faults[ev.Fault].Name(c), ev.Kind, c.Gate(netlist.GateID(ev.Gate)).Name)
 	}
+}
+
+// statsLine renders the run's non-zero counters as name=value pairs, in
+// the order and under the names of a job result's "stats" block.
+func statsLine(st csim.Stats) string {
+	var pairs []string
+	v := reflect.ValueOf(st)
+	for i := 0; i < v.NumField(); i++ {
+		if n := v.Field(i).Int(); n != 0 {
+			name, _, _ := strings.Cut(v.Type().Field(i).Tag.Get("json"), ",")
+			pairs = append(pairs, fmt.Sprintf("%s=%d", name, n))
+		}
+	}
+	return strings.Join(pairs, " ")
 }
 
 // writeTo creates path and streams write into it.

@@ -8,7 +8,6 @@
 //	tables            # all tables, full circuit lists (slow)
 //	tables -table 3   # one table
 //	tables -quick     # small-circuit subsets only
-//	tables -table 3 -metrics-out t3.json   # per-cell registry snapshots
 //	tables -diff tables_output.txt         # drift check (see below)
 //	tables -engines                        # engine registry as markdown
 //	tables -engines-readme README.md       # engine-table drift check
@@ -43,9 +42,8 @@ import (
 // quickCircuits is the -quick circuit subset shared by tables 2-4 and 6.
 var quickCircuits = []string{"s298", "s344", "s386", "s820", "s1494"}
 
-// emit writes the requested table (0 = all) to w. A non-nil sink collects
-// one metric-registry snapshot per Table 3 cell (circuit x engine).
-func emit(w io.Writer, table int, quick bool, sink *harness.MetricsSink) error {
+// emit writes the requested table (0 = all) to w.
+func emit(w io.Writer, table int, quick bool) error {
 	t3 := harness.Table3Circuits
 	t4 := harness.Table4Circuits
 	t6 := harness.Table6Circuits
@@ -65,7 +63,7 @@ func emit(w io.Writer, table int, quick bool, sink *harness.MetricsSink) error {
 	}
 	jobs := []job{
 		{2, func() (*harness.Table, error) { return harness.Table2(t3) }},
-		{3, func() (*harness.Table, error) { return harness.Table3Observed(t3, sink) }},
+		{3, func() (*harness.Table, error) { return harness.Table3(t3) }},
 		{4, func() (*harness.Table, error) { return harness.Table4(t4) }},
 		{5, func() (*harness.Table, error) { return harness.Table5(t5ckt, t5counts) }},
 		{6, func() (*harness.Table, error) { return harness.Table6(t6) }},
@@ -108,7 +106,7 @@ func diffTables(w io.Writer, path string, table int, quick bool) (ok bool, err e
 		return false, err
 	}
 	var buf strings.Builder
-	if err := emit(&buf, table, quick, nil); err != nil {
+	if err := emit(&buf, table, quick); err != nil {
 		return false, err
 	}
 	got, exp := maskVolatile(buf.String()), maskVolatile(string(want))
@@ -198,12 +196,11 @@ func validateTable(n int) error {
 
 func main() {
 	var (
-		table      = flag.Int("table", 0, "table number (2-6); 0 = all")
-		quick      = flag.Bool("quick", false, "restrict to small circuits")
-		metricsOut = flag.String("metrics-out", "", "write per-cell metric snapshots (Table 3) to this JSON file")
-		diff       = flag.String("diff", "", "regenerate and compare against this captured output file (CPU/MEM columns masked); exit 1 on drift")
-		engines    = flag.Bool("engines", false, "print the engine registry as the README's markdown table and exit")
-		engReadme  = flag.String("engines-readme", "", "compare the engine table in this README against the registry; exit 1 on drift")
+		table     = flag.Int("table", 0, "table number (2-6); 0 = all")
+		quick     = flag.Bool("quick", false, "restrict to small circuits")
+		diff      = flag.String("diff", "", "regenerate and compare against this captured output file (CPU/MEM columns masked); exit 1 on drift")
+		engines   = flag.Bool("engines", false, "print the engine registry as the README's markdown table and exit")
+		engReadme = flag.String("engines-readme", "", "compare the engine table in this README against the registry; exit 1 on drift")
 	)
 	flag.Parse()
 
@@ -245,25 +242,8 @@ func main() {
 		return
 	}
 
-	var sink *harness.MetricsSink
-	if *metricsOut != "" {
-		sink = &harness.MetricsSink{}
-	}
-	if err := emit(os.Stdout, *table, *quick, sink); err != nil {
+	if err := emit(os.Stdout, *table, *quick); err != nil {
 		fmt.Fprintf(os.Stderr, "tables: %v\n", err)
 		os.Exit(1)
-	}
-	if sink != nil {
-		f, err := os.Create(*metricsOut)
-		if err == nil {
-			err = sink.WriteJSON(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tables: %v\n", err)
-			os.Exit(1)
-		}
 	}
 }

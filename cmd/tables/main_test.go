@@ -68,7 +68,7 @@ func TestMaskVolatileIgnoresCellWidth(t *testing.T) {
 // coverage cell) fails even though CPU/MEM columns are masked.
 func TestDiffTablesQuick(t *testing.T) {
 	var buf bytes.Buffer
-	if err := emit(&buf, 2, true, nil); err != nil {
+	if err := emit(&buf, 2, true); err != nil {
 		t.Fatal(err)
 	}
 	fresh := filepath.Join(t.TempDir(), "fresh.txt")
@@ -109,7 +109,7 @@ func TestDiffTablesQuick(t *testing.T) {
 // itself. Regenerate deliberately with: go test ./cmd/tables -update
 func TestTable2QuickGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if err := emit(&buf, 2, true, nil); err != nil {
+	if err := emit(&buf, 2, true); err != nil {
 		t.Fatal(err)
 	}
 	golden := filepath.Join("testdata", "table2_quick.golden")

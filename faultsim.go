@@ -247,12 +247,12 @@ func SimulateGrid(u *Universe, vs *Vectors, cfg GridConfig) (*Result, SimStats, 
 func PlanGrid(sh JobShape) GridPlan { return parallel.Decide(sh) }
 
 // NewObserver builds a fully enabled observability bundle: a fresh
-// metric registry with a phase tracer feeding it. Attach a fault log by
-// setting the Faults field; attach the bundle through Config.Obs or
-// GridConfig.Obs.
+// metric registry and a phase tracer. Engines write no metrics — a run's
+// counters are its SimStats — so the registry is for a service or a
+// coordinator the bundle is handed to. Attach a fault log by setting the
+// Faults field; attach the bundle through Config.Obs or GridConfig.Obs.
 func NewObserver() *Observer {
-	reg := obs.NewRegistry()
-	return &obs.Observer{Metrics: reg, Tracer: obs.NewTracer(reg)}
+	return &obs.Observer{Metrics: obs.NewRegistry(), Tracer: obs.NewTracer()}
 }
 
 // NewFaultLog builds a fault-lifecycle event log for a universe of

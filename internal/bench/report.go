@@ -26,11 +26,10 @@ type CellResult struct {
 	// PotOnly is the potentially-but-never-hard detected count.
 	PotOnly int `json:"pot_only"`
 	// K is the worker count the run used (harness.Measurement.Workers:
-	// the plan's <engine>.fault_shards for csim-grid, 0 for engines
-	// without workers).
+	// the plan's K for csim-grid, 0 for engines without workers).
 	K int `json:"k"`
-	// Counters holds the work counters the engine published, by
-	// registry name ("csim-C.evals").
+	// Counters holds the run's non-zero work counters as
+	// "<engine>.<stats field>" ("csim-C.evals").
 	Counters map[string]int64 `json:"counters"`
 	// Wall is the run's wall time, for the reader only: it is neither
 	// stored nor compared.

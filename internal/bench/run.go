@@ -6,15 +6,8 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/harness"
-	"repro/internal/obs"
 	"repro/internal/vectors"
 )
-
-// workCounters are the per-engine counters a cell records, published as
-// <engine>.<name>: gate evaluations, fresh fault passes and their
-// in-place continuations, good-machine evaluations and detections. An
-// engine records the ones it publishes; PROOFS and serial publish none.
-var workCounters = []string{"evals", "passes", "steps", "good_evals", "detections"}
 
 // Run runs every cell once, in order, and assembles the report.
 func Run(cells []Cell) (*Report, error) {
@@ -51,15 +44,17 @@ func workload(c Cell) (*faults.Universe, *vectors.Set, error) {
 	return u, vs, nil
 }
 
-// runCell runs one cell under a fresh registry and keeps its integers.
+// runCell runs one cell and keeps its integers: the run's shape and, as
+// <engine>.<name>, each of its five work counters that is non-zero —
+// gate evaluations, fresh fault passes and their in-place continuations,
+// good-machine evaluations and detections. PROOFS and serial count none.
 func runCell(c Cell) (CellResult, error) {
 	u, vs, err := workload(c)
 	if err != nil {
 		return CellResult{}, err
 	}
-	reg := obs.NewRegistry()
 	t0 := time.Now()
-	m, err := harness.Run(c.Engine, u, vs, c.Workers, &obs.Observer{Metrics: reg})
+	m, err := harness.Run(c.Engine, u, vs, c.Workers, nil)
 	wall := time.Since(t0)
 	if err != nil {
 		return CellResult{}, err
@@ -74,16 +69,13 @@ func runCell(c Cell) (CellResult, error) {
 		Counters: map[string]int64{},
 		Wall:     wall,
 	}
-	published := map[string]int64{}
-	for _, p := range reg.Snapshot() {
-		if p.Kind == "counter" {
-			published[p.Name] = p.Value
-		}
-	}
-	for _, name := range workCounters {
-		name = c.Engine + "." + name
-		if v, ok := published[name]; ok {
-			res.Counters[name] = v
+	st := m.Stats
+	for name, v := range map[string]int{
+		"evals": st.Evals, "passes": st.Passes, "steps": st.Steps,
+		"good_evals": st.GoodEvals, "detections": st.Detections,
+	} {
+		if v != 0 {
+			res.Counters[c.Engine+"."+name] = int64(v)
 		}
 	}
 	return res, nil

@@ -65,15 +65,12 @@ type Config struct {
 	// extraction returns, so sharing one Plan across jobs is race-free by
 	// construction.
 	Plan *macro.Plan
-	// Obs attaches the observability layer: the metric registry the
-	// simulator registers into, the phase tracer, and the fault-lifecycle
-	// event log (see internal/obs and OBSERVABILITY.md). Nil — the
+	// Obs attaches the observability layer: the phase tracer and the
+	// fault-lifecycle event log (see internal/obs and OBSERVABILITY.md).
+	// The simulator writes no metrics; its counters are Stats. Nil — the
 	// default — disables observability entirely; the hot paths then take
 	// the nil fast path at zero added allocations.
 	Obs *obs.Observer
-	// ObsPrefix namespaces this simulator's metrics inside the registry;
-	// empty means DefaultObsPrefix ("csim.").
-	ObsPrefix string
 }
 
 // MV returns the paper's best configuration, csim-MV.
@@ -113,7 +110,7 @@ type Simulator struct {
 
 	arena    []elem
 	freeHead int32
-	stats    Ats
+	stats    Stats
 
 	vis []int32 // per gate: visible-list head (arena index, 0 = empty)
 	inv []int32 // per gate: invisible-list head (split mode only)
@@ -145,16 +142,9 @@ type Simulator struct {
 	vecIndex        int
 	firstCycle      bool
 
-	// Observability (all nil when Config.Obs is nil — the zero-cost
-	// disabled state).
+	// The fault-lifecycle log; nil when Config.Obs has none (the
+	// zero-cost disabled state).
 	flog *obs.FaultLog
-	sink *obsSink
-}
-
-// Ats is the internal mutable counter block (kept separate so Stats can be
-// returned by value).
-type Ats struct {
-	Evals, GoodEvals, PeakElems, CurElems, Detections, Skips, Scheds int
 }
 
 type consumer struct {
@@ -171,9 +161,6 @@ type pendingElem struct {
 // stuck-at, transition, or mixed.
 func New(u *faults.Universe, cfg Config) (*Simulator, error) {
 	c := u.Circuit
-	if cfg.ObsPrefix == "" {
-		cfg.ObsPrefix = DefaultObsPrefix
-	}
 	plan := cfg.Plan
 	if plan == nil {
 		sp := cfg.Obs.Span("macro-extract")
@@ -224,13 +211,6 @@ func New(u *faults.Universe, cfg Config) (*Simulator, error) {
 	s.dffEvent = make([]bool, len(c.DFFs))
 
 	s.flog = cfg.Obs.FaultLog()
-	if reg := cfg.Obs.Registry(); reg != nil {
-		s.sink = newObsSink(reg, cfg.ObsPrefix, len(u.Faults))
-		ms := plan.Summary()
-		reg.Gauge(cfg.ObsPrefix + "macro_absorbed_gates").Set(int64(ms.AbsorbedGates))
-		reg.Gauge(cfg.ObsPrefix + "macro_max_frame").Set(int64(ms.MaxFrame))
-		reg.Gauge(cfg.ObsPrefix + "macro_levels").Set(int64(ms.MaxLevel))
-	}
 
 	// Fault-site ownership: faults on absorbed gates belong to their
 	// macro's root. Faults are sited in ID order, so per-gate locals stay
@@ -309,19 +289,12 @@ func (s *Simulator) resetState() {
 // Result returns the accumulated detections.
 func (s *Simulator) Result() *faults.Result { return s.res }
 
-// Stats returns instrumentation counters.
+// Stats returns the run's counters so far.
 func (s *Simulator) Stats() Stats {
-	return Stats{
-		Skips:      s.stats.Skips,
-		Evals:      s.stats.Evals,
-		GoodEvals:  s.stats.GoodEvals,
-		Scheds:     s.stats.Scheds,
-		PeakElems:  s.stats.PeakElems,
-		CurElems:   s.stats.CurElems,
-		Macros:     s.plan.NumMacros(),
-		MemBytes:   int64(s.stats.PeakElems) * elemSize,
-		Detections: s.stats.Detections,
-	}
+	st := s.stats
+	st.Macros = s.plan.NumMacros()
+	st.MemBytes = int64(st.PeakElems) * elemSize
+	return st
 }
 
 // Plan exposes the macro plan (inspection/tests).

@@ -1,8 +1,6 @@
 package csim
 
 import (
-	"time"
-
 	"repro/internal/faults"
 	"repro/internal/logic"
 	"repro/internal/obs"
@@ -12,13 +10,6 @@ import (
 // combinational network, look for detections at the primary outputs, then
 // clock the flip-flops (good machine and every faulty machine together).
 func (s *Simulator) Cycle(vec []logic.V) {
-	// Observability is published once per cycle (never per event): with a
-	// sink attached the cycle is timed and the counters flushed at the
-	// end; without one this is a single nil check.
-	var cycleStart time.Time
-	if s.sink != nil {
-		cycleStart = time.Now()
-	}
 	// Re-arm macros whose transition faults fired a delayed edge last
 	// cycle: their elements must be re-examined even without new events.
 	for _, r := range s.retrig {
@@ -42,9 +33,6 @@ func (s *Simulator) Cycle(vec []logic.V) {
 	s.detect()
 	s.clock()
 	s.vecIndex++
-	if s.sink != nil {
-		s.sink.flush(s.Stats(), time.Since(cycleStart))
-	}
 }
 
 // applyPIs asserts the vector on the primary inputs. Every PI's local

@@ -13,7 +13,9 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/csim"
 	"repro/internal/engine"
+	"repro/internal/faults"
 	"repro/internal/jobid"
 	"repro/internal/obs"
 	"repro/internal/parallel"
@@ -72,7 +74,6 @@ func New(cfg Config) (*Coordinator, error) {
 		cShardDone:  reg.Counter("dist.shards_completed"),
 		hMergeNS:    reg.Histogram("dist.merge_ns", mergeBuckets),
 	}
-	reg.Gauge("dist.workers").Set(int64(len(cfg.Workers)))
 	return c, nil
 }
 
@@ -133,7 +134,7 @@ func (c *Coordinator) RunJob(ctx context.Context, req *service.RunRequest) (*ser
 
 	jctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	m := newMerger(k)
+	views := make([]*service.ResultView, k)
 	errCh := make(chan error, k)
 	var wg sync.WaitGroup
 	for shard := 0; shard < k; shard++ {
@@ -141,9 +142,7 @@ func (c *Coordinator) RunJob(ctx context.Context, req *service.RunRequest) (*ser
 		go func(shard int) {
 			defer wg.Done()
 			rv, err := c.runShard(jctx, req, shard, k)
-			if err == nil {
-				_, err = m.add(shard, rv)
-			}
+			views[shard] = rv
 			if err != nil {
 				errCh <- fmt.Errorf("shard %d/%d: %w", shard, k, err)
 				cancel() // one lost shard fails the job; stop the rest
@@ -163,7 +162,7 @@ func (c *Coordinator) RunJob(ctx context.Context, req *service.RunRequest) (*ser
 
 	req.SetPhase("merging")
 	t0 := time.Now()
-	res, st, err := m.merge(u)
+	res, st, err := mergeShards(u, views)
 	if err != nil {
 		return c.failJob(req, err)
 	}
@@ -172,6 +171,24 @@ func (c *Coordinator) RunJob(ctx context.Context, req *service.RunRequest) (*ser
 	rv := service.NewResultView(req.Spec, res, vs.Len(), k, st, time.Since(start).Nanoseconds())
 	req.SetPhase("done")
 	return rv, nil
+}
+
+// mergeShards rebuilds each shard's result over u from its detections
+// payload and folds them, in shard order, with the deterministic
+// first-detection-wins merge; it returns the combined result and the
+// merged engine stats. faults.MergeResults is permutation-invariant, so
+// the merge does not depend on which shard finished first.
+func mergeShards(u *faults.Universe, views []*service.ResultView) (*faults.Result, csim.Stats, error) {
+	parts := make([]*faults.Result, len(views))
+	stats := make([]csim.Stats, len(views))
+	for k, rv := range views {
+		res, err := rv.Detections.Result(u)
+		if err != nil {
+			return nil, csim.Stats{}, fmt.Errorf("dist: shard %d payload: %w", k, err)
+		}
+		parts[k], stats[k] = res, rv.Stats
+	}
+	return faults.MergeResults(parts...), csim.MergeStats(stats...), nil
 }
 
 // failJob records a failed distributed job and passes the error up to

@@ -3,7 +3,6 @@ package dist
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -39,9 +38,9 @@ func shardPayloads(t *testing.T, u *faults.Universe, vs *vectors.Set, k int) []*
 }
 
 // TestMergerShuffledAndDuplicateArrival is the merge-determinism
-// property: any arrival order of the shard payloads, with duplicate
-// deliveries interleaved, merges to the same result — the serial
-// oracle — and duplicates are dropped by the idempotent slot dedup.
+// property: RunJob's shard goroutines each write their own slot, in
+// whatever order they finish, so the merge sees the K payloads in shard
+// order and must produce the serial oracle's result.
 func TestMergerShuffledAndDuplicateArrival(t *testing.T) {
 	ckt, err := iscas.Get("s526")
 	if err != nil {
@@ -50,54 +49,12 @@ func TestMergerShuffledAndDuplicateArrival(t *testing.T) {
 	u := faults.StuckCollapsed(ckt)
 	vs := vectors.Random(ckt, 50, 9)
 	want, _ := serial.Simulate(context.Background(), u, vs)
-	const k = 5
-	payloads := shardPayloads(t, u, vs, k)
-
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 8; trial++ {
-		order := rng.Perm(k)
-		m := newMerger(k)
-		for i, shard := range order {
-			kept, err := m.add(shard, payloads[shard])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !kept {
-				t.Fatalf("trial %d: first delivery of shard %d rejected", trial, shard)
-			}
-			// A duplicate delivery of an already-accepted shard (the
-			// re-queued copy's original worker limping in late) is dropped.
-			dup := order[rng.Intn(i+1)]
-			kept, err = m.add(dup, payloads[dup])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if kept {
-				t.Fatalf("trial %d: duplicate of shard %d was merged twice", trial, dup)
-			}
-		}
-		if m.complete() != k {
-			t.Fatalf("trial %d: %d/%d slots filled", trial, m.complete(), k)
-		}
-		got, _, err := m.merge(u)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if diff := want.Diff(got); diff != "" {
-			t.Errorf("trial %d (order %v): merged result differs from oracle:\n%s", trial, order, diff)
-		}
+	got, _, err := mergeShards(u, shardPayloads(t, u, vs, 5))
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestMergerRejectsPayloadlessShard: a shard view without detections
-// cannot be merged.
-func TestMergerRejectsPayloadlessShard(t *testing.T) {
-	m := newMerger(2)
-	if _, err := m.add(0, &service.ResultView{}); err == nil {
-		t.Error("add accepted a payloadless shard view")
-	}
-	if _, err := m.add(5, &service.ResultView{Detections: &service.DetectionsView{}}); err == nil {
-		t.Error("add accepted an out-of-range shard index")
+	if diff := want.Diff(got); diff != "" {
+		t.Errorf("merged result differs from oracle:\n%s", diff)
 	}
 }
 

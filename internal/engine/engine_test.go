@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/iscas"
+	"repro/internal/obs"
 	"repro/internal/serial"
 	"repro/internal/vectors"
 )
@@ -92,6 +93,29 @@ func TestDegenerateJobs(t *testing.T) {
 		}
 		run("shard 0 of 1", CsimGrid, Options{Shard: 0, Of: 1})
 	}
+}
+
+// TestRunWritesNoMetrics: a run's counters are the Stats Run returns,
+// so every registered engine, and a pinned csim-grid shard, leaves the
+// registry it is handed empty.
+func TestRunWritesNoMetrics(t *testing.T) {
+	c := iscas.MustGet("s298")
+	u := faults.StuckCollapsed(c)
+	vs := vectors.Random(c, 70, 5)
+	run := func(tag, name string, opt Options) {
+		reg := obs.NewRegistry()
+		opt.Obs = &obs.Observer{Metrics: reg}
+		if _, _, err := Run(context.Background(), name, u, vs, opt); err != nil {
+			t.Fatalf("%s: %v", tag, err)
+		}
+		if snap := reg.Snapshot(); len(snap) != 0 {
+			t.Errorf("%s published %d metrics: %+v", tag, len(snap), snap)
+		}
+	}
+	for _, info := range Engines() {
+		run(info.Name, info.Name, Options{Workers: 2})
+	}
+	run("csim-grid shard 1 of 2", CsimGrid, Options{Shard: 1, Of: 2})
 }
 
 // TestRunRejects pins Run's input checks: an unknown name (the error

@@ -35,12 +35,10 @@ type Options struct {
 	// prepares a set for this run alone. A set over another circuit is an
 	// error.
 	Artifacts *Artifacts
-	// Obs attaches the observability layer; nil disables it.
+	// Obs attaches the observability layer — spans, fault events,
+	// flight events and log records; nil disables it. A run writes no
+	// metrics: its counters are the Stats Run returns.
 	Obs *obs.Observer
-	// ObsPrefix namespaces the run's metrics in the registry; empty
-	// means the engine's name and a dot ("csim-MV."), so per-engine
-	// counts stay distinguishable in one snapshot.
-	ObsPrefix string
 }
 
 // Workers reports how many kernel workers Run uses for a whole-universe
@@ -61,10 +59,8 @@ func Workers(name string, nfaults int, opt Options) int {
 // the serial oracle on every engine that simulates faults; the good
 // machines return an empty result. ctx stops the run with ctx.Err() at
 // the next cycle (the csim family, PROOFS, good-sim), fault (serial) or
-// fault chunk × 64-cycle block (csim-C, csim-grid). The engine's metrics
-// land under Options.ObsPrefix: the csim family's per-cycle set, the
-// compiled kernel's Stats tag table once at the end, PROOFS' mem_bytes
-// and the good machines' good_evals.
+// fault chunk × 64-cycle block (csim-C, csim-grid). The Stats are the
+// one record of the run's work; Run publishes no metric.
 func Run(ctx context.Context, name string, u *faults.Universe, vs *vectors.Set, opt Options) (*faults.Result, csim.Stats, error) {
 	info, ok := ByName(name)
 	if !ok {
@@ -88,9 +84,6 @@ func Run(ctx context.Context, name string, u *faults.Universe, vs *vectors.Set, 
 			return nil, csim.Stats{}, fmt.Errorf("engine: shard index %d outside [0, %d)", opt.Shard, opt.Of)
 		}
 	}
-	if opt.ObsPrefix == "" {
-		opt.ObsPrefix = name + "."
-	}
 	// The scheduler's verdict is recorded before the cancellation check:
 	// a job that times out before its engine starts still carries the
 	// decision in its postmortem.
@@ -110,7 +103,7 @@ func Run(ctx context.Context, name string, u *faults.Universe, vs *vectors.Set, 
 		return nil, csim.Stats{}, err
 	}
 
-	ob, reg := opt.Obs, opt.Obs.Registry()
+	ob := opt.Obs
 	switch name {
 	case CsimC, CsimGrid:
 		return runCompiled(ctx, prog, u, vs, opt, info.Sharded)
@@ -130,9 +123,7 @@ func Run(ctx context.Context, name string, u *faults.Universe, vs *vectors.Set, 
 		if err != nil {
 			return nil, csim.Stats{}, err
 		}
-		st := csim.Stats{MemBytes: sim.Stats().MemBytes}
-		reg.Gauge(opt.ObsPrefix + "mem_bytes").Set(st.MemBytes)
-		return sim.Result(), st, nil
+		return sim.Result(), csim.Stats{MemBytes: sim.Stats().MemBytes}, nil
 	case GoodSim:
 		s := goodsim.New(u.Circuit)
 		sp := ob.Span("good-sim")
@@ -141,19 +132,17 @@ func Run(ctx context.Context, name string, u *faults.Universe, vs *vectors.Set, 
 		if err != nil {
 			return nil, csim.Stats{}, err
 		}
-		reg.Counter(opt.ObsPrefix + "good_evals").Add(int64(s.Events))
 		return faults.NewResult(u), csim.Stats{GoodEvals: s.Events}, nil
 	case GoodC:
 		g := prog.NewGood()
 		sp := ob.Span("good-sim")
 		g.Run(vs)
 		sp.End()
-		reg.Counter(opt.ObsPrefix + "good_evals").Add(g.Evals)
 		return faults.NewResult(u), csim.Stats{GoodEvals: int(g.Evals)}, nil
 	}
-	// The csim family, which publishes its own metric set once per cycle.
+	// The csim family.
 	cfg := info.Config
-	cfg.Plan, cfg.Obs, cfg.ObsPrefix = plan, ob, opt.ObsPrefix
+	cfg.Plan, cfg.Obs = plan, ob
 	sim, err := csim.New(u, cfg)
 	if err != nil {
 		return nil, csim.Stats{}, err
@@ -183,11 +172,10 @@ func cycles(ctx context.Context, vs *vectors.Set, cycle func(vec []logic.V)) err
 // compiled run, inside a "fault-sim" span. csim-C runs the whole
 // universe on its budget and records nothing. A whole csim-grid job
 // (grid, no coordinates) runs it on the K the scheduler chose, already
-// in opt.Workers, with one shard_start/shard_finish pair per worker, a
-// merge event and a "fault_shards" gauge. A pinned shard runs its slice
-// of the partition on its own budget, records one pair for the shard and
-// publishes under "<prefix>shard<k>."; every shard computes its own
-// packed trace, so merged shard stats count one trace per non-empty
+// in opt.Workers, with one shard_start/shard_finish pair per worker and
+// a merge event. A pinned shard runs its slice of the partition on its
+// own budget and records one pair for the shard; every shard computes
+// its own packed trace, so merged shard stats count one trace per non-empty
 // shard in GoodEvals. The "csim-grid shard %d" detail prefix is pinned
 // by benchmark/ and goes with the `[benchmark]` yardstick refresh.
 func runCompiled(ctx context.Context, p *compiled.Program, u *faults.Universe, vs *vectors.Set, opt Options, grid bool) (*faults.Result, csim.Stats, error) {
@@ -205,7 +193,6 @@ func runCompiled(ctx context.Context, p *compiled.Program, u *faults.Universe, v
 			// empty result merges as a no-op.
 			return faults.NewResult(u), csim.Stats{}, nil
 		}
-		opt.ObsPrefix += fmt.Sprintf("shard%d.", opt.Shard)
 		workers = compiled.Workers(opt.Workers, len(ids))
 		rec.Recordf("shard_start", "shard %d of %d: %d faults on %d compiled workers", opt.Shard, opt.Of, len(ids), workers)
 		log.Debug("shard start",
@@ -254,11 +241,7 @@ func runCompiled(ctx context.Context, p *compiled.Program, u *faults.Universe, v
 			slog.String("phase", "merge"),
 			slog.Int("fault_shards", workers),
 			slog.Int("detected", res.NumDet))
-		if reg := ob.Registry(); reg != nil {
-			reg.Gauge(opt.ObsPrefix + "fault_shards").Set(int64(workers))
-		}
 	}
-	csim.PublishStats(ob.Registry(), opt.ObsPrefix, sim.Stats())
 	return res, sim.Stats(), nil
 }
 

@@ -5,13 +5,12 @@ package harness
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"strings"
 	"sync"
 	"time"
 
+	"repro/internal/csim"
 	"repro/internal/engine"
 	"repro/internal/faults"
 	"repro/internal/netlist"
@@ -37,8 +36,9 @@ type Measurement struct {
 	Coverage float64
 	// CPU is the measured wall time of the run.
 	CPU time.Duration
-	// MemBytes is the accounted fault-structure memory at peak.
-	MemBytes int64
+	// Stats is the run's record of its work, as engine.Run returned it;
+	// Stats.MemBytes is the accounted fault-structure memory at peak.
+	Stats csim.Stats
 	// Workers is the compiled kernel's worker count (csim-C and
 	// csim-grid; 0 otherwise).
 	Workers int
@@ -71,8 +71,7 @@ func Artifacts(c *netlist.Circuit) *engine.Artifacts {
 // the engine reads in the circuit's artifact set, then times engine.Run
 // on that set. workers is the compiled kernel's processor budget
 // (engine.Options.Workers; other engines ignore it). ob may be nil; with
-// one, the engine's metrics land under "<name>." and the simulation runs
-// inside a "fault-sim" span.
+// one, the simulation runs inside a "fault-sim" span.
 func Run(name string, u *faults.Universe, vs *vectors.Set, workers int, ob *obs.Observer) (Measurement, error) {
 	m := Measurement{
 		Engine:   name,
@@ -92,57 +91,11 @@ func Run(name string, u *faults.Universe, vs *vectors.Set, workers int, ob *obs.
 		return m, err
 	}
 	m.CPU = time.Since(start)
-	m.MemBytes = st.MemBytes
+	m.Stats = st
 	m.Detected = res.NumDet
 	m.PotOnly = res.NumPotOnly()
 	m.Coverage = res.Coverage()
 	return m, nil
-}
-
-// NamedSnapshot is one table cell's registry snapshot.
-type NamedSnapshot struct {
-	// Name identifies the cell as "circuit/engine".
-	Name string `json:"name"`
-	// Metrics is the cell's full registry snapshot.
-	Metrics []obs.Point `json:"metrics"`
-}
-
-// MetricsSink accumulates per-run registry snapshots while the harness
-// regenerates tables; cmd/tables serializes it behind -metrics-out.
-type MetricsSink struct {
-	mu   sync.Mutex
-	runs []NamedSnapshot
-}
-
-// Add records one named snapshot.
-func (s *MetricsSink) Add(name string, metrics []obs.Point) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.runs = append(s.runs, NamedSnapshot{Name: name, Metrics: metrics})
-	s.mu.Unlock()
-}
-
-// Runs returns the collected snapshots in insertion order.
-func (s *MetricsSink) Runs() []NamedSnapshot {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]NamedSnapshot(nil), s.runs...)
-}
-
-// WriteJSON writes the collected snapshots as {"runs": [...]}.
-func (s *MetricsSink) WriteJSON(w io.Writer) error {
-	runs := s.Runs()
-	if runs == nil {
-		runs = []NamedSnapshot{}
-	}
-	return writeJSON(w, struct {
-		Runs []NamedSnapshot `json:"runs"`
-	}{runs})
 }
 
 // Table renders rows of measurements as an aligned text table.
@@ -200,12 +153,6 @@ func (t *Table) String() string {
 		fmt.Fprintf(&b, "%s\n", t.Caption)
 	}
 	return b.String()
-}
-
-func writeJSON(w io.Writer, v any) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(v)
 }
 
 // Seconds formats a duration as the paper's CPU columns (seconds).

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/iscas"
-	"repro/internal/obs"
 )
 
 // Table3Circuits is the circuit list of the paper's Table 3 (deterministic
@@ -65,12 +64,10 @@ func Table2(circuits []string) (*Table, error) {
 	return t, nil
 }
 
-// Table3Observed reproduces the deterministic-patterns comparison of
-// csim-V, csim-M, csim-MV and PROOFS (CPU seconds and memory), extended
-// with a csim-C column, under the observability layer: each cell runs
-// with a fresh metric registry and tracer, and every cell's snapshot
-// lands in sink when non-nil (the cmd/tables -metrics-out payload).
-func Table3Observed(circuits []string, sink *MetricsSink) (*Table, error) {
+// Table3 reproduces the deterministic-patterns comparison of csim-V,
+// csim-M, csim-MV and PROOFS (CPU seconds and memory), extended with a
+// csim-C column.
+func Table3(circuits []string) (*Table, error) {
 	t := &Table{
 		Title: "Table 3. Deterministic patterns (I)",
 		Header: []string{"ckt",
@@ -91,14 +88,11 @@ func Table3Observed(circuits []string, sink *MetricsSink) (*Table, error) {
 		}
 		row := []string{name}
 		for _, eng := range []string{engine.CsimV, engine.CsimM, engine.CsimMV, engine.CsimC, engine.PROOFS} {
-			reg := obs.NewRegistry()
-			ob := &obs.Observer{Metrics: reg, Tracer: obs.NewTracer(reg)}
-			m, err := Run(eng, u, vs, 0, ob)
+			m, err := Run(eng, u, vs, 0, nil)
 			if err != nil {
 				return nil, err
 			}
-			sink.Add(name+"/"+eng, reg.Snapshot())
-			row = append(row, Seconds(m.CPU), Meg(m.MemBytes))
+			row = append(row, Seconds(m.CPU), Meg(m.Stats.MemBytes))
 		}
 		t.Add(row...)
 	}
@@ -131,7 +125,7 @@ func Table4(circuits []string) (*Table, error) {
 			return nil, err
 		}
 		t.Add(name, itoa(vs.Len()), fmt.Sprintf("%.1f", mv.FltCvg()),
-			Seconds(mv.CPU), Meg(mv.MemBytes), Seconds(pr.CPU), Meg(pr.MemBytes))
+			Seconds(mv.CPU), Meg(mv.Stats.MemBytes), Seconds(pr.CPU), Meg(pr.Stats.MemBytes))
 	}
 	return t, nil
 }
@@ -162,7 +156,7 @@ func Table5(name string, counts []int) (*Table, error) {
 			return nil, err
 		}
 		t.Add(itoa(n), fmt.Sprintf("%.1f", mv.FltCvg()),
-			Seconds(mv.CPU), Meg(mv.MemBytes), Seconds(pr.CPU), Meg(pr.MemBytes))
+			Seconds(mv.CPU), Meg(mv.Stats.MemBytes), Seconds(pr.CPU), Meg(pr.Stats.MemBytes))
 	}
 	return t, nil
 }
@@ -189,7 +183,7 @@ func Table6(circuits []string) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.Add(name, itoa(u.NumFaults()), Meg(m.MemBytes), Seconds(m.CPU),
+		t.Add(name, itoa(u.NumFaults()), Meg(m.Stats.MemBytes), Seconds(m.CPU),
 			fmt.Sprintf("%.1f", m.FltCvg()))
 	}
 	return t, nil

@@ -51,31 +51,6 @@ func (p *Plan) NumMacros() int {
 	return n
 }
 
-// PlanSummary aggregates a plan's shape for instrumentation: how far the
-// extraction compressed the gate-level network, and how deep and wide the
-// resulting macro graph is.
-type PlanSummary struct {
-	Macros        int // macro count (scheduling units)
-	AbsorbedGates int // combinational gates folded into a non-trivial macro
-	MaxLevel      int // macro-graph depth
-	MaxFrame      int // largest evaluation frame over all macros
-}
-
-// Summary computes the plan's aggregate shape.
-func (p *Plan) Summary() PlanSummary {
-	s := PlanSummary{
-		Macros:   p.NumMacros(),
-		MaxLevel: int(p.MaxLevel),
-		MaxFrame: p.MaxFrame,
-	}
-	for g, owner := range p.Owner {
-		if netlist.GateID(g) != owner {
-			s.AbsorbedGates++
-		}
-	}
-	return s
-}
-
 // Trivial returns the identity plan: every combinational gate is a
 // one-instruction macro. The concurrent simulator without macro extraction
 // (csim-V) runs on this plan.

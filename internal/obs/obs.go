@@ -6,11 +6,12 @@
 // The package is built around a nil fast path: every handle method —
 // Counter.Add, Gauge.Set, Histogram.Observe, Tracer.Span, Span.End,
 // FaultLog.Emit — is a no-op on a nil receiver, and a nil *Registry hands
-// out nil handles. An engine therefore registers its metrics once at
-// construction and instruments its hot paths unconditionally; when
-// observability is disabled the instrumentation folds to an inlined nil
-// check with zero allocations (asserted by this package's benchmarks and
-// the CI regression gate).
+// out nil handles. An engine therefore emits its spans and fault events
+// unconditionally; when observability is disabled they fold to an
+// inlined nil check with zero allocations (asserted by this package's
+// benchmarks and the CI regression gate). Engines write no metrics: a
+// run's counters are the csim.Stats it returns, and the registry holds
+// what the service and the coordinator publish about themselves.
 //
 // All handles are safe for concurrent use (atomics), so concurrent jobs
 // publish into one shared registry without locking.
@@ -432,11 +433,12 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	}{r.Snapshot()})
 }
 
-// Observer bundles the observability sinks an engine can be given. A
-// nil *Observer — and any nil field of a non-nil one — disables that
-// aspect with the zero-cost fast path.
+// Observer bundles the observability sinks a run, a server or a
+// coordinator can be given. A nil *Observer — and any nil field of a
+// non-nil one — disables that aspect with the zero-cost fast path.
 type Observer struct {
-	// Metrics receives counter/gauge/histogram updates.
+	// Metrics receives counter/gauge/histogram updates from a server or
+	// a coordinator; engines ignore it.
 	Metrics *Registry
 	// Tracer records span-style phase timings.
 	Tracer *Tracer

@@ -12,18 +12,12 @@ import (
 // macro-extract → good-sim → fault-sim → merge) and serializes them as a
 // chrome://tracing JSON document. The nil *Tracer is the disabled state:
 // Span returns a nil *Span whose End is a no-op.
-//
-// When Metrics is set, every completed span also accumulates into the
-// counter "phase.<name>_ns", so phase durations appear in metrics.json
-// snapshots alongside the engine counters.
 type Tracer struct {
 	// AllocDeltas samples runtime.MemStats at span boundaries and
 	// annotates each span with the bytes allocated inside it. Sampling
 	// costs a runtime.ReadMemStats per boundary — enable only for
 	// coarse phases, never per-cycle.
 	AllocDeltas bool
-	// Metrics, when non-nil, receives per-phase duration counters.
-	Metrics *Registry
 
 	mu     sync.Mutex
 	t0     time.Time
@@ -38,10 +32,8 @@ type spanRecord struct {
 	AllocBytes int64 // -1 when not sampled
 }
 
-// NewTracer returns an empty tracer; metrics may be nil.
-func NewTracer(metrics *Registry) *Tracer {
-	return &Tracer{Metrics: metrics}
-}
+// NewTracer returns an empty tracer.
+func NewTracer() *Tracer { return &Tracer{} }
 
 // Span opens a span in the default lane. Close it with End.
 func (t *Tracer) Span(name string) *Span { return t.SpanTID(name, 0) }
@@ -76,8 +68,7 @@ type Span struct {
 }
 
 // End closes the span, recording wall-clock (and, when enabled, the
-// allocation delta) on the tracer and the phase-duration counter on the
-// linked registry.
+// allocation delta) on the tracer.
 func (sp *Span) End() {
 	if sp == nil {
 		return
@@ -95,7 +86,6 @@ func (sp *Span) End() {
 	t.mu.Lock()
 	t.spans = append(t.spans, rec)
 	t.mu.Unlock()
-	t.Metrics.Counter("phase." + sp.name + "_ns").Add(int64(rec.Dur))
 }
 
 // readAllocBytes returns cumulative heap allocation.

@@ -256,10 +256,9 @@ func TestMergeStatsOrderInsensitive(t *testing.T) {
 
 // TestCompiledGridObserved pins what a grid run records: the scheduler's
 // decision, one shard_start/shard_finish pair per worker whose details
-// start "csim-grid shard <k>: " (benchmark/ parses them), a merge event,
-// and the totals and worker count under "csim-grid." with no per-shard
-// names; a pinned shard records one pair of its own and publishes under
-// "csim-grid.shard<k>.".
+// start "csim-grid shard <k>: " (benchmark/ parses them) and a merge
+// event; a pinned shard records one pair of its own. Neither writes a
+// metric: the counters are the Stats the run returns.
 func TestCompiledGridObserved(t *testing.T) {
 	u := universes("s1494")[0]
 	vs := vectors.Random(u.Circuit, 64, 1)
@@ -275,7 +274,7 @@ func TestCompiledGridObserved(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	ob := &obs.Observer{Metrics: reg, Flight: obs.NewFlightRecorder(0)}
-	res, st := grid(t, u, vs, 3, ob)
+	grid(t, u, vs, 3, ob)
 	events := ob.Flight.Events()
 	simulated := 0
 	for k := 0; k < 3; k++ {
@@ -299,22 +298,7 @@ func TestCompiledGridObserved(t *testing.T) {
 	if count(events, "decide", "plan 3x1 ") != 1 || count(events, "merge", "csim-grid: 3 shards merged") != 1 {
 		t.Errorf("no decide or merge event in %+v", events)
 	}
-	for name, want := range map[string]int64{
-		"csim-grid.evals": int64(st.Evals), "csim-grid.good_evals": int64(st.GoodEvals),
-		"csim-grid.detections": int64(res.NumDet), "csim-grid.fault_shards": 3,
-		"sched.fault_shards": 3, "sched.max_procs": 3,
-	} {
-		if p, ok := reg.Get(name); !ok || p.Value != want {
-			t.Errorf("%s = %+v, want %d", name, p, want)
-		}
-	}
-	for _, p := range reg.Snapshot() {
-		if strings.Contains(p.Name, ".shard") {
-			t.Errorf("a whole grid job published %s", p.Name)
-		}
-	}
-
-	ob = &obs.Observer{Metrics: obs.NewRegistry(), Flight: obs.NewFlightRecorder(0)}
+	ob = &obs.Observer{Metrics: reg, Flight: obs.NewFlightRecorder(0)}
 	if _, _, err := engine.Run(context.Background(), engine.CsimGrid, u, vs, engine.Options{Shard: 1, Of: 2, Obs: ob}); err != nil {
 		t.Fatal(err)
 	}
@@ -322,8 +306,8 @@ func TestCompiledGridObserved(t *testing.T) {
 	if count(events, "shard_start", "shard 1 of 2: ") != 1 || count(events, "shard_finish", "shard 1 of 2: ") != 1 || count(events, "decide", "") != 0 {
 		t.Errorf("pinned shard events: %+v", events)
 	}
-	if _, ok := ob.Metrics.Get("csim-grid.shard1.evals"); !ok {
-		t.Error("pinned shard published no csim-grid.shard1.evals")
+	if snap := reg.Snapshot(); len(snap) != 0 {
+		t.Errorf("a grid job and a pinned shard published %+v", snap)
 	}
 }
 

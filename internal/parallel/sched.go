@@ -64,20 +64,11 @@ func Explain(sh JobShape) (Plan, string) {
 	return plan, fmt.Sprintf("procs=%d faults=%d: one compiled worker per chunk of 256 faults at most", p, sh.Faults)
 }
 
-// DecideObserved is Explain with the verdict published: the
-// "sched.fault_shards" / "sched.max_procs" gauges, a
-// "decide" flight event carrying the plan and its reasoning, and one
-// info log record.
+// DecideObserved is Explain with the verdict recorded: a "decide"
+// flight event carrying the plan and its reasoning, and one info log
+// record.
 func DecideObserved(sh JobShape, ob *obs.Observer) Plan {
 	plan, why := Explain(sh)
-	if reg := ob.Registry(); reg != nil {
-		reg.Gauge("sched.fault_shards").Set(int64(plan.FaultShards))
-		mp := sh.MaxProcs
-		if mp <= 0 {
-			mp = runtime.NumCPU()
-		}
-		reg.Gauge("sched.max_procs").Set(int64(mp))
-	}
 	ob.Recorder().Recordf("decide", "plan %s (%s)", plan, why)
 	ob.Logger().Info("sched decide",
 		slog.String("phase", "decide"),

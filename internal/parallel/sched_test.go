@@ -64,20 +64,13 @@ func TestDecideDeterministic(t *testing.T) {
 	}
 }
 
-// TestDecideObservedPublishes: the verdict lands in the "sched.*" gauges
-// and a decide flight event that carries the plan and its reasoning.
+// TestDecideObservedPublishes: the verdict lands in a decide flight event
+// that carries the plan and its reasoning.
 func TestDecideObservedPublishes(t *testing.T) {
-	reg := obs.NewRegistry()
-	ob := &obs.Observer{Metrics: reg, Flight: obs.NewFlightRecorder(0)}
+	ob := &obs.Observer{Flight: obs.NewFlightRecorder(0)}
 	plan := DecideObserved(JobShape{Gates: 1000, Faults: 700, Vectors: 120, MaxProcs: 4}, ob)
 	if plan.FaultShards != 3 {
 		t.Errorf("plan %v, want 3x1", plan)
-	}
-	if p, ok := reg.Get("sched.fault_shards"); !ok || p.Value != 3 {
-		t.Errorf("sched.fault_shards gauge = %+v, want 3", p)
-	}
-	if p, ok := reg.Get("sched.max_procs"); !ok || p.Value != 4 {
-		t.Errorf("sched.max_procs gauge = %+v, want 4", p)
 	}
 	if evs := ob.Flight.Events(); len(evs) != 1 || evs[0].Kind != "decide" || !strings.HasPrefix(evs[0].Detail, "plan 3x1 (procs=4 faults=700") {
 		t.Errorf("flight events %+v", evs)

@@ -17,20 +17,21 @@ import (
 
 // TestRetryAfterEmptyHistogram pins the 429 backoff fallback: before any
 // job has finished, the run-time histogram is empty and the hint must be
-// the 1-second floor, not zero or garbage.
+// the 1-second floor, not zero or garbage. On a known histogram it pins
+// the formula, p90 × queue depth ÷ workers ÷ 4.
 func TestRetryAfterEmptyHistogram(t *testing.T) {
 	s := New(Config{Workers: 2, QueueDepth: 8})
 	if got := s.retryAfter(); got != 1 {
 		t.Fatalf("retryAfter on empty histogram = %d, want 1", got)
 	}
-	// After observations the hint derives from the p90 and stays in the
-	// clamp range.
+	// Twenty 2 s runs fill the (1.07 s, 4.29 s] bucket, so the p90 is
+	// interpolated at 0.9 of it: 3.97 s. × 8 queued ÷ 2 workers ÷ 4 is
+	// 3.97 s, a 3 s hint.
 	for i := 0; i < 20; i++ {
 		s.hRunNS.Observe((2 * time.Second).Nanoseconds())
 	}
-	got := s.retryAfter()
-	if got < 1 || got > 60 {
-		t.Fatalf("retryAfter after observations = %d, want within [1,60]", got)
+	if got := s.retryAfter(); got != 3 {
+		t.Fatalf("retryAfter after twenty 2 s runs = %d, want 3", got)
 	}
 }
 

@@ -33,7 +33,7 @@ func BuildVectors(spec *JobSpec, cc *Compiled) (*vectors.Set, error) {
 // cached artifact set and returns the result view. engine.Run builds what
 // the engine reads that the set lacks, and stops every engine at its next
 // cycle, fault or fault chunk × block once ctx is done.
-func execute(ctx context.Context, spec *JobSpec, cc *Compiled, ob *obs.Observer, prefix string, workersDefault int) (*ResultView, error) {
+func execute(ctx context.Context, spec *JobSpec, cc *Compiled, ob *obs.Observer, workersDefault int) (*ResultView, error) {
 	u, err := cc.Universe(spec.Model)
 	if err != nil {
 		return nil, err
@@ -44,7 +44,7 @@ func execute(ctx context.Context, spec *JobSpec, cc *Compiled, ob *obs.Observer,
 	}
 	opt := engine.Options{
 		Workers: spec.Workers, Shard: spec.FaultShard, Of: spec.FaultShards,
-		Artifacts: cc.Artifacts, Obs: ob, ObsPrefix: prefix,
+		Artifacts: cc.Artifacts, Obs: ob,
 	}
 	// A pinned shard runs on the node's own budget whatever the
 	// coordinator's spec said about the fleet-wide split.

@@ -17,11 +17,9 @@ type RunRequest struct {
 	Spec *JobSpec
 	// CC is the compiled circuit, pinned at admission.
 	CC *Compiled
-	// Obs is the per-job observability bundle (shared metrics registry,
-	// per-job logger and flight recorder).
+	// Obs is the per-job observability bundle: the job's logger and
+	// flight recorder and the server's tracer. It carries no registry.
 	Obs *obs.Observer
-	// ObsPrefix namespaces engine metrics per worker slot.
-	ObsPrefix string
 	// EngineWorkers is the server's default intra-job parallelism.
 	EngineWorkers int
 	// SetPhase publishes a coordinator-visible phase string on the job
@@ -46,5 +44,5 @@ type localRunner struct{}
 
 // RunJob executes the job with the repository's local engines.
 func (localRunner) RunJob(ctx context.Context, req *RunRequest) (*ResultView, error) {
-	return execute(ctx, req.Spec, req.CC, req.Obs, req.ObsPrefix, req.EngineWorkers)
+	return execute(ctx, req.Spec, req.CC, req.Obs, req.EngineWorkers)
 }

@@ -186,8 +186,6 @@ func New(cfg Config) *Server {
 	if s.runner == nil {
 		s.runner = localRunner{}
 	}
-	reg.Gauge("serve.workers").Set(int64(cfg.Workers))
-	reg.Gauge("serve.queue_capacity").Set(int64(cfg.QueueDepth))
 	return s
 }
 
@@ -370,21 +368,14 @@ func (s *Server) runJob(ctx context.Context, slot int, j *job) {
 	// fail the run.
 	cc := j.compiled()
 
-	// One engine-metrics namespace and one trace lane per worker slot:
-	// bounded registry growth no matter how many jobs run. The logger and
-	// flight recorder are per-job, so engine shard events correlate.
-	prefix := fmt.Sprintf("serve.worker%d.", slot)
-	engineOb := &obs.Observer{
-		Metrics: s.ob.Metrics,
-		Tracer:  s.ob.Tracer,
-		Faults:  s.ob.Faults,
-		Log:     jlog,
-		Flight:  j.flight,
-	}
+	// One trace lane per worker slot. The logger and flight recorder are
+	// per-job, so engine shard events correlate; the engine's counters
+	// come back in the result's stats, not the registry.
+	engineOb := &obs.Observer{Tracer: s.ob.Tracer, Log: jlog, Flight: j.flight}
 	sp := s.ob.SpanTID(fmt.Sprintf("%s/%s/%s", j.id, j.spec.Engine, circuitLabel(&j.spec)), slot+1)
 	rv, err := s.runContained(jctx, &RunRequest{
 		ID: j.id, Spec: &j.spec, CC: cc,
-		Obs: engineOb, ObsPrefix: prefix,
+		Obs:           engineOb,
 		EngineWorkers: s.cfg.EngineWorkers,
 		SetPhase:      j.setDistPhase,
 	})
@@ -690,9 +681,10 @@ func (s *Server) rejectFull(w http.ResponseWriter, id string, spec *JobSpec) {
 }
 
 // retryAfter estimates, in whole seconds (>= 1, capped at 60), when a
-// queue slot should free up: one queue's worth of the observed p90 job
-// run time spread over the worker pool. Before any job has completed
-// the histogram is empty and the estimate falls back to 1s.
+// queue slot should free up: the observed p90 job run time × queue
+// depth ÷ workers ÷ 4 — a quarter of the time the worker pool takes to
+// drain a full queue. Before any job has completed the histogram is
+// empty and the estimate falls back to 1s.
 func (s *Server) retryAfter() int {
 	if s.hRunNS.Count() == 0 {
 		return 1

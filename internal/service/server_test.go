@@ -629,7 +629,7 @@ func TestCancelStopsCompiledWork(t *testing.T) {
 		}
 		run := func(cancelAt int64) (int64, *ResultView, error) {
 			ctx := &pollCtx{cancelAt: cancelAt}
-			rv, err := execute(ctx, &spec, cc, nil, "", workers)
+			rv, err := execute(ctx, &spec, cc, nil, workers)
 			return ctx.polls.Load(), rv, err
 		}
 
@@ -640,7 +640,7 @@ func TestCancelStopsCompiledWork(t *testing.T) {
 		if rv.Workers != workers {
 			t.Fatalf("%s: run used %d workers, want %d", name, rv.Workers, workers)
 		}
-		one, err := execute(context.Background(), &spec, cc, nil, "", 1)
+		one, err := execute(context.Background(), &spec, cc, nil, 1)
 		if err != nil {
 			t.Fatalf("%s: one-worker run: %v", name, err)
 		}
@@ -876,9 +876,8 @@ func TestRetentionBoundsCancelledQueuedJobs(t *testing.T) {
 }
 
 func TestObsTracerRecordsJobSpans(t *testing.T) {
-	reg := obs.NewRegistry()
-	tr := obs.NewTracer(reg)
-	_, cl := startServer(t, Config{Workers: 1, Obs: &obs.Observer{Metrics: reg, Tracer: tr}})
+	tr := obs.NewTracer()
+	_, cl := startServer(t, Config{Workers: 1, Obs: &obs.Observer{Tracer: tr}})
 	ctx := ctxT(t)
 	if _, err := cl.Run(ctx, JobSpec{Circuit: "s27", Random: 4}, time.Millisecond); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -942,7 +941,7 @@ func TestResultViewEncoding(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rv, err := execute(context.Background(), &spec, cc, nil, "x.", 1)
+		rv, err := execute(context.Background(), &spec, cc, nil, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
