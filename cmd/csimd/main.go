@@ -25,20 +25,18 @@
 // job carries it. Structured logs go to stderr (-log-format, -log-level).
 //
 // SIGINT/SIGTERM starts a graceful drain: admissions stop, queued and
-// running jobs finish (bounded by -drain-timeout), then the process
-// exits 0. See DESIGN.md §10 and the README "Serving" section.
+// running jobs finish (for at most two minutes), then the process exits
+// 0. See DESIGN.md §10 and the README "Serving" section.
 //
 // Coordinator mode (-coordinator) serves the same API but executes
 // nothing locally: each admitted job is split into fault-partition
 // shards and fanned out to the worker csimd nodes named by
-// -worker-addrs (comma-separated base URLs) or -worker-file (one URL
-// per line, # comments). Workers are ordinary csimd processes — the
-// coordinator is a client of their job API. See DESIGN.md §13 and the
-// README "Distributed" section.
+// -worker-addrs (comma-separated base URLs). Workers are ordinary csimd
+// processes — the coordinator is a client of their job API. See
+// DESIGN.md §13 and the README "Distributed" section.
 package main
 
 import (
-	"bufio"
 	"context"
 	"flag"
 	"fmt"
@@ -57,26 +55,16 @@ import (
 
 func main() {
 	var (
-		addr         = flag.String("addr", ":8416", "listen address")
-		workers      = flag.Int("workers", runtime.NumCPU(), "simulation worker-pool size")
-		queue        = flag.Int("queue", 256, "admission queue depth (full queue answers 429)")
-		cacheSize    = flag.Int("cache", 64, "compiled-circuit cache capacity (circuits)")
-		maxInline    = flag.Int64("max-inline", 4<<20, "inline netlist/vector size bound in bytes (oversized answers 413)")
-		jobTimeout   = flag.Duration("job-timeout", 5*time.Minute, "default per-job run-time bound")
-		maxTimeout   = flag.Duration("max-job-timeout", 30*time.Minute, "cap on spec-requested per-job timeouts")
-		drainTimeout = flag.Duration("drain-timeout", 2*time.Minute, "bound on the graceful drain after SIGTERM")
-		retained     = flag.Int("retained", 2048, "finished jobs kept for late lookups and /debug before eviction")
-		logFormat    = flag.String("log-format", "json", "structured log format on stderr: json or text")
-		logLevel     = flag.String("log-level", "info", "log threshold: debug, info, warn or error")
-		flightBuf    = flag.Int("flight-buffer", obs.DefaultFlightEvents, "per-job flight-recorder capacity (events)")
+		addr      = flag.String("addr", ":8416", "listen address")
+		workers   = flag.Int("workers", runtime.NumCPU(), "simulation worker-pool size")
+		queue     = flag.Int("queue", 256, "admission queue depth (full queue answers 429)")
+		cacheSize = flag.Int("cache", 64, "compiled-circuit cache capacity (circuits)")
+		logFormat = flag.String("log-format", "json", "structured log format on stderr: json or text")
+		logLevel  = flag.String("log-level", "info", "log threshold: debug, info, warn or error")
 
 		coordinator   = flag.Bool("coordinator", false, "coordinate a worker fleet instead of executing locally")
 		workerAddrs   = flag.String("worker-addrs", "", "comma-separated worker base URLs (coordinator mode)")
-		workerFile    = flag.String("worker-file", "", "file of worker base URLs, one per line (coordinator mode)")
 		probeInterval = flag.Duration("probe-interval", 2*time.Second, "worker /readyz health-probe spacing (coordinator mode)")
-		shardTimeout  = flag.Duration("shard-timeout", 2*time.Minute, "per-shard attempt bound before re-queue (coordinator mode)")
-		shardRetries  = flag.Int("shard-retries", 3, "workers a shard may be tried on before the job fails (coordinator mode)")
-		perWorker     = flag.Int("per-worker-inflight", 2, "concurrent shards per worker (coordinator mode)")
 	)
 	flag.Parse()
 
@@ -91,32 +79,24 @@ func main() {
 	}
 
 	cfg := service.Config{
-		Addr:           *addr,
-		Workers:        *workers,
-		QueueDepth:     *queue,
-		CacheSize:      *cacheSize,
-		MaxInlineBytes: *maxInline,
-		DefaultTimeout: *jobTimeout,
-		MaxTimeout:     *maxTimeout,
-		Retained:       *retained,
-		Obs:            ob,
-		Log:            lg,
-		FlightEvents:   *flightBuf,
+		Addr:       *addr,
+		Workers:    *workers,
+		QueueDepth: *queue,
+		CacheSize:  *cacheSize,
+		Obs:        ob,
+		Log:        lg,
 	}
 	var coord *dist.Coordinator
 	if *coordinator {
-		fleet, err := workerList(*workerAddrs, *workerFile)
+		fleet, err := workerList(*workerAddrs)
 		if err != nil {
 			fatal(err)
 		}
 		coord, err = dist.New(dist.Config{
-			Workers:           fleet,
-			ProbeInterval:     *probeInterval,
-			ShardTimeout:      *shardTimeout,
-			MaxAttempts:       *shardRetries,
-			PerWorkerInflight: *perWorker,
-			Obs:               ob,
-			Log:               lg,
+			Workers:       fleet,
+			ProbeInterval: *probeInterval,
+			Obs:           ob,
+			Log:           lg,
 		})
 		if err != nil {
 			fatal(err)
@@ -139,9 +119,9 @@ func main() {
 	ch := make(chan os.Signal, 1)
 	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
 	sig := <-ch
-	fmt.Printf("csimd:     %s received; draining (bound %s)\n", sig, *drainTimeout)
+	fmt.Printf("csimd:     %s received; draining (bound %s)\n", sig, drainTimeout)
 
-	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	if err := srv.Drain(ctx); err != nil {
 		fmt.Fprintf(os.Stderr, "csimd: drain incomplete: %v\n", err)
@@ -150,46 +130,26 @@ func main() {
 	fmt.Println("csimd:     drained cleanly")
 }
 
+// drainTimeout bounds the graceful drain after SIGINT/SIGTERM.
+const drainTimeout = 2 * time.Minute
+
 // workerList resolves the coordinator's fleet from -worker-addrs
-// (comma-separated) plus -worker-file (one URL per line; blank lines
-// and # comments skipped), normalizing bare host:port to http://.
-func workerList(addrs, file string) ([]string, error) {
+// (comma-separated), defaulting a scheme-less host:port to http://.
+func workerList(addrs string) ([]string, error) {
 	var out []string
 	for _, a := range strings.Split(addrs, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			out = append(out, normalizeWorkerURL(a))
+		if a = strings.TrimSpace(a); a == "" {
+			continue
 		}
-	}
-	if file != "" {
-		f, err := os.Open(file)
-		if err != nil {
-			return nil, fmt.Errorf("-worker-file: %w", err)
+		if !strings.Contains(a, "://") {
+			a = "http://" + a
 		}
-		defer f.Close()
-		sc := bufio.NewScanner(f)
-		for sc.Scan() {
-			line := strings.TrimSpace(sc.Text())
-			if line == "" || strings.HasPrefix(line, "#") {
-				continue
-			}
-			out = append(out, normalizeWorkerURL(line))
-		}
-		if err := sc.Err(); err != nil {
-			return nil, fmt.Errorf("-worker-file: %w", err)
-		}
+		out = append(out, a)
 	}
 	if len(out) == 0 {
-		return nil, fmt.Errorf("-coordinator needs workers via -worker-addrs or -worker-file")
+		return nil, fmt.Errorf("-coordinator needs workers via -worker-addrs")
 	}
 	return out, nil
-}
-
-// normalizeWorkerURL defaults a scheme-less worker address to http.
-func normalizeWorkerURL(a string) string {
-	if strings.Contains(a, "://") {
-		return a
-	}
-	return "http://" + a
 }
 
 // buildLogger assembles the stderr slog handler from the -log-format and

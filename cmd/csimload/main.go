@@ -16,10 +16,9 @@
 // -min-inflight, when the clients made more than -max-requests-per-job
 // HTTP requests per completed job, or when -expect-reject is set and the
 // run never drew a 429. Queue rejections are retried honouring the
-// server's Retry-After hint (capped per sleep by -max-retry-wait,
-// jittered to de-synchronize the herd, and bounded in total per job by
-// -max-retry-time), so overload slows the run down but never silently
-// livelocks it.
+// server's Retry-After hint (capped at 2 s per sleep, jittered to
+// de-synchronize the herd, and bounded at 30 s in total per job), so
+// overload slows the run down but never silently livelocks it.
 //
 // Multi-node mode: -nodes takes a comma-separated list of csimd base
 // URLs (workers or coordinators) and round-robins the client
@@ -47,19 +46,17 @@ import (
 
 func main() {
 	var (
-		addr         = flag.String("addr", "http://127.0.0.1:8416", "csimd base URL")
-		nodes        = flag.String("nodes", "", "comma-separated csimd base URLs; clients round-robin across them (overrides -addr)")
-		clients      = flag.Int("clients", 16, "concurrent client goroutines")
-		jobs         = flag.Int("jobs", 4, "jobs per client")
-		circuit      = flag.String("circuit", "s5378", "built-in suite circuit to simulate")
-		model        = flag.String("model", "stuck", "fault model: stuck | stuck-all | transition")
-		engine       = flag.String("engine", "csim-MV", "engine name (see csimd docs)")
-		randomN      = flag.Int("random", 100, "random vectors per job")
-		seed         = flag.Int64("seed", 1, "random vector seed")
-		poll         = flag.Duration("poll", 0, "job status poll interval (0: hold one request open per job, the client's default)")
-		timeout      = flag.Duration("timeout", 5*time.Minute, "whole-run deadline")
-		maxRetryWait = flag.Duration("max-retry-wait", 2*time.Second, "cap on one honoured Retry-After sleep")
-		maxRetryTime = flag.Duration("max-retry-time", 30*time.Second, "cap on a single job's total 429 backoff before its submission fails")
+		addr    = flag.String("addr", "http://127.0.0.1:8416", "csimd base URL")
+		nodes   = flag.String("nodes", "", "comma-separated csimd base URLs; clients round-robin across them (overrides -addr)")
+		clients = flag.Int("clients", 16, "concurrent client goroutines")
+		jobs    = flag.Int("jobs", 4, "jobs per client")
+		circuit = flag.String("circuit", "s5378", "built-in suite circuit to simulate")
+		model   = flag.String("model", "stuck", "fault model: stuck | stuck-all | transition")
+		engine  = flag.String("engine", "csim-MV", "engine name (see csimd docs)")
+		randomN = flag.Int("random", 100, "random vectors per job")
+		seed    = flag.Int64("seed", 1, "random vector seed")
+		poll    = flag.Duration("poll", 0, "job status poll interval (0: hold one request open per job, the client's default)")
+		timeout = flag.Duration("timeout", 5*time.Minute, "whole-run deadline")
 
 		expectDet   = flag.Int("expect-detections", -1, "assert every completed job detects exactly this many faults (-1 disables)")
 		minCacheHit = flag.Float64("min-cache-hit", 0, "assert the final server cache hit rate is at least this fraction (0 disables)")
@@ -116,7 +113,7 @@ func main() {
 			defer wg.Done()
 			for i := 0; i < *jobs; i++ {
 				jStart := time.Now()
-				v, ran, err := runWithRetry(ctx, cl, spec, *poll, *maxRetryWait, *maxRetryTime, &rejections)
+				v, ran, err := runWithRetry(ctx, cl, spec, *poll, &rejections)
 				if err != nil {
 					record(&mu, &failures, fmt.Sprintf("run %s: %v", v.ID, err))
 					return
@@ -235,14 +232,22 @@ func peakOverlap(spans []span) int {
 	return peak
 }
 
+// The 429 backoff bounds: one honoured Retry-After sleep, and a job's
+// total backoff before its submission fails.
+const (
+	maxRetryWait = 2 * time.Second
+	maxRetryTime = 30 * time.Second
+)
+
 // runWithRetry runs a job to its terminal view with Client.Run, backing
 // off on 429 for the server's Retry-After hint — capped per sleep by
-// maxWait, jittered by up to half the sleep so rejected clients don't
-// re-converge on the same instant, and bounded in total by maxTotal so a
-// saturated server fails the job loudly instead of livelocking the run.
-// ran is the interval of the Run call that was admitted.
-func runWithRetry(ctx context.Context, cl *service.Client, spec service.JobSpec, poll,
-	maxWait, maxTotal time.Duration, rejections *atomic.Int64) (v service.JobView, ran span, err error) {
+// maxRetryWait, jittered by up to half the sleep so rejected clients
+// don't re-converge on the same instant, and bounded in total by
+// maxRetryTime so a saturated server fails the job loudly instead of
+// livelocking the run. ran is the interval of the Run call that was
+// admitted.
+func runWithRetry(ctx context.Context, cl *service.Client, spec service.JobSpec, poll time.Duration,
+	rejections *atomic.Int64) (v service.JobView, ran span, err error) {
 	var waited time.Duration
 	for {
 		ran.start = time.Now()
@@ -253,13 +258,10 @@ func runWithRetry(ctx context.Context, cl *service.Client, spec service.JobSpec,
 			return v, ran, err
 		}
 		rejections.Add(1)
-		wait := qf.RetryAfter
-		if wait > maxWait {
-			wait = maxWait
-		}
+		wait := min(qf.RetryAfter, maxRetryWait)
 		wait += time.Duration(rand.Int63n(int64(wait)/2 + 1))
-		if waited+wait > maxTotal {
-			return v, ran, fmt.Errorf("429 retry budget %s exhausted after %s of backoff: %w", maxTotal, waited, err)
+		if waited+wait > maxRetryTime {
+			return v, ran, fmt.Errorf("429 retry budget %s exhausted after %s of backoff: %w", maxRetryTime, waited, err)
 		}
 		select {
 		case <-ctx.Done():

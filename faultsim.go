@@ -27,7 +27,6 @@ import (
 	"context"
 	"errors"
 	"io"
-	"log/slog"
 
 	"repro/internal/atpg"
 	"repro/internal/compiled"
@@ -113,30 +112,16 @@ type (
 
 // Observability types (see OBSERVABILITY.md).
 type (
-	// Observer bundles the observability layer handed to a run: a metric
-	// registry, a phase tracer, and a fault-lifecycle log, any of which
-	// may be nil. A nil *Observer disables observation entirely at zero
-	// per-event cost.
+	// Observer bundles the observability layer: a phase tracer and a
+	// fault-lifecycle log for a run, a metric registry for a server or a
+	// coordinator, any of which may be nil. A nil *Observer disables
+	// observation entirely at zero per-event cost.
 	Observer = obs.Observer
-	// MetricRegistry is a typed registry of counters, gauges and
-	// histograms.
-	MetricRegistry = obs.Registry
-	// PhaseTracer records span-style phase timings and can emit a
-	// chrome://tracing JSON trace.
-	PhaseTracer = obs.Tracer
 	// FaultEventLog records per-fault lifecycle events (injected,
 	// diverged, became-visible, latched, detected, dropped).
 	FaultEventLog = obs.FaultLog
-	// FaultEvent is one fault-lifecycle event.
-	FaultEvent = obs.FaultEvent
-	// Logger is the structured logger handed to a run through
-	// Observer.Log: a nil-safe slog wrapper. A nil *Logger disables
-	// logging at zero per-record cost.
-	Logger = obs.Logger
-	// FlightRecorder is the bounded per-job ring buffer of lifecycle
-	// events that backs a postmortem dump; nil disables recording.
-	FlightRecorder = obs.FlightRecorder
-	// FlightEvent is one recorded lifecycle event.
+	// FlightEvent is one event of a job's flight record, as served at
+	// GET /api/v1/jobs/{id}/debug.
 	FlightEvent = obs.FlightEvent
 )
 
@@ -262,27 +247,6 @@ func NewFaultLog(numFaults int, track []int32, limit int) *FaultEventLog {
 	return obs.NewFaultLog(numFaults, track, limit)
 }
 
-// NewLogger wraps a slog handler into the nil-safe structured logger the
-// engines accept through Observer.Log. A nil handler yields a nil
-// (disabled) logger.
-func NewLogger(h slog.Handler) *Logger { return obs.NewLogger(h) }
-
-// NewFlightRecorder builds a bounded lifecycle ring buffer holding the
-// most recent capacity events (capacity <= 0 uses the default).
-func NewFlightRecorder(capacity int) *FlightRecorder {
-	return obs.NewFlightRecorder(capacity)
-}
-
-// WithJobID returns a context carrying a correlation ID; the service
-// client sends it as the X-Csim-Job-Id header and the server adopts it
-// as the job's ID.
-func WithJobID(ctx context.Context, id string) context.Context {
-	return obs.WithJobID(ctx, id)
-}
-
-// JobIDFrom extracts the correlation ID from ctx ("" when absent).
-func JobIDFrom(ctx context.Context) string { return obs.JobIDFrom(ctx) }
-
 // New builds a concurrent fault simulator over a universe.
 func New(u *Universe, cfg Config) (*Simulator, error) { return csim.New(u, cfg) }
 
@@ -359,7 +323,8 @@ func GenerateTests(u *Universe, opts ATPGOptions) ATPGResult { return atpg.Gener
 type (
 	// ServeConfig tunes the fault-simulation service: listen address,
 	// worker-pool size, admission-queue depth, compiled-circuit cache
-	// capacity, size and time bounds, and the observability bundle.
+	// capacity, the inline-body bound, retention, and the metric
+	// registry.
 	ServeConfig = service.Config
 	// Server is the networked fault-simulation service behind cmd/csimd:
 	// an HTTP/JSON job API in front of a bounded queue and a worker pool
@@ -393,8 +358,8 @@ func NewServeClient(baseURL string) *ServeClient { return service.NewClient(base
 // Distributed types (the csimd coordinator; see DESIGN.md §13).
 type (
 	// DistConfig tunes a distributed coordinator: the worker fleet's
-	// base URLs, health-probe and shard-timeout bounds, retry policy,
-	// and the observability bundle.
+	// base URLs, health-probe spacing, shards per worker, how long a
+	// worker holds a shard request, and the observability bundle.
 	DistConfig = dist.Config
 	// Coordinator fans jobs out to a csimd worker fleet as
 	// fault-partition shards and merges the results deterministically.

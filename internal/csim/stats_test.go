@@ -2,6 +2,7 @@ package csim
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/faults"
@@ -68,8 +69,12 @@ func TestObservedRunMatchesStats(t *testing.T) {
 	}
 
 	// Phase spans: macro extraction inside New.
-	if durs := tr.PhaseDurations(); durs["macro-extract"] <= 0 {
-		t.Fatalf("macro-extract span missing: %v", durs)
+	var trace strings.Builder
+	if err := tr.WriteChrome(&trace); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(trace.String(), `"name": "macro-extract"`) {
+		t.Fatalf("macro-extract span missing:\n%s", trace.String())
 	}
 
 	// Fault lifecycle: pick a detected fault and demand its full arc.

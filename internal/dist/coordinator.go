@@ -35,22 +35,12 @@ import (
 // count, shard placement, arrival order, or mid-job worker loss.
 type Coordinator struct {
 	cfg Config
-	ob  *obs.Observer
 	log *obs.Logger
 	reg *registry
 
-	cJobs       *obs.Counter
-	cJobsFailed *obs.Counter
-	cDispatched *obs.Counter
-	cRequeued   *obs.Counter
-	cShardFail  *obs.Counter
-	cShardDone  *obs.Counter
-	hMergeNS    *obs.Histogram
+	cRequeued  *obs.Counter
+	cShardFail *obs.Counter
 }
-
-// mergeBuckets is the merge-latency histogram layout: 4 µs to ~4 s,
-// ×4 per bucket.
-var mergeBuckets = obs.ExpBuckets(4096, 4, 11)
 
 // New builds a coordinator over a non-empty worker fleet and starts
 // its health probers; Close stops them.
@@ -59,20 +49,14 @@ func New(cfg Config) (*Coordinator, error) {
 		return nil, errors.New("dist: coordinator needs at least one worker address")
 	}
 	cfg = cfg.withDefaults()
-	reg := cfg.Obs.Registry()
+	reg := cfg.Obs.Metrics
 	c := &Coordinator{
 		cfg: cfg,
-		ob:  cfg.Obs,
 		log: cfg.Log,
 		reg: newRegistry(cfg),
 
-		cJobs:       reg.Counter("dist.jobs"),
-		cJobsFailed: reg.Counter("dist.jobs_failed"),
-		cDispatched: reg.Counter("dist.shards_dispatched"),
-		cRequeued:   reg.Counter("dist.shards_requeued"),
-		cShardFail:  reg.Counter("dist.shards_failed"),
-		cShardDone:  reg.Counter("dist.shards_completed"),
-		hMergeNS:    reg.Histogram("dist.merge_ns", mergeBuckets),
+		cRequeued:  reg.Counter("dist.shards_requeued"),
+		cShardFail: reg.Counter("dist.shards_failed"),
 	}
 	return c, nil
 }
@@ -96,7 +80,6 @@ func (c *Coordinator) Workers() []string {
 // merging → done/failed) is published through req.SetPhase, so it
 // lands in the job view and the flight recorder.
 func (c *Coordinator) RunJob(ctx context.Context, req *service.RunRequest) (*service.ResultView, error) {
-	c.cJobs.Inc()
 	req.SetPhase("pending")
 	start := time.Now()
 
@@ -117,7 +100,7 @@ func (c *Coordinator) RunJob(ctx context.Context, req *service.RunRequest) (*ser
 			Gates:    len(req.CC.Circuit.Gates),
 			Faults:   u.NumFaults(),
 			Vectors:  vs.Len(),
-			MaxProcs: c.cfg.MaxProcs,
+			MaxProcs: len(c.reg.workers) * c.cfg.PerWorkerInflight,
 		}, req.Obs).FaultShards
 	}
 
@@ -161,12 +144,10 @@ func (c *Coordinator) RunJob(ctx context.Context, req *service.RunRequest) (*ser
 	}
 
 	req.SetPhase("merging")
-	t0 := time.Now()
 	res, st, err := mergeShards(u, views)
 	if err != nil {
 		return c.failJob(req, err)
 	}
-	c.hMergeNS.Observe(time.Since(t0).Nanoseconds())
 
 	rv := service.NewResultView(req.Spec, res, vs.Len(), k, st, time.Since(start).Nanoseconds())
 	req.SetPhase("done")
@@ -194,7 +175,6 @@ func mergeShards(u *faults.Universe, views []*service.ResultView) (*faults.Resul
 // failJob records a failed distributed job and passes the error up to
 // the server's ordinary failure path.
 func (c *Coordinator) failJob(req *service.RunRequest, err error) (*service.ResultView, error) {
-	c.cJobsFailed.Inc()
 	req.SetPhase("failed")
 	return nil, err
 }
@@ -227,11 +207,11 @@ func (e *permanentError) Unwrap() error { return e.err }
 
 // runShard drives one shard to completion: pick a worker, attempt,
 // and on retryable failure re-queue to a different worker with the
-// failed one excluded, up to MaxAttempts. When exclusions cover the
+// failed one excluded, up to maxAttempts. When exclusions cover the
 // whole fleet with attempts still in hand, the slate is wiped — a
 // previously failed worker may have recovered.
 func (c *Coordinator) runShard(ctx context.Context, req *service.RunRequest, shard, of int) (*service.ResultView, error) {
-	spec := shardSpec(req.Spec, shard, of, c.cfg.ShardTimeout)
+	spec := shardSpec(req.Spec, shard, of, shardTimeout)
 	id := jobid.Shard(req.ID, shard, of, shardHash(req.CC.Key, spec))
 	excluded := map[int]bool{}
 	for attempt := 1; ; attempt++ {
@@ -242,15 +222,11 @@ func (c *Coordinator) runShard(ctx context.Context, req *service.RunRequest, sha
 		if err != nil {
 			return nil, err
 		}
-		c.cDispatched.Inc()
 		rv, err := c.attemptShard(ctx, w, id, spec)
 		c.reg.release(w)
 		if err == nil {
-			c.cShardDone.Inc()
-			w.cDone.Inc()
 			return rv, nil
 		}
-		w.cFailed.Inc()
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
@@ -259,7 +235,7 @@ func (c *Coordinator) runShard(ctx context.Context, req *service.RunRequest, sha
 			c.cShardFail.Inc()
 			return nil, err
 		}
-		if attempt >= c.cfg.MaxAttempts {
+		if attempt >= maxAttempts {
 			c.cShardFail.Inc()
 			return nil, fmt.Errorf("failed on %d worker(s), last %s: %w", attempt, w.addr, err)
 		}
@@ -282,7 +258,7 @@ func (c *Coordinator) runShard(ctx context.Context, req *service.RunRequest, sha
 // shard is terminal, so a shard is one request; a status request is held
 // only for a shard that outlives cfg.Poll or was adopted on a 409.
 func (c *Coordinator) attemptShard(ctx context.Context, w *worker, id string, spec *service.JobSpec) (*service.ResultView, error) {
-	actx, cancel := context.WithTimeout(obs.WithJobID(ctx, id), c.cfg.ShardTimeout)
+	actx, cancel := context.WithTimeout(obs.WithJobID(ctx, id), shardTimeout)
 	defer cancel()
 
 	// Resolve the circuit reference for this worker: a suite circuit
@@ -297,7 +273,7 @@ func (c *Coordinator) attemptShard(ctx context.Context, w *worker, id string, sp
 		}
 	}
 
-	backoff := c.cfg.RetryBase
+	backoff := retryBase
 	var waited time.Duration
 	var v service.JobView
 	for submitted := false; !submitted; {
@@ -322,14 +298,14 @@ func (c *Coordinator) attemptShard(ctx context.Context, w *worker, id string, sp
 		case errors.As(err, &qf):
 			// Admission-full: exponential backoff with jitter, honoring the
 			// worker's Retry-After when it asks for longer, bounded in
-			// total by MaxRetryWait.
+			// total by maxRetryWait.
 			d := backoff
 			if qf.RetryAfter > d {
 				d = qf.RetryAfter
 			}
 			d += time.Duration(rand.Int63n(int64(d)/2 + 1))
-			if waited+d > c.cfg.MaxRetryWait {
-				return nil, fmt.Errorf("submit: 429 backoff budget %s exhausted: %w", c.cfg.MaxRetryWait, err)
+			if waited+d > maxRetryWait {
+				return nil, fmt.Errorf("submit: 429 backoff budget %s exhausted: %w", maxRetryWait, err)
 			}
 			if err := sleepCtx(actx, d); err != nil {
 				return nil, err
@@ -386,10 +362,10 @@ func (c *Coordinator) attemptShard(ctx context.Context, w *worker, id string, sp
 // probe and the shard re-queues elsewhere.
 func (c *Coordinator) shardLost(ctx, actx context.Context, w *worker, id, op string, err error) error {
 	if actx.Err() != nil && ctx.Err() == nil {
-		cctx, ccancel := context.WithTimeout(context.Background(), c.cfg.ProbeTimeout)
+		cctx, ccancel := context.WithTimeout(context.Background(), probeTimeout)
 		_, _ = w.client.Cancel(cctx, id) // best effort: the worker may be the reason for the timeout
 		ccancel()
-		return fmt.Errorf("shard timeout after %s on %s", c.cfg.ShardTimeout, w.addr)
+		return fmt.Errorf("shard timeout after %s on %s", shardTimeout, w.addr)
 	}
 	var ae *service.APIError
 	if !errors.As(err, &ae) && ctx.Err() == nil {

@@ -34,35 +34,17 @@ type Config struct {
 	// ProbeInterval spaces the per-worker /readyz health probes
 	// (default 2s).
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one health probe (default 1s).
-	ProbeTimeout time.Duration
-	// ShardTimeout bounds one shard attempt on one worker, submission
-	// through terminal state (default 2m). On expiry the shard is
-	// cancelled best-effort and re-queued elsewhere.
-	ShardTimeout time.Duration
-	// MaxAttempts bounds how many workers a single shard may be tried
-	// on before the whole job fails (default 3).
-	MaxAttempts int
 	// PerWorkerInflight bounds concurrently dispatched shards per
-	// worker (default 2). Total dispatch concurrency is
+	// worker (default 2). Total dispatch concurrency, and the
+	// scheduler's processor budget for a job that pins no K, is
 	// len(Workers)×PerWorkerInflight.
 	PerWorkerInflight int
-	// RetryBase seeds the exponential backoff after a worker's 429
-	// (default 50ms); the server's Retry-After hint wins when longer.
-	RetryBase time.Duration
-	// MaxRetryWait caps the total time one shard attempt may spend
-	// backing off on 429s before the attempt counts as failed
-	// (default 10s).
-	MaxRetryWait time.Duration
 	// Poll is how long a worker may hold one shard request open — the
 	// submission first, status requests after it — before answering
 	// "still running" (default 1s); the worker answers the moment the
 	// shard ends, so this spaces the requests of a long shard, not the
 	// delay of any, and a shard shorter than it is one request.
 	Poll time.Duration
-	// MaxProcs caps the scheduler's plan for auto-shaped jobs
-	// (default len(Workers)×PerWorkerInflight).
-	MaxProcs int
 	// Obs is the coordinator's observability bundle; nil disables
 	// dist metrics.
 	Obs *obs.Observer
@@ -73,34 +55,36 @@ type Config struct {
 	HTTPClient *http.Client
 }
 
+// The coordinator's fixed bounds.
+const (
+	// probeTimeout bounds one /readyz health probe, and the best-effort
+	// cancel sent for a shard that timed out.
+	probeTimeout = time.Second
+	// shardTimeout bounds one shard attempt on one worker, submission
+	// through terminal state. On expiry the shard is cancelled
+	// best-effort and re-queued elsewhere.
+	shardTimeout = 2 * time.Minute
+	// maxAttempts bounds how many workers one shard may be tried on
+	// before the whole job fails.
+	maxAttempts = 3
+	// retryBase seeds the exponential backoff after a worker's 429; the
+	// worker's Retry-After hint wins when longer.
+	retryBase = 50 * time.Millisecond
+	// maxRetryWait caps the total time one shard attempt may spend
+	// backing off on 429s before the attempt counts as failed.
+	maxRetryWait = 10 * time.Second
+)
+
 // withDefaults fills the zero fields.
 func (c Config) withDefaults() Config {
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 2 * time.Second
 	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = time.Second
-	}
-	if c.ShardTimeout <= 0 {
-		c.ShardTimeout = 2 * time.Minute
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 3
-	}
 	if c.PerWorkerInflight <= 0 {
 		c.PerWorkerInflight = 2
 	}
-	if c.RetryBase <= 0 {
-		c.RetryBase = 50 * time.Millisecond
-	}
-	if c.MaxRetryWait <= 0 {
-		c.MaxRetryWait = 10 * time.Second
-	}
 	if c.Poll <= 0 {
 		c.Poll = time.Second
-	}
-	if c.MaxProcs <= 0 {
-		c.MaxProcs = len(c.Workers) * c.PerWorkerInflight
 	}
 	if c.Obs == nil {
 		c.Obs = &obs.Observer{}

@@ -82,7 +82,6 @@ func startCluster(t *testing.T, n int, tune func(*Config)) (*service.Client, *Co
 	cfg := Config{
 		Workers:       addrs,
 		ProbeInterval: 20 * time.Millisecond,
-		ShardTimeout:  30 * time.Second,
 		Poll:          2 * time.Millisecond,
 		Obs:           &obs.Observer{Metrics: reg},
 	}
@@ -255,17 +254,15 @@ func TestWorkerKillMidJobRequeues(t *testing.T) {
 	coord, err := New(Config{
 		Workers:           []string{"http://" + victim.Addr(), "http://" + survivor.Addr()},
 		ProbeInterval:     20 * time.Millisecond,
-		ShardTimeout:      30 * time.Second,
 		Poll:              2 * time.Millisecond,
 		PerWorkerInflight: 2,
-		MaxAttempts:       4,
 		Obs:               &obs.Observer{Metrics: reg},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(coord.Close)
-	front := service.New(service.Config{Addr: "127.0.0.1:0", Workers: 2, Runner: coord, Obs: coord.ob})
+	front := service.New(service.Config{Addr: "127.0.0.1:0", Workers: 2, Runner: coord, Obs: &obs.Observer{Metrics: reg}})
 	if err := front.Start(); err != nil {
 		t.Fatal(err)
 	}

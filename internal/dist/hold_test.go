@@ -80,7 +80,6 @@ func oneWorker(t *testing.T, cfg service.Config, poll time.Duration) (*Coordinat
 	coord, err := New(Config{
 		Workers:       []string{"http://" + s.Addr()},
 		ProbeInterval: 20 * time.Millisecond,
-		ShardTimeout:  time.Minute,
 		Poll:          poll,
 		HTTPClient:    &http.Client{Transport: log},
 	})
@@ -191,12 +190,12 @@ func TestShardPanicFailsTheJobOnce(t *testing.T) {
 		addrs = append(addrs, "http://"+s.Addr())
 	}
 	reg := obs.NewRegistry()
-	coord, err := New(Config{Workers: addrs, ProbeInterval: 20 * time.Millisecond, MaxAttempts: 3, Obs: &obs.Observer{Metrics: reg}})
+	coord, err := New(Config{Workers: addrs, ProbeInterval: 20 * time.Millisecond, Obs: &obs.Observer{Metrics: reg}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(coord.Close)
-	front := service.New(service.Config{Addr: "127.0.0.1:0", Workers: 1, Runner: coord, Obs: coord.ob})
+	front := service.New(service.Config{Addr: "127.0.0.1:0", Workers: 1, Runner: coord, Obs: &obs.Observer{Metrics: reg}})
 	if err := front.Start(); err != nil {
 		t.Fatal(err)
 	}

@@ -12,13 +12,14 @@ import (
 
 // docMetric is one row of OBSERVABILITY.md's "Served metric names".
 type docMetric struct {
-	name, kind string
-	re         *regexp.Regexp
-	seen       bool
+	name, kind, reader string
+	re                 *regexp.Regexp
+	seen               bool
 }
 
 // servedMetricRows parses the tables of that section: first cell one
-// backticked name, second cell its kind. <i> stands for an index.
+// backticked name, second cell its kind, fourth its readers. <i> stands
+// for an index.
 func servedMetricRows(t *testing.T) []*docMetric {
 	t.Helper()
 	text, err := os.ReadFile("../../OBSERVABILITY.md")
@@ -33,17 +34,18 @@ func servedMetricRows(t *testing.T) []*docMetric {
 	var rows []*docMetric
 	for _, line := range strings.Split(section, "\n") {
 		cells := strings.Split(line, "|")
-		if len(cells) < 4 || !strings.HasPrefix(strings.TrimSpace(cells[1]), "`") {
+		if len(cells) < 6 || !strings.HasPrefix(strings.TrimSpace(cells[1]), "`") {
 			continue
 		}
 		name := strings.Trim(strings.TrimSpace(cells[1]), "`")
 		rows = append(rows, &docMetric{
-			name: name,
-			kind: strings.TrimSpace(cells[2]),
-			re:   regexp.MustCompile("^" + strings.ReplaceAll(regexp.QuoteMeta(name), "<i>", `\d+`) + "$"),
+			name:   name,
+			kind:   strings.TrimSpace(cells[2]),
+			reader: strings.TrimSpace(cells[4]),
+			re:     regexp.MustCompile("^" + strings.ReplaceAll(regexp.QuoteMeta(name), "<i>", `\d+`) + "$"),
 		})
 	}
-	if len(rows) < 29 {
+	if len(rows) < 16 {
 		t.Fatalf("parsed %d metric rows; the section's tables changed shape", len(rows))
 	}
 	return rows
@@ -53,7 +55,8 @@ func servedMetricRows(t *testing.T) []*docMetric {
 // to what /metricsz serves, both ways: a worker runs one job per engine
 // family, a coordinator fans a csim-grid job out over it, and every
 // published name must match a row of the right kind and every row must
-// be published.
+// be published. Every row must also name a reader besides this test: a
+// value nothing consumes is not served.
 func TestMetricTablesMatchRegistry(t *testing.T) {
 	front, coord, _ := startCluster(t, 2, nil)
 	worker := service.NewClient(coord.Workers()[0])
@@ -98,6 +101,9 @@ func TestMetricTablesMatchRegistry(t *testing.T) {
 	for _, r := range rows {
 		if !r.seen {
 			t.Errorf("OBSERVABILITY.md documents %s; no job or server published it", r.name)
+		}
+		if r.reader == "" || r.reader == "doc test" {
+			t.Errorf("%s has no reader (%q): delete it, or name what consumes it", r.name, r.reader)
 		}
 	}
 }

@@ -30,8 +30,6 @@ type worker struct {
 
 	gHealthy  *obs.Gauge
 	gInflight *obs.Gauge
-	cDone     *obs.Counter
-	cFailed   *obs.Counter
 }
 
 // benchShipped reports whether key was already shipped to this worker.
@@ -86,7 +84,7 @@ type registry struct {
 // newRegistry builds the fleet registry and starts one health-probe
 // goroutine per worker; stopProbes tears them down.
 func newRegistry(cfg Config) *registry {
-	reg := cfg.Obs.Registry()
+	reg := cfg.Obs.Metrics
 	r := &registry{
 		limit:    cfg.PerWorkerInflight,
 		log:      cfg.Log,
@@ -104,8 +102,6 @@ func newRegistry(cfg Config) *registry {
 			shipped:   map[string]bool{},
 			gHealthy:  reg.Gauge(prefix + "healthy"),
 			gInflight: reg.Gauge(prefix + "inflight"),
-			cDone:     reg.Counter(prefix + "shards_done"),
-			cFailed:   reg.Counter(prefix + "shards_failed"),
 		}
 		r.workers = append(r.workers, w)
 	}
@@ -113,7 +109,7 @@ func newRegistry(cfg Config) *registry {
 		r.wg.Add(1)
 		go func(w *worker) {
 			defer r.wg.Done()
-			r.probeLoop(w, cfg.ProbeInterval, cfg.ProbeTimeout)
+			r.probeLoop(w, cfg.ProbeInterval)
 		}(w)
 	}
 	return r
@@ -127,11 +123,11 @@ func (r *registry) stopProbes() {
 
 // probeLoop probes one worker forever (first immediately, then every
 // interval) until stopProbes.
-func (r *registry) probeLoop(w *worker, interval, timeout time.Duration) {
+func (r *registry) probeLoop(w *worker, interval time.Duration) {
 	t := time.NewTicker(interval)
 	defer t.Stop()
 	for {
-		r.probeOnce(w, timeout)
+		r.probeOnce(w)
 		select {
 		case <-r.stop:
 			return
@@ -141,8 +137,8 @@ func (r *registry) probeLoop(w *worker, interval, timeout time.Duration) {
 }
 
 // probeOnce runs one /readyz probe and publishes a health transition.
-func (r *registry) probeOnce(w *worker, timeout time.Duration) {
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+func (r *registry) probeOnce(w *worker) {
+	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 	defer cancel()
 	err := w.client.Ready(ctx)
 	r.setHealth(w, err == nil, err)

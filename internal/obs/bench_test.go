@@ -20,15 +20,14 @@ func TestNilObsZeroAllocs(t *testing.T) {
 		fr *FlightRecorder
 	)
 	checks := map[string]func(){
-		"counter.add":    func() { c.Add(1) },
-		"gauge.set":      func() { g.Set(1) },
-		"gauge.setmax":   func() { g.SetMax(1) },
-		"hist.observe":   func() { h.Observe(1) },
-		"hist.quantile":  func() { _ = h.Quantile(0.9) },
-		"registry.hand":  func() { _ = r.Counter("x") },
-		"faultlog.emit":  func() { l.Emit(FaultEvent{Fault: 1}) },
-		"faultlog.track": func() { _ = l.Tracks(1) },
-		"observer.span":  func() { o.Span("x").End() },
+		"counter.add":   func() { c.Add(1) },
+		"gauge.set":     func() { g.Set(1) },
+		"gauge.add":     func() { g.Add(1) },
+		"hist.observe":  func() { h.Observe(1) },
+		"hist.quantile": func() { _ = h.Quantile(0.9) },
+		"registry.hand": func() { _ = r.Counter("x") },
+		"faultlog.emit": func() { l.Emit(FaultEvent{Fault: 1}) },
+		"observer.span": func() { o.Span("x").End() },
 		// Note logger.With is absent: it is a per-job setup call whose
 		// attrs intentionally escape into the handler, not a hot path.
 		"logger.info":   func() { lg.Info("msg", slog.Int("shard", 1)) },

@@ -1,9 +1,7 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"sync"
 )
 
@@ -52,28 +50,18 @@ func (k FaultEventKind) String() string {
 // FaultEvent is one lifecycle observation.
 type FaultEvent struct {
 	// Vec is the vector index; -1 for construction-time events.
-	Vec int32 `json:"vec"`
+	Vec int32
 	// Fault is the fault ID the event concerns.
-	Fault int32 `json:"fault"`
+	Fault int32
 	// Gate is the netlist gate (or macro root) where the event occurred.
-	Gate int32 `json:"gate"`
+	Gate int32
 	// Kind classifies the lifecycle transition.
-	Kind FaultEventKind `json:"-"`
-}
-
-// MarshalJSON spells the kind symbolically.
-func (e FaultEvent) MarshalJSON() ([]byte, error) {
-	return json.Marshal(struct {
-		Vec   int32  `json:"vec"`
-		Fault int32  `json:"fault"`
-		Gate  int32  `json:"gate"`
-		Event string `json:"event"`
-	}{e.Vec, e.Fault, e.Gate, e.Kind.String()})
+	Kind FaultEventKind
 }
 
 // FaultLog collects lifecycle events for a sampled subset of fault IDs
 // (the -trace-faults filter). The nil *FaultLog is the disabled state:
-// Tracks reports false and Emit is a no-op. A single log may be shared by
+// Emit is a no-op. A single log may be shared by
 // concurrent simulators; Emit serializes internally.
 type FaultLog struct {
 	track []bool // nil = track every fault
@@ -84,17 +72,17 @@ type FaultLog struct {
 	clipped bool
 }
 
-// DefaultFaultLogLimit caps an unbounded log (tracking every fault on a
+// defaultFaultLogLimit caps an unbounded log (tracking every fault on a
 // large run would otherwise dominate memory).
-const DefaultFaultLogLimit = 1 << 20
+const defaultFaultLogLimit = 1 << 20
 
 // NewFaultLog returns a log tracking the given fault IDs out of a
 // universe of n faults; ids == nil tracks every fault. limit <= 0 uses
-// DefaultFaultLogLimit.
+// 1M events.
 func NewFaultLog(n int, ids []int32, limit int) *FaultLog {
 	l := &FaultLog{limit: limit}
 	if l.limit <= 0 {
-		l.limit = DefaultFaultLogLimit
+		l.limit = defaultFaultLogLimit
 	}
 	if ids != nil {
 		l.track = make([]bool, n)
@@ -107,20 +95,14 @@ func NewFaultLog(n int, ids []int32, limit int) *FaultLog {
 	return l
 }
 
-// Tracks reports whether fault f is sampled (false on nil).
-func (l *FaultLog) Tracks(f int32) bool {
-	if l == nil {
-		return false
-	}
-	if l.track == nil {
-		return true
-	}
-	return int(f) < len(l.track) && l.track[f]
+// tracks reports whether fault f is sampled.
+func (l *FaultLog) tracks(f int32) bool {
+	return l.track == nil || int(f) < len(l.track) && l.track[f]
 }
 
 // Emit records one event if the fault is sampled and the log has room.
 func (l *FaultLog) Emit(ev FaultEvent) {
-	if l == nil || !l.Tracks(ev.Fault) {
+	if l == nil || !l.tracks(ev.Fault) {
 		return
 	}
 	l.mu.Lock()
@@ -141,19 +123,4 @@ func (l *FaultLog) Events() (events []FaultEvent, clipped bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return append([]FaultEvent(nil), l.events...), l.clipped
-}
-
-// WriteJSON writes the event stream as an indented JSON document
-// {"events": [...], "clipped": bool}.
-func (l *FaultLog) WriteJSON(w io.Writer) error {
-	events, clipped := l.Events()
-	if events == nil {
-		events = []FaultEvent{}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(struct {
-		Events  []FaultEvent `json:"events"`
-		Clipped bool         `json:"clipped"`
-	}{events, clipped})
 }

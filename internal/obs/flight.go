@@ -98,16 +98,6 @@ func (f *FlightRecorder) Events() []FlightEvent {
 	return append(out, f.buf[:f.next]...)
 }
 
-// Len returns the number of retained events (0 on nil).
-func (f *FlightRecorder) Len() int {
-	if f == nil {
-		return 0
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.buf)
-}
-
 // Dropped returns how many events were evicted to make room (0 on nil).
 func (f *FlightRecorder) Dropped() int64 {
 	if f == nil {

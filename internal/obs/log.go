@@ -36,13 +36,6 @@ func (l *Logger) With(attrs ...slog.Attr) *Logger {
 	return &Logger{s: slog.New(l.s.Handler().WithAttrs(attrs))}
 }
 
-// Enabled reports whether records at the given level would be emitted
-// (false on nil) — for guarding attr construction that is itself
-// expensive.
-func (l *Logger) Enabled(level slog.Level) bool {
-	return l != nil && l.s.Enabled(context.Background(), level)
-}
-
 // Debug emits a debug-level record.
 func (l *Logger) Debug(msg string, attrs ...slog.Attr) { l.emit(slog.LevelDebug, msg, attrs) }
 

@@ -26,24 +26,24 @@ import (
 	"sync/atomic"
 )
 
-// Kind classifies a registered metric.
-type Kind uint8
+// metricKind classifies a registered metric.
+type metricKind uint8
 
 // Metric kinds.
 const (
-	KindCounter Kind = iota
-	KindGauge
-	KindHistogram
+	kindCounter metricKind = iota
+	kindGauge
+	kindHistogram
 )
 
 // String returns the snapshot spelling of the kind.
-func (k Kind) String() string {
+func (k metricKind) String() string {
 	switch k {
-	case KindCounter:
+	case kindCounter:
 		return "counter"
-	case KindGauge:
+	case kindGauge:
 		return "gauge"
-	case KindHistogram:
+	case kindHistogram:
 		return "histogram"
 	}
 	return fmt.Sprintf("kind(%d)", k)
@@ -93,19 +93,6 @@ func (g *Gauge) Add(delta int64) {
 		return
 	}
 	g.v.Add(delta)
-}
-
-// SetMax raises the gauge to v if v is greater (high-water marks).
-func (g *Gauge) SetMax(v int64) {
-	if g == nil {
-		return
-	}
-	for {
-		cur := g.v.Load()
-		if v <= cur || g.v.CompareAndSwap(cur, v) {
-			return
-		}
-	}
 }
 
 // Value returns the current value (0 on nil).
@@ -266,7 +253,7 @@ func ExpBuckets(start, factor int64, n int) []int64 {
 // metric is one registry entry.
 type metric struct {
 	name string
-	kind Kind
+	kind metricKind
 	c    *Counter
 	g    *Gauge
 	h    *Histogram
@@ -285,7 +272,7 @@ func NewRegistry() *Registry {
 	return &Registry{byName: map[string]*metric{}}
 }
 
-func (r *Registry) lookup(name string, kind Kind) *metric {
+func (r *Registry) lookup(name string, kind metricKind) *metric {
 	m, ok := r.byName[name]
 	if !ok {
 		return nil
@@ -305,10 +292,10 @@ func (r *Registry) Counter(name string) *Counter {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if m := r.lookup(name, KindCounter); m != nil {
+	if m := r.lookup(name, kindCounter); m != nil {
 		return m.c
 	}
-	m := &metric{name: name, kind: KindCounter, c: &Counter{}}
+	m := &metric{name: name, kind: kindCounter, c: &Counter{}}
 	r.byName[name] = m
 	r.order = append(r.order, m)
 	return m.c
@@ -322,10 +309,10 @@ func (r *Registry) Gauge(name string) *Gauge {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if m := r.lookup(name, KindGauge); m != nil {
+	if m := r.lookup(name, kindGauge); m != nil {
 		return m.g
 	}
-	m := &metric{name: name, kind: KindGauge, g: &Gauge{}}
+	m := &metric{name: name, kind: kindGauge, g: &Gauge{}}
 	r.byName[name] = m
 	r.order = append(r.order, m)
 	return m.g
@@ -345,7 +332,7 @@ func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if m := r.lookup(name, KindHistogram); m != nil {
+	if m := r.lookup(name, kindHistogram); m != nil {
 		if len(m.h.bounds) != len(bounds) {
 			panic(fmt.Sprintf("obs: histogram %q re-registered with different bounds", name))
 		}
@@ -360,7 +347,7 @@ func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
 		bounds: append([]int64(nil), bounds...),
 		counts: make([]atomic.Int64, len(bounds)+1),
 	}
-	m := &metric{name: name, kind: KindHistogram, h: h}
+	m := &metric{name: name, kind: kindHistogram, h: h}
 	r.byName[name] = m
 	r.order = append(r.order, m)
 	return m.h
@@ -398,11 +385,11 @@ func (r *Registry) Snapshot() []Point {
 	for _, m := range metrics {
 		p := Point{Name: m.name, Kind: m.kind.String()}
 		switch m.kind {
-		case KindCounter:
+		case kindCounter:
 			p.Value = m.c.Value()
-		case KindGauge:
+		case kindGauge:
 			p.Value = m.g.Value()
-		case KindHistogram:
+		case kindHistogram:
 			p.Count = m.h.Count()
 			p.Sum = m.h.Sum()
 			p.Bounds, p.Buckets = m.h.Buckets()
@@ -450,14 +437,6 @@ type Observer struct {
 	Flight *FlightRecorder
 }
 
-// Registry returns the metric registry (nil when disabled).
-func (o *Observer) Registry() *Registry {
-	if o == nil {
-		return nil
-	}
-	return o.Metrics
-}
-
 // FaultLog returns the fault-lifecycle log (nil when disabled).
 func (o *Observer) FaultLog() *FaultLog {
 	if o == nil {
@@ -488,13 +467,4 @@ func (o *Observer) Span(name string) *Span {
 		return nil
 	}
 	return o.Tracer.Span(name)
-}
-
-// SpanTID opens a span attributed to a specific trace lane (e.g. one
-// service worker slot).
-func (o *Observer) SpanTID(name string, tid int) *Span {
-	if o == nil {
-		return nil
-	}
-	return o.Tracer.SpanTID(name, tid)
 }

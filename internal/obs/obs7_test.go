@@ -107,9 +107,6 @@ func TestFlightRecorderWraparound(t *testing.T) {
 	if got := fr.Dropped(); got != 6 {
 		t.Errorf("Dropped = %d, want 6", got)
 	}
-	if got := fr.Len(); got != 4 {
-		t.Errorf("Len = %d, want 4", got)
-	}
 	// Timestamps must be monotone non-decreasing oldest-first.
 	for i := 1; i < len(evs); i++ {
 		if evs[i].Time.Before(evs[i-1].Time) {
@@ -132,8 +129,8 @@ func TestFlightRecorderGrowsOnDemand(t *testing.T) {
 	if c := cap(fr.buf); c >= DefaultFlightEvents/4 {
 		t.Errorf("6 events hold %d slots of a %d limit", c, DefaultFlightEvents)
 	}
-	if fr.Len() != 6 || fr.Dropped() != 0 {
-		t.Errorf("Len = %d, Dropped = %d, want 6 and 0", fr.Len(), fr.Dropped())
+	if n := len(fr.Events()); n != 6 || fr.Dropped() != 0 {
+		t.Errorf("%d events, Dropped = %d, want 6 and 0", n, fr.Dropped())
 	}
 }
 
@@ -142,7 +139,7 @@ func TestFlightRecorderNil(t *testing.T) {
 	var fr *FlightRecorder
 	fr.Record("x", "y")
 	fr.Recordf("x", "%d", 1)
-	if fr.Events() != nil || fr.Len() != 0 || fr.Dropped() != 0 {
+	if fr.Events() != nil || fr.Dropped() != 0 {
 		t.Error("nil recorder must be inert")
 	}
 }
@@ -166,9 +163,6 @@ func TestLoggerAttrs(t *testing.T) {
 			t.Errorf("record[%q] = %v, want %v", k, rec[k], want)
 		}
 	}
-	if !lg.Enabled(slog.LevelDebug) {
-		t.Error("Enabled(debug) = false on a debug-level handler")
-	}
 }
 
 // TestLoggerNil pins the disabled state: nil in, nil out, no panics.
@@ -184,9 +178,6 @@ func TestLoggerNil(t *testing.T) {
 	lg.Info("x")
 	lg.Warn("x")
 	lg.Error("x")
-	if lg.Enabled(slog.LevelError) {
-		t.Error("nil logger must report disabled")
-	}
 }
 
 // TestJobIDContext round-trips the correlation ID through a context.

@@ -27,7 +27,6 @@ type Tracer struct {
 
 type spanRecord struct {
 	Name       string
-	TID        int
 	Start, Dur time.Duration
 	AllocBytes int64 // -1 when not sampled
 }
@@ -35,12 +34,8 @@ type spanRecord struct {
 // NewTracer returns an empty tracer.
 func NewTracer() *Tracer { return &Tracer{} }
 
-// Span opens a span in the default lane. Close it with End.
-func (t *Tracer) Span(name string) *Span { return t.SpanTID(name, 0) }
-
-// SpanTID opens a span in lane tid (rendered as a chrome://tracing
-// thread; the service uses one lane per worker slot).
-func (t *Tracer) SpanTID(name string, tid int) *Span {
+// Span opens a span. Close it with End.
+func (t *Tracer) Span(name string) *Span {
 	if t == nil {
 		return nil
 	}
@@ -51,7 +46,7 @@ func (t *Tracer) SpanTID(name string, tid int) *Span {
 	}
 	t0 := t.t0
 	t.mu.Unlock()
-	sp := &Span{t: t, name: name, tid: tid, start: time.Since(t0), alloc0: -1}
+	sp := &Span{t: t, name: name, start: time.Since(t0), alloc0: -1}
 	if t.AllocDeltas {
 		sp.alloc0 = int64(readAllocBytes())
 	}
@@ -62,7 +57,6 @@ func (t *Tracer) SpanTID(name string, tid int) *Span {
 type Span struct {
 	t      *Tracer
 	name   string
-	tid    int
 	start  time.Duration
 	alloc0 int64
 }
@@ -76,7 +70,7 @@ func (sp *Span) End() {
 	t := sp.t
 	end := time.Since(t.t0)
 	rec := spanRecord{
-		Name: sp.name, TID: sp.tid,
+		Name:  sp.name,
 		Start: sp.start, Dur: end - sp.start,
 		AllocBytes: -1,
 	}
@@ -93,20 +87,6 @@ func readAllocBytes() uint64 {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	return ms.TotalAlloc
-}
-
-// PhaseDurations returns the total recorded wall-clock per span name.
-func (t *Tracer) PhaseDurations() map[string]time.Duration {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make(map[string]time.Duration, len(t.spans))
-	for _, s := range t.spans {
-		out[s.Name] += s.Dur
-	}
-	return out
 }
 
 // chromeEvent is one entry of the chrome://tracing JSON array format:
@@ -132,7 +112,7 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 				Name: s.Name, Ph: "X",
 				TS:  float64(s.Start.Nanoseconds()) / 1e3,
 				Dur: float64(s.Dur.Nanoseconds()) / 1e3,
-				PID: 1, TID: s.TID,
+				PID: 1,
 			}
 			if s.AllocBytes >= 0 {
 				ev.Args = map[string]any{"alloc_bytes": s.AllocBytes}

@@ -70,7 +70,6 @@ type Cache struct {
 	hits      *obs.Counter
 	misses    *obs.Counter
 	evictions *obs.Counter
-	size      *obs.Gauge
 }
 
 // NewCache builds a cache bounded to max compiled circuits (min 1),
@@ -86,7 +85,6 @@ func NewCache(max int, reg *obs.Registry) *Cache {
 		hits:      reg.Counter("serve.cache_hits"),
 		misses:    reg.Counter("serve.cache_misses"),
 		evictions: reg.Counter("serve.cache_evictions"),
-		size:      reg.Gauge("serve.cache_entries"),
 	}
 }
 
@@ -169,7 +167,6 @@ func (c *Cache) get(key string, parse func() (*netlist.Circuit, error)) (*Compil
 			delete(c.entries, ev.key)
 			c.evictions.Inc()
 		}
-		c.size.Set(int64(c.ll.Len()))
 	}
 	c.mu.Unlock()
 
@@ -184,7 +181,6 @@ func (c *Cache) get(key string, parse func() (*netlist.Circuit, error)) (*Compil
 		if cur, present := c.entries[key]; present && cur == e {
 			c.ll.Remove(e.elem)
 			delete(c.entries, key)
-			c.size.Set(int64(c.ll.Len()))
 		}
 		c.mu.Unlock()
 		c.misses.Inc()

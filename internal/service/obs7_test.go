@@ -132,7 +132,7 @@ func TestObservabilityDoesNotChangeDetections(t *testing.T) {
 	ob := &obs.Observer{Metrics: obs.NewRegistry()}
 	lg := obs.NewLogger(slog.NewJSONHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelDebug}))
 	_, instrumented := startServer(t, Config{
-		Workers: 2, Obs: ob, Log: lg, FlightEvents: 64,
+		Workers: 2, Obs: ob, Log: lg,
 	})
 	_, bare := startServer(t, Config{Workers: 2})
 	ctx := ctxT(t)

@@ -18,7 +18,7 @@ type RunRequest struct {
 	// CC is the compiled circuit, pinned at admission.
 	CC *Compiled
 	// Obs is the per-job observability bundle: the job's logger and
-	// flight recorder and the server's tracer. It carries no registry.
+	// flight recorder. It carries no registry and no tracer.
 	Obs *obs.Observer
 	// EngineWorkers is the server's default intra-job parallelism.
 	EngineWorkers int

@@ -33,12 +33,6 @@ type Config struct {
 	// MaxInlineBytes bounds an inline .bench or vectors body (default
 	// 4 MiB); an oversized submission is answered with 413.
 	MaxInlineBytes int64
-	// DefaultTimeout bounds a job's run time when the spec names none
-	// (default 5m); MaxTimeout caps spec-requested timeouts (default
-	// 30m).
-	DefaultTimeout time.Duration
-	// MaxTimeout caps the per-job timeout a spec may request.
-	MaxTimeout time.Duration
 	// CacheSize bounds the compiled-circuit cache (default 64 circuits).
 	CacheSize int
 	// Retained bounds finished jobs kept for late lookups and /debug
@@ -51,15 +45,13 @@ type Config struct {
 	// the worker bound of every pinned grid shard (default
 	// runtime.NumCPU).
 	EngineWorkers int
-	// Obs is the observability bundle. Nil runs with a fresh registry
-	// (metrics always on — the service serves them) and no tracer.
+	// Obs carries the metric registry /metricsz serves; nil (or a nil
+	// Metrics) runs with a fresh one — metrics are always on. Its other
+	// sinks are not read: each job has its own flight recorder.
 	Obs *obs.Observer
-	// Log is the structured logger; nil disables service logging at the
-	// zero-cost nil fast path.
+	// Log is the structured logger; nil takes Obs.Log, and a nil logger
+	// disables service logging at the zero-cost nil fast path.
 	Log *obs.Logger
-	// FlightEvents bounds each job's flight-recorder ring (default
-	// obs.DefaultFlightEvents = 256).
-	FlightEvents int
 	// Runner substitutes the job execution strategy. Nil runs jobs on
 	// the in-process engines; a distributed coordinator injects itself
 	// here to fan admitted jobs out to a worker fleet.
@@ -80,12 +72,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxInlineBytes <= 0 {
 		c.MaxInlineBytes = 4 << 20
 	}
-	if c.DefaultTimeout <= 0 {
-		c.DefaultTimeout = 5 * time.Minute
-	}
-	if c.MaxTimeout <= 0 {
-		c.MaxTimeout = 30 * time.Minute
-	}
 	if c.CacheSize <= 0 {
 		c.CacheSize = 64
 	}
@@ -105,9 +91,6 @@ func (c Config) withDefaults() Config {
 		// A logger attached to the Observer bundle works too.
 		c.Log = c.Obs.Log
 	}
-	if c.FlightEvents <= 0 {
-		c.FlightEvents = obs.DefaultFlightEvents
-	}
 	return c
 }
 
@@ -117,7 +100,6 @@ func (c Config) withDefaults() Config {
 // Start, stop with Drain (graceful) or Close (hard).
 type Server struct {
 	cfg    Config
-	ob     *obs.Observer
 	log    *obs.Logger
 	cache  *Cache
 	q      *jobQueue
@@ -137,24 +119,26 @@ type Server struct {
 	httpSrv       *http.Server
 	ln            net.Listener
 
-	mQueueDepth *obs.Gauge
-	mInflight   *obs.Gauge
 	mSubmitted  *obs.Counter
 	mRejected   *obs.Counter
 	mCompleted  *obs.Counter
 	mFailed     *obs.Counter
-	mCancelled  *obs.Counter
 	mPanics     *obs.Counter
 	mHolds      *obs.Gauge
 	mHeldSubmit *obs.Counter
-	hQueueNS    *obs.Histogram
 	hRunNS      *obs.Histogram
-	hTotalNS    *obs.Histogram
 }
 
-// latencyBuckets is the job-latency histogram layout: 16 µs to ~17 s,
+// latencyBuckets is the job-run-time histogram layout: 16 µs to ~17 s,
 // ×4 per bucket.
 var latencyBuckets = obs.ExpBuckets(16384, 4, 11)
+
+// A job whose spec names no timeout_ms runs for at most
+// defaultJobTimeout; no spec may ask for more than maxJobTimeout.
+const (
+	defaultJobTimeout = 5 * time.Minute
+	maxJobTimeout     = 30 * time.Minute
+)
 
 // New builds a server; Start brings it up.
 func New(cfg Config) *Server {
@@ -162,25 +146,19 @@ func New(cfg Config) *Server {
 	reg := cfg.Obs.Metrics
 	s := &Server{
 		cfg:   cfg,
-		ob:    cfg.Obs,
 		log:   cfg.Log,
 		cache: NewCache(cfg.CacheSize, reg),
 		q:     newJobQueue(cfg.QueueDepth),
 		jobs:  map[string]*job{},
 
-		mQueueDepth: reg.Gauge("serve.queue_depth"),
-		mInflight:   reg.Gauge("serve.inflight"),
 		mSubmitted:  reg.Counter("serve.jobs_submitted"),
 		mRejected:   reg.Counter("serve.jobs_rejected"),
 		mCompleted:  reg.Counter("serve.jobs_completed"),
 		mFailed:     reg.Counter("serve.jobs_failed"),
-		mCancelled:  reg.Counter("serve.jobs_cancelled"),
 		mPanics:     reg.Counter("serve.job_panics"),
 		mHolds:      reg.Gauge("serve.holds"),
 		mHeldSubmit: reg.Counter("serve.held_submits"),
-		hQueueNS:    reg.Histogram("serve.job_queue_ns", latencyBuckets),
 		hRunNS:      reg.Histogram("serve.job_run_ns", latencyBuckets),
-		hTotalNS:    reg.Histogram("serve.job_total_ns", latencyBuckets),
 	}
 	s.runner = cfg.Runner
 	if s.runner == nil {
@@ -237,7 +215,7 @@ func (s *Server) Handler() http.Handler {
 		}
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 	})
-	obs.Register(mux, s.ob.Metrics)
+	obs.Register(mux, s.cfg.Obs.Metrics)
 	return mux
 }
 
@@ -325,7 +303,6 @@ func (s *Server) workerLoop(ctx context.Context, slot int) {
 		if !ok {
 			return
 		}
-		s.mQueueDepth.Set(int64(s.q.depth()))
 		s.runJob(ctx, slot, j)
 	}
 }
@@ -333,12 +310,9 @@ func (s *Server) workerLoop(ctx context.Context, slot int) {
 // runJob executes one admitted job on a worker slot.
 func (s *Server) runJob(ctx context.Context, slot int, j *job) {
 	now := time.Now()
-	timeout := s.cfg.DefaultTimeout
+	timeout := defaultJobTimeout
 	if j.spec.TimeoutMS > 0 {
-		timeout = time.Duration(j.spec.TimeoutMS) * time.Millisecond
-		if timeout > s.cfg.MaxTimeout {
-			timeout = s.cfg.MaxTimeout
-		}
+		timeout = min(time.Duration(j.spec.TimeoutMS)*time.Millisecond, maxJobTimeout)
 	}
 	// The correlation ID rides the job context so anything downstream
 	// (engine logs, a future coordinator fan-out) can recover it.
@@ -348,9 +322,6 @@ func (s *Server) runJob(ctx context.Context, slot int, j *job) {
 		// Cancelled while queued and already finished; nothing to run.
 		return
 	}
-	s.hQueueNS.Observe(now.Sub(j.submitted).Nanoseconds())
-	s.mInflight.Add(1)
-	defer s.mInflight.Add(-1)
 
 	jlog := s.log.With(
 		slog.String("job_id", j.id),
@@ -368,23 +339,16 @@ func (s *Server) runJob(ctx context.Context, slot int, j *job) {
 	// fail the run.
 	cc := j.compiled()
 
-	// One trace lane per worker slot. The logger and flight recorder are
-	// per-job, so engine shard events correlate; the engine's counters
-	// come back in the result's stats, not the registry.
-	engineOb := &obs.Observer{Tracer: s.ob.Tracer, Log: jlog, Flight: j.flight}
-	sp := s.ob.SpanTID(fmt.Sprintf("%s/%s/%s", j.id, j.spec.Engine, circuitLabel(&j.spec)), slot+1)
+	// The logger and flight recorder are per-job, so engine shard events
+	// correlate; the engine's counters come back in the result's stats,
+	// not the registry.
 	rv, err := s.runContained(jctx, &RunRequest{
 		ID: j.id, Spec: &j.spec, CC: cc,
-		Obs:           engineOb,
+		Obs:           &obs.Observer{Log: jlog, Flight: j.flight},
 		EngineWorkers: s.cfg.EngineWorkers,
 		SetPhase:      j.setDistPhase,
 	})
-	sp.End()
-
-	finished := time.Now()
-	runNS := finished.Sub(now).Nanoseconds()
-	s.hRunNS.Observe(runNS)
-	s.hTotalNS.Observe(finished.Sub(j.submitted).Nanoseconds())
+	s.hRunNS.Observe(time.Since(now).Nanoseconds())
 	var pe *panicError
 	switch {
 	case errors.As(err, &pe):
@@ -464,23 +428,23 @@ func (s *Server) dumpPostmortem(jlog *obs.Logger, j *job) {
 		slog.Any("events", pm.Events))
 }
 
-// finishJob records the terminal state, bumps the status counters, and
-// retains the job.
+// finishJob retains the job, records the terminal state and bumps the
+// status counters. Retention comes first: finishing releases the requests
+// held on the job, and a caller answered must find the older jobs already
+// evicted past the bound.
 func (s *Server) finishJob(j *job, status Status, rv *ResultView, errMsg string) {
+	s.retain(j.id)
 	j.finish(status, time.Now(), rv, errMsg)
 	switch j.currentStatus() {
 	case StatusDone:
 		s.mCompleted.Inc()
 	case StatusFailed:
 		s.mFailed.Inc()
-	case StatusCancelled:
-		s.mCancelled.Inc()
 	}
-	s.retain(j.id)
 }
 
-// retain keeps a job that has just turned terminal for lookups and
-// evicts the oldest finished jobs past the Retained bound. Every terminal
+// retain keeps a job that is turning terminal for lookups and evicts the
+// oldest finished jobs past the Retained bound. Every terminal
 // transition the server makes passes through it.
 func (s *Server) retain(id string) {
 	s.mu.Lock()
@@ -570,9 +534,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// Compile (or hit the cache) at admission so malformed netlists are
 	// rejected with diagnostics immediately instead of failing the job
 	// later, and so the queue only ever holds runnable work.
-	sp := s.ob.Span("compile/" + circuitLabel(&spec))
 	cc, hit, err := s.cache.Lookup(&spec)
-	sp.End()
 	if err != nil {
 		var ce *CompileError
 		if errors.As(err, &ce) {
@@ -622,7 +584,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	j := newJob(id, spec, cc, hit, time.Now())
-	j.flight = obs.NewFlightRecorder(s.cfg.FlightEvents)
+	j.flight = obs.NewFlightRecorder(obs.DefaultFlightEvents)
 	s.jobs[id] = j
 	s.mu.Unlock()
 
@@ -643,7 +605,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mSubmitted.Inc()
-	s.mQueueDepth.Set(int64(s.q.depth()))
 	j.flight.Recordf("queued", "position at enqueue %d", s.q.depth())
 	s.log.Info("job admitted",
 		slog.String("job_id", id),
@@ -824,8 +785,6 @@ func (s *Server) cancelJob(w http.ResponseWriter, j *job) {
 		slog.String("engine", j.spec.Engine))
 	if s.q.remove(j.id) {
 		j.requestCancel(time.Now())
-		s.mCancelled.Inc()
-		s.mQueueDepth.Set(int64(s.q.depth()))
 		s.retain(j.id)
 		writeJSON(w, http.StatusOK, j.view())
 		return

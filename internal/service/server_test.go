@@ -18,7 +18,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/iscas"
 	"repro/internal/netlist"
-	"repro/internal/obs"
 	"repro/internal/serial"
 	"repro/internal/vectors"
 )
@@ -873,24 +872,6 @@ func TestRetentionBoundsCancelledQueuedJobs(t *testing.T) {
 		t.Errorf("%d jobs listed, want at most 3 retained plus the running %s", len(list.Jobs), live.ID)
 	}
 	g.open(1)
-}
-
-func TestObsTracerRecordsJobSpans(t *testing.T) {
-	tr := obs.NewTracer()
-	_, cl := startServer(t, Config{Workers: 1, Obs: &obs.Observer{Tracer: tr}})
-	ctx := ctxT(t)
-	if _, err := cl.Run(ctx, JobSpec{Circuit: "s27", Random: 4}, time.Millisecond); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	found := false
-	for name := range tr.PhaseDurations() {
-		if strings.Contains(name, "j1/csim-MV/s27") {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("no job span recorded on the tracer")
-	}
 }
 
 func waitStatus(t *testing.T, cl *Client, id string, want Status) {
