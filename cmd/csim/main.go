@@ -9,7 +9,7 @@
 // built-in benchmark suite; vectors from a file (one line of 0/1/X per
 // cycle) or a seeded random generator. The engine is one of the paper's
 // variants (csim, csim-V, csim-M, csim-MV), the compiled bit-parallel
-// engine (csim-C, alias "compiled": levelized straight-line code over
+// engine (csim-C: levelized straight-line code over
 // packed 64-vector words, on -workers threads), the same kernel on the
 // scheduler's worker count (csim-grid), the PROOFS baseline, or the
 // serial oracle.
@@ -68,9 +68,6 @@ func main() {
 	if err := validateSelections(*engineName, *model, *suite); err != nil {
 		fmt.Fprintln(os.Stderr, "csim:", err)
 		os.Exit(2)
-	}
-	if canon, ok := engineAliases[*engineName]; ok {
-		*engineName = canon
 	}
 
 	// Any observability flag switches the layer on; without them every
@@ -298,17 +295,10 @@ func runCheck(a *engine.Artifacts, model string) error {
 	return nil
 }
 
-// engineAliases are the extra -engine spellings, by canonical name.
-var engineAliases = map[string]string{"compiled": engine.CsimC}
-
 // engineNames lists the accepted -engine values: every registered engine
-// that simulates faults, then the aliases.
+// that simulates faults.
 func engineNames() []string {
-	names := engine.Names(func(e engine.Info) bool { return e.Kind != "good" })
-	for alias := range engineAliases {
-		names = append(names, alias)
-	}
-	return names
+	return engine.Names(func(e engine.Info) bool { return e.Kind != "good" })
 }
 
 // validateSelections rejects unknown -engine/-faults/-suite values with
@@ -363,11 +353,4 @@ func loadVectors(c *netlist.Circuit, file string, n int, seed int64) (*vectors.S
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "csim:", err)
 	os.Exit(1)
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

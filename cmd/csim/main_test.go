@@ -25,7 +25,7 @@ func TestMain(m *testing.M) {
 func TestRemovedSelectionsExit2(t *testing.T) {
 	for _, tc := range []struct{ arg, val, wantIn string }{
 		{"-engine", "csim-X", "usage: -engine csim|"},
-		{"-engine", "csim-" + "P", "usage: -engine csim|csim-V|csim-M|csim-MV|csim-MV-eagerdrop|csim-MV-reconvergent|csim-grid|csim-C|PROOFS|serial|compiled"},
+		{"-engine", "csim-" + "P", "usage: -engine csim|csim-V|csim-M|csim-MV|csim-MV-eagerdrop|csim-MV-reconvergent|csim-grid|csim-C|PROOFS|serial"},
 		{"-shards", "2x2", "flag provided but not defined: -shards"},
 	} {
 		cmd := exec.Command(os.Args[0], "-suite", "s27", "-random", "4", tc.arg, tc.val)
@@ -43,15 +43,14 @@ func TestRemovedSelectionsExit2(t *testing.T) {
 
 // TestWorkersFlagReachesTheCompiledKernel: -engine csim-C -workers K
 // runs K workers, as a service job with "workers": K does; without the
-// flag csim-C (or its alias) stays on one thread and csim-grid asks the
-// scheduler.
+// flag csim-C stays on one thread and csim-grid asks the scheduler.
 func TestWorkersFlagReachesTheCompiledKernel(t *testing.T) {
 	for _, tc := range []struct {
 		args   []string
 		wantIn string
 	}{
 		{[]string{"-engine", "csim-C", "-workers", "2"}, "engine:    csim-C\nworkers:   2\n"},
-		{[]string{"-engine", "compiled"}, "engine:    csim-C\nworkers:   1\n"},
+		{[]string{"-engine", "csim-C"}, "engine:    csim-C\nworkers:   1\n"},
 		{[]string{"-engine", "csim-grid", "-workers", "2"}, "engine:    csim-grid\nworkers:   2\n"},
 	} {
 		cmd := exec.Command(os.Args[0], append([]string{"-suite", "s298", "-random", "64"}, tc.args...)...)

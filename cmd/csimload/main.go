@@ -1,7 +1,6 @@
 // Command csimload load-tests a csimd server: N concurrent clients each
 // run a stream of identical jobs through service.Client.Run — one held
-// submission per job, or a submission and status requests every -poll
-// when that is set — and the tool reports throughput, latency
+// submission per job — and the tool reports throughput, latency
 // percentiles, requests per job, cache behaviour and queue rejections.
 // Assertion flags make it a CI gate:
 //
@@ -19,10 +18,6 @@
 // server's Retry-After hint (capped at 2 s per sleep, jittered to
 // de-synchronize the herd, and bounded at 30 s in total per job), so
 // overload slows the run down but never silently livelocks it.
-//
-// Multi-node mode: -nodes takes a comma-separated list of csimd base
-// URLs (workers or coordinators) and round-robins the client
-// goroutines across them; assertions aggregate over all nodes.
 package main
 
 import (
@@ -35,7 +30,6 @@ import (
 	"net/http"
 	"os"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,7 +41,6 @@ import (
 func main() {
 	var (
 		addr    = flag.String("addr", "http://127.0.0.1:8416", "csimd base URL")
-		nodes   = flag.String("nodes", "", "comma-separated csimd base URLs; clients round-robin across them (overrides -addr)")
 		clients = flag.Int("clients", 16, "concurrent client goroutines")
 		jobs    = flag.Int("jobs", 4, "jobs per client")
 		circuit = flag.String("circuit", "s5378", "built-in suite circuit to simulate")
@@ -55,7 +48,6 @@ func main() {
 		engine  = flag.String("engine", "csim-MV", "engine name (see csimd docs)")
 		randomN = flag.Int("random", 100, "random vectors per job")
 		seed    = flag.Int64("seed", 1, "random vector seed")
-		poll    = flag.Duration("poll", 0, "job status poll interval (0: hold one request open per job, the client's default)")
 		timeout = flag.Duration("timeout", 5*time.Minute, "whole-run deadline")
 
 		expectDet   = flag.Int("expect-detections", -1, "assert every completed job detects exactly this many faults (-1 disables)")
@@ -68,25 +60,9 @@ func main() {
 
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
-	urls := []string{*addr}
-	if *nodes != "" {
-		urls = urls[:0]
-		for _, u := range strings.Split(*nodes, ",") {
-			if u = strings.TrimSpace(u); u != "" {
-				urls = append(urls, u)
-			}
-		}
-		if len(urls) == 0 {
-			fmt.Fprintln(os.Stderr, "csimload: -nodes named no URLs")
-			os.Exit(1)
-		}
-	}
 	var requests countingTransport
-	nodeClients := make([]*service.Client, len(urls))
-	for i, u := range urls {
-		nodeClients[i] = service.NewClient(u)
-		nodeClients[i].HTTPClient = &http.Client{Transport: &requests}
-	}
+	cl := service.NewClient(*addr)
+	cl.HTTPClient = &http.Client{Transport: &requests}
 	spec := service.JobSpec{
 		Circuit: *circuit, Model: *model, Engine: *engine,
 		Random: *randomN, Seed: *seed,
@@ -107,13 +83,13 @@ func main() {
 	)
 	start := time.Now()
 	var wg sync.WaitGroup
-	for c := 0; c < *clients; c++ {
+	for range *clients {
 		wg.Add(1)
-		go func(cl *service.Client) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < *jobs; i++ {
 				jStart := time.Now()
-				v, ran, err := runWithRetry(ctx, cl, spec, *poll, &rejections)
+				v, ran, err := runWithRetry(ctx, cl, spec, &rejections)
 				if err != nil {
 					record(&mu, &failures, fmt.Sprintf("run %s: %v", v.ID, err))
 					return
@@ -134,7 +110,7 @@ func main() {
 				latencies = append(latencies, time.Since(jStart))
 				mu.Unlock()
 			}
-		}(nodeClients[c%len(nodeClients)])
+		}()
 	}
 	wg.Wait()
 	wall := time.Since(start)
@@ -144,7 +120,7 @@ func main() {
 	sum := harness.Summarize(latencies, wall)
 	total := *clients * *jobs
 	fmt.Printf("csimload:  %s %s/%s random=%d x %d clients x %d jobs\n",
-		strings.Join(urls, ","), *circuit, *engine, *randomN, *clients, *jobs)
+		*addr, *circuit, *engine, *randomN, *clients, *jobs)
 	fmt.Printf("completed: %d/%d (rejected-then-retried: %d, peak in-flight: %d)\n",
 		completed.Load(), total, rejections.Load(), peakInflight)
 	fmt.Printf("latency:   %s\n", sum)
@@ -154,7 +130,7 @@ func main() {
 	}
 	fmt.Printf("requests:  %.2f per completed job (%d in all)\n", reqsPerJob, jobRequests)
 
-	hitRate := cacheHitRate(ctx, nodeClients)
+	hitRate := cacheHitRate(ctx, cl)
 	if hitRate >= 0 {
 		fmt.Printf("cache:     hit rate %.1f%%\n", 100*hitRate)
 	}
@@ -246,12 +222,12 @@ const (
 // maxRetryTime so a saturated server fails the job loudly instead of
 // livelocking the run. ran is the interval of the Run call that was
 // admitted.
-func runWithRetry(ctx context.Context, cl *service.Client, spec service.JobSpec, poll time.Duration,
+func runWithRetry(ctx context.Context, cl *service.Client, spec service.JobSpec,
 	rejections *atomic.Int64) (v service.JobView, ran span, err error) {
 	var waited time.Duration
 	for {
 		ran.start = time.Now()
-		v, err = cl.Run(ctx, spec, poll)
+		v, err = cl.Run(ctx, spec, 0)
 		ran.end = time.Now()
 		var qf *service.QueueFullError
 		if !errors.As(err, &qf) {
@@ -272,22 +248,15 @@ func runWithRetry(ctx context.Context, cl *service.Client, spec service.JobSpec,
 	}
 }
 
-// cacheHitRate reads the final hit rate aggregated over every node's
-// /metricsz; -1 when the metrics are unavailable or no lookup
-// happened anywhere.
-func cacheHitRate(ctx context.Context, cls []*service.Client) float64 {
-	var hits, misses int64
-	seen := false
-	for _, cl := range cls {
-		m, err := cl.Metricsz(ctx)
-		if err != nil {
-			continue
-		}
-		seen = true
-		hits += m["serve.cache_hits"].Value
-		misses += m["serve.cache_misses"].Value
+// cacheHitRate reads the final hit rate from the server's /metricsz;
+// -1 when the metrics are unavailable or no lookup happened.
+func cacheHitRate(ctx context.Context, cl *service.Client) float64 {
+	m, err := cl.Metricsz(ctx)
+	if err != nil {
+		return -1
 	}
-	if !seen || hits+misses == 0 {
+	hits, misses := m["serve.cache_hits"].Value, m["serve.cache_misses"].Value
+	if hits+misses == 0 {
 		return -1
 	}
 	return float64(hits) / float64(hits+misses)

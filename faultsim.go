@@ -51,20 +51,12 @@ import (
 type (
 	// Circuit is a levelized gate-level synchronous sequential circuit.
 	Circuit = netlist.Circuit
-	// Gate is one circuit node.
-	Gate = netlist.Gate
-	// GateID indexes a gate within its circuit.
-	GateID = netlist.GateID
 	// CircuitSpec prescribes a synthetic benchmark's shape.
 	CircuitSpec = gen.Spec
 )
 
 // Fault model types.
 type (
-	// Fault is a single stuck-at or transition fault.
-	Fault = faults.Fault
-	// FaultKind is SA0, SA1, STR or STF.
-	FaultKind = faults.Kind
 	// Universe is a fault list over a circuit.
 	Universe = faults.Universe
 	// Result accumulates detections.
@@ -96,9 +88,6 @@ type (
 	// trace plus per-fault bit-parallel cone re-evaluation, 64 vectors
 	// per pass.
 	CompiledSim = compiled.Sim
-	// CompiledGood is the compiled good machine: the straight-line
-	// evaluator over the compiled program, no fault simulation.
-	CompiledGood = compiled.Good
 	// MacroPlan is a fanout-free-region macro-extraction plan over a
 	// circuit (Config.Plan).
 	MacroPlan = macro.Plan
@@ -125,22 +114,9 @@ type (
 	FlightEvent = obs.FlightEvent
 )
 
-// Fault kinds.
-const (
-	SA0 = faults.SA0 // stuck-at-0
-	SA1 = faults.SA1 // stuck-at-1
-	STR = faults.STR // slow-to-rise transition fault
-	STF = faults.STF // slow-to-fall transition fault
-)
-
 // ParseBench parses an ISCAS-89 .bench netlist.
 func ParseBench(name, text string) (*Circuit, error) {
 	return netlist.ParseBenchString(name, text)
-}
-
-// ReadBench reads a .bench netlist from a stream.
-func ReadBench(name string, r io.Reader) (*Circuit, error) {
-	return netlist.ParseBench(name, r)
 }
 
 // WriteBench serializes a circuit in .bench format.
@@ -153,27 +129,15 @@ func GenerateCircuit(spec CircuitSpec) (*Circuit, error) { return gen.Generate(s
 // a published-shape stand-in such as "s5378").
 func Benchmark(name string) (*Circuit, error) { return iscas.Get(name) }
 
-// BenchmarkNames lists the built-in suite.
-func BenchmarkNames() []string { return iscas.Names() }
-
 // StuckFaults builds the equivalence-collapsed single stuck-at universe.
 func StuckFaults(c *Circuit) *Universe { return faults.StuckCollapsed(c) }
-
-// StuckFaultsAll builds the complete (uncollapsed) stuck-at universe.
-func StuckFaultsAll(c *Circuit) *Universe { return faults.StuckAll(c) }
 
 // TransitionFaults builds the §3 transition-fault universe.
 func TransitionFaults(c *Circuit) *Universe { return faults.Transition(c) }
 
-// Csim returns the base concurrent simulator configuration (no
-// improvements); CsimV, CsimM and CsimMV enable the paper's variants.
-func Csim() Config { return Config{} }
-
-// CsimV enables visible/invisible fault-list splitting.
+// CsimV enables visible/invisible fault-list splitting (the zero
+// Config is the base simulator, with no improvements).
 func CsimV() Config { return csim.V() }
-
-// CsimM enables macro extraction.
-func CsimM() Config { return csim.M() }
 
 // CsimMV enables both improvements — the paper's best configuration.
 func CsimMV() Config { return csim.MV() }
@@ -264,31 +228,14 @@ func CompileCircuit(c *Circuit, plan *MacroPlan) *CompiledProgram {
 	return compiled.Compile(c)
 }
 
-// NewCompiled builds the csim-C fault simulator, compiling the
-// universe's circuit internally. To amortize compilation across
-// universes (say, stuck-at and transition over one circuit), use
-// CompileCircuit once and NewCompiledWith per universe.
-func NewCompiled(u *Universe) (*CompiledSim, error) { return compiled.New(u) }
-
 // NewCompiledWith builds a csim-C simulator over an already compiled
 // program; the program must be compiled from the universe's circuit.
+// One program serves every universe over that circuit (say, stuck-at
+// and transition).
 // Pinned by benchmark/; goes with the `[benchmark]` yardstick refresh.
 func NewCompiledWith(p *CompiledProgram, u *Universe) (*CompiledSim, error) {
 	return compiled.NewWith(p, u)
 }
-
-// SimulateCompiled runs the csim-C engine over the whole vector set.
-// Detections are bit-identical to SimulateSerial.
-func SimulateCompiled(u *Universe, vs *Vectors) (*Result, error) {
-	sim, err := compiled.New(u)
-	if err != nil {
-		return nil, err
-	}
-	return sim.Run(vs), nil
-}
-
-// NewCompiledGood builds the compiled good machine over a program.
-func NewCompiledGood(p *CompiledProgram) *CompiledGood { return p.NewGood() }
 
 // ExtractMacros builds the fanout-free-region macro plan csim-M/csim-MV
 // use (maxInputs <= 0 uses the default cap). Pinned by benchmark/; goes
@@ -330,30 +277,11 @@ type (
 	// an HTTP/JSON job API in front of a bounded queue and a worker pool
 	// over this package's engines.
 	Server = service.Server
-	// ServeClient talks to a running csimd server: submit, poll, wait,
-	// cancel, and read the metrics snapshot.
-	ServeClient = service.Client
-	// JobSpec describes one simulation job submitted to a Server: the
-	// circuit (suite name or inline .bench), fault model, engine, and
-	// vector spec.
-	JobSpec = service.JobSpec
-	// JobView is a job's status/result as the service reports it.
-	JobView = service.JobView
-	// JobResult is a finished job's payload: detections, coverage and
-	// engine counters.
-	JobResult = service.ResultView
-	// JobPostmortem is a job's flight-recorder dump as served at
-	// GET /api/v1/jobs/{id}/debug.
-	JobPostmortem = service.Postmortem
 )
 
 // NewServer builds the fault-simulation service; call Start on it to
 // serve, and Drain (graceful) or Close (hard) to stop.
 func NewServer(cfg ServeConfig) *Server { return service.New(cfg) }
-
-// NewServeClient builds a client for a csimd server's base URL, e.g.
-// "http://127.0.0.1:8416".
-func NewServeClient(baseURL string) *ServeClient { return service.NewClient(baseURL) }
 
 // Distributed types (the csimd coordinator; see DESIGN.md §13).
 type (
@@ -373,45 +301,3 @@ type (
 // and starts its health probers; Close stops them. Plug it into a
 // server via ServeConfig.Runner.
 func NewCoordinator(cfg DistConfig) (*Coordinator, error) { return dist.New(cfg) }
-
-// SimulateDistributed runs one simulation job across a csimd worker
-// fleet and waits for the merged result: a self-contained helper that
-// brings up a coordinator-fronted server on a loopback port, submits
-// spec, and tears everything down. The result is bit-identical to the
-// same spec run locally. For anything beyond a one-shot — job streams,
-// polling, cancellation — build a NewCoordinator-backed NewServer and
-// use the job API.
-func SimulateDistributed(ctx context.Context, cfg DistConfig, spec JobSpec) (*JobResult, error) {
-	coord, err := dist.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer coord.Close()
-	srv := service.New(service.Config{Addr: "127.0.0.1:0", Runner: coord, Obs: cfg.Obs, Log: cfg.Log})
-	if err := srv.Start(); err != nil {
-		return nil, err
-	}
-	defer srv.Close()
-	v, err := service.NewClient("http://"+srv.Addr()).Run(ctx, spec, 0)
-	if err != nil {
-		return nil, err
-	}
-	if v.Status != service.StatusDone {
-		return nil, &DistJobError{Status: string(v.Status), Msg: v.Error}
-	}
-	return v.Result, nil
-}
-
-// DistJobError reports a distributed job that ended in a non-done
-// terminal state (failed or cancelled).
-type DistJobError struct {
-	// Status is the terminal job status.
-	Status string
-	// Msg is the job's error line.
-	Msg string
-}
-
-// Error renders the terminal status and the job's error line.
-func (e *DistJobError) Error() string {
-	return "distributed job " + e.Status + ": " + e.Msg
-}

@@ -1,6 +1,13 @@
 package faultsim_test
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -90,7 +97,7 @@ func TestPublicAPIBenchIO(t *testing.T) {
 	if err := faultsim.WriteBench(&sb, c); err != nil {
 		t.Fatal(err)
 	}
-	c2, err := faultsim.ReadBench("tiny2", strings.NewReader(sb.String()))
+	c2, err := faultsim.ParseBench("tiny2", sb.String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,10 +116,6 @@ func TestPublicAPIGenerate(t *testing.T) {
 	if got := c.Stats().Gates; got != 60 {
 		t.Errorf("generated %d gates, want 60", got)
 	}
-	names := faultsim.BenchmarkNames()
-	if len(names) == 0 || names[0] != "s27" {
-		t.Errorf("BenchmarkNames = %v", names)
-	}
 }
 
 func TestGoodSimFacade(t *testing.T) {
@@ -127,7 +130,124 @@ func TestGoodSimFacade(t *testing.T) {
 	}
 	gs.Cycle(vs.Vecs[0])
 	out := gs.Cycle(vs.Vecs[1])
-	if out[0] != faultsim.SA1.StuckValue() { // logic.One via the facade constants
-		t.Errorf("z = %v, want 1", out[0])
+	if out[0] != vs.Vecs[0][0] { // a, one cycle late through the flip-flop
+		t.Errorf("z = %v, want a's first value %v", out[0], vs.Vecs[0][0])
 	}
+}
+
+// TestFacadeExportsHaveCallers holds faultsim.go to what its callers
+// use: every exported func, type, const and var must be referenced as
+// faultsim.<Name> by a .go file under examples/ or benchmark/. A type
+// also counts as used when the signature of a used func, or an exported
+// field of a used struct type, names it.
+func TestFacadeExportsHaveCallers(t *testing.T) {
+	fset := token.NewFileSet()
+	facade, err := parser.ParseFile(fset, "faultsim.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// decls maps each exported top-level name to the types whose
+	// identifiers make further names used: a func's parameters and
+	// results, a struct's exported fields.
+	decls := map[string]*ast.FieldList{}
+	for _, d := range facade.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil && d.Name.IsExported() {
+				decls[d.Name.Name] = fieldTypes(false, d.Type.Params, d.Type.Results)
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch spec := spec.(type) {
+				case *ast.TypeSpec:
+					if spec.Name.IsExported() {
+						if st, ok := spec.Type.(*ast.StructType); ok {
+							decls[spec.Name.Name] = fieldTypes(true, st.Fields)
+						} else {
+							decls[spec.Name.Name] = nil // an alias names no facade type
+						}
+					}
+				case *ast.ValueSpec:
+					for _, n := range spec.Names {
+						if n.IsExported() {
+							decls[n.Name] = nil
+						}
+					}
+				}
+			}
+		}
+	}
+
+	used := map[string]bool{}
+	var work []string
+	use := func(name string) {
+		if _, ok := decls[name]; ok && !used[name] {
+			used[name] = true
+			work = append(work, name)
+		}
+	}
+	for _, dir := range []string{"examples", "benchmark"} {
+		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || filepath.Ext(path) != ".go" {
+				return err
+			}
+			f, err := parser.ParseFile(fset, path, nil, 0)
+			if err != nil {
+				return err
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok {
+					if x, ok := sel.X.(*ast.Ident); ok && x.Name == "faultsim" {
+						use(sel.Sel.Name)
+					}
+				}
+				return true
+			})
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for len(work) > 0 {
+		name := work[len(work)-1]
+		work = work[:len(work)-1]
+		if n := decls[name]; n != nil {
+			ast.Inspect(n, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok {
+					use(id.Name)
+				}
+				return true
+			})
+		}
+	}
+
+	var unused []string
+	for name := range decls {
+		if !used[name] {
+			unused = append(unused, name)
+		}
+	}
+	sort.Strings(unused)
+	for _, name := range unused {
+		t.Errorf("faultsim.%s has no caller under examples/ or benchmark/", name)
+	}
+}
+
+// fieldTypes gathers the types of the fields in lists (nil ones
+// allowed), without their names; exportedOnly drops the named fields a
+// caller outside the package cannot reach.
+func fieldTypes(exportedOnly bool, lists ...*ast.FieldList) *ast.FieldList {
+	out := &ast.FieldList{}
+	for _, l := range lists {
+		if l == nil {
+			continue
+		}
+		for _, f := range l.List {
+			if !exportedOnly || len(f.Names) == 0 || slices.ContainsFunc(f.Names, (*ast.Ident).IsExported) {
+				out.List = append(out.List, &ast.Field{Type: f.Type})
+			}
+		}
+	}
+	return out
 }

@@ -42,9 +42,6 @@ type Config struct {
 	SplitLists bool
 	// Macros collapses fanout-free regions into table-lookup macro gates.
 	Macros bool
-	// MacroMaxInputs caps macro leaf counts (default
-	// macro.DefaultMaxInputs).
-	MacroMaxInputs int
 	// ReconvergentMacros enables the paper's §2.2 extension: macros are
 	// not limited to fanout-free regions, so reconvergent logic collapses
 	// too and more stuck-at faults become functional faults. Implies
@@ -58,7 +55,7 @@ type Config struct {
 	// extraction entirely — an engine.Artifacts set hands the same
 	// immutable plan to every run on the same circuit. The plan must
 	// cover the universe's circuit and must have been built by NewPlan
-	// with settings matching Macros / ReconvergentMacros / MacroMaxInputs;
+	// with settings matching Macros / ReconvergentMacros;
 	// the circuit identity is checked, the settings are the caller's
 	// contract. macro.Plan and its Macros are //simlint:immutable — the
 	// immutableplan analyzer proves no store to them is reachable after
@@ -254,17 +251,13 @@ func New(u *faults.Universe, cfg Config) (*Simulator, error) {
 
 // NewPlan builds the macro plan cfg selects over c: reconvergent macros,
 // fanout-free macros, or one trivial macro per gate, with macro leaves
-// capped at cfg.MacroMaxInputs (0: macro.DefaultMaxInputs).
+// capped at macro.DefaultMaxInputs.
 func NewPlan(c *netlist.Circuit, cfg Config) (*macro.Plan, error) {
-	maxIn := cfg.MacroMaxInputs
-	if maxIn == 0 {
-		maxIn = macro.DefaultMaxInputs
-	}
 	switch {
 	case cfg.ReconvergentMacros:
-		return macro.ExtractReconvergent(c, maxIn)
+		return macro.ExtractReconvergent(c, macro.DefaultMaxInputs)
 	case cfg.Macros:
-		return macro.Extract(c, maxIn)
+		return macro.Extract(c, macro.DefaultMaxInputs)
 	}
 	return macro.Trivial(c), nil
 }

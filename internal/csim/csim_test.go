@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/logic"
+	"repro/internal/macro"
 	"repro/internal/netlist"
 	"repro/internal/obs"
 	"repro/internal/serial"
@@ -459,7 +460,7 @@ func TestDataStructure(t *testing.T) {
 	}
 }
 
-// TestWideMacrosUseReplayPath: raising the macro leaf cap beyond the
+// TestWideMacrosUseReplayPath: a plan whose macro leaf cap is beyond the
 // lookup-table bound exercises the cone-replay evaluation path and the
 // per-fault replay injection for wide functional faults; results must
 // still match the serial oracle.
@@ -468,7 +469,11 @@ func TestWideMacrosUseReplayPath(t *testing.T) {
 	u := faults.StuckAll(c)
 	vs := vectors.Random(c, 150, 88)
 	cfg := MV()
-	cfg.MacroMaxInputs = 12 // above macro.TableMaxInputs
+	plan, err := macro.Extract(c, 12) // above macro.TableMaxInputs
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Plan = plan
 	sim, err := New(u, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -80,10 +80,10 @@ func (a *Artifacts) Universe(model string) (*faults.Universe, error) {
 }
 
 // Plan returns the macro plan for a csim configuration, extracting it on
-// first use: configurations that agree on Macros, ReconvergentMacros and
-// MacroMaxInputs share one plan.
+// first use: configurations that agree on Macros and ReconvergentMacros
+// share one plan.
 func (a *Artifacts) Plan(cfg csim.Config) (*macro.Plan, error) {
-	key := csim.Config{Macros: cfg.Macros, ReconvergentMacros: cfg.ReconvergentMacros, MacroMaxInputs: cfg.MacroMaxInputs}
+	key := csim.Config{Macros: cfg.Macros, ReconvergentMacros: cfg.ReconvergentMacros}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if p, ok := a.plans[key]; ok {

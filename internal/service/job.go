@@ -232,28 +232,6 @@ func (dv *DetectionsView) Result(u *faults.Universe) (*faults.Result, error) {
 	return res, nil
 }
 
-// NumDetected counts the hard detections in the payload.
-func (dv *DetectionsView) NumDetected() int {
-	n := 0
-	for _, at := range dv.DetectedAt {
-		if at >= 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// NumPotOnly counts faults potentially but never hard detected.
-func (dv *DetectionsView) NumPotOnly() int {
-	n := 0
-	for _, id := range dv.Pot {
-		if int(id) < len(dv.DetectedAt) && dv.DetectedAt[id] < 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // ResultView is a finished job's payload: the detections and counters a
 // harness.Measurement would carry, as JSON.
 type ResultView struct {

@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"runtime"
 	"runtime/debug"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -274,13 +273,24 @@ func (s *Server) shutdownHTTP() {
 	_ = s.httpSrv.Shutdown(sctx)
 }
 
-// cancelOutstanding cancels every live job (queue tombstones included).
+// cancelOutstanding cancels every live job.
 func (s *Server) cancelOutstanding() {
-	now := time.Now()
 	for _, j := range s.liveJobs() {
-		s.q.remove(j.id)
-		j.requestCancel(now)
+		s.cancel(j)
 	}
+}
+
+// cancel cancels a live job. A queued job is removed from the queue
+// first — freeing its admission slot at once — then retained and
+// finished as cancelled, in finishJob's order; a running job gets its
+// context cancelled and finishes through finishJob when the engine
+// notices. Close, Drain past its grace period, and DELETE all cancel
+// through here.
+func (s *Server) cancel(j *job) {
+	if s.q.remove(j.id) {
+		s.retain(j.id)
+	}
+	j.requestCancel(time.Now())
 }
 
 // liveJobs snapshots the non-terminal jobs.
@@ -319,7 +329,9 @@ func (s *Server) runJob(ctx context.Context, slot int, j *job) {
 	jctx, cancel := context.WithTimeout(obs.WithJobID(ctx, j.id), timeout)
 	defer cancel()
 	if !j.setRunning(now, cancel) {
-		// Cancelled while queued and already finished; nothing to run.
+		// Cancelled between the pop and here: the canceller found it in
+		// no queue and left its retention to this worker.
+		s.retain(j.id)
 		return
 	}
 
@@ -464,17 +476,13 @@ func circuitLabel(spec *JobSpec) string {
 	return spec.BenchName
 }
 
-// handleJobs serves POST /api/v1/jobs (submit) and GET /api/v1/jobs
-// (list).
+// handleJobs serves POST /api/v1/jobs (submit).
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodPost:
-		s.handleSubmit(w, r)
-	case http.MethodGet:
-		s.handleList(w)
-	default:
-		writeError(w, http.StatusMethodNotAllowed, "use POST to submit or GET to list", nil)
+	if r.Method != http.MethodPost {
+		writeError(w, http.StatusMethodNotAllowed, "use POST to submit", nil)
+		return
 	}
+	s.handleSubmit(w, r)
 }
 
 // handleSubmit admits one job: decode (oversized body → 413), validate
@@ -665,26 +673,6 @@ func (s *Server) retryAfter() int {
 	return secs
 }
 
-// handleList serves job summaries sorted by ID.
-func (s *Server) handleList(w http.ResponseWriter) {
-	s.mu.Lock()
-	views := make([]JobView, 0, len(s.jobs))
-	ids := make([]string, 0, len(s.jobs))
-	for id := range s.jobs {
-		ids = append(ids, id)
-	}
-	jobs := make([]*job, 0, len(ids))
-	for _, id := range ids {
-		jobs = append(jobs, s.jobs[id])
-	}
-	s.mu.Unlock()
-	sort.Slice(jobs, func(i, k int) bool { return jobid.Less(jobs[i].id, jobs[k].id) })
-	for _, j := range jobs {
-		views = append(views, j.view())
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": views})
-}
-
 // handleJob serves GET (status) and DELETE (cancel) on
 // /api/v1/jobs/<id>, and GET /api/v1/jobs/<id>/debug (the
 // flight-recorder postmortem).
@@ -720,7 +708,12 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		}
 		writeJSON(w, http.StatusOK, s.hold(r, j, wait))
 	case http.MethodDelete:
-		s.cancelJob(w, j)
+		s.log.Info("job cancel requested",
+			slog.String("job_id", j.id),
+			slog.String("phase", "cancel"),
+			slog.String("engine", j.spec.Engine))
+		s.cancel(j)
+		writeJSON(w, http.StatusOK, j.view())
 	default:
 		writeError(w, http.StatusMethodNotAllowed, "use GET for status or DELETE to cancel", nil)
 	}
@@ -772,25 +765,6 @@ func (s *Server) hold(r *http.Request, j *job, d time.Duration) JobView {
 	t.Stop()
 	s.mHolds.Add(-1)
 	return j.view()
-}
-
-// cancelJob cancels a live job. A queued job is removed from the queue
-// first — freeing its admission slot immediately — then finished as
-// cancelled; a running job gets its context cancelled and reports
-// cancelled when the engine notices.
-func (s *Server) cancelJob(w http.ResponseWriter, j *job) {
-	s.log.Info("job cancel requested",
-		slog.String("job_id", j.id),
-		slog.String("phase", "cancel"),
-		slog.String("engine", j.spec.Engine))
-	if s.q.remove(j.id) {
-		j.requestCancel(time.Now())
-		s.retain(j.id)
-		writeJSON(w, http.StatusOK, j.view())
-		return
-	}
-	j.requestCancel(time.Now())
-	writeJSON(w, http.StatusOK, j.view())
 }
 
 // errorBody is the structured error response.

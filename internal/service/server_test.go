@@ -848,7 +848,7 @@ func TestRetentionEvictsOldFinishedJobs(t *testing.T) {
 // DELETE is retained under the same bound as a finished one, so a
 // submit/DELETE loop behind a busy worker does not grow the job table.
 func TestRetentionBoundsCancelledQueuedJobs(t *testing.T) {
-	_, cl, g, _ := startGated(t, Config{Workers: 1, Retained: 3})
+	s, cl, g, _ := startGated(t, Config{Workers: 1, Retained: 3})
 	ctx := ctxT(t)
 	live, err := cl.Submit(ctx, tinySpec)
 	if err != nil {
@@ -864,14 +864,43 @@ func TestRetentionBoundsCancelledQueuedJobs(t *testing.T) {
 			t.Fatalf("cancel %s: %v / %s", v.ID, err, v.Status)
 		}
 	}
-	var list struct{ Jobs []JobView }
-	if err := cl.do(ctx, http.MethodGet, "/api/v1/jobs", nil, &list); err != nil {
-		t.Fatal(err)
+	s.mu.Lock()
+	n := len(s.jobs)
+	s.mu.Unlock()
+	if n > 3+1 {
+		t.Errorf("%d jobs kept, want at most 3 retained plus the running %s", n, live.ID)
 	}
-	if len(list.Jobs) > 3+1 {
-		t.Errorf("%d jobs listed, want at most 3 retained plus the running %s", len(list.Jobs), live.ID)
+	// The job collection takes submissions only; it lists nothing.
+	var ae *APIError
+	if err := cl.do(ctx, http.MethodGet, "/api/v1/jobs", nil, nil); !errors.As(err, &ae) || ae.StatusCode != http.StatusMethodNotAllowed {
+		t.Errorf("GET /api/v1/jobs: got %v, want 405", err)
 	}
 	g.open(1)
+}
+
+// TestCloseRetainsCancelledQueuedJobs: the jobs Close cancels while
+// queued are retained under the same bound as every other terminal job.
+func TestCloseRetainsCancelledQueuedJobs(t *testing.T) {
+	s, cl, g, _ := startGated(t, Config{Workers: 1, Retained: 2})
+	ctx := ctxT(t)
+	if _, err := cl.Submit(ctx, tinySpec); err != nil {
+		t.Fatal(err)
+	}
+	<-g.started
+	for i := 0; i < 5; i++ {
+		if v, err := cl.Submit(ctx, tinySpec); err != nil || v.Status != StatusQueued {
+			t.Fatalf("submit %d: %v / %s", i, err, v.Status)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	n := len(s.jobs)
+	s.mu.Unlock()
+	if n > 2 {
+		t.Errorf("%d jobs kept after Close, want at most the 2 retained", n)
+	}
 }
 
 func waitStatus(t *testing.T, cl *Client, id string, want Status) {

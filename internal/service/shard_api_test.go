@@ -44,16 +44,16 @@ func TestFaultShardJobsMergeToOracle(t *testing.T) {
 			if dv == nil {
 				t.Fatalf("shard %d: ReturnDetections set but no detections payload", shard)
 			}
-			if dv.NumDetected() != v.Result.Detected || dv.NumPotOnly() != v.Result.PotOnly {
-				t.Fatalf("shard %d: payload counts %d/%d disagree with result %d/%d",
-					shard, dv.NumDetected(), dv.NumPotOnly(), v.Result.Detected, v.Result.PotOnly)
-			}
-			if v.Result.Workers != k || v.Result.Windows != 1 {
-				t.Errorf("shard %d: shape %dx%d, want %dx1", shard, v.Result.Workers, v.Result.Windows, k)
-			}
 			part, err := dv.Result(faults.StuckCollapsed(ckt))
 			if err != nil {
 				t.Fatalf("shard %d: reconstruct: %v", shard, err)
+			}
+			if part.NumDet != v.Result.Detected || part.NumPotOnly() != v.Result.PotOnly {
+				t.Fatalf("shard %d: payload counts %d/%d disagree with result %d/%d",
+					shard, part.NumDet, part.NumPotOnly(), v.Result.Detected, v.Result.PotOnly)
+			}
+			if v.Result.Workers != k || v.Result.Windows != 1 {
+				t.Errorf("shard %d: shape %dx%d, want %dx1", shard, v.Result.Workers, v.Result.Windows, k)
 			}
 			merged = faults.MergeResults(merged, part)
 
