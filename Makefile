@@ -21,11 +21,13 @@ lint:
 
 # Fuzzing: replay the fixed corpora, then let the native fuzzer search for
 # 30s each (raise -fuzztime at will) — for seeds on which the engines
-# disagree, and for bytes the .bench front door mishandles.
+# disagree, and for bytes the .bench front door mishandles — and 10s for
+# shard detection payloads the coordinator's decode mishandles.
 fuzz:
-	go test ./internal/integration/ ./internal/netlist/ -run Fuzz -count=1
+	go test ./internal/integration/ ./internal/netlist/ ./internal/service/ -run Fuzz -count=1
 	go test ./internal/integration/ -fuzz=FuzzDifferential -fuzztime=30s
 	go test ./internal/netlist/ -run '^$$' -fuzz=FuzzParseBench -fuzztime=30s
+	go test ./internal/service/ -run '^$$' -fuzz=FuzzDetectionsView -fuzztime=10s
 
 # What CI runs: every quick cell once, each integer held to the baseline.
 bench-gate:

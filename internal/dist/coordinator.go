@@ -124,7 +124,7 @@ func (c *Coordinator) RunJob(ctx context.Context, req *service.RunRequest) (*ser
 		wg.Add(1)
 		go func(shard int) {
 			defer wg.Done()
-			rv, err := c.runShard(jctx, req, shard, k)
+			rv, err := c.runShard(jctx, req, u.NumFaults(), shard, k)
 			views[shard] = rv
 			if err != nil {
 				errCh <- fmt.Errorf("shard %d/%d: %w", shard, k, err)
@@ -207,10 +207,12 @@ func (e *permanentError) Unwrap() error { return e.err }
 
 // runShard drives one shard to completion: pick a worker, attempt,
 // and on retryable failure re-queue to a different worker with the
-// failed one excluded, up to maxAttempts. When exclusions cover the
-// whole fleet with attempts still in hand, the slate is wiped — a
-// previously failed worker may have recovered.
-func (c *Coordinator) runShard(ctx context.Context, req *service.RunRequest, shard, of int) (*service.ResultView, error) {
+// failed one excluded, up to maxAttempts. A reply whose detections
+// payload is not well formed over the job's nFaults-fault universe is
+// such a failure. When exclusions cover the whole fleet with attempts
+// still in hand, the slate is wiped — a previously failed worker may
+// have recovered.
+func (c *Coordinator) runShard(ctx context.Context, req *service.RunRequest, nFaults, shard, of int) (*service.ResultView, error) {
 	spec := shardSpec(req.Spec, shard, of, shardTimeout)
 	id := jobid.Shard(req.ID, shard, of, shardHash(req.CC.Key, spec))
 	excluded := map[int]bool{}
@@ -225,7 +227,10 @@ func (c *Coordinator) runShard(ctx context.Context, req *service.RunRequest, sha
 		rv, err := c.attemptShard(ctx, w, id, spec)
 		c.reg.release(w)
 		if err == nil {
-			return rv, nil
+			if err = rv.Detections.Check(nFaults); err == nil {
+				return rv, nil
+			}
+			err = fmt.Errorf("worker %s: %w", w.addr, err)
 		}
 		if ctx.Err() != nil {
 			return nil, ctx.Err()

@@ -1,18 +1,25 @@
 package dist
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"io"
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/engine"
+	"repro/internal/faults"
 	"repro/internal/iscas"
 	"repro/internal/jobid"
 	"repro/internal/netlist"
 	"repro/internal/obs"
 	"repro/internal/service"
+	"repro/internal/vectors"
 )
 
 // shardLog is the coordinator's transport to its workers, noting every
@@ -214,5 +221,92 @@ func TestShardPanicFailsTheJobOnce(t *testing.T) {
 	}
 	if p, _ := reg.Get("dist.shards_failed"); p.Value < 1 {
 		t.Errorf("dist.shards_failed = %d, want at least 1", p.Value)
+	}
+}
+
+// garbler is the coordinator's transport to its workers; it rewrites the
+// first shard reply that carries a detections payload, adding a fault ID
+// past the end of the universe, and passes everything else through.
+type garbler struct{ done atomic.Bool }
+
+func (g *garbler) RoundTrip(r *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(r)
+	if err != nil || resp.StatusCode != http.StatusOK || r.Header.Get(service.JobIDHeader) == "" || g.done.Load() {
+		return resp, err
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	var v service.JobView
+	if json.Unmarshal(body, &v) == nil && v.Result != nil && v.Result.Detections != nil && g.done.CompareAndSwap(false, true) {
+		dv := v.Result.Detections
+		dv.IDs, dv.At = append(dv.IDs, int32(dv.Faults)), append(dv.At, 0)
+		if body, err = json.Marshal(v); err != nil {
+			return nil, err
+		}
+	}
+	resp.Body, resp.ContentLength = io.NopCloser(bytes.NewReader(body)), int64(len(body))
+	resp.Header.Del("Content-Length")
+	return resp, nil
+}
+
+// TestGarbledShardPayloadRequeues: a shard reply whose detections name a
+// fault outside the universe fails that attempt, not the job; the shard
+// is re-queued once and the merged result is a local csim-grid run's.
+func TestGarbledShardPayloadRequeues(t *testing.T) {
+	g := &garbler{}
+	cl, _, reg := startCluster(t, 2, func(cfg *Config) {
+		cfg.Poll = 30 * time.Second
+		cfg.HTTPClient = &http.Client{Transport: g}
+	})
+	ckt, err := iscas.Get("s1494")
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := faults.StuckCollapsed(ckt)
+	want, _, err := engine.Run(context.Background(), engine.CsimGrid, u, vectors.Random(ckt, 64, 3), engine.Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := cl.Run(ctxT(t), service.JobSpec{
+		Circuit: "s1494", Engine: "csim-grid", Workers: 2,
+		Random: 64, Seed: 3, ReturnDetections: true,
+	}, 0)
+	if err != nil || v.Status != service.StatusDone || v.Result == nil {
+		t.Fatalf("run: %v / %+v", err, v)
+	}
+	if !g.done.Load() {
+		t.Fatal("no shard reply was garbled")
+	}
+	if v.Result.Detected != want.NumDet || v.Result.PotOnly != want.NumPotOnly() {
+		t.Errorf("detected %d, pot-only %d; local csim-grid %d, %d", v.Result.Detected, v.Result.PotOnly, want.NumDet, want.NumPotOnly())
+	}
+	got, err := v.Result.Detections.Result(u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diff := want.Diff(got); diff != "" {
+		t.Errorf("result after a garbled shard differs from a local csim-grid run:\n%s", diff)
+	}
+	if p, _ := reg.Get("dist.shards_requeued"); p.Value != 1 {
+		t.Errorf("dist.shards_requeued = %d, want 1", p.Value)
+	}
+	pm, err := cl.Debug(ctxT(t), v.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requeues := 0
+	for _, ev := range pm.Events {
+		if ev.Kind == "requeue" {
+			requeues++
+			if !strings.Contains(ev.Detail, "out of range") {
+				t.Errorf("requeue event %q, want the payload's range error", ev.Detail)
+			}
+		}
+	}
+	if requeues != 1 {
+		t.Errorf("%d requeue events in the flight record, want 1", requeues)
 	}
 }

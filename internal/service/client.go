@@ -162,54 +162,29 @@ func (c *Client) Cancel(ctx context.Context, id string) (JobView, error) {
 	return v, err
 }
 
-// The timed schedule: after the first look, quickPolls looks a defaultPoll
-// apart, then one every gap the server suggests for the job.
-const (
-	defaultPoll = 10 * time.Millisecond
-	quickPolls  = 2
-)
-
 // Wait waits for a job's terminal view or for ctx to expire. The first
-// look is immediate. With poll > 0 the rest follow on that fixed tick.
-// With poll <= 0 a job the server has not put on a timer (no poll_ms in
-// its live view) is handed to Hold, so its end arrives on the one request
-// that waited for it. A timed job is looked at again 10 and 20 ms in and
-// from then on at the gap the server suggests: the two quick looks catch a
-// job of a few milliseconds, and a csim-grid job is then looked at every
-// 100 ms (120, 220, ... ms; see JobSpec.timed). Look times are offsets from
-// the first look, not from the previous reply: a reply that arrives late
-// (a server whose cores are all busy with the job answers slowly) drops
-// the looks it overran and does not shift the ones after it.
+// look is immediate. With poll > 0 the rest follow on that fixed tick; a
+// reply that arrives late drops the ticks it overran and does not shift
+// the ones after it. With poll <= 0 a live job is handed to Hold, so its
+// end arrives on the one request that waited for it.
 func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (JobView, error) {
-	start := time.Now()
-	var next time.Duration // offset of the next look
-	looks := 0             // schedule points passed
-	t := time.NewTimer(0)
+	v, err := c.Job(ctx, id)
+	if err != nil || v.Status.Terminal() {
+		return v, err
+	}
+	if poll <= 0 {
+		return c.Hold(ctx, id, 0)
+	}
+	t := time.NewTicker(poll)
 	defer t.Stop()
-	<-t.C // fired and drained: every Reset below finds it so
 	for {
-		v, err := c.Job(ctx, id)
-		if err != nil || v.Status.Terminal() {
-			return v, err
-		}
-		if poll <= 0 && v.PollMS <= 0 {
-			return c.Hold(ctx, id, 0)
-		}
-		for ; time.Since(start) >= next; looks++ {
-			switch {
-			case poll > 0:
-				next += poll
-			case looks < quickPolls:
-				next += defaultPoll
-			default:
-				next += max(defaultPoll, time.Duration(v.PollMS)*time.Millisecond)
-			}
-		}
-		t.Reset(next - time.Since(start))
 		select {
 		case <-ctx.Done():
 			return v, ctx.Err()
 		case <-t.C:
+		}
+		if v, err = c.Job(ctx, id); err != nil || v.Status.Terminal() {
+			return v, err
 		}
 	}
 }
@@ -229,13 +204,12 @@ func (c *Client) Hold(ctx context.Context, id string, hold time.Duration) (JobVi
 }
 
 // Run submits a job and waits for its terminal view. With poll <= 0 that
-// is one exchange wherever the server does not put the job on a timer:
-// the submission is held open until the job ends, and only a job that
-// outlives the server's longest hold is asked after again (Hold). A timed
-// job (JobSpec.timed: a whole csim-grid job) is submitted and then looked
-// at on Wait's schedule; poll > 0 does that for any job, on that tick.
+// is one exchange: the submission is held open until the job ends, and
+// only a job that outlives the server's longest hold is asked after again
+// (Hold). With poll > 0 the job is submitted and then looked at on that
+// tick (Wait).
 func (c *Client) Run(ctx context.Context, spec JobSpec, poll time.Duration) (JobView, error) {
-	if poll > 0 || spec.timed() {
+	if poll > 0 {
 		v, err := c.Submit(ctx, spec)
 		if err != nil {
 			return v, err

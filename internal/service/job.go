@@ -177,16 +177,21 @@ func (s Status) Terminal() bool {
 	return s == StatusDone || s == StatusFailed || s == StatusCancelled
 }
 
-// DetectionsView is the per-fault detection payload a result carries
-// when the spec set ReturnDetections: enough to reconstruct — and
-// deterministically merge — a faults.Result without re-simulating.
-// Fault indexing follows the universe's collapsed order, which is a
-// pure function of (circuit, model), so every node that compiles the
-// same circuit agrees on it.
+// DetectionsView is the detection payload a result carries when the spec
+// set ReturnDetections: enough to reconstruct — and deterministically
+// merge — a faults.Result without re-simulating. It lists the detected
+// faults only, so a shard's payload is as long as what it detected, not
+// as the universe it was cut from. Fault indexing follows the universe's
+// collapsed order, which is a pure function of (circuit, model), so every
+// node that compiles the same circuit agrees on it.
 type DetectionsView struct {
-	// DetectedAt is the first detecting vector index per fault, -1 when
-	// undetected. Its length is the universe size.
-	DetectedAt []int32 `json:"detected_at"`
+	// Faults is the universe size the indices below refer to.
+	Faults int `json:"faults"`
+	// IDs lists the hard-detected faults, strictly ascending.
+	IDs []int32 `json:"ids"`
+	// At is each detected fault's first detecting vector index, parallel
+	// to IDs.
+	At []int32 `json:"at"`
 	// Pot lists the indices of potentially-detected faults, ascending.
 	Pot []int32 `json:"pot,omitempty"`
 }
@@ -195,8 +200,17 @@ type DetectionsView struct {
 // Pinned, with Result, by benchmark/; goes with the
 // `[benchmark]` yardstick refresh.
 func NewDetectionsView(res *faults.Result) *DetectionsView {
-	dv := &DetectionsView{DetectedAt: make([]int32, len(res.DetectedAt))}
-	copy(dv.DetectedAt, res.DetectedAt)
+	dv := &DetectionsView{
+		Faults: len(res.DetectedAt),
+		IDs:    make([]int32, 0, res.NumDet),
+		At:     make([]int32, 0, res.NumDet),
+	}
+	for i, at := range res.DetectedAt {
+		if at >= 0 {
+			dv.IDs = append(dv.IDs, int32(i))
+			dv.At = append(dv.At, at)
+		}
+	}
 	for i, p := range res.PotDetected {
 		if p {
 			dv.Pot = append(dv.Pot, int32(i))
@@ -205,28 +219,51 @@ func NewDetectionsView(res *faults.Result) *DetectionsView {
 	return dv
 }
 
+// Check reports whether the payload is well formed over a universe of n
+// faults: the size matches, every ID is in range and strictly above the
+// one before, each has a first vector that is not negative, and every
+// pot index is in range. Result runs it first; the coordinator runs it on
+// a shard's reply, so a garbled one fails that attempt, not the merge.
+func (dv *DetectionsView) Check(n int) error {
+	if dv.Faults != n {
+		return fmt.Errorf("service: detections payload covers %d faults, universe has %d", dv.Faults, n)
+	}
+	if len(dv.At) != len(dv.IDs) {
+		return fmt.Errorf("service: detections payload has %d ids and %d vector indices", len(dv.IDs), len(dv.At))
+	}
+	for i, id := range dv.IDs {
+		switch {
+		case id < 0 || int(id) >= n:
+			return fmt.Errorf("service: detected fault index %d out of range (universe %d)", id, n)
+		case i > 0 && id <= dv.IDs[i-1]:
+			return fmt.Errorf("service: detected fault index %d after %d, want ascending", id, dv.IDs[i-1])
+		case dv.At[i] < 0:
+			return fmt.Errorf("service: fault %d detected at vector %d", id, dv.At[i])
+		}
+	}
+	for _, id := range dv.Pot {
+		if id < 0 || int(id) >= n {
+			return fmt.Errorf("service: pot fault index %d out of range (universe %d)", id, n)
+		}
+	}
+	return nil
+}
+
 // Result reconstructs the faults.Result the payload was taken from,
 // over a universe of the same (circuit, model). The round trip is
 // exact, so coordinator-side MergeResults over reconstructed shard
 // payloads equals a local merge of the in-process shard results.
 func (dv *DetectionsView) Result(u *faults.Universe) (*faults.Result, error) {
+	if err := dv.Check(u.NumFaults()); err != nil {
+		return nil, err
+	}
 	res := faults.NewResult(u)
-	if len(dv.DetectedAt) != len(res.DetectedAt) {
-		return nil, fmt.Errorf("service: detections payload covers %d faults, universe has %d",
-			len(dv.DetectedAt), len(res.DetectedAt))
+	for i, id := range dv.IDs {
+		res.Detected[id] = true
+		res.DetectedAt[id] = dv.At[i]
 	}
-	copy(res.DetectedAt, dv.DetectedAt)
-	for i, at := range res.DetectedAt {
-		if at >= 0 {
-			res.Detected[i] = true
-			res.NumDet++
-		}
-	}
+	res.NumDet = len(dv.IDs)
 	for _, id := range dv.Pot {
-		if id < 0 || int(id) >= len(res.PotDetected) {
-			return nil, fmt.Errorf("service: pot fault index %d out of range (universe %d)",
-				id, len(res.PotDetected))
-		}
 		res.PotDetected[id] = true
 	}
 	return res, nil
@@ -298,28 +335,6 @@ func NewResultView(spec *JobSpec, res *faults.Result, patterns, workers int, st 
 	return rv
 }
 
-// gridPollMS is the poll gap suggested for a timed job; see timed.
-const gridPollMS = 100
-
-// timed reports whether the job is waited for on a timer — poll_ms in its
-// live views, Client.Wait's look schedule — rather than on one held
-// request: a whole csim-grid job, not one of its pinned shards, which a
-// coordinator holds like any other job. It is the one place that is
-// decided; job.view and Client.Run both ask it.
-//
-// The grid keeps every core of the node, or every worker of the fleet,
-// inside the kernel, and the timer is what keeps a caller's cycle time off
-// the host's speed of the minute: a grid job of 20 to ~115 ms is reported
-// at 120 ms, so a closed loop of them runs at 8.1 jobs/s to within 1%
-// where reporting the end when it happens gave 16-22 jobs/s depending on
-// the host (BENCHMARKS.md, DESIGN §10). The price is that report: up to
-// 100 ms after the job ended. A caller that wants the end when it happens
-// passes Wait an interval or uses Hold.
-func (sp *JobSpec) timed() bool {
-	info, _ := engine.ByName(sp.Engine)
-	return info.Sharded && sp.FaultShards == 0
-}
-
 // JobView is the job-status response body.
 type JobView struct {
 	// ID is the job identifier ("j1", "j2", ...).
@@ -330,11 +345,6 @@ type JobView struct {
 	// distributed job (pending → dispatched → merging → done/failed);
 	// empty for locally executed jobs.
 	DistPhase string `json:"dist_phase,omitempty"`
-	// PollMS, on a timed job (a whole csim-grid job) that has not ended,
-	// is how many milliseconds the server suggests between status
-	// requests, and Client.Wait's default schedule honours it; absent,
-	// hold a request open on the job instead (?wait=).
-	PollMS int `json:"poll_ms,omitempty"`
 	// Spec echoes the normalized submission — an inline netlist by its
 	// cache key (bench_key, next to bench_name) instead of its text, so
 	// polling a job does not download the netlist again each time.
@@ -450,9 +460,6 @@ func (j *job) view() JobView {
 	}
 	if v.Spec.Bench != "" {
 		v.Spec.Bench, v.Spec.BenchKey = "", j.benchKey
-	}
-	if !j.status.Terminal() && j.spec.timed() {
-		v.PollMS = gridPollMS
 	}
 	if !j.started.IsZero() {
 		v.Started = j.started.Format(time.RFC3339Nano)

@@ -252,91 +252,39 @@ func TestPollDoesNotEchoInlineNetlist(t *testing.T) {
 }
 
 // TestWaitDefaultSchedule: with no poll interval given, Wait looks at a
-// job at once and then, if the server suggests a gap for it (a csim-grid
-// job: 100 ms), 10 and 20 ms later and from then on that often; with no
-// suggestion the second request is held open until the job ends.
+// job at once and then holds the second request open until the job ends.
 func TestWaitDefaultSchedule(t *testing.T) {
 	type look struct {
 		at   time.Duration
 		wait string
 	}
-	looks := func(body string) []look {
-		var mu sync.Mutex
-		var seen []look
-		var start time.Time
-		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			mu.Lock()
-			if start.IsZero() {
-				start = time.Now()
-			}
-			wait := r.URL.Query().Get("wait")
-			seen = append(seen, look{time.Since(start), wait})
-			mu.Unlock()
-			if wait != "" {
-				<-r.Context().Done() // held: the job never ends
-				return
-			}
-			_, _ = io.WriteString(w, body)
-		}))
-		defer srv.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 270*time.Millisecond)
-		defer cancel()
-		if _, err := NewClient(srv.URL).Wait(ctx, "j1", 0); !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("Wait on a job that never ends: %v, want the context's deadline", err)
-		}
+	var mu sync.Mutex
+	var at []look
+	var start time.Time
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		mu.Lock()
-		defer mu.Unlock()
-		return seen
-	}
-	// Looks are due at 0, 10, 20, 120 and 220 ms. A loaded host may run a
-	// quick look late enough to drop it, never add one.
-	at := looks(`{"id":"j1","status":"running","poll_ms":100}`)
-	if len(at) < 4 || len(at) > 5 {
-		t.Fatalf("suggested 100 ms: looks at %v, want 4 or 5 (0, 10, 20, 120, 220 ms)", at)
-	}
-	if slow := at[len(at)-1].at - at[len(at)-2].at; slow < 80*time.Millisecond {
-		t.Errorf("suggested 100 ms: looks at %v, the last two %v apart", at, slow)
-	}
-	for _, l := range at {
-		if l.wait != "" {
-			t.Errorf("suggested 100 ms: a look with ?wait=%s, want none held", l.wait)
+		if start.IsZero() {
+			start = time.Now()
 		}
+		wait := r.URL.Query().Get("wait")
+		at = append(at, look{time.Since(start), wait})
+		mu.Unlock()
+		if wait != "" {
+			<-r.Context().Done() // held: the job never ends
+			return
+		}
+		_, _ = io.WriteString(w, `{"id":"j1","status":"running"}`)
+	}))
+	defer srv.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 270*time.Millisecond)
+	defer cancel()
+	if _, err := NewClient(srv.URL).Wait(ctx, "j1", 0); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Wait on a job that never ends: %v, want the context's deadline", err)
 	}
-	at = looks(`{"id":"j1","status":"running"}`)
+	mu.Lock()
+	defer mu.Unlock()
 	if len(at) != 2 || at[0].wait != "" || at[1].wait != maxHold.String() {
-		t.Errorf("no suggestion: looks %v, want one plain and then one held for %v", at, maxHold)
-	}
-}
-
-// TestGridJobsSuggestTheirPollGap: a whole csim-grid job suggests 100 ms
-// between status requests while it is live; a pinned shard, another
-// engine and a finished job suggest nothing.
-func TestGridJobsSuggestTheirPollGap(t *testing.T) {
-	_, cl := startServer(t, Config{Workers: 1})
-	ctx := ctxT(t)
-	// The one worker is busy, so the jobs below are still queued when
-	// their first view is taken.
-	if _, err := cl.Submit(ctx, JobSpec{Circuit: "s5378", Engine: "csim-MV", Random: 100}); err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		spec JobSpec
-		want int
-	}{
-		{JobSpec{Circuit: "s298", Engine: "csim-grid", Random: 64}, gridPollMS},
-		{JobSpec{Circuit: "s298", Engine: "csim-grid", Random: 64, FaultShards: 2, FaultShard: 1}, 0},
-		{JobSpec{Circuit: "s298", Engine: "csim-C", Random: 64}, 0},
-	} {
-		v, err := cl.Submit(ctx, tc.spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v.PollMS != tc.want {
-			t.Errorf("%s shard %d/%d, %s: poll_ms %d, want %d", tc.spec.Engine, tc.spec.FaultShard, tc.spec.FaultShards, v.Status, v.PollMS, tc.want)
-		}
-		if v, err = cl.Wait(ctx, v.ID, time.Millisecond); err != nil || v.Status != StatusDone || v.PollMS != 0 {
-			t.Errorf("%s finished: %v, status %s, poll_ms %d, want done and none", tc.spec.Engine, err, v.Status, v.PollMS)
-		}
+		t.Errorf("looks %v, want one plain and then one held for %v", at, maxHold)
 	}
 }
 
@@ -935,11 +883,14 @@ func waitTerminal(t *testing.T, cl *Client, id string) JobView {
 
 // TestResultViewEncoding holds a job result's wire form to the bytes the
 // service sent when the stats block was a hand-kept mirror of csim.Stats:
-// same names, same order, same omitted zeros.
+// same names, same order, same omitted zeros. The detections payload lists
+// the detected faults (ids, at) where it once carried a detected_at entry
+// for every fault of the universe; the ids and vectors are those entries'
+// non-negative ones.
 func TestResultViewEncoding(t *testing.T) {
 	golden := map[string]string{
-		"csim-C":  `{"engine":"csim-C","circuit":"s27","model":"stuck","patterns":16,"faults":26,"detected":5,"pot_only":5,"coverage":0.19230769230769232,"workers":1,"run_ns":0,"cache_hit":false,"stats":{"evals":372,"skips":0,"good_evals":160,"scheds":372,"passes":26,"steps":65,"peak_elems":3,"cur_elems":1,"macros":0,"mem_bytes":2840,"detections":5},"detections":{"detected_at":[-1,-1,-1,-1,-1,-1,-1,-1,-1,-1,3,-1,0,-1,3,-1,-1,-1,-1,-1,3,-1,-1,0,-1,-1],"pot":[0,2,14,15,16,20,24]}}`,
-		"csim-MV": `{"engine":"csim-MV","circuit":"s27","model":"stuck","patterns":16,"faults":26,"detected":5,"pot_only":5,"coverage":0.19230769230769232,"run_ns":0,"cache_hit":false,"stats":{"evals":296,"skips":103,"good_evals":51,"scheds":65,"peak_elems":67,"cur_elems":34,"macros":7,"mem_bytes":1072,"detections":5},"detections":{"detected_at":[-1,-1,-1,-1,-1,-1,-1,-1,-1,-1,3,-1,0,-1,3,-1,-1,-1,-1,-1,3,-1,-1,0,-1,-1],"pot":[0,2,14,15,16,20,24]}}`,
+		"csim-C":  `{"engine":"csim-C","circuit":"s27","model":"stuck","patterns":16,"faults":26,"detected":5,"pot_only":5,"coverage":0.19230769230769232,"workers":1,"run_ns":0,"cache_hit":false,"stats":{"evals":372,"skips":0,"good_evals":160,"scheds":372,"passes":26,"steps":65,"peak_elems":3,"cur_elems":1,"macros":0,"mem_bytes":2840,"detections":5},"detections":{"faults":26,"ids":[10,12,14,20,23],"at":[3,0,3,3,0],"pot":[0,2,14,15,16,20,24]}}`,
+		"csim-MV": `{"engine":"csim-MV","circuit":"s27","model":"stuck","patterns":16,"faults":26,"detected":5,"pot_only":5,"coverage":0.19230769230769232,"run_ns":0,"cache_hit":false,"stats":{"evals":296,"skips":103,"good_evals":51,"scheds":65,"peak_elems":67,"cur_elems":34,"macros":7,"mem_bytes":1072,"detections":5},"detections":{"faults":26,"ids":[10,12,14,20,23],"at":[3,0,3,3,0],"pot":[0,2,14,15,16,20,24]}}`,
 	}
 	cache := NewCache(4, nil)
 	for engine, want := range golden {
