@@ -248,7 +248,6 @@ func (g *garbler) RoundTrip(r *http.Request) (*http.Response, error) {
 		}
 	}
 	resp.Body, resp.ContentLength = io.NopCloser(bytes.NewReader(body)), int64(len(body))
-	resp.Header.Del("Content-Length")
 	return resp, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/engine"
@@ -58,20 +59,9 @@ func TestDetectionsViewValidation(t *testing.T) {
 	}
 }
 
-// sameView compares payloads, reading a nil list as an empty one.
+// sameView compares payloads; slices.Equal reads a nil list as an empty one.
 func sameView(a, b *DetectionsView) bool {
-	eq := func(x, y []int32) bool {
-		if len(x) != len(y) {
-			return false
-		}
-		for i := range x {
-			if x[i] != y[i] {
-				return false
-			}
-		}
-		return true
-	}
-	return a.Faults == b.Faults && eq(a.IDs, b.IDs) && eq(a.At, b.At) && eq(a.Pot, b.Pot)
+	return a.Faults == b.Faults && slices.Equal(a.IDs, b.IDs) && slices.Equal(a.At, b.At) && slices.Equal(a.Pot, b.Pot)
 }
 
 // FuzzDetectionsView throws raw bytes at the payload decode a coordinator
