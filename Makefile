@@ -29,14 +29,15 @@ fuzz:
 	go test ./internal/netlist/ -run '^$$' -fuzz=FuzzParseBench -fuzztime=30s
 	go test ./internal/service/ -run '^$$' -fuzz=FuzzDetectionsView -fuzztime=10s
 
-# What CI runs: every quick cell once, each integer held to the baseline.
+# The work-counter gate alone (go test ./... runs it too): every quick
+# cell once, each integer held to the baseline.
 bench-gate:
-	go run ./cmd/bench -baseline baselines/bench-quick.json
+	go test ./internal/harness/ -run TestWorkCounters -count=1
 
 # Refresh the checked-in baseline after an intended change in detections
 # or work counters (any host: nothing in it is a time).
 baseline:
-	go run ./cmd/bench -out baselines/bench-quick.json
+	go test ./internal/harness/ -run TestWorkCounters -count=1 -args -update
 
 # Regenerate the committed tables artifact (slow: full circuit lists).
 tables:

@@ -29,12 +29,12 @@ import (
 	"math/rand"
 	"net/http"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/harness"
 	"repro/internal/service"
 )
 
@@ -117,7 +117,7 @@ func main() {
 	jobRequests := requests.n.Load() // before the scrapes below add theirs
 	peakInflight := peakOverlap(admitted)
 
-	sum := harness.Summarize(latencies, wall)
+	sum := summarize(latencies, wall)
 	total := *clients * *jobs
 	fmt.Printf("csimload:  %s %s/%s random=%d x %d clients x %d jobs\n",
 		*addr, *circuit, *engine, *randomN, *clients, *jobs)
@@ -175,6 +175,44 @@ func main() {
 	if !ok {
 		os.Exit(1)
 	}
+}
+
+// latency is a load run's per-job latency report: the job count, the
+// run's wall-clock span and the latency ladder.
+type latency struct {
+	n                             int
+	wall                          time.Duration
+	min, p50, p90, p99, max, mean time.Duration
+}
+
+// summarize sorts the sample in place and reads the ladder off it: min,
+// max and mean exactly, each percentile by nearest rank. An empty sample
+// gives a zero summary.
+func summarize(sample []time.Duration, wall time.Duration) latency {
+	s := latency{n: len(sample), wall: wall}
+	if s.n == 0 {
+		return s
+	}
+	slices.Sort(sample)
+	var sum time.Duration
+	for _, d := range sample {
+		sum += d
+	}
+	rank := func(pct int) time.Duration { return sample[(pct*s.n+99)/100-1] }
+	s.min, s.p50, s.p90, s.p99, s.max = sample[0], rank(50), rank(90), rank(99), sample[s.n-1]
+	s.mean = sum / time.Duration(s.n)
+	return s
+}
+
+// String renders the one-line latency report.
+func (s latency) String() string {
+	rate := 0.0
+	if s.wall > 0 {
+		rate = float64(s.n) / s.wall.Seconds()
+	}
+	r := func(d time.Duration) time.Duration { return d.Round(time.Microsecond) }
+	return fmt.Sprintf("n=%d wall=%s rate=%.1f/s min=%s p50=%s p90=%s p99=%s max=%s mean=%s",
+		s.n, s.wall.Round(time.Millisecond), rate, r(s.min), r(s.p50), r(s.p90), r(s.p99), r(s.max), r(s.mean))
 }
 
 // countingTransport counts the requests made through it.

@@ -8,9 +8,7 @@
 //	tables            # all tables, full circuit lists (slow)
 //	tables -table 3   # one table
 //	tables -quick     # small-circuit subsets only
-//	tables -diff tables_output.txt         # drift check (see below)
-//	tables -engines                        # engine registry as markdown
-//	tables -engines-readme README.md       # engine-table drift check
+//	tables -diff tables_output.txt   # drift check (see below)
 //
 // The -diff mode regenerates the selected tables and compares them
 // against a previously captured output file, masking the volatile
@@ -18,12 +16,6 @@
 // content — circuit statistics, fault counts, pattern counts,
 // coverages, table structure — must match. CI runs it against the
 // checked-in tables_output.txt so the file cannot silently go stale.
-//
-// The -engines mode prints engine.Engines() as the markdown table
-// README.md embeds; -engines-readme extracts that table back out of the
-// README (its only three-column table with a backticked first cell) and
-// fails when a row is missing, extra, reordered or reworded — CI runs
-// it so the README cannot drift from the engine registry.
 package main
 
 import (
@@ -35,7 +27,6 @@ import (
 	"regexp"
 	"strings"
 
-	"repro/internal/engine"
 	"repro/internal/harness"
 )
 
@@ -130,60 +121,6 @@ func diffTables(w io.Writer, path string, table int, quick bool) (ok bool, err e
 	return ok, nil
 }
 
-// engineRows renders the engine registry as the README's markdown rows
-// (header excluded): one "| `name` | kind | description |" per engine.
-func engineRows() []string {
-	var rows []string
-	for _, e := range engine.Engines() {
-		rows = append(rows, fmt.Sprintf("| `%s` | %s | %s |", e.Name, e.Kind, e.Description))
-	}
-	return rows
-}
-
-// engineRow matches one three-column markdown row with a backticked
-// first cell — the README engine table's row shape (every other README
-// table is two-column, so this pattern finds exactly the engine rows).
-var engineRow = regexp.MustCompile("^\\|\\s*(`[^`]+`)\\s*\\|([^|]*)\\|([^|]*)\\|\\s*$")
-
-// diffEngines extracts the engine table from the README and compares it
-// row-by-row, in order, against the registry; mismatches go to w.
-func diffEngines(w io.Writer, path string) (ok bool, err error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return false, err
-	}
-	var got []string
-	sc := bufio.NewScanner(strings.NewReader(string(data)))
-	for sc.Scan() {
-		if m := engineRow.FindStringSubmatch(sc.Text()); m != nil {
-			got = append(got, fmt.Sprintf("| %s | %s | %s |",
-				m[1], strings.TrimSpace(m[2]), strings.TrimSpace(m[3])))
-		}
-	}
-	want := engineRows()
-	ok = true
-	for i := 0; i < len(got) || i < len(want); i++ {
-		var g, e string
-		if i < len(got) {
-			g = got[i]
-		}
-		if i < len(want) {
-			e = want[i]
-		}
-		if g != e {
-			if ok {
-				fmt.Fprintf(w, "tables: engine table in %s disagrees with engine.Engines() (row %d):\n", path, i+1)
-			}
-			ok = false
-			fmt.Fprintf(w, "  registry: %s\n  readme:   %s\n", e, g)
-		}
-	}
-	if !ok {
-		fmt.Fprintln(w, "tables: regenerate the README rows with: go run ./cmd/tables -engines")
-	}
-	return ok, nil
-}
-
 // validateTable rejects -table values outside the paper's tables with a
 // one-line usage hint; without it an unknown number matched no job and
 // the command silently emitted nothing.
@@ -196,34 +133,12 @@ func validateTable(n int) error {
 
 func main() {
 	var (
-		table     = flag.Int("table", 0, "table number (2-6); 0 = all")
-		quick     = flag.Bool("quick", false, "restrict to small circuits")
-		diff      = flag.String("diff", "", "regenerate and compare against this captured output file (CPU/MEM columns masked); exit 1 on drift")
-		engines   = flag.Bool("engines", false, "print the engine registry as the README's markdown table and exit")
-		engReadme = flag.String("engines-readme", "", "compare the engine table in this README against the registry; exit 1 on drift")
+		table = flag.Int("table", 0, "table number (2-6); 0 = all")
+		quick = flag.Bool("quick", false, "restrict to small circuits")
+		diff  = flag.String("diff", "", "regenerate and compare against this captured output file (CPU/MEM columns masked); exit 1 on drift")
 	)
 	flag.Parse()
 
-	if *engines {
-		fmt.Println("| Engine | Kind | What it is |")
-		fmt.Println("|---|---|---|")
-		for _, row := range engineRows() {
-			fmt.Println(row)
-		}
-		return
-	}
-	if *engReadme != "" {
-		ok, err := diffEngines(os.Stderr, *engReadme)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tables: %v\n", err)
-			os.Exit(1)
-		}
-		if !ok {
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "tables: engine table in %s is up to date\n", *engReadme)
-		return
-	}
 	if err := validateTable(*table); err != nil {
 		fmt.Fprintf(os.Stderr, "tables: %v\n", err)
 		os.Exit(1)

@@ -260,8 +260,9 @@ func (c *Coordinator) runShard(ctx context.Context, req *service.RunRequest, nFa
 // attemptShard runs one shard attempt against one worker under the
 // shard timeout. The submission (idempotent ID; 429 backoff with jitter;
 // ship-once circuit resolution) is held open by the worker until the
-// shard is terminal, so a shard is one request; a status request is held
-// only for a shard that outlives cfg.Poll or was adopted on a 409.
+// shard is terminal, or for the worker's longest hold, so a shard is one
+// request; a status request is held only for a shard that outlives that
+// hold or was adopted on a 409.
 func (c *Coordinator) attemptShard(ctx context.Context, w *worker, id string, spec *service.JobSpec) (*service.ResultView, error) {
 	actx, cancel := context.WithTimeout(obs.WithJobID(ctx, id), shardTimeout)
 	defer cancel()
@@ -283,7 +284,7 @@ func (c *Coordinator) attemptShard(ctx context.Context, w *worker, id string, sp
 	var v service.JobView
 	for submitted := false; !submitted; {
 		var err error
-		v, err = w.client.SubmitHold(actx, s, c.cfg.Poll)
+		v, err = w.client.SubmitHold(actx, s, 0)
 		var qf *service.QueueFullError
 		var ae *service.APIError
 		switch {
@@ -340,7 +341,7 @@ func (c *Coordinator) attemptShard(ctx context.Context, w *worker, id string, sp
 
 	if !v.Status.Terminal() {
 		var err error
-		if v, err = w.client.Hold(actx, id, c.cfg.Poll); err != nil {
+		if v, err = w.client.Hold(actx, id, 0); err != nil {
 			return nil, c.shardLost(ctx, actx, w, id, "wait", err)
 		}
 	}

@@ -39,12 +39,6 @@ type Config struct {
 	// scheduler's processor budget for a job that pins no K, is
 	// len(Workers)×PerWorkerInflight.
 	PerWorkerInflight int
-	// Poll is how long a worker may hold one shard request open — the
-	// submission first, status requests after it — before answering
-	// "still running" (default 1s); the worker answers the moment the
-	// shard ends, so this spaces the requests of a long shard, not the
-	// delay of any, and a shard shorter than it is one request.
-	Poll time.Duration
 	// Obs is the coordinator's observability bundle; nil disables
 	// dist metrics.
 	Obs *obs.Observer
@@ -82,9 +76,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PerWorkerInflight <= 0 {
 		c.PerWorkerInflight = 2
-	}
-	if c.Poll <= 0 {
-		c.Poll = time.Second
 	}
 	if c.Obs == nil {
 		c.Obs = &obs.Observer{}

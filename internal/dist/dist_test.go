@@ -82,7 +82,6 @@ func startCluster(t *testing.T, n int, tune func(*Config)) (*service.Client, *Co
 	cfg := Config{
 		Workers:       addrs,
 		ProbeInterval: 20 * time.Millisecond,
-		Poll:          2 * time.Millisecond,
 		Obs:           &obs.Observer{Metrics: reg},
 	}
 	if tune != nil {
@@ -254,7 +253,6 @@ func TestWorkerKillMidJobRequeues(t *testing.T) {
 	coord, err := New(Config{
 		Workers:           []string{"http://" + victim.Addr(), "http://" + survivor.Addr()},
 		ProbeInterval:     20 * time.Millisecond,
-		Poll:              2 * time.Millisecond,
 		PerWorkerInflight: 2,
 		Obs:               &obs.Observer{Metrics: reg},
 	})

@@ -52,12 +52,12 @@ func (l *shardLog) count(method, id string) int {
 	return n
 }
 
-// TestShardIsOneRequest: a shard that ends within cfg.Poll costs the
-// coordinator one request, the submission its worker held open.
+// TestShardIsOneRequest: a shard that ends within the worker's longest
+// hold costs the coordinator one request, the submission its worker held
+// open.
 func TestShardIsOneRequest(t *testing.T) {
 	log := &shardLog{}
 	cl, _, _ := startCluster(t, 2, func(cfg *Config) {
-		cfg.Poll = 30 * time.Second
 		cfg.HTTPClient = &http.Client{Transport: log}
 	})
 	v, err := cl.Run(ctxT(t), service.JobSpec{Circuit: "s1494", Engine: "csim-grid", Random: 64, Seed: 3}, 2*time.Millisecond)
@@ -75,7 +75,7 @@ func TestShardIsOneRequest(t *testing.T) {
 
 // oneWorker brings up a worker with the given config and a coordinator
 // over it alone, whose requests go through the returned log.
-func oneWorker(t *testing.T, cfg service.Config, poll time.Duration) (*Coordinator, *service.Client, *shardLog) {
+func oneWorker(t *testing.T, cfg service.Config) (*Coordinator, *service.Client, *shardLog) {
 	t.Helper()
 	cfg.Addr = "127.0.0.1:0"
 	s := service.New(cfg)
@@ -87,7 +87,6 @@ func oneWorker(t *testing.T, cfg service.Config, poll time.Duration) (*Coordinat
 	coord, err := New(Config{
 		Workers:       []string{"http://" + s.Addr()},
 		ProbeInterval: 20 * time.Millisecond,
-		Poll:          poll,
 		HTTPClient:    &http.Client{Transport: log},
 	})
 	if err != nil {
@@ -103,7 +102,7 @@ func oneWorker(t *testing.T, cfg service.Config, poll time.Duration) (*Coordinat
 // there and takes its result, and the worker runs the shard once.
 func TestAttemptAdoptsLiveShard(t *testing.T) {
 	reg := obs.NewRegistry()
-	coord, wcl, log := oneWorker(t, service.Config{Workers: 1, Obs: &obs.Observer{Metrics: reg}}, 10*time.Millisecond)
+	coord, wcl, log := oneWorker(t, service.Config{Workers: 1, Obs: &obs.Observer{Metrics: reg}})
 	ctx := ctxT(t)
 
 	// The worker's one slot is busy, so the shard stays queued — live —
@@ -152,7 +151,7 @@ func TestAttemptAdoptsLiveShard(t *testing.T) {
 // circuit the coordinator shipped answers the by-key submission with the
 // bench-key-miss 400; the attempt ships the text again and completes.
 func TestAttemptReshipsAfterBenchKeyMiss(t *testing.T) {
-	coord, _, log := oneWorker(t, service.Config{Workers: 1}, 30*time.Second)
+	coord, _, log := oneWorker(t, service.Config{Workers: 1})
 	ckt, err := iscas.Get("s298")
 	if err != nil {
 		t.Fatal(err)
@@ -224,10 +223,13 @@ func TestShardPanicFailsTheJobOnce(t *testing.T) {
 	}
 }
 
-// garbler is the coordinator's transport to its workers; it rewrites the
-// first shard reply that carries a detections payload, adding a fault ID
-// past the end of the universe, and passes everything else through.
-type garbler struct{ done atomic.Bool }
+// garbler is the coordinator's transport to its workers; it passes the
+// first shard reply that carries a detections payload through garble,
+// and everything else through unchanged.
+type garbler struct {
+	garble func(body []byte, v *service.JobView) ([]byte, error)
+	done   atomic.Bool
+}
 
 func (g *garbler) RoundTrip(r *http.Request) (*http.Response, error) {
 	resp, err := http.DefaultTransport.RoundTrip(r)
@@ -241,9 +243,7 @@ func (g *garbler) RoundTrip(r *http.Request) (*http.Response, error) {
 	}
 	var v service.JobView
 	if json.Unmarshal(body, &v) == nil && v.Result != nil && v.Result.Detections != nil && g.done.CompareAndSwap(false, true) {
-		dv := v.Result.Detections
-		dv.IDs, dv.At = append(dv.IDs, int32(dv.Faults)), append(dv.At, 0)
-		if body, err = json.Marshal(v); err != nil {
+		if body, err = g.garble(body, &v); err != nil {
 			return nil, err
 		}
 	}
@@ -252,14 +252,10 @@ func (g *garbler) RoundTrip(r *http.Request) (*http.Response, error) {
 }
 
 // TestGarbledShardPayloadRequeues: a shard reply whose detections name a
-// fault outside the universe fails that attempt, not the job; the shard
-// is re-queued once and the merged result is a local csim-grid run's.
+// fault outside the universe, or whose body is cut in half, fails that
+// attempt, not the job; the shard is re-queued once and the merged
+// result is a local csim-grid run's.
 func TestGarbledShardPayloadRequeues(t *testing.T) {
-	g := &garbler{}
-	cl, _, reg := startCluster(t, 2, func(cfg *Config) {
-		cfg.Poll = 30 * time.Second
-		cfg.HTTPClient = &http.Client{Transport: g}
-	})
 	ckt, err := iscas.Get("s1494")
 	if err != nil {
 		t.Fatal(err)
@@ -269,43 +265,64 @@ func TestGarbledShardPayloadRequeues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := cl.Run(ctxT(t), service.JobSpec{
-		Circuit: "s1494", Engine: "csim-grid", Workers: 2,
-		Random: 64, Seed: 3, ReturnDetections: true,
-	}, 0)
-	if err != nil || v.Status != service.StatusDone || v.Result == nil {
-		t.Fatalf("run: %v / %+v", err, v)
-	}
-	if !g.done.Load() {
-		t.Fatal("no shard reply was garbled")
-	}
-	if v.Result.Detected != want.NumDet || v.Result.PotOnly != want.NumPotOnly() {
-		t.Errorf("detected %d, pot-only %d; local csim-grid %d, %d", v.Result.Detected, v.Result.PotOnly, want.NumDet, want.NumPotOnly())
-	}
-	got, err := v.Result.Detections.Result(u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff := want.Diff(got); diff != "" {
-		t.Errorf("result after a garbled shard differs from a local csim-grid run:\n%s", diff)
-	}
-	if p, _ := reg.Get("dist.shards_requeued"); p.Value != 1 {
-		t.Errorf("dist.shards_requeued = %d, want 1", p.Value)
-	}
-	pm, err := cl.Debug(ctxT(t), v.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requeues := 0
-	for _, ev := range pm.Events {
-		if ev.Kind == "requeue" {
-			requeues++
-			if !strings.Contains(ev.Detail, "out of range") {
-				t.Errorf("requeue event %q, want the payload's range error", ev.Detail)
+	for _, tc := range []struct {
+		name   string
+		detail string // what the requeue event must name
+		garble func(body []byte, v *service.JobView) ([]byte, error)
+	}{
+		{"fault_out_of_range", "out of range", func(_ []byte, v *service.JobView) ([]byte, error) {
+			dv := v.Result.Detections
+			dv.IDs, dv.At = append(dv.IDs, int32(dv.Faults)), append(dv.At, 0)
+			return json.Marshal(v)
+		}},
+		{"truncated_body", "unexpected EOF", func(body []byte, _ *service.JobView) ([]byte, error) {
+			return body[:len(body)/2], nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := &garbler{garble: tc.garble}
+			cl, _, reg := startCluster(t, 2, func(cfg *Config) {
+				cfg.HTTPClient = &http.Client{Transport: g}
+			})
+			v, err := cl.Run(ctxT(t), service.JobSpec{
+				Circuit: "s1494", Engine: "csim-grid", Workers: 2,
+				Random: 64, Seed: 3, ReturnDetections: true,
+			}, 0)
+			if err != nil || v.Status != service.StatusDone || v.Result == nil {
+				t.Fatalf("run: %v / %+v", err, v)
 			}
-		}
-	}
-	if requeues != 1 {
-		t.Errorf("%d requeue events in the flight record, want 1", requeues)
+			if !g.done.Load() {
+				t.Fatal("no shard reply was garbled")
+			}
+			if v.Result.Detected != want.NumDet || v.Result.PotOnly != want.NumPotOnly() {
+				t.Errorf("detected %d, pot-only %d; local csim-grid %d, %d", v.Result.Detected, v.Result.PotOnly, want.NumDet, want.NumPotOnly())
+			}
+			got, err := v.Result.Detections.Result(u)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if diff := want.Diff(got); diff != "" {
+				t.Errorf("result after a garbled shard differs from a local csim-grid run:\n%s", diff)
+			}
+			if p, _ := reg.Get("dist.shards_requeued"); p.Value != 1 {
+				t.Errorf("dist.shards_requeued = %d, want 1", p.Value)
+			}
+			pm, err := cl.Debug(ctxT(t), v.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requeues := 0
+			for _, ev := range pm.Events {
+				if ev.Kind == "requeue" {
+					requeues++
+					if !strings.Contains(ev.Detail, tc.detail) {
+						t.Errorf("requeue event %q, want %q", ev.Detail, tc.detail)
+					}
+				}
+			}
+			if requeues != 1 {
+				t.Errorf("%d requeue events in the flight record, want 1", requeues)
+			}
+		})
 	}
 }

@@ -1,6 +1,6 @@
 // Package engine is the one place an engine name is interpreted: the
 // registry of simulator configurations and the one function that runs
-// any of them. The CLIs, the table/bench harness, the service and the
+// any of them. The CLIs, the table harness, the service and the
 // facade look a name up here and call Run; none of them dispatches on
 // the name itself.
 package engine
@@ -37,8 +37,8 @@ const (
 	GoodC   = "good-C"
 )
 
-// Info describes one registered engine. cmd/tables -engines prints the
-// first three fields, and CI diffs them against the README engine table.
+// Info describes one registered engine. TestReadmeEngineTable holds the
+// first three fields to the README engine table.
 type Info struct {
 	// Name is the -engine flag value and the JobSpec engine.
 	Name string

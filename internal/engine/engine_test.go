@@ -3,7 +3,10 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
+	"os"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -179,5 +182,41 @@ func TestRegistryShape(t *testing.T) {
 	reconv, _ := ByName(CsimReconv)
 	if !eager.Config.EagerDrop || !eager.Config.Macros || !reconv.Config.ReconvergentMacros || !reconv.Config.SplitLists {
 		t.Errorf("ablation configs: eagerdrop %+v, reconvergent %+v", eager.Config, reconv.Config)
+	}
+}
+
+// engineRow matches a three-column markdown row with a backticked first
+// cell: the README engine table's row shape (every other README table
+// has two columns).
+var engineRow = regexp.MustCompile("^\\|\\s*(`[^`]+`)\\s*\\|([^|]*)\\|([^|]*)\\|\\s*$")
+
+// TestReadmeEngineTable holds README.md's engine table to the registry:
+// the same rows in the same order, each with the registry's kind and
+// description. On drift it prints the registry's rows ready to paste.
+func TestReadmeEngineTable(t *testing.T) {
+	text, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got, want []string
+	for _, line := range strings.Split(string(text), "\n") {
+		if m := engineRow.FindStringSubmatch(line); m != nil {
+			got = append(got, fmt.Sprintf("| %s | %s | %s |", m[1], strings.TrimSpace(m[2]), strings.TrimSpace(m[3])))
+		}
+	}
+	for _, e := range Engines() {
+		want = append(want, fmt.Sprintf("| `%s` | %s | %s |", e.Name, e.Kind, e.Description))
+	}
+	row := func(rows []string, i int) string {
+		if i < len(rows) {
+			return rows[i]
+		}
+		return "(none)"
+	}
+	for i := range max(len(got), len(want)) {
+		if g, w := row(got, i), row(want, i); g != w {
+			t.Fatalf("README.md's engine table disagrees with Engines() at row %d:\n  readme:   %s\n  registry: %s\n"+
+				"the registry's rows:\n| Engine | Kind | What it is |\n|---|---|---|\n%s", i+1, g, w, strings.Join(want, "\n"))
+		}
 	}
 }

@@ -48,7 +48,7 @@ type Measurement struct {
 func (m Measurement) FltCvg() float64 { return 100 * m.Coverage }
 
 // sets holds the harness's one artifact set per circuit, so every table
-// and bench cell on a circuit shares its universes, macro plans and
+// and work-counter cell on a circuit shares its universes, macro plans and
 // compiled program, and no timed run pays for building them.
 var (
 	setsMu sync.Mutex

@@ -216,25 +216,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return float64(h.bounds[len(h.bounds)-1])
 }
 
-// NewHistogram builds a standalone histogram with the given ascending
-// bounds, outside any registry — for callers that want Observe/Quantile
-// over a private sample set (the load harness) without publishing a
-// metric. Panics if bounds are empty or not strictly ascending.
-func NewHistogram(bounds []int64) *Histogram {
-	if len(bounds) == 0 {
-		panic("obs: NewHistogram needs at least one bound")
-	}
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic("obs: NewHistogram bounds not ascending")
-		}
-	}
-	return &Histogram{
-		bounds: append([]int64(nil), bounds...),
-		counts: make([]atomic.Int64, len(bounds)+1),
-	}
-}
-
 // ExpBuckets builds n ascending bounds starting at start, each factor
 // times the previous — the fixed layouts used for durations and sizes.
 func ExpBuckets(start, factor int64, n int) []int64 {

@@ -14,7 +14,7 @@ import (
 // 1..100 into ten equal buckets must put the q-quantile at ~100q.
 func TestHistogramQuantile(t *testing.T) {
 	bounds := []int64{10, 20, 30, 40, 50, 60, 70, 80, 90, 100}
-	h := NewHistogram(bounds)
+	h := NewRegistry().Histogram("h", bounds)
 	for v := int64(1); v <= 100; v++ {
 		h.Observe(v)
 	}
@@ -36,7 +36,7 @@ func TestHistogramQuantileEdges(t *testing.T) {
 	if got := nilH.Quantile(0.5); got != 0 {
 		t.Errorf("nil histogram Quantile = %v, want 0", got)
 	}
-	h := NewHistogram([]int64{10, 100})
+	h := NewRegistry().Histogram("h", []int64{10, 100})
 	if got := h.Quantile(0.5); got != 0 {
 		t.Errorf("empty histogram Quantile = %v, want 0", got)
 	}
