@@ -219,6 +219,60 @@ func TestWorkCounters(t *testing.T) {
 	}
 }
 
+// TestWorkCells holds the cell table to 22 unique keys, with every
+// csim-grid cell on a pinned budget of two, so K is host-independent.
+func TestWorkCells(t *testing.T) {
+	seen := map[string]bool{}
+	for _, c := range workCells() {
+		k := c.key()
+		if seen[k] {
+			t.Errorf("duplicate work cell %s", k)
+		}
+		seen[k] = true
+		if c.engine == engine.CsimGrid && c.workers != 2 {
+			t.Errorf("%s: csim-grid cell without a pinned budget of 2", k)
+		}
+	}
+	if len(seen) != 22 {
+		t.Errorf("work-cell table has %d cells, want 22", len(seen))
+	}
+	c := workCell{engine: engine.CsimGrid, circuit: "s298", model: "stuck", rand: 100, workers: 4}
+	if got, want := c.key(), "s298/csim-grid/stuck/rand:100/w4"; got != want {
+		t.Errorf("key = %q, want %q", got, want)
+	}
+}
+
+// TestCountWork runs three tiny cells through countWork and checks,
+// without the baseline (so also under -update), that each carries its
+// workload, its detections and a wall time, and the csim-grid cell its
+// pinned K and all five work counters.
+func TestCountWork(t *testing.T) {
+	cells := []workCell{
+		{engine: engine.CsimMV, circuit: "s27", model: "stuck"},
+		{engine: engine.Serial, circuit: "s27", model: "stuck", rand: 8},
+		{engine: engine.CsimGrid, circuit: "s298", model: "stuck", rand: 16, workers: 2},
+	}
+	var grid workCount
+	for _, c := range cells {
+		n, wall := countWork(t, c)
+		if n.Patterns <= 0 || n.Faults <= 0 || n.Detected <= 0 || wall <= 0 {
+			t.Errorf("%s: empty result %+v (wall %v)", n.Key, n, wall)
+		}
+		grid = n
+	}
+	if grid.K != 2 {
+		t.Errorf("%s: K = %d, want 2", grid.Key, grid.K)
+	}
+	for _, name := range []string{"evals", "passes", "steps", "good_evals", "detections"} {
+		if _, ok := grid.Counters["csim-grid."+name]; !ok {
+			t.Errorf("%s: counter csim-grid.%s not recorded (have %v)", grid.Key, name, grid.Counters)
+		}
+	}
+	if got := grid.Counters["csim-grid.detections"]; got != int64(grid.Detected) {
+		t.Errorf("%s: detections counter %d, detected %d", grid.Key, got, grid.Detected)
+	}
+}
+
 // TestDiffWork holds the comparison to what it must catch: each doctored
 // baseline yields exactly the line that names the change, and an
 // undoctored one none.
