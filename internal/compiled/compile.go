@@ -194,6 +194,11 @@ func Compile(c *netlist.Circuit) *Program {
 	return p
 }
 
+// fanin returns g's inputs: the circuit's FaninOff window.
+func (p *Program) fanin(g netlist.GateID) []netlist.GateID {
+	return p.fanins[p.c.FaninOff[g]:p.c.FaninOff[g+1]]
+}
+
 // fed returns the DFF indices whose D input g drives.
 func (p *Program) fed(g netlist.GateID) []int32 {
 	return p.fedFFs[p.fedOff[g]:p.fedOff[g+1]]

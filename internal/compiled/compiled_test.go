@@ -3,6 +3,7 @@ package compiled
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 	"unsafe"
@@ -263,6 +264,111 @@ func TestXVectors(t *testing.T) {
 	}
 	runBoth(t, "xvec/stuck", faults.StuckCollapsed(c), vs)
 	runBoth(t, "xvec/transition", faults.Transition(c), vs)
+}
+
+// wideBench writes a random sequential .bench netlist built around the
+// gates the four fanin slots do not cover: AND/NAND/OR/NOR of 5 to 12
+// inputs and XOR/XNOR of 2, 3 and 5 (the netlist rejects a one-input
+// XOR). Slot gates of one to four inputs, NOT and BUFF sit between
+// them, so events cross from one evaluation path to the other. Every
+// gate reads distinct signals defined before it; flip-flops close the
+// loops.
+func wideBench(seed int64, pis, ffs, gates int) string {
+	rng := rand.New(rand.NewSource(seed))
+	var b strings.Builder
+	pool := make([]string, 0, pis+ffs+gates)
+	for i := 0; i < pis; i++ {
+		fmt.Fprintf(&b, "INPUT(i%d)\n", i)
+		pool = append(pool, fmt.Sprintf("i%d", i))
+	}
+	for i := 0; i < ffs; i++ {
+		pool = append(pool, fmt.Sprintf("q%d", i))
+	}
+	base := []string{"AND", "NAND", "OR", "NOR"}
+	for i := 0; i < gates; i++ {
+		var op string
+		var arity int
+		switch k := i % 4; {
+		case k == 0:
+			op, arity = base[rng.Intn(4)], 5+rng.Intn(8)
+		case k == 1:
+			op, arity = []string{"XOR", "XNOR"}[rng.Intn(2)], []int{2, 3, 5}[rng.Intn(3)]
+		case rng.Intn(4) == 0:
+			op, arity = []string{"NOT", "BUFF"}[rng.Intn(2)], 1
+		default:
+			op, arity = base[rng.Intn(4)], 1+rng.Intn(4)
+		}
+		ins := make([]string, arity)
+		for j, k := range rng.Perm(len(pool))[:arity] {
+			ins[j] = pool[k]
+		}
+		name := fmt.Sprintf("g%d", i)
+		fmt.Fprintf(&b, "%s = %s(%s)\n", name, op, strings.Join(ins, ", "))
+		pool = append(pool, name)
+	}
+	for i := 0; i < ffs; i++ {
+		fmt.Fprintf(&b, "q%d = DFF(g%d)\n", i, gates/2+rng.Intn(gates-gates/2))
+	}
+	for i := 0; i < 4; i++ {
+		fmt.Fprintf(&b, "OUTPUT(g%d)\n", gates-1-3*i)
+	}
+	return b.String()
+}
+
+// TestLoopGatesAgree holds the fanin-loop path — XOR/XNOR and gates of
+// more than four inputs, which no bundled circuit has — to the oracle,
+// on X-bearing vectors and both fault models, across three blocks.
+func TestLoopGatesAgree(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		c := mustParse(t, fmt.Sprintf("wide%d", seed), wideBench(seed, 14, 6, 48))
+		vs := vectors.Random(c, 150, seed)
+		for i := range vs.Vecs {
+			vs.Vecs[i][(i*5)%len(vs.Vecs[i])] = logic.X
+		}
+		runBoth(t, c.Name+"/stuck-all", faults.StuckAll(c), vs)
+		runBoth(t, c.Name+"/transition", faults.Transition(c), vs)
+	}
+}
+
+// TestFaninSlots pins the node's fanin slots: a gate's fanins in order,
+// then its last one repeated, and the loop flag on exactly the XOR/XNOR
+// gates and those of more than four inputs.
+func TestFaninSlots(t *testing.T) {
+	circuits := []*netlist.Circuit{iscas.MustGet("s35932")}
+	for seed := int64(1); seed <= 3; seed++ {
+		circuits = append(circuits, mustParse(t, fmt.Sprintf("wide%d", seed), wideBench(seed, 14, 6, 48)))
+	}
+	for _, c := range circuits {
+		w := newWorker(Compile(c), faults.StuckCollapsed(c), nil, nil)
+		loops := 0
+		for g := range c.Gates {
+			n, ins := &w.nodes[g], c.Fanin(netlist.GateID(g))
+			if len(ins) == 0 {
+				if n.flags&flagLoop != 0 {
+					t.Errorf("%s: source %s carries the loop flag", c.Name, c.Gates[g].Name)
+				}
+				continue
+			}
+			for j, in := range n.in {
+				if want := ins[min(j, len(ins)-1)]; in != want {
+					t.Errorf("%s: gate %s slot %d holds gate %d, want %d (fanins %v)",
+						c.Name, c.Gates[g].Name, j, in, want, ins)
+				}
+			}
+			op := c.Gates[g].Op
+			loop := op == logic.OpXor || op == logic.OpXnor || len(ins) > slotFanins
+			if got := n.flags&flagLoop != 0; got != loop {
+				t.Errorf("%s: gate %s (%v, %d inputs) loop flag %v, want %v",
+					c.Name, c.Gates[g].Name, op, len(ins), got, loop)
+			}
+			if loop {
+				loops++
+			}
+		}
+		if c.Name != "s35932" && loops != 24 {
+			t.Errorf("%s: %d loop gates, want the generator's 24", c.Name, loops)
+		}
+	}
 }
 
 // TestTraceMatchesGoodsim checks the packed trace lane-for-lane

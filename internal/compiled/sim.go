@@ -53,7 +53,11 @@ const (
 	flagFeedsFF                   // some flip-flop samples this gate
 	flagPO                        // the gate is a primary output
 	flagDirty                     // written in the running pass: on the worker's undo list
+	flagLoop                      // XOR/XNOR or over four inputs: evaluated by eval's fanin loop
 )
+
+// slotFanins is the number of fanin slots a node holds.
+const slotFanins = 4
 
 // node is everything a fault pass reads or writes about one gate, kept
 // to exactly one cache line: evaluating a gate touches one line per
@@ -65,13 +69,15 @@ type node struct {
 	v1, v0 uint64
 	g1, g0 uint64 // good planes of the loaded 64-cycle block
 	level  int32
-	// Fanins are Program.fanins[inOff:inEnd] (the circuit's FaninOff
-	// window), combinational fanouts Program.fanouts[outOff:outEnd].
-	inOff, inEnd   int32
+	// in holds the gate's first four fanins, the last one repeated into
+	// the slots it leaves free: AND and OR are idempotent, so a gate
+	// without flagLoop evaluates over exactly these four. Combinational
+	// fanouts are Program.fanouts[outOff:outEnd].
+	in             [slotFanins]netlist.GateID
 	outOff, outEnd int32
 	code           uint8
 	flags          uint8
-	_              [10]byte // pads the node to the 64 bytes a cache line holds
+	_              [2]byte // pads the node to the 64 bytes a cache line holds
 }
 
 // faultState is what one live fault of a chunk carries from one pass to
@@ -307,7 +313,14 @@ func newWorker(p *Program, u *faults.Universe, tr *Trace, ids []int32) *worker {
 		n := &w.nodes[i]
 		n.level = c.Gates[i].Level
 		n.code = p.code[i]
-		n.inOff, n.inEnd = c.FaninOff[i], c.FaninOff[i+1]
+		if ins := c.Fanin(netlist.GateID(i)); len(ins) > 0 {
+			for j := range n.in {
+				n.in[j] = ins[min(j, len(ins)-1)]
+			}
+			if n.code >= opXor || len(ins) > slotFanins {
+				n.flags |= flagLoop
+			}
+		}
 		n.outOff, n.outEnd = p.fanoutOff[i], p.fanoutOff[i+1]
 		if p.feedsFF(netlist.GateID(i)) {
 			n.flags |= flagFeedsFF
@@ -430,13 +443,14 @@ func forcePlanes(a1, a0 uint64, v logic.V, m uint64) (uint64, uint64) {
 	return a1, a0
 }
 
-// write stores gate g's planes. The first write of a pass marks the node
-// dirty and lists it: for the undo that ends the pass, and for the checks
-// that follow every propagation — the divergence cutoff and state carry
-// read the flip-flop-sampled gates, detection reads the primary outputs.
+// mark records that the running pass changed gate g's planes. The first
+// change marks the node dirty and lists it: for the undo that ends the
+// pass, and for the checks that follow every propagation — the divergence
+// cutoff and state carry read the flip-flop-sampled gates, detection
+// reads the primary outputs.
 //
 //simlint:hotpath
-func (w *worker) write(g netlist.GateID, n *node, a1, a0 uint64) {
+func (w *worker) mark(g netlist.GateID, n *node) {
 	if n.flags&flagDirty == 0 {
 		n.flags |= flagDirty
 		w.dirty = append(w.dirty, g)
@@ -447,7 +461,14 @@ func (w *worker) write(g netlist.GateID, n *node, a1, a0 uint64) {
 			w.pos = append(w.pos, g)
 		}
 	}
+}
+
+// store writes a gate's planes and returns the bits in which they differ
+// from the ones it held: zero when the gate did not change.
+func store(n *node, a1, a0 uint64) uint64 {
+	d := (a1 ^ n.v1) | (a0 ^ n.v0)
 	n.v1, n.v0 = a1, a0
+	return d
 }
 
 // undo ends a pass: every gate it wrote is good again.
@@ -470,8 +491,8 @@ func (w *worker) undo() {
 //simlint:hotpath
 func (w *worker) force(g netlist.GateID, v logic.V, m uint64) {
 	n := &w.nodes[g]
-	a1, a0 := forcePlanes(n.v1, n.v0, v, m)
-	w.write(g, n, a1, a0)
+	n.v1, n.v0 = forcePlanes(n.v1, n.v0, v, m)
+	w.mark(g, n)
 	w.schedFanouts(n)
 }
 
@@ -488,10 +509,10 @@ func (w *worker) install(diffs []ffDiff, lane uint) {
 		n := &w.nodes[ffg]
 		a1 := n.v1&^bit | oneBit[d.val]<<lane
 		a0 := n.v0&^bit | zeroBit[d.val]<<lane
-		if a1 == n.v1 && a0 == n.v0 {
+		if store(n, a1, a0) == 0 {
 			continue
 		}
-		w.write(ffg, n, a1, a0)
+		w.mark(ffg, n)
 		w.schedFanouts(n)
 	}
 }
@@ -521,22 +542,60 @@ func (w *worker) schedFanouts(n *node) {
 // sit on higher levels, so a bucket never grows while it is drained and
 // its length is the number of gates evaluated there.
 //
+// Every gate but the fault site and the flagLoop ones is evaluated
+// right here, over its four fanin slots: BUF, NOT, AND, NAND, OR and
+// NOR all run the AND form — a1 is the AND of the inputs' one-planes,
+// a0 the OR of their zero-planes — with the planes swapped on the way
+// in for OR and NOR (De Morgan) and on the way out for NOT, NAND and
+// OR. Both swaps are masks derived from the opcode bits, not branches,
+// and the four loads have no loop around them. Nor does an evaluation
+// branch on whether the gate changed: the gates that did are packed, in
+// order, into the front of the bucket they were drained from, and only
+// once the whole bucket is evaluated are they marked and their fanouts
+// queued. Nothing on the bucket's level reads them, so the lists end up
+// exactly as if each gate had been handled as it was evaluated.
+//
 //simlint:hotpath
 func (w *worker) propagate(site netlist.GateID, fs *faultState, off uint, mask uint64) {
-	n := 0
+	nodes := w.nodes
+	evals := 0
 	for l := int32(1); l <= w.p.maxLevel; l++ {
 		bucket := w.queue[l]
+		changed := 0
 		for _, g := range bucket {
-			if g == site {
-				w.evalSite(g, fs, off, mask)
-			} else {
-				w.eval(g)
+			n := &nodes[g]
+			var d uint64
+			switch {
+			case g == site:
+				d = w.evalSite(g, fs, off, mask)
+			case n.flags&flagLoop != 0:
+				d = w.eval(g)
+			default:
+				n.flags &^= flagSched
+				code := n.code
+				sx := -uint64(code >> 2)
+				i0, i1, i2, i3 := &nodes[n.in[0]], &nodes[n.in[1]], &nodes[n.in[2]], &nodes[n.in[3]]
+				t0 := (i0.v1 ^ i0.v0) & sx
+				t1 := (i1.v1 ^ i1.v0) & sx
+				t2 := (i2.v1 ^ i2.v0) & sx
+				t3 := (i3.v1 ^ i3.v0) & sx
+				a1 := (i0.v1 ^ t0) & (i1.v1 ^ t1) & (i2.v1 ^ t2) & (i3.v1 ^ t3)
+				a0 := (i0.v0 ^ t0) | (i1.v0 ^ t1) | (i2.v0 ^ t2) | (i3.v0 ^ t3)
+				t := (a1 ^ a0) & -uint64((code^code>>2)&1)
+				d = store(n, a1^t, a0^t)
 			}
+			bucket[changed] = g
+			changed += int((d | -d) >> 63)
 		}
-		n += len(bucket)
+		for _, g := range bucket[:changed] {
+			n := &nodes[g]
+			w.mark(g, n)
+			w.schedFanouts(n)
+		}
+		evals += len(bucket)
 		w.queue[l] = bucket[:0]
 	}
-	w.evals += n
+	w.evals += evals
 }
 
 // pass simulates fs's fault from cycle fs.cyc to the end of the loaded
@@ -698,19 +757,15 @@ func (w *worker) pass(fs *faultState) bool {
 	return false
 }
 
-// eval re-evaluates gate g's planes from its fanin planes and schedules
-// the fanout on change. It is the path of every gate but the fault site.
-// BUF, NOT, AND, NAND, OR and NOR all run the AND form — a1 is the AND
-// of the inputs' one-planes, a0 the OR of their zero-planes — with the
-// planes swapped on the way in for OR and NOR (De Morgan) and on the
-// way out for NOT, NAND and OR; both swaps are masks derived from the
-// opcode bits, not branches.
+// eval re-evaluates a flagLoop gate's planes from its fanin planes —
+// propagate's AND form, or the XOR fold, over the circuit's fanin
+// window — and stores them, returning what store returns.
 //
 //simlint:hotpath
-func (w *worker) eval(g netlist.GateID) {
+func (w *worker) eval(g netlist.GateID) uint64 {
 	n := &w.nodes[g]
 	n.flags &^= flagSched
-	ins := w.p.fanins[n.inOff:n.inEnd]
+	ins := w.p.fanin(g)
 	code := n.code
 	var a1, a0, so uint64
 	if code >= opXor {
@@ -732,19 +787,7 @@ func (w *worker) eval(g netlist.GateID) {
 		so = -uint64((code ^ code>>2) & 1)
 	}
 	t := (a1 ^ a0) & so
-	w.commit(g, n, a1^t, a0^t)
-}
-
-// commit stores gate g's evaluated planes and schedules the fanout when
-// they differ from the gate's current ones.
-//
-//simlint:hotpath
-func (w *worker) commit(g netlist.GateID, n *node, a1, a0 uint64) {
-	if a1 == n.v1 && a0 == n.v0 {
-		return
-	}
-	w.write(g, n, a1, a0)
-	w.schedFanouts(n)
+	return store(n, a1^t, a0^t)
 }
 
 // sitePin returns the planes the fault site sees on the faulty input
@@ -778,10 +821,10 @@ func (w *worker) sitePin(fs *faultState, in netlist.GateID, off uint, mask uint6
 // faulty input pin, or the output, is forced in the pass's lanes.
 //
 //simlint:hotpath
-func (w *worker) evalSite(g netlist.GateID, fs *faultState, off uint, mask uint64) {
+func (w *worker) evalSite(g netlist.GateID, fs *faultState, off uint, mask uint64) uint64 {
 	n := &w.nodes[g]
 	n.flags &^= flagSched
-	ins := w.p.fanins[n.inOff:n.inEnd]
+	ins := w.p.fanin(g)
 	pin := int(fs.f.Pin)
 	code := n.code
 	var a1, a0, so uint64
@@ -814,5 +857,5 @@ func (w *worker) evalSite(g netlist.GateID, fs *faultState, off uint, mask uint6
 	if fs.st == siteComb && pin == faults.OutPin {
 		a1, a0 = forcePlanes(a1, a0, fs.f.Kind.StuckValue(), mask)
 	}
-	w.commit(g, n, a1, a0)
+	return store(n, a1, a0)
 }

@@ -136,7 +136,6 @@ func Table5(name string, counts []int) (*Table, error) {
 		Title: fmt.Sprintf("Table 5. Random pattern simulation (%s)", name),
 		Header: []string{"#ptns", "fltcvg%",
 			"MV:CPU", "MV:MEM", "PROOFS:CPU", "PROOFS:MEM"},
-		Caption: "memory stays below the deterministic run of Table 3: faults activate slowly",
 	}
 	for _, n := range counts {
 		u, err := Universe(name, "stuck")
