@@ -56,12 +56,7 @@ loc:
 	@echo "  internal/obs:                       $$(find internal/obs -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 
 # Run the fault-simulation service locally (see README "Serving").
-.PHONY: serve serve-load
+.PHONY: serve
 serve:
 	go run ./cmd/csimd -addr :8416
 
-# Drive a running csimd with the CI smoke load (serve in another shell).
-serve-load:
-	go run ./cmd/csimload -addr http://127.0.0.1:8416 \
-	    -clients 32 -jobs 2 -circuit s5378 -random 100 -seed 1 \
-	    -expect-detections 4505 -min-cache-hit 0.9 -max-requests-per-job 1.1

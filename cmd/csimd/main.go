@@ -11,7 +11,6 @@
 //	POST   /api/v1/jobs            submit a job (JSON JobSpec); 429 + Retry-After when full;
 //	                               ?wait=30s holds the request until the job ends (200 + result)
 //	                               or the wait passes (202 + live view)
-//	GET    /api/v1/jobs            list jobs
 //	GET    /api/v1/jobs/{id}       job status + result; ?wait= holds it the same way
 //	GET    /api/v1/jobs/{id}/debug flight-recorder postmortem
 //	DELETE /api/v1/jobs/{id}       cancel (frees a queued job's slot immediately)

@@ -303,7 +303,7 @@ func TestWorkerKillMidJobRequeues(t *testing.T) {
 	}
 	_ = victim.Close()
 
-	v, err := cl.Wait(ctx, jv.ID, 5*time.Millisecond)
+	v, err := cl.Wait(ctx, jv.ID, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -699,7 +699,7 @@ func TestConcurrentSubmissions(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, err := cl.Run(ctx, JobSpec{Circuit: "s298", Random: 25, Seed: 9}, time.Millisecond)
+			v, err := cl.Run(ctx, JobSpec{Circuit: "s298", Random: 25, Seed: 9}, 0)
 			if err != nil {
 				errs <- err
 				return
