@@ -9,10 +9,10 @@
 // built-in benchmark suite; vectors from a file (one line of 0/1/X per
 // cycle) or a seeded random generator. The engine is one of the paper's
 // variants (csim, csim-V, csim-M, csim-MV), the compiled bit-parallel
-// engine (csim-C: levelized straight-line code over
-// packed 64-vector words, on -workers threads), the same kernel on the
-// scheduler's worker count (csim-grid), the PROOFS baseline, or the
-// serial oracle.
+// engine (csim-C: levelized straight-line code over packed 64-vector
+// words, one worker per 256 faults within the -workers budget, which
+// defaults to the CPU count; csim-grid is the same run under another
+// name), the PROOFS baseline, or the serial oracle.
 //
 // The run's non-zero work counters print on one "stats:" line.
 // Observability (see OBSERVABILITY.md): -trace-out writes a
@@ -27,6 +27,7 @@ import (
 	"io"
 	"os"
 	"reflect"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -52,7 +53,7 @@ func main() {
 		randomN     = flag.Int("random", 0, "generate this many random vectors instead")
 		seed        = flag.Int64("seed", 1, "random vector seed")
 		engineName  = flag.String("engine", engine.CsimMV, strings.Join(engineNames(), " | "))
-		workers     = flag.Int("workers", 0, "csim-C / csim-grid worker count (0: one thread for csim-C, scheduler-planned for csim-grid)")
+		workers     = flag.Int("workers", runtime.NumCPU(), "csim-C / csim-grid processor budget: one worker per 256 faults at most")
 		model       = flag.String("faults", "stuck", "fault model: stuck | stuck-all | transition")
 		check       = flag.Bool("check", false, "verify netlist/fault-list/macro-plan invariants and exit without simulating")
 		verbose     = flag.Bool("v", false, "list undetected faults")
@@ -295,10 +296,9 @@ func runCheck(a *engine.Artifacts, model string) error {
 	return nil
 }
 
-// engineNames lists the accepted -engine values: every registered engine
-// that simulates faults.
+// engineNames lists the accepted -engine values: every registered engine.
 func engineNames() []string {
-	return engine.Names(func(e engine.Info) bool { return e.Kind != "good" })
+	return engine.Names(func(engine.Info) bool { return true })
 }
 
 // validateSelections rejects unknown -engine/-faults/-suite values with

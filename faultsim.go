@@ -40,7 +40,6 @@ import (
 	"repro/internal/macro"
 	"repro/internal/netlist"
 	"repro/internal/obs"
-	"repro/internal/parallel"
 	"repro/internal/proofs"
 	"repro/internal/serial"
 	"repro/internal/service"
@@ -67,10 +66,6 @@ type (
 type (
 	// Config selects the concurrent simulator variant.
 	Config = csim.Config
-	// GridPlan is the scheduler's fault-split decision.
-	GridPlan = parallel.Plan
-	// JobShape describes one simulation job to the unified scheduler.
-	JobShape = parallel.JobShape
 	// Simulator is the concurrent fault simulator (the paper's csim).
 	Simulator = csim.Simulator
 	// SimStats instruments a concurrent-simulation run.
@@ -143,11 +138,10 @@ func CsimV() Config { return csim.V() }
 func CsimMV() Config { return csim.MV() }
 
 // GridConfig configures the grid engine (csim-grid): the compiled
-// kernel on the scheduler's worker count.
+// kernel on a processor budget.
 type GridConfig struct {
-	// FaultShards is the processor budget the scheduler plans within;
-	// <= 0 means runtime.NumCPU(). The run uses one worker per chunk of
-	// 256 faults at most.
+	// FaultShards is the processor budget; <= 0 means one. The run uses
+	// one worker per chunk of 256 faults at most.
 	FaultShards int
 	// Config is ignored: the grid has one kernel and it takes no csim
 	// configuration. Pinned by benchmark/ (it assigns Config.Plan); goes
@@ -190,10 +184,24 @@ func SimulateGrid(u *Universe, vs *Vectors, cfg GridConfig) (*Result, SimStats, 
 	return engine.Run(context.Background(), engine.CsimGrid, u, vs, opt)
 }
 
-// PlanGrid asks the scheduler for the fault split it would use for a
-// job of the given shape. The decision is deterministic. Pinned by
-// benchmark/; goes with the `[benchmark]` yardstick refresh.
-func PlanGrid(sh JobShape) GridPlan { return parallel.Decide(sh) }
+// JobShape describes one simulation job to PlanGrid. Pinned by
+// benchmark/, with GridPlan and PlanGrid; they go with the
+// `[benchmark]` yardstick refresh.
+type JobShape struct {
+	// Gates and Vectors are not read: the split depends on the faults.
+	Gates, Faults, Vectors int
+	// MaxProcs is the processor budget; <= 0 means one.
+	MaxProcs int
+}
+
+// GridPlan is a job's fault split: FaultShards compiled workers.
+type GridPlan struct{ FaultShards int }
+
+// PlanGrid reports the fault split a job of the given shape runs on:
+// one compiled worker per chunk of 256 faults, within the budget.
+func PlanGrid(sh JobShape) GridPlan {
+	return GridPlan{FaultShards: compiled.Workers(sh.MaxProcs, sh.Faults)}
+}
 
 // NewObserver builds a fully enabled observability bundle: a fresh
 // metric registry and a phase tracer. Engines write no metrics — a run's

@@ -48,7 +48,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 
 	// The grid on a pinned budget (Config.Plan is accepted and ignored)
-	// and on the scheduler's default.
+	// and on the default budget of one.
 	for _, procs := range []int{2, 0} {
 		grid := faultsim.CsimGrid(procs, 1)
 		grid.Config.Plan = nil
@@ -69,7 +69,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if plan := faultsim.PlanGrid(faultsim.JobShape{
 		Gates: len(c.Gates), Faults: u.NumFaults(), Vectors: vs.Len(), MaxProcs: 4,
 	}); plan.FaultShards < 1 || plan.FaultShards > 4 {
-		t.Errorf("scheduler plan %v outside its budget", plan)
+		t.Errorf("plan %v outside its budget", plan)
 	}
 
 	tu := faultsim.TransitionFaults(c)

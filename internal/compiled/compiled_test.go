@@ -390,25 +390,6 @@ func TestTraceMatchesGoodsim(t *testing.T) {
 	}
 }
 
-// TestGoodMatchesGoodsim checks the compiled good machine against the
-// interpreted one at the primary outputs.
-func TestGoodMatchesGoodsim(t *testing.T) {
-	c := genCircuit(t, 21, 5, 4, 6, 90)
-	vs := vectors.Random(c, 100, 13)
-	g := Compile(c).NewGood()
-	ref := goodsim.New(c)
-	for cyc := 0; cyc < vs.Len(); cyc++ {
-		g.Cycle(vs.Vecs[cyc])
-		ref.Apply(vs.Vecs[cyc])
-		for i, po := range c.POs {
-			if got, want := g.Val(po), ref.Val(po); got != want {
-				t.Fatalf("cycle %d PO %d: compiled %v, goodsim %v", cyc, i, got, want)
-			}
-		}
-		ref.Clock()
-	}
-}
-
 // TestStatsAccounting pins the work a run does, not the time it takes:
 // the exact evaluation, pass and continuation counts on two bundled
 // circuits, so a silent fall-back to one fresh pass per cutoff or a

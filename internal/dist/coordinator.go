@@ -13,12 +13,12 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/compiled"
 	"repro/internal/csim"
 	"repro/internal/engine"
 	"repro/internal/faults"
 	"repro/internal/jobid"
 	"repro/internal/obs"
-	"repro/internal/parallel"
 	"repro/internal/service"
 )
 
@@ -92,16 +92,13 @@ func (c *Coordinator) RunJob(ctx context.Context, req *service.RunRequest) (*ser
 		return c.failJob(req, err)
 	}
 
-	// Shape the split: explicit workers pin K; otherwise the scheduler
-	// decides against the fleet's dispatch capacity.
+	// Shape the split: explicit workers pin K; otherwise one shard per
+	// chunk of 256 faults, within the fleet's dispatch capacity.
 	k := req.Spec.Workers
 	if k <= 0 {
-		k = parallel.DecideObserved(parallel.JobShape{
-			Gates:    len(req.CC.Circuit.Gates),
-			Faults:   u.NumFaults(),
-			Vectors:  vs.Len(),
-			MaxProcs: len(c.reg.workers) * c.cfg.PerWorkerInflight,
-		}, req.Obs).FaultShards
+		procs := len(c.reg.workers) * c.cfg.PerWorkerInflight
+		k = compiled.Workers(procs, u.NumFaults())
+		req.Obs.Recorder().Recordf("decide", "plan %dx1 (procs=%d faults=%d: one fleet shard per chunk of 256 faults at most)", k, procs, u.NumFaults())
 	}
 
 	jlog := c.log.With(slog.String("job_id", req.ID))
@@ -381,11 +378,11 @@ func (c *Coordinator) shardLost(ctx, actx context.Context, w *worker, id, op str
 }
 
 // shardSpec derives shard k-of-n's worker-facing spec from the parent
-// job's: the grid engine with pinned shard coordinates, the full
-// vector axis, and the detections payload switched on.
+// job's: csim-C with pinned shard coordinates, the full vector axis,
+// and the detections payload switched on.
 func shardSpec(parent *service.JobSpec, k, n int, timeout time.Duration) *service.JobSpec {
 	s := *parent
-	s.Engine = engine.CsimGrid
+	s.Engine = engine.CsimC
 	s.Workers = 0
 	s.FaultShard, s.FaultShards = k, n
 	s.ReturnDetections = true

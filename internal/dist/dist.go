@@ -1,13 +1,13 @@
 // Package dist is the distributed tier of csimd: a coordinator that
 // accepts jobs on the ordinary service API, splits each into
-// fault-partition shards with the parallel scheduler's verdict,
-// fans the shards out to a fleet of worker csimd nodes over the same
-// HTTP/JSON job API, and merges the streamed-back shard results with
-// the deterministic first-detection-wins merge the in-process grid
-// already uses. Because parallel.Partition is a pure function of
-// (universe, K), every node agrees on shard contents, and
+// fault-partition shards (one per chunk of 256 faults, within the
+// fleet's capacity), fans the shards out to a fleet of worker csimd
+// nodes over the same HTTP/JSON job API, and merges the streamed-back
+// shard results with the deterministic first-detection-wins merge the
+// compiled kernel already uses. Because parallel.Partition is a pure
+// function of (universe, K), every node agrees on shard contents, and
 // faults.MergeResults over the K shard payloads is bit-identical to a
-// local SimulateGrid run — and therefore to the serial oracle.
+// local csim-C run — and therefore to the serial oracle.
 //
 // Fault tolerance: workers are health-probed against /readyz; a shard
 // whose worker dies, times out, or fails is re-queued to a different
@@ -36,7 +36,7 @@ type Config struct {
 	ProbeInterval time.Duration
 	// PerWorkerInflight bounds concurrently dispatched shards per
 	// worker (default 2). Total dispatch concurrency, and the
-	// scheduler's processor budget for a job that pins no K, is
+	// processor budget that sizes a job that pins no K, is
 	// len(Workers)×PerWorkerInflight.
 	PerWorkerInflight int
 	// Obs is the coordinator's observability bundle; nil disables
@@ -79,9 +79,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Obs == nil {
 		c.Obs = &obs.Observer{}
-	}
-	if c.Log == nil {
-		c.Log = c.Obs.Log
 	}
 	return c
 }

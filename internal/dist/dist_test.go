@@ -396,6 +396,18 @@ func TestFleetShardsAreCompiled(t *testing.T) {
 			}
 		}
 	}
+	// A csim-C job is the same fleet job; only the grid reports a window.
+	v, err := cl.Run(ctx, service.JobSpec{Circuit: "s298", Engine: "csim-C", Random: 64, Seed: 11}, 2*time.Millisecond)
+	if err != nil || v.Status != service.StatusDone || v.Result == nil {
+		t.Fatalf("csim-C: %v / %+v", err, v)
+	}
+	want, _ := serial.Simulate(context.Background(), faults.StuckCollapsed(iscas.MustGet("s298")), vectors.Random(iscas.MustGet("s298"), 64, 11))
+	if v.Result.Detected != want.NumDet || v.Result.PotOnly != want.NumPotOnly() || v.Result.Workers != 2 || v.Result.Windows != 0 {
+		t.Errorf("csim-C through the fleet: %+v, oracle %d/%d", v.Result, want.NumDet, want.NumPotOnly())
+	}
+	if spec := shardSpec(&service.JobSpec{Engine: "csim-grid"}, 0, 2, time.Minute); spec.Engine != engine.CsimC {
+		t.Errorf("the coordinator dispatches %s shards, want csim-C", spec.Engine)
+	}
 }
 
 // TestHealthGaugeConcurrentFlips: dist.workers_healthy equals the number

@@ -120,13 +120,13 @@ func (a *Artifacts) Warm(name string) error {
 }
 
 // inputs builds, or finds in the set, what an engine reads besides its
-// universe: the compiled program for csim-C, csim-grid and good-C, the
-// macro plan for a concurrent engine's Config, nothing for the others.
+// universe: the compiled program for a compiled engine, the macro plan
+// for a concurrent engine's Config, nothing for the others.
 func (a *Artifacts) inputs(info Info) (*macro.Plan, *compiled.Program, error) {
-	switch info.Name {
-	case CsimC, CsimGrid, GoodC:
+	switch info.Kind {
+	case "compiled":
 		return nil, a.Program(), nil
-	case PROOFS, Serial, GoodSim:
+	case "baseline":
 		return nil, nil, nil
 	}
 	plan, err := a.Plan(info.Config)

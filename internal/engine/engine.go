@@ -18,8 +18,9 @@ const (
 	CsimMV     = "csim-MV"
 	CsimEager  = "csim-MV-eagerdrop"
 	CsimReconv = "csim-MV-reconvergent"
-	// CsimGrid is csim-C on the scheduler's worker count, and the engine
-	// a coordinator's pinned fault shards name.
+	// CsimGrid runs exactly csim-C's path; only its results report
+	// windows. Pinned by benchmark/ (its workloads submit the name); goes
+	// with the `[benchmark]` yardstick refresh.
 	CsimGrid = "csim-grid"
 	// CsimC is the compiled backend: the circuit lowered once into
 	// branch-free levelized straight-line evaluation over flat word
@@ -30,11 +31,6 @@ const (
 	PROOFS = "PROOFS"
 	// Serial is the brute-force oracle: one full resimulation per fault.
 	Serial = "serial"
-	// GoodSim and GoodC run only the good machine — interpreted
-	// event-driven and compiled straight-line — for the throughput
-	// comparison in benchmark reports.
-	GoodSim = "good-sim"
-	GoodC   = "good-C"
 )
 
 // Info describes one registered engine. TestReadmeEngineTable holds the
@@ -43,8 +39,8 @@ type Info struct {
 	// Name is the -engine flag value and the JobSpec engine.
 	Name string
 	// Kind classifies the engine: "concurrent" (event-driven concurrent
-	// fault simulation), "parallel", "compiled", "baseline", or "good"
-	// (good-machine only, no faults).
+	// fault simulation), "compiled" (the bit-parallel kernel, which alone
+	// takes pinned-shard coordinates) or "baseline".
 	Kind string
 	// Description is a one-line summary, kept in sync with README.md.
 	Description string
@@ -55,9 +51,6 @@ type Info struct {
 	Config csim.Config
 	// StuckOnly marks an engine that rejects transition faults.
 	StuckOnly bool
-	// Sharded marks the engine that takes pinned-shard coordinates and
-	// whose whole-universe jobs ask the scheduler for their worker count.
-	Sharded bool
 }
 
 // registry is every registered engine in presentation order; never
@@ -79,18 +72,14 @@ var registry = func() []Info {
 			Description: "csim-MV with eager full-scan fault dropping (ablation)"},
 		{Name: CsimReconv, Kind: "concurrent", Config: reconv,
 			Description: "csim-MV with reconvergent-macro extension (ablation)"},
-		{Name: CsimGrid, Kind: "parallel", Served: true, Sharded: true,
-			Description: "csim-C on the scheduler's K: one worker per 256-fault chunk, bounded by the processors; also one pinned fault shard of a fleet job"},
+		{Name: CsimGrid, Kind: "compiled", Served: true,
+			Description: "csim-C under the name benchmark/ submits: the same run, and its results report one vector window"},
 		{Name: CsimC, Kind: "compiled", Served: true,
-			Description: "compiled bit-parallel backend: levelized straight-line code, packed 64-vector passes over the fault cone; a job's workers share one good trace"},
+			Description: "compiled bit-parallel backend: levelized straight-line code, packed 64-vector passes over the fault cone; one worker per 256-fault chunk within the budget, all sharing one good trace; also one pinned fault shard of a fleet job"},
 		{Name: PROOFS, Kind: "baseline", Served: true, StuckOnly: true,
 			Description: "bit-parallel single-fault-propagation baseline (PROOFS-style)"},
 		{Name: Serial, Kind: "baseline", Served: true,
 			Description: "brute-force oracle: one full resimulation per fault"},
-		{Name: GoodSim, Kind: "good",
-			Description: "interpreted event-driven good machine only, no faults"},
-		{Name: GoodC, Kind: "good",
-			Description: "compiled good machine only: the straight-line fused table-lookup stream"},
 	}
 }()
 

@@ -20,8 +20,7 @@ import (
 // TestEveryEngineMatchesSerial runs every registered name through Run on
 // s27 and s298, both fault models where the engine takes them, and
 // holds the result to the serial oracle: detections, first-detection
-// vectors and potential detections. The good machines return an empty
-// result and their evaluation count. It is the one place the engines
+// vectors and potential detections. It is the one place the engines
 // are compared as a set; the other surfaces (harness, service, CLI) test
 // what they add on top of Run.
 func TestEveryEngineMatchesSerial(t *testing.T) {
@@ -40,7 +39,7 @@ func TestEveryEngineMatchesSerial(t *testing.T) {
 				if transition {
 					tag += "/transition"
 				}
-				got, st, err := Run(ctx, info.Name, u, vs, Options{Workers: 2})
+				got, _, err := Run(ctx, info.Name, u, vs, Options{Workers: 2})
 				if info.StuckOnly && transition {
 					if err == nil {
 						t.Errorf("%s: a stuck-only engine accepted transition faults", tag)
@@ -49,12 +48,6 @@ func TestEveryEngineMatchesSerial(t *testing.T) {
 				}
 				if err != nil {
 					t.Errorf("%s: %v", tag, err)
-					continue
-				}
-				if info.Kind == "good" {
-					if got.NumDet != 0 || st.GoodEvals == 0 {
-						t.Errorf("%s: %d detections, stats %+v", tag, got.NumDet, st)
-					}
 					continue
 				}
 				if d := want.Diff(got); d != "" {
@@ -69,7 +62,7 @@ func TestEveryEngineMatchesSerial(t *testing.T) {
 }
 
 // TestDegenerateJobs: no faults, one fault and one vector go through
-// every fault engine — csim-grid and a pinned shard included — and match
+// every engine and a pinned shard of each compiled engine, and match
 // the oracle.
 func TestDegenerateJobs(t *testing.T) {
 	ctx := context.Background()
@@ -91,16 +84,17 @@ func TestDegenerateJobs(t *testing.T) {
 				t.Errorf("%s/%s differs from serial:\n%s", tc.name, tag, d)
 			}
 		}
-		for _, name := range Names(func(e Info) bool { return e.Kind != "good" }) {
-			run(name, name, Options{Workers: 3})
+		for _, info := range Engines() {
+			run(info.Name, info.Name, Options{Workers: 3})
 		}
-		run("shard 0 of 1", CsimGrid, Options{Shard: 0, Of: 1})
+		run("csim-C shard 0 of 1", CsimC, Options{Shard: 0, Of: 1})
+		run("csim-grid shard 0 of 1", CsimGrid, Options{Shard: 0, Of: 1})
 	}
 }
 
 // TestRunWritesNoMetrics: a run's counters are the Stats Run returns,
-// so every registered engine, and a pinned csim-grid shard, leaves the
-// registry it is handed empty.
+// so every registered engine, and a pinned shard of each compiled
+// engine, leaves the registry it is handed empty.
 func TestRunWritesNoMetrics(t *testing.T) {
 	c := iscas.MustGet("s298")
 	u := faults.StuckCollapsed(c)
@@ -118,6 +112,7 @@ func TestRunWritesNoMetrics(t *testing.T) {
 	for _, info := range Engines() {
 		run(info.Name, info.Name, Options{Workers: 2})
 	}
+	run("csim-C shard 1 of 2", CsimC, Options{Shard: 1, Of: 2})
 	run("csim-grid shard 1 of 2", CsimGrid, Options{Shard: 1, Of: 2})
 }
 
@@ -137,19 +132,59 @@ func TestRunRejects(t *testing.T) {
 	if _, _, err := Run(ctx, CsimMV, u, wide, Options{}); err == nil {
 		t.Error("a vector set one input too wide was accepted")
 	}
-	for _, bad := range []Options{{Shard: 0, Of: -1}, {Shard: -1, Of: 2}, {Shard: 2, Of: 2}, {Shard: 1}} {
-		if _, _, err := Run(ctx, CsimGrid, u, vs, bad); err == nil {
-			t.Errorf("csim-grid took coordinates %d of %d", bad.Shard, bad.Of)
+	for _, name := range []string{CsimC, CsimGrid} {
+		for _, bad := range []Options{{Shard: 0, Of: -1}, {Shard: -1, Of: 2}, {Shard: 2, Of: 2}, {Shard: 1}} {
+			if _, _, err := Run(ctx, name, u, vs, bad); err == nil {
+				t.Errorf("%s took coordinates %d of %d", name, bad.Shard, bad.Of)
+			}
 		}
 	}
-	if _, _, err := Run(ctx, CsimC, u, vs, Options{Shard: 0, Of: 2}); err == nil {
-		t.Error("csim-C took shard coordinates")
+	for _, info := range Engines() {
+		if _, _, err := Run(ctx, info.Name, u, vs, Options{Shard: 0, Of: 2}); (err == nil) != (info.Kind == "compiled") {
+			t.Errorf("%s on shard 0 of 2: %v", info.Name, err)
+		}
 	}
 	done, cancel := context.WithCancel(ctx)
 	cancel()
 	for _, info := range Engines() {
 		if _, _, err := Run(done, info.Name, u, vs, Options{}); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s on a cancelled context: %v", info.Name, err)
+		}
+	}
+}
+
+// TestCompiledRunRecordsDecide: a whole job on either compiled engine
+// records its worker count as a decide event before the cancellation
+// check, so a job stopped before its engine starts still carries it; a
+// budget of 0 is one processor. A pinned shard records no decide.
+func TestCompiledRunRecordsDecide(t *testing.T) {
+	c := iscas.MustGet("s1494")
+	u := &faults.Universe{Circuit: c, Faults: faults.StuckCollapsed(c).Faults[:700]}
+	vs := vectors.Random(c, 16, 1)
+	done, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, name := range []string{CsimC, CsimGrid} {
+		for _, tc := range []struct {
+			opt  Options
+			want string
+		}{
+			{Options{Workers: 4}, "plan 3x1 (procs=4 faults=700: "},
+			{Options{}, "plan 1x1 (procs=1 faults=700: "},
+			{Options{Shard: 1, Of: 2}, ""},
+		} {
+			ob := &obs.Observer{Flight: obs.NewFlightRecorder(0)}
+			tc.opt.Obs = ob
+			if _, _, err := Run(done, name, u, vs, tc.opt); !errors.Is(err, context.Canceled) {
+				t.Errorf("%s %+v on a cancelled context: %v", name, tc.opt, err)
+			}
+			evs := ob.Flight.Events()
+			if tc.want == "" {
+				if len(evs) != 0 {
+					t.Errorf("%s, pinned shard: events %+v", name, evs)
+				}
+			} else if len(evs) != 1 || evs[0].Kind != "decide" || !strings.HasPrefix(evs[0].Detail, tc.want) {
+				t.Errorf("%s workers %d: events %+v, want one decide %q", name, tc.opt.Workers, evs, tc.want)
+			}
 		}
 	}
 }

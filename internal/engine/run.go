@@ -9,7 +9,6 @@ import (
 	"repro/internal/compiled"
 	"repro/internal/csim"
 	"repro/internal/faults"
-	"repro/internal/goodsim"
 	"repro/internal/logic"
 	"repro/internal/obs"
 	"repro/internal/parallel"
@@ -20,15 +19,15 @@ import (
 
 // Options is everything a caller may set on a run.
 type Options struct {
-	// Workers is the processor budget of the compiled kernel: csim-C and
-	// a pinned shard run compiled.Workers(Workers, faults) workers, <= 0
-	// meaning one; a whole csim-grid job hands it to the scheduler as
-	// MaxProcs, <= 0 meaning runtime.NumCPU(). Other engines ignore it.
+	// Workers is the processor budget of a compiled run: it runs
+	// compiled.Workers(Workers, faults) workers, one per chunk of 256
+	// faults at most, and <= 0 means one. A pinned shard counts only its
+	// own faults. Other engines ignore it.
 	Workers int
 	// Shard and Of pin the run to fault shard Shard of an Of-way split —
 	// parallel.Partition(u, Of)[Shard], what a coordinator dispatches to
 	// a worker node. Of == 0 simulates the whole universe. Only a
-	// Sharded engine takes coordinates.
+	// compiled engine takes coordinates.
 	Shard, Of int
 	// Artifacts is the circuit's artifact set: the run reads the engine's
 	// macro plan or compiled program from it, building one it lacks; nil
@@ -46,21 +45,18 @@ type Options struct {
 // engine that runs on the calling goroutine alone.
 func Workers(name string, nfaults int, opt Options) int {
 	switch name {
-	case CsimC:
+	case CsimC, CsimGrid:
 		return compiled.Workers(opt.Workers, nfaults)
-	case CsimGrid:
-		return parallel.Decide(parallel.JobShape{Faults: nfaults, MaxProcs: opt.Workers}).FaultShards
 	}
 	return 0
 }
 
 // Run simulates the vector set on the named engine and returns the
 // detections and the engine's counters. Detections are bit-identical to
-// the serial oracle on every engine that simulates faults; the good
-// machines return an empty result. ctx stops the run with ctx.Err() at
-// the next cycle (the csim family, PROOFS, good-sim), fault (serial) or
-// fault chunk × 64-cycle block (csim-C, csim-grid). The Stats are the
-// one record of the run's work; Run publishes no metric.
+// the serial oracle on every engine. ctx stops the run with ctx.Err() at
+// the next cycle (the csim family, PROOFS), fault (serial) or fault
+// chunk × 64-cycle block (the compiled engines). The Stats are the one
+// record of the run's work; Run publishes no metric.
 func Run(ctx context.Context, name string, u *faults.Universe, vs *vectors.Set, opt Options) (*faults.Result, csim.Stats, error) {
 	info, ok := ByName(name)
 	if !ok {
@@ -76,24 +72,27 @@ func Run(ctx context.Context, name string, u *faults.Universe, vs *vectors.Set, 
 		return nil, csim.Stats{}, fmt.Errorf("engine: artifacts are for circuit %q, universe is over %q",
 			a.Circuit.Name, u.Circuit.Name)
 	}
+	isCompiled := info.Kind == "compiled"
 	if opt.Of != 0 || opt.Shard != 0 {
-		if !info.Sharded {
+		if !isCompiled {
 			return nil, csim.Stats{}, fmt.Errorf("engine: %s takes no shard coordinates", name)
 		}
 		if opt.Shard < 0 || opt.Shard >= opt.Of {
 			return nil, csim.Stats{}, fmt.Errorf("engine: shard index %d outside [0, %d)", opt.Shard, opt.Of)
 		}
 	}
-	// The scheduler's verdict is recorded before the cancellation check:
-	// a job that times out before its engine starts still carries the
-	// decision in its postmortem.
-	if info.Sharded && opt.Of == 0 {
-		opt.Workers = parallel.DecideObserved(parallel.JobShape{
-			Gates:    len(u.Circuit.Gates),
-			Faults:   u.NumFaults(),
-			Vectors:  vs.Len(),
-			MaxProcs: opt.Workers,
-		}, opt.Obs).FaultShards
+	// A whole compiled job's worker count is recorded before the
+	// cancellation check: a job that times out before its engine starts
+	// still carries the decision in its postmortem.
+	ob := opt.Obs
+	if isCompiled && opt.Of == 0 {
+		procs, nf := max(opt.Workers, 1), u.NumFaults()
+		k := compiled.Workers(procs, nf)
+		ob.Recorder().Recordf("decide", "plan %dx1 (procs=%d faults=%d: one compiled worker per chunk of 256 faults at most)", k, procs, nf)
+		ob.Logger().Info("decide",
+			slog.String("phase", "decide"),
+			slog.Int("procs", procs),
+			slog.Int("fault_shards", k))
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, csim.Stats{}, err
@@ -103,10 +102,9 @@ func Run(ctx context.Context, name string, u *faults.Universe, vs *vectors.Set, 
 		return nil, csim.Stats{}, err
 	}
 
-	ob := opt.Obs
 	switch name {
 	case CsimC, CsimGrid:
-		return runCompiled(ctx, prog, u, vs, opt, info.Sharded)
+		return runCompiled(ctx, name, prog, u, vs, opt)
 	case Serial:
 		sp := ob.Span("fault-sim")
 		res, err := serial.Simulate(ctx, u, vs)
@@ -124,21 +122,6 @@ func Run(ctx context.Context, name string, u *faults.Universe, vs *vectors.Set, 
 			return nil, csim.Stats{}, err
 		}
 		return sim.Result(), csim.Stats{MemBytes: sim.Stats().MemBytes}, nil
-	case GoodSim:
-		s := goodsim.New(u.Circuit)
-		sp := ob.Span("good-sim")
-		err := cycles(ctx, vs, func(vec []logic.V) { s.Apply(vec); s.Clock() })
-		sp.End()
-		if err != nil {
-			return nil, csim.Stats{}, err
-		}
-		return faults.NewResult(u), csim.Stats{GoodEvals: s.Events}, nil
-	case GoodC:
-		g := prog.NewGood()
-		sp := ob.Span("good-sim")
-		g.Run(vs)
-		sp.End()
-		return faults.NewResult(u), csim.Stats{GoodEvals: int(g.Evals)}, nil
 	}
 	// The csim family.
 	cfg := info.Config
@@ -168,23 +151,22 @@ func cycles(ctx context.Context, vs *vectors.Set, cycle func(vec []logic.V)) err
 	return nil
 }
 
-// runCompiled is csim-C and csim-grid: fault IDs on the workers of one
-// compiled run, inside a "fault-sim" span. csim-C runs the whole
-// universe on its budget and records nothing. A whole csim-grid job
-// (grid, no coordinates) runs it on the K the scheduler chose, already
-// in opt.Workers, with one shard_start/shard_finish pair per worker and
-// a merge event. A pinned shard runs its slice of the partition on its
-// own budget and records one pair for the shard; every shard computes
-// its own packed trace, so merged shard stats count one trace per non-empty
-// shard in GoodEvals. The "csim-grid shard %d" detail prefix is pinned
-// by benchmark/ and goes with the `[benchmark]` yardstick refresh.
-func runCompiled(ctx context.Context, p *compiled.Program, u *faults.Universe, vs *vectors.Set, opt Options, grid bool) (*faults.Result, csim.Stats, error) {
+// runCompiled is the compiled engines' one path: fault IDs on the
+// workers of one compiled run, inside a "fault-sim" span. A whole job
+// runs the universe on compiled.Workers(opt.Workers, faults) workers
+// and records one shard_start/shard_finish pair per worker and a merge
+// event, each detail starting with the engine's name. A pinned shard
+// runs its slice of the partition on its own budget and records one
+// pair for the shard; every shard computes its own packed trace, so
+// merged shard stats count one trace per non-empty shard in GoodEvals.
+// The "csim-grid shard %d" detail prefix is pinned by benchmark/ and
+// goes with the `[benchmark]` yardstick refresh.
+func runCompiled(ctx context.Context, name string, p *compiled.Program, u *faults.Universe, vs *vectors.Set, opt Options) (*faults.Result, csim.Stats, error) {
 	ob := opt.Obs
 	rec, log := ob.Recorder(), ob.Logger()
 	ids, workers := u.IDs(), compiled.Workers(opt.Workers, u.NumFaults())
 	var watch compiled.WorkerFunc
-	switch {
-	case opt.Of > 0:
+	if opt.Of > 0 {
 		psp := ob.Span("partition")
 		ids = parallel.Partition(u, opt.Of)[opt.Shard]
 		psp.End()
@@ -201,14 +183,14 @@ func runCompiled(ctx context.Context, p *compiled.Program, u *faults.Universe, v
 			slog.Int("of", opt.Of),
 			slog.Int("faults", len(ids)),
 			slog.Int("workers", workers))
-	case grid:
+	} else {
 		watch = func(i int, done bool, simulated, detected int) {
 			if !done {
-				rec.Recordf("shard_start", "csim-grid shard %d: compiled worker pulling chunks of %d faults", i, len(ids))
+				rec.Recordf("shard_start", "%s shard %d: compiled worker pulling chunks of %d faults", name, i, len(ids))
 				log.Debug("shard start", slog.String("phase", "fault-sim"), slog.Int("shard", i))
 				return
 			}
-			rec.Recordf("shard_finish", "csim-grid shard %d: %d faults, %d detected", i, simulated, detected)
+			rec.Recordf("shard_finish", "%s shard %d: %d faults, %d detected", name, i, simulated, detected)
 			log.Debug("shard finish",
 				slog.String("phase", "fault-sim"),
 				slog.Int("shard", i),
@@ -228,15 +210,14 @@ func runCompiled(ctx context.Context, p *compiled.Program, u *faults.Universe, v
 		return nil, csim.Stats{}, err
 	}
 
-	switch {
-	case opt.Of > 0:
+	if opt.Of > 0 {
 		rec.Recordf("shard_finish", "shard %d of %d: %d detected", opt.Shard, opt.Of, res.NumDet)
 		log.Debug("shard finish",
 			slog.String("phase", "fault-sim"),
 			slog.Int("shard", opt.Shard),
 			slog.Int("detected", res.NumDet))
-	case grid:
-		rec.Recordf("merge", "csim-grid: %d shards merged, %d detected", workers, res.NumDet)
+	} else {
+		rec.Recordf("merge", "%s: %d shards merged, %d detected", name, workers, res.NumDet)
 		log.Debug("merge",
 			slog.String("phase", "merge"),
 			slog.Int("fault_shards", workers),

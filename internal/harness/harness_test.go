@@ -21,7 +21,7 @@ func TestRunEnginesAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	var detected = -1
-	for _, eng := range engine.Names(func(e engine.Info) bool { return e.Kind != "good" }) {
+	for _, eng := range engine.Names(func(engine.Info) bool { return true }) {
 		m, err := Run(eng, u, vs, 0, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", eng, err)
@@ -182,15 +182,15 @@ func TestRunGridShapes(t *testing.T) {
 				shape, m.Detected, m.PotOnly, base.Detected, base.PotOnly)
 		}
 	}
-	// Auto mode: the scheduler picks the shard count and records it.
+	// No budget: one worker, recorded.
 	m, err := Run(engine.CsimGrid, u, vs, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Workers < 1 {
-		t.Errorf("auto grid did not record its shard count: %+v", m)
+	if m.Workers != 1 {
+		t.Errorf("a grid with no budget did not record one worker: %+v", m)
 	}
 	if m.Detected != base.Detected {
-		t.Errorf("auto grid detected %d, csim-MV %d", m.Detected, base.Detected)
+		t.Errorf("a grid with no budget detected %d, csim-MV %d", m.Detected, base.Detected)
 	}
 }

@@ -63,10 +63,6 @@ func workCells() []workCell {
 		// transition injection).
 		workCell{engine: engine.CsimMV, circuit: "s298", model: "transition"},
 		workCell{engine: engine.CsimC, circuit: "s298", model: "transition"},
-		// The good-machine pair on the largest stand-in: interpreted
-		// event-driven vs compiled straight-line evaluation.
-		workCell{engine: engine.GoodSim, circuit: "s35932", model: "stuck"},
-		workCell{engine: engine.GoodC, circuit: "s35932", model: "stuck"},
 	)
 }
 
@@ -219,7 +215,7 @@ func TestWorkCounters(t *testing.T) {
 	}
 }
 
-// TestWorkCells holds the cell table to 22 unique keys, with every
+// TestWorkCells holds the cell table to 20 unique keys, with every
 // csim-grid cell on a pinned budget of two, so K is host-independent.
 func TestWorkCells(t *testing.T) {
 	seen := map[string]bool{}
@@ -233,8 +229,8 @@ func TestWorkCells(t *testing.T) {
 			t.Errorf("%s: csim-grid cell without a pinned budget of 2", k)
 		}
 	}
-	if len(seen) != 22 {
-		t.Errorf("work-cell table has %d cells, want 22", len(seen))
+	if len(seen) != 20 {
+		t.Errorf("work-cell table has %d cells, want 20", len(seen))
 	}
 	c := workCell{engine: engine.CsimGrid, circuit: "s298", model: "stuck", rand: 100, workers: 4}
 	if got, want := c.key(), "s298/csim-grid/stuck/rand:100/w4"; got != want {

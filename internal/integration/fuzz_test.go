@@ -1,10 +1,9 @@
 // Differential fuzzing: one seed derives an entire scenario — circuit
 // shape, fault model, fault sample, vector count, and the parallel shard
 // shapes — and every engine must agree with the serial oracle on it.
-// TestFuzzDifferentialCorpus replays a fixed corpus in normal test runs
-// (CI runs it with -run Fuzz -short); FuzzDifferential hands the same
-// case runner to the native fuzzer so `go test -fuzz=FuzzDifferential`
-// can search for disagreeing seeds.
+// FuzzDifferential seeds the native fuzzer with a fixed corpus, which
+// every `go test` run replays (-short and -race included), so `go test
+// -fuzz=FuzzDifferential` searches beyond it for disagreeing seeds.
 package integration
 
 import (
@@ -122,26 +121,11 @@ func fuzzCase(t *testing.T, seed int64) {
 	compare(t, tag+"/csim-C", oracle, res)
 }
 
-// fuzzCorpus is the fixed replayed corpus; FuzzDifferential seeds its
-// search from the same values.
+// fuzzCorpus is the fixed corpus FuzzDifferential seeds its search
+// from, and every test run replays.
 var fuzzCorpus = []int64{
 	1, 2, 3, 17, 42, 99, 1234, 5678, 90210, 424242,
 	7_000_003, 123_456_789,
-}
-
-// TestFuzzDifferentialCorpus replays the fixed corpus (a prefix of it in
-// -short mode, keeping the CI lint/test job fast).
-func TestFuzzDifferentialCorpus(t *testing.T) {
-	corpus := fuzzCorpus
-	if testing.Short() {
-		corpus = corpus[:4]
-	}
-	for _, seed := range corpus {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			fuzzCase(t, seed)
-		})
-	}
 }
 
 // FuzzDifferential is the native fuzz target: any seed the fuzzer

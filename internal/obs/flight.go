@@ -11,8 +11,8 @@ import (
 const DefaultFlightEvents = 256
 
 // FlightEvent is one entry in a job's flight recorder: a timestamped
-// lifecycle marker (admitted, queued, cache hit/miss, scheduler
-// verdict, shard start/finish, merge, finish).
+// lifecycle marker (admitted, queued, cache hit/miss, worker-count
+// decision, shard start/finish, merge, finish).
 type FlightEvent struct {
 	// Time is when the event was recorded.
 	Time time.Time `json:"time"`

@@ -61,7 +61,7 @@ type jobIDKey struct{}
 
 // WithJobID returns a context carrying the job correlation ID. The ID
 // is minted (or accepted from the X-Csim-Job-Id header) at csimd
-// admission and follows the job through queue, cache, scheduler
+// admission and follows the job through queue, cache, worker-count
 // decision and engine shards; ServeClient forwards it on outbound
 // requests so a future coordinator→worker fan-out stays traceable
 // end-to-end.

@@ -9,7 +9,7 @@ import (
 )
 
 // Tracer records span-style phase timings (parse → collapse →
-// macro-extract → good-sim → fault-sim → merge) and serializes them as a
+// macro-extract → partition → fault-sim) and serializes them as a
 // chrome://tracing JSON document. The nil *Tracer is the disabled state:
 // Span returns a nil *Span whose End is a no-op.
 type Tracer struct {

@@ -19,8 +19,9 @@ import (
 	"repro/internal/vectors"
 )
 
-// The grid battery: what Partition and the scheduler's plans produce
-// once internal/engine runs them, against the serial oracle.
+// The grid battery: what Partition's shards and the compiled kernel's
+// worker counts produce once internal/engine runs them, against the
+// serial oracle.
 
 // universes returns a suite circuit's stuck-at and transition universes.
 func universes(circuit string) []*faults.Universe {
@@ -38,24 +39,24 @@ func grid(t *testing.T, u *faults.Universe, vs *vectors.Set, k int, ob *obs.Obse
 	return res, st
 }
 
-// shards runs every pinned shard of an n-way split, each on a budget of
-// workers, and merges them the way a coordinator does. nonEmpty counts
-// the shards that held faults.
-func shards(t *testing.T, u *faults.Universe, vs *vectors.Set, n, workers int) (res *faults.Result, st csim.Stats, nonEmpty int) {
+// shards runs every pinned shard of an n-way split on the named
+// compiled engine, each on a budget of workers, and merges them the way
+// a coordinator does. nonEmpty counts the shards that held faults.
+func shards(t *testing.T, name string, u *faults.Universe, vs *vectors.Set, n, workers int) (res *faults.Result, st csim.Stats, nonEmpty int) {
 	t.Helper()
 	parts := make([]*faults.Result, n)
 	stats := make([]csim.Stats, n)
 	for k := range parts {
 		var err error
-		parts[k], stats[k], err = engine.Run(context.Background(), engine.CsimGrid, u, vs,
+		parts[k], stats[k], err = engine.Run(context.Background(), name, u, vs,
 			engine.Options{Shard: k, Of: n, Workers: workers})
 		if err != nil {
-			t.Fatalf("shard %d of %d: %v", k, n, err)
+			t.Fatalf("%s shard %d of %d: %v", name, k, n, err)
 		}
 		if stats[k] != (csim.Stats{}) {
 			nonEmpty++
 		} else if parts[k].NumDet != 0 {
-			t.Errorf("shard %d of %d: no work counted, %d detected", k, n, parts[k].NumDet)
+			t.Errorf("%s shard %d of %d: no work counted, %d detected", name, k, n, parts[k].NumDet)
 		}
 	}
 	return faults.MergeResults(parts...), csim.MergeStats(stats...), nonEmpty
@@ -85,7 +86,7 @@ func TestGridMatchesSingleThreaded(t *testing.T) {
 				tag := fmt.Sprintf("%d faults, %d vectors, K=%d", u.NumFaults(), nv, k)
 				gres, gst := grid(t, u, vs, k, nil)
 				assertSameResult(t, tag+" grid", want, gres)
-				sres, sst, _ := shards(t, u, vs, k, 1)
+				sres, sst, _ := shards(t, engine.CsimGrid, u, vs, k, 1)
 				assertSameResult(t, tag+" shards", want, sres)
 				for _, st := range []csim.Stats{gst, sst} {
 					if st.Evals != ref.Evals || st.Passes != ref.Passes || st.Steps != ref.Steps || st.Detections != want.NumDet {
@@ -99,8 +100,8 @@ func TestGridMatchesSingleThreaded(t *testing.T) {
 
 // TestCompiledGridMatchesSerial: at every K — one worker, several, more
 // than chunks, more than faults — the grid's detections are the
-// oracle's, its counts csim-C's, and the worker count the scheduler's:
-// one per chunk of 256 faults, bounded by the budget.
+// oracle's, its counts csim-C's, and its worker count csim-C's: one per
+// chunk of 256 faults, bounded by the budget.
 func TestCompiledGridMatchesSerial(t *testing.T) {
 	for _, circuit := range []string{"s298", "s1494"} {
 		for _, u := range universes(circuit) {
@@ -115,7 +116,8 @@ func TestCompiledGridMatchesSerial(t *testing.T) {
 				if st.Evals != ref.Evals || st.Scheds != ref.Scheds || st.GoodEvals != ref.GoodEvals || st.Detections != want.NumDet {
 					t.Errorf("%s: stats %+v, csim-C %+v", tag, st, ref)
 				}
-				if ek := engine.Workers(engine.CsimGrid, nf, engine.Options{Workers: k}); ek != compiled.Workers(k, nf) {
+				opt := engine.Options{Workers: k}
+				if ek := engine.Workers(engine.CsimGrid, nf, opt); ek != compiled.Workers(k, nf) || ek != engine.Workers(engine.CsimC, nf, opt) {
 					t.Errorf("%s: %d workers reported", tag, ek)
 				}
 			}
@@ -126,24 +128,27 @@ func TestCompiledGridMatchesSerial(t *testing.T) {
 // TestCompiledShardsMergeToWhole is the distributed-tier contract: every
 // shard k of n run on its own, as remote workers do — n beyond the fault
 // count leaves shards empty, and an empty shard is a no-op — merges to
-// the whole-universe run and hence the oracle. Evaluation counts add up
-// to csim-C's; GoodEvals adds up to one good trace per shard that had
-// faults, because every node computes its own.
+// the whole-universe run and hence the oracle, under either compiled
+// engine's name. Evaluation counts add up to csim-C's; GoodEvals adds up
+// to one good trace per shard that had faults, because every node
+// computes its own.
 func TestCompiledShardsMergeToWhole(t *testing.T) {
 	for _, u := range universes("s298") {
 		for _, nv := range []int{8, 130} {
 			vs := vectors.Random(u.Circuit, nv, 9)
 			want, _ := serial.Simulate(context.Background(), u, vs)
 			ref := csimC(t, u, vs)
-			for _, n := range []int{1, 2, 3, 7, u.NumFaults() + 2} {
-				tag := fmt.Sprintf("s298/%d faults, %d vectors, n=%d", u.NumFaults(), nv, n)
-				got, sum, nonEmpty := shards(t, u, vs, n, 3)
-				assertSameResult(t, tag, want, got)
-				if sum.Evals != ref.Evals || sum.Scheds != ref.Scheds || sum.Detections != want.NumDet {
-					t.Errorf("%s: merged stats %+v, csim-C %+v", tag, sum, ref)
-				}
-				if nonEmpty != min(n, u.NumFaults()) || sum.GoodEvals != nonEmpty*ref.GoodEvals {
-					t.Errorf("%s: GoodEvals %d over %d non-empty shards, one trace is %d", tag, sum.GoodEvals, nonEmpty, ref.GoodEvals)
+			for _, name := range []string{engine.CsimC, engine.CsimGrid} {
+				for _, n := range []int{1, 2, 3, 7, u.NumFaults() + 2} {
+					tag := fmt.Sprintf("s298/%d faults, %d vectors, %s n=%d", u.NumFaults(), nv, name, n)
+					got, sum, nonEmpty := shards(t, name, u, vs, n, 3)
+					assertSameResult(t, tag, want, got)
+					if sum.Evals != ref.Evals || sum.Scheds != ref.Scheds || sum.Detections != want.NumDet {
+						t.Errorf("%s: merged stats %+v, csim-C %+v", tag, sum, ref)
+					}
+					if nonEmpty != min(n, u.NumFaults()) || sum.GoodEvals != nonEmpty*ref.GoodEvals {
+						t.Errorf("%s: GoodEvals %d over %d non-empty shards, one trace is %d", tag, sum.GoodEvals, nonEmpty, ref.GoodEvals)
+					}
 				}
 			}
 		}
@@ -254,9 +259,10 @@ func TestMergeStatsOrderInsensitive(t *testing.T) {
 	}
 }
 
-// TestCompiledGridObserved pins what a grid run records: the scheduler's
-// decision, one shard_start/shard_finish pair per worker whose details
-// start "csim-grid shard <k>: " (benchmark/ parses them) and a merge
+// TestCompiledGridObserved pins what a whole compiled job records, under
+// either name: its worker count as a decide event, one
+// shard_start/shard_finish pair per worker whose details start
+// "<engine> shard <k>: " (benchmark/ parses csim-grid's) and a merge
 // event; a pinned shard records one pair of its own. Neither writes a
 // metric: the counters are the Stats the run returns.
 func TestCompiledGridObserved(t *testing.T) {
@@ -273,41 +279,45 @@ func TestCompiledGridObserved(t *testing.T) {
 	}
 
 	reg := obs.NewRegistry()
-	ob := &obs.Observer{Metrics: reg, Flight: obs.NewFlightRecorder(0)}
-	grid(t, u, vs, 3, ob)
-	events := ob.Flight.Events()
-	simulated := 0
-	for k := 0; k < 3; k++ {
-		prefix := fmt.Sprintf("csim-grid shard %d: ", k)
-		if count(events, "shard_start", prefix) != 1 || count(events, "shard_finish", prefix) != 1 {
-			t.Errorf("worker %d: want one shard_start and one shard_finish %q, have %+v", k, prefix, events)
+	for _, name := range []string{engine.CsimC, engine.CsimGrid} {
+		ob := &obs.Observer{Metrics: reg, Flight: obs.NewFlightRecorder(0)}
+		if _, _, err := engine.Run(context.Background(), name, u, vs, engine.Options{Workers: 3, Obs: ob}); err != nil {
+			t.Fatal(err)
 		}
-		for _, ev := range events {
-			var n, det int
-			if ev.Kind == "shard_finish" && strings.HasPrefix(ev.Detail, prefix) {
-				if _, err := fmt.Sscanf(ev.Detail, prefix+"%d faults, %d detected", &n, &det); err != nil {
-					t.Errorf("shard_finish detail %q: %v", ev.Detail, err)
+		events := ob.Flight.Events()
+		simulated := 0
+		for k := 0; k < 3; k++ {
+			prefix := fmt.Sprintf("%s shard %d: ", name, k)
+			if count(events, "shard_start", prefix) != 1 || count(events, "shard_finish", prefix) != 1 {
+				t.Errorf("worker %d: want one shard_start and one shard_finish %q, have %+v", k, prefix, events)
+			}
+			for _, ev := range events {
+				var n, det int
+				if ev.Kind == "shard_finish" && strings.HasPrefix(ev.Detail, prefix) {
+					if _, err := fmt.Sscanf(ev.Detail, prefix+"%d faults, %d detected", &n, &det); err != nil {
+						t.Errorf("shard_finish detail %q: %v", ev.Detail, err)
+					}
+					simulated += n
 				}
-				simulated += n
 			}
 		}
-	}
-	if simulated != u.NumFaults() {
-		t.Errorf("workers report %d faults simulated, universe has %d", simulated, u.NumFaults())
-	}
-	if count(events, "decide", "plan 3x1 ") != 1 || count(events, "merge", "csim-grid: 3 shards merged") != 1 {
-		t.Errorf("no decide or merge event in %+v", events)
-	}
-	ob = &obs.Observer{Metrics: reg, Flight: obs.NewFlightRecorder(0)}
-	if _, _, err := engine.Run(context.Background(), engine.CsimGrid, u, vs, engine.Options{Shard: 1, Of: 2, Obs: ob}); err != nil {
-		t.Fatal(err)
-	}
-	events = ob.Flight.Events()
-	if count(events, "shard_start", "shard 1 of 2: ") != 1 || count(events, "shard_finish", "shard 1 of 2: ") != 1 || count(events, "decide", "") != 0 {
-		t.Errorf("pinned shard events: %+v", events)
+		if simulated != u.NumFaults() {
+			t.Errorf("%s: workers report %d faults simulated, universe has %d", name, simulated, u.NumFaults())
+		}
+		if count(events, "decide", "plan 3x1 ") != 1 || count(events, "merge", name+": 3 shards merged") != 1 || len(events) != 2*3+2 {
+			t.Errorf("%s: want decide, 3 shard pairs and merge, have %+v", name, events)
+		}
+		ob = &obs.Observer{Metrics: reg, Flight: obs.NewFlightRecorder(0)}
+		if _, _, err := engine.Run(context.Background(), name, u, vs, engine.Options{Shard: 1, Of: 2, Obs: ob}); err != nil {
+			t.Fatal(err)
+		}
+		events = ob.Flight.Events()
+		if count(events, "shard_start", "shard 1 of 2: ") != 1 || count(events, "shard_finish", "shard 1 of 2: ") != 1 || len(events) != 2 {
+			t.Errorf("%s pinned shard events: %+v", name, events)
+		}
 	}
 	if snap := reg.Snapshot(); len(snap) != 0 {
-		t.Errorf("a grid job and a pinned shard published %+v", snap)
+		t.Errorf("whole compiled jobs and pinned shards published %+v", snap)
 	}
 }
 

@@ -1,9 +1,8 @@
-// Package parallel holds the two decisions behind a fault-parallel run:
-// how the universe is dealt into the pinned shards a coordinator fans
-// out to worker nodes (Partition), and how many workers of the compiled
-// kernel a job gets (the scheduler: JobShape, Plan, Decide, Explain,
-// DecideObserved). It starts no goroutine; internal/engine runs the
-// plans.
+// Package parallel deals a fault universe into the pinned shards a
+// coordinator fans out to worker nodes (Partition). How many workers of
+// the compiled kernel a job gets is compiled.Workers; internal/engine
+// runs the shards. Pinned by benchmark/ (it times Partition); the
+// package goes with the `[benchmark]` yardstick refresh.
 package parallel
 
 import (

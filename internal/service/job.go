@@ -63,8 +63,9 @@ type JobSpec struct {
 	// (default), csim-grid, csim-C (compiled bit-parallel; reuses the
 	// circuit's cached compiled program), PROOFS, serial.
 	Engine string `json:"engine,omitempty"`
-	// Workers is the csim-C / csim-grid worker budget (<=0: the server's
-	// EngineWorkers); either runs at most one worker per 256 faults.
+	// Workers is the csim-C / csim-grid processor budget (<=0: the
+	// server's EngineWorkers); either runs at most one worker per 256
+	// faults.
 	Workers int `json:"workers,omitempty"`
 	// Windows is the removed vector-window count: 0 and 1 are accepted
 	// and mean the same thing, more is a 400. Pinned by benchmark/ (its
@@ -84,8 +85,9 @@ type JobSpec struct {
 	// split: the universe is dealt by the deterministic partitioner
 	// (parallel.Partition) into FaultShards groups and only group
 	// FaultShard is simulated. 0 (the default) simulates the whole
-	// universe. Shard specs require engine csim-grid — they are what a
-	// distributed coordinator submits to worker nodes.
+	// universe. Shard specs require a compiled engine, csim-C or
+	// csim-grid — they are what a distributed coordinator submits to
+	// worker nodes.
 	FaultShards int `json:"fault_shards,omitempty"`
 	// FaultShard is the partition index in [0, FaultShards) when
 	// FaultShards > 0.
@@ -147,8 +149,8 @@ func (sp *JobSpec) normalize() error {
 		return fmt.Errorf("fault_shards must be >= 0")
 	}
 	if sp.FaultShards > 0 {
-		if !info.Sharded {
-			return fmt.Errorf("fault-shard specs require engine %s, not %q", engine.CsimGrid, sp.Engine)
+		if info.Kind != "compiled" {
+			return fmt.Errorf("fault-shard specs require engine %s or %s, not %q", engine.CsimC, engine.CsimGrid, sp.Engine)
 		}
 		if sp.FaultShard < 0 || sp.FaultShard >= sp.FaultShards {
 			return fmt.Errorf("fault_shard %d outside [0, %d)", sp.FaultShard, sp.FaultShards)
@@ -326,7 +328,7 @@ func NewResultView(spec *JobSpec, res *faults.Result, patterns, workers int, st 
 		RunNS:    runNS,
 		Stats:    st,
 	}
-	if info, _ := engine.ByName(spec.Engine); info.Sharded {
+	if spec.Engine == engine.CsimGrid {
 		rv.Windows = 1 // pinned by benchmark/ (it reads the plan as workers x windows)
 	}
 	if spec.ReturnDetections {
@@ -365,10 +367,9 @@ type JobView struct {
 // Postmortem is the flight-recorder dump served at
 // GET /api/v1/jobs/{id}/debug: the job's identity and terminal state
 // plus every retained lifecycle event — admission, queueing, cache
-// verdict, the scheduler's decision and why, shard start/finish,
-// merge — oldest first. It is most useful
-// for failed, timed-out or cancelled jobs, but is available for any
-// job still retained.
+// verdict, the worker-count decision, shard start/finish, merge —
+// oldest first. It is most useful for failed, timed-out or cancelled
+// jobs, but is available for any job still retained.
 type Postmortem struct {
 	// JobID is the correlation ID.
 	JobID string `json:"job_id"`
@@ -511,8 +512,11 @@ func (j *job) setRunning(now time.Time, cancel func()) bool {
 	return true
 }
 
-// finish moves the job to a terminal state exactly once.
-func (j *job) finish(status Status, now time.Time, res *ResultView, err string) {
+// finish moves the job to a terminal state exactly once, adds it to
+// counted (nil counts nowhere) and only then wakes the requests held on
+// it, so a client that reads the server's counters after its job's view
+// finds the job counted.
+func (j *job) finish(status Status, now time.Time, res *ResultView, err string, counted *obs.Counter) {
 	j.mu.Lock()
 	if j.status.Terminal() {
 		j.mu.Unlock()
@@ -525,6 +529,7 @@ func (j *job) finish(status Status, now time.Time, res *ResultView, err string) 
 	j.cancelRun = nil
 	j.release()
 	j.mu.Unlock()
+	counted.Inc()
 	close(j.done)
 }
 

@@ -157,11 +157,11 @@ func TestObservabilityDoesNotChangeDetections(t *testing.T) {
 	}
 }
 
-// TestTimedOutJobPostmortemHasDecide forces an auto-planned grid job to
-// time out and checks its /debug postmortem still carries the
-// scheduler's verdict: Decide runs (and is recorded) before the
-// engine's cancellation check, so even a job that never simulates a
-// cycle explains what shape it would have run.
+// TestTimedOutJobPostmortemHasDecide forces a grid job to time out and
+// checks its /debug postmortem still carries its worker count: the
+// decide event is recorded before the engine's cancellation check, so
+// even a job that never simulates a cycle explains what shape it would
+// have run.
 func TestTimedOutJobPostmortemHasDecide(t *testing.T) {
 	_, cl := startServer(t, Config{Workers: 1})
 	ctx := ctxT(t)
@@ -260,7 +260,7 @@ func TestLogLineCarriesCorrelation(t *testing.T) {
 		if rec["msg"] == "job admitted" && rec["job_id"] == "corr-77" && rec["engine"] == "csim-grid" {
 			sawAdmit = true
 		}
-		if rec["msg"] == "sched decide" && rec["job_id"] == "corr-77" && rec["phase"] == "decide" {
+		if rec["msg"] == "decide" && rec["job_id"] == "corr-77" && rec["phase"] == "decide" {
 			sawDecide = true
 		}
 	}

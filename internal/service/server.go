@@ -39,17 +39,16 @@ type Config struct {
 	// held request has its terminal view delivered on the request that
 	// waited for it, so retention is not what a caller's result rides on.
 	Retained int
-	// EngineWorkers is the csim-C worker count and the csim-grid
-	// scheduler's processor budget when a spec leaves Workers at 0, and
-	// the worker bound of every pinned grid shard (default
+	// EngineWorkers is a compiled job's processor budget when its spec
+	// leaves Workers at 0, and the budget of every pinned shard (default
 	// runtime.NumCPU).
 	EngineWorkers int
 	// Obs carries the metric registry /metricsz serves; nil (or a nil
 	// Metrics) runs with a fresh one — metrics are always on. Its other
 	// sinks are not read: each job has its own flight recorder.
 	Obs *obs.Observer
-	// Log is the structured logger; nil takes Obs.Log, and a nil logger
-	// disables service logging at the zero-cost nil fast path.
+	// Log is the structured logger; nil disables service logging at the
+	// zero-cost nil fast path.
 	Log *obs.Logger
 	// Runner substitutes the job execution strategy. Nil runs jobs on
 	// the in-process engines; a distributed coordinator injects itself
@@ -85,10 +84,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Obs.Metrics == nil {
 		c.Obs.Metrics = obs.NewRegistry()
-	}
-	if c.Log == nil {
-		// A logger attached to the Observer bundle works too.
-		c.Log = c.Obs.Log
 	}
 	return c
 }
@@ -446,13 +441,14 @@ func (s *Server) dumpPostmortem(jlog *obs.Logger, j *job) {
 // evicted past the bound.
 func (s *Server) finishJob(j *job, status Status, rv *ResultView, errMsg string) {
 	s.retain(j.id)
-	j.finish(status, time.Now(), rv, errMsg)
-	switch j.currentStatus() {
+	var counted *obs.Counter
+	switch status {
 	case StatusDone:
-		s.mCompleted.Inc()
+		counted = s.mCompleted
 	case StatusFailed:
-		s.mFailed.Inc()
+		counted = s.mFailed
 	}
+	j.finish(status, time.Now(), rv, errMsg, counted)
 }
 
 // retain keeps a job that is turning terminal for lookups and evicts the

@@ -112,7 +112,8 @@ func TestGridJobShapes(t *testing.T) {
 		}
 	}
 
-	// Not pinned: the scheduler plans and the result records it.
+	// Not pinned: the server's EngineWorkers is the budget and the
+	// result records the K it ran.
 	v, err := cl.Run(ctx, JobSpec{Circuit: "s298", Engine: "csim-grid", Random: 40, Seed: 7}, time.Millisecond)
 	if err != nil {
 		t.Fatalf("auto csim-grid: %v", err)
@@ -554,11 +555,11 @@ func (c *pollCtx) Err() error {
 }
 
 // TestCancelStopsCompiledWork checks that cancellation reaches inside a
-// compiled run, whichever engine name led to it — csim-C, the
-// scheduler-planned csim-grid, or the pinned grid shard a coordinator
-// dispatches: a cancelled s5378/rand:256 job returns context.Canceled at
-// its workers' next chunk or block boundary, having done a small part of
-// what an uncancelled one does.
+// compiled run, whichever engine name led to it — csim-C, csim-grid,
+// or the pinned shard a coordinator dispatches: a cancelled
+// s5378/rand:256 job returns context.Canceled at its workers' next chunk
+// or block boundary, having done a small part of what an uncancelled
+// one does.
 func TestCancelStopsCompiledWork(t *testing.T) {
 	const workers = 2
 	for _, spec := range []JobSpec{
@@ -627,7 +628,7 @@ func TestFinishedJobReleasesCompiled(t *testing.T) {
 	if done.compiled() != cc {
 		t.Fatal("a running job does not hold its compiled circuit")
 	}
-	done.finish(StatusDone, now, &ResultView{}, "")
+	done.finish(StatusDone, now, &ResultView{}, "", nil)
 	if done.compiled() != nil {
 		t.Error("a finished job still holds its compiled circuit")
 	}

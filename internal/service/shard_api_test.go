@@ -14,9 +14,10 @@ import (
 
 // TestFaultShardJobsMergeToOracle runs every shard of a K-way split as
 // its own job — exactly the coordinator's dispatch pattern — and checks
-// the merged detections against the serial oracle, on both kernels: 40
-// vectors are interpreted, 80 run compiled, and the job's flight record
-// names the shard and the kernel.
+// the merged detections against the serial oracle, under either compiled
+// engine's name, below and above one 64-vector word; the job's flight
+// record names the shard and the kernel, and only csim-grid results
+// report a vector window.
 func TestFaultShardJobsMergeToOracle(t *testing.T) {
 	_, cl := startServer(t, Config{Workers: 2})
 	ctx := ctxT(t)
@@ -25,12 +26,17 @@ func TestFaultShardJobsMergeToOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, nvec := range []int{40, 80} {
+	for _, tc := range []struct {
+		engine  string
+		nvec    int
+		windows int
+	}{{"csim-grid", 40, 1}, {"csim-grid", 80, 1}, {"csim-C", 80, 0}} {
+		nvec := tc.nvec
 		want := oracle(t, "s344", "stuck", nvec, 7)
 		merged := faults.NewResult(faults.StuckCollapsed(ckt))
 		for shard := 0; shard < k; shard++ {
 			v, err := cl.Run(ctx, JobSpec{
-				Circuit: "s344", Engine: "csim-grid",
+				Circuit: "s344", Engine: tc.engine,
 				FaultShard: shard, FaultShards: k,
 				Random: nvec, Seed: 7, ReturnDetections: true,
 			}, time.Millisecond)
@@ -52,8 +58,8 @@ func TestFaultShardJobsMergeToOracle(t *testing.T) {
 				t.Fatalf("shard %d: payload counts %d/%d disagree with result %d/%d",
 					shard, part.NumDet, part.NumPotOnly(), v.Result.Detected, v.Result.PotOnly)
 			}
-			if v.Result.Workers != k || v.Result.Windows != 1 {
-				t.Errorf("shard %d: shape %dx%d, want %dx1", shard, v.Result.Workers, v.Result.Windows, k)
+			if v.Result.Workers != k || v.Result.Windows != tc.windows {
+				t.Errorf("%s shard %d: shape %dx%d, want %dx%d", tc.engine, shard, v.Result.Workers, v.Result.Windows, k, tc.windows)
 			}
 			merged = faults.MergeResults(merged, part)
 
@@ -74,13 +80,13 @@ func TestFaultShardJobsMergeToOracle(t *testing.T) {
 			}
 		}
 		if diff := want.Diff(merged); diff != "" {
-			t.Errorf("%d vectors: merged shard jobs differ from serial oracle:\n%s", nvec, diff)
+			t.Errorf("%s, %d vectors: merged shard jobs differ from serial oracle:\n%s", tc.engine, nvec, diff)
 		}
 	}
 }
 
 // TestFaultShardSpecValidation rejects malformed shard coordinates and
-// shard requests on non-grid engines.
+// shard requests on engines that are not compiled.
 func TestFaultShardSpecValidation(t *testing.T) {
 	_, cl := startServer(t, Config{Workers: 1})
 	ctx := ctxT(t)
