@@ -1,9 +1,10 @@
 // Differential fuzzing: one seed derives an entire scenario — circuit
 // shape, fault model, fault sample, vector count, and the parallel shard
 // shapes — and every engine must agree with the serial oracle on it.
-// FuzzDifferential seeds the native fuzzer with a fixed corpus, which
-// every `go test` run replays (-short and -race included), so `go test
-// -fuzz=FuzzDifferential` searches beyond it for disagreeing seeds.
+// TestFuzzDifferentialCorpus replays a fixed corpus by name, one subtest
+// per seed; FuzzDifferential hands the same case runner and seeds to the
+// native fuzzer so `go test -fuzz=FuzzDifferential` can search beyond
+// them for disagreeing seeds.
 package integration
 
 import (
@@ -121,11 +122,26 @@ func fuzzCase(t *testing.T, seed int64) {
 	compare(t, tag+"/csim-C", oracle, res)
 }
 
-// fuzzCorpus is the fixed corpus FuzzDifferential seeds its search
-// from, and every test run replays.
+// fuzzCorpus is the fixed replayed corpus; FuzzDifferential seeds its
+// search from the same values.
 var fuzzCorpus = []int64{
 	1, 2, 3, 17, 42, 99, 1234, 5678, 90210, 424242,
 	7_000_003, 123_456_789,
+}
+
+// TestFuzzDifferentialCorpus replays the fixed corpus (a prefix of it in
+// -short mode), each seed under its own subtest name.
+func TestFuzzDifferentialCorpus(t *testing.T) {
+	corpus := fuzzCorpus
+	if testing.Short() {
+		corpus = corpus[:4]
+	}
+	for _, seed := range corpus {
+		seed := seed
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			fuzzCase(t, seed)
+		})
+	}
 }
 
 // FuzzDifferential is the native fuzz target: any seed the fuzzer
