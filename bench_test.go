@@ -155,8 +155,7 @@ func BenchmarkTable6(b *testing.B) {
 // observer every probe sits on the nil fast path, so it must cost the
 // same as the engine did before the layer existed (the obs package's own
 // alloc tests prove the per-op cost is 0 allocs). The observed case
-// bounds what phase tracing + fault-lifecycle recording adds when
-// switched on.
+// bounds what fault-lifecycle recording adds when switched on.
 func BenchmarkCsimMV(b *testing.B) {
 	u, vs := deterministic(b, "s1238")
 	b.Run("disabled", func(b *testing.B) {
@@ -165,10 +164,7 @@ func BenchmarkCsimMV(b *testing.B) {
 	b.Run("observed", func(b *testing.B) {
 		var last harness.Measurement
 		for i := 0; i < b.N; i++ {
-			ob := &obs.Observer{
-				Tracer: obs.NewTracer(),
-				Faults: obs.NewFaultLog(u.NumFaults(), nil, 0),
-			}
+			ob := &obs.Observer{Faults: obs.NewFaultLog(u.NumFaults(), nil, 0)}
 			m, err := harness.Run(engine.CsimMV, u, vs, 0, ob)
 			if err != nil {
 				b.Fatal(err)

@@ -15,22 +15,24 @@
 // name), the PROOFS baseline, or the serial oracle.
 //
 // The run's non-zero work counters print on one "stats:" line.
-// Observability (see OBSERVABILITY.md): -trace-out writes a
-// chrome://tracing phase trace, and -trace-faults records per-fault
-// lifecycle events.
+// Observability (see OBSERVABILITY.md): -trace-out writes the run's
+// flight record — parse, collapse, the compiled engines' decide, shard
+// and merge events, and finish, in the JSON shape csimd's /debug serves
+// — and -trace-faults records per-fault lifecycle events.
 package main
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"reflect"
 	"runtime"
 	"slices"
 	"strconv"
 	"strings"
+	"time"
 
 	"repro/internal/csim"
 	"repro/internal/engine"
@@ -58,8 +60,7 @@ func main() {
 		check       = flag.Bool("check", false, "verify netlist/fault-list/macro-plan invariants and exit without simulating")
 		verbose     = flag.Bool("v", false, "list undetected faults")
 
-		traceOut    = flag.String("trace-out", "", "write a chrome://tracing phase trace (JSON) to this file")
-		traceAlloc  = flag.Bool("trace-alloc", false, "sample allocation deltas at phase boundaries (with -trace-out)")
+		traceOut    = flag.String("trace-out", "", "write the run's flight record (JSON) to this file")
 		traceFaults = flag.String("trace-faults", "", "record fault lifecycle events: 'all', fault IDs (3,17), or fault-name substrings")
 	)
 	flag.Parse()
@@ -71,22 +72,20 @@ func main() {
 		os.Exit(2)
 	}
 
-	// Any observability flag switches the layer on; without them every
+	// Each observability flag switches its sink on; without them every
 	// probe stays on the nil fast path.
-	var ob *obs.Observer
-	var tr *obs.Tracer
-	if *traceOut != "" || *traceFaults != "" {
-		tr = obs.NewTracer()
-		tr.AllocDeltas = *traceAlloc
-		ob = &obs.Observer{Tracer: tr}
+	var rec *obs.FlightRecorder
+	if *traceOut != "" {
+		rec = obs.NewFlightRecorder(0)
 	}
+	ob := &obs.Observer{Flight: rec}
 
-	sp := ob.Span("parse")
+	start := time.Now()
 	c, err := loadCircuit(*circuitFile, *suite)
-	sp.End()
 	if err != nil {
 		fatal(err)
 	}
+	rec.Recordf("parse", "%s: %d gates in %s", c.Name, len(c.Gates), time.Since(start).Round(time.Microsecond))
 	// Every loaded circuit passes the structural verifier: malformed input
 	// dies here with a diagnostic instead of panicking inside an engine.
 	if err := netcheck.AsError(netcheck.Check(c)); err != nil {
@@ -103,12 +102,11 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	sp = ob.Span("collapse")
 	u, err := a.Universe(*model)
-	sp.End()
 	if err != nil {
 		fatal(err)
 	}
+	rec.Recordf("collapse", "%d %s faults", u.NumFaults(), *model)
 
 	var flog *obs.FaultLog
 	if *traceFaults != "" {
@@ -127,6 +125,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	rec.Recordf("finish", "done: %d/%d detected, cpu %s", m.Detected, m.Faults, m.CPU.Round(time.Microsecond))
 
 	st := c.Stats()
 	fmt.Printf("circuit:   %s (%d PI, %d PO, %d FF, %d gates)\n",
@@ -151,11 +150,11 @@ func main() {
 	if flog != nil {
 		printFaultEvents(flog, u, c)
 	}
-	if *traceOut != "" {
-		if err := writeTo(*traceOut, tr.WriteChrome); err != nil {
+	if rec != nil {
+		if err := writeFlight(*traceOut, rec); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("trace:     wrote %s (load in chrome://tracing or Perfetto)\n", *traceOut)
+		fmt.Printf("trace:     wrote %s (%d flight events)\n", *traceOut, len(rec.Events()))
 	}
 
 	if *verbose {
@@ -248,17 +247,17 @@ func statsLine(st csim.Stats) string {
 	return strings.Join(pairs, " ")
 }
 
-// writeTo creates path and streams write into it.
-func writeTo(path string, write func(w io.Writer) error) error {
-	f, err := os.Create(path)
+// writeFlight writes the run's flight record to path in the shape
+// csimd's /debug serves: {"events": [...], "dropped_events": N}.
+func writeFlight(path string, rec *obs.FlightRecorder) error {
+	b, err := json.MarshalIndent(struct {
+		Events        []obs.FlightEvent `json:"events"`
+		DroppedEvents int64             `json:"dropped_events"`
+	}{rec.Events(), rec.Dropped()}, "", "  ")
 	if err != nil {
 		return err
 	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return os.WriteFile(path, append(b, '\n'), 0o644)
 }
 
 // runCheck is the -check mode: beyond the structural circuit checks

@@ -1,17 +1,20 @@
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/compiled"
 	"repro/internal/engine"
+	"repro/internal/obs"
 )
 
 // TestMain lets a test run this binary as the csim command.
@@ -84,6 +87,77 @@ func TestCheckMode(t *testing.T) {
 	var ee *exec.ExitError
 	if !errors.As(err, &ee) || ee.ExitCode() != 1 || !strings.Contains(string(out), `combinational cycle through gate "x"`) {
 		t.Errorf("-check on a combinational loop: %v, want exit status 1 and the cycle diagnostic:\n%s", err, out)
+	}
+}
+
+// TestTraceOutWritesFlightRecord: -trace-out writes the run's flight
+// record as csimd's /debug serves a job's — parse and collapse, then for
+// a compiled run the engine's decide, one shard_start/shard_finish pair
+// per worker and merge, and finish last.
+func TestTraceOutWritesFlightRecord(t *testing.T) {
+	const workers = 2
+	flight := func(t *testing.T, args ...string) []obs.FlightEvent {
+		t.Helper()
+		path := filepath.Join(t.TempDir(), "flight.json")
+		out, err := runCsim(append([]string{"-suite", "s1494", "-random", "64", "-trace-out", path}, args...)...)
+		if err != nil {
+			t.Fatalf("%v: %v\n%s", args, err, out)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			Events  []obs.FlightEvent `json:"events"`
+			Dropped *int64            `json:"dropped_events"`
+		}
+		if err := json.Unmarshal(b, &doc); err != nil || doc.Dropped == nil || *doc.Dropped != 0 {
+			t.Fatalf("%v: flight record %v, dropped_events %v:\n%s", args, err, doc.Dropped, b)
+		}
+		return doc.Events
+	}
+	kinds := func(evs []obs.FlightEvent) []string {
+		var ks []string
+		for _, ev := range evs {
+			ks = append(ks, ev.Kind)
+		}
+		return ks
+	}
+
+	evs := flight(t, "-engine", "csim-C", "-workers", fmt.Sprint(workers))
+	if n := 5 + 2*workers; len(evs) != n {
+		t.Fatalf("csim-C: %d events %v, want %d", len(evs), kinds(evs), n)
+	}
+	head, shards, tail := evs[:3], evs[3:3+2*workers], evs[3+2*workers:]
+	if got := kinds(head); !slices.Equal(got, []string{"parse", "collapse", "decide"}) {
+		t.Errorf("csim-C: first events %v, want parse collapse decide", got)
+	}
+	if want := fmt.Sprintf("plan %dx1 ", workers); !strings.HasPrefix(head[2].Detail, want) {
+		t.Errorf("csim-C: decide %q lacks prefix %q", head[2].Detail, want)
+	}
+	started := map[int]bool{}
+	finished := map[int]bool{}
+	for _, ev := range shards {
+		var i int
+		if _, err := fmt.Sscanf(ev.Detail, "csim-C shard %d: ", &i); err != nil || i < 0 || i >= workers {
+			t.Errorf("csim-C: %s detail %q is not csim-C shard <i>: for a worker", ev.Kind, ev.Detail)
+			continue
+		}
+		switch {
+		case ev.Kind == "shard_start" && !started[i]:
+			started[i] = true
+		case ev.Kind == "shard_finish" && started[i] && !finished[i]:
+			finished[i] = true
+		default:
+			t.Errorf("csim-C: %s of shard %d out of turn in %v", ev.Kind, i, kinds(shards))
+		}
+	}
+	if got := kinds(tail); !slices.Equal(got, []string{"merge", "finish"}) {
+		t.Errorf("csim-C: last events %v, want merge finish", got)
+	}
+
+	if got := kinds(flight(t, "-engine", "csim-MV")); !slices.Equal(got, []string{"parse", "collapse", "finish"}) {
+		t.Errorf("csim-MV: events %v, want parse collapse finish", got)
 	}
 }
 

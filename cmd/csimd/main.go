@@ -67,9 +67,9 @@ func main() {
 	)
 	flag.Parse()
 
-	// Metrics are always on — the service exists to serve them. No
-	// tracer: its span list only grows, and each job's flight recorder
-	// is the timeline a long-lived server keeps.
+	// Metrics are always on — the service exists to serve them. A job's
+	// timeline is its own flight recorder, which the server makes at
+	// admission.
 	ob := &obs.Observer{Metrics: obs.NewRegistry()}
 
 	lg, err := buildLogger(*logFormat, *logLevel)

@@ -96,7 +96,7 @@ type (
 
 // Observability types (see OBSERVABILITY.md).
 type (
-	// Observer bundles the observability layer: a phase tracer and a
+	// Observer bundles the observability layer: a flight recorder and a
 	// fault-lifecycle log for a run, a metric registry for a server or a
 	// coordinator, any of which may be nil. A nil *Observer disables
 	// observation entirely at zero per-event cost.
@@ -203,13 +203,13 @@ func PlanGrid(sh JobShape) GridPlan {
 	return GridPlan{FaultShards: compiled.Workers(sh.MaxProcs, sh.Faults)}
 }
 
-// NewObserver builds a fully enabled observability bundle: a fresh
-// metric registry and a phase tracer. Engines write no metrics — a run's
-// counters are its SimStats — so the registry is for a service or a
-// coordinator the bundle is handed to. Attach a fault log by setting the
-// Faults field; attach the bundle through Config.Obs or GridConfig.Obs.
+// NewObserver builds an observability bundle holding a fresh metric
+// registry. Engines write no metrics — a run's counters are its
+// SimStats — so the registry is for a service or a coordinator the
+// bundle is handed to. Attach a fault log by setting the Faults field;
+// attach the bundle through Config.Obs or GridConfig.Obs.
 func NewObserver() *Observer {
-	return &obs.Observer{Metrics: obs.NewRegistry(), Tracer: obs.NewTracer()}
+	return &obs.Observer{Metrics: obs.NewRegistry()}
 }
 
 // NewFaultLog builds a fault-lifecycle event log for a universe of

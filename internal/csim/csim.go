@@ -62,7 +62,7 @@ type Config struct {
 	// extraction returns, so sharing one Plan across jobs is race-free by
 	// construction.
 	Plan *macro.Plan
-	// Obs attaches the observability layer: the phase tracer and the
+	// Obs attaches the observability layer; the simulator reads its
 	// fault-lifecycle event log (see internal/obs and OBSERVABILITY.md).
 	// The simulator writes no metrics; its counters are Stats. Nil — the
 	// default — disables observability entirely; the hot paths then take
@@ -160,10 +160,8 @@ func New(u *faults.Universe, cfg Config) (*Simulator, error) {
 	c := u.Circuit
 	plan := cfg.Plan
 	if plan == nil {
-		sp := cfg.Obs.Span("macro-extract")
 		var err error
 		plan, err = NewPlan(c, cfg)
-		sp.End()
 		if err != nil {
 			return nil, err
 		}

@@ -2,7 +2,6 @@ package csim
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/faults"
@@ -43,17 +42,16 @@ func TestMergeStatsCoversEveryField(t *testing.T) {
 
 // TestObservedRunMatchesStats runs s27 with the full observability layer
 // attached and checks (a) the simulator wrote nothing into the registry
-// — its counters are Stats — (b) the macro-extract phase span was
-// recorded, and (c) the fault lifecycle log saw the whole arc —
-// injection through detection and drop — for a detected fault.
+// — its counters are Stats — and (b) the fault lifecycle log saw the
+// whole arc — injection through detection and drop — for a detected
+// fault.
 func TestObservedRunMatchesStats(t *testing.T) {
 	c := mustParse(t, "s27", s27Bench)
 	u := faults.StuckCollapsed(c)
 	reg := obs.NewRegistry()
-	tr := obs.NewTracer()
 	flog := obs.NewFaultLog(len(u.Faults), nil, 0)
 	cfg := MV()
-	cfg.Obs = &obs.Observer{Metrics: reg, Tracer: tr, Faults: flog}
+	cfg.Obs = &obs.Observer{Metrics: reg, Faults: flog}
 
 	sim, err := New(u, cfg)
 	if err != nil {
@@ -66,15 +64,6 @@ func TestObservedRunMatchesStats(t *testing.T) {
 
 	if snap := reg.Snapshot(); len(snap) != 0 {
 		t.Errorf("the simulator published %d metrics: %+v", len(snap), snap)
-	}
-
-	// Phase spans: macro extraction inside New.
-	var trace strings.Builder
-	if err := tr.WriteChrome(&trace); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(trace.String(), `"name": "macro-extract"`) {
-		t.Fatalf("macro-extract span missing:\n%s", trace.String())
 	}
 
 	// Fault lifecycle: pick a detected fault and demand its full arc.
@@ -120,7 +109,6 @@ func TestObservedRunIsBitIdentical(t *testing.T) {
 		cfg := MV()
 		cfg.Obs = &obs.Observer{
 			Metrics: obs.NewRegistry(),
-			Tracer:  obs.NewTracer(),
 			Faults:  obs.NewFaultLog(len(u.Faults), nil, 0),
 		}
 		observed, err := New(u, cfg)

@@ -330,11 +330,17 @@ func TestWorkerKillMidJobRequeues(t *testing.T) {
 // the merged stats say what ran: csim-C's evaluation counts, and one
 // good trace per worker, since each computes its own.
 func TestFleetShardsAreCompiled(t *testing.T) {
-	cl, _, _ := startCluster(t, 2, nil)
-	ctx := ctxT(t)
+	// The references run before the deadline starts: under -race they
+	// take most of the test's time, and ctxT bounds the fleet jobs.
+	type cell struct {
+		circuit, model string
+		u              *faults.Universe
+		want           *faults.Result
+		one            csim.Stats
+	}
+	var cells []cell
 	for _, circuit := range []string{"s298", "s1494", "s5378"} {
 		for _, model := range []string{"stuck", "transition"} {
-			tag := circuit + "/" + model
 			ckt, err := iscas.Get(circuit)
 			if err != nil {
 				t.Fatal(err)
@@ -359,41 +365,48 @@ func TestFleetShardsAreCompiled(t *testing.T) {
 				t.Fatal(err)
 			}
 			ref.Run(vs)
+			cells = append(cells, cell{circuit, model, u, want, ref.Stats()})
+		}
+	}
 
-			v, err := cl.Run(ctx, service.JobSpec{
-				Circuit: circuit, Model: model, Engine: "csim-grid",
-				Random: 64, Seed: 11, ReturnDetections: true,
-			}, 2*time.Millisecond)
-			if err != nil || v.Status != service.StatusDone || v.Result == nil {
-				t.Fatalf("%s: %v / %+v", tag, err, v)
+	cl, _, _ := startCluster(t, 2, nil)
+	ctx := ctxT(t)
+	for _, c := range cells {
+		circuit, model, u, want := c.circuit, c.model, c.u, c.want
+		tag := circuit + "/" + model
+		v, err := cl.Run(ctx, service.JobSpec{
+			Circuit: circuit, Model: model, Engine: "csim-grid",
+			Random: 64, Seed: 11, ReturnDetections: true,
+		}, 2*time.Millisecond)
+		if err != nil || v.Status != service.StatusDone || v.Result == nil {
+			t.Fatalf("%s: %v / %+v", tag, err, v)
+		}
+		// Four dispatch slots; every circuit here has more than one
+		// chunk of 256 faults.
+		k := compiled.Workers(4, u.NumFaults())
+		if v.Result.Workers != k || v.Result.Windows != 1 {
+			t.Errorf("%s: shape %dx%d, want %dx1", tag, v.Result.Workers, v.Result.Windows, k)
+		}
+		got, err := v.Result.Detections.Result(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if diff := want.Diff(got); diff != "" {
+			t.Errorf("%s: distributed result differs from the oracle:\n%s", tag, diff)
+		}
+		for i := range want.DetectedAt {
+			if want.DetectedAt[i] != got.DetectedAt[i] || want.PotDetected[i] != got.PotDetected[i] {
+				t.Errorf("%s: fault %d detected at %d (potential %t), oracle %d (%t)", tag, i,
+					got.DetectedAt[i], got.PotDetected[i], want.DetectedAt[i], want.PotDetected[i])
+				break
 			}
-			// Four dispatch slots; every circuit here has more than one
-			// chunk of 256 faults.
-			k := compiled.Workers(4, u.NumFaults())
-			if v.Result.Workers != k || v.Result.Windows != 1 {
-				t.Errorf("%s: shape %dx%d, want %dx1", tag, v.Result.Workers, v.Result.Windows, k)
-			}
-			got, err := v.Result.Detections.Result(u)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if diff := want.Diff(got); diff != "" {
-				t.Errorf("%s: distributed result differs from the oracle:\n%s", tag, diff)
-			}
-			for i := range want.DetectedAt {
-				if want.DetectedAt[i] != got.DetectedAt[i] || want.PotDetected[i] != got.PotDetected[i] {
-					t.Errorf("%s: fault %d detected at %d (potential %t), oracle %d (%t)", tag, i,
-						got.DetectedAt[i], got.PotDetected[i], want.DetectedAt[i], want.PotDetected[i])
-					break
-				}
-			}
-			st, one := v.Result.Stats, ref.Stats()
-			if st.Evals != one.Evals || st.Scheds != one.Scheds || st.Detections != want.NumDet {
-				t.Errorf("%s: merged stats %+v, csim-C %+v", tag, st, one)
-			}
-			if st.GoodEvals != k*one.GoodEvals {
-				t.Errorf("%s: merged GoodEvals %d, want %d shards x one trace of %d", tag, st.GoodEvals, k, one.GoodEvals)
-			}
+		}
+		st, one := v.Result.Stats, c.one
+		if st.Evals != one.Evals || st.Scheds != one.Scheds || st.Detections != want.NumDet {
+			t.Errorf("%s: merged stats %+v, csim-C %+v", tag, st, one)
+		}
+		if st.GoodEvals != k*one.GoodEvals {
+			t.Errorf("%s: merged GoodEvals %d, want %d shards x one trace of %d", tag, st.GoodEvals, k, one.GoodEvals)
 		}
 	}
 	// A csim-C job is the same fleet job; only the grid reports a window.
@@ -401,7 +414,7 @@ func TestFleetShardsAreCompiled(t *testing.T) {
 	if err != nil || v.Status != service.StatusDone || v.Result == nil {
 		t.Fatalf("csim-C: %v / %+v", err, v)
 	}
-	want, _ := serial.Simulate(context.Background(), faults.StuckCollapsed(iscas.MustGet("s298")), vectors.Random(iscas.MustGet("s298"), 64, 11))
+	want := cells[0].want // s298/stuck, serial
 	if v.Result.Detected != want.NumDet || v.Result.PotOnly != want.NumPotOnly() || v.Result.Workers != 2 || v.Result.Windows != 0 {
 		t.Errorf("csim-C through the fleet: %+v, oracle %d/%d", v.Result, want.NumDet, want.NumPotOnly())
 	}

@@ -34,9 +34,10 @@ type Options struct {
 	// prepares a set for this run alone. A set over another circuit is an
 	// error.
 	Artifacts *Artifacts
-	// Obs attaches the observability layer — spans, fault events,
-	// flight events and log records; nil disables it. A run writes no
-	// metrics: its counters are the Stats Run returns.
+	// Obs attaches the observability layer — flight events (decide,
+	// shard_start/shard_finish, merge), fault events and the decide log
+	// record; nil disables it. A run writes no metrics: its counters are
+	// the Stats Run returns.
 	Obs *obs.Observer
 }
 
@@ -106,19 +107,14 @@ func Run(ctx context.Context, name string, u *faults.Universe, vs *vectors.Set, 
 	case CsimC, CsimGrid:
 		return runCompiled(ctx, name, prog, u, vs, opt)
 	case Serial:
-		sp := ob.Span("fault-sim")
 		res, err := serial.Simulate(ctx, u, vs)
-		sp.End()
 		return res, csim.Stats{}, err
 	case PROOFS:
 		sim, err := proofs.New(u)
 		if err != nil {
 			return nil, csim.Stats{}, err
 		}
-		sp := ob.Span("fault-sim")
-		err = cycles(ctx, vs, sim.Cycle)
-		sp.End()
-		if err != nil {
+		if err := cycles(ctx, vs, sim.Cycle); err != nil {
 			return nil, csim.Stats{}, err
 		}
 		return sim.Result(), csim.Stats{MemBytes: sim.Stats().MemBytes}, nil
@@ -130,10 +126,7 @@ func Run(ctx context.Context, name string, u *faults.Universe, vs *vectors.Set, 
 	if err != nil {
 		return nil, csim.Stats{}, err
 	}
-	sp := ob.Span("fault-sim")
-	err = cycles(ctx, vs, sim.Cycle)
-	sp.End()
-	if err != nil {
+	if err := cycles(ctx, vs, sim.Cycle); err != nil {
 		return nil, csim.Stats{}, err
 	}
 	return sim.Result(), sim.Stats(), nil
@@ -152,24 +145,21 @@ func cycles(ctx context.Context, vs *vectors.Set, cycle func(vec []logic.V)) err
 }
 
 // runCompiled is the compiled engines' one path: fault IDs on the
-// workers of one compiled run, inside a "fault-sim" span. A whole job
-// runs the universe on compiled.Workers(opt.Workers, faults) workers
-// and records one shard_start/shard_finish pair per worker and a merge
-// event, each detail starting with the engine's name. A pinned shard
+// workers of one compiled run. A whole job runs the universe on
+// compiled.Workers(opt.Workers, faults) workers and records one
+// shard_start/shard_finish pair per worker and a merge event, each
+// detail starting with the engine's name. A pinned shard
 // runs its slice of the partition on its own budget and records one
 // pair for the shard; every shard computes its own packed trace, so
 // merged shard stats count one trace per non-empty shard in GoodEvals.
 // The "csim-grid shard %d" detail prefix is pinned by benchmark/ and
 // goes with the `[benchmark]` yardstick refresh.
 func runCompiled(ctx context.Context, name string, p *compiled.Program, u *faults.Universe, vs *vectors.Set, opt Options) (*faults.Result, csim.Stats, error) {
-	ob := opt.Obs
-	rec, log := ob.Recorder(), ob.Logger()
+	rec := opt.Obs.Recorder()
 	ids, workers := u.IDs(), compiled.Workers(opt.Workers, u.NumFaults())
 	var watch compiled.WorkerFunc
 	if opt.Of > 0 {
-		psp := ob.Span("partition")
 		ids = parallel.Partition(u, opt.Of)[opt.Shard]
-		psp.End()
 		if len(ids) == 0 {
 			// More shards than faults: this one holds nothing, and an
 			// empty result merges as a no-op.
@@ -177,25 +167,13 @@ func runCompiled(ctx context.Context, name string, p *compiled.Program, u *fault
 		}
 		workers = compiled.Workers(opt.Workers, len(ids))
 		rec.Recordf("shard_start", "shard %d of %d: %d faults on %d compiled workers", opt.Shard, opt.Of, len(ids), workers)
-		log.Debug("shard start",
-			slog.String("phase", "fault-sim"),
-			slog.Int("shard", opt.Shard),
-			slog.Int("of", opt.Of),
-			slog.Int("faults", len(ids)),
-			slog.Int("workers", workers))
 	} else {
 		watch = func(i int, done bool, simulated, detected int) {
 			if !done {
 				rec.Recordf("shard_start", "%s shard %d: compiled worker pulling chunks of %d faults", name, i, len(ids))
-				log.Debug("shard start", slog.String("phase", "fault-sim"), slog.Int("shard", i))
 				return
 			}
 			rec.Recordf("shard_finish", "%s shard %d: %d faults, %d detected", name, i, simulated, detected)
-			log.Debug("shard finish",
-				slog.String("phase", "fault-sim"),
-				slog.Int("shard", i),
-				slog.Int("faults", simulated),
-				slog.Int("detected", detected))
 		}
 	}
 
@@ -203,25 +181,15 @@ func runCompiled(ctx context.Context, name string, p *compiled.Program, u *fault
 	if err != nil {
 		return nil, csim.Stats{}, err
 	}
-	sp := ob.Span("fault-sim")
 	res, err := sim.RunFaults(ctx, vs, ids, workers, watch)
-	sp.End()
 	if err != nil {
 		return nil, csim.Stats{}, err
 	}
 
 	if opt.Of > 0 {
 		rec.Recordf("shard_finish", "shard %d of %d: %d detected", opt.Shard, opt.Of, res.NumDet)
-		log.Debug("shard finish",
-			slog.String("phase", "fault-sim"),
-			slog.Int("shard", opt.Shard),
-			slog.Int("detected", res.NumDet))
 	} else {
 		rec.Recordf("merge", "%s: %d shards merged, %d detected", name, workers, res.NumDet)
-		log.Debug("merge",
-			slog.String("phase", "merge"),
-			slog.Int("fault_shards", workers),
-			slog.Int("detected", res.NumDet))
 	}
 	return res, sim.Stats(), nil
 }

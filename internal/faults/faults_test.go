@@ -265,10 +265,6 @@ func TestResult(t *testing.T) {
 	if r.NumDet != 1 {
 		t.Errorf("NumDet = %d", r.NumDet)
 	}
-	set := r.DetectedSet()
-	if len(set) != 1 || set[0] != 3 {
-		t.Errorf("DetectedSet = %v", set)
-	}
 	r2 := NewResult(u)
 	if d := r.Diff(r2); d == "" {
 		t.Error("Diff of differing results is empty")

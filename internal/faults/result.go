@@ -66,17 +66,6 @@ func (r *Result) Coverage() float64 {
 	return float64(r.NumDet) / float64(len(r.Detected))
 }
 
-// DetectedSet returns the sorted IDs of detected faults.
-func (r *Result) DetectedSet() []int32 {
-	out := make([]int32, 0, r.NumDet)
-	for i, d := range r.Detected {
-		if d {
-			out = append(out, int32(i))
-		}
-	}
-	return out
-}
-
 // MergeResults combines per-partition results over the same universe into
 // a single result. Detections and potential detections are unioned; if
 // several parts detected the same fault, the smallest detecting vector

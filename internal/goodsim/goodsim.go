@@ -135,23 +135,14 @@ func (s *Sim) Clock() {
 	}
 }
 
-// Outputs copies the current primary-output values into dst (allocating if
-// nil) and returns it.
-func (s *Sim) Outputs(dst []logic.V) []logic.V {
-	if dst == nil {
-		dst = make([]logic.V, len(s.c.POs))
-	}
-	for i, po := range s.c.POs {
-		dst[i] = s.val[po]
-	}
-	return dst
-}
-
 // Cycle runs one full clock cycle: apply vec, settle, capture the POs,
 // then clock the flip-flops. It returns the sampled PO values.
 func (s *Sim) Cycle(vec []logic.V) []logic.V {
 	s.Apply(vec)
-	out := s.Outputs(nil)
+	out := make([]logic.V, len(s.c.POs))
+	for i, po := range s.c.POs {
+		out[i] = s.val[po]
+	}
 	s.Clock()
 	return out
 }

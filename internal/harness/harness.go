@@ -70,8 +70,9 @@ func Artifacts(c *netlist.Circuit) *engine.Artifacts {
 // Run measures one engine over a universe and test set: it builds what
 // the engine reads in the circuit's artifact set, then times engine.Run
 // on that set. workers is the compiled kernel's processor budget
-// (engine.Options.Workers; other engines ignore it). ob may be nil; with
-// one, the simulation runs inside a "fault-sim" span.
+// (engine.Options.Workers; other engines ignore it). ob may be nil; its
+// flight recorder, when set, receives the engine's events (a compiled
+// run's decide, shard and merge).
 func Run(name string, u *faults.Universe, vs *vectors.Set, workers int, ob *obs.Observer) (Measurement, error) {
 	m := Measurement{
 		Engine:   name,

@@ -1,6 +1,6 @@
 // Package jobid is the shared job-identifier discipline of the service
 // tiers: the single-node server (internal/service) and the distributed
-// coordinator (internal/dist) mint, validate and order job IDs through
+// coordinator (internal/dist) mint and validate job IDs through
 // one set of rules, so an ID accepted at one tier is accepted at every
 // tier. An ID is 1–128 characters, starts with an alphanumeric, and
 // continues with alphanumerics plus '.', '_' and '-' (never '/', which
@@ -41,16 +41,6 @@ func Valid(id string) bool {
 
 // Sequential spells the server-minted ID for a sequence number: "j<seq>".
 func Sequential(seq int64) string { return fmt.Sprintf("j%d", seq) }
-
-// Less orders IDs for listings: shorter first, then lexicographic — so
-// "j<seq>" IDs sort numerically (j2 < j10) and mixed client-supplied
-// IDs still get a total deterministic order.
-func Less(a, b string) bool {
-	if len(a) != len(b) {
-		return len(a) < len(b)
-	}
-	return a < b
-}
 
 // Shard mints the coordinator's ID for shard k of n of a parent job:
 // "<parent>.s<k>of<n>.<hash>", where hash is the shard's idempotency

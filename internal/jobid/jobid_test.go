@@ -40,18 +40,6 @@ func TestSequential(t *testing.T) {
 	}
 }
 
-func TestLessOrdersNumerically(t *testing.T) {
-	if !Less("j2", "j10") {
-		t.Error("j2 should sort before j10")
-	}
-	if Less("j10", "j2") {
-		t.Error("j10 should not sort before j2")
-	}
-	if !Less("a", "b") || Less("b", "a") {
-		t.Error("equal-length IDs sort lexicographically")
-	}
-}
-
 func TestShard(t *testing.T) {
 	id := Shard("j42", 3, 8, "deadbeef0123")
 	if id != "j42.s3of8.deadbeef0123" {

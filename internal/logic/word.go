@@ -27,17 +27,6 @@ func (w Word) Out() V { return V(w>>outShift) & VMask }
 // In extracts input pin i's value.
 func (w Word) In(pin int) V { return V(w>>inShift(pin)) & VMask }
 
-// WithOut returns w with the output field replaced by v.
-func (w Word) WithOut(v V) Word {
-	return (w &^ (VMask << outShift)) | Word(v)<<outShift
-}
-
-// WithIn returns w with input pin i replaced by v.
-func (w Word) WithIn(pin int, v V) Word {
-	s := inShift(pin)
-	return (w &^ (VMask << s)) | Word(v)<<s
-}
-
 // InputBits returns only the input-pin fields of w (output field zeroed),
 // for comparing faulty inputs against good inputs.
 func (w Word) InputBits() Word { return w &^ (VMask << outShift) }
@@ -53,47 +42,6 @@ func PackWord(in []V, out V) Word {
 		w |= Word(v.Norm()) << inShift(i)
 	}
 	return w
-}
-
-// Inputs unpacks the first n input pins of w.
-func (w Word) Inputs(n int) []V {
-	in := make([]V, n)
-	for i := range in {
-		in[i] = w.In(i).Norm()
-	}
-	return in
-}
-
-// EvalWordOut evaluates op over the first n input pins of w.
-func EvalWordOut(op Op, n int, w Word) V {
-	switch op {
-	case OpNot:
-		return w.In(0).Not()
-	case OpBuf, OpOutput, OpDFF, OpInput:
-		return w.In(0).Norm()
-	}
-	var acc V
-	var tab *tab2
-	invert := op.Inverting()
-	switch op.Base() {
-	case OpAnd:
-		acc, tab = One, &andTab
-	case OpOr:
-		acc, tab = Zero, &orTab
-	case OpXor:
-		acc, tab = Zero, &xorTab
-	default:
-		panic(fmt.Sprintf("logic: EvalWordOut on %v", op))
-	}
-	bits := uint64(w) >> VBits
-	for i := 0; i < n; i++ {
-		acc = tab[int(acc)<<VBits|int(bits&VMask)]
-		bits >>= VBits
-	}
-	if invert {
-		acc = acc.Not()
-	}
-	return acc
 }
 
 // String renders the word as "in0,in1,...->out" over n pins; with n

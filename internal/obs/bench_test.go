@@ -15,7 +15,6 @@ func TestNilObsZeroAllocs(t *testing.T) {
 		g  *Gauge
 		h  *Histogram
 		l  *FaultLog
-		o  *Observer
 		lg *Logger
 		fr *FlightRecorder
 	)
@@ -27,7 +26,6 @@ func TestNilObsZeroAllocs(t *testing.T) {
 		"hist.quantile": func() { _ = h.Quantile(0.9) },
 		"registry.hand": func() { _ = r.Counter("x") },
 		"faultlog.emit": func() { l.Emit(FaultEvent{Fault: 1}) },
-		"observer.span": func() { o.Span("x").End() },
 		// Note logger.With is absent: it is a per-job setup call whose
 		// attrs intentionally escape into the handler, not a hot path.
 		"logger.info":   func() { lg.Info("msg", slog.Int("shard", 1)) },

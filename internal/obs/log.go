@@ -36,9 +36,6 @@ func (l *Logger) With(attrs ...slog.Attr) *Logger {
 	return &Logger{s: slog.New(l.s.Handler().WithAttrs(attrs))}
 }
 
-// Debug emits a debug-level record.
-func (l *Logger) Debug(msg string, attrs ...slog.Attr) { l.emit(slog.LevelDebug, msg, attrs) }
-
 // Info emits an info-level record.
 func (l *Logger) Info(msg string, attrs ...slog.Attr) { l.emit(slog.LevelInfo, msg, attrs) }
 

@@ -1,12 +1,12 @@
 // Package obs is the simulation observability layer: a typed metric
-// registry (counters, gauges, fixed-bucket histograms), a span-style phase
-// tracer emitting chrome://tracing JSON, a fault-lifecycle event log, and
-// the /metricsz + pprof HTTP handlers.
+// registry (counters, gauges, fixed-bucket histograms), a per-run flight
+// recorder, a fault-lifecycle event log, a structured logger, and the
+// /metricsz + pprof HTTP handlers.
 //
 // The package is built around a nil fast path: every handle method —
-// Counter.Add, Gauge.Set, Histogram.Observe, Tracer.Span, Span.End,
+// Counter.Add, Gauge.Set, Histogram.Observe, FlightRecorder.Record,
 // FaultLog.Emit — is a no-op on a nil receiver, and a nil *Registry hands
-// out nil handles. An engine therefore emits its spans and fault events
+// out nil handles. An engine therefore emits its flight and fault events
 // unconditionally; when observability is disabled they fold to an
 // inlined nil check with zero allocations (asserted by this package's
 // benchmarks and the CI regression gate). Engines write no metrics: a
@@ -408,8 +408,6 @@ type Observer struct {
 	// Metrics receives counter/gauge/histogram updates from a server or
 	// a coordinator; engines ignore it.
 	Metrics *Registry
-	// Tracer records span-style phase timings.
-	Tracer *Tracer
 	// Faults records per-fault lifecycle events.
 	Faults *FaultLog
 	// Log receives structured log records (nil disables logging).
@@ -440,12 +438,4 @@ func (o *Observer) Recorder() *FlightRecorder {
 		return nil
 	}
 	return o.Flight
-}
-
-// Span opens a span on the observer's tracer (nil-safe).
-func (o *Observer) Span(name string) *Span {
-	if o == nil {
-		return nil
-	}
-	return o.Tracer.Span(name)
 }
