@@ -143,11 +143,11 @@ func runBoth(t *testing.T, tag string, u *faults.Universe, vs *vectors.Set) {
 func TestWidthEdges(t *testing.T) {
 	small := genCircuit(t, 7, 4, 3, 5, 40)
 	large := genCircuit(t, 8, 6, 5, 10, 130)
-	if n := faults.StuckCollapsed(small).NumFaults(); n >= chunkFaults {
-		t.Fatalf("small universe has %d faults, want under one chunk of %d", n, chunkFaults)
+	if n := faults.StuckCollapsed(small).NumFaults(); n >= ChunkFaults {
+		t.Fatalf("small universe has %d faults, want under one chunk of %d", n, ChunkFaults)
 	}
-	if n := faults.StuckAll(large).NumFaults(); n <= 2*chunkFaults {
-		t.Fatalf("large universe has %d faults, want over two chunks of %d", n, chunkFaults)
+	if n := faults.StuckAll(large).NumFaults(); n <= 2*ChunkFaults {
+		t.Fatalf("large universe has %d faults, want over two chunks of %d", n, ChunkFaults)
 	}
 	for _, c := range []*netlist.Circuit{small, large} {
 		for _, nv := range []int{1, 63, 64, 65, 130, 200} {
@@ -339,7 +339,7 @@ func TestFaninSlots(t *testing.T) {
 		circuits = append(circuits, mustParse(t, fmt.Sprintf("wide%d", seed), wideBench(seed, 14, 6, 48)))
 	}
 	for _, c := range circuits {
-		w := newWorker(Compile(c), faults.StuckCollapsed(c), nil, nil)
+		w := newWorker(Compile(c))
 		loops := 0
 		for g := range c.Gates {
 			n, ins := &w.nodes[g], c.Fanin(netlist.GateID(g))
@@ -488,7 +488,7 @@ r1 = DFF(r0)
 		{"no-outputs", blind, 70, 0},
 		{"1-fault", large, 70, 1},
 		{"1-vector", large, 1, 0},
-		{"256-faults", large, 130, chunkFaults},
+		{"256-faults", large, 130, ChunkFaults},
 	} {
 		vs := vectors.Random(tc.c, tc.nv, 5)
 		for i, u := range []*faults.Universe{faults.StuckAll(tc.c), faults.Transition(tc.c)} {
@@ -506,7 +506,7 @@ r1 = DFF(r0)
 func TestWorkerPanicIsAnError(t *testing.T) {
 	c := genCircuit(t, 8, 6, 5, 10, 130)
 	u := faults.StuckAll(c)
-	ids := u.IDs()[:3*chunkFaults]
+	ids := u.IDs()[:3*ChunkFaults]
 	vs := vectors.Random(c, 70, 1)
 	sim, err := New(u)
 	if err != nil {

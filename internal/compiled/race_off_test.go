@@ -1,0 +1,6 @@
+//go:build !race
+
+package compiled
+
+// raceEnabled reports whether the race detector instruments the build.
+const raceEnabled = false

@@ -37,12 +37,12 @@ type ffDiff struct {
 	val logic.V
 }
 
-// chunkFaults is the number of faults that share one load of a
+// ChunkFaults is the number of faults that share one load of a
 // 64-cycle block's good planes. Loading per fault instead costs
 // gates × 16 B per fault and block, which dominates on small
 // circuits with long vector sets. A chunk is also the unit workers
 // pull, so a run keeps at most one worker per chunk busy.
-const chunkFaults = 256
+const ChunkFaults = 256
 
 // Sizes of node, faultState and ffDiff for the memory accounting.
 const nodeBytes, slotBytes, diffBytes = 64, 56, 8
@@ -149,6 +149,7 @@ type worker struct {
 type Sim struct {
 	p     *Program
 	u     *faults.Universe
+	pool  *Pool // nil builds every worker afresh
 	stats csim.Stats
 }
 
@@ -184,7 +185,7 @@ func Workers(requested, nfaults int) int {
 }
 
 // numChunks returns how many chunks nfaults faults are cut into.
-func numChunks(nfaults int) int { return (nfaults + chunkFaults - 1) / chunkFaults }
+func numChunks(nfaults int) int { return (nfaults + ChunkFaults - 1) / ChunkFaults }
 
 // WorkerFunc observes the workers of a run. Worker i calls it on its own
 // goroutine before it pulls its first chunk (done false) and after its
@@ -246,19 +247,23 @@ func (s *Sim) RunFaults(ctx context.Context, vs *vectors.Set, ids []int32, worke
 	s.stats.GoodEvals = int(gevals)
 	s.stats.Detections = res.NumDet
 	s.stats.MemBytes += tr.Bytes()
+	s.pool.put(ws)
 	return res, nil
 }
 
 // runWorkers runs the chunks of ids over the trace and returns the
-// workers that ran them, each holding its share of the result. A worker
-// that panics ends the run with an error carrying the stack instead of
-// taking the process down; workers are built per run, so one that
-// stopped halfway through a pass is never used again.
+// workers that ran them, each holding its share of the result: borrowed
+// from the Sim's pool, or built when it has none idle. A worker that
+// panics ends the run with an error carrying the stack instead of
+// taking the process down. Only RunFaults returns workers to the pool,
+// after the merge and only from a run that ended without error, so one
+// that stopped halfway through a pass is never used again.
 func (s *Sim) runWorkers(ctx context.Context, tr *Trace, ids []int32, workers int, watch WorkerFunc) ([]*worker, error) {
 	chunks := numChunks(len(ids))
 	ws := make([]*worker, Workers(workers, len(ids)))
 	for i := range ws {
-		ws[i] = newWorker(s.p, s.u, tr, ids)
+		ws[i] = s.pool.get(s.p)
+		ws[i].reset(s.u, tr, ids)
 	}
 	var (
 		next atomic.Int64
@@ -296,18 +301,15 @@ func (s *Sim) runWorkers(ctx context.Context, tr *Trace, ids []int32, workers in
 }
 
 // newWorker builds one worker's nodes from the program's structure.
-func newWorker(p *Program, u *faults.Universe, tr *Trace, ids []int32) *worker {
+func newWorker(p *Program) *worker {
 	c := p.c
 	// Three slice headers (72 B) of slack on either side keep the bucket
 	// lengths, rewritten on every schedule, on cache lines of their own.
 	nl := int(p.maxLevel) + 1
 	w := &worker{
-		p: p, u: u, tr: tr, ids: ids,
+		p:     p,
 		nodes: make([]node, len(c.Gates)),
 		queue: make([][]netlist.GateID, nl+6)[3 : nl+3 : nl+3],
-		slots: make([]faultState, min(chunkFaults, len(ids))),
-		live:  make([]int32, 0, min(chunkFaults, len(ids))),
-		res:   faults.NewResult(u),
 	}
 	for i := range w.nodes {
 		n := &w.nodes[i]
@@ -332,6 +334,30 @@ func newWorker(p *Program, u *faults.Universe, tr *Trace, ids []int32) *worker {
 	return w
 }
 
+// reset readies the worker for a run over the faults ids of u on trace
+// tr: its counters start from zero and its result is emptied in place,
+// while its nodes, buckets, lists, slots and their state-difference
+// lists keep what earlier runs grew them to.
+func (w *worker) reset(u *faults.Universe, tr *Trace, ids []int32) {
+	w.u, w.tr, w.ids = u, tr, ids
+	n := min(ChunkFaults, len(ids))
+	if cap(w.slots) < n {
+		grown := make([]faultState, n)
+		copy(grown, w.slots[:cap(w.slots)])
+		w.slots = grown
+	}
+	w.slots = w.slots[:n]
+	if cap(w.live) < n {
+		w.live = make([]int32, 0, n)
+	}
+	if w.res == nil {
+		w.res = faults.NewResult(u)
+	} else {
+		w.res.Reset(u)
+	}
+	w.simulated, w.evals, w.passes, w.steps, w.curDiffs, w.peakDiffs = 0, 0, 0, 0, 0, 0
+}
+
 // memBytes accounts the worker's fault-pass state at its peak.
 func (w *worker) memBytes() int64 {
 	return int64(len(w.nodes))*nodeBytes + int64(len(w.slots))*slotBytes + int64(w.peakDiffs)*diffBytes
@@ -344,8 +370,8 @@ func (w *worker) run(ctx context.Context, next *atomic.Int64, chunks int) error 
 		if k >= chunks {
 			return nil
 		}
-		lo := k * chunkFaults
-		chunk := w.ids[lo:min(lo+chunkFaults, len(w.ids))]
+		lo := k * ChunkFaults
+		chunk := w.ids[lo:min(lo+ChunkFaults, len(w.ids))]
 		if err := w.runChunk(ctx, chunk); err != nil {
 			return err
 		}

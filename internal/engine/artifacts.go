@@ -20,9 +20,11 @@ var Models = []string{"stuck", "stuck-all", "transition"}
 // and then kept: fault universes by model, macro plans by extraction
 // setting, and the compiled program. Every artifact is immutable once
 // built — the engines read universes, plans and programs without writing
-// them — so one set serves any number of concurrent runs. The service
-// caches one set per circuit, the harness keeps one per suite circuit,
-// and a Run given none prepares its own.
+// them — so one set serves any number of concurrent runs. Beside the
+// program sits the pool of idle compiled-kernel workers its runs borrow,
+// which garbage collection empties. The service caches one set per
+// circuit, the harness keeps one per suite circuit, and a Run given none
+// prepares its own.
 type Artifacts struct {
 	// Circuit is the circuit every artifact is derived from.
 	Circuit *netlist.Circuit
@@ -32,8 +34,10 @@ type Artifacts struct {
 	universes map[string]*faults.Universe
 	//simlint:guarded_by(mu)
 	plans map[csim.Config]*macro.Plan
+	// workers holds the compiled program and the idle kernel workers
+	// over it.
 	//simlint:guarded_by(mu)
-	program *compiled.Program
+	workers *compiled.Pool
 }
 
 // Prepare starts an empty artifact set over c.
@@ -51,7 +55,7 @@ func Prepare(c *netlist.Circuit) *Artifacts {
 func PrepareProgram(p *compiled.Program) *Artifacts {
 	a := Prepare(p.Circuit())
 	a.mu.Lock()
-	a.program = p
+	a.workers = compiled.NewPool(p)
 	a.mu.Unlock()
 	return a
 }
@@ -100,12 +104,18 @@ func (a *Artifacts) Plan(cfg csim.Config) (*macro.Plan, error) {
 // Program returns the circuit's compiled program, lowering it on first
 // use.
 func (a *Artifacts) Program() *compiled.Program {
+	return a.workerPool().Program()
+}
+
+// workerPool returns the pool of compiled-kernel workers over the
+// circuit's program, lowering the program on first use.
+func (a *Artifacts) workerPool() *compiled.Pool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.program == nil {
-		a.program = compiled.Compile(a.Circuit)
+	if a.workers == nil {
+		a.workers = compiled.NewPool(compiled.Compile(a.Circuit))
 	}
-	return a.program
+	return a.workers
 }
 
 // Warm builds what the named engine reads from the set, so that a Run
@@ -120,12 +130,12 @@ func (a *Artifacts) Warm(name string) error {
 }
 
 // inputs builds, or finds in the set, what an engine reads besides its
-// universe: the compiled program for a compiled engine, the macro plan
-// for a concurrent engine's Config, nothing for the others.
-func (a *Artifacts) inputs(info Info) (*macro.Plan, *compiled.Program, error) {
+// universe: the compiled program's worker pool for a compiled engine, the
+// macro plan for a concurrent engine's Config, nothing for the others.
+func (a *Artifacts) inputs(info Info) (*macro.Plan, *compiled.Pool, error) {
 	switch info.Kind {
 	case "compiled":
-		return nil, a.Program(), nil
+		return nil, a.workerPool(), nil
 	case "baseline":
 		return nil, nil, nil
 	}

@@ -187,6 +187,34 @@ func TestCompiledRunRecordsDecide(t *testing.T) {
 			}
 		}
 	}
+
+	// A whole job's shard_start names the chunk its worker pulls: 256
+	// faults, or the whole universe when it is smaller.
+	for _, tc := range []struct {
+		faults, workers, chunk int
+	}{{700, 3, 256}, {100, 1, 100}} {
+		u := &faults.Universe{Circuit: c, Faults: u.Faults[:tc.faults]}
+		ob := &obs.Observer{Flight: obs.NewFlightRecorder(0)}
+		if _, _, err := Run(context.Background(), CsimC, u, vs, Options{Workers: 4, Obs: ob}); err != nil {
+			t.Fatal(err)
+		}
+		var starts []string
+		for _, ev := range ob.Flight.Events() {
+			if ev.Kind == "shard_start" {
+				starts = append(starts, ev.Detail)
+			}
+		}
+		if len(starts) != tc.workers {
+			t.Fatalf("%d faults: shard_start events %q, want %d", tc.faults, starts, tc.workers)
+		}
+		for _, d := range starts {
+			var k int
+			if _, err := fmt.Sscanf(d, "csim-C shard %d: ", &k); err != nil ||
+				d != fmt.Sprintf("csim-C shard %d: compiled worker pulling chunks of %d faults", k, tc.chunk) {
+				t.Errorf("%d faults: shard_start %q, want chunks of %d faults", tc.faults, d, tc.chunk)
+			}
+		}
+	}
 }
 
 // TestRegistryShape holds the registry to what its readers assume: the

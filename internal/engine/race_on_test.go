@@ -1,0 +1,6 @@
+//go:build race
+
+package engine
+
+// raceEnabled reports whether the race detector instruments the build.
+const raceEnabled = true

@@ -98,14 +98,14 @@ func Run(ctx context.Context, name string, u *faults.Universe, vs *vectors.Set, 
 	if err := ctx.Err(); err != nil {
 		return nil, csim.Stats{}, err
 	}
-	plan, prog, err := a.inputs(info)
+	plan, pool, err := a.inputs(info)
 	if err != nil {
 		return nil, csim.Stats{}, err
 	}
 
 	switch name {
 	case CsimC, CsimGrid:
-		return runCompiled(ctx, name, prog, u, vs, opt)
+		return runCompiled(ctx, name, pool, u, vs, opt)
 	case Serial:
 		res, err := serial.Simulate(ctx, u, vs)
 		return res, csim.Stats{}, err
@@ -145,16 +145,17 @@ func cycles(ctx context.Context, vs *vectors.Set, cycle func(vec []logic.V)) err
 }
 
 // runCompiled is the compiled engines' one path: fault IDs on the
-// workers of one compiled run. A whole job runs the universe on
-// compiled.Workers(opt.Workers, faults) workers and records one
-// shard_start/shard_finish pair per worker and a merge event, each
+// workers of one compiled run, borrowed from the circuit's pool and
+// returned to it once the merge has read them. A whole job runs the
+// universe on compiled.Workers(opt.Workers, faults) workers and records
+// one shard_start/shard_finish pair per worker and a merge event, each
 // detail starting with the engine's name. A pinned shard
 // runs its slice of the partition on its own budget and records one
 // pair for the shard; every shard computes its own packed trace, so
 // merged shard stats count one trace per non-empty shard in GoodEvals.
 // The "csim-grid shard %d" detail prefix is pinned by benchmark/ and
 // goes with the `[benchmark]` yardstick refresh.
-func runCompiled(ctx context.Context, name string, p *compiled.Program, u *faults.Universe, vs *vectors.Set, opt Options) (*faults.Result, csim.Stats, error) {
+func runCompiled(ctx context.Context, name string, pool *compiled.Pool, u *faults.Universe, vs *vectors.Set, opt Options) (*faults.Result, csim.Stats, error) {
 	rec := opt.Obs.Recorder()
 	ids, workers := u.IDs(), compiled.Workers(opt.Workers, u.NumFaults())
 	var watch compiled.WorkerFunc
@@ -168,16 +169,17 @@ func runCompiled(ctx context.Context, name string, p *compiled.Program, u *fault
 		workers = compiled.Workers(opt.Workers, len(ids))
 		rec.Recordf("shard_start", "shard %d of %d: %d faults on %d compiled workers", opt.Shard, opt.Of, len(ids), workers)
 	} else {
+		chunk := min(compiled.ChunkFaults, len(ids))
 		watch = func(i int, done bool, simulated, detected int) {
 			if !done {
-				rec.Recordf("shard_start", "%s shard %d: compiled worker pulling chunks of %d faults", name, i, len(ids))
+				rec.Recordf("shard_start", "%s shard %d: compiled worker pulling chunks of %d faults", name, i, chunk)
 				return
 			}
 			rec.Recordf("shard_finish", "%s shard %d: %d faults, %d detected", name, i, simulated, detected)
 		}
 	}
 
-	sim, err := compiled.NewWith(p, u)
+	sim, err := compiled.NewPooled(pool, u)
 	if err != nil {
 		return nil, csim.Stats{}, err
 	}

@@ -40,6 +40,10 @@ type FlightRecorder struct {
 	next int // write position once the ring is full
 	//simlint:guarded_by(mu)
 	dropped int64
+	// clipped is set by Clip: from then on the ring grows by one event at
+	// a time.
+	//simlint:guarded_by(mu)
+	clipped bool
 }
 
 // NewFlightRecorder builds a recorder holding at most capacity events
@@ -61,6 +65,9 @@ func (f *FlightRecorder) Record(kind, detail string) {
 	ev := FlightEvent{Time: time.Now(), Kind: kind, Detail: detail}
 	f.mu.Lock()
 	if len(f.buf) < f.limit {
+		if f.clipped && len(f.buf) == cap(f.buf) {
+			f.buf = append(make([]FlightEvent, 0, len(f.buf)+1), f.buf...)
+		}
 		f.buf = append(f.buf, ev)
 	} else {
 		f.buf[f.next] = ev
@@ -70,6 +77,23 @@ func (f *FlightRecorder) Record(kind, detail string) {
 		}
 		f.dropped++
 	}
+	f.mu.Unlock()
+}
+
+// Clip drops the ring's spare capacity, which appends grew by up to as
+// much again as it holds. A server keeps a finished job's recorder for
+// late lookups, and the job records little after its finish (a held
+// request's delivery), so from a clip on each Record grows the ring by
+// exactly one event.
+func (f *FlightRecorder) Clip() {
+	if f == nil {
+		return
+	}
+	f.mu.Lock()
+	if len(f.buf) < cap(f.buf) {
+		f.buf = append(make([]FlightEvent, 0, len(f.buf)), f.buf...)
+	}
+	f.clipped = true
 	f.mu.Unlock()
 }
 

@@ -134,6 +134,37 @@ func TestFlightRecorderGrowsOnDemand(t *testing.T) {
 	}
 }
 
+// TestFlightRecorderClip pins what a finished job's recorder keeps: no
+// spare capacity after Clip, one slot more per event recorded after it,
+// the events in order, and a full ring still wrapping.
+func TestFlightRecorderClip(t *testing.T) {
+	fr := NewFlightRecorder(8)
+	for i := 0; i < 5; i++ {
+		fr.Recordf("ev", "%d", i)
+	}
+	fr.Clip()
+	if len(fr.buf) != 5 || cap(fr.buf) != 5 {
+		t.Fatalf("clipped ring holds %d events in %d slots, want 5 in 5", len(fr.buf), cap(fr.buf))
+	}
+	for i := 5; i < 10; i++ {
+		fr.Recordf("ev", "%d", i)
+		if n := min(i+1, 8); len(fr.buf) != n || cap(fr.buf) != n {
+			t.Fatalf("event %d after the clip: %d events in %d slots, want %d in %d", i, len(fr.buf), cap(fr.buf), n, n)
+		}
+	}
+	evs := fr.Events()
+	for i, ev := range evs {
+		if want := fmt.Sprintf("%d", 2+i); ev.Detail != want {
+			t.Errorf("event %d detail = %q, want %q", i, ev.Detail, want)
+		}
+	}
+	if len(evs) != 8 || fr.Dropped() != 2 {
+		t.Errorf("%d events, Dropped = %d, want 8 and 2", len(evs), fr.Dropped())
+	}
+	var off *FlightRecorder
+	off.Clip()
+}
+
 // TestFlightRecorderNil pins the disabled state.
 func TestFlightRecorderNil(t *testing.T) {
 	var fr *FlightRecorder

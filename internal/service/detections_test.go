@@ -3,13 +3,16 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"reflect"
 	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/engine"
 	"repro/internal/faults"
 	"repro/internal/iscas"
+	"repro/internal/obs"
 	"repro/internal/vectors"
 )
 
@@ -154,5 +157,71 @@ func TestRetainedShardWeight(t *testing.T) {
 	t.Logf("a retained shard job weighs %d B", per)
 	if per > maxPerJob {
 		t.Errorf("a retained shard job weighs %d KB live, want at most %d KB", per>>10, maxPerJob>>10)
+	}
+}
+
+// ringSlack returns a job's flight ring length and capacity. The ring is
+// the recorder's own; Events takes its lock first, which orders this read
+// after every Record.
+func ringSlack(j *job) (n, capacity int) {
+	j.flight.Events()
+	buf := reflect.ValueOf(j.flight).Elem().FieldByName("buf")
+	return buf.Len(), buf.Cap()
+}
+
+// TestRetainedJobWeight weighs a retained svc-tiny job — s298, csim-C,
+// 64 random vectors, held until it ends — and requires every finished
+// job's flight ring to hold no spare capacity: the ring is clipped when
+// the job turns terminal, and the delivery recorded after that grows it
+// by exactly one event. Unclipped, a two-worker job's ring of 12 events
+// kept room for 16.
+func TestRetainedJobWeight(t *testing.T) {
+	const jobs, maxPerJob = 256, 3 << 10
+	s, cl := startServer(t, Config{Workers: 1, EngineWorkers: 2})
+	ctx := ctxT(t)
+	spec := JobSpec{Circuit: "s298", Engine: "csim-C", Random: 64}
+	if v, err := cl.Run(ctx, spec, 0); err != nil || v.Status != StatusDone {
+		t.Fatalf("warm-up job: %v / %+v", err, v)
+	}
+	start := liveHeap()
+	for i := 0; i < jobs; i++ {
+		if v, err := cl.Run(ctx, spec, 0); err != nil || v.Status != StatusDone {
+			t.Fatalf("job %d: %v / %+v", i, err, v)
+		}
+	}
+	end := liveHeap()
+	s.mu.Lock()
+	retained := make([]*job, 0, len(s.jobs))
+	for _, j := range s.jobs {
+		retained = append(retained, j)
+	}
+	s.mu.Unlock()
+	if len(retained) != jobs+1 {
+		t.Fatalf("%d jobs retained, want %d", len(retained), jobs+1)
+	}
+	for _, j := range retained {
+		evs := j.flight.Events()
+		if n, c := ringSlack(j); n != c || evs[len(evs)-1].Kind != "delivered" {
+			t.Fatalf("job %s: ring of %d events has room for %d, last event %q", j.id, n, c, evs[len(evs)-1].Kind)
+		}
+	}
+	per := (end - start) / jobs
+	t.Logf("a retained svc-tiny job weighs %d B", per)
+	if per > maxPerJob {
+		t.Errorf("a retained svc-tiny job weighs %d B live, want at most %d KB", per, maxPerJob>>10)
+	}
+}
+
+// TestCancelledQueuedJobRingClipped: a job cancelled while queued is
+// terminal too, and its ring keeps no spare capacity either.
+func TestCancelledQueuedJobRingClipped(t *testing.T) {
+	j := newJob("q", JobSpec{}, &Compiled{}, false, time.Now())
+	j.flight = obs.NewFlightRecorder(0)
+	for _, kind := range []string{"admitted", "cache", "queued"} {
+		j.flight.Record(kind, "")
+	}
+	j.requestCancel(time.Now())
+	if n, c := ringSlack(j); n != 4 || c != n {
+		t.Errorf("cancelled queued job: ring of %d events has room for %d, want 4 and 4", n, c)
 	}
 }

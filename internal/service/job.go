@@ -512,10 +512,11 @@ func (j *job) setRunning(now time.Time, cancel func()) bool {
 	return true
 }
 
-// finish moves the job to a terminal state exactly once, adds it to
-// counted (nil counts nowhere) and only then wakes the requests held on
-// it, so a client that reads the server's counters after its job's view
-// finds the job counted.
+// finish moves the job to a terminal state exactly once, clips its
+// flight ring to the events it holds, since a retained job is kept for
+// lookups long after, adds it to counted (nil counts nowhere) and only
+// then wakes the requests held on it, so a client that reads the
+// server's counters after its job's view finds the job counted.
 func (j *job) finish(status Status, now time.Time, res *ResultView, err string, counted *obs.Counter) {
 	j.mu.Lock()
 	if j.status.Terminal() {
@@ -529,6 +530,7 @@ func (j *job) finish(status Status, now time.Time, res *ResultView, err string, 
 	j.cancelRun = nil
 	j.release()
 	j.mu.Unlock()
+	j.flight.Clip()
 	counted.Inc()
 	close(j.done)
 }
@@ -569,6 +571,7 @@ func (j *job) requestCancel(now time.Time) bool {
 		j.release()
 		j.mu.Unlock()
 		j.flight.Record("finish", "cancelled while queued")
+		j.flight.Clip()
 		close(j.done)
 		return true
 	}

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math/rand"
 	"strings"
+	"sync"
 
 	"repro/internal/logic"
 	"repro/internal/netlist"
@@ -42,17 +43,30 @@ func (s *Set) Slice(n int) *Set {
 // New returns an empty set for a circuit with numPIs primary inputs.
 func New(numPIs int) *Set { return &Set{NumPIs: numPIs} }
 
+// rngs holds idle generators for Random: a math/rand source is 4.9 KB,
+// and re-seeding one yields the stream a fresh source over the same seed
+// does.
+var rngs = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
 // Random generates n uniformly random binary vectors for circuit c using a
-// deterministic seed.
+// deterministic seed. The vectors share one backing array, each capped at
+// its own width, so appending to one cannot overwrite the next.
 func Random(c *netlist.Circuit, n int, seed int64) *Set {
-	rng := rand.New(rand.NewSource(seed))
 	s := New(len(c.PIs))
-	for t := 0; t < n; t++ {
-		v := make([]logic.V, s.NumPIs)
-		for i := range v {
-			v[i] = logic.V(rng.Intn(2))
-		}
-		s.Vecs = append(s.Vecs, v)
+	if n <= 0 {
+		return s
+	}
+	rng := rngs.Get().(*rand.Rand)
+	defer rngs.Put(rng)
+	rng.Seed(seed)
+	w := s.NumPIs
+	buf := make([]logic.V, n*w)
+	for i := range buf {
+		buf[i] = logic.V(rng.Intn(2))
+	}
+	s.Vecs = make([][]logic.V, n)
+	for t := range s.Vecs {
+		s.Vecs[t] = buf[t*w : (t+1)*w : (t+1)*w]
 	}
 	return s
 }

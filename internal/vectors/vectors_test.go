@@ -1,6 +1,9 @@
 package vectors
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -76,6 +79,54 @@ func TestRandomDeterministicAndBinary(t *testing.T) {
 		for _, x := range v {
 			if !x.Binary() {
 				t.Fatal("Random emitted a non-binary value")
+			}
+		}
+	}
+}
+
+// widePI is a circuit of pis primary inputs, each its own output.
+func widePI(t *testing.T, pis int) *netlist.Circuit {
+	t.Helper()
+	var sb strings.Builder
+	for i := 0; i < pis; i++ {
+		fmt.Fprintf(&sb, "INPUT(i%d)\nOUTPUT(i%d)\n", i, i)
+	}
+	c, err := netlist.ParseBenchString(fmt.Sprintf("wide%d", pis), sb.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestRandomMatchesPerVectorDraw holds Random to the construction it
+// replaced — a fresh source per call and a slice per vector — element for
+// element, and checks that appending to one vector leaves the next alone.
+func TestRandomMatchesPerVectorDraw(t *testing.T) {
+	for _, pis := range []int{1, 2, 35} {
+		c := widePI(t, pis)
+		for _, n := range []int{0, 1, 64, 65} {
+			for _, seed := range []int64{1, 7} {
+				rng := rand.New(rand.NewSource(seed))
+				want := New(pis)
+				for v := 0; v < n; v++ {
+					vec := make([]logic.V, pis)
+					for i := range vec {
+						vec[i] = logic.V(rng.Intn(2))
+					}
+					want.Vecs = append(want.Vecs, vec)
+				}
+				got := Random(c, n, seed)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%d PIs, %d vectors, seed %d: got %v, want %v", pis, n, seed, got.Vecs, want.Vecs)
+				}
+				if n < 2 {
+					continue
+				}
+				next := append([]logic.V(nil), got.Vecs[1]...)
+				_ = append(got.Vecs[0], logic.X)
+				if !reflect.DeepEqual(got.Vecs[1], next) {
+					t.Fatalf("%d PIs: appending to vector 0 changed vector 1 to %v", pis, got.Vecs[1])
+				}
 			}
 		}
 	}
