@@ -131,10 +131,12 @@ func TestPooledWorkersReuse(t *testing.T) {
 			}
 		}, func(err error) bool { return err != nil }},
 	} {
-		// Empty the pool, so every worker of the failing run is new and
-		// any idle worker afterwards is one it put back.
-		for pl.idle.Get() != nil {
-		}
+		// A fresh pool past its first run: every worker of the failing
+		// run is new, and any idle worker afterwards is one it put back.
+		// Emptying the shared pool instead would miss what sits in
+		// another P's private slot, which Get never takes.
+		pl = NewPool(pl.p)
+		pl.ran.Store(true)
 		u := universes[0]
 		sim, err := NewPooled(pl, u)
 		if err != nil {
@@ -167,12 +169,18 @@ func TestPoolKeepsWorkersFromSecondRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for run, want := range []int{0, 3} {
-		if _, err := sim.RunFaults(context.Background(), vs, u.IDs(), 3, nil); err != nil {
-			t.Fatal(err)
-		}
-		if n := idleWorkers(t, fmt.Sprintf("run %d", run), sim.pool); n != want && (run == 0 || !raceEnabled) {
-			t.Errorf("after run %d the pool holds %d idle workers, want %d", run, n, want)
-		}
+	if _, err := sim.RunFaults(context.Background(), vs, u.IDs(), 3, nil); err != nil {
+		t.Fatal(err)
+	}
+	if n := idleWorkers(t, "first run", sim.pool); n != 0 {
+		t.Errorf("after the first run the pool holds %d idle workers, want none", n)
+	}
+	if _, err := sim.RunFaults(context.Background(), vs, u.IDs(), 3, nil); err != nil {
+		t.Fatal(err)
+	}
+	// Get reaches the other Ps' shared lists but not their private slots,
+	// so of the three workers put back at least two are found.
+	if n := idleWorkers(t, "second run", sim.pool); n < 2 && !raceEnabled {
+		t.Errorf("after the second run the pool holds %d idle workers, want at least 2 of 3", n)
 	}
 }
