@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -14,7 +15,11 @@ import (
 
 	"repro/internal/compiled"
 	"repro/internal/engine"
+	"repro/internal/harness"
+	"repro/internal/iscas"
 	"repro/internal/obs"
+	"repro/internal/serial"
+	"repro/internal/vectors"
 )
 
 // TestMain lets a test run this binary as the csim command.
@@ -66,6 +71,41 @@ func TestWorkersFlagReachesTheCompiledKernel(t *testing.T) {
 		if err != nil || !strings.Contains(string(out), tc.wantIn) {
 			t.Errorf("%v: %v, output lacks %q:\n%s", tc.args, err, tc.wantIn, out)
 		}
+	}
+}
+
+// TestVerboseListsTheRunsUndetected: -v lists the undetected faults of
+// the run it made, and under csim-C those are exactly the serial
+// oracle's on s298/rand:100.
+func TestVerboseListsTheRunsUndetected(t *testing.T) {
+	out, err := runCsim("-suite", "s298", "-random", "100", "-engine", "csim-C", "-v")
+	if err != nil {
+		t.Fatalf("%v\n%s", err, out)
+	}
+	_, listing, ok := strings.Cut(string(out), "undetected faults:\n")
+	if !ok {
+		t.Fatalf("no undetected-fault listing:\n%s", out)
+	}
+	c := iscas.MustGet("s298")
+	u, err := harness.Artifacts(c).Universe("stuck")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := serial.Simulate(context.Background(), u, vectors.Random(c, 100, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lines []string
+	for i, f := range u.Faults {
+		if !want.Detected[i] {
+			lines = append(lines, "  "+f.Name(c)+"\n")
+		}
+	}
+	if len(lines) == 0 {
+		t.Fatal("serial detects every fault; the listing checks nothing")
+	}
+	if w := strings.Join(lines, ""); listing != w {
+		t.Errorf("-v listed\n%s\nserial leaves undetected\n%s", listing, w)
 	}
 }
 

@@ -124,7 +124,7 @@ func TestServeSmoke(t *testing.T) {
 	if _, err := cl.Submit(ctx, service.JobSpec{Circuit: "s5378", Engine: "csim-grid", Random: 200000, Seed: 1, TimeoutMS: 1}); err != nil {
 		t.Fatalf("submit %s: %v", id, err)
 	}
-	v, err := cl.Wait(ctx, id, 0)
+	v, err := cl.Wait(ctx, id)
 	if err != nil || v.Status != service.StatusFailed {
 		t.Errorf("timed-out job: %v, want status failed; view:\n%s", err, asJSON(v))
 	}
@@ -221,7 +221,7 @@ func TestFleetSmoke(t *testing.T) {
 		}
 	}
 	w0.kill()
-	v, err := cl.Wait(ctx, id, 0)
+	v, err := cl.Wait(ctx, id)
 	if err != nil {
 		t.Fatalf("wait %s: %v", id, err)
 	}

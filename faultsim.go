@@ -242,7 +242,7 @@ func CompileCircuit(c *Circuit, plan *MacroPlan) *CompiledProgram {
 // and transition).
 // Pinned by benchmark/; goes with the `[benchmark]` yardstick refresh.
 func NewCompiledWith(p *CompiledProgram, u *Universe) (*CompiledSim, error) {
-	return compiled.NewWith(p, u)
+	return compiled.NewPooled(compiled.NewPool(p), u)
 }
 
 // ExtractMacros builds the fanout-free-region macro plan csim-M/csim-MV

@@ -37,16 +37,16 @@ func BenchmarkRunFaults(b *testing.B) {
 			if tc.model == "transition" {
 				u = faults.Transition(c)
 			}
-			sim, err := NewWith(Compile(c), u)
+			sim, err := New(u)
 			if err != nil {
 				b.Fatal(err)
 			}
-			tr, _ := sim.p.Trace(vectors.Random(c, tc.nv, 1))
-			ids := u.IDs()
+			tr, _ := sim.pool.p.Trace(vectors.Random(c, tc.nv, 1))
+			ids, res := u.IDs(), faults.NewResult(u)
 			evals := 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ws, err := sim.runWorkers(context.Background(), tr, ids, 1, nil)
+				ws, err := sim.runWorkers(context.Background(), tr, ids, res, 1, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

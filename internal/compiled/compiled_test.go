@@ -15,6 +15,7 @@ import (
 	"repro/internal/iscas"
 	"repro/internal/logic"
 	"repro/internal/netlist"
+	"repro/internal/parallel"
 	"repro/internal/serial"
 	"repro/internal/vectors"
 )
@@ -59,8 +60,8 @@ func checkClean(t *testing.T, tag string, u *faults.Universe, vs *vectors.Set, i
 	if err != nil {
 		t.Fatalf("%s: %v", tag, err)
 	}
-	tr, _ := sim.p.Trace(vs)
-	ws, err := sim.runWorkers(context.Background(), tr, ids, nw, nil)
+	tr, _ := sim.pool.p.Trace(vs)
+	ws, err := sim.runWorkers(context.Background(), tr, ids, faults.NewResult(u), nw, nil)
 	if err != nil {
 		t.Fatalf("%s: %v", tag, err)
 	}
@@ -539,11 +540,80 @@ func TestWorkerPanicIsAnError(t *testing.T) {
 	}
 }
 
-// TestNewWithRejectsMismatch pins the Program/Universe circuit check.
-func TestNewWithRejectsMismatch(t *testing.T) {
+// TestNewPooledRejectsMismatch pins the Program/Universe circuit check.
+func TestNewPooledRejectsMismatch(t *testing.T) {
 	a := genCircuit(t, 41, 3, 2, 2, 20)
 	b := genCircuit(t, 43, 3, 2, 2, 20)
-	if _, err := NewWith(Compile(a), faults.StuckCollapsed(b)); err == nil {
-		t.Fatal("NewWith accepted a universe over a different circuit")
+	if _, err := NewPooled(NewPool(Compile(a)), faults.StuckCollapsed(b)); err == nil {
+		t.Fatal("NewPooled accepted a universe over a different circuit")
+	}
+}
+
+// TestOneResultPerRun: every worker of a run writes its own chunks'
+// faults into the run's one result and counts its own detections. On 1,
+// 2, 3 and 7 workers over the universe, and on 2 workers over each of
+// three pinned Partition lists, the result's NumDet must equal the
+// number of set Detected entries and the sum of the per-worker counts
+// watch reports, and every listed fault must read as the serial oracle's
+// while no other is detected.
+func TestOneResultPerRun(t *testing.T) {
+	c := genCircuit(t, 9, 6, 5, 10, 300)
+	u := faults.StuckAll(c)
+	if n := u.NumFaults(); n <= 4*ChunkFaults {
+		t.Fatalf("universe has %d faults, want over four chunks of %d", n, ChunkFaults)
+	}
+	vs := vectors.Random(c, 70, 9)
+	want, err := serial.Simulate(context.Background(), u, vs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := New(u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(tag string, ids []int32, nw int) {
+		t.Helper()
+		counts := make([]int, Workers(nw, len(ids)))
+		watch := func(worker int, done bool, _, detected int) {
+			if done {
+				counts[worker] = detected
+			}
+		}
+		got, err := sim.RunFaults(context.Background(), vs, ids, nw, watch)
+		if err != nil {
+			t.Fatalf("%s: %v", tag, err)
+		}
+		set, sum := 0, 0
+		for _, d := range got.Detected {
+			if d {
+				set++
+			}
+		}
+		for _, n := range counts {
+			sum += n
+		}
+		if got.NumDet != set || got.NumDet != sum {
+			t.Fatalf("%s: NumDet %d, %d Detected entries set, workers counted %v", tag, got.NumDet, set, counts)
+		}
+		listed := make([]bool, u.NumFaults())
+		for _, id := range ids {
+			listed[id] = true
+		}
+		for i := range listed {
+			wantDet, wantAt, wantPot := want.Detected[i], want.DetectedAt[i], want.PotDetected[i]
+			if !listed[i] {
+				wantDet, wantAt, wantPot = false, -1, false
+			}
+			if got.Detected[i] != wantDet || got.DetectedAt[i] != wantAt || got.PotDetected[i] != wantPot {
+				t.Fatalf("%s: fault %d detected %t at %d (potential %t), want %t at %d (%t)", tag, i,
+					got.Detected[i], got.DetectedAt[i], got.PotDetected[i], wantDet, wantAt, wantPot)
+			}
+		}
+	}
+	for _, nw := range []int{1, 2, 3, 7} {
+		check(fmt.Sprintf("w%d", nw), u.IDs(), nw)
+	}
+	for k, ids := range parallel.Partition(u, 3) {
+		check(fmt.Sprintf("partition %d of 3", k), ids, 2)
 	}
 }

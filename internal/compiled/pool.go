@@ -1,6 +1,7 @@
 package compiled
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -12,9 +13,10 @@ import (
 // array, built once from the Program, and whatever capacity its level
 // buckets, undo and output lists, fault slots and state-difference lists
 // grew to in earlier runs. Everything a run sets — universe, trace, ID
-// list, counters, result — is reset when the worker is borrowed. The
-// engine layer keeps one Pool beside each circuit's Program; the Program
-// itself stays immutable and holds none.
+// list, counters, result — is reset when the worker is borrowed. Every
+// Sim runs on a Pool: the engine layer keeps one beside each circuit's
+// Program, and New makes one for its own program; the Program itself
+// stays immutable and holds none.
 //
 // Idle workers sit in a sync.Pool, so garbage collection frees them: a
 // circuit nobody runs keeps no worker alive for long, and a Pool's holder
@@ -32,39 +34,37 @@ type Pool struct {
 // NewPool returns an empty pool of workers over p.
 func NewPool(p *Program) *Pool { return &Pool{p: p} }
 
-// NewPooled is NewWith over the pool's program, with runs that borrow
-// their workers from the pool and return them after a run that ended
-// without error.
+// NewPooled builds a simulator over the pool's already compiled program —
+// the service cache memoizes the Program and its Pool and hands them to
+// every job over the same circuit — whose runs borrow their workers from
+// the pool and return them after a run that ended without error. The
+// universe must be over the compiled circuit.
 func NewPooled(pl *Pool, u *faults.Universe) (*Sim, error) {
-	s, err := NewWith(pl.p, u)
-	if err != nil {
-		return nil, err
+	if u.Circuit != pl.p.c {
+		return nil, fmt.Errorf("compiled: universe circuit %q does not match compiled program %q",
+			u.Circuit.Name, pl.p.c.Name)
 	}
-	s.pool = pl
-	return s, nil
+	return &Sim{u: u, pool: pl}, nil
 }
 
-// get returns an idle worker, or a new one over p when the pool has none
-// idle or is nil; a Sim's pool is over its own program. The caller
-// resets the worker.
-func (pl *Pool) get(p *Program) *worker {
-	if pl != nil {
-		if w, _ := pl.idle.Get().(*worker); w != nil {
-			return w
-		}
+// get returns an idle worker, or a new one when the pool has none idle.
+// The caller resets the worker.
+func (pl *Pool) get() *worker {
+	if w, _ := pl.idle.Get().(*worker); w != nil {
+		return w
 	}
-	return newWorker(p)
+	return newWorker(pl.p)
 }
 
 // put makes the workers of a finished run idle. They drop the run's
-// trace and ID list, so an idle worker keeps no job's data alive. A nil
-// pool, and the first run's, drop the workers.
+// trace, ID list and result, so an idle worker keeps no job's data
+// alive. The first run's workers are dropped.
 func (pl *Pool) put(ws []*worker) {
-	if pl == nil || !pl.ran.Swap(true) {
+	if !pl.ran.Swap(true) {
 		return
 	}
 	for _, w := range ws {
-		w.tr, w.ids = nil, nil
+		w.tr, w.ids, w.res = nil, nil, nil
 		pl.idle.Put(w)
 	}
 }

@@ -13,8 +13,8 @@ import (
 
 // idleWorkers takes every idle worker out of the pool, requires each to
 // be clean — nothing scheduled, dirty or listed, every bucket empty, the
-// current planes the good ones, no trace or ID list kept — and puts them
-// back.
+// current planes the good ones, no trace, ID list or result kept — and
+// puts them back.
 func idleWorkers(t *testing.T, tag string, pl *Pool) int {
 	t.Helper()
 	var ws []*worker
@@ -26,8 +26,9 @@ func idleWorkers(t *testing.T, tag string, pl *Pool) int {
 		ws = append(ws, w)
 	}
 	for wi, w := range ws {
-		if w.p != pl.p || w.tr != nil || w.ids != nil {
-			t.Fatalf("%s: idle worker %d keeps program %p (pool's %p), trace %p, %d IDs", tag, wi, w.p, pl.p, w.tr, len(w.ids))
+		if w.p != pl.p || w.tr != nil || w.ids != nil || w.res != nil {
+			t.Fatalf("%s: idle worker %d keeps program %p (pool's %p), trace %p, %d IDs, result %p",
+				tag, wi, w.p, pl.p, w.tr, len(w.ids), w.res)
 		}
 		if len(w.dirty)+len(w.touched)+len(w.pos) != 0 {
 			t.Fatalf("%s: idle worker %d lists %d dirty, %d touched, %d output gates",

@@ -118,8 +118,11 @@ type worker struct {
 	slots []faultState
 	live  []int32
 
+	// res is the run's one result: the worker writes only the faults of
+	// the chunks it pulled, and counts its own detections.
 	res       *faults.Result
 	simulated int // faults of the chunks this worker ran
+	detected  int // of those, the ones it detected
 	evals     int // gates evaluated; each was scheduled exactly once for it
 	passes    int // fresh propagations
 	steps     int // in-place continuations of a pass
@@ -147,26 +150,15 @@ type worker struct {
 // evaluated. Chunks are independent, so workers pull them off a shared
 // counter.
 type Sim struct {
-	p     *Program
 	u     *faults.Universe
-	pool  *Pool // nil builds every worker afresh
+	pool  *Pool
 	stats csim.Stats
 }
 
-// New compiles u's circuit and returns a simulator over it.
+// New compiles u's circuit and returns a simulator over it, on a pool of
+// its own.
 func New(u *faults.Universe) (*Sim, error) {
-	return NewWith(Compile(u.Circuit), u)
-}
-
-// NewWith builds a simulator over an already compiled program — the
-// service cache memoizes the Program and hands it to every job over
-// the same circuit. The universe must be over the compiled circuit.
-func NewWith(p *Program, u *faults.Universe) (*Sim, error) {
-	if u.Circuit != p.c {
-		return nil, fmt.Errorf("compiled: universe circuit %q does not match compiled program %q",
-			u.Circuit.Name, p.c.Name)
-	}
-	return &Sim{p: p, u: u}, nil
+	return NewPooled(NewPool(Compile(u.Circuit)), u)
 }
 
 // Stats returns the last run's instrumentation counters in the standard
@@ -194,44 +186,39 @@ func numChunks(nfaults int) int { return (nfaults + ChunkFaults - 1) / ChunkFaul
 type WorkerFunc func(worker int, done bool, simulated, detected int)
 
 // Run simulates every fault of the universe over the vector sequence on
-// the calling goroutine: RunContext with one worker and no cancellation.
+// the calling goroutine: RunFaults over all fault IDs with one worker and
+// no cancellation.
 func (s *Sim) Run(vs *vectors.Set) *faults.Result {
-	res, _ := s.RunContext(context.Background(), vs, 1) // a background context is never cancelled
+	res, _ := s.RunFaults(context.Background(), vs, s.u.IDs(), 1, nil) // a background context is never cancelled
 	return res
 }
 
-// RunContext simulates every fault of the universe: RunFaults over all
-// fault IDs.
-func (s *Sim) RunContext(ctx context.Context, vs *vectors.Set, workers int) (*faults.Result, error) {
-	return s.RunFaults(ctx, vs, s.u.IDs(), workers, nil)
-}
-
-// RunFaults simulates the faults ids, in that order, over the vector
-// sequence: one compiled good-machine pass building the packed trace,
-// then the fault chunks on Workers(workers, len(ids)) workers that
-// share it — the caller's goroutine is the first of them. The
-// result spans the whole universe; only the listed faults can be
-// detected in it. Detections are bit-identical to serial.Simulate,
-// including first-detection vector indices and potential (X at a
-// sampled output) detections, and neither they nor the evaluation
-// counts depend on the worker count or on how the universe is cut into
-// ID lists. ctx is checked between chunks and between a chunk's
-// 64-cycle blocks; a cancelled run returns ctx.Err(). A panic on a
-// worker, watch's included, comes back as an error with the stack. watch
-// may be nil.
+// RunFaults simulates the faults ids, which must be distinct, in that
+// order over the vector sequence: one compiled good-machine pass building
+// the packed trace, then the fault chunks on Workers(workers, len(ids))
+// workers that share it — the caller's goroutine is the first of them.
+// The run's one result spans the whole universe; only the listed faults
+// can be detected in it, and each is written only by the worker that ran
+// its chunk. Detections are bit-identical to serial.Simulate, including
+// first-detection vector indices and potential (X at a sampled output)
+// detections, and neither they nor the evaluation counts depend on the
+// worker count or on how the universe is cut into ID lists. ctx is
+// checked between chunks and between a chunk's 64-cycle blocks; a
+// cancelled run returns ctx.Err(). A panic on a worker, watch's included,
+// comes back as an error with the stack. watch may be nil.
 func (s *Sim) RunFaults(ctx context.Context, vs *vectors.Set, ids []int32, workers int, watch WorkerFunc) (*faults.Result, error) {
-	tr, gevals, err := s.p.trace(ctx, vs)
+	tr, gevals, err := s.pool.p.trace(ctx, vs)
 	if err != nil {
 		return nil, err
 	}
-	ws, err := s.runWorkers(ctx, tr, ids, workers, watch)
+	res := faults.NewResult(s.u)
+	ws, err := s.runWorkers(ctx, tr, ids, res, workers, watch)
 	if err != nil {
 		return nil, err
 	}
-	parts := make([]*faults.Result, len(ws))
 	stats := make([]csim.Stats, len(ws))
 	for i, w := range ws {
-		parts[i] = w.res
+		res.NumDet += w.detected
 		stats[i] = csim.Stats{
 			Evals:     w.evals,
 			Scheds:    w.evals,
@@ -242,7 +229,6 @@ func (s *Sim) RunFaults(ctx context.Context, vs *vectors.Set, ids []int32, worke
 			MemBytes:  w.memBytes(),
 		}
 	}
-	res := faults.MergeResults(parts...)
 	s.stats = csim.MergeStats(stats...)
 	s.stats.GoodEvals = int(gevals)
 	s.stats.Detections = res.NumDet
@@ -251,19 +237,19 @@ func (s *Sim) RunFaults(ctx context.Context, vs *vectors.Set, ids []int32, worke
 	return res, nil
 }
 
-// runWorkers runs the chunks of ids over the trace and returns the
-// workers that ran them, each holding its share of the result: borrowed
+// runWorkers runs the chunks of ids over the trace, writing their
+// detections into res, and returns the workers that ran them: borrowed
 // from the Sim's pool, or built when it has none idle. A worker that
 // panics ends the run with an error carrying the stack instead of
 // taking the process down. Only RunFaults returns workers to the pool,
-// after the merge and only from a run that ended without error, so one
-// that stopped halfway through a pass is never used again.
-func (s *Sim) runWorkers(ctx context.Context, tr *Trace, ids []int32, workers int, watch WorkerFunc) ([]*worker, error) {
+// after it has read their counts and only from a run that ended without
+// error, so one that stopped halfway through a pass is never used again.
+func (s *Sim) runWorkers(ctx context.Context, tr *Trace, ids []int32, res *faults.Result, workers int, watch WorkerFunc) ([]*worker, error) {
 	chunks := numChunks(len(ids))
 	ws := make([]*worker, Workers(workers, len(ids)))
 	for i := range ws {
-		ws[i] = s.pool.get(s.p)
-		ws[i].reset(s.u, tr, ids)
+		ws[i] = s.pool.get()
+		ws[i].reset(s.u, tr, ids, res)
 	}
 	var (
 		next atomic.Int64
@@ -280,7 +266,7 @@ func (s *Sim) runWorkers(ctx context.Context, tr *Trace, ids []int32, workers in
 			watch(i, false, 0, 0)
 		}
 		if errs[i] = ws[i].run(ctx, &next, chunks); errs[i] == nil && watch != nil {
-			watch(i, true, ws[i].simulated, ws[i].res.NumDet)
+			watch(i, true, ws[i].simulated, ws[i].detected)
 		}
 	}
 	for i := 1; i < len(ws); i++ {
@@ -335,11 +321,11 @@ func newWorker(p *Program) *worker {
 }
 
 // reset readies the worker for a run over the faults ids of u on trace
-// tr: its counters start from zero and its result is emptied in place,
-// while its nodes, buckets, lists, slots and their state-difference
-// lists keep what earlier runs grew them to.
-func (w *worker) reset(u *faults.Universe, tr *Trace, ids []int32) {
-	w.u, w.tr, w.ids = u, tr, ids
+// tr, detecting into res: its counters start from zero, while its nodes,
+// buckets, lists, slots and their state-difference lists keep what
+// earlier runs grew them to.
+func (w *worker) reset(u *faults.Universe, tr *Trace, ids []int32, res *faults.Result) {
+	w.u, w.tr, w.ids, w.res = u, tr, ids, res
 	n := min(ChunkFaults, len(ids))
 	if cap(w.slots) < n {
 		grown := make([]faultState, n)
@@ -350,12 +336,7 @@ func (w *worker) reset(u *faults.Universe, tr *Trace, ids []int32) {
 	if cap(w.live) < n {
 		w.live = make([]int32, 0, n)
 	}
-	if w.res == nil {
-		w.res = faults.NewResult(u)
-	} else {
-		w.res.Reset(u)
-	}
-	w.simulated, w.evals, w.passes, w.steps, w.curDiffs, w.peakDiffs = 0, 0, 0, 0, 0, 0
+	w.simulated, w.detected, w.evals, w.passes, w.steps, w.curDiffs, w.peakDiffs = 0, 0, 0, 0, 0, 0, 0
 }
 
 // memBytes accounts the worker's fault-pass state at its peak.
@@ -723,7 +704,9 @@ func (w *worker) pass(fs *faultState) bool {
 			if pot&maskRange(cur, dl) != 0 {
 				w.res.PotDetect(f.ID)
 			}
-			w.res.Detect(f.ID, w.base+int(dl))
+			w.res.Detected[f.ID] = true
+			w.res.DetectedAt[f.ID] = int32(w.base + int(dl))
+			w.detected++
 			w.undo()
 			return true
 		}

@@ -2,7 +2,13 @@ package dist
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
 	"fmt"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -18,6 +24,8 @@ import (
 	"repro/internal/service"
 	"repro/internal/vectors"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/fleet_oracle.json from the serial and csim-MV oracles")
 
 // shardPayloads runs every shard of a K-way split locally and wraps
 // the results as the worker-facing payloads the coordinator merges.
@@ -303,7 +311,7 @@ func TestWorkerKillMidJobRequeues(t *testing.T) {
 	}
 	_ = victim.Close()
 
-	v, err := cl.Wait(ctx, jv.ID, 0)
+	v, err := cl.Wait(ctx, jv.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,62 +330,132 @@ func TestWorkerKillMidJobRequeues(t *testing.T) {
 	}
 }
 
-// TestFleetShardsAreCompiled: an unpinned job through a coordinator is
-// planned K×1 and every worker runs its shard's fault IDs on the
-// compiled kernel. The merged result is the
-// oracle's on both fault models — the serial oracle on s298 and s1494,
-// single-threaded csim-MV on s5378, where serial takes a minute — and
-// the merged stats say what ran: csim-C's evaluation counts, and one
-// good trace per worker, since each computes its own.
-func TestFleetShardsAreCompiled(t *testing.T) {
-	// The references run before the deadline starts: under -race they
-	// take most of the test's time, and ctxT bounds the fleet jobs.
-	type cell struct {
-		circuit, model string
-		u              *faults.Universe
-		want           *faults.Result
-		one            csim.Stats
+// fleetOracleFile holds TestFleetShardsAreCompiled's references, one
+// cell per circuit and fault model; -update regenerates it.
+const fleetOracleFile = "testdata/fleet_oracle.json"
+
+// fleetCell is one reference: the oracle's detections as a digest and
+// counts, and what a single csim-C run of the cell evaluates.
+type fleetCell struct {
+	Circuit   string `json:"circuit"`
+	Model     string `json:"model"`
+	Digest    string `json:"digest"`
+	Detected  int    `json:"detected"`
+	PotOnly   int    `json:"pot_only"`
+	Evals     int    `json:"evals"`
+	Scheds    int    `json:"scheds"`
+	GoodEvals int    `json:"good_evals"`
+}
+
+// fleetWorkload is a cell's universe and vectors.
+func fleetWorkload(t *testing.T, circuit, model string) (*faults.Universe, *vectors.Set) {
+	t.Helper()
+	ckt, err := iscas.Get(circuit)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var cells []cell
+	u := faults.StuckCollapsed(ckt)
+	if model == "transition" {
+		u = faults.Transition(ckt)
+	}
+	return u, vectors.Random(ckt, 64, 11)
+}
+
+// fleetOracle runs a cell's oracle: serial on s298 and s1494,
+// single-threaded csim-MV on s5378, where serial takes a minute.
+func fleetOracle(t *testing.T, circuit string, u *faults.Universe, vs *vectors.Set) *faults.Result {
+	t.Helper()
+	if circuit != "s5378" {
+		want, err := serial.Simulate(context.Background(), u, vs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return want
+	}
+	single, err := csim.New(u, csim.MV())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return single.Run(vs)
+}
+
+// resultDigest hashes every fault's Detected, DetectedAt and PotDetected.
+func resultDigest(r *faults.Result) string {
+	h := sha256.New()
+	var b [6]byte
+	for i := range r.Detected {
+		b[0], b[5] = 0, 0
+		if r.Detected[i] {
+			b[0] = 1
+		}
+		binary.LittleEndian.PutUint32(b[1:5], uint32(r.DetectedAt[i]))
+		if r.PotDetected[i] {
+			b[5] = 1
+		}
+		h.Write(b[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// updateFleetOracle recomputes every cell's references and rewrites the
+// file.
+func updateFleetOracle(t *testing.T) {
+	var cells []fleetCell
 	for _, circuit := range []string{"s298", "s1494", "s5378"} {
 		for _, model := range []string{"stuck", "transition"} {
-			ckt, err := iscas.Get(circuit)
-			if err != nil {
-				t.Fatal(err)
-			}
-			u := faults.StuckCollapsed(ckt)
-			if model == "transition" {
-				u = faults.Transition(ckt)
-			}
-			vs := vectors.Random(ckt, 64, 11)
-			var want *faults.Result
-			if circuit == "s5378" {
-				single, err := csim.New(u, csim.MV())
-				if err != nil {
-					t.Fatal(err)
-				}
-				want = single.Run(vs)
-			} else {
-				want, _ = serial.Simulate(context.Background(), u, vs)
-			}
+			u, vs := fleetWorkload(t, circuit, model)
+			want := fleetOracle(t, circuit, u, vs)
 			ref, err := compiled.New(u)
 			if err != nil {
 				t.Fatal(err)
 			}
 			ref.Run(vs)
-			cells = append(cells, cell{circuit, model, u, want, ref.Stats()})
+			one := ref.Stats()
+			cells = append(cells, fleetCell{circuit, model, resultDigest(want), want.NumDet, want.NumPotOnly(),
+				one.Evals, one.Scheds, one.GoodEvals})
 		}
+	}
+	buf, err := json.MarshalIndent(cells, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(fleetOracleFile, append(buf, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFleetShardsAreCompiled: an unpinned job through a coordinator is
+// planned K×1 and every worker runs its shard's fault IDs on the
+// compiled kernel. The merged result is bit-for-bit the oracle's on both
+// fault models, and the merged stats say what ran: csim-C's evaluation
+// counts, and one good trace per worker, since each computes its own.
+// The references are committed (fleetOracleFile); on a mismatch the test
+// recomputes the cell's oracle and names the first differing fault.
+func TestFleetShardsAreCompiled(t *testing.T) {
+	if *update {
+		updateFleetOracle(t)
+	}
+	buf, err := os.ReadFile(fleetOracleFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cells []fleetCell
+	if err := json.Unmarshal(buf, &cells); err != nil {
+		t.Fatal(err)
+	}
+	if len(cells) != 6 {
+		t.Fatalf("%s holds %d cells, want 6", fleetOracleFile, len(cells))
 	}
 
 	cl, _, _ := startCluster(t, 2, nil)
 	ctx := ctxT(t)
 	for _, c := range cells {
-		circuit, model, u, want := c.circuit, c.model, c.u, c.want
-		tag := circuit + "/" + model
+		tag := c.Circuit + "/" + c.Model
+		u, vs := fleetWorkload(t, c.Circuit, c.Model)
 		v, err := cl.Run(ctx, service.JobSpec{
-			Circuit: circuit, Model: model, Engine: "csim-grid",
+			Circuit: c.Circuit, Model: c.Model, Engine: "csim-grid",
 			Random: 64, Seed: 11, ReturnDetections: true,
-		}, 2*time.Millisecond)
+		}, 0)
 		if err != nil || v.Status != service.StatusDone || v.Result == nil {
 			t.Fatalf("%s: %v / %+v", tag, err, v)
 		}
@@ -391,32 +469,35 @@ func TestFleetShardsAreCompiled(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if diff := want.Diff(got); diff != "" {
-			t.Errorf("%s: distributed result differs from the oracle:\n%s", tag, diff)
-		}
-		for i := range want.DetectedAt {
-			if want.DetectedAt[i] != got.DetectedAt[i] || want.PotDetected[i] != got.PotDetected[i] {
-				t.Errorf("%s: fault %d detected at %d (potential %t), oracle %d (%t)", tag, i,
-					got.DetectedAt[i], got.PotDetected[i], want.DetectedAt[i], want.PotDetected[i])
-				break
+		if resultDigest(got) != c.Digest {
+			want, first := fleetOracle(t, c.Circuit, u, vs), "none: the file is stale, regenerate it with -update"
+			for i := range want.Detected {
+				if want.Detected[i] != got.Detected[i] || want.DetectedAt[i] != got.DetectedAt[i] || want.PotDetected[i] != got.PotDetected[i] {
+					first = fmt.Sprintf("%s detected %t at %d (potential %t), oracle %t at %d (%t)",
+						u.Faults[i].Name(u.Circuit), got.Detected[i], got.DetectedAt[i], got.PotDetected[i],
+						want.Detected[i], want.DetectedAt[i], want.PotDetected[i])
+					break
+				}
 			}
+			t.Errorf("%s: distributed result digest differs from %s; first fault that differs from the recomputed oracle: %s",
+				tag, fleetOracleFile, first)
 		}
-		st, one := v.Result.Stats, c.one
-		if st.Evals != one.Evals || st.Scheds != one.Scheds || st.Detections != want.NumDet {
-			t.Errorf("%s: merged stats %+v, csim-C %+v", tag, st, one)
+		st := v.Result.Stats
+		if st.Evals != c.Evals || st.Scheds != c.Scheds || st.Detections != c.Detected {
+			t.Errorf("%s: merged stats %+v, csim-C evals %d, scheds %d, oracle %d detected", tag, st, c.Evals, c.Scheds, c.Detected)
 		}
-		if st.GoodEvals != k*one.GoodEvals {
-			t.Errorf("%s: merged GoodEvals %d, want %d shards x one trace of %d", tag, st.GoodEvals, k, one.GoodEvals)
+		if st.GoodEvals != k*c.GoodEvals {
+			t.Errorf("%s: merged GoodEvals %d, want %d shards x one trace of %d", tag, st.GoodEvals, k, c.GoodEvals)
 		}
 	}
 	// A csim-C job is the same fleet job; only the grid reports a window.
-	v, err := cl.Run(ctx, service.JobSpec{Circuit: "s298", Engine: "csim-C", Random: 64, Seed: 11}, 2*time.Millisecond)
+	v, err := cl.Run(ctx, service.JobSpec{Circuit: "s298", Engine: "csim-C", Random: 64, Seed: 11}, 0)
 	if err != nil || v.Status != service.StatusDone || v.Result == nil {
 		t.Fatalf("csim-C: %v / %+v", err, v)
 	}
-	want := cells[0].want // s298/stuck, serial
-	if v.Result.Detected != want.NumDet || v.Result.PotOnly != want.NumPotOnly() || v.Result.Workers != 2 || v.Result.Windows != 0 {
-		t.Errorf("csim-C through the fleet: %+v, oracle %d/%d", v.Result, want.NumDet, want.NumPotOnly())
+	want := cells[0] // s298/stuck, serial
+	if v.Result.Detected != want.Detected || v.Result.PotOnly != want.PotOnly || v.Result.Workers != 2 || v.Result.Windows != 0 {
+		t.Errorf("csim-C through the fleet: %+v, oracle %d/%d", v.Result, want.Detected, want.PotOnly)
 	}
 	if spec := shardSpec(&service.JobSpec{Engine: "csim-grid"}, 0, 2, time.Minute); spec.Engine != engine.CsimC {
 		t.Errorf("the coordinator dispatches %s shards, want csim-C", spec.Engine)

@@ -60,7 +60,7 @@ func TestShardIsOneRequest(t *testing.T) {
 	cl, _, _ := startCluster(t, 2, func(cfg *Config) {
 		cfg.HTTPClient = &http.Client{Transport: log}
 	})
-	v, err := cl.Run(ctxT(t), service.JobSpec{Circuit: "s1494", Engine: "csim-grid", Random: 64, Seed: 3}, 2*time.Millisecond)
+	v, err := cl.Run(ctxT(t), service.JobSpec{Circuit: "s1494", Engine: "csim-grid", Random: 64, Seed: 3}, 0)
 	if err != nil || v.Status != service.StatusDone || v.Result == nil {
 		t.Fatalf("run: %v / %+v", err, v)
 	}

@@ -172,7 +172,7 @@ func TestCompiledRunRecordsDecide(t *testing.T) {
 			{Options{}, "plan 1x1 (procs=1 faults=700: "},
 			{Options{Shard: 1, Of: 2}, ""},
 		} {
-			ob := &obs.Observer{Flight: obs.NewFlightRecorder(0)}
+			ob := &obs.Observer{Flight: obs.NewFlightRecorder()}
 			tc.opt.Obs = ob
 			if _, _, err := Run(done, name, u, vs, tc.opt); !errors.Is(err, context.Canceled) {
 				t.Errorf("%s %+v on a cancelled context: %v", name, tc.opt, err)
@@ -194,7 +194,7 @@ func TestCompiledRunRecordsDecide(t *testing.T) {
 		faults, workers, chunk int
 	}{{700, 3, 256}, {100, 1, 100}} {
 		u := &faults.Universe{Circuit: c, Faults: u.Faults[:tc.faults]}
-		ob := &obs.Observer{Flight: obs.NewFlightRecorder(0)}
+		ob := &obs.Observer{Flight: obs.NewFlightRecorder()}
 		if _, _, err := Run(context.Background(), CsimC, u, vs, Options{Workers: 4, Obs: ob}); err != nil {
 			t.Fatal(err)
 		}

@@ -146,7 +146,7 @@ func cycles(ctx context.Context, vs *vectors.Set, cycle func(vec []logic.V)) err
 
 // runCompiled is the compiled engines' one path: fault IDs on the
 // workers of one compiled run, borrowed from the circuit's pool and
-// returned to it once the merge has read them. A whole job runs the
+// returned to it once the run has read their counts. A whole job runs the
 // universe on compiled.Workers(opt.Workers, faults) workers and records
 // one shard_start/shard_finish pair per worker and a merge event, each
 // detail starting with the engine's name. A pinned shard

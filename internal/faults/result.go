@@ -32,25 +32,6 @@ func NewResult(u *Universe) *Result {
 	return r
 }
 
-// Reset empties r and sizes it to u, reusing its storage where it has
-// room: the same state NewResult(u) returns.
-func (r *Result) Reset(u *Universe) {
-	n := len(u.Faults)
-	if cap(r.Detected) < n || cap(r.DetectedAt) < n || cap(r.PotDetected) < n {
-		r.Detected = make([]bool, n)
-		r.DetectedAt = make([]int32, n)
-		r.PotDetected = make([]bool, n)
-	} else {
-		r.Detected, r.DetectedAt, r.PotDetected = r.Detected[:n], r.DetectedAt[:n], r.PotDetected[:n]
-		clear(r.Detected)
-		clear(r.PotDetected)
-	}
-	for i := range r.DetectedAt {
-		r.DetectedAt[i] = -1
-	}
-	r.Universe, r.NumDet = u, 0
-}
-
 // PotDetect marks fault id potentially detected.
 func (r *Result) PotDetect(id int32) { r.PotDetected[id] = true }
 

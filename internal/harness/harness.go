@@ -42,6 +42,8 @@ type Measurement struct {
 	// Workers is the compiled kernel's worker count (csim-C and
 	// csim-grid; 0 otherwise).
 	Workers int
+	// Result is the run's per-fault detections.
+	Result *faults.Result
 }
 
 // FltCvg returns hard coverage in percent.
@@ -92,7 +94,7 @@ func Run(name string, u *faults.Universe, vs *vectors.Set, workers int, ob *obs.
 		return m, err
 	}
 	m.CPU = time.Since(start)
-	m.Stats = st
+	m.Stats, m.Result = st, res
 	m.Detected = res.NumDet
 	m.PotOnly = res.NumPotOnly()
 	m.Coverage = res.Coverage()

@@ -115,7 +115,7 @@ func fuzzCase(t *testing.T, seed int64) {
 	if err != nil {
 		t.Fatalf("%s: %v", tag, err)
 	}
-	res, err := csim2.RunContext(context.Background(), vs, workers)
+	res, err := csim2.RunFaults(context.Background(), vs, u.IDs(), workers, nil)
 	if err != nil {
 		t.Fatalf("%s: %v", tag, err)
 	}

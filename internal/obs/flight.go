@@ -6,9 +6,12 @@ import (
 	"time"
 )
 
-// DefaultFlightEvents is the flight-recorder ring capacity used when a
-// caller passes a non-positive one.
+// DefaultFlightEvents is the flight-recorder ring capacity.
 const DefaultFlightEvents = 256
+
+// flightStartEvents is the room a new recorder's ring starts with: a
+// typical job records about a dozen events, so it never grows.
+const flightStartEvents = 16
 
 // FlightEvent is one entry in a job's flight recorder: a timestamped
 // lifecycle marker (admitted, queued, cache hit/miss, worker-count
@@ -32,8 +35,9 @@ type FlightEvent struct {
 // Recordf no-op (Recordf before formatting, so disabled call sites pay
 // no fmt cost), Events returns nil.
 type FlightRecorder struct {
-	limit int // ring capacity; buf grows on demand up to it
-	mu    sync.Mutex
+	mu sync.Mutex
+	// buf starts with room for flightStartEvents and grows on demand up
+	// to DefaultFlightEvents.
 	//simlint:guarded_by(mu)
 	buf []FlightEvent
 	//simlint:guarded_by(mu)
@@ -46,15 +50,12 @@ type FlightRecorder struct {
 	clipped bool
 }
 
-// NewFlightRecorder builds a recorder holding at most capacity events
-// (DefaultFlightEvents when capacity <= 0). The ring is not allocated
-// up front: a typical job records a handful of events, and a server
-// retains thousands of finished jobs with their recorders.
-func NewFlightRecorder(capacity int) *FlightRecorder {
-	if capacity <= 0 {
-		capacity = DefaultFlightEvents
-	}
-	return &FlightRecorder{limit: capacity}
+// NewFlightRecorder builds a recorder holding at most DefaultFlightEvents
+// events. The ring starts with room for 16 and grows from there; a
+// server retains thousands of finished jobs with their recorders, and
+// Clip drops what a finished job's ring does not use.
+func NewFlightRecorder() *FlightRecorder {
+	return &FlightRecorder{buf: make([]FlightEvent, 0, flightStartEvents)}
 }
 
 // Record appends one event, evicting the oldest when the ring is full.
@@ -64,7 +65,7 @@ func (f *FlightRecorder) Record(kind, detail string) {
 	}
 	ev := FlightEvent{Time: time.Now(), Kind: kind, Detail: detail}
 	f.mu.Lock()
-	if len(f.buf) < f.limit {
+	if len(f.buf) < DefaultFlightEvents {
 		if f.clipped && len(f.buf) == cap(f.buf) {
 			f.buf = append(make([]FlightEvent, 0, len(f.buf)+1), f.buf...)
 		}
@@ -80,8 +81,9 @@ func (f *FlightRecorder) Record(kind, detail string) {
 	f.mu.Unlock()
 }
 
-// Clip drops the ring's spare capacity, which appends grew by up to as
-// much again as it holds. A server keeps a finished job's recorder for
+// Clip drops the ring's spare capacity: what it started with beyond the
+// events recorded, or what appends grew it by, up to as much again as it
+// holds. A server keeps a finished job's recorder for
 // late lookups, and the job records little after its finish (a held
 // request's delivery), so from a clip on each Record grows the ring by
 // exactly one event.

@@ -84,17 +84,17 @@ serve_jobs_total 7
 	}
 }
 
-// TestFlightRecorderWraparound fills a small ring past capacity and
-// checks the retained window is the newest events, oldest-first, with
-// the overwritten ones counted as dropped.
+// TestFlightRecorderWraparound fills the ring past capacity and checks
+// the retained window is the newest events, oldest-first, with the
+// overwritten ones counted as dropped.
 func TestFlightRecorderWraparound(t *testing.T) {
-	fr := NewFlightRecorder(4)
-	for i := 0; i < 10; i++ {
+	fr := NewFlightRecorder()
+	for i := 0; i < DefaultFlightEvents+6; i++ {
 		fr.Recordf("ev", "%d", i)
 	}
 	evs := fr.Events()
-	if len(evs) != 4 {
-		t.Fatalf("retained %d events, want 4", len(evs))
+	if len(evs) != DefaultFlightEvents {
+		t.Fatalf("retained %d events, want %d", len(evs), DefaultFlightEvents)
 	}
 	for i, ev := range evs {
 		if want := fmt.Sprintf("%d", 6+i); ev.Detail != want {
@@ -117,20 +117,47 @@ func TestFlightRecorderWraparound(t *testing.T) {
 
 // TestFlightRecorderGrowsOnDemand pins that a recorder holds memory for
 // the events it has, not for its limit: a server retains thousands of
-// finished jobs, each with a handful of events.
+// finished jobs, each with about a dozen events. The ring starts with
+// room for 16.
 func TestFlightRecorderGrowsOnDemand(t *testing.T) {
-	fr := NewFlightRecorder(DefaultFlightEvents)
-	if c := cap(fr.buf); c != 0 {
-		t.Errorf("empty recorder holds %d event slots", c)
+	fr := NewFlightRecorder()
+	if c := cap(fr.buf); c != flightStartEvents {
+		t.Errorf("empty recorder holds %d event slots, want %d", c, flightStartEvents)
 	}
-	for i := 0; i < 6; i++ {
+	for i := 0; i < 20; i++ {
 		fr.Record("ev", "")
 	}
 	if c := cap(fr.buf); c >= DefaultFlightEvents/4 {
-		t.Errorf("6 events hold %d slots of a %d limit", c, DefaultFlightEvents)
+		t.Errorf("20 events hold %d slots of a %d limit", c, DefaultFlightEvents)
 	}
-	if n := len(fr.Events()); n != 6 || fr.Dropped() != 0 {
-		t.Errorf("%d events, Dropped = %d, want 6 and 0", n, fr.Dropped())
+	if n := len(fr.Events()); n != 20 || fr.Dropped() != 0 {
+		t.Errorf("%d events, Dropped = %d, want 20 and 0", n, fr.Dropped())
+	}
+}
+
+// TestFlightRecorderAllocs: a typical job's dozen events fit the ring a
+// recorder starts with, so recording them allocates at most once, and
+// clipping the finished ring at most once more.
+func TestFlightRecorderAllocs(t *testing.T) {
+	const runs = 20
+	frs := make([]*FlightRecorder, runs+1) // AllocsPerRun calls f once more to warm up
+	for i := range frs {
+		frs[i] = NewFlightRecorder()
+	}
+	next := 0
+	record := testing.AllocsPerRun(runs, func() {
+		for i := 0; i < 12; i++ {
+			frs[next].Record("ev", "")
+		}
+		next++
+	})
+	next = 0
+	clip := testing.AllocsPerRun(runs, func() {
+		frs[next].Clip()
+		next++
+	})
+	if record > 1 || clip > 1 {
+		t.Errorf("12 events cost %.1f allocations and Clip %.1f, want at most 1 each", record, clip)
 	}
 }
 
@@ -138,7 +165,7 @@ func TestFlightRecorderGrowsOnDemand(t *testing.T) {
 // spare capacity after Clip, one slot more per event recorded after it,
 // the events in order, and a full ring still wrapping.
 func TestFlightRecorderClip(t *testing.T) {
-	fr := NewFlightRecorder(8)
+	fr := NewFlightRecorder()
 	for i := 0; i < 5; i++ {
 		fr.Recordf("ev", "%d", i)
 	}
@@ -146,9 +173,9 @@ func TestFlightRecorderClip(t *testing.T) {
 	if len(fr.buf) != 5 || cap(fr.buf) != 5 {
 		t.Fatalf("clipped ring holds %d events in %d slots, want 5 in 5", len(fr.buf), cap(fr.buf))
 	}
-	for i := 5; i < 10; i++ {
+	for i := 5; i < DefaultFlightEvents+2; i++ {
 		fr.Recordf("ev", "%d", i)
-		if n := min(i+1, 8); len(fr.buf) != n || cap(fr.buf) != n {
+		if n := min(i+1, DefaultFlightEvents); len(fr.buf) != n || cap(fr.buf) != n {
 			t.Fatalf("event %d after the clip: %d events in %d slots, want %d in %d", i, len(fr.buf), cap(fr.buf), n, n)
 		}
 	}
@@ -158,8 +185,8 @@ func TestFlightRecorderClip(t *testing.T) {
 			t.Errorf("event %d detail = %q, want %q", i, ev.Detail, want)
 		}
 	}
-	if len(evs) != 8 || fr.Dropped() != 2 {
-		t.Errorf("%d events, Dropped = %d, want 8 and 2", len(evs), fr.Dropped())
+	if len(evs) != DefaultFlightEvents || fr.Dropped() != 2 {
+		t.Errorf("%d events, Dropped = %d, want %d and 2", len(evs), fr.Dropped(), DefaultFlightEvents)
 	}
 	var off *FlightRecorder
 	off.Clip()

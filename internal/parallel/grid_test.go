@@ -280,7 +280,7 @@ func TestCompiledGridObserved(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	for _, name := range []string{engine.CsimC, engine.CsimGrid} {
-		ob := &obs.Observer{Metrics: reg, Flight: obs.NewFlightRecorder(0)}
+		ob := &obs.Observer{Metrics: reg, Flight: obs.NewFlightRecorder()}
 		if _, _, err := engine.Run(context.Background(), name, u, vs, engine.Options{Workers: 3, Obs: ob}); err != nil {
 			t.Fatal(err)
 		}
@@ -307,7 +307,7 @@ func TestCompiledGridObserved(t *testing.T) {
 		if count(events, "decide", "plan 3x1 ") != 1 || count(events, "merge", name+": 3 shards merged") != 1 || len(events) != 2*3+2 {
 			t.Errorf("%s: want decide, 3 shard pairs and merge, have %+v", name, events)
 		}
-		ob = &obs.Observer{Metrics: reg, Flight: obs.NewFlightRecorder(0)}
+		ob = &obs.Observer{Metrics: reg, Flight: obs.NewFlightRecorder()}
 		if _, _, err := engine.Run(context.Background(), name, u, vs, engine.Options{Shard: 1, Of: 2, Obs: ob}); err != nil {
 			t.Fatal(err)
 		}

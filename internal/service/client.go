@@ -163,30 +163,14 @@ func (c *Client) Cancel(ctx context.Context, id string) (JobView, error) {
 }
 
 // Wait waits for a job's terminal view or for ctx to expire. The first
-// look is immediate. With poll > 0 the rest follow on that fixed tick; a
-// reply that arrives late drops the ticks it overran and does not shift
-// the ones after it. With poll <= 0 a live job is handed to Hold, so its
-// end arrives on the one request that waited for it.
-func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (JobView, error) {
+// look is immediate; a live job is handed to Hold, so its end arrives on
+// the one request that waited for it.
+func (c *Client) Wait(ctx context.Context, id string) (JobView, error) {
 	v, err := c.Job(ctx, id)
 	if err != nil || v.Status.Terminal() {
 		return v, err
 	}
-	if poll <= 0 {
-		return c.Hold(ctx, id, 0)
-	}
-	t := time.NewTicker(poll)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return v, ctx.Err()
-		case <-t.C:
-		}
-		if v, err = c.Job(ctx, id); err != nil || v.Status.Terminal() {
-			return v, err
-		}
-	}
+	return c.Hold(ctx, id, 0)
 }
 
 // Hold waits for a job's terminal view by keeping one status request open
@@ -203,19 +187,12 @@ func (c *Client) Hold(ctx context.Context, id string, hold time.Duration) (JobVi
 	}
 }
 
-// Run submits a job and waits for its terminal view. With poll <= 0 that
-// is one exchange: the submission is held open until the job ends, and
-// only a job that outlives the server's longest hold is asked after again
-// (Hold). With poll > 0 the job is submitted and then looked at on that
-// tick (Wait).
+// Run submits a job and waits for its terminal view in one exchange: the
+// submission is held open until the job ends, and only a job that
+// outlives the server's longest hold is asked after again (Hold). poll is
+// not read; pinned by benchmark/; goes with the `[benchmark]` yardstick
+// refresh.
 func (c *Client) Run(ctx context.Context, spec JobSpec, poll time.Duration) (JobView, error) {
-	if poll > 0 {
-		v, err := c.Submit(ctx, spec)
-		if err != nil {
-			return v, err
-		}
-		return c.Wait(ctx, v.ID, poll)
-	}
 	v, err := c.SubmitHold(ctx, spec, 0)
 	if err != nil || v.Status.Terminal() {
 		return v, err

@@ -216,7 +216,7 @@ func TestRetainedJobWeight(t *testing.T) {
 // terminal too, and its ring keeps no spare capacity either.
 func TestCancelledQueuedJobRingClipped(t *testing.T) {
 	j := newJob("q", JobSpec{}, &Compiled{}, false, time.Now())
-	j.flight = obs.NewFlightRecorder(0)
+	j.flight = obs.NewFlightRecorder()
 	for _, kind := range []string{"admitted", "cache", "queued"} {
 		j.flight.Record(kind, "")
 	}

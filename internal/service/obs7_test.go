@@ -139,11 +139,11 @@ func TestObservabilityDoesNotChangeDetections(t *testing.T) {
 
 	for _, engine := range []string{"csim-MV", "csim-grid"} {
 		spec := JobSpec{Circuit: "s298", Engine: engine, Random: 40, Seed: 7}
-		a, err := instrumented.Run(ctx, spec, time.Millisecond)
+		a, err := instrumented.Run(ctx, spec, 0)
 		if err != nil {
 			t.Fatalf("%s instrumented: %v", engine, err)
 		}
-		b, err := bare.Run(ctx, spec, time.Millisecond)
+		b, err := bare.Run(ctx, spec, 0)
 		if err != nil {
 			t.Fatalf("%s bare: %v", engine, err)
 		}

@@ -588,7 +588,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	j := newJob(id, spec, cc, hit, time.Now())
-	j.flight = obs.NewFlightRecorder(obs.DefaultFlightEvents)
+	j.flight = obs.NewFlightRecorder()
 	s.jobs[id] = j
 	s.mu.Unlock()
 

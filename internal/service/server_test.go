@@ -71,7 +71,7 @@ func TestJobMatchesSerialOracle(t *testing.T) {
 	ctx := ctxT(t)
 	want := oracle(t, "s298", "stuck", 40, 7)
 	for _, engine := range Engines {
-		v, err := cl.Run(ctx, JobSpec{Circuit: "s298", Engine: engine, Random: 40, Seed: 7}, time.Millisecond)
+		v, err := cl.Run(ctx, JobSpec{Circuit: "s298", Engine: engine, Random: 40, Seed: 7}, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", engine, err)
 		}
@@ -100,7 +100,7 @@ func TestGridJobShapes(t *testing.T) {
 	want := oracle(t, "s298", "stuck", 40, 7)
 
 	for _, w := range []int{0, 1} {
-		v, err := cl.Run(ctx, JobSpec{Circuit: "s298", Engine: "csim-grid", Workers: 2, Windows: w, Random: 40, Seed: 7}, time.Millisecond)
+		v, err := cl.Run(ctx, JobSpec{Circuit: "s298", Engine: "csim-grid", Workers: 2, Windows: w, Random: 40, Seed: 7}, 0)
 		if err != nil {
 			t.Fatalf("csim-grid: %v", err)
 		}
@@ -114,7 +114,7 @@ func TestGridJobShapes(t *testing.T) {
 
 	// Not pinned: the server's EngineWorkers is the budget and the
 	// result records the K it ran.
-	v, err := cl.Run(ctx, JobSpec{Circuit: "s298", Engine: "csim-grid", Random: 40, Seed: 7}, time.Millisecond)
+	v, err := cl.Run(ctx, JobSpec{Circuit: "s298", Engine: "csim-grid", Random: 40, Seed: 7}, 0)
 	if err != nil {
 		t.Fatalf("auto csim-grid: %v", err)
 	}
@@ -133,7 +133,7 @@ func TestAutoGridRunsThePlanItReports(t *testing.T) {
 	_, cl := startServer(t, Config{Workers: 1, EngineWorkers: 2})
 	ctx := ctxT(t)
 	want := oracle(t, "s298", "transition", 64, 3)
-	v, err := cl.Run(ctx, JobSpec{Circuit: "s298", Model: "transition", Engine: "csim-grid", Random: 64, Seed: 3}, time.Millisecond)
+	v, err := cl.Run(ctx, JobSpec{Circuit: "s298", Model: "transition", Engine: "csim-grid", Random: 64, Seed: 3}, 0)
 	if err != nil || v.Result == nil {
 		t.Fatalf("auto csim-grid: %v / %+v", err, v)
 	}
@@ -163,7 +163,7 @@ func TestTransitionModel(t *testing.T) {
 	_, cl := startServer(t, Config{Workers: 1})
 	ctx := ctxT(t)
 	want := oracle(t, "s344", "transition", 30, 3)
-	v, err := cl.Run(ctx, JobSpec{Circuit: "s344", Model: "transition", Random: 30, Seed: 3}, time.Millisecond)
+	v, err := cl.Run(ctx, JobSpec{Circuit: "s344", Model: "transition", Random: 30, Seed: 3}, 0)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -176,7 +176,7 @@ func TestInlineBenchAndCacheHit(t *testing.T) {
 	s, cl := startServer(t, Config{Workers: 1})
 	ctx := ctxT(t)
 	spec := JobSpec{Bench: iscas.S27Bench, BenchName: "mine", Random: 16, Seed: 2}
-	v1, err := cl.Run(ctx, spec, time.Millisecond)
+	v1, err := cl.Run(ctx, spec, 0)
 	if err != nil {
 		t.Fatalf("first run: %v", err)
 	}
@@ -186,7 +186,7 @@ func TestInlineBenchAndCacheHit(t *testing.T) {
 	if v1.Result.CacheHit {
 		t.Error("first submission reported a cache hit")
 	}
-	v2, err := cl.Run(ctx, spec, time.Millisecond)
+	v2, err := cl.Run(ctx, spec, 0)
 	if err != nil {
 		t.Fatalf("second run: %v", err)
 	}
@@ -225,7 +225,7 @@ func TestPollDoesNotEchoInlineNetlist(t *testing.T) {
 	if len(text) < 50_000 {
 		t.Fatalf("s5378 .bench is %d bytes, want a large netlist", len(text))
 	}
-	v, err := cl.Run(ctx, JobSpec{Bench: text, BenchName: "mine", Engine: "csim-C", Random: 64}, time.Millisecond)
+	v, err := cl.Run(ctx, JobSpec{Bench: text, BenchName: "mine", Engine: "csim-C", Random: 64}, 0)
 	if err != nil || v.Status != StatusDone {
 		t.Fatalf("run: %v / %+v", err, v)
 	}
@@ -246,7 +246,7 @@ func TestPollDoesNotEchoInlineNetlist(t *testing.T) {
 	}
 	// The echoed spec is itself a valid submission while the circuit is
 	// cached.
-	again, err := cl.Run(ctx, v.Spec, time.Millisecond)
+	again, err := cl.Run(ctx, v.Spec, 0)
 	if err != nil || again.Result == nil || again.Result.Detected != v.Result.Detected {
 		t.Errorf("resubmitting the echoed spec: %v / %+v", err, again)
 	}
@@ -279,7 +279,7 @@ func TestWaitDefaultSchedule(t *testing.T) {
 	defer srv.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 270*time.Millisecond)
 	defer cancel()
-	if _, err := NewClient(srv.URL).Wait(ctx, "j1", 0); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := NewClient(srv.URL).Wait(ctx, "j1"); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("Wait on a job that never ends: %v, want the context's deadline", err)
 	}
 	mu.Lock()
@@ -471,7 +471,7 @@ func TestJobTimeoutFails(t *testing.T) {
 	ctx := ctxT(t)
 	spec := slowSpec()
 	spec.TimeoutMS = 50
-	v, err := cl.Run(ctx, spec, time.Millisecond)
+	v, err := cl.Run(ctx, spec, 0)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -505,7 +505,7 @@ func TestTimeoutStopsEveryEngine(t *testing.T) {
 	timesOut := func(engine string, spec JobSpec) {
 		t.Helper()
 		spec.Engine, spec.TimeoutMS = engine, 20
-		v, err := cl.Run(ctx, spec, time.Millisecond)
+		v, err := cl.Run(ctx, spec, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", engine, err)
 		}
@@ -517,7 +517,7 @@ func TestTimeoutStopsEveryEngine(t *testing.T) {
 		if ran := finished.Sub(started); ran > raceSlowdown*500*time.Millisecond {
 			t.Errorf("%s %s/rand:%d: ran %s past a 20 ms timeout", engine, spec.Circuit, spec.Random, ran)
 		}
-		if next, err := cl.Run(ctx, JobSpec{Circuit: "s27", Random: 4}, time.Millisecond); err != nil || next.Status != StatusDone {
+		if next, err := cl.Run(ctx, JobSpec{Circuit: "s27", Random: 4}, 0); err != nil || next.Status != StatusDone {
 			t.Errorf("%s: the slot did not run the next job: %v / %+v", engine, err, next)
 		}
 	}
@@ -768,7 +768,7 @@ func TestRetentionEvictsOldFinishedJobs(t *testing.T) {
 	ctx := ctxT(t)
 	var first string
 	for i := 0; i < 6; i++ {
-		v, err := cl.Run(ctx, JobSpec{Circuit: "s27", Random: 4, Seed: int64(i + 1)}, time.Millisecond)
+		v, err := cl.Run(ctx, JobSpec{Circuit: "s27", Random: 4, Seed: int64(i + 1)}, 0)
 		if err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
@@ -875,7 +875,7 @@ func waitTerminal(t *testing.T, cl *Client, id string) JobView {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	v, err := cl.Wait(ctx, id, time.Millisecond)
+	v, err := cl.Wait(ctx, id)
 	if err != nil {
 		t.Fatalf("wait %s: %v", id, err)
 	}

@@ -129,12 +129,12 @@ func TestBenchKeyReference(t *testing.T) {
 	}
 
 	// Ship the netlist once; the cache now holds it under the same key.
-	v, err := cl.Run(ctx, JobSpec{Bench: text, BenchName: "s27", Engine: "csim", Random: 8, Seed: 1}, time.Millisecond)
+	v, err := cl.Run(ctx, JobSpec{Bench: text, BenchName: "s27", Engine: "csim", Random: 8, Seed: 1}, 0)
 	if err != nil || v.Status != StatusDone {
 		t.Fatalf("inline ship: %v / %+v", err, v)
 	}
 
-	v, err = cl.Run(ctx, JobSpec{BenchKey: key, Engine: "csim", Random: 8, Seed: 1}, time.Millisecond)
+	v, err = cl.Run(ctx, JobSpec{BenchKey: key, Engine: "csim", Random: 8, Seed: 1}, 0)
 	if err != nil {
 		t.Fatalf("bench_key run: %v", err)
 	}
