@@ -252,8 +252,8 @@ func TestPollDoesNotEchoInlineNetlist(t *testing.T) {
 	}
 }
 
-// TestWaitDefaultSchedule: with no poll interval given, Wait looks at a
-// job at once and then holds the second request open until the job ends.
+// TestWaitDefaultSchedule: Wait looks at a job at once and then holds the
+// second request open until the job ends.
 func TestWaitDefaultSchedule(t *testing.T) {
 	type look struct {
 		at   time.Duration
