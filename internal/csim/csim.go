@@ -114,12 +114,6 @@ type Simulator struct {
 
 	locals [][]int32 // per gate: sorted IDs of faults sited at that gate
 
-	// fstTab memoizes, per local stuck fault on a table-sized macro, the
-	// macro's per-fault functional lookup table (macro.StuckTable). The
-	// cache is per simulator — a Plan is immutable and may be shared by
-	// concurrent simulators, so the mutable memo cannot live on the macro.
-	fstTab [][]logic.V
-
 	// consumers[g] lists the (root, leafPin) pairs fed by gate g.
 	consumers [][]consumer
 
@@ -180,7 +174,6 @@ func New(u *faults.Universe, cfg Config) (*Simulator, error) {
 		vis:       make([]int32, n),
 		inv:       make([]int32, n),
 		locals:    make([][]int32, n),
-		fstTab:    make([][]logic.V, len(u.Faults)),
 		consumers: make([][]consumer, n),
 		retrigOn:  make([]bool, n),
 		sched:     make([]bool, n),

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/logic"
-	"repro/internal/macro"
 	"repro/internal/netlist"
 	"repro/internal/obs"
 )
@@ -307,18 +306,7 @@ func (s *Simulator) evalRoot(r netlist.GateID) {
 		if isLocal {
 			flt := &s.u.Faults[f]
 			if flt.Kind.Stuck() {
-				if m.Table != nil {
-					// Table-sized macro: evaluate through the fault's
-					// functional table, built once per simulator (§2.2).
-					tbl := s.fstTab[f]
-					if tbl == nil {
-						tbl = m.StuckTable(flt.Gate, int(flt.Pin), flt.Kind.StuckValue())
-						s.fstTab[f] = tbl
-					}
-					newOut = tbl[macro.TableIndex(fin)]
-				} else {
-					newOut = m.EvalStuck(fin, s.frame, flt.Gate, int(flt.Pin), flt.Kind.StuckValue())
-				}
+				newOut = m.EvalStuck(fin, s.frame, flt.Gate, int(flt.Pin), flt.Kind.StuckValue())
 			} else {
 				prev := s.prevDriver[f]
 				var driver logic.V

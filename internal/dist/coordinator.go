@@ -281,7 +281,7 @@ func (c *Coordinator) attemptShard(ctx context.Context, w *worker, id string, sp
 	var v service.JobView
 	for submitted := false; !submitted; {
 		var err error
-		v, err = w.client.SubmitHold(actx, s, 0)
+		v, err = w.client.SubmitHold(actx, s)
 		var qf *service.QueueFullError
 		var ae *service.APIError
 		switch {
@@ -338,7 +338,7 @@ func (c *Coordinator) attemptShard(ctx context.Context, w *worker, id string, sp
 
 	if !v.Status.Terminal() {
 		var err error
-		if v, err = w.client.Hold(actx, id, 0); err != nil {
+		if v, err = w.client.Hold(actx, id); err != nil {
 			return nil, c.shardLost(ctx, actx, w, id, "wait", err)
 		}
 	}

@@ -311,7 +311,7 @@ func TestWorkerKillMidJobRequeues(t *testing.T) {
 	}
 	_ = victim.Close()
 
-	v, err := cl.Wait(ctx, jv.ID)
+	v, err := cl.Hold(ctx, jv.ID)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -157,7 +157,8 @@ func cycles(ctx context.Context, vs *vectors.Set, cycle func(vec []logic.V)) err
 // goes with the `[benchmark]` yardstick refresh.
 func runCompiled(ctx context.Context, name string, pool *compiled.Pool, u *faults.Universe, vs *vectors.Set, opt Options) (*faults.Result, csim.Stats, error) {
 	rec := opt.Obs.Recorder()
-	ids, workers := u.IDs(), compiled.Workers(opt.Workers, u.NumFaults())
+	var ids []int32
+	var workers int
 	var watch compiled.WorkerFunc
 	if opt.Of > 0 {
 		ids = parallel.Partition(u, opt.Of)[opt.Shard]
@@ -169,6 +170,7 @@ func runCompiled(ctx context.Context, name string, pool *compiled.Pool, u *fault
 		workers = compiled.Workers(opt.Workers, len(ids))
 		rec.Recordf("shard_start", "shard %d of %d: %d faults on %d compiled workers", opt.Shard, opt.Of, len(ids), workers)
 	} else {
+		ids, workers = u.IDs(), compiled.Workers(opt.Workers, u.NumFaults())
 		chunk := min(compiled.ChunkFaults, len(ids))
 		watch = func(i int, done bool, simulated, detected int) {
 			if !done {

@@ -37,10 +37,7 @@ type Instr struct {
 // Macro is one extracted fanout-free region. A Macro is immutable once
 // extraction returns — nothing in its evaluation methods writes to the
 // receiver — so a Plan may be shared by any number of concurrently
-// running simulators. Callers that want the paper's per-fault lookup
-// tables ("each fault descriptor holds an adequate look up table entry")
-// memoize StuckTable results on their own side, as internal/csim does
-// per simulator instance.
+// running simulators.
 //
 //simlint:immutable
 type Macro struct {
@@ -64,9 +61,9 @@ func (m *Macro) Contains(g netlist.GateID) bool {
 	return ok
 }
 
-// TableIndex packs ternary leaf values into a lookup-table index, 2 bits
-// per leaf — the index scheme of Table and of StuckTable results.
-func TableIndex(in []logic.V) int {
+// tableIndex packs ternary leaf values into a lookup-table index, 2 bits
+// per leaf — the index scheme of Table.
+func tableIndex(in []logic.V) int {
 	idx := 0
 	for i, v := range in {
 		idx |= int(v) << (2 * i)
@@ -78,22 +75,18 @@ func TableIndex(in []logic.V) int {
 // have at least FrameSize entries (ignored when a table is present).
 func (m *Macro) Eval(in []logic.V, frame []logic.V) logic.V {
 	if m.Table != nil {
-		return m.Table[TableIndex(in)]
+		return m.Table[tableIndex(in)]
 	}
 	return m.replay(in, frame, -1, nil)
 }
 
 // EvalStuck evaluates the macro with a stuck-at fault injected at the
 // original site (gate, pin): pin == faults.OutPin forces the gate output,
-// otherwise input pin `pin` is forced to v. Every call replays the cone;
-// callers that evaluate the same fault repeatedly on a table-sized macro
-// should memoize StuckTable instead. (The memo deliberately does not live
-// here: it would make shared Plans mutable.)
+// otherwise input pin `pin` is forced to v. Every call replays the cone.
+// There is no per-fault lookup table (the paper's "adequate look up table
+// entry"): one costs 4^k replays to build, and a Table 3 run reads fewer
+// entries than it would build (DESIGN.md §6).
 func (m *Macro) EvalStuck(in, frame []logic.V, gate netlist.GateID, pin int, v logic.V) logic.V {
-	return m.evalStuckReplay(in, frame, gate, pin, v)
-}
-
-func (m *Macro) evalStuckReplay(in, frame []logic.V, gate netlist.GateID, pin int, v logic.V) logic.V {
 	gi, ok := m.gateInstr[gate]
 	if !ok {
 		panic(fmt.Sprintf("macro: fault site gate %d not in macro rooted at %d", gate, m.Root))
@@ -104,30 +97,6 @@ func (m *Macro) evalStuckReplay(in, frame []logic.V, gate netlist.GateID, pin in
 		}
 		return cur, false
 	})
-}
-
-// StuckTable precomputes the full ternary lookup table of the macro with
-// the stuck-at fault (gate, pin, v) injected — the per-fault functional
-// table of §2.2, indexed by TableIndex. It returns nil when the macro is
-// not table-sized (more than TableMaxInputs leaves); such faults must go
-// through EvalStuck replay. The build is pure: the macro itself is not
-// modified, so callers own the memoization (and its thread-safety).
-func (m *Macro) StuckTable(gate netlist.GateID, pin int, v logic.V) []logic.V {
-	if m.Table == nil {
-		return nil
-	}
-	n := len(m.Leaves)
-	size := 1 << (2 * n)
-	tbl := make([]logic.V, size)
-	in := make([]logic.V, n)
-	frame := make([]logic.V, m.FrameSize())
-	for idx := 0; idx < size; idx++ {
-		for i := 0; i < n; i++ {
-			in[i] = logic.V((idx >> (2 * i)) & logic.VMask).Norm()
-		}
-		tbl[idx] = m.evalStuckReplay(in, frame, gate, pin, v)
-	}
-	return tbl
 }
 
 // EvalTransition evaluates the macro with a transition fault at (gate,

@@ -1,12 +1,11 @@
 package macro
 
 import (
-	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"repro/internal/faults"
+	"repro/internal/iscas"
 	"repro/internal/logic"
 	"repro/internal/netlist"
 )
@@ -234,60 +233,88 @@ func TestPlanEvalMatchesFlat(t *testing.T) {
 }
 
 // TestEvalStuckMatchesFlatInjection cross-checks macro functional-fault
-// evaluation against direct pin forcing on the flat circuit.
+// evaluation against direct pin forcing on the flat circuit: every
+// internal stuck fault of every macro of fig3's, s298's and s1494's
+// fanout-free plans, table-sized macros and wider ones alike.
 func TestEvalStuckMatchesFlatInjection(t *testing.T) {
-	c := mustParse(t, "fig3", fig3Bench)
-	p, err := Extract(c, DefaultMaxInputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := p.Macro(c.MustByName("z"))
-	u := faults.StuckAll(c)
-	rng := rand.New(rand.NewSource(5))
-	frame := make([]logic.V, m.FrameSize())
-	for trial := 0; trial < 200; trial++ {
-		src := randomSources(c, rng)
-		in := make([]logic.V, len(m.Leaves))
-		for i, l := range m.Leaves {
-			in[i] = src[l]
+	for _, tc := range []struct {
+		c      *netlist.Circuit
+		trials int
+	}{
+		{mustParse(t, "fig3", fig3Bench), 200},
+		{iscas.MustGet("s298"), 20},
+		{iscas.MustGet("s1494"), 8},
+	} {
+		c := tc.c
+		p, err := Extract(c, DefaultMaxInputs)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, f := range u.Faults {
-			if !m.Contains(f.Gate) {
-				continue
+		byMacro := make(map[*Macro][]faults.Fault)
+		for _, f := range faults.StuckAll(c).Faults {
+			for _, m := range p.ByRoot {
+				if m != nil && m.Contains(f.Gate) {
+					byMacro[m] = append(byMacro[m], f)
+				}
 			}
-			got := m.EvalStuck(in, frame, f.Gate, int(f.Pin), f.Kind.StuckValue())
-			want := flatEvalStuck(c, src, f)
-			if got != want {
-				t.Fatalf("fault %s: macro %v, flat %v (inputs %v)", f.Name(c), got, want, in)
+		}
+		wide := 0
+		for m := range byMacro {
+			if m.NumLeaves() > TableMaxInputs {
+				wide++
+			}
+		}
+		if c.Name != "fig3" && wide == 0 {
+			t.Errorf("%s: no macro with more than %d leaves was checked", c.Name, TableMaxInputs)
+		}
+		rng := rand.New(rand.NewSource(5))
+		for trial := 0; trial < tc.trials; trial++ {
+			src := randomSources(c, rng)
+			good := flatEval(c, src)
+			for m, fs := range byMacro {
+				frame := make([]logic.V, m.FrameSize())
+				in := make([]logic.V, len(m.Leaves))
+				for i, l := range m.Leaves {
+					in[i] = good[l]
+				}
+				for _, f := range fs {
+					got := m.EvalStuck(in, frame, f.Gate, int(f.Pin), f.Kind.StuckValue())
+					want := flatEvalStuck(c, src, f, m.Root)
+					if got != want {
+						t.Fatalf("%s: fault %s: macro %v, flat %v (inputs %v)", c.Name, f.Name(c), got, want, in)
+					}
+				}
 			}
 		}
 	}
 }
 
-func flatEvalStuck(c *netlist.Circuit, src map[netlist.GateID]logic.V, f faults.Fault) logic.V {
-	val := make(map[netlist.GateID]logic.V, len(c.Gates))
+// flatEvalStuck evaluates the flat circuit with the stuck-at fault f
+// forced at its pin and returns the value of gate out.
+func flatEvalStuck(c *netlist.Circuit, src map[netlist.GateID]logic.V, f faults.Fault, out netlist.GateID) logic.V {
+	val := make([]logic.V, len(c.Gates))
 	for g, v := range src {
 		val[g] = v
 	}
+	var in []logic.V
 	for _, lv := range c.Levels {
 		for _, id := range lv {
-			g := c.Gate(id)
-			fanin := c.Fanin(id)
-			in := make([]logic.V, len(fanin))
-			for j, fi := range fanin {
-				in[j] = val[fi]
+			in = in[:0]
+			for j, fi := range c.Fanin(id) {
+				v := val[fi]
 				if f.Gate == id && int(f.Pin) == j {
-					in[j] = f.Kind.StuckValue()
+					v = f.Kind.StuckValue()
 				}
+				in = append(in, v)
 			}
-			out := logic.Eval(g.Op, in)
+			v := logic.Eval(c.Gate(id).Op, in)
 			if f.Gate == id && f.Pin == faults.OutPin {
-				out = f.Kind.StuckValue()
+				v = f.Kind.StuckValue()
 			}
-			val[id] = out
+			val[id] = v
 		}
 	}
-	return val[c.MustByName("z")]
+	return val[out]
 }
 
 func TestEvalTransitionDriver(t *testing.T) {
@@ -518,102 +545,10 @@ func TestReconvergentStuckInjectionMatchesFlat(t *testing.T) {
 				continue
 			}
 			got := m.EvalStuck(in, frame, f.Gate, int(f.Pin), f.Kind.StuckValue())
-			want := flatEvalStuck(c, src, f)
+			want := flatEvalStuck(c, src, f, m.Root)
 			if got != want {
 				t.Fatalf("fault %s: reconvergent macro %v, flat %v", f.Name(c), got, want)
 			}
 		}
-	}
-}
-
-// TestFaultTableMatchesReplay: the per-fault lookup tables (functional
-// faults, §2.2) must agree with direct injected replay on every input
-// combination.
-func TestFaultTableMatchesReplay(t *testing.T) {
-	c := mustParse(t, "fig3", fig3Bench)
-	p, err := Extract(c, DefaultMaxInputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := p.Macro(c.MustByName("z"))
-	if m.Table == nil {
-		t.Fatal("expected a table-sized macro")
-	}
-	u := faults.StuckAll(c)
-	frame := make([]logic.V, m.FrameSize())
-	in := make([]logic.V, m.NumLeaves())
-	built := 0
-	for _, f := range u.Faults {
-		if !m.Contains(f.Gate) {
-			continue
-		}
-		tbl := m.StuckTable(f.Gate, int(f.Pin), f.Kind.StuckValue())
-		if tbl == nil {
-			t.Fatalf("fault %s: StuckTable returned nil for a table-sized macro", f.Name(c))
-		}
-		built++
-		var walk func(i int)
-		walk = func(i int) {
-			if i == len(in) {
-				viaTable := tbl[TableIndex(in)]
-				direct := m.EvalStuck(in, frame, f.Gate, int(f.Pin), f.Kind.StuckValue())
-				if viaTable != direct {
-					t.Fatalf("fault %s at %v: table %v, replay %v", f.Name(c), in, viaTable, direct)
-				}
-				return
-			}
-			for _, v := range []logic.V{logic.Zero, logic.One, logic.X} {
-				in[i] = v
-				walk(i + 1)
-			}
-		}
-		walk(0)
-	}
-	if built == 0 {
-		t.Error("no per-fault tables were built")
-	}
-}
-
-// wideBench builds a single n-input AND cone, wide enough to exceed the
-// lookup-table leaf cap.
-func wideBench(n int) string {
-	var b strings.Builder
-	args := make([]string, n)
-	for i := 0; i < n; i++ {
-		fmt.Fprintf(&b, "INPUT(i%d)\n", i)
-		args[i] = fmt.Sprintf("i%d", i)
-	}
-	b.WriteString("OUTPUT(z)\n")
-	fmt.Fprintf(&b, "z = AND(%s)\n", strings.Join(args, ", "))
-	return b.String()
-}
-
-// TestStuckTableNilForWideMacro: macros beyond TableMaxInputs leaves have
-// no base table and must report nil so callers fall back to replay.
-func TestStuckTableNilForWideMacro(t *testing.T) {
-	c := mustParse(t, "wide", wideBench(TableMaxInputs+2))
-	p, err := Extract(c, TableMaxInputs+2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m *Macro
-	for _, cand := range p.ByRoot {
-		if cand != nil && cand.NumLeaves() > TableMaxInputs {
-			m = cand
-			break
-		}
-	}
-	if m == nil {
-		t.Fatal("no wide macro extracted")
-	}
-	u := faults.StuckAll(c)
-	for _, f := range u.Faults {
-		if !m.Contains(f.Gate) {
-			continue
-		}
-		if tbl := m.StuckTable(f.Gate, int(f.Pin), f.Kind.StuckValue()); tbl != nil {
-			t.Fatalf("fault %s: expected nil table for %d-leaf macro", f.Name(c), m.NumLeaves())
-		}
-		break
 	}
 }

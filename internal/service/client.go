@@ -122,23 +122,19 @@ func (c *Client) Submit(ctx context.Context, spec JobSpec) (JobView, error) {
 }
 
 // SubmitHold is Submit on a request the server keeps open once the job is
-// admitted (POST ?wait=hold): the view is the terminal one if the job
-// ended within hold, the live one otherwise, so a job that ends in time is
-// one exchange. Rejections come back at once, as Submit's do.
-func (c *Client) SubmitHold(ctx context.Context, spec JobSpec, hold time.Duration) (JobView, error) {
+// admitted (POST ?wait=): the view is the terminal one if the job ended
+// within the server's longest hold, the live one otherwise, so a job that
+// ends in time is one exchange. Rejections come back at once, as Submit's
+// do.
+func (c *Client) SubmitHold(ctx context.Context, spec JobSpec) (JobView, error) {
 	var v JobView
-	err := c.do(ctx, http.MethodPost, "/api/v1/jobs?wait="+holdParam(hold), spec, &v)
+	err := c.do(ctx, http.MethodPost, "/api/v1/jobs?wait="+holdParam, spec, &v)
 	return v, err
 }
 
-// holdParam renders a hold for ?wait=. The server refuses a wait that is
-// not positive, so one stands for the longest the server keeps a request.
-func holdParam(hold time.Duration) string {
-	if hold <= 0 {
-		hold = maxHold
-	}
-	return hold.String()
-}
+// holdParam is the ?wait= every held request carries: the longest the
+// server keeps a request open.
+var holdParam = maxHold.String()
 
 // Debug fetches a job's flight-recorder postmortem
 // (GET /api/v1/jobs/{id}/debug).
@@ -162,23 +158,11 @@ func (c *Client) Cancel(ctx context.Context, id string) (JobView, error) {
 	return v, err
 }
 
-// Wait waits for a job's terminal view or for ctx to expire. The first
-// look is immediate; a live job is handed to Hold, so its end arrives on
-// the one request that waited for it.
-func (c *Client) Wait(ctx context.Context, id string) (JobView, error) {
-	v, err := c.Job(ctx, id)
-	if err != nil || v.Status.Terminal() {
-		return v, err
-	}
-	return c.Hold(ctx, id, 0)
-}
-
 // Hold waits for a job's terminal view by keeping one status request open
-// at a time: each carries ?wait=hold, which the server answers when the
-// job ends or after hold (at most 30 s, which is also what a hold that is
-// not positive asks for), whichever is first.
-func (c *Client) Hold(ctx context.Context, id string, hold time.Duration) (JobView, error) {
-	path := "/api/v1/jobs/" + id + "?wait=" + holdParam(hold)
+// at a time: each carries ?wait=, which the server answers when the job
+// ends or after its longest hold (30 s), whichever is first.
+func (c *Client) Hold(ctx context.Context, id string) (JobView, error) {
+	path := "/api/v1/jobs/" + id + "?wait=" + holdParam
 	for {
 		var v JobView
 		if err := c.do(ctx, http.MethodGet, path, nil, &v); err != nil || v.Status.Terminal() {
@@ -193,11 +177,11 @@ func (c *Client) Hold(ctx context.Context, id string, hold time.Duration) (JobVi
 // not read; pinned by benchmark/; goes with the `[benchmark]` yardstick
 // refresh.
 func (c *Client) Run(ctx context.Context, spec JobSpec, poll time.Duration) (JobView, error) {
-	v, err := c.SubmitHold(ctx, spec, 0)
+	v, err := c.SubmitHold(ctx, spec)
 	if err != nil || v.Status.Terminal() {
 		return v, err
 	}
-	return c.Hold(ctx, v.ID, 0)
+	return c.Hold(ctx, v.ID)
 }
 
 // Ready probes the server's /readyz endpoint: nil when the server

@@ -157,7 +157,7 @@ func TestHeldSubmitAnswersWhenTheJobEnds(t *testing.T) {
 		t.Errorf("answered after %v, before the 30 ms wait had passed", held)
 	}
 	g.open(1)
-	if v, err = cl.Hold(ctx, v.ID, 0); err != nil || v.Status != StatusDone {
+	if v, err = cl.Hold(ctx, v.ID); err != nil || v.Status != StatusDone {
 		t.Fatalf("Hold after the 202: %v / %+v", err, v)
 	}
 	// An un-held submission is answered as before.
@@ -223,7 +223,7 @@ func TestQueueFullIsNotHeld(t *testing.T) {
 		}
 	}
 	start := time.Now()
-	_, err := cl.SubmitHold(ctx, tinySpec, time.Minute)
+	_, err := cl.SubmitHold(ctx, tinySpec)
 	var qf *QueueFullError
 	if !errors.As(err, &qf) {
 		t.Fatalf("held submission to a full queue: %v, want *QueueFullError", err)
@@ -269,16 +269,16 @@ func TestBadWaitIs400(t *testing.T) {
 	cl.HTTPClient = &http.Client{Transport: rt}
 	done := make(chan JobView, 1)
 	go func() {
-		v, _ := cl.Hold(ctx, live.ID, 0)
+		v, _ := cl.Hold(ctx, live.ID)
 		done <- v
 	}()
 	waitMetric(t, reg, "serve.holds", 1)
 	g.open(1)
 	if v := <-done; v.Status != StatusDone {
-		t.Fatalf("Hold(0): %+v, want the finished job", v)
+		t.Fatalf("Hold: %+v, want the finished job", v)
 	}
 	if n := rt.n.Load(); n != 1 {
-		t.Errorf("Hold(0) took %d requests, want one held for the server's maximum", n)
+		t.Errorf("Hold took %d requests, want one held for the server's maximum", n)
 	}
 }
 
@@ -386,7 +386,7 @@ func TestRetentionDefault(t *testing.T) {
 	g.open(want + extra)
 	var first string
 	for i := 0; i < want+extra; i++ {
-		v, err := cl.SubmitHold(ctx, tinySpec, 0)
+		v, err := cl.SubmitHold(ctx, tinySpec)
 		if err != nil || v.Status != StatusDone {
 			t.Fatalf("job %d: %v / %+v", i, err, v)
 		}

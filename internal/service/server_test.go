@@ -252,8 +252,8 @@ func TestPollDoesNotEchoInlineNetlist(t *testing.T) {
 	}
 }
 
-// TestWaitDefaultSchedule: Wait looks at a job at once and then holds the
-// second request open until the job ends.
+// TestWaitDefaultSchedule: Hold asks after a job on one request, held
+// open for the server's longest wait, until the job ends.
 func TestWaitDefaultSchedule(t *testing.T) {
 	type look struct {
 		at   time.Duration
@@ -279,21 +279,31 @@ func TestWaitDefaultSchedule(t *testing.T) {
 	defer srv.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 270*time.Millisecond)
 	defer cancel()
-	if _, err := NewClient(srv.URL).Wait(ctx, "j1"); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("Wait on a job that never ends: %v, want the context's deadline", err)
+	if _, err := NewClient(srv.URL).Hold(ctx, "j1"); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Hold on a job that never ends: %v, want the context's deadline", err)
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if len(at) != 2 || at[0].wait != "" || at[1].wait != maxHold.String() {
-		t.Errorf("looks %v, want one plain and then one held for %v", at, maxHold)
+	if len(at) != 1 || at[0].wait != maxHold.String() {
+		t.Errorf("looks %v, want one held for %v", at, maxHold)
 	}
 }
 
-// countingTransport counts the requests a client makes.
-type countingTransport struct{ n atomic.Int64 }
+// countingTransport counts the requests a client makes. A non-empty wait
+// replaces the ?wait= of each request, so a test can hold for less than
+// the server's longest wait.
+type countingTransport struct {
+	n    atomic.Int64
+	wait string
+}
 
 func (c *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 	c.n.Add(1)
+	if q := r.URL.Query(); c.wait != "" && q.Has("wait") {
+		r = r.Clone(r.Context())
+		q.Set("wait", c.wait)
+		r.URL.RawQuery = q.Encode()
+	}
 	return http.DefaultTransport.RoundTrip(r)
 }
 
@@ -307,20 +317,21 @@ func TestHoldAnswersWhenTheJobEnds(t *testing.T) {
 	cl.HTTPClient = &http.Client{Transport: rt}
 	spec := JobSpec{Circuit: "s1494", Engine: "csim-MV", Random: 300, Seed: 5}
 	for _, tc := range []struct {
-		hold    time.Duration
+		wait    string
 		oneLook bool
-	}{{time.Minute, true}, {time.Millisecond, false}} {
+	}{{"", true}, {"1ms", false}} {
 		jv, err := cl.Submit(ctx, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rt.n.Store(0)
-		v, err := cl.Hold(ctx, jv.ID, tc.hold)
+		rt.wait = tc.wait
+		v, err := cl.Hold(ctx, jv.ID)
 		if err != nil || v.Status != StatusDone || v.Result == nil {
-			t.Fatalf("Hold(%v): %v / %+v", tc.hold, err, v)
+			t.Fatalf("Hold (wait %q): %v / %+v", tc.wait, err, v)
 		}
 		if n := rt.n.Load(); (n == 1) != tc.oneLook {
-			t.Errorf("Hold(%v) took %d requests, want one: %t", tc.hold, n, tc.oneLook)
+			t.Errorf("Hold (wait %q) took %d requests, want one: %t", tc.wait, n, tc.oneLook)
 		}
 	}
 }
@@ -875,7 +886,7 @@ func waitTerminal(t *testing.T, cl *Client, id string) JobView {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	v, err := cl.Wait(ctx, id)
+	v, err := cl.Hold(ctx, id)
 	if err != nil {
 		t.Fatalf("wait %s: %v", id, err)
 	}
