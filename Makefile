@@ -21,13 +21,16 @@ lint:
 
 # Fuzzing: replay the fixed corpora, then let the native fuzzer search for
 # 30s each (raise -fuzztime at will) — for seeds on which the engines
-# disagree, and for bytes the .bench front door mishandles — and 10s for
-# shard detection payloads the coordinator's decode mishandles.
+# disagree, and for bytes the .bench front door mishandles — and 10s each
+# for shard detection payloads the coordinator's decode mishandles, job
+# specs normalize mishandles and vector text the parser mishandles.
 fuzz:
-	go test ./internal/integration/ ./internal/netlist/ ./internal/service/ -run Fuzz -count=1
+	go test ./internal/integration/ ./internal/netlist/ ./internal/service/ ./internal/vectors/ -run Fuzz -count=1
 	go test ./internal/integration/ -fuzz=FuzzDifferential -fuzztime=30s
 	go test ./internal/netlist/ -run '^$$' -fuzz=FuzzParseBench -fuzztime=30s
 	go test ./internal/service/ -run '^$$' -fuzz=FuzzDetectionsView -fuzztime=10s
+	go test ./internal/service/ -run '^$$' -fuzz=FuzzJobSpec -fuzztime=10s
+	go test ./internal/vectors/ -run '^$$' -fuzz=FuzzParseVectors -fuzztime=10s
 
 # The work-counter gate alone (go test ./... runs it too): every quick
 # cell once, each integer held to the baseline.

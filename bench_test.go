@@ -164,7 +164,7 @@ func BenchmarkCsimMV(b *testing.B) {
 	b.Run("observed", func(b *testing.B) {
 		var last harness.Measurement
 		for i := 0; i < b.N; i++ {
-			ob := &obs.Observer{Faults: obs.NewFaultLog(u.NumFaults(), nil, 0)}
+			ob := &obs.Observer{Faults: obs.NewFaultLog(u.NumFaults(), nil)}
 			m, err := harness.Run(engine.CsimMV, u, vs, 0, ob)
 			if err != nil {
 				b.Fatal(err)

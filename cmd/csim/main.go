@@ -112,7 +112,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		flog = obs.NewFaultLog(u.NumFaults(), ids, 0)
+		flog = obs.NewFaultLog(u.NumFaults(), ids)
 		ob.Faults = flog
 		if info, _ := engine.ByName(*engineName); info.Kind != "concurrent" {
 			fmt.Fprintf(os.Stderr, "csim: warning: -trace-faults records nothing under engine %s (csim engines only)\n", *engineName)

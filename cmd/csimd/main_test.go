@@ -226,8 +226,11 @@ func TestFleetSmoke(t *testing.T) {
 		t.Fatalf("wait %s: %v", id, err)
 	}
 	want := baseline(t, "dist-smoke.json")["stuck"]
-	if v.Status != service.StatusDone || v.DistPhase != "done" || v.Result == nil || resultCounts(v.Result) != want {
-		pm, _ := cl.Debug(ctx, id)
+	pm, err := cl.Debug(ctx, id)
+	if err != nil {
+		t.Fatalf("debug %s: %v", id, err)
+	}
+	if v.Status != service.StatusDone || lastPhase(pm) != "coordinator phase done" || v.Result == nil || resultCounts(v.Result) != want {
 		t.Errorf("job after the worker kill: want done, dist_phase done and %+v; view:\n%s\npostmortem:\n%s",
 			want, asJSON(v), asJSON(pm))
 	}
@@ -323,6 +326,17 @@ func checkPrometheus(t *testing.T, url string) {
 	if !regexp.MustCompile(`(?m)^# TYPE serve_job_run_ns histogram$`).Match(body) {
 		t.Errorf("%s: no serve_job_run_ns histogram in the prometheus exposition:\n%s", url, body)
 	}
+}
+
+// lastPhase returns the detail of a job's last dist_phase flight event.
+func lastPhase(pm service.Postmortem) string {
+	phase := ""
+	for _, ev := range pm.Events {
+		if ev.Kind == "dist_phase" {
+			phase = ev.Detail
+		}
+	}
+	return phase
 }
 
 func asJSON(v any) string {

@@ -36,7 +36,7 @@ func main() {
 	u := faultsim.StuckFaults(c)
 
 	cfg := faultsim.CsimV() // no macros, so every gate is visible in the trace
-	flog := faultsim.NewFaultLog(u.NumFaults(), nil, 0)
+	flog := faultsim.NewFaultLog(u.NumFaults(), nil)
 	cfg.Obs = &faultsim.Observer{Faults: flog}
 	sim, err := faultsim.New(u, cfg)
 	if err != nil {

@@ -214,9 +214,9 @@ func NewObserver() *Observer {
 
 // NewFaultLog builds a fault-lifecycle event log for a universe of
 // numFaults faults. track selects the fault IDs to record (nil = all);
-// limit bounds the in-memory event count (0 = default).
-func NewFaultLog(numFaults int, track []int32, limit int) *FaultEventLog {
-	return obs.NewFaultLog(numFaults, track, limit)
+// the log keeps at most 1M events.
+func NewFaultLog(numFaults int, track []int32) *FaultEventLog {
+	return obs.NewFaultLog(numFaults, track)
 }
 
 // New builds a concurrent fault simulator over a universe.

@@ -9,8 +9,8 @@ import (
 // cycles: the shared sentinel, sorted sentinel-terminated per-gate
 // lists, the split-mode visible/invisible partition against current
 // good values, arena accounting against the free list, and the local
-// fault siting tables. It is a debug hook for differential tests and
-// `cmd/csim -check`; it allocates and is never called on the hot path.
+// fault siting tables. It is a debug hook for the integration and csim
+// tests; it allocates and is never called on the hot path.
 func (s *Simulator) CheckInvariants() error {
 	// Sentinel: arena slot 0 terminates every list and carries a fault ID
 	// beyond all real faults so merges stop naturally.

@@ -406,7 +406,7 @@ func TestRunPanicsOnWidthMismatch(t *testing.T) {
 func TestTraceEventsEmitted(t *testing.T) {
 	c := mustParse(t, "buf", "INPUT(a)\nOUTPUT(z)\nz = BUFF(a)\n")
 	u := faults.StuckAll(c)
-	flog := obs.NewFaultLog(u.NumFaults(), nil, 0)
+	flog := obs.NewFaultLog(u.NumFaults(), nil)
 	cfg := MV()
 	cfg.Obs = &obs.Observer{Faults: flog}
 	sim, err := New(u, cfg)

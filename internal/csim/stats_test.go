@@ -49,7 +49,7 @@ func TestObservedRunMatchesStats(t *testing.T) {
 	c := mustParse(t, "s27", s27Bench)
 	u := faults.StuckCollapsed(c)
 	reg := obs.NewRegistry()
-	flog := obs.NewFaultLog(len(u.Faults), nil, 0)
+	flog := obs.NewFaultLog(len(u.Faults), nil)
 	cfg := MV()
 	cfg.Obs = &obs.Observer{Metrics: reg, Faults: flog}
 
@@ -109,7 +109,7 @@ func TestObservedRunIsBitIdentical(t *testing.T) {
 		cfg := MV()
 		cfg.Obs = &obs.Observer{
 			Metrics: obs.NewRegistry(),
-			Faults:  obs.NewFaultLog(len(u.Faults), nil, 0),
+			Faults:  obs.NewFaultLog(len(u.Faults), nil),
 		}
 		observed, err := New(u, cfg)
 		if err != nil {

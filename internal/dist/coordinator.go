@@ -76,20 +76,27 @@ func (c *Coordinator) Workers() []string {
 
 // RunJob distributes one admitted job across the fleet: plan the fault
 // split, dispatch shards with retry and re-queue, merge the streamed
-// results. The coordinator-side state machine (pending → dispatched →
-// merging → done/failed) is published through req.SetPhase, so it
-// lands in the job view and the flight recorder.
-func (c *Coordinator) RunJob(ctx context.Context, req *service.RunRequest) (*service.ResultView, error) {
-	req.SetPhase("pending")
+// results. Each step of the coordinator-side state machine (pending →
+// dispatched → merging → done/failed) is a dist_phase event in the job's
+// flight record. The dist_phase kind and the merging/done details are
+// pinned by benchmark/ and go with the `[benchmark]` yardstick refresh.
+func (c *Coordinator) RunJob(ctx context.Context, req *service.RunRequest) (rv *service.ResultView, err error) {
+	phase := func(p string) { req.Obs.Recorder().Recordf("dist_phase", "coordinator phase %s", p) }
+	phase("pending")
+	defer func() {
+		if err != nil {
+			phase("failed")
+		}
+	}()
 	start := time.Now()
 
 	u, err := req.CC.Universe(req.Spec.Model)
 	if err != nil {
-		return c.failJob(req, err)
+		return nil, err
 	}
 	vs, err := service.BuildVectors(req.Spec, req.CC)
 	if err != nil {
-		return c.failJob(req, err)
+		return nil, err
 	}
 
 	// Shape the split: explicit workers pin K; otherwise one shard per
@@ -110,7 +117,7 @@ func (c *Coordinator) RunJob(ctx context.Context, req *service.RunRequest) (*ser
 		slog.String("phase", "dispatch"),
 		slog.Int("fault_shards", k),
 		slog.Int("workers", len(c.reg.workers)))
-	req.SetPhase("dispatched")
+	phase("dispatched")
 
 	jctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -135,19 +142,19 @@ func (c *Coordinator) RunJob(ctx context.Context, req *service.RunRequest) (*ser
 		// The job's own cancellation/timeout outranks the shard errors
 		// it induced.
 		if ctxErr := ctx.Err(); ctxErr != nil {
-			return c.failJob(req, ctxErr)
+			return nil, ctxErr
 		}
-		return c.failJob(req, err)
+		return nil, err
 	}
 
-	req.SetPhase("merging")
+	phase("merging")
 	res, st, err := mergeShards(u, views)
 	if err != nil {
-		return c.failJob(req, err)
+		return nil, err
 	}
 
-	rv := service.NewResultView(req.Spec, res, vs.Len(), k, st, time.Since(start).Nanoseconds())
-	req.SetPhase("done")
+	rv = service.NewResultView(req.Spec, res, vs.Len(), k, st, time.Since(start).Nanoseconds())
+	phase("done")
 	return rv, nil
 }
 
@@ -167,13 +174,6 @@ func mergeShards(u *faults.Universe, views []*service.ResultView) (*faults.Resul
 		parts[k], stats[k] = res, rv.Stats
 	}
 	return faults.MergeResults(parts...), csim.MergeStats(stats...), nil
-}
-
-// failJob records a failed distributed job and passes the error up to
-// the server's ordinary failure path.
-func (c *Coordinator) failJob(req *service.RunRequest, err error) (*service.ResultView, error) {
-	req.SetPhase("failed")
-	return nil, err
 }
 
 // firstRealError drains a closed error channel preferring a
@@ -255,33 +255,22 @@ func (c *Coordinator) runShard(ctx context.Context, req *service.RunRequest, nFa
 }
 
 // attemptShard runs one shard attempt against one worker under the
-// shard timeout. The submission (idempotent ID; 429 backoff with jitter;
-// ship-once circuit resolution) is held open by the worker until the
-// shard is terminal, or for the worker's longest hold, so a shard is one
-// request; a status request is held only for a shard that outlives that
-// hold or was adopted on a 409.
+// shard timeout. The submission (idempotent ID; 429 backoff with jitter)
+// carries the circuit exactly as the client sent it, inline text
+// included, and is held open by the worker until the shard is terminal,
+// or for the worker's longest hold, so a shard is one request; a status
+// request is held only for a shard that outlives that hold or was adopted
+// on a 409.
 func (c *Coordinator) attemptShard(ctx context.Context, w *worker, id string, spec *service.JobSpec) (*service.ResultView, error) {
 	actx, cancel := context.WithTimeout(obs.WithJobID(ctx, id), shardTimeout)
 	defer cancel()
-
-	// Resolve the circuit reference for this worker: a suite circuit
-	// travels by name; an inline netlist ships once, then goes by its
-	// cache key.
-	s := *spec
-	inlineKey := ""
-	if s.Bench != "" {
-		inlineKey = service.InlineKey(s.Bench)
-		if w.benchShipped(inlineKey) {
-			s.BenchKey, s.Bench, s.BenchName = inlineKey, "", ""
-		}
-	}
 
 	backoff := retryBase
 	var waited time.Duration
 	var v service.JobView
 	for submitted := false; !submitted; {
 		var err error
-		v, err = w.client.SubmitHold(actx, s)
+		v, err = w.client.SubmitHold(actx, *spec)
 		var qf *service.QueueFullError
 		var ae *service.APIError
 		switch {
@@ -292,12 +281,6 @@ func (c *Coordinator) attemptShard(ctx context.Context, w *worker, id string, sp
 			// delivery of this very shard. Adopt it instead of duplicating:
 			// v is empty, so the shard is held below.
 			submitted = true
-		case isBenchKeyMiss(err):
-			// The worker evicted the circuit since we shipped it: forget
-			// the key and resubmit with the inline text.
-			w.clearShipped(s.BenchKey)
-			s.Bench, s.BenchName = spec.Bench, spec.BenchName
-			s.BenchKey = ""
 		case errors.As(err, &qf):
 			// Admission-full: exponential backoff with jitter, honoring the
 			// worker's Retry-After when it asks for longer, bounded in
@@ -332,10 +315,6 @@ func (c *Coordinator) attemptShard(ctx context.Context, w *worker, id string, sp
 			return nil, c.shardLost(ctx, actx, w, id, "submit", err)
 		}
 	}
-	if s.Bench != "" && inlineKey != "" {
-		w.markShipped(inlineKey)
-	}
-
 	if !v.Status.Terminal() {
 		var err error
 		if v, err = w.client.Hold(actx, id); err != nil {
@@ -401,20 +380,6 @@ func shardHash(circuitKey string, spec *service.JobSpec) string {
 		circuitKey, spec.Model, spec.Vectors, spec.Random, spec.Seed,
 		spec.FaultShard, spec.FaultShards)
 	return hex.EncodeToString(h.Sum(nil))[:16]
-}
-
-// isBenchKeyMiss recognizes the worker's stable bench-key-miss 400.
-func isBenchKeyMiss(err error) bool {
-	var ae *service.APIError
-	if !errors.As(err, &ae) {
-		return false
-	}
-	for _, p := range ae.Problems {
-		if p == service.BenchKeyMissProblem {
-			return true
-		}
-	}
-	return false
 }
 
 // sleepCtx sleeps for d or until ctx ends.

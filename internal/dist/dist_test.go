@@ -8,7 +8,9 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"net/http"
 	"os"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -151,8 +153,8 @@ func TestDistributedMatchesSerialOracle(t *testing.T) {
 		if v.Status != service.StatusDone || v.Result == nil {
 			t.Fatalf("%s/%s: status %s, error %q", tc.circuit, tc.model, v.Status, v.Error)
 		}
-		if v.DistPhase != "done" {
-			t.Errorf("%s/%s: dist_phase %q, want done", tc.circuit, tc.model, v.DistPhase)
+		if got := distPhases(t, cl, v.ID); !slices.Equal(got, wantPhases) {
+			t.Errorf("%s/%s: dist_phase events %q, want %q", tc.circuit, tc.model, got, wantPhases)
 		}
 		got, err := v.Result.Detections.Result(u)
 		if err != nil {
@@ -166,6 +168,27 @@ func TestDistributedMatchesSerialOracle(t *testing.T) {
 				tc.circuit, tc.model, v.Result.Detected, v.Result.PotOnly, want.NumDet, want.NumPotOnly())
 		}
 	}
+}
+
+// wantPhases are the dist_phase event details of a fleet job that ends
+// done, in order.
+var wantPhases = []string{"coordinator phase pending", "coordinator phase dispatched", "coordinator phase merging", "coordinator phase done"}
+
+// distPhases returns the details of job id's dist_phase flight events,
+// oldest first.
+func distPhases(t *testing.T, cl *service.Client, id string) []string {
+	t.Helper()
+	pm, err := cl.Debug(ctxT(t), id)
+	if err != nil {
+		t.Fatalf("debug %s: %v", id, err)
+	}
+	var out []string
+	for _, ev := range pm.Events {
+		if ev.Kind == "dist_phase" {
+			out = append(out, ev.Detail)
+		}
+	}
+	return out
 }
 
 // TestDistributedStatsMatchLocalGrid: the merged worker stats count the
@@ -205,10 +228,38 @@ func TestDistributedStatsMatchLocalGrid(t *testing.T) {
 	}
 }
 
-// TestDistributedInlineBenchShipsOnce: an inline netlist travels to
-// each worker at most once; subsequent shards reference the cache key.
-func TestDistributedInlineBenchShipsOnce(t *testing.T) {
-	cl, coord, _ := startCluster(t, 2, nil)
+// benchLog is the coordinator's transport to its workers, keeping the
+// inline netlist each shard submission carried.
+type benchLog struct {
+	mu      sync.Mutex
+	benches []string
+}
+
+func (l *benchLog) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.Method == http.MethodPost && r.Header.Get(service.JobIDHeader) != "" {
+		body, err := r.GetBody()
+		if err != nil {
+			return nil, err
+		}
+		var spec service.JobSpec
+		if err := json.NewDecoder(body).Decode(&spec); err != nil {
+			return nil, err
+		}
+		l.mu.Lock()
+		l.benches = append(l.benches, spec.Bench)
+		l.mu.Unlock()
+	}
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// TestDistributedInlineBench: an inline netlist travels with every shard
+// submission, and the merged result matches the serial oracle on every
+// run.
+func TestDistributedInlineBench(t *testing.T) {
+	log := &benchLog{}
+	cl, _, _ := startCluster(t, 2, func(cfg *Config) {
+		cfg.HTTPClient = &http.Client{Transport: log}
+	})
 	ctx := ctxT(t)
 	ckt, err := iscas.Get("s298")
 	if err != nil {
@@ -218,10 +269,11 @@ func TestDistributedInlineBenchShipsOnce(t *testing.T) {
 	u := faults.StuckCollapsed(ckt)
 	want, _ := serial.Simulate(context.Background(), u, vectors.Random(ckt, 30, 5))
 
-	for run := 0; run < 2; run++ {
+	const runs, k = 2, 4
+	for run := 0; run < runs; run++ {
 		v, err := cl.Run(ctx, service.JobSpec{
 			Bench: text, BenchName: "s298", Engine: "csim-grid",
-			Workers: 4, Random: 30, Seed: 5, ReturnDetections: true,
+			Workers: k, Random: 30, Seed: 5, ReturnDetections: true,
 		}, 2*time.Millisecond)
 		if err != nil || v.Status != service.StatusDone {
 			t.Fatalf("run %d: %v / status %s error %q", run, err, v.Status, v.Error)
@@ -234,15 +286,15 @@ func TestDistributedInlineBenchShipsOnce(t *testing.T) {
 			t.Errorf("run %d: inline distributed result differs:\n%s", run, diff)
 		}
 	}
-	key := service.InlineKey(text)
-	shippedSomewhere := false
-	for _, w := range coord.reg.workers {
-		if w.benchShipped(key) {
-			shippedSomewhere = true
-		}
+	log.mu.Lock()
+	defer log.mu.Unlock()
+	if len(log.benches) < runs*k {
+		t.Errorf("%d shard submissions, want at least %d", len(log.benches), runs*k)
 	}
-	if !shippedSomewhere {
-		t.Error("no worker has the inline circuit's bench key marked shipped")
+	for i, b := range log.benches {
+		if b != text {
+			t.Errorf("shard submission %d carried %d bytes of netlist, want the %d-byte text", i, len(b), len(text))
+		}
 	}
 }
 

@@ -16,7 +16,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/iscas"
 	"repro/internal/jobid"
-	"repro/internal/netlist"
 	"repro/internal/obs"
 	"repro/internal/service"
 	"repro/internal/vectors"
@@ -144,34 +143,6 @@ func TestAttemptAdoptsLiveShard(t *testing.T) {
 	}
 	if p, _ := reg.Get("serve.jobs_submitted"); p.Value != 2 {
 		t.Errorf("worker admitted %d jobs, want 2: the busy job and one copy of the shard", p.Value)
-	}
-}
-
-// TestAttemptReshipsAfterBenchKeyMiss: a worker that no longer has a
-// circuit the coordinator shipped answers the by-key submission with the
-// bench-key-miss 400; the attempt ships the text again and completes.
-func TestAttemptReshipsAfterBenchKeyMiss(t *testing.T) {
-	coord, _, log := oneWorker(t, service.Config{Workers: 1})
-	ckt, err := iscas.Get("s298")
-	if err != nil {
-		t.Fatal(err)
-	}
-	text := netlist.BenchString(ckt)
-	key := service.InlineKey(text)
-	w := coord.reg.workers[0]
-	w.markShipped(key) // as far as the coordinator knows; the worker's cache is empty
-
-	spec := shardSpec(&service.JobSpec{Bench: text, BenchName: "s298", Random: 64, Seed: 3}, 1, 2, time.Minute)
-	id := jobid.Shard("reship", 1, 2, shardHash(key, spec))
-	rv, err := coord.attemptShard(ctxT(t), w, id, spec)
-	if err != nil || rv == nil || rv.Detections == nil {
-		t.Fatalf("attempt after a bench-key miss: %v / %+v", err, rv)
-	}
-	if posts, all := log.count(http.MethodPost, id), log.count("", ""); posts != 2 || all != 2 {
-		t.Errorf("requests %v, want the refused by-key POST and the held one that shipped the text", log.reqs)
-	}
-	if !w.benchShipped(key) {
-		t.Error("the re-shipped circuit is not marked shipped")
 	}
 }
 

@@ -12,8 +12,7 @@ import (
 	"repro/internal/service"
 )
 
-// worker is one fleet member: its job-API client, health bit, and
-// ship-once bookkeeping for inline circuits.
+// worker is one fleet member: its job-API client and health bit.
 type worker struct {
 	idx    int
 	addr   string
@@ -24,34 +23,8 @@ type worker struct {
 	// for the prober).
 	healthy atomic.Bool
 
-	mu sync.Mutex
-	//simlint:guarded_by(mu)
-	shipped map[string]bool // bench keys this worker's cache has seen
-
 	gHealthy  *obs.Gauge
 	gInflight *obs.Gauge
-}
-
-// benchShipped reports whether key was already shipped to this worker.
-func (w *worker) benchShipped(key string) bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.shipped[key]
-}
-
-// markShipped records that the worker's cache holds key.
-func (w *worker) markShipped(key string) {
-	w.mu.Lock()
-	w.shipped[key] = true
-	w.mu.Unlock()
-}
-
-// clearShipped forgets key after the worker reported a bench-key miss
-// (its cache evicted the circuit); the next attempt re-ships the text.
-func (w *worker) clearShipped(key string) {
-	w.mu.Lock()
-	delete(w.shipped, key)
-	w.mu.Unlock()
 }
 
 // registry tracks the fleet: per-worker health and in-flight shard
@@ -99,7 +72,6 @@ func newRegistry(cfg Config) *registry {
 		prefix := fmt.Sprintf("dist.worker%d.", i)
 		w := &worker{
 			idx: i, addr: addr, client: cl,
-			shipped:   map[string]bool{},
 			gHealthy:  reg.Gauge(prefix + "healthy"),
 			gInflight: reg.Gauge(prefix + "inflight"),
 		}

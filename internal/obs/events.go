@@ -77,13 +77,10 @@ type FaultLog struct {
 const defaultFaultLogLimit = 1 << 20
 
 // NewFaultLog returns a log tracking the given fault IDs out of a
-// universe of n faults; ids == nil tracks every fault. limit <= 0 uses
+// universe of n faults; ids == nil tracks every fault. It keeps at most
 // 1M events.
-func NewFaultLog(n int, ids []int32, limit int) *FaultLog {
-	l := &FaultLog{limit: limit}
-	if l.limit <= 0 {
-		l.limit = defaultFaultLogLimit
-	}
+func NewFaultLog(n int, ids []int32) *FaultLog {
+	l := &FaultLog{limit: defaultFaultLogLimit}
 	if ids != nil {
 		l.track = make([]bool, n)
 		for _, id := range ids {

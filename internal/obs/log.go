@@ -56,12 +56,10 @@ func (l *Logger) emit(level slog.Level, msg string, attrs []slog.Attr) {
 // jobIDKey is the context key for the job correlation ID.
 type jobIDKey struct{}
 
-// WithJobID returns a context carrying the job correlation ID. The ID
-// is minted (or accepted from the X-Csim-Job-Id header) at csimd
-// admission and follows the job through queue, cache, worker-count
-// decision and engine shards; ServeClient forwards it on outbound
-// requests so a future coordinator→worker fan-out stays traceable
-// end-to-end.
+// WithJobID returns a context carrying a job correlation ID. The
+// service client sends it as the X-Csim-Job-Id header of every request
+// made under the context, so the server admits the job under that ID:
+// that is how the coordinator names each shard it submits to a worker.
 func WithJobID(ctx context.Context, id string) context.Context {
 	return context.WithValue(ctx, jobIDKey{}, id)
 }

@@ -167,7 +167,8 @@ func TestRegistryConcurrent(t *testing.T) {
 }
 
 func TestFaultLogFilterAndLimit(t *testing.T) {
-	l := NewFaultLog(10, []int32{2, 5}, 3)
+	l := NewFaultLog(10, []int32{2, 5})
+	l.limit = 3
 	if l.tracks(3) || !l.tracks(2) || !l.tracks(5) {
 		t.Fatalf("filter wrong")
 	}
@@ -180,7 +181,7 @@ func TestFaultLogFilterAndLimit(t *testing.T) {
 		t.Fatalf("got %d events (clipped=%v), want 3 clipped", len(events), clipped)
 	}
 
-	all := NewFaultLog(10, nil, 0)
+	all := NewFaultLog(10, nil)
 	if !all.tracks(9) {
 		t.Fatalf("nil ids must track every fault")
 	}

@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/engine"
 	"repro/internal/iscas"
@@ -49,9 +48,6 @@ type cacheEntry struct {
 	cc   *Compiled
 	err  error
 	elem *list.Element
-	// built flips true once the single-flight build finished; Peek only
-	// serves built entries, so it never races (or steals) the once.
-	built atomic.Bool
 }
 
 // Cache is the compiled-circuit cache: an LRU over Compiled entries
@@ -88,66 +84,29 @@ func NewCache(max int, reg *obs.Registry) *Cache {
 	}
 }
 
-// SuiteKey is the cache key of a built-in suite circuit.
-func SuiteKey(name string) string { return "suite:" + name }
+// suiteKey is the cache key of a built-in suite circuit.
+func suiteKey(name string) string { return "suite:" + name }
 
-// InlineKey is the cache key of an inline netlist body.
-func InlineKey(bench string) string {
+// inlineKey is the cache key of an inline netlist body.
+func inlineKey(bench string) string {
 	sum := sha256.Sum256([]byte(bench))
 	return "sha256:" + hex.EncodeToString(sum[:])
 }
-
-// BenchKeyMissProblem is the stable problems-list entry of the 400 a
-// bench_key submission draws when the referenced circuit is not (or no
-// longer) in the cache. A coordinator seeing it re-ships the netlist
-// text instead of the key.
-const BenchKeyMissProblem = "bench-key-miss"
 
 // Lookup resolves a job spec to a compiled circuit, reporting whether it
 // was served from cache. Build failures (parse errors, netcheck
 // diagnostics, unknown suite names) return a *CompileError and are not
 // cached — a client fixing its netlist should not need to wait out a
-// negative entry. A BenchKey spec never builds: it either hits the
-// already-cached circuit or fails with a BenchKeyMissProblem
-// *CompileError telling the submitter to re-ship the text.
+// negative entry.
 func (c *Cache) Lookup(spec *JobSpec) (cc *Compiled, hit bool, err error) {
 	if spec.Circuit != "" {
-		return c.get(SuiteKey(spec.Circuit), func() (*netlist.Circuit, error) {
+		return c.get(suiteKey(spec.Circuit), func() (*netlist.Circuit, error) {
 			return iscas.Get(spec.Circuit)
 		})
 	}
-	if spec.BenchKey != "" {
-		cc, ok := c.Peek(spec.BenchKey)
-		if !ok {
-			return nil, false, &CompileError{
-				Msg:      fmt.Sprintf("bench_key %q is not in the compiled-circuit cache (evicted, or never shipped); resubmit with the inline netlist", spec.BenchKey),
-				Problems: []string{BenchKeyMissProblem},
-			}
-		}
-		return cc, true, nil
-	}
-	return c.get(InlineKey(spec.Bench), func() (*netlist.Circuit, error) {
+	return c.get(inlineKey(spec.Bench), func() (*netlist.Circuit, error) {
 		return netlist.ParseBenchString(spec.BenchName, spec.Bench)
 	})
-}
-
-// Peek returns the already-built entry for key without building,
-// refreshing its LRU position and counting a hit or miss. A key whose
-// single-flight build is still in flight reads as a miss — the
-// submitter falls back to shipping the text, which joins the build.
-func (c *Cache) Peek(key string) (*Compiled, bool) {
-	c.mu.Lock()
-	e, ok := c.entries[key]
-	if ok {
-		c.ll.MoveToFront(e.elem)
-	}
-	c.mu.Unlock()
-	if !ok || !e.built.Load() || e.err != nil || e.cc == nil {
-		c.misses.Inc()
-		return nil, false
-	}
-	c.hits.Inc()
-	return e.cc, true
 }
 
 // get returns the entry for key, building it single-flight on miss.
@@ -172,7 +131,6 @@ func (c *Cache) get(key string, parse func() (*netlist.Circuit, error)) (*Compil
 
 	e.once.Do(func() {
 		e.cc, e.err = compile(key, parse)
-		e.built.Store(true)
 	})
 	if e.err != nil {
 		// Failed builds don't count as cache entries: drop the slot so a

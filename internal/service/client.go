@@ -185,44 +185,21 @@ func (c *Client) Run(ctx context.Context, spec JobSpec, poll time.Duration) (Job
 }
 
 // Ready probes the server's /readyz endpoint: nil when the server
-// accepts new jobs, an error when it is unreachable, down, or
-// draining. The distributed coordinator's worker prober calls this.
+// accepts new jobs, an error when it is unreachable or down, and an
+// *APIError with status 503 when it is draining. The distributed
+// coordinator's worker prober calls this.
 func (c *Client) Ready(ctx context.Context) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/readyz", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("readyz: HTTP %d", resp.StatusCode)
-	}
-	return nil
+	return c.do(ctx, http.MethodGet, "/readyz", nil, nil)
 }
 
 // Metricsz fetches the server's metrics snapshot (/metricsz) as a
 // name → point map for assertions and load reports.
 func (c *Client) Metricsz(ctx context.Context) (map[string]obs.Point, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/metricsz", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("metricsz: HTTP %d", resp.StatusCode)
-	}
 	var doc struct {
 		Metrics []obs.Point `json:"metrics"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		return nil, fmt.Errorf("metricsz: %w", err)
+	if err := c.do(ctx, http.MethodGet, "/metricsz", nil, &doc); err != nil {
+		return nil, err
 	}
 	out := make(map[string]obs.Point, len(doc.Metrics))
 	for _, p := range doc.Metrics {

@@ -459,26 +459,24 @@ func jobSpec(t *testing.T, s *Server, id string) JobSpec {
 }
 
 // TestFinishedJobDropsNetlistText: however a job with an inline netlist
-// ends — done, failed, cancelled while queued — the retained record keeps
-// the netlist's cache key in place of its text, the view reads as it did
-// while the job was live, and the key is a valid resubmission while the
-// circuit is cached. 200 finished 75 KB jobs then hold 200 small records,
-// not 15 MB of text nobody can read back.
+// ends — done, failed, cancelled while queued — the retained record names
+// the netlist by its bench_name alone, without its text, and the view
+// reads as it did while the job was live. 200 finished 75 KB jobs then
+// hold 200 small records, not 15 MB of text nobody can read back.
 func TestFinishedJobDropsNetlistText(t *testing.T) {
 	s, cl, g, _ := startGated(t, Config{Workers: 1, CacheSize: 4})
 	ctx := ctxT(t)
-	key := InlineKey(iscas.S27Bench)
 	inline := JobSpec{Bench: iscas.S27Bench, BenchName: "mine", Engine: "csim-C", Random: 4}
 	check := func(how string, v JobView, want Status) {
 		t.Helper()
 		if v.Status != want {
 			t.Fatalf("%s: status %s, want %s", how, v.Status, want)
 		}
-		if v.Spec.Bench != "" || v.Spec.BenchKey != key || v.Spec.BenchName != "mine" {
-			t.Errorf("%s: view spec has %d bytes of text, key %q, name %q", how, len(v.Spec.Bench), v.Spec.BenchKey, v.Spec.BenchName)
+		if v.Spec.Bench != "" || v.Spec.BenchName != "mine" {
+			t.Errorf("%s: view spec has %d bytes of text, name %q", how, len(v.Spec.Bench), v.Spec.BenchName)
 		}
-		if sp := jobSpec(t, s, v.ID); sp.Bench != "" || sp.BenchKey != key || sp.BenchName != "mine" {
-			t.Errorf("%s: retained spec has %d bytes of text, key %q, name %q", how, len(sp.Bench), sp.BenchKey, sp.BenchName)
+		if sp := jobSpec(t, s, v.ID); sp.Bench != "" || sp.BenchName != "mine" {
+			t.Errorf("%s: retained spec has %d bytes of text, name %q", how, len(sp.Bench), sp.BenchName)
 		}
 	}
 
@@ -514,9 +512,6 @@ func TestFinishedJobDropsNetlistText(t *testing.T) {
 	check("cancelled while queued", v, StatusCancelled)
 	g.open(2)
 	waitTerminal(t, cl, blocker.ID)
-	if v, err = cl.Run(ctx, JobSpec{BenchKey: key, Engine: "csim-C", Random: 4}, 0); err != nil || v.Status != StatusDone || !v.Result.CacheHit {
-		t.Errorf("resubmission by bench_key: %v / %+v, want a done job on a cache hit", err, v)
-	}
 
 	text := netlist.BenchString(iscas.MustGet("s5378"))
 	const jobs = 200

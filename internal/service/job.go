@@ -46,14 +46,6 @@ type JobSpec struct {
 	// Bench is an inline ISCAS-89 .bench netlist. Its size is bounded by
 	// the server's MaxInlineBytes (oversized → 413).
 	Bench string `json:"bench,omitempty"`
-	// BenchKey references an inline netlist already in the server's
-	// compiled-circuit cache by its cache key ("sha256:<hex>"), instead
-	// of shipping the text again. The distributed coordinator ships a
-	// circuit once per worker, then submits every further shard by key.
-	// An unknown or evicted key is a 400 whose problems list carries
-	// BenchKeyMissProblem, telling the submitter to re-ship the text.
-	// Exactly one of Circuit, Bench and BenchKey must be set.
-	BenchKey string `json:"bench_key,omitempty"`
 	// BenchName names the inline netlist in diagnostics (default
 	// "inline").
 	BenchName string `json:"bench_name,omitempty"`
@@ -102,14 +94,8 @@ type JobSpec struct {
 // can be judged without compiling the circuit). It returns a user-facing
 // error for a 400 response.
 func (sp *JobSpec) normalize() error {
-	set := 0
-	for _, s := range []string{sp.Circuit, sp.Bench, sp.BenchKey} {
-		if s != "" {
-			set++
-		}
-	}
-	if set != 1 {
-		return fmt.Errorf("exactly one of circuit, bench and bench_key is required")
+	if (sp.Circuit != "") == (sp.Bench != "") {
+		return fmt.Errorf("exactly one of circuit and bench is required")
 	}
 	if sp.BenchName == "" {
 		sp.BenchName = "inline"
@@ -343,13 +329,9 @@ type JobView struct {
 	ID string `json:"id"`
 	// Status is the lifecycle state.
 	Status Status `json:"status"`
-	// DistPhase is the coordinator-side state-machine phase of a
-	// distributed job (pending → dispatched → merging → done/failed);
-	// empty for locally executed jobs.
-	DistPhase string `json:"dist_phase,omitempty"`
 	// Spec echoes the normalized submission — an inline netlist by its
-	// cache key (bench_key, next to bench_name) instead of its text, so
-	// polling a job does not download the netlist again each time.
+	// bench_name alone, without its text, so polling a job does not
+	// download the netlist again each time.
 	Spec JobSpec `json:"spec"`
 	// Submitted, Started and Finished are RFC3339Nano timestamps; Started
 	// and Finished are empty until reached.
@@ -400,13 +382,10 @@ type Postmortem struct {
 // closes exactly once on reaching a terminal state.
 type job struct {
 	id string
-	// spec is fixed at admission but for release, which swaps an inline
-	// netlist's text for its key under mu; the runner reads the text only
-	// while the job runs, before that.
+	// spec is fixed at admission but for release, which drops an inline
+	// netlist's text under mu; the runner reads the text only while the
+	// job runs, before that.
 	spec JobSpec
-	// benchKey is the cache key job views show in place of an inline
-	// netlist's text; fixed at admission, empty for suite circuits.
-	benchKey string
 	// cacheHit is fixed at admission (the submit handler compiles through
 	// the cache before enqueueing) and read-only afterwards.
 	cacheHit bool
@@ -421,7 +400,6 @@ type job struct {
 	//simlint:guarded_by(mu)
 	cc        *Compiled
 	status    Status
-	distPhase string
 	submitted time.Time
 	started   time.Time
 	finished  time.Time
@@ -435,15 +413,11 @@ type job struct {
 }
 
 func newJob(id string, spec JobSpec, cc *Compiled, cacheHit bool, now time.Time) *job {
-	j := &job{
+	return &job{
 		id: id, spec: spec, cc: cc, cacheHit: cacheHit,
 		status: StatusQueued, submitted: now,
 		done: make(chan struct{}),
 	}
-	if spec.Bench != "" {
-		j.benchKey = cc.Key
-	}
-	return j
 }
 
 // view snapshots the job for JSON.
@@ -453,15 +427,12 @@ func (j *job) view() JobView {
 	v := JobView{
 		ID:        j.id,
 		Status:    j.status,
-		DistPhase: j.distPhase,
 		Spec:      j.spec,
 		Submitted: j.submitted.Format(time.RFC3339Nano),
 		Error:     j.err,
 		Result:    j.result,
 	}
-	if v.Spec.Bench != "" {
-		v.Spec.Bench, v.Spec.BenchKey = "", j.benchKey
-	}
+	v.Spec.Bench = ""
 	if !j.started.IsZero() {
 		v.Started = j.started.Format(time.RFC3339Nano)
 	}
@@ -537,13 +508,12 @@ func (j *job) finish(status Status, now time.Time, res *ResultView, err string, 
 
 // release drops what only a live job needs: the circuit pinned at
 // admission and an inline netlist's text, which the spec from here on
-// names by its cache key, as views always have. A retained job then costs
-// the same whichever way its circuit arrived. Callers hold j.mu.
+// names by its bench_name alone, as views always have. A retained job
+// then costs the same whichever way its circuit arrived. Callers hold
+// j.mu.
 func (j *job) release() {
 	j.cc = nil
-	if j.spec.Bench != "" {
-		j.spec.Bench, j.spec.BenchKey = "", j.benchKey
-	}
+	j.spec.Bench = ""
 }
 
 // compiled returns the circuit pinned at admission, nil once the job is
@@ -589,15 +559,4 @@ func (j *job) currentStatus() Status {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.status
-}
-
-// setDistPhase records the coordinator state-machine phase (surfaced in
-// JobView.DistPhase) and mirrors it into the flight recorder. The
-// dist_phase kind (like server.go's run_start) is pinned by benchmark/
-// and goes with the `[benchmark]` yardstick refresh.
-func (j *job) setDistPhase(phase string) {
-	j.mu.Lock()
-	j.distPhase = phase
-	j.mu.Unlock()
-	j.flight.Recordf("dist_phase", "coordinator phase %s", phase)
 }

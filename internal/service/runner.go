@@ -10,8 +10,7 @@ import (
 // normalized spec, the circuit pinned at admission, and the per-job
 // observability hooks the server wired up for the worker slot.
 type RunRequest struct {
-	// ID is the job's correlation ID (also in the context via
-	// obs.WithJobID).
+	// ID is the job's correlation ID.
 	ID string
 	// Spec is the normalized job spec.
 	Spec *JobSpec
@@ -22,9 +21,6 @@ type RunRequest struct {
 	Obs *obs.Observer
 	// EngineWorkers is the server's default intra-job parallelism.
 	EngineWorkers int
-	// SetPhase publishes a coordinator-visible phase string on the job
-	// (surfaced as JobView.DistPhase). Never nil.
-	SetPhase func(phase string)
 }
 
 // JobRunner executes one admitted job. The default runner calls the

@@ -319,9 +319,7 @@ func (s *Server) runJob(ctx context.Context, slot int, j *job) {
 	if j.spec.TimeoutMS > 0 {
 		timeout = min(time.Duration(j.spec.TimeoutMS)*time.Millisecond, maxJobTimeout)
 	}
-	// The correlation ID rides the job context so anything downstream
-	// (engine logs, a future coordinator fan-out) can recover it.
-	jctx, cancel := context.WithTimeout(obs.WithJobID(ctx, j.id), timeout)
+	jctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
 	if !j.setRunning(now, cancel) {
 		// Cancelled between the pop and here: the canceller found it in
@@ -353,7 +351,6 @@ func (s *Server) runJob(ctx context.Context, slot int, j *job) {
 		ID: j.id, Spec: &j.spec, CC: cc,
 		Obs:           &obs.Observer{Log: jlog, Flight: j.flight},
 		EngineWorkers: s.cfg.EngineWorkers,
-		SetPhase:      j.setDistPhase,
 	})
 	s.hRunNS.Observe(time.Since(now).Nanoseconds())
 	var pe *panicError

@@ -216,7 +216,7 @@ func TestInlineBenchAndCacheHit(t *testing.T) {
 }
 
 // TestPollDoesNotEchoInlineNetlist: a job view names an inline netlist
-// by its cache key; the 75 KB text a client shipped once does not come
+// by its bench_name alone; the 75 KB text a client shipped does not come
 // back with every poll.
 func TestPollDoesNotEchoInlineNetlist(t *testing.T) {
 	s, cl := startServer(t, Config{Workers: 1})
@@ -229,8 +229,8 @@ func TestPollDoesNotEchoInlineNetlist(t *testing.T) {
 	if err != nil || v.Status != StatusDone {
 		t.Fatalf("run: %v / %+v", err, v)
 	}
-	if v.Spec.Bench != "" || v.Spec.BenchKey != InlineKey(text) || v.Spec.BenchName != "mine" {
-		t.Errorf("echoed spec: bench of %d bytes, key %q, name %q", len(v.Spec.Bench), v.Spec.BenchKey, v.Spec.BenchName)
+	if v.Spec.Bench != "" || v.Spec.BenchName != "mine" {
+		t.Errorf("echoed spec: bench of %d bytes, name %q", len(v.Spec.Bench), v.Spec.BenchName)
 	}
 	resp, err := http.Get("http://" + s.Addr() + "/api/v1/jobs/" + v.ID)
 	if err != nil {
@@ -241,14 +241,21 @@ func TestPollDoesNotEchoInlineNetlist(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(body) >= 2048 || !bytes.Contains(body, []byte(`"bench_key":"sha256:`)) {
+	if len(body) >= 2048 || !bytes.Contains(body, []byte(`"bench_name":"mine"`)) || bytes.Contains(body, []byte("bench_key")) {
 		t.Errorf("poll response is %d bytes: %.300s", len(body), body)
 	}
-	// The echoed spec is itself a valid submission while the circuit is
-	// cached.
-	again, err := cl.Run(ctx, v.Spec, 0)
-	if err != nil || again.Result == nil || again.Result.Detected != v.Result.Detected {
-		t.Errorf("resubmitting the echoed spec: %v / %+v", err, again)
+	// A cache key is not a circuit: a body whose only circuit field is a
+	// bench_key names none.
+	resp, err = http.Post("http://"+s.Addr()+"/api/v1/jobs", "application/json",
+		strings.NewReader(`{"bench_key":"`+inlineKey(text)+`","engine":"csim-C","random":64}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var eb errorBody
+	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil || resp.StatusCode != http.StatusBadRequest ||
+		eb.Error != "exactly one of circuit and bench is required" {
+		t.Errorf("bench_key-only body: HTTP %d, %q (%v)", resp.StatusCode, eb.Error, err)
 	}
 }
 
@@ -762,6 +769,33 @@ func TestHealthAndReadyEndpoints(t *testing.T) {
 	}
 	// The listener is down post-drain; readiness flipping during drain is
 	// covered by TestDrainRejectsNewSubmissions via the 503 path.
+}
+
+// TestReadyWhileDraining: a server draining a running job answers Ready
+// with the *APIError every other client call returns, status 503.
+func TestReadyWhileDraining(t *testing.T) {
+	s, cl, g, _ := startGated(t, Config{Workers: 1})
+	ctx := ctxT(t)
+	if err := cl.Ready(ctx); err != nil {
+		t.Fatalf("Ready before the drain: %v", err)
+	}
+	if _, err := cl.Submit(ctx, tinySpec); err != nil {
+		t.Fatal(err)
+	}
+	<-g.started
+	drained := make(chan error, 1)
+	go func() { drained <- s.Drain(ctx) }()
+	for !s.draining.Load() {
+		time.Sleep(time.Millisecond)
+	}
+	var ae *APIError
+	if err := cl.Ready(ctx); !errors.As(err, &ae) || ae.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("Ready while draining: %v, want an *APIError with status 503", err)
+	}
+	g.open(1)
+	if err := <-drained; err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
 }
 
 func TestJobNotFound404(t *testing.T) {

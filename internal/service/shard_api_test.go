@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/iscas"
-	"repro/internal/netlist"
 )
 
 // TestFaultShardJobsMergeToOracle runs every shard of a K-way split as
@@ -95,7 +94,7 @@ func TestFaultShardSpecValidation(t *testing.T) {
 		"shard_oob":    {Circuit: "s27", Engine: "csim-grid", FaultShards: 2, FaultShard: 2},
 		"negative":     {Circuit: "s27", Engine: "csim-grid", FaultShards: -1},
 		"index_no_of":  {Circuit: "s27", Engine: "csim-grid", FaultShard: 1},
-		"two_circuits": {Circuit: "s27", BenchKey: "suite:s27"},
+		"two_circuits": {Circuit: "s27", Bench: iscas.S27Bench},
 		"no_circuit":   {Engine: "csim"},
 	} {
 		_, err := cl.Submit(ctx, spec)
@@ -103,48 +102,5 @@ func TestFaultShardSpecValidation(t *testing.T) {
 		if !errors.As(err, &ae) || ae.StatusCode != 400 {
 			t.Errorf("%s: want 400, got %v", name, err)
 		}
-	}
-}
-
-// TestBenchKeyReference covers the ship-once protocol: a bench_key for
-// an uncached circuit draws the stable bench-key-miss 400; after one
-// inline submission the key resolves and the job runs.
-func TestBenchKeyReference(t *testing.T) {
-	_, cl := startServer(t, Config{Workers: 1})
-	ctx := ctxT(t)
-	ckt, err := iscas.Get("s27")
-	if err != nil {
-		t.Fatal(err)
-	}
-	text := netlist.BenchString(ckt)
-	key := InlineKey(text)
-
-	_, err = cl.Submit(ctx, JobSpec{BenchKey: key, Engine: "csim", Random: 8, Seed: 1})
-	var ae *APIError
-	if !errors.As(err, &ae) || ae.StatusCode != 400 {
-		t.Fatalf("uncached bench_key: want 400, got %v", err)
-	}
-	if len(ae.Problems) != 1 || ae.Problems[0] != BenchKeyMissProblem {
-		t.Fatalf("bench_key miss problems = %v, want [%s]", ae.Problems, BenchKeyMissProblem)
-	}
-
-	// Ship the netlist once; the cache now holds it under the same key.
-	v, err := cl.Run(ctx, JobSpec{Bench: text, BenchName: "s27", Engine: "csim", Random: 8, Seed: 1}, 0)
-	if err != nil || v.Status != StatusDone {
-		t.Fatalf("inline ship: %v / %+v", err, v)
-	}
-
-	v, err = cl.Run(ctx, JobSpec{BenchKey: key, Engine: "csim", Random: 8, Seed: 1}, 0)
-	if err != nil {
-		t.Fatalf("bench_key run: %v", err)
-	}
-	if v.Status != StatusDone || v.Result == nil {
-		t.Fatalf("bench_key run: status %s, error %q", v.Status, v.Error)
-	}
-	if !v.Result.CacheHit {
-		t.Error("bench_key run did not count as a cache hit")
-	}
-	if v.Result.Detected != oracle(t, "s27", "stuck", 8, 1).NumDet {
-		t.Errorf("bench_key run detected %d, oracle disagrees", v.Result.Detected)
 	}
 }

@@ -181,3 +181,35 @@ func TestParseWriteProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// FuzzParseVectors feeds raw bytes and a width from 0 to 8 into
+// ParseString: each input ends in an error or in a set of that width
+// whose String() parses back to the same set. It never panics.
+func FuzzParseVectors(f *testing.F) {
+	f.Add([]byte("01\n1X\n # comment line\n\nX0 # trailing\n"), uint8(2))
+	f.Add([]byte("0x1\r\n"), uint8(3))
+	f.Add([]byte("\n#\n"), uint8(0))
+	f.Add([]byte("012\n"), uint8(3))
+	f.Fuzz(func(t *testing.T, data []byte, width uint8) {
+		w := int(width % 9)
+		s, err := ParseString(string(data), w)
+		if err != nil {
+			return
+		}
+		if s.NumPIs != w {
+			t.Fatalf("set of width %d, want %d", s.NumPIs, w)
+		}
+		for i, v := range s.Vecs {
+			if len(v) != w {
+				t.Fatalf("vector %d has %d values, want %d", i, len(v), w)
+			}
+		}
+		back, err := ParseString(s.String(), w)
+		if err != nil {
+			t.Fatalf("String() does not parse back: %v\n%q", err, s.String())
+		}
+		if !reflect.DeepEqual(back, s) {
+			t.Fatalf("round trip changed the set:\n%q\n%q", s.String(), back.String())
+		}
+	})
+}
