@@ -59,7 +59,7 @@ func main() {
 		queue     = flag.Int("queue", 256, "admission queue depth (full queue answers 429)")
 		cacheSize = flag.Int("cache", 64, "compiled-circuit cache capacity (circuits)")
 		logFormat = flag.String("log-format", "json", "structured log format on stderr: json or text")
-		logLevel  = flag.String("log-level", "info", "log threshold: debug, info, warn or error")
+		logLevel  = flag.String("log-level", "info", "log threshold: info, warn or error")
 
 		coordinator   = flag.Bool("coordinator", false, "coordinate a worker fleet instead of executing locally")
 		workerAddrs   = flag.String("worker-addrs", "", "comma-separated worker base URLs (coordinator mode)")
@@ -157,8 +157,6 @@ func workerList(addrs string) ([]string, error) {
 func buildLogger(format, level string) (*obs.Logger, error) {
 	var lv slog.Level
 	switch level {
-	case "debug":
-		lv = slog.LevelDebug
 	case "info":
 		lv = slog.LevelInfo
 	case "warn":
@@ -166,7 +164,7 @@ func buildLogger(format, level string) (*obs.Logger, error) {
 	case "error":
 		lv = slog.LevelError
 	default:
-		return nil, fmt.Errorf("-log-level %q: want debug, info, warn or error", level)
+		return nil, fmt.Errorf("-log-level %q: want info, warn or error", level)
 	}
 	opts := &slog.HandlerOptions{Level: lv}
 	switch format {

@@ -61,14 +61,16 @@ func TestWorkerList(t *testing.T) {
 
 func TestBuildLogger(t *testing.T) {
 	for _, format := range []string{"json", "text"} {
-		for _, level := range []string{"debug", "info", "warn", "error"} {
+		for _, level := range []string{"info", "warn", "error"} {
 			if _, err := buildLogger(format, level); err != nil {
 				t.Errorf("buildLogger(%q, %q): %v", format, level, err)
 			}
 		}
 	}
-	if _, err := buildLogger("json", "loud"); err == nil {
-		t.Error("an unknown -log-level is accepted")
+	for _, level := range []string{"loud", "debug"} {
+		if _, err := buildLogger("json", level); err == nil {
+			t.Errorf("-log-level %s is accepted", level)
+		}
 	}
 	if _, err := buildLogger("xml", "info"); err == nil {
 		t.Error("an unknown -log-format is accepted")
@@ -83,7 +85,7 @@ func TestServeSmoke(t *testing.T) {
 		t.Skip("starts a csimd process and runs about 100 s5378 jobs")
 	}
 	oracle := baseline(t, "serve-smoke.json")
-	srv := startDaemon(t, "csimd", "-workers", "4", "-queue", "128", "-log-format", "json", "-log-level", "debug")
+	srv := startDaemon(t, "csimd", "-workers", "4", "-queue", "128", "-log-format", "json", "-log-level", "info")
 	stuck := service.JobSpec{Circuit: "s5378", Model: "stuck", Random: 100, Seed: 1}
 
 	// 56 submissions at once against 4 workers: the queue holds the rest

@@ -99,14 +99,15 @@ func (c *Coordinator) RunJob(ctx context.Context, req *service.RunRequest) (rv *
 		return nil, err
 	}
 
-	// Shape the split: explicit workers pin K; otherwise one shard per
-	// chunk of 256 faults, within the fleet's dispatch capacity.
-	k := req.Spec.Workers
-	if k <= 0 {
-		procs := len(c.reg.workers) * c.cfg.PerWorkerInflight
-		k = compiled.Workers(procs, u.NumFaults())
-		req.Obs.Recorder().Recordf("decide", "plan %dx1 (procs=%d faults=%d: one fleet shard per chunk of 256 faults at most)", k, procs, u.NumFaults())
+	// Shape the split as every compiled run does: one shard per chunk of
+	// 256 faults at most, within the job's workers or, when it names
+	// none, the fleet's dispatch capacity.
+	procs := req.Spec.Workers
+	if procs <= 0 {
+		procs = len(c.reg.workers) * c.cfg.PerWorkerInflight
 	}
+	k := compiled.Workers(procs, u.NumFaults())
+	req.Obs.Recorder().Recordf("decide", "plan %dx1 (procs=%d faults=%d: one fleet shard per chunk of 256 faults at most)", k, procs, u.NumFaults())
 
 	jlog := c.log.With(slog.String("job_id", req.ID))
 	// The dispatch and requeue kinds are pinned by benchmark/ and go with

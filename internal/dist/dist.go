@@ -36,7 +36,7 @@ type Config struct {
 	ProbeInterval time.Duration
 	// PerWorkerInflight bounds concurrently dispatched shards per
 	// worker (default 2). Total dispatch concurrency, and the
-	// processor budget that sizes a job that pins no K, is
+	// processor budget of a job that names no workers, is
 	// len(Workers)×PerWorkerInflight.
 	PerWorkerInflight int
 	// Obs is the coordinator's observability bundle; nil disables

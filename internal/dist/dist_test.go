@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"os"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -269,7 +270,7 @@ func TestDistributedInlineBench(t *testing.T) {
 	u := faults.StuckCollapsed(ckt)
 	want, _ := serial.Simulate(context.Background(), u, vectors.Random(ckt, 30, 5))
 
-	const runs, k = 2, 4
+	const runs, k = 2, 2 // s298's 431 faults are two chunks
 	for run := 0; run < runs; run++ {
 		v, err := cl.Run(ctx, service.JobSpec{
 			Bench: text, BenchName: "s298", Engine: "csim-grid",
@@ -295,6 +296,54 @@ func TestDistributedInlineBench(t *testing.T) {
 		if b != text {
 			t.Errorf("shard submission %d carried %d bytes of netlist, want the %d-byte text", i, len(b), len(text))
 		}
+	}
+}
+
+// TestFleetCapsShardCount: an explicit workers budget is capped like a
+// local compiled run's, at one shard per chunk of 256 faults, and the
+// plan is a decide event. workers 64 on s298 (431 faults) dispatches two
+// shards, not 64 of which 62 are empty.
+func TestFleetCapsShardCount(t *testing.T) {
+	log := &shardLog{}
+	cl, _, _ := startCluster(t, 2, func(cfg *Config) {
+		cfg.HTTPClient = &http.Client{Transport: log}
+	})
+	ckt, err := iscas.Get("s298")
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := faults.StuckCollapsed(ckt)
+	want, _ := serial.Simulate(context.Background(), u, vectors.Random(ckt, 30, 5))
+	v, err := cl.Run(ctxT(t), service.JobSpec{
+		Circuit: "s298", Engine: "csim-C", Workers: 64,
+		Random: 30, Seed: 5, ReturnDetections: true,
+	}, 0)
+	if err != nil || v.Status != service.StatusDone || v.Result == nil {
+		t.Fatalf("run: %v / %+v", err, v)
+	}
+	if v.Result.Workers != 2 {
+		t.Errorf("result workers %d, want 2", v.Result.Workers)
+	}
+	if n := log.count(http.MethodPost, ""); n != 2 {
+		t.Errorf("%d shard submissions reached the workers, want 2", n)
+	}
+	got, err := v.Result.Detections.Result(u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diff := want.Diff(got); diff != "" {
+		t.Errorf("capped fleet result differs from serial:\n%s", diff)
+	}
+	pm, err := cl.Debug(ctxT(t), v.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decided := false
+	for _, ev := range pm.Events {
+		decided = decided || ev.Kind == "decide" && strings.HasPrefix(ev.Detail, "plan 2x1 (procs=64 ")
+	}
+	if !decided {
+		t.Errorf("no decide event planning 2x1 on procs=64: %+v", pm.Events)
 	}
 }
 

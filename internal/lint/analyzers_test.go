@@ -21,16 +21,5 @@ func TestGuardedBy(t *testing.T) {
 
 func TestGoroutineLife(t *testing.T) {
 	linttest.Run(t, lint.GoroutineLife, "testdata/src/goroutinelife")
-}
-
-func TestByName(t *testing.T) {
-	for _, a := range lint.All() {
-		got, ok := lint.ByName(a.Name)
-		if !ok || got != a {
-			t.Errorf("ByName(%q) = %v, %v; want %v", a.Name, got, ok, a)
-		}
-	}
-	if _, ok := lint.ByName("nosuch"); ok {
-		t.Error("ByName(nosuch) should not resolve")
-	}
+	linttest.Run(t, lint.GoroutineLife, "testdata/src/unlisted")
 }

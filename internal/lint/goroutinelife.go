@@ -8,30 +8,18 @@ import (
 	"repro/internal/lint/flow"
 )
 
-// goroutineLifePackages are the packages whose `go` statements must be
-// lifecycle-tied: the fan-out engines and the long-running service.
-// Elsewhere (benchmark drivers, one-shot tools) a fire-and-forget
-// goroutine can be legitimate. The fixture package rides along so the
-// analyzer is testable.
-var goroutineLifePackages = map[string]bool{
-	"repro/internal/compiled": true,
-	"repro/internal/dist":     true,
-	"repro/internal/service":  true,
-	"goroutinelife":           true,
-}
-
-// GoroutineLife requires every goroutine in the scoped packages to have
-// a provable end: a WaitGroup pairing, a Wait of its own, or a
-// cancellable context in scope.
+// GoroutineLife requires every goroutine to have a provable end: a
+// WaitGroup pairing, a Wait of its own, or a cancellable context in
+// scope.
 var GoroutineLife = &Analyzer{
 	Name: "goroutinelife",
-	Doc: `require goroutines in parallel/service code to have a bounded lifetime
+	Doc: `require every goroutine to have a bounded lifetime
 
 A worker spawned per shard or per server must be joinable or
-cancellable — an untracked goroutine in these packages outlives its
-job, holds its arena, and turns a cancelled request into a leak. Each
-go statement is accepted when the spawned body (a literal, or the
-declaration a named call resolves to through the flow graph):
+cancellable — an untracked goroutine outlives its job, holds its
+arena, and turns a cancelled request into a leak. Each go statement is
+accepted when the spawned body (a literal, or the declaration a named
+call resolves to through the flow graph):
 
   - calls X.Done() on a sync.WaitGroup for which the spawning body
     calls X.Add(...) before the go statement (the canonical
@@ -41,16 +29,11 @@ declaration a named call resolves to through the flow graph):
   - references a context.Context — directly or via the spawn's
     arguments — so cancellation can reach it.
 
-Anything else is a leak-shaped spawn. A deliberate exception (an
-http.Serve pump whose lifetime is the listener's) takes a
-//simlint:ignore goroutinelife <reason> suppression.`,
+Anything else is a leak-shaped spawn.`,
 	Run: runGoroutineLife,
 }
 
 func runGoroutineLife(pass *Pass) error {
-	if !goroutineLifePackages[pass.Pkg.Path()] {
-		return nil
-	}
 	g := flow.Build(pass.Fset, pass.Files, pass.TypesInfo)
 	for _, n := range g.Nodes() {
 		body := n.Body()

@@ -22,8 +22,8 @@ import (
 
 // Analyzer describes one static check.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and //simlint:ignore
-	// directives. By convention it is a single lowercase word.
+	// Name identifies the analyzer in diagnostics. By convention it is
+	// a single lowercase word.
 	Name string
 	// Doc is the help text; the first line is the summary.
 	Doc string
@@ -48,12 +48,6 @@ type Diagnostic struct {
 	Analyzer string
 	Pos      token.Position
 	Message  string
-	// Suppressed marks a diagnostic silenced by a //simlint:ignore
-	// directive; SuppressReason carries the directive's mandatory
-	// justification. Suppressed diagnostics never fail a run; the
-	// driver counts them and TestRepoClean reads them.
-	Suppressed     bool
-	SuppressReason string
 }
 
 // String renders the diagnostic in the conventional file:line:col form.
@@ -93,43 +87,13 @@ func (p *Pass) ObjectOf(id *ast.Ident) types.Object {
 	return p.TypesInfo.ObjectOf(id)
 }
 
-// Report is the full outcome of one analysis run: the active
-// diagnostics, the ones silenced by //simlint:ignore directives, the
-// directives that silenced nothing, and malformed directives. Active,
-// malformed and unused entries are failures; suppressed ones are not.
-type Report struct {
-	// Diags are the active (unsuppressed) diagnostics, sorted.
-	Diags []Diagnostic
-	// Suppressed are the diagnostics matched by an ignore directive,
-	// sorted, each carrying its SuppressReason.
-	Suppressed []Diagnostic
-	// Unused are the ignore directives (for analyzers that actually ran)
-	// that matched no diagnostic.
-	Unused []*Suppression
-	// Malformed are broken ignore directives (missing reason, unknown
-	// analyzer), reported under the pseudo-analyzer "simlint".
-	Malformed []Diagnostic
-}
-
-// Failed reports whether the run should fail the build: any active or
-// malformed diagnostic, or any unused suppression.
-func (r *Report) Failed() bool {
-	return len(r.Diags) > 0 || len(r.Malformed) > 0 || len(r.Unused) > 0
-}
-
-// RunAll applies each analyzer to each package, honors the packages'
-// //simlint:ignore directives, and returns the full report with every
-// diagnostic list sorted by (file, line, column, analyzer) — a total,
-// run-independent order, so CI logs are stable.
-// Analyzer errors (not diagnostics) abort the run.
-func RunAll(pkgs []*Package, analyzers []*Analyzer) (*Report, error) {
-	ran := map[string]bool{}
-	for _, a := range analyzers {
-		ran[a.Name] = true
-	}
-	r := &Report{}
+// Run applies each analyzer to each package and returns every
+// diagnostic sorted by (file, line, column, analyzer) — a total,
+// run-independent order, so CI logs are stable. Analyzer errors (not
+// diagnostics) abort the run.
+func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
+	var diags []Diagnostic
 	for _, pkg := range pkgs {
-		var diags []Diagnostic
 		for _, a := range analyzers {
 			pass := &Pass{
 				Analyzer:  a,
@@ -143,42 +107,7 @@ func RunAll(pkgs []*Package, analyzers []*Analyzer) (*Report, error) {
 				return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.PkgPath, err)
 			}
 		}
-		sups, malformed := collectSuppressions(pkg.Fset, pkg.Syntax)
-		kept, suppressed := applySuppressions(diags, sups)
-		r.Diags = append(r.Diags, kept...)
-		r.Suppressed = append(r.Suppressed, suppressed...)
-		r.Malformed = append(r.Malformed, malformed...)
-		for _, s := range sups {
-			// A directive for an analyzer that did not run this time is
-			// neither used nor stale; only directives the run could have
-			// consumed count as unused.
-			if !s.Used() && ran[s.Analyzer] {
-				r.Unused = append(r.Unused, s)
-			}
-		}
 	}
-	sortDiags(r.Diags)
-	sortDiags(r.Suppressed)
-	sortDiags(r.Malformed)
-	sort.SliceStable(r.Unused, func(i, j int) bool {
-		a, b := r.Unused[i].Pos, r.Unused[j].Pos
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
-		}
-		return a.Line < b.Line
-	})
-	return r, nil
-}
-
-// Run is the single-list view of RunAll for callers that treat every
-// problem alike (the fixture runner): active plus malformed
-// diagnostics, sorted; suppressed ones are dropped.
-func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	r, err := RunAll(pkgs, analyzers)
-	if err != nil {
-		return nil, err
-	}
-	diags := append(r.Diags, r.Malformed...)
 	sortDiags(diags)
 	return diags, nil
 }
@@ -212,14 +141,4 @@ func All() []*Analyzer {
 		GuardedBy,
 		GoroutineLife,
 	}
-}
-
-// ByName resolves a comma-free analyzer name against the suite.
-func ByName(name string) (*Analyzer, bool) {
-	for _, a := range All() {
-		if a.Name == name {
-			return a, true
-		}
-	}
-	return nil, false
 }

@@ -35,11 +35,6 @@ const (
 	// field, names the sibling mutex that must be held on every path to
 	// any access of the field; guardedby checks it interprocedurally.
 	MarkerGuardedBy = "simlint:guarded_by"
-	// MarkerIgnore, written //simlint:ignore <analyzer> <reason> on (or
-	// directly above) an offending line, suppresses that analyzer's
-	// diagnostics for the line. The reason is mandatory and unused
-	// suppressions are themselves reported (see suppress.go).
-	MarkerIgnore = "simlint:ignore"
 )
 
 // hasMarker reports whether the comment group contains the given marker

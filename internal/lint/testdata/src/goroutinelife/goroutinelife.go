@@ -77,10 +77,3 @@ func joinerOK(done chan struct{}) {
 func dynamicBad(f func()) {
 	go f() // want `cannot resolve the spawned function statically`
 }
-
-// A deliberate exception takes a suppression; the diagnostic is
-// produced, matched, and dropped — so no want here.
-func suppressedOK() {
-	//simlint:ignore goroutinelife the pump's lifetime is bounded by the listener it serves
-	go func() {}()
-}

@@ -6,7 +6,7 @@ import (
 )
 
 // MaxPins is the maximum number of input pins representable in a packed
-// gate-state Word. Netlists are decomposed so every gate fits.
+// gate-state Word. netlist.Builder rejects a wider gate.
 const MaxPins = 30
 
 // Word packs the complete state of one gate — every input pin value and

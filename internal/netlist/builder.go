@@ -132,7 +132,7 @@ func (b *Builder) Build() (*Circuit, error) {
 			errs = append(errs, fmt.Errorf("netlist: gate %q (%v) has %d inputs", p.name, p.op, len(args)))
 		}
 		if len(args) > logic.MaxPins {
-			errs = append(errs, fmt.Errorf("netlist: gate %q has %d inputs; exceeds %d (run Decompose)",
+			errs = append(errs, fmt.Errorf("netlist: gate %q has %d inputs; a gate takes at most logic.MaxPins = %d",
 				p.name, len(args), logic.MaxPins))
 		}
 		for j, fn := range args {

@@ -47,7 +47,7 @@ type JobSpec struct {
 	// the server's MaxInlineBytes (oversized → 413).
 	Bench string `json:"bench,omitempty"`
 	// BenchName names the inline netlist in diagnostics (default
-	// "inline").
+	// "inline"; empty on a suite circuit's job).
 	BenchName string `json:"bench_name,omitempty"`
 	// Model is the fault model: stuck (default), stuck-all, transition.
 	Model string `json:"model,omitempty"`
@@ -97,7 +97,7 @@ func (sp *JobSpec) normalize() error {
 	if (sp.Circuit != "") == (sp.Bench != "") {
 		return fmt.Errorf("exactly one of circuit and bench is required")
 	}
-	if sp.BenchName == "" {
+	if sp.Bench != "" && sp.BenchName == "" {
 		sp.BenchName = "inline"
 	}
 	if sp.Model == "" {

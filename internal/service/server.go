@@ -111,6 +111,7 @@ type Server struct {
 	cancelWorkers func()
 	workerWG      sync.WaitGroup
 	httpSrv       *http.Server
+	httpWG        sync.WaitGroup // the accept loop; shutdownHTTP waits for it
 	ln            net.Listener
 
 	mSubmitted  *obs.Counter
@@ -179,8 +180,11 @@ func (s *Server) Start() error {
 		}(i)
 	}
 	s.httpSrv = &http.Server{Handler: s.Handler()}
-	//simlint:ignore goroutinelife the accept pump's lifetime is the listener's; Stop closes it via httpSrv.Shutdown
-	go func() { _ = s.httpSrv.Serve(ln) }()
+	s.httpWG.Add(1)
+	go func() {
+		defer s.httpWG.Done()
+		_ = s.httpSrv.Serve(ln)
+	}()
 	return nil
 }
 
@@ -204,7 +208,7 @@ func (s *Server) Handler() http.Handler {
 	})
 	mux.HandleFunc("/readyz", func(w http.ResponseWriter, _ *http.Request) {
 		if s.draining.Load() {
-			writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+			writeError(w, http.StatusServiceUnavailable, "server is draining", nil)
 			return
 		}
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
@@ -215,7 +219,7 @@ func (s *Server) Handler() http.Handler {
 
 // Drain gracefully shuts the server down: admissions stop (submit → 503,
 // /readyz → 503), every already-admitted job — queued or running — is
-// finished, then the workers and the HTTP listener stop. If ctx expires
+// finished, then the workers and the HTTP accept loop stop. If ctx expires
 // first, outstanding jobs are cancelled and Drain returns ctx's error
 // after the workers exit.
 func (s *Server) Drain(ctx context.Context) error {
@@ -245,7 +249,7 @@ func (s *Server) Drain(ctx context.Context) error {
 }
 
 // Close hard-stops the server: cancels every job, closes the queue and
-// the listener, and waits for the workers.
+// the listener, and waits for the workers and the accept loop.
 func (s *Server) Close() error {
 	s.draining.Store(true)
 	s.q.close()
@@ -266,6 +270,7 @@ func (s *Server) shutdownHTTP() {
 	sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	_ = s.httpSrv.Shutdown(sctx)
+	s.httpWG.Wait()
 }
 
 // cancelOutstanding cancels every live job.

@@ -259,6 +259,32 @@ func TestPollDoesNotEchoInlineNetlist(t *testing.T) {
 	}
 }
 
+// TestBenchNameOnlyForInline: a suite job's view and retained spec carry
+// no bench_name, and an inline netlist the client left unnamed reads
+// "inline".
+func TestBenchNameOnlyForInline(t *testing.T) {
+	s, cl := startServer(t, Config{Workers: 1})
+	ctx := ctxT(t)
+	for _, tc := range []struct {
+		spec JobSpec
+		want string
+	}{
+		{JobSpec{Circuit: "s27", Engine: "csim-C", Random: 4}, ""},
+		{JobSpec{Bench: iscas.S27Bench, Engine: "csim-C", Random: 4}, "inline"},
+	} {
+		v, err := cl.Run(ctx, tc.spec, 0)
+		if err != nil || v.Status != StatusDone {
+			t.Fatalf("run: %v / %+v", err, v)
+		}
+		if v.Spec.BenchName != tc.want {
+			t.Errorf("%s: view bench_name %q, want %q", circuitLabel(&v.Spec), v.Spec.BenchName, tc.want)
+		}
+		if sp := jobSpec(t, s, v.ID); sp.BenchName != tc.want {
+			t.Errorf("%s: retained bench_name %q, want %q", circuitLabel(&sp), sp.BenchName, tc.want)
+		}
+	}
+}
+
 // TestWaitDefaultSchedule: Hold asks after a job on one request, held
 // open for the server's longest wait, until the job ends.
 func TestWaitDefaultSchedule(t *testing.T) {
@@ -772,7 +798,8 @@ func TestHealthAndReadyEndpoints(t *testing.T) {
 }
 
 // TestReadyWhileDraining: a server draining a running job answers Ready
-// with the *APIError every other client call returns, status 503.
+// with the *APIError every other client call returns: status 503 and the
+// submit handler's message.
 func TestReadyWhileDraining(t *testing.T) {
 	s, cl, g, _ := startGated(t, Config{Workers: 1})
 	ctx := ctxT(t)
@@ -789,8 +816,8 @@ func TestReadyWhileDraining(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	var ae *APIError
-	if err := cl.Ready(ctx); !errors.As(err, &ae) || ae.StatusCode != http.StatusServiceUnavailable {
-		t.Errorf("Ready while draining: %v, want an *APIError with status 503", err)
+	if err := cl.Ready(ctx); !errors.As(err, &ae) || ae.StatusCode != http.StatusServiceUnavailable || ae.Msg != "server is draining" {
+		t.Errorf("Ready while draining: %v, want an *APIError with status 503 and message %q", err, "server is draining")
 	}
 	g.open(1)
 	if err := <-drained; err != nil {
