@@ -17,6 +17,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/harness"
 	"repro/internal/iscas"
+	"repro/internal/iscas/iscastest"
 	"repro/internal/netcheck"
 	"repro/internal/netlist"
 	"repro/internal/obs"
@@ -231,8 +232,8 @@ func BenchmarkMissChain(b *testing.B) {
 	for _, in := range []struct {
 		name string
 		c    *netlist.Circuit
-	}{{"svc-cold", cold}, {"s35932", iscas.MustGet("s35932")}} {
-		text := netlist.BenchString(in.c)
+	}{{"svc-cold", cold}, {"s35932", iscastest.MustGet("s35932")}} {
+		text := iscastest.BenchString(in.c)
 		parse := func() *netlist.Circuit {
 			c, err := netlist.ParseBenchString(in.c.Name, text)
 			if err != nil {

@@ -16,7 +16,7 @@ import (
 	"repro/internal/compiled"
 	"repro/internal/engine"
 	"repro/internal/harness"
-	"repro/internal/iscas"
+	"repro/internal/iscas/iscastest"
 	"repro/internal/obs"
 	"repro/internal/serial"
 	"repro/internal/vectors"
@@ -86,7 +86,7 @@ func TestVerboseListsTheRunsUndetected(t *testing.T) {
 	if !ok {
 		t.Fatalf("no undetected-fault listing:\n%s", out)
 	}
-	c := iscas.MustGet("s298")
+	c := iscastest.MustGet("s298")
 	u, err := harness.Artifacts(c).Universe("stuck")
 	if err != nil {
 		t.Fatal(err)

@@ -123,7 +123,7 @@ func TestServeSmoke(t *testing.T) {
 	const id = "postmortem"
 	cl := service.NewClient(srv.url)
 	ctx := obs.WithJobID(context.Background(), id)
-	if _, err := cl.Submit(ctx, service.JobSpec{Circuit: "s5378", Engine: "csim-grid", Random: 200000, Seed: 1, TimeoutMS: 1}); err != nil {
+	if _, err := submit(ctx, cl, service.JobSpec{Circuit: "s5378", Engine: "csim-grid", Random: 200000, Seed: 1, TimeoutMS: 1}); err != nil {
 		t.Fatalf("submit %s: %v", id, err)
 	}
 	v, err := cl.Hold(ctx, id)
@@ -207,7 +207,7 @@ func TestFleetSmoke(t *testing.T) {
 	const id = "kill"
 	cl := service.NewClient(coord.url)
 	ctx := obs.WithJobID(context.Background(), id)
-	if _, err := cl.Submit(ctx, service.JobSpec{Circuit: "s35932", Engine: "csim-grid", Random: 256, Seed: 1, Workers: 6}); err != nil {
+	if _, err := submit(ctx, cl, service.JobSpec{Circuit: "s35932", Engine: "csim-grid", Random: 256, Seed: 1, Workers: 6}); err != nil {
 		t.Fatalf("submit %s: %v", id, err)
 	}
 	for deadline := time.Now().Add(time.Minute); ; time.Sleep(20 * time.Millisecond) {
@@ -339,6 +339,33 @@ func lastPhase(pm service.Postmortem) string {
 		}
 	}
 	return phase
+}
+
+// submit POSTs spec to cl's server as a new job, named by ctx's
+// correlation ID if it carries one, and returns the queued view.
+func submit(ctx context.Context, cl *service.Client, spec service.JobSpec) (service.JobView, error) {
+	var v service.JobView
+	body, err := json.Marshal(spec)
+	if err != nil {
+		return v, err
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, cl.BaseURL+"/api/v1/jobs", bytes.NewReader(body))
+	if err != nil {
+		return v, err
+	}
+	if id := obs.JobIDFrom(ctx); id != "" {
+		req.Header.Set(service.JobIDHeader, id)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return v, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		msg, _ := io.ReadAll(resp.Body)
+		return v, fmt.Errorf("POST /api/v1/jobs: %s: %s", resp.Status, msg)
+	}
+	return v, json.NewDecoder(resp.Body).Decode(&v)
 }
 
 func asJSON(v any) string {

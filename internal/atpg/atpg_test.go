@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/faults"
-	"repro/internal/iscas"
+	"repro/internal/iscas/iscastest"
 	"repro/internal/netlist"
 	"repro/internal/serial"
 	"repro/internal/vectors"
@@ -66,7 +66,7 @@ func TestS27CoverageBeatsRandom(t *testing.T) {
 	// the nominal fault count. The deterministic generator must therefore
 	// detect everything a long random sequence detects, with far fewer
 	// vectors.
-	c := iscas.MustGet("s27")
+	c := iscastest.MustGet("s27")
 	u := faults.StuckCollapsed(c)
 	res := Generate(u, Options{Seed: 7, FillRandom: true})
 	// Cross-check the claimed coverage with the independent serial oracle.
@@ -102,7 +102,7 @@ z = OR(a, na)
 	oracle, _ := serial.Simulate(context.Background(), u, res.Vectors)
 	var zSA0 int32 = -1
 	for i, f := range u.Faults {
-		if f.Gate == c.MustByName("z") && f.Pin == faults.OutPin && f.Kind == faults.SA0 {
+		if f.Gate == iscastest.MustByName(c, "z") && f.Pin == faults.OutPin && f.Kind == faults.SA0 {
 			zSA0 = int32(i)
 		}
 	}
@@ -128,7 +128,7 @@ deadend = OR(a, b)
 }
 
 func TestDeterministic(t *testing.T) {
-	c := iscas.MustGet("s27")
+	c := iscastest.MustGet("s27")
 	u := faults.StuckCollapsed(c)
 	a := Generate(u, Options{Seed: 11})
 	b := Generate(u, Options{Seed: 11})
@@ -141,7 +141,7 @@ func TestDeterministic(t *testing.T) {
 }
 
 func TestGenerateVectorsWrapper(t *testing.T) {
-	c := iscas.MustGet("s27")
+	c := iscastest.MustGet("s27")
 	u := faults.StuckCollapsed(c)
 	vs := GenerateVectors(u, Options{Seed: 5})
 	if vs.Len() == 0 || vs.NumPIs != len(c.PIs) {

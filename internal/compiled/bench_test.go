@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/faults"
-	"repro/internal/iscas"
+	"repro/internal/iscas/iscastest"
 	"repro/internal/vectors"
 )
 
@@ -32,12 +32,12 @@ func BenchmarkRunFaults(b *testing.B) {
 			if testing.Short() && tc.circuit == "s35932" {
 				b.Skip("s35932 takes seconds a run; skipped under -short")
 			}
-			c := iscas.MustGet(tc.circuit)
+			c := iscastest.MustGet(tc.circuit)
 			u := faults.StuckCollapsed(c)
 			if tc.model == "transition" {
 				u = faults.Transition(c)
 			}
-			sim, err := New(u)
+			sim, err := newSim(u)
 			if err != nil {
 				b.Fatal(err)
 			}

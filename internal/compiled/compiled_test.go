@@ -13,12 +13,19 @@ import (
 	"repro/internal/gen"
 	"repro/internal/goodsim"
 	"repro/internal/iscas"
+	"repro/internal/iscas/iscastest"
 	"repro/internal/logic"
 	"repro/internal/netlist"
 	"repro/internal/parallel"
 	"repro/internal/serial"
 	"repro/internal/vectors"
 )
+
+// newSim compiles u's circuit and returns a simulator over it, on a pool
+// of its own.
+func newSim(u *faults.Universe) (*Sim, error) {
+	return NewPooled(NewPool(Compile(u.Circuit)), u)
+}
 
 func genCircuit(t *testing.T, seed int64, pis, pos, ffs, gates int) *netlist.Circuit {
 	t.Helper()
@@ -56,7 +63,7 @@ func compare(t *testing.T, tag string, want, got *faults.Result) {
 // the good ones, neither dirty nor scheduled.
 func checkClean(t *testing.T, tag string, u *faults.Universe, vs *vectors.Set, ids []int32, nw int) {
 	t.Helper()
-	sim, err := New(u)
+	sim, err := newSim(u)
 	if err != nil {
 		t.Fatalf("%s: %v", tag, err)
 	}
@@ -93,7 +100,7 @@ func runBoth(t *testing.T, tag string, u *faults.Universe, vs *vectors.Set) {
 	checkClean(t, tag, u, vs, u.IDs(), 3)
 	run := func(ids []int32, nw int) (*faults.Result, csim.Stats) {
 		t.Helper()
-		sim, err := New(u)
+		sim, err := newSim(u)
 		if err != nil {
 			t.Fatalf("%s: %v", tag, err)
 		}
@@ -203,7 +210,7 @@ func TestNodeFitsCacheLine(t *testing.T) {
 // circuit's own fanin array, not a copy, and an instruction stream
 // allocated at its exact length.
 func TestProgramKeepsNoSlack(t *testing.T) {
-	for _, c := range []*netlist.Circuit{genCircuit(t, 8, 6, 5, 10, 130), iscas.MustGet("s298")} {
+	for _, c := range []*netlist.Circuit{genCircuit(t, 8, 6, 5, 10, 130), iscastest.MustGet("s298")} {
 		p := Compile(c)
 		if unsafe.SliceData(p.fanins) != unsafe.SliceData(c.Fanins) || len(p.fanins) != len(c.Fanins) {
 			t.Errorf("%s: the program's fanins are not the circuit's", c.Name)
@@ -335,7 +342,7 @@ func TestLoopGatesAgree(t *testing.T) {
 // then its last one repeated, and the loop flag on exactly the XOR/XNOR
 // gates and those of more than four inputs.
 func TestFaninSlots(t *testing.T) {
-	circuits := []*netlist.Circuit{iscas.MustGet("s35932")}
+	circuits := []*netlist.Circuit{iscastest.MustGet("s35932")}
 	for seed := int64(1); seed <= 3; seed++ {
 		circuits = append(circuits, mustParse(t, fmt.Sprintf("wide%d", seed), wideBench(seed, 14, 6, 48)))
 	}
@@ -372,6 +379,12 @@ func TestFaninSlots(t *testing.T) {
 	}
 }
 
+// traceAt returns gate g's settled good value on the given cycle.
+func traceAt(tr *Trace, cycle int, g netlist.GateID) logic.V {
+	v1, v0 := tr.block(cycle / wordW)
+	return planeVal(v1[g], v0[g], uint(cycle%wordW))
+}
+
 // TestTraceMatchesGoodsim checks the packed trace lane-for-lane
 // against the interpreted good machine.
 func TestTraceMatchesGoodsim(t *testing.T) {
@@ -383,7 +396,7 @@ func TestTraceMatchesGoodsim(t *testing.T) {
 	for cyc, vec := range vs.Vecs {
 		ref.Apply(vec)
 		for g := range c.Gates {
-			if got, want := tr.At(cyc, netlist.GateID(g)), ref.Val(netlist.GateID(g)); got != want {
+			if got, want := traceAt(tr, cyc, netlist.GateID(g)), ref.Val(netlist.GateID(g)); got != want {
 				t.Fatalf("cycle %d gate %s: trace %v, goodsim %v", cyc, c.Gates[g].Name, got, want)
 			}
 		}
@@ -418,7 +431,7 @@ func TestStatsAccounting(t *testing.T) {
 		if tc.model == "transition" {
 			u = faults.Transition(c)
 		}
-		sim, err := New(u)
+		sim, err := newSim(u)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -509,7 +522,7 @@ func TestWorkerPanicIsAnError(t *testing.T) {
 	u := faults.StuckAll(c)
 	ids := u.IDs()[:3*ChunkFaults]
 	vs := vectors.Random(c, 70, 1)
-	sim, err := New(u)
+	sim, err := newSim(u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -567,7 +580,7 @@ func TestOneResultPerRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := New(u)
+	sim, err := newSim(u)
 	if err != nil {
 		t.Fatal(err)
 	}

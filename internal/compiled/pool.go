@@ -15,8 +15,7 @@ import (
 // grew to in earlier runs. Everything a run sets — universe, trace, ID
 // list, counters, result — is reset when the worker is borrowed. Every
 // Sim runs on a Pool: the engine layer keeps one beside each circuit's
-// Program, and New makes one for its own program; the Program itself
-// stays immutable and holds none.
+// Program; the Program itself stays immutable and holds none.
 //
 // Idle workers sit in a sync.Pool, so garbage collection frees them: a
 // circuit nobody runs keeps no worker alive for long, and a Pool's holder
@@ -68,6 +67,3 @@ func (pl *Pool) put(ws []*worker) {
 		pl.idle.Put(w)
 	}
 }
-
-// Program returns the program the pool's workers run.
-func (pl *Pool) Program() *Program { return pl.p }

@@ -155,12 +155,6 @@ type Sim struct {
 	stats csim.Stats
 }
 
-// New compiles u's circuit and returns a simulator over it, on a pool of
-// its own.
-func New(u *faults.Universe) (*Sim, error) {
-	return NewPooled(NewPool(Compile(u.Circuit)), u)
-}
-
 // Stats returns the last run's instrumentation counters in the standard
 // csim form, so harness tables, bench cells and the service's stats
 // view consume csim-C runs unchanged.

@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"repro/internal/logic"
-	"repro/internal/netlist"
 	"repro/internal/vectors"
 )
 
@@ -58,12 +57,6 @@ func (tr *Trace) Bytes() int64 { return int64(len(tr.v1)+len(tr.v0)) * 8 }
 func (tr *Trace) block(b int) (v1, v0 []uint64) {
 	lo, hi := b*tr.ng, (b+1)*tr.ng
 	return tr.v1[lo:hi], tr.v0[lo:hi]
-}
-
-// At returns gate g's settled good value on the given cycle.
-func (tr *Trace) At(cycle int, g netlist.GateID) logic.V {
-	i := (cycle/wordW)*tr.ng + int(g)
-	return planeVal(tr.v1[i], tr.v0[i], uint(cycle%wordW))
 }
 
 // Trace runs the compiled good machine over the whole vector sequence

@@ -281,12 +281,6 @@ func (s *Simulator) Stats() Stats {
 	return st
 }
 
-// Plan exposes the macro plan (inspection/tests).
-func (s *Simulator) Plan() *macro.Plan { return s.plan }
-
-// GoodVal returns the good-machine value of a source or macro-root gate.
-func (s *Simulator) GoodVal(g netlist.GateID) logic.V { return s.goodVal[g] }
-
 // Run simulates the whole vector set and returns the detections.
 func (s *Simulator) Run(vs *vectors.Set) *faults.Result {
 	if vs.NumPIs != len(s.c.PIs) {

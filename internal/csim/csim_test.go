@@ -219,13 +219,13 @@ func TestGoodMachineAgreesWithGoodsim(t *testing.T) {
 			if m == nil {
 				continue
 			}
-			if sim.GoodVal(netlist.GateID(id)) != ref.val[id] {
+			if sim.goodVal[id] != ref.val[id] {
 				t.Fatalf("good value mismatch at %s: %v vs %v",
-					c.Gate(netlist.GateID(id)).Name, sim.GoodVal(netlist.GateID(id)), ref.val[id])
+					c.Gate(netlist.GateID(id)).Name, sim.goodVal[id], ref.val[id])
 			}
 		}
 		for _, src := range append(append([]netlist.GateID{}, c.PIs...), c.DFFs...) {
-			if sim.GoodVal(src) != ref.val[src] {
+			if sim.goodVal[src] != ref.val[src] {
 				t.Fatalf("good source mismatch at %s", c.Gate(src).Name)
 			}
 		}

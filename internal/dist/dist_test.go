@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
@@ -8,6 +9,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"slices"
@@ -21,7 +23,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/faults"
 	"repro/internal/iscas"
-	"repro/internal/netlist"
+	"repro/internal/iscas/iscastest"
 	"repro/internal/obs"
 	"repro/internal/serial"
 	"repro/internal/service"
@@ -109,6 +111,33 @@ func startCluster(t *testing.T, n int, tune func(*Config)) (*service.Client, *Co
 	}
 	t.Cleanup(func() { _ = front.Close() })
 	return service.NewClient("http://" + front.Addr()), coord, reg
+}
+
+// submit POSTs spec to cl's server as a new job, named by ctx's
+// correlation ID if it carries one, and returns the queued view.
+func submit(ctx context.Context, cl *service.Client, spec service.JobSpec) (service.JobView, error) {
+	var v service.JobView
+	body, err := json.Marshal(spec)
+	if err != nil {
+		return v, err
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, cl.BaseURL+"/api/v1/jobs", bytes.NewReader(body))
+	if err != nil {
+		return v, err
+	}
+	if id := obs.JobIDFrom(ctx); id != "" {
+		req.Header.Set(service.JobIDHeader, id)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return v, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		msg, _ := io.ReadAll(resp.Body)
+		return v, fmt.Errorf("POST /api/v1/jobs: %s: %s", resp.Status, msg)
+	}
+	return v, json.NewDecoder(resp.Body).Decode(&v)
 }
 
 func ctxT(t *testing.T) context.Context {
@@ -266,7 +295,7 @@ func TestDistributedInlineBench(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	text := netlist.BenchString(ckt)
+	text := iscastest.BenchString(ckt)
 	u := faults.StuckCollapsed(ckt)
 	want, _ := serial.Simulate(context.Background(), u, vectors.Random(ckt, 30, 5))
 
@@ -388,7 +417,7 @@ func TestWorkerKillMidJobRequeues(t *testing.T) {
 	}
 	want := single.Run(vectors.Random(ckt, 1024, 13))
 
-	jv, err := cl.Submit(ctx, service.JobSpec{
+	jv, err := submit(ctx, cl, service.JobSpec{
 		Circuit: "s5378", Engine: "csim-grid", Workers: 6,
 		Random: 1024, Seed: 13, ReturnDetections: true,
 	})
@@ -426,8 +455,8 @@ func TestWorkerKillMidJobRequeues(t *testing.T) {
 	if diff := want.Diff(got); diff != "" {
 		t.Errorf("post-kill result differs from the csim-MV oracle:\n%s", diff)
 	}
-	if p, ok := reg.Get("dist.shards_requeued"); !ok || p.Value < 1 {
-		t.Errorf("dist.shards_requeued = %+v, want >= 1", p)
+	if n := reg.Counter("dist.shards_requeued").Value(); n < 1 {
+		t.Errorf("dist.shards_requeued = %d, want >= 1", n)
 	}
 }
 
@@ -506,12 +535,10 @@ func updateFleetOracle(t *testing.T) {
 		for _, model := range []string{"stuck", "transition"} {
 			u, vs := fleetWorkload(t, circuit, model)
 			want := fleetOracle(t, circuit, u, vs)
-			ref, err := compiled.New(u)
+			_, one, err := engine.Run(context.Background(), engine.CsimC, u, vs, engine.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref.Run(vs)
-			one := ref.Stats()
 			cells = append(cells, fleetCell{circuit, model, resultDigest(want), want.NumDet, want.NumPotOnly(),
 				one.Evals, one.Scheds, one.GoodEvals})
 		}

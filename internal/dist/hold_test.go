@@ -106,13 +106,13 @@ func TestAttemptAdoptsLiveShard(t *testing.T) {
 
 	// The worker's one slot is busy, so the shard stays queued — live —
 	// until the test frees it.
-	busy, err := wcl.Submit(ctx, service.JobSpec{Circuit: "s5378", Engine: "csim", Random: 200000})
+	busy, err := submit(ctx, wcl, service.JobSpec{Circuit: "s5378", Engine: "csim", Random: 200000})
 	if err != nil {
 		t.Fatal(err)
 	}
 	spec := shardSpec(&service.JobSpec{Circuit: "s298", Random: 64, Seed: 3}, 0, 2, time.Minute)
 	id := jobid.Shard("adopt", 0, 2, shardHash("s298", spec))
-	if _, err := wcl.Submit(obs.WithJobID(ctx, id), *spec); err != nil {
+	if _, err := submit(obs.WithJobID(ctx, id), wcl, *spec); err != nil {
 		t.Fatalf("first delivery of the shard: %v", err)
 	}
 
@@ -141,8 +141,8 @@ func TestAttemptAdoptsLiveShard(t *testing.T) {
 	if n := log.count(http.MethodPost, id); n != 1 {
 		t.Errorf("%d submissions of the shard, want the one that drew the 409", n)
 	}
-	if p, _ := reg.Get("serve.jobs_submitted"); p.Value != 2 {
-		t.Errorf("worker admitted %d jobs, want 2: the busy job and one copy of the shard", p.Value)
+	if n := reg.Counter("serve.jobs_submitted").Value(); n != 2 {
+		t.Errorf("worker admitted %d jobs, want 2: the busy job and one copy of the shard", n)
 	}
 }
 
@@ -186,11 +186,11 @@ func TestShardPanicFailsTheJobOnce(t *testing.T) {
 	if v.Status != service.StatusFailed || !strings.Contains(v.Error, service.PanicErrorPrefix+"poisoned shard") {
 		t.Fatalf("job over panicking workers: status %s, error %q, want failed with the panic", v.Status, v.Error)
 	}
-	if p, _ := reg.Get("dist.shards_requeued"); p.Value != 0 {
-		t.Errorf("dist.shards_requeued = %d, want 0: a panic is not retried", p.Value)
+	if n := reg.Counter("dist.shards_requeued").Value(); n != 0 {
+		t.Errorf("dist.shards_requeued = %d, want 0: a panic is not retried", n)
 	}
-	if p, _ := reg.Get("dist.shards_failed"); p.Value < 1 {
-		t.Errorf("dist.shards_failed = %d, want at least 1", p.Value)
+	if n := reg.Counter("dist.shards_failed").Value(); n < 1 {
+		t.Errorf("dist.shards_failed = %d, want at least 1", n)
 	}
 }
 
@@ -275,8 +275,8 @@ func TestGarbledShardPayloadRequeues(t *testing.T) {
 			if diff := want.Diff(got); diff != "" {
 				t.Errorf("result after a garbled shard differs from a local csim-grid run:\n%s", diff)
 			}
-			if p, _ := reg.Get("dist.shards_requeued"); p.Value != 1 {
-				t.Errorf("dist.shards_requeued = %d, want 1", p.Value)
+			if n := reg.Counter("dist.shards_requeued").Value(); n != 1 {
+				t.Errorf("dist.shards_requeued = %d, want 1", n)
 			}
 			pm, err := cl.Debug(ctxT(t), v.ID)
 			if err != nil {

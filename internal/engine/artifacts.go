@@ -101,12 +101,6 @@ func (a *Artifacts) Plan(cfg csim.Config) (*macro.Plan, error) {
 	return p, nil
 }
 
-// Program returns the circuit's compiled program, lowering it on first
-// use.
-func (a *Artifacts) Program() *compiled.Program {
-	return a.workerPool().Program()
-}
-
 // workerPool returns the pool of compiled-kernel workers over the
 // circuit's program, lowering the program on first use.
 func (a *Artifacts) workerPool() *compiled.Pool {

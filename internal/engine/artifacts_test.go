@@ -9,7 +9,7 @@ import (
 
 	"repro/internal/csim"
 	"repro/internal/faults"
-	"repro/internal/iscas"
+	"repro/internal/iscas/iscastest"
 	"repro/internal/macro"
 	"repro/internal/vectors"
 )
@@ -19,7 +19,7 @@ import (
 // fanout-free for csim-MV and csim-M (one shared plan), trivial for
 // csim-V — each built once.
 func TestArtifactsPlanFollowsConfig(t *testing.T) {
-	c := iscas.MustGet("s298")
+	c := iscastest.MustGet("s298")
 	ffr, err := macro.Extract(c, macro.DefaultMaxInputs)
 	if err != nil {
 		t.Fatal(err)
@@ -57,11 +57,11 @@ func TestArtifactsPlanFollowsConfig(t *testing.T) {
 // TestRunRejectsForeignArtifacts: a set prepared from another circuit is
 // an error, as a plan over another circuit is to csim.New.
 func TestRunRejectsForeignArtifacts(t *testing.T) {
-	c := iscas.MustGet("s27")
+	c := iscastest.MustGet("s27")
 	u := faults.StuckCollapsed(c)
 	vs := vectors.Random(c, 4, 1)
 	for _, name := range []string{CsimMV, CsimC, Serial} {
-		_, _, err := Run(context.Background(), name, u, vs, Options{Artifacts: Prepare(iscas.MustGet("s298"))})
+		_, _, err := Run(context.Background(), name, u, vs, Options{Artifacts: Prepare(iscastest.MustGet("s298"))})
 		if err == nil || !strings.Contains(err.Error(), "s298") {
 			t.Errorf("%s on another circuit's set: %v", name, err)
 		}
@@ -73,7 +73,7 @@ func TestRunRejectsForeignArtifacts(t *testing.T) {
 // set of its own.
 func TestSharedArtifactsSameWork(t *testing.T) {
 	ctx := context.Background()
-	c := iscas.MustGet("s298")
+	c := iscastest.MustGet("s298")
 	shared := Prepare(c)
 	u, err := shared.Universe("stuck")
 	if err != nil {

@@ -83,10 +83,6 @@ var registry = func() []Info {
 	}
 }()
 
-// Engines returns every registered engine in presentation order. The
-// slice is freshly allocated; callers may reorder or filter it.
-func Engines() []Info { return append([]Info(nil), registry...) }
-
 // ByName looks up a registered engine. The second result is false when
 // the name is not registered.
 func ByName(name string) (Info, bool) {

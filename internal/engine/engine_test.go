@@ -11,7 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/faults"
-	"repro/internal/iscas"
+	"repro/internal/iscas/iscastest"
 	"repro/internal/obs"
 	"repro/internal/serial"
 	"repro/internal/vectors"
@@ -26,7 +26,7 @@ import (
 func TestEveryEngineMatchesSerial(t *testing.T) {
 	ctx := context.Background()
 	for _, circuit := range []string{"s27", "s298"} {
-		c := iscas.MustGet(circuit)
+		c := iscastest.MustGet(circuit)
 		vs := vectors.Random(c, 70, 5)
 		for _, u := range []*faults.Universe{faults.StuckCollapsed(c), faults.Transition(c)} {
 			transition := !u.Faults[0].Kind.Stuck()
@@ -34,7 +34,7 @@ func TestEveryEngineMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, info := range Engines() {
+			for _, info := range registry {
 				tag := circuit + "/" + info.Name
 				if transition {
 					tag += "/transition"
@@ -66,7 +66,7 @@ func TestEveryEngineMatchesSerial(t *testing.T) {
 // the oracle.
 func TestDegenerateJobs(t *testing.T) {
 	ctx := context.Background()
-	c := iscas.MustGet("s27")
+	c := iscastest.MustGet("s27")
 	whole := faults.StuckCollapsed(c)
 	for _, tc := range []struct {
 		name    string
@@ -84,7 +84,7 @@ func TestDegenerateJobs(t *testing.T) {
 				t.Errorf("%s/%s differs from serial:\n%s", tc.name, tag, d)
 			}
 		}
-		for _, info := range Engines() {
+		for _, info := range registry {
 			run(info.Name, info.Name, Options{Workers: 3})
 		}
 		run("csim-C shard 0 of 1", CsimC, Options{Shard: 0, Of: 1})
@@ -96,7 +96,7 @@ func TestDegenerateJobs(t *testing.T) {
 // so every registered engine, and a pinned shard of each compiled
 // engine, leaves the registry it is handed empty.
 func TestRunWritesNoMetrics(t *testing.T) {
-	c := iscas.MustGet("s298")
+	c := iscastest.MustGet("s298")
 	u := faults.StuckCollapsed(c)
 	vs := vectors.Random(c, 70, 5)
 	run := func(tag, name string, opt Options) {
@@ -109,7 +109,7 @@ func TestRunWritesNoMetrics(t *testing.T) {
 			t.Errorf("%s published %d metrics: %+v", tag, len(snap), snap)
 		}
 	}
-	for _, info := range Engines() {
+	for _, info := range registry {
 		run(info.Name, info.Name, Options{Workers: 2})
 	}
 	run("csim-C shard 1 of 2", CsimC, Options{Shard: 1, Of: 2})
@@ -122,7 +122,7 @@ func TestRunWritesNoMetrics(t *testing.T) {
 // that is already done, on every engine.
 func TestRunRejects(t *testing.T) {
 	ctx := context.Background()
-	c := iscas.MustGet("s27")
+	c := iscastest.MustGet("s27")
 	u := faults.StuckCollapsed(c)
 	vs := vectors.Random(c, 4, 1)
 	if _, _, err := Run(ctx, "csim-X", u, vs, Options{}); err == nil || !strings.Contains(err.Error(), CsimMV) {
@@ -139,14 +139,14 @@ func TestRunRejects(t *testing.T) {
 			}
 		}
 	}
-	for _, info := range Engines() {
+	for _, info := range registry {
 		if _, _, err := Run(ctx, info.Name, u, vs, Options{Shard: 0, Of: 2}); (err == nil) != (info.Kind == "compiled") {
 			t.Errorf("%s on shard 0 of 2: %v", info.Name, err)
 		}
 	}
 	done, cancel := context.WithCancel(ctx)
 	cancel()
-	for _, info := range Engines() {
+	for _, info := range registry {
 		if _, _, err := Run(done, info.Name, u, vs, Options{}); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s on a cancelled context: %v", info.Name, err)
 		}
@@ -158,7 +158,7 @@ func TestRunRejects(t *testing.T) {
 // check, so a job stopped before its engine starts still carries it; a
 // budget of 0 is one processor. A pinned shard records no decide.
 func TestCompiledRunRecordsDecide(t *testing.T) {
-	c := iscas.MustGet("s1494")
+	c := iscastest.MustGet("s1494")
 	u := &faults.Universe{Circuit: c, Faults: faults.StuckCollapsed(c).Faults[:700]}
 	vs := vectors.Random(c, 16, 1)
 	done, cancel := context.WithCancel(context.Background())
@@ -223,7 +223,7 @@ func TestCompiledRunRecordsDecide(t *testing.T) {
 // macro plan from the artifact set.
 func TestRegistryShape(t *testing.T) {
 	seen := map[string]bool{}
-	for _, info := range Engines() {
+	for _, info := range registry {
 		if seen[info.Name] {
 			t.Errorf("%s registered twice", info.Name)
 		}
@@ -231,7 +231,7 @@ func TestRegistryShape(t *testing.T) {
 		if got, ok := ByName(info.Name); !ok || !reflect.DeepEqual(got, info) {
 			t.Errorf("ByName(%s) = %+v, %t", info.Name, got, ok)
 		}
-		plan, _, err := Prepare(iscas.MustGet("s27")).inputs(info)
+		plan, _, err := Prepare(iscastest.MustGet("s27")).inputs(info)
 		if err != nil || (info.Kind == "concurrent") != (plan != nil) {
 			t.Errorf("%s: kind %s reads plan %v (%v)", info.Name, info.Kind, plan != nil, err)
 		}
@@ -267,7 +267,7 @@ func TestReadmeEngineTable(t *testing.T) {
 			got = append(got, fmt.Sprintf("| %s | %s | %s |", m[1], strings.TrimSpace(m[2]), strings.TrimSpace(m[3])))
 		}
 	}
-	for _, e := range Engines() {
+	for _, e := range registry {
 		want = append(want, fmt.Sprintf("| `%s` | %s | %s |", e.Name, e.Kind, e.Description))
 	}
 	row := func(rows []string, i int) string {
@@ -278,7 +278,7 @@ func TestReadmeEngineTable(t *testing.T) {
 	}
 	for i := range max(len(got), len(want)) {
 		if g, w := row(got, i), row(want, i); g != w {
-			t.Fatalf("README.md's engine table disagrees with Engines() at row %d:\n  readme:   %s\n  registry: %s\n"+
+			t.Fatalf("README.md's engine table disagrees with the registry at row %d:\n  readme:   %s\n  registry: %s\n"+
 				"the registry's rows:\n| Engine | Kind | What it is |\n|---|---|---|\n%s", i+1, g, w, strings.Join(want, "\n"))
 		}
 	}

@@ -7,7 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/faults"
-	"repro/internal/iscas"
+	"repro/internal/iscas/iscastest"
 	"repro/internal/serial"
 	"repro/internal/vectors"
 )
@@ -23,7 +23,7 @@ type hitRun struct {
 
 func newHitRun(tb testing.TB, circuit string, nv, workers int) *hitRun {
 	tb.Helper()
-	c := iscas.MustGet(circuit)
+	c := iscastest.MustGet(circuit)
 	h := &hitRun{a: Prepare(c), vs: vectors.Random(c, nv, 1)}
 	var err error
 	if h.u, err = h.a.Universe("stuck"); err != nil {

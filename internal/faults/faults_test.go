@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 	"unsafe"
 
+	"repro/internal/iscas/iscastest"
 	"repro/internal/logic"
 	"repro/internal/netlist"
 )
@@ -118,7 +119,7 @@ func TestCollapseRules(t *testing.T) {
 			t.Fatal(err)
 		}
 		u := StuckCollapsed(c)
-		z := c.MustByName("z")
+		z := iscastest.MustByName(c, "z")
 		full := StuckAll(c)
 		var inIdx, outIdx int32 = -1, -1
 		for i, f := range full.Faults {
@@ -158,7 +159,7 @@ func TestCollapseInverterChain(t *testing.T) {
 
 func TestFaultName(t *testing.T) {
 	c := s27(t)
-	g9 := c.MustByName("G9")
+	g9 := iscastest.MustByName(c, "G9")
 	f := Fault{Gate: g9, Pin: 1, Kind: SA0}
 	if got := f.Name(c); got != "G9/IN1 SA0" {
 		t.Errorf("Name = %q", got)

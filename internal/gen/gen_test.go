@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/logic"
@@ -42,7 +43,7 @@ func TestGenerateDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if netlist.BenchString(a) != netlist.BenchString(b) {
+	if bench(t, a) != bench(t, b) {
 		t.Error("same spec generated different circuits")
 	}
 	spec.Seed = 43
@@ -50,9 +51,19 @@ func TestGenerateDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if netlist.BenchString(a) == netlist.BenchString(c) {
+	if bench(t, a) == bench(t, c) {
 		t.Error("different seeds generated identical circuits")
 	}
+}
+
+// bench renders c as .bench text.
+func bench(t *testing.T, c *netlist.Circuit) string {
+	t.Helper()
+	var sb strings.Builder
+	if err := netlist.WriteBench(&sb, c); err != nil {
+		t.Fatal(err)
+	}
+	return sb.String()
 }
 
 func TestGenerateRejectsEmpty(t *testing.T) {

@@ -37,9 +37,6 @@ func New(c *netlist.Circuit) *Sim {
 	return s
 }
 
-// Circuit returns the simulated circuit.
-func (s *Sim) Circuit() *netlist.Circuit { return s.c }
-
 // Reset returns every signal to X and clears pending events.
 func (s *Sim) Reset() {
 	for i := range s.val {
@@ -144,16 +141,5 @@ func (s *Sim) Cycle(vec []logic.V) []logic.V {
 		out[i] = s.val[po]
 	}
 	s.Clock()
-	return out
-}
-
-// Run simulates a whole vector sequence from the all-X state and returns
-// the PO response matrix.
-func Run(c *netlist.Circuit, vecs [][]logic.V) [][]logic.V {
-	s := New(c)
-	out := make([][]logic.V, len(vecs))
-	for t, v := range vecs {
-		out[t] = s.Cycle(v)
-	}
 	return out
 }

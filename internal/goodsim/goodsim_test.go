@@ -175,21 +175,6 @@ func TestReset(t *testing.T) {
 	}
 }
 
-func TestRunMatchesManual(t *testing.T) {
-	c := mustParse(t, "s27", s27Bench)
-	vs := vectors.Random(c, 30, 11)
-	resp := Run(c, vs.Vecs)
-	s := New(c)
-	for tstep, vec := range vs.Vecs {
-		out := s.Cycle(vec)
-		for i := range out {
-			if out[i] != resp[tstep][i] {
-				t.Fatalf("Run mismatch at cycle %d", tstep)
-			}
-		}
-	}
-}
-
 // TestXInitialization: before any binary value reaches a signal it must be
 // X, and X must clear only through controlling values.
 func TestXInitialization(t *testing.T) {
@@ -210,7 +195,7 @@ func TestApplyWithXInputs(t *testing.T) {
 	s := New(c)
 	vec := []logic.V{logic.X, logic.X, logic.X, logic.X}
 	out := s.Cycle(vec)
-	if !out[0].Valid() {
+	if out[0] > logic.X {
 		t.Errorf("invalid output value %d", out[0])
 	}
 }

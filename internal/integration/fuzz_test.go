@@ -13,7 +13,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/compiled"
 	"repro/internal/csim"
 	"repro/internal/engine"
 	"repro/internal/faults"
@@ -111,11 +110,7 @@ func fuzzCase(t *testing.T, seed int64) {
 	}
 	compare(t, tag+"/csim-grid shards", oracle, faults.MergeResults(parts...))
 
-	csim2, err := compiled.New(u)
-	if err != nil {
-		t.Fatalf("%s: %v", tag, err)
-	}
-	res, err := csim2.RunFaults(context.Background(), vs, u.IDs(), workers, nil)
+	res, _, err := engine.Run(context.Background(), engine.CsimC, u, vs, engine.Options{Workers: workers})
 	if err != nil {
 		t.Fatalf("%s: %v", tag, err)
 	}

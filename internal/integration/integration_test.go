@@ -11,14 +11,12 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/compiled"
 	"repro/internal/csim"
 	"repro/internal/engine"
 	"repro/internal/faults"
 	"repro/internal/gen"
 	"repro/internal/iscas"
-	"repro/internal/logic"
-	"repro/internal/macro"
+	"repro/internal/iscas/iscastest"
 	"repro/internal/netcheck"
 	"repro/internal/netlist"
 	"repro/internal/proofs"
@@ -103,9 +101,6 @@ func TestRandomCircuitsAllEnginesAgree(t *testing.T) {
 					t.Fatal(err)
 				}
 				compare(t, fmt.Sprintf("%s/csim-%s", c.Name, cf.name), oracle, sim.Run(vs))
-				if err := sim.CheckInvariants(); err != nil {
-					t.Fatalf("%s/csim-%s: %v", c.Name, cf.name, err)
-				}
 			}
 			pr, err := proofs.New(u)
 			if err != nil {
@@ -225,50 +220,6 @@ func TestRandomCircuitsTransitionAgree(t *testing.T) {
 	}
 }
 
-// TestInvariantsEveryCycle steps the simulator one vector at a time and
-// audits the fault-list machinery between every pair of cycles — the
-// finest-grained use of the csim debug hook — plus the macro plan's
-// structure and FFR-maximality up front.
-func TestInvariantsEveryCycle(t *testing.T) {
-	configs := []struct {
-		name string
-		cfg  csim.Config
-	}{
-		{"plain", csim.Config{}},
-		{"V", csim.V()},
-		{"M", csim.M()},
-		{"MV", csim.MV()},
-		{"MV-reconv", csim.Config{SplitLists: true, Macros: true, ReconvergentMacros: true}},
-	}
-	for seed := int64(1); seed <= 2; seed++ {
-		c := genCircuit(t, 5200+seed, 5, 4, 8, 80)
-		u := faults.StuckCollapsed(c)
-		checkModel(t, c, u)
-		vs := vectors.Random(c, 60, seed)
-		for _, cf := range configs {
-			sim, err := csim.New(u, cf.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := netcheck.AsError(netcheck.CheckPlan(sim.Plan())); err != nil {
-				t.Fatalf("%s/%s: %v", c.Name, cf.name, err)
-			}
-			if cf.cfg.Macros {
-				ps := netcheck.CheckPlanMaximal(sim.Plan(), macro.DefaultMaxInputs, cf.cfg.ReconvergentMacros)
-				if err := netcheck.AsError(ps); err != nil {
-					t.Fatalf("%s/%s: %v", c.Name, cf.name, err)
-				}
-			}
-			for i, v := range vs.Vecs {
-				sim.Cycle(v)
-				if err := sim.CheckInvariants(); err != nil {
-					t.Fatalf("%s/%s after vector %d: %v", c.Name, cf.name, i, err)
-				}
-			}
-		}
-	}
-}
-
 // TestCompiledAgreesAcrossBundled is the csim-C three-way differential:
 // on bundled suite circuits under both fault models, serial, csim-MV and
 // the compiled engine must report identical detections, first-detection
@@ -301,11 +252,10 @@ func TestCompiledAgreesAcrossBundled(t *testing.T) {
 			}
 			mv := mvSim.Run(vs)
 			compare(t, tag+"/csim-MV-vs-oracle", oracle, mv)
-			cs, err := compiled.New(u)
+			res, _, err := engine.Run(context.Background(), engine.CsimC, u, vs, engine.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			res := cs.Run(vs)
 			compare(t, tag+"/csim-C-vs-oracle", oracle, res)
 			compare(t, tag+"/csim-C-vs-MV", mv, res)
 		}
@@ -322,7 +272,7 @@ func TestCompiledGridAgreesOnS5378(t *testing.T) {
 	if testing.Short() {
 		t.Skip("s5378 differential is not short")
 	}
-	c := iscas.MustGet("s5378")
+	c := iscastest.MustGet("s5378")
 	vs := vectors.Random(c, 130, 1)
 	a := engine.Prepare(c)
 	for _, model := range []string{"stuck", "transition"} {
@@ -366,55 +316,6 @@ func TestCompiledGridAgreesOnS5378(t *testing.T) {
 					}
 				}
 				compare(t, fmt.Sprintf("s5378/%s/%s %d shards", model, tc.name, n), tc.want, faults.MergeResults(parts...))
-			}
-		}
-	}
-}
-
-// TestDecomposedCircuitSameDetections: wide-gate decomposition must not
-// change which (original-site) faults the workload detects for faults on
-// preserved gates.
-func TestDecomposedCircuitSameDetections(t *testing.T) {
-	b := netlist.NewBuilder("wide")
-	in := make([]string, 12)
-	for i := range in {
-		in[i] = fmt.Sprintf("i%d", i)
-		b.Input(in[i])
-	}
-	b.Gate("z", logic.OpNand, in...)
-	b.Output("z")
-	c, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := netlist.Decompose(c, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Compare PI-output fault detections (shared sites).
-	uc := faults.StuckAll(c)
-	ud := faults.StuckAll(d)
-	vs := vectors.Random(c, 300, 5)
-	rc, _ := serial.Simulate(context.Background(), uc, vs)
-	rd, _ := serial.Simulate(context.Background(), ud, vs)
-	for _, name := range in {
-		gc := c.MustByName(name)
-		gd := d.MustByName(name)
-		for _, k := range []faults.Kind{faults.SA0, faults.SA1} {
-			var fc, fd int32 = -1, -1
-			for i, f := range uc.Faults {
-				if f.Gate == gc && f.Pin == faults.OutPin && f.Kind == k {
-					fc = int32(i)
-				}
-			}
-			for i, f := range ud.Faults {
-				if f.Gate == gd && f.Pin == faults.OutPin && f.Kind == k {
-					fd = int32(i)
-				}
-			}
-			if rc.Detected[fc] != rd.Detected[fd] {
-				t.Errorf("fault %s %v: original %v, decomposed %v",
-					name, k, rc.Detected[fc], rd.Detected[fd])
 			}
 		}
 	}

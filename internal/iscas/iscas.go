@@ -120,15 +120,6 @@ func build(info Info) (*netlist.Circuit, error) {
 	})
 }
 
-// MustGet is Get for mains and tests with static names.
-func MustGet(name string) *netlist.Circuit {
-	c, err := Get(name)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 func lookup(name string) (Info, error) {
 	for _, in := range Suite {
 		if in.Name == name {

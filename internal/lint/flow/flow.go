@@ -63,14 +63,6 @@ func (n *Node) Body() *ast.BlockStmt {
 	return nil
 }
 
-// Pos returns the node's declaration position.
-func (n *Node) Pos() token.Pos {
-	if n.Lit != nil {
-		return n.Lit.Pos()
-	}
-	return n.Decl.Pos()
-}
-
 // Name renders the node for diagnostics: Extract, (*Macro).buildTable,
 // or "func literal in <encl>".
 func (n *Node) Name() string {

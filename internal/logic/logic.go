@@ -30,9 +30,6 @@ const VBits = 2
 // VMask masks a single packed value.
 const VMask = 0b11
 
-// Valid reports whether v is one of the three defined logic values.
-func (v V) Valid() bool { return v <= X }
-
 // Norm maps the unused encoding 0b11 (and anything larger) to X.
 func (v V) Norm() V {
 	if v > X {

@@ -203,13 +203,6 @@ func TestWordWith(t *testing.T) {
 	}
 }
 
-func TestWordFormat(t *testing.T) {
-	w := PackWord([]V{One, X}, Zero)
-	if got := w.Format(2); got != "1,X->0" {
-		t.Errorf("Format = %q", got)
-	}
-}
-
 func TestPackWordPanicsOnTooManyPins(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -1,9 +1,6 @@
 package logic
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // MaxPins is the maximum number of input pins representable in a packed
 // gate-state Word. netlist.Builder rejects a wider gate.
@@ -42,19 +39,4 @@ func PackWord(in []V, out V) Word {
 		w |= Word(v.Norm()) << inShift(i)
 	}
 	return w
-}
-
-// String renders the word as "in0,in1,...->out" over n pins; with n
-// unknown callers should use Format.
-func (w Word) Format(n int) string {
-	var b strings.Builder
-	for i := 0; i < n; i++ {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(w.In(i).String())
-	}
-	b.WriteString("->")
-	b.WriteString(w.Out().String())
-	return b.String()
 }

@@ -37,9 +37,6 @@ type Plan struct {
 	MaxFrame int
 }
 
-// Macro returns the macro rooted at g, or nil.
-func (p *Plan) Macro(g netlist.GateID) *Macro { return p.ByRoot[g] }
-
 // NumMacros counts the macros in the plan.
 func (p *Plan) NumMacros() int {
 	n := 0

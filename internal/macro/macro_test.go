@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/faults"
-	"repro/internal/iscas"
+	"repro/internal/iscas/iscastest"
 	"repro/internal/logic"
 	"repro/internal/netlist"
 )
@@ -61,7 +61,7 @@ func TestFigure3CollapsesToOneMacro(t *testing.T) {
 	if got := p.NumMacros(); got != 1 {
 		t.Fatalf("figure-3 circuit extracted %d macros, want 1", got)
 	}
-	m := p.Macro(c.MustByName("z"))
+	m := p.ByRoot[iscastest.MustByName(c, "z")]
 	if m == nil {
 		t.Fatal("macro not rooted at z")
 	}
@@ -242,8 +242,8 @@ func TestEvalStuckMatchesFlatInjection(t *testing.T) {
 		trials int
 	}{
 		{mustParse(t, "fig3", fig3Bench), 200},
-		{iscas.MustGet("s298"), 20},
-		{iscas.MustGet("s1494"), 8},
+		{iscastest.MustGet("s298"), 20},
+		{iscastest.MustGet("s1494"), 8},
 	} {
 		c := tc.c
 		p, err := Extract(c, DefaultMaxInputs)
@@ -323,9 +323,9 @@ func TestEvalTransitionDriver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := p.Macro(c.MustByName("z"))
+	m := p.ByRoot[iscastest.MustByName(c, "z")]
 	// STR on z's pin 0 (driven by g1 = AND(a,b)).
-	z := c.MustByName("z")
+	z := iscastest.MustByName(c, "z")
 	in := []logic.V{logic.One, logic.One, logic.Zero, logic.Zero} // a,b,c,d order unknown; map by leaves
 	vals := map[string]logic.V{"a": 1, "b": 1, "c": 0, "d": 0}
 	for i, l := range m.Leaves {
@@ -356,7 +356,7 @@ func TestTableMatchesReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := p.Macro(c.MustByName("z"))
+	m := p.ByRoot[iscastest.MustByName(c, "z")]
 	if m.Table == nil {
 		t.Fatal("no table")
 	}
@@ -402,7 +402,7 @@ func TestExtractWideGateNoTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := p.Macro(c.MustByName("z"))
+	m := p.ByRoot[iscastest.MustByName(c, "z")]
 	if m.Table != nil {
 		t.Error("8-leaf macro should not build a 4^8 table")
 	}
@@ -448,7 +448,7 @@ func TestExtractRejectsBadCap(t *testing.T) {
 func TestDuplicateFaninTrivial(t *testing.T) {
 	c := mustParse(t, "dup", "INPUT(a)\nOUTPUT(z)\nz = AND(a, a)\n")
 	p := Trivial(c)
-	m := p.Macro(c.MustByName("z"))
+	m := p.ByRoot[iscastest.MustByName(c, "z")]
 	if m.NumLeaves() != 2 {
 		t.Fatalf("trivial macro over AND(a,a) has %d leaves, want 2 (per pin)", m.NumLeaves())
 	}
@@ -486,8 +486,8 @@ func TestExtractReconvergentDiamond(t *testing.T) {
 		t.Errorf("reconvergent %d macros, fanout-free %d; expected further collapse",
 			rc.NumMacros(), ff.NumMacros())
 	}
-	m := rc.Macro(c.MustByName("z"))
-	if m == nil || !m.Contains(c.MustByName("s")) {
+	m := rc.ByRoot[iscastest.MustByName(c, "z")]
+	if m == nil || !m.Contains(iscastest.MustByName(c, "s")) {
 		t.Fatal("diamond stem not absorbed by reconvergent extraction")
 	}
 	// Functional equivalence on all source assignments.
@@ -530,7 +530,7 @@ func TestReconvergentStuckInjectionMatchesFlat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := p.Macro(c.MustByName("z"))
+	m := p.ByRoot[iscastest.MustByName(c, "z")]
 	u := faults.StuckAll(c)
 	rng := rand.New(rand.NewSource(77))
 	frame := make([]logic.V, m.FrameSize())

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/iscas"
+	"repro/internal/iscas/iscastest"
 	"repro/internal/logic"
 	"repro/internal/macro"
 	"repro/internal/netlist"
@@ -16,7 +17,7 @@ import (
 // fault universes over them, and all extraction plans must verify clean.
 func TestISCASSuiteClean(t *testing.T) {
 	for _, name := range iscas.Names() {
-		c := iscas.MustGet(name)
+		c := iscastest.MustGet(name)
 		if err := AsError(Check(c)); err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue
@@ -99,27 +100,27 @@ func wantProblem(t *testing.T, ps []Problem, check, substr string) {
 
 func TestUndrivenGate(t *testing.T) {
 	c := chain(t)
-	recut(&c.FaninOff, &c.Fanins, c.MustByName("a"))
+	recut(&c.FaninOff, &c.Fanins, iscastest.MustByName(c, "a"))
 	wantProblem(t, Check(c), "undriven", "a")
 }
 
 func TestMultiplyDrivenInput(t *testing.T) {
 	c := chain(t)
-	i := c.MustByName("i")
-	recut(&c.FaninOff, &c.Fanins, i, c.MustByName("b"))
+	i := iscastest.MustByName(c, "i")
+	recut(&c.FaninOff, &c.Fanins, i, iscastest.MustByName(c, "b"))
 	wantProblem(t, Check(c), "multiply-driven", "i")
 }
 
 func TestArityViolation(t *testing.T) {
 	c := chain(t)
-	a := c.MustByName("a")
-	recut(&c.FaninOff, &c.Fanins, a, append(c.Fanin(a), c.MustByName("i"))...)
+	a := iscastest.MustByName(c, "a")
+	recut(&c.FaninOff, &c.Fanins, a, append(c.Fanin(a), iscastest.MustByName(c, "i"))...)
 	wantProblem(t, Check(c), "arity", "a")
 }
 
 func TestEdgeMirrorBreak(t *testing.T) {
 	c := chain(t)
-	i := c.MustByName("i")
+	i := iscastest.MustByName(c, "i")
 	recut(&c.FanoutOff, &c.Fanouts, i) // a still lists i as fanin
 	wantProblem(t, Check(c), "edge-mirror", "i")
 }
@@ -133,7 +134,7 @@ func TestIndexDrift(t *testing.T) {
 func TestCombLoop(t *testing.T) {
 	// Rewire a's fanin from i to b: a <- b <- a.
 	c := chain(t)
-	a, b, i := c.MustByName("a"), c.MustByName("b"), c.MustByName("i")
+	a, b, i := iscastest.MustByName(c, "a"), iscastest.MustByName(c, "b"), iscastest.MustByName(c, "i")
 	recut(&c.FaninOff, &c.Fanins, a, b)
 	recut(&c.FanoutOff, &c.Fanouts, b, append(c.Fanout(b), a)...)
 	recut(&c.FanoutOff, &c.Fanouts, i)
@@ -143,7 +144,7 @@ func TestCombLoop(t *testing.T) {
 
 func TestLevelViolations(t *testing.T) {
 	c := chain(t)
-	b := c.MustByName("b")
+	b := iscastest.MustByName(c, "b")
 	c.Gates[b].Level = 1 // same as its fanin a
 	ps := Check(c)
 	wantProblem(t, ps, "level", "b")
@@ -186,7 +187,7 @@ func TestPlanViolations(t *testing.T) {
 	if err := AsError(CheckPlan(p)); err != nil {
 		t.Fatalf("valid plan rejected: %v", err)
 	}
-	a := c.MustByName("a")
+	a := iscastest.MustByName(c, "a")
 	p.Owner[a] = a // a was absorbed into b's macro; claim it owns itself
 	wantProblem(t, CheckPlan(p), "plan-cover", "a")
 }
@@ -227,31 +228,31 @@ func TestCheckExactProblems(t *testing.T) {
 		want    []string
 	}{
 		{"fanin listed twice, one fanout entry", and2, func(c *netlist.Circuit) {
-			i := c.MustByName("i")
-			recut(&c.FaninOff, &c.Fanins, c.MustByName("g"), i, i)
+			i := iscastest.MustByName(c, "i")
+			recut(&c.FaninOff, &c.Fanins, iscastest.MustByName(c, "g"), i, i)
 		}, []string{
 			"edge-mirror: i->g: 2 fanin reference(s) but 1 fanout reference(s)",
 			"edge-mirror: j->g: 1 fanout reference(s) but no fanin reference",
 		}},
 		{"fanout listed twice, one fanin entry", and2, func(c *netlist.Circuit) {
-			i, g := c.MustByName("i"), c.MustByName("g")
+			i, g := iscastest.MustByName(c, "i"), iscastest.MustByName(c, "g")
 			recut(&c.FanoutOff, &c.Fanouts, i, g, g)
 		}, []string{
 			"edge-mirror: i->g: 1 fanin reference(s) but 2 fanout reference(s)",
 		}},
 		{"fanout with no fanin", chain, func(c *netlist.Circuit) {
-			i, a, b := c.MustByName("i"), c.MustByName("a"), c.MustByName("b")
+			i, a, b := iscastest.MustByName(c, "i"), iscastest.MustByName(c, "a"), iscastest.MustByName(c, "b")
 			recut(&c.FanoutOff, &c.Fanouts, i, a, b)
 		}, []string{
 			"edge-mirror: i->b: 1 fanout reference(s) but no fanin reference",
 		}},
 		{"fanin with no fanout", chain, func(c *netlist.Circuit) {
-			recut(&c.FanoutOff, &c.Fanouts, c.MustByName("a"))
+			recut(&c.FanoutOff, &c.Fanouts, iscastest.MustByName(c, "a"))
 		}, []string{
 			"edge-mirror: a->b: 1 fanin reference(s) but 0 fanout reference(s)",
 		}},
 		{"fanout IDs out of range", chain, func(c *netlist.Circuit) {
-			i, a := c.MustByName("i"), c.MustByName("a")
+			i, a := iscastest.MustByName(c, "i"), iscastest.MustByName(c, "a")
 			recut(&c.FanoutOff, &c.Fanouts, i, 99, a, -1)
 		}, []string{
 			"bad-edge: i has out-of-range fanout -1",
@@ -275,7 +276,7 @@ func TestCheckExactProblems(t *testing.T) {
 			"level: gate #99 appears in Levels twice",
 		}},
 		{"gate bucketed twice and one missing", chain, func(c *netlist.Circuit) {
-			c.Levels[2] = []netlist.GateID{c.MustByName("a")}
+			c.Levels[2] = []netlist.GateID{iscastest.MustByName(c, "a")}
 		}, []string{
 			"level: gate a appears in Levels twice",
 			"level: gate a bucketed at level 2 but has Level 1",

@@ -141,12 +141,3 @@ func WriteBench(w io.Writer, c *Circuit) error {
 	}
 	return bw.Flush()
 }
-
-// BenchString renders the circuit as .bench text.
-func BenchString(c *Circuit) string {
-	var sb strings.Builder
-	if err := WriteBench(&sb, c); err != nil {
-		panic(err) // strings.Builder never errors
-	}
-	return sb.String()
-}

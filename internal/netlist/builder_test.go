@@ -56,7 +56,10 @@ func TestAdjacencyWindowsAreCapped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	i, j, a, b := c.MustByName("i"), c.MustByName("j"), c.MustByName("a"), c.MustByName("b")
+	i, j, a, b := GateID(0), GateID(1), GateID(2), GateID(3)
+	if names := c.Gates[i].Name + c.Gates[j].Name + c.Gates[a].Name + c.Gates[b].Name; names != "ijab" {
+		t.Fatalf("gates numbered %q, want inputs first in declaration order", names)
+	}
 	if got := c.Fanin(a); cap(got) != len(got) {
 		t.Errorf("Fanin(a) has len %d, cap %d", len(got), cap(got))
 	}
@@ -110,10 +113,9 @@ func TestBuildUndefinedFaninNotMisreportedAsCycle(t *testing.T) {
 	}
 }
 
-// TestDecomposeDegenerateOneInput: 1-input AND/NAND gates are legal
-// (identity / inversion); Decompose must keep them verbatim and preserve
-// the function.
-func TestDecomposeDegenerateOneInput(t *testing.T) {
+// TestBuildDegenerateOneInput: 1-input AND/NAND gates are legal
+// (identity / inversion), and Build keeps them as written.
+func TestBuildDegenerateOneInput(t *testing.T) {
 	c, err := NewBuilder("degen").
 		Input("a").
 		Gate("buf1", logic.OpAnd, "a").
@@ -124,26 +126,23 @@ func TestDecomposeDegenerateOneInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := Decompose(c, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(d.Gates) != len(c.Gates) {
-		t.Errorf("decompose changed gate count %d -> %d on in-limit circuit",
-			len(c.Gates), len(d.Gates))
-	}
-	for _, v := range []logic.V{logic.Zero, logic.One, logic.X} {
-		vals := map[string]logic.V{"a": v}
-		if w, g := evalFlat(t, c, vals, "z"), evalFlat(t, d, vals, "z"); w != g {
-			t.Errorf("a=%v: %v vs %v", v, w, g)
+	want := map[string]logic.Op{"buf1": logic.OpAnd, "inv1": logic.OpNand}
+	for i, g := range c.Gates {
+		if op, ok := want[g.Name]; ok {
+			delete(want, g.Name)
+			if g.Op != op || len(c.Fanin(GateID(i))) != 1 {
+				t.Errorf("gate %s: %s with %d fanins, want a one-input %s", g.Name, g.Op, len(c.Fanin(GateID(i))), op)
+			}
 		}
+	}
+	if len(want) != 0 {
+		t.Errorf("gates missing: %v", want)
 	}
 }
 
-// TestDecomposeDFFOnlyCycle: a register loop with no combinational logic
-// at all (two DFFs feeding each other) is a legal synchronous circuit;
-// Build and Decompose must both accept it unchanged.
-func TestDecomposeDFFOnlyCycle(t *testing.T) {
+// TestBuildDFFOnlyCycle: a register loop with no combinational logic
+// at all (two DFFs feeding each other) is a legal synchronous circuit.
+func TestBuildDFFOnlyCycle(t *testing.T) {
 	c, err := NewBuilder("ffring").
 		DFF("q1", "q2").
 		DFF("q2", "q1").
@@ -155,44 +154,7 @@ func TestDecomposeDFFOnlyCycle(t *testing.T) {
 	if c.MaxLevel != 0 {
 		t.Errorf("DFF-only circuit has MaxLevel %d, want 0", c.MaxLevel)
 	}
-	d, err := Decompose(c, 2)
-	if err != nil {
-		t.Fatalf("Decompose on DFF-only cycle: %v", err)
-	}
-	if len(d.Gates) != 2 || len(d.DFFs) != 2 {
-		t.Errorf("decompose changed DFF ring shape: %d gates, %d DFFs",
-			len(d.Gates), len(d.DFFs))
-	}
-}
-
-// TestDecomposeWideWithDFFFeedback: decomposition across a register
-// boundary — the wide gate sits on a DFF feedback path, so the rebuilt
-// circuit must keep the loop legal and the per-cycle function intact.
-func TestDecomposeWideWithDFFFeedback(t *testing.T) {
-	b := NewBuilder("widefb")
-	in := make([]string, 7)
-	for i := range in {
-		in[i] = string(rune('a' + i))
-		b.Input(in[i])
-	}
-	fanin := append([]string{"q"}, in...)
-	b.DFF("q", "z").
-		Gate("z", logic.OpNor, fanin...).
-		Output("z")
-	c, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := Decompose(c, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range d.Gates {
-		if n := len(d.Fanin(GateID(i))); n > 3 {
-			t.Errorf("gate %s still has %d fanins", d.Gates[i].Name, n)
-		}
-	}
-	if len(d.DFFs) != 1 {
-		t.Fatalf("DFF lost in decomposition")
+	if len(c.Gates) != 2 || len(c.DFFs) != 2 {
+		t.Errorf("DFF ring has %d gates, %d DFFs, want 2 and 2", len(c.Gates), len(c.DFFs))
 	}
 }

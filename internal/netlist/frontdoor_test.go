@@ -7,6 +7,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/gen"
 	"repro/internal/iscas"
+	"repro/internal/iscas/iscastest"
 	"repro/internal/netcheck"
 	"repro/internal/netlist"
 )
@@ -22,7 +23,7 @@ func TestMissChainAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	text := netlist.BenchString(c)
+	text := iscastest.BenchString(c)
 	allocs := testing.AllocsPerRun(5, func() {
 		c, err := netlist.ParseBenchString("cold", text)
 		if err != nil {
@@ -82,7 +83,7 @@ func sameByName(a, b *netlist.Circuit) string {
 // here.
 func FuzzParseBench(f *testing.F) {
 	for _, name := range iscas.Names() {
-		text := netlist.BenchString(iscas.MustGet(name))
+		text := iscastest.BenchString(iscastest.MustGet(name))
 		f.Add([]byte(text[:min(len(text), 2048)]))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -93,19 +94,19 @@ func FuzzParseBench(f *testing.F) {
 		if ps := netcheck.Check(c); len(ps) > 0 {
 			t.Fatalf("parsed circuit fails netcheck: %v", netcheck.AsError(ps))
 		}
-		canon, err := netlist.ParseBenchString("fuzz", netlist.BenchString(c))
+		canon, err := netlist.ParseBenchString("fuzz", iscastest.BenchString(c))
 		if err != nil {
-			t.Fatalf("reparse: %v\n%s", err, netlist.BenchString(c))
+			t.Fatalf("reparse: %v\n%s", err, iscastest.BenchString(c))
 		}
 		if diff := sameByName(c, canon); diff != "" {
 			t.Fatalf("WriteBench → ParseBenchString %s", diff)
 		}
-		again, err := netlist.ParseBenchString("fuzz", netlist.BenchString(canon))
+		again, err := netlist.ParseBenchString("fuzz", iscastest.BenchString(canon))
 		if err != nil {
 			t.Fatalf("second reparse: %v", err)
 		}
 		if circuitDigest(again) != circuitDigest(canon) || universeDigest(again) != universeDigest(canon) {
-			t.Fatalf("WriteBench → ParseBenchString renumbered an inputs-first circuit:\n%s", netlist.BenchString(canon))
+			t.Fatalf("WriteBench → ParseBenchString renumbered an inputs-first circuit:\n%s", iscastest.BenchString(canon))
 		}
 		compiled.Compile(c)
 	})

@@ -1,7 +1,7 @@
 // Package netlist models gate-level synchronous sequential circuits in the
 // ISCAS-89 style: primary inputs, primary outputs, D flip-flops and
 // combinational gates. It provides a builder, a .bench reader/writer,
-// levelization, wide-gate decomposition and structural statistics.
+// levelization and structural statistics.
 //
 // A circuit here is the substrate everything else runs on: the good-machine
 // simulator, the concurrent fault simulator, the PROOFS baseline and the
@@ -85,28 +85,6 @@ func (c *Circuit) Fanin(g GateID) []GateID {
 func (c *Circuit) Fanout(g GateID) []GateID {
 	lo, hi := c.FanoutOff[g], c.FanoutOff[g+1]
 	return c.Fanouts[lo:hi:hi]
-}
-
-// ByName looks a gate up by its signal name. It scans the gates: a
-// circuit keeps no name index, since no simulation path looks a name up.
-// It is for tests and tools; a caller resolving many names builds its own
-// map once.
-func (c *Circuit) ByName(name string) (GateID, bool) {
-	for i := range c.Gates {
-		if c.Gates[i].Name == name {
-			return GateID(i), true
-		}
-	}
-	return NoGate, false
-}
-
-// MustByName is ByName for tests: it panics if the name is absent.
-func (c *Circuit) MustByName(name string) GateID {
-	id, ok := c.ByName(name)
-	if !ok {
-		panic(fmt.Sprintf("netlist: no gate named %q in %s", name, c.Name))
-	}
-	return id
 }
 
 // PinOf returns the input-pin index of gate `from` within gate `to`'s

@@ -113,7 +113,11 @@ func TestFanoutConsistency(t *testing.T) {
 
 func TestBenchRoundTrip(t *testing.T) {
 	c := parseS27(t)
-	c2, err := ParseBenchString("s27rt", BenchString(c))
+	var text strings.Builder
+	if err := WriteBench(&text, c); err != nil {
+		t.Fatal(err)
+	}
+	c2, err := ParseBenchString("s27rt", text.String())
 	if err != nil {
 		t.Fatalf("reparse: %v", err)
 	}
@@ -181,111 +185,6 @@ func TestCommentsAndCase(t *testing.T) {
 	if len(c.PIs) != 1 || len(c.POs) != 1 {
 		t.Errorf("got %d PIs %d POs", len(c.PIs), len(c.POs))
 	}
-}
-
-func TestDecompose(t *testing.T) {
-	b := NewBuilder("wide")
-	in := make([]string, 9)
-	for i := range in {
-		in[i] = string(rune('a' + i))
-		b.Input(in[i])
-	}
-	b.Gate("z", logic.OpNand, in...)
-	b.Output("z")
-	c, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := Decompose(c, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range d.Gates {
-		if n := len(d.Fanin(GateID(i))); n > 4 {
-			t.Errorf("gate %s still has %d fanins", d.Gates[i].Name, n)
-		}
-	}
-	if _, ok := d.ByName("z"); !ok {
-		t.Fatal("root gate lost")
-	}
-	// Exhaustively verify functional equivalence over a sample of inputs.
-	for trial := 0; trial < 512; trial++ {
-		vals := make(map[string]logic.V)
-		pat := trial
-		for _, n := range in {
-			vals[n] = logic.V(pat % 3)
-			pat /= 3
-		}
-		want := evalFlat(t, c, vals, "z")
-		got := evalFlat(t, d, vals, "z")
-		if want != got {
-			t.Fatalf("decompose changed function at %v: %v vs %v", vals, want, got)
-		}
-	}
-}
-
-// evalFlat evaluates a purely combinational circuit in level order.
-func evalFlat(t *testing.T, c *Circuit, piVals map[string]logic.V, out string) logic.V {
-	t.Helper()
-	val := make([]logic.V, len(c.Gates))
-	for _, pi := range c.PIs {
-		val[pi] = piVals[c.Gate(pi).Name]
-	}
-	for _, lv := range c.Levels {
-		for _, id := range lv {
-			fanin := c.Fanin(id)
-			in := make([]logic.V, len(fanin))
-			for j, f := range fanin {
-				in[j] = val[f]
-			}
-			val[id] = logic.Eval(c.Gate(id).Op, in)
-		}
-	}
-	return val[c.MustByName(out)]
-}
-
-func TestDecomposeXnor(t *testing.T) {
-	b := NewBuilder("xn")
-	in := []string{"a", "b", "c", "d", "e"}
-	for _, n := range in {
-		b.Input(n)
-	}
-	b.Gate("z", logic.OpXnor, in...)
-	b.Output("z")
-	c, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := Decompose(c, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for trial := 0; trial < 1<<len(in); trial++ {
-		vals := make(map[string]logic.V)
-		for i, n := range in {
-			vals[n] = logic.V((trial >> i) & 1)
-		}
-		if w, g := evalFlat(t, c, vals, "z"), evalFlat(t, d, vals, "z"); w != g {
-			t.Fatalf("XNOR decompose wrong at %v: %v vs %v", vals, w, g)
-		}
-	}
-}
-
-func TestDecomposeRejectsSmallLimit(t *testing.T) {
-	c := parseS27(t)
-	if _, err := Decompose(c, 1); err == nil {
-		t.Error("Decompose(1) succeeded, want error")
-	}
-}
-
-func TestMustByNamePanics(t *testing.T) {
-	c := parseS27(t)
-	defer func() {
-		if recover() == nil {
-			t.Error("MustByName on missing gate did not panic")
-		}
-	}()
-	c.MustByName("nope")
 }
 
 func TestDuplicateOutputDeclaration(t *testing.T) {

@@ -381,16 +381,6 @@ func (r *Registry) Snapshot() []Point {
 	return out
 }
 
-// Get returns the snapshot point for one metric and whether it exists.
-func (r *Registry) Get(name string) (Point, bool) {
-	for _, p := range r.Snapshot() {
-		if p.Name == name {
-			return p, true
-		}
-	}
-	return Point{}, false
-}
-
 // WriteJSON writes the snapshot as an indented JSON document
 // {"metrics": [...]}.
 func (r *Registry) WriteJSON(w io.Writer) error {

@@ -121,8 +121,8 @@ func TestSnapshotAndJSON(t *testing.T) {
 	if snap[2].Count != 1 || snap[2].Buckets[1] != 1 {
 		t.Fatalf("histogram point wrong: %+v", snap[2])
 	}
-	if p, ok := r.Get("b.count"); !ok || p.Value != 3 {
-		t.Fatalf("Get(b.count) = %+v, %v", p, ok)
+	if snap[1].Value != 3 {
+		t.Fatalf("counter point wrong: %+v", snap[1])
 	}
 
 	var buf bytes.Buffer
@@ -158,11 +158,11 @@ func TestRegistryConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if p, _ := r.Get("shared"); p.Value != 8000 {
-		t.Fatalf("shared counter = %d, want 8000", p.Value)
+	if n := r.Counter("shared").Value(); n != 8000 {
+		t.Fatalf("shared counter = %d, want 8000", n)
 	}
-	if p, _ := r.Get("hist"); p.Count != 8000 {
-		t.Fatalf("hist count = %d, want 8000", p.Count)
+	if n := r.Histogram("hist", []int64{8, 64}).Count(); n != 8000 {
+		t.Fatalf("hist count = %d, want 8000", n)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/faults"
 	"repro/internal/iscas"
+	"repro/internal/iscas/iscastest"
 	"repro/internal/netlist"
 	"repro/internal/obs"
 	"repro/internal/serial"
@@ -25,7 +26,7 @@ import (
 
 // universes returns a suite circuit's stuck-at and transition universes.
 func universes(circuit string) []*faults.Universe {
-	c := iscas.MustGet(circuit)
+	c := iscastest.MustGet(circuit)
 	return []*faults.Universe{faults.StuckCollapsed(c), faults.Transition(c)}
 }
 
@@ -190,7 +191,7 @@ func TestWorkerCountClamped(t *testing.T) {
 // under one word.
 func TestGridAllISCAS(t *testing.T) {
 	for _, name := range iscas.Names() {
-		c := iscas.MustGet(name)
+		c := iscastest.MustGet(name)
 		nvec := 100
 		switch {
 		case len(c.Gates) > 10000:

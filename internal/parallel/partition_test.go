@@ -4,13 +4,13 @@ import (
 	"testing"
 
 	"repro/internal/faults"
-	"repro/internal/iscas"
+	"repro/internal/iscas/iscastest"
 )
 
 // TestPartitionDisjointExhaustive: every fault lands in exactly one
 // partition and sizes differ by at most one.
 func TestPartitionDisjointExhaustive(t *testing.T) {
-	u := faults.StuckCollapsed(iscas.MustGet("s298"))
+	u := faults.StuckCollapsed(iscastest.MustGet("s298"))
 	for _, k := range []int{1, 2, 3, 7, 16} {
 		parts := Partition(u, k)
 		if len(parts) != k {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/faults"
+	"repro/internal/iscas/iscastest"
 	"repro/internal/netlist"
 	"repro/internal/vectors"
 )
@@ -63,7 +64,7 @@ func TestAndGateStuckAt(t *testing.T) {
 	}
 	// z output SA1 requires an output 0: first such vector is 01 (t=1).
 	for i, f := range u.Faults {
-		if f.Gate == c.MustByName("z") && f.Pin == faults.OutPin && f.Kind == faults.SA1 {
+		if f.Gate == iscastest.MustByName(c, "z") && f.Pin == faults.OutPin && f.Kind == faults.SA1 {
 			if res.DetectedAt[i] != 1 {
 				t.Errorf("z/O SA1 detected at %d, want 1", res.DetectedAt[i])
 			}
@@ -108,7 +109,7 @@ func TestStuckOutputOnDFFForcedFromStart(t *testing.T) {
 	u := faults.StuckAll(c)
 	var q1 int32 = -1
 	for i, f := range u.Faults {
-		if f.Gate == c.MustByName("q") && f.Pin == faults.OutPin && f.Kind == faults.SA1 {
+		if f.Gate == iscastest.MustByName(c, "q") && f.Pin == faults.OutPin && f.Kind == faults.SA1 {
 			q1 = int32(i)
 		}
 	}
@@ -127,7 +128,7 @@ func TestTransitionBufferSTR(t *testing.T) {
 	u := faults.Transition(c)
 	var str, stf int32 = -1, -1
 	for i, f := range u.Faults {
-		if f.Gate == c.MustByName("z") && f.Pin == 0 {
+		if f.Gate == iscastest.MustByName(c, "z") && f.Pin == 0 {
 			if f.Kind == faults.STR {
 				str = int32(i)
 			} else {
@@ -158,7 +159,7 @@ func TestTransitionThroughFF(t *testing.T) {
 	u := faults.Transition(c)
 	var strQ int32 = -1
 	for i, f := range u.Faults {
-		if f.Gate == c.MustByName("q") && f.Kind == faults.STR {
+		if f.Gate == iscastest.MustByName(c, "q") && f.Kind == faults.STR {
 			strQ = int32(i)
 		}
 	}

@@ -167,10 +167,3 @@ func compile(key string, parse func() (*netlist.Circuit, error)) (*Compiled, err
 	}
 	return &Compiled{Key: key, Artifacts: engine.Prepare(ckt)}, nil
 }
-
-// Len reports the current entry count.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}

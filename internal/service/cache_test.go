@@ -5,8 +5,9 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/gen"
-	"repro/internal/netlist"
+	"repro/internal/iscas/iscastest"
 )
 
 // liveHeap returns the bytes of heap objects still reachable after two
@@ -38,7 +39,7 @@ func TestCacheEntryWeight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	text := netlist.BenchString(c)
+	text := iscastest.BenchString(c)
 
 	cache := NewCache(64, nil)
 	ccs := make([]*Compiled, entries)
@@ -58,7 +59,9 @@ func TestCacheEntryWeight(t *testing.T) {
 	}
 	universe := liveHeap()
 	for _, cc := range ccs {
-		cc.Program()
+		if err := cc.Warm(engine.CsimC); err != nil {
+			t.Fatal(err)
+		}
 	}
 	program := liveHeap()
 	runtime.KeepAlive(cache)

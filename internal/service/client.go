@@ -111,21 +111,13 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
-// Submit submits a job, returning its initial (queued) view. A full
-// queue surfaces as *QueueFullError. When ctx carries a correlation ID
+// SubmitHold submits a job on a request the server keeps open once the
+// job is admitted (POST ?wait=): the view is the terminal one if the job
+// ended within the server's longest hold, the live one otherwise, so a
+// job that ends in time is one exchange. Rejections come back at once: a
+// full queue as *QueueFullError. When ctx carries a correlation ID
 // (obs.WithJobID), it is sent as the X-Csim-Job-Id header and becomes
 // the job's ID; a duplicate surfaces as an *APIError with status 409.
-func (c *Client) Submit(ctx context.Context, spec JobSpec) (JobView, error) {
-	var v JobView
-	err := c.do(ctx, http.MethodPost, "/api/v1/jobs", spec, &v)
-	return v, err
-}
-
-// SubmitHold is Submit on a request the server keeps open once the job is
-// admitted (POST ?wait=): the view is the terminal one if the job ended
-// within the server's longest hold, the live one otherwise, so a job that
-// ends in time is one exchange. Rejections come back at once, as Submit's
-// do.
 func (c *Client) SubmitHold(ctx context.Context, spec JobSpec) (JobView, error) {
 	var v JobView
 	err := c.do(ctx, http.MethodPost, "/api/v1/jobs?wait="+holdParam, spec, &v)

@@ -127,21 +127,25 @@ func FuzzDetectionsView(f *testing.F) {
 func TestRetainedShardWeight(t *testing.T) {
 	const jobs, maxPerJob = 64, 32 << 10
 	s, cl := startServer(t, Config{Workers: 1})
-	ctx := ctxT(t)
-	spec := func(i int) JobSpec {
-		return JobSpec{
+	// Each job has a deadline of its own: under -race on a busy host 65
+	// jobs can outlast one shared deadline while every one of them is
+	// well within its own.
+	run := func(i int) (JobView, error) {
+		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+		defer cancel()
+		return cl.Run(ctx, JobSpec{
 			Circuit: "s5378", Engine: "csim-grid", Random: 256, Seed: 1,
 			FaultShards: 2, FaultShard: i % 2, ReturnDetections: true,
-		}
+		}, 0)
 	}
 	// The first job builds the cache entry and warms the connection; what
 	// it keeps is counted in neither reading.
-	if v, err := cl.Run(ctx, spec(0), 0); err != nil || v.Status != StatusDone {
+	if v, err := run(0); err != nil || v.Status != StatusDone {
 		t.Fatalf("warm-up job: %v / %+v", err, v)
 	}
 	start := liveHeap()
 	for i := 0; i < jobs; i++ {
-		if v, err := cl.Run(ctx, spec(i), 0); err != nil || v.Status != StatusDone {
+		if v, err := run(i); err != nil || v.Status != StatusDone {
 			t.Fatalf("job %d: %v / %+v", i, err, v)
 		}
 	}

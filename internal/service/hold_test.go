@@ -13,7 +13,7 @@ import (
 	"time"
 
 	"repro/internal/iscas"
-	"repro/internal/netlist"
+	"repro/internal/iscas/iscastest"
 	"repro/internal/obs"
 )
 
@@ -84,17 +84,27 @@ func post(ctx context.Context, cl *Client, query string, spec JobSpec) (int, Job
 	return resp.StatusCode, v, err
 }
 
+// metricValue reads the named metric's value from a snapshot of reg.
+func metricValue(reg *obs.Registry, name string) int64 {
+	for _, p := range reg.Snapshot() {
+		if p.Name == name {
+			return p.Value
+		}
+	}
+	return 0
+}
+
 // waitMetric waits until the named metric reads want.
 func waitMetric(t *testing.T, reg *obs.Registry, name string, want int64) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		p, _ := reg.Get(name)
-		if p.Value == want {
+		n := metricValue(reg, name)
+		if n == want {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("%s = %d, want %d", name, p.Value, want)
+			t.Fatalf("%s = %d, want %d", name, n, want)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -231,11 +241,11 @@ func TestQueueFullIsNotHeld(t *testing.T) {
 	if took := time.Since(start); took > 5*time.Second {
 		t.Errorf("the 429 took %v; a rejection must not be held", took)
 	}
-	if p, _ := reg.Get("serve.holds"); p.Value != 0 {
-		t.Errorf("serve.holds = %d after a rejection, want 0", p.Value)
+	if n := metricValue(reg, "serve.holds"); n != 0 {
+		t.Errorf("serve.holds = %d after a rejection, want 0", n)
 	}
-	if p, _ := reg.Get("serve.held_submits"); p.Value != 0 {
-		t.Errorf("serve.held_submits = %d, want 0: the rejected job was never held", p.Value)
+	if n := metricValue(reg, "serve.held_submits"); n != 0 {
+		t.Errorf("serve.held_submits = %d, want 0: the rejected job was never held", n)
 	}
 }
 
@@ -261,8 +271,8 @@ func TestBadWaitIs400(t *testing.T) {
 			t.Errorf("GET ?wait=%s: %v, want a 400 that names the parameter", wait, err)
 		}
 	}
-	if p, _ := reg.Get("serve.jobs_submitted"); p.Value != 1 {
-		t.Errorf("serve.jobs_submitted = %d, want 1: a refused wait admits nothing", p.Value)
+	if n := metricValue(reg, "serve.jobs_submitted"); n != 1 {
+		t.Errorf("serve.jobs_submitted = %d, want 1: a refused wait admits nothing", n)
 	}
 
 	rt := &countingTransport{}
@@ -414,7 +424,7 @@ func TestRetentionDefault(t *testing.T) {
 // verified and cached, so turning it away costs the node no miss and
 // evicts no circuit a queued job is waiting to run on.
 func TestFullQueueRefusesBeforeTheCacheMiss(t *testing.T) {
-	s, cl, g, reg := startGated(t, Config{Workers: 1, QueueDepth: 1, CacheSize: 1})
+	_, cl, g, reg := startGated(t, Config{Workers: 1, QueueDepth: 1, CacheSize: 1})
 	ctx := ctxT(t)
 	if _, err := cl.Submit(ctx, tinySpec); err != nil {
 		t.Fatal(err)
@@ -423,22 +433,18 @@ func TestFullQueueRefusesBeforeTheCacheMiss(t *testing.T) {
 	if v, err := cl.Submit(ctx, tinySpec); err != nil || v.Status != StatusQueued {
 		t.Fatalf("second job: %v / %+v", err, v)
 	}
-	metric := func(name string) int64 {
-		p, _ := reg.Get(name)
-		return p.Value
-	}
-	misses, evictions, entries := metric("serve.cache_misses"), metric("serve.cache_evictions"), s.cache.Len()
+	misses, evictions := metricValue(reg, "serve.cache_misses"), metricValue(reg, "serve.cache_evictions")
 
 	_, err := cl.Submit(ctx, JobSpec{Bench: iscas.S27Bench, BenchName: "refused", Engine: "csim-C", Random: 4})
 	var qf *QueueFullError
 	if !errors.As(err, &qf) || qf.RetryAfter < time.Second {
 		t.Fatalf("inline submission to a full queue: %v, want a 429 with Retry-After", err)
 	}
-	if m, e, n := metric("serve.cache_misses"), metric("serve.cache_evictions"), s.cache.Len(); m != misses || e != evictions || n != entries {
-		t.Errorf("the refused job moved the cache: misses %d -> %d, evictions %d -> %d, entries %d -> %d",
-			misses, m, evictions, e, entries, n)
+	// Every entry is added on a miss and removed on an eviction.
+	if m, e := metricValue(reg, "serve.cache_misses"), metricValue(reg, "serve.cache_evictions"); m != misses || e != evictions {
+		t.Errorf("the refused job moved the cache: misses %d -> %d, evictions %d -> %d", misses, m, evictions, e)
 	}
-	if got := metric("serve.jobs_rejected"); got != 1 {
+	if got := metricValue(reg, "serve.jobs_rejected"); got != 1 {
 		t.Errorf("serve.jobs_rejected = %d, want 1", got)
 	}
 	g.open(2)
@@ -513,7 +519,7 @@ func TestFinishedJobDropsNetlistText(t *testing.T) {
 	g.open(2)
 	waitTerminal(t, cl, blocker.ID)
 
-	text := netlist.BenchString(iscas.MustGet("s5378"))
+	text := iscastest.BenchString(iscastest.MustGet("s5378"))
 	const jobs = 200
 	before := liveHeap()
 	g.open(jobs)

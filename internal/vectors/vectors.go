@@ -32,14 +32,6 @@ func (s *Set) Append(v []logic.V) {
 	s.Vecs = append(s.Vecs, v)
 }
 
-// Slice returns a set containing the first n vectors (sharing storage).
-func (s *Set) Slice(n int) *Set {
-	if n > len(s.Vecs) {
-		n = len(s.Vecs)
-	}
-	return &Set{NumPIs: s.NumPIs, Vecs: s.Vecs[:n]}
-}
-
 // New returns an empty set for a circuit with numPIs primary inputs.
 func New(numPIs int) *Set { return &Set{NumPIs: numPIs} }
 

@@ -142,17 +142,6 @@ func TestAppendPanicsOnWidth(t *testing.T) {
 	s.Append([]logic.V{logic.One})
 }
 
-func TestSlice(t *testing.T) {
-	c := twoPI(t)
-	s := Random(c, 10, 1)
-	if got := s.Slice(4).Len(); got != 4 {
-		t.Errorf("Slice(4).Len() = %d", got)
-	}
-	if got := s.Slice(99).Len(); got != 10 {
-		t.Errorf("Slice(99).Len() = %d", got)
-	}
-}
-
 // Property: any parsed set serializes to text that reparses identically.
 func TestParseWriteProperty(t *testing.T) {
 	f := func(raw []uint8) bool {
