@@ -16,6 +16,8 @@ import (
 // vectors. evals/op is the run's exact evaluation count, the one
 // TestStatsAccounting pins, and ns/eval divides the time by it: what
 // one gate evaluation costs, pass and schedule overhead included.
+// live/op counts the faults the kernel opened; the rest of the
+// universe sits where no primary output can see it.
 //
 //	go test ./internal/compiled -run '^$' -bench RunFaults -benchtime 1x
 func BenchmarkRunFaults(b *testing.B) {
@@ -43,7 +45,7 @@ func BenchmarkRunFaults(b *testing.B) {
 			}
 			tr, _ := sim.pool.p.Trace(vectors.Random(c, tc.nv, 1))
 			ids, res := u.IDs(), faults.NewResult(u)
-			evals := 0
+			evals, live := 0, 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				ws, err := sim.runWorkers(context.Background(), tr, ids, res, 1, nil)
@@ -51,8 +53,10 @@ func BenchmarkRunFaults(b *testing.B) {
 					b.Fatal(err)
 				}
 				evals += ws[0].evals
+				live += ws[0].opened
 			}
 			b.ReportMetric(float64(evals)/float64(b.N), "evals/op")
+			b.ReportMetric(float64(live)/float64(b.N), "live/op")
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(evals), "ns/eval")
 		})
 	}

@@ -9,8 +9,9 @@
 //   - Program: the immutable compiled form — the level-ordered gate
 //     list lowered to a fused two-input instruction stream (one table
 //     lookup per step, wide gates decomposed into chains), the
-//     combinational fanout and the DFF maps. Fanins are read straight
-//     off the circuit's own adjacency arrays.
+//     observable gates, and the combinational fanout and DFF maps cut
+//     to them. Fanins are read straight off the circuit's own
+//     adjacency arrays.
 //   - Trace: the packed good-machine waveform. The good machine runs
 //     cycle-serially (the state recurrence of a sequential circuit
 //     admits no 64-cycle shortcut) but deposits every gate's settled
@@ -85,13 +86,20 @@ type Program struct {
 	// through this one header.
 	fanins []netlist.GateID
 
-	// Combinational fanout (the circuit's, source consumers excluded):
-	// fanouts[fanoutOff[g]:fanoutOff[g+1]].
+	// observable marks the gates some primary output can see: the
+	// backward closure of c.POs over every fanin, flip-flop D pins
+	// included. Every fanin of an observable gate is observable, so
+	// nothing an unobservable gate does ever reaches an output.
+	observable []bool
+
+	// Observable combinational fanout (the circuit's, source consumers
+	// and unobservable gates excluded): fanouts[fanoutOff[g]:fanoutOff[g+1]].
 	fanoutOff []int32
 	fanouts   []netlist.GateID
 
 	// Flattened DFF adjacency: fedFFs[fedOff[g]:fedOff[g+1]] are the
-	// indices (into c.DFFs) of flip-flops whose D input is driven by g.
+	// indices (into c.DFFs) of the observable flip-flops whose D input is
+	// driven by g.
 	fedOff []int32
 	fedFFs []int32
 
@@ -152,16 +160,22 @@ func Compile(c *netlist.Circuit) *Program {
 		p.dffIdx[ff] = int32(i)
 	}
 
-	// The circuit's fanout, split into combinational consumers and the
-	// flip-flops it feeds; opcodes; and the length of the instruction
-	// stream: a gate of n inputs lowers to max(n-1, 1) sops.
-	nfed, nsop := 0, 0
+	p.observable = observable(c)
+
+	// The circuit's observable fanout, split into combinational consumers
+	// and the flip-flops it feeds; opcodes; and the length of the
+	// instruction stream: a gate of n inputs lowers to max(n-1, 1) sops.
+	nfed, nfan, nsop := 0, 0, 0
 	for _, fo := range c.Fanouts {
-		if c.Gate(fo).IsSource() {
+		switch {
+		case !p.observable[fo]:
+		case c.Gate(fo).IsSource():
 			nfed++
+		default:
+			nfan++
 		}
 	}
-	p.fanouts = make([]netlist.GateID, 0, len(c.Fanouts)-nfed)
+	p.fanouts = make([]netlist.GateID, 0, nfan)
 	p.fedFFs = make([]int32, 0, nfed)
 	for i := range c.Gates {
 		p.code[i] = opcode(c.Gates[i].Op)
@@ -171,9 +185,11 @@ func Compile(c *netlist.Circuit) *Program {
 		p.fanoutOff[i] = int32(len(p.fanouts))
 		p.fedOff[i] = int32(len(p.fedFFs))
 		for _, fo := range c.Fanout(netlist.GateID(i)) {
-			if c.Gate(fo).IsSource() {
+			switch {
+			case !p.observable[fo]:
+			case c.Gate(fo).IsSource():
 				p.fedFFs = append(p.fedFFs, p.dffIdx[fo])
-			} else {
+			default:
 				p.fanouts = append(p.fanouts, fo)
 			}
 		}
@@ -194,17 +210,42 @@ func Compile(c *netlist.Circuit) *Program {
 	return p
 }
 
+// observable returns the gates from which some primary output can be
+// reached, combinationally or through flip-flops: a backward walk from
+// the outputs over every fanin, a flip-flop's D pin included.
+func observable(c *netlist.Circuit) []bool {
+	obs := make([]bool, len(c.Gates))
+	stack := make([]netlist.GateID, 0, len(c.POs))
+	for _, po := range c.POs {
+		if !obs[po] {
+			obs[po] = true
+			stack = append(stack, po)
+		}
+	}
+	for len(stack) > 0 {
+		g := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, in := range c.Fanin(g) {
+			if !obs[in] {
+				obs[in] = true
+				stack = append(stack, in)
+			}
+		}
+	}
+	return obs
+}
+
 // fanin returns g's inputs: the circuit's FaninOff window.
 func (p *Program) fanin(g netlist.GateID) []netlist.GateID {
 	return p.fanins[p.c.FaninOff[g]:p.c.FaninOff[g+1]]
 }
 
-// fed returns the DFF indices whose D input g drives.
+// fed returns the indices of the observable DFFs whose D input g drives.
 func (p *Program) fed(g netlist.GateID) []int32 {
 	return p.fedFFs[p.fedOff[g]:p.fedOff[g+1]]
 }
 
-// feedsFF reports whether any flip-flop samples g.
+// feedsFF reports whether any observable flip-flop samples g.
 func (p *Program) feedsFF(g netlist.GateID) bool {
 	return p.fedOff[g+1] > p.fedOff[g]
 }

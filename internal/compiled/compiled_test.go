@@ -418,10 +418,10 @@ func TestStatsAccounting(t *testing.T) {
 		{"s27", "stuck", 130, 2071, 60, 378},
 		{"s27", "transition", 48, 141, 324, 51},
 		{"s27", "transition", 130, 349, 888, 131},
-		{"s298", "stuck", 48, 24447, 431, 1231},
-		{"s298", "stuck", 130, 33673, 911, 1953},
-		{"s298", "transition", 48, 13268, 1407, 499},
-		{"s298", "transition", 130, 20134, 3166, 832},
+		{"s298", "stuck", 48, 17434, 331, 1040},
+		{"s298", "stuck", 130, 23015, 611, 1501},
+		{"s298", "transition", 48, 9396, 1097, 398},
+		{"s298", "transition", 130, 13610, 2292, 630},
 	} {
 		c, err := iscas.Get(tc.circuit)
 		if err != nil {
@@ -464,13 +464,139 @@ func mustParse(t *testing.T, name, text string) *netlist.Circuit {
 	return c
 }
 
+// deadRegion returns .bench lines that add to c logic no primary output
+// reads: a ring of two flip-flops, and a chain of gates over one of c's
+// inputs, one of its flip-flops and its last gate that a third flip-flop
+// closes into a loop. Faults of c spill into the chain; none of it is
+// ever observed.
+func deadRegion(c *netlist.Circuit) string {
+	pi := c.Gates[c.PIs[0]].Name
+	ff := c.Gates[c.DFFs[0]].Name
+	last := c.Gates[len(c.Gates)-1].Name
+	return fmt.Sprintf(`
+dead_r0 = DFF(dead_r1)
+dead_r1 = DFF(dead_r0)
+dead_g0 = NAND(%s, dead_q)
+dead_g1 = NOR(dead_g0, %s)
+dead_g2 = XOR(dead_g1, dead_r0)
+dead_g3 = AND(dead_g2, %s, dead_g0)
+dead_q = DFF(dead_g3)
+`, pi, ff, last)
+}
+
+// TestUnobservableFaultsAreUndetectable holds the Program's observable
+// set to what the kernel builds on: a fault sited on a gate from which
+// no primary output can be reached, combinationally or through
+// flip-flops, is never hard or potentially detected by the serial
+// oracle, and csim-C, which never opens such a fault, equals the oracle
+// on every fault. The suite circuits s27 through s1494 and generated
+// circuits given a dead region run both fault models under random and
+// all-X vectors; the stuck-at universes of four suite circuits pin how
+// many faults are skipped.
+func TestUnobservableFaultsAreUndetectable(t *testing.T) {
+	type run struct {
+		c  *netlist.Circuit
+		nv int // random vectors
+	}
+	// The serial oracle takes seconds a circuit from s641 on.
+	stop := "s5378"
+	if testing.Short() || raceEnabled {
+		stop = "s641"
+	}
+	var runs []run
+	for _, name := range iscas.Names() {
+		if name == stop {
+			break
+		}
+		runs = append(runs, run{iscastest.MustGet(name), 24})
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		c := genCircuit(t, 200+seed, 5, 4, 8, 80)
+		dead := mustParse(t, c.Name+"-dead", iscastest.BenchString(c)+deadRegion(c))
+		p, n := Compile(dead), 0
+		for g := range dead.Gates {
+			if strings.HasPrefix(dead.Gates[g].Name, "dead_") {
+				if p.observable[g] {
+					t.Fatalf("%s: dead gate %s classed observable", dead.Name, dead.Gates[g].Name)
+				}
+				n++
+			}
+		}
+		if n != 7 {
+			t.Fatalf("%s: %d dead gates, want 7", dead.Name, n)
+		}
+		runs = append(runs, run{dead, 70})
+	}
+	for _, r := range runs {
+		c, p := r.c, Compile(r.c)
+		allX := vectors.New(len(c.PIs))
+		for i := 0; i < 8; i++ {
+			v := make([]logic.V, len(c.PIs))
+			for j := range v {
+				v[j] = logic.X
+			}
+			allX.Append(v)
+		}
+		for _, model := range []string{"stuck", "transition"} {
+			u := faults.StuckCollapsed(c)
+			if model == "transition" {
+				u = faults.Transition(c)
+			}
+			for vi, vs := range []*vectors.Set{vectors.Random(c, r.nv, 3), allX} {
+				tag := fmt.Sprintf("%s/%s/%s", c.Name, model, []string{"random", "all-X"}[vi])
+				want, err := serial.Simulate(context.Background(), u, vs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range u.Faults {
+					f := &u.Faults[i]
+					if !p.observable[f.Gate] && (want.Detected[i] || want.PotDetected[i]) {
+						t.Fatalf("%s: fault %s on an unobservable gate: oracle detected %t, potential %t",
+							tag, f.Name(c), want.Detected[i], want.PotDetected[i])
+					}
+				}
+				sim, err := NewPooled(NewPool(p), u)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := sim.RunFaults(context.Background(), vs, u.IDs(), 2, nil)
+				if err != nil {
+					t.Fatalf("%s: %v", tag, err)
+				}
+				compare(t, tag, want, got)
+			}
+		}
+	}
+
+	for _, tc := range []struct {
+		circuit string
+		skipped int
+	}{
+		{"s298", 100}, {"s1494", 1020}, {"s5378", 3104}, {"s35932", 13910},
+	} {
+		c := iscastest.MustGet(tc.circuit)
+		p, u, n := Compile(c), faults.StuckCollapsed(c), 0
+		for i := range u.Faults {
+			if !p.observable[u.Faults[i].Gate] {
+				n++
+			}
+		}
+		if n != tc.skipped {
+			t.Errorf("%s: %d of %d stuck-at faults sit where no output sees them, want %d",
+				tc.circuit, n, u.NumFaults(), tc.skipped)
+		}
+	}
+}
+
 // TestDegenerateShapes holds the fault passes to the oracle where a loop
 // bound or a list is at its edge: no primary output, state differences
 // that travel from register to register with no gate between them (so
 // the continuation runs on flip-flop nodes a flip-flop samples), a ring
 // of registers that never leaves X, one fault, one vector, a universe of
-// exactly one chunk. runBoth adds more workers than chunks, an empty ID
-// list, and the check that no node stays dirty.
+// exactly one chunk, and an only output that a primary input drives, so
+// nothing any fault does reaches a gate that an output can see and no
+// gate is ever evaluated. runBoth adds more workers than chunks, an
+// empty ID list, and the check that no node stays dirty.
 func TestDegenerateShapes(t *testing.T) {
 	const chain = `
 INPUT(a)
@@ -484,6 +610,7 @@ r1 = DFF(r0)
 `
 	ring := mustParse(t, "ring", chain+"OUTPUT(q3)\nOUTPUT(r1)\n")
 	blind := mustParse(t, "blind", chain)
+	wire := mustParse(t, "wire", chain+"OUTPUT(a)\n")
 	large := genCircuit(t, 8, 6, 5, 10, 130)
 	first := func(u *faults.Universe, n int) *faults.Universe {
 		if u.NumFaults() < n {
@@ -495,21 +622,35 @@ r1 = DFF(r0)
 		name string
 		c    *netlist.Circuit
 		nv   int
-		cut  int // keep the first cut faults of each universe; 0 keeps all
+		cut  int  // keep the first cut faults of each universe; 0 keeps all
+		idle bool // no gate is ever evaluated
 	}{
-		{"ring", ring, 70, 0},
-		{"ring/1-vector", ring, 1, 0},
-		{"no-outputs", blind, 70, 0},
-		{"1-fault", large, 70, 1},
-		{"1-vector", large, 1, 0},
-		{"256-faults", large, 130, ChunkFaults},
+		{"ring", ring, 70, 0, false},
+		{"ring/1-vector", ring, 1, 0, false},
+		{"no-outputs", blind, 70, 0, true},
+		{"input-output", wire, 70, 0, true},
+		{"1-fault", large, 70, 1, false},
+		{"1-vector", large, 1, 0, false},
+		{"256-faults", large, 130, ChunkFaults, false},
 	} {
 		vs := vectors.Random(tc.c, tc.nv, 5)
 		for i, u := range []*faults.Universe{faults.StuckAll(tc.c), faults.Transition(tc.c)} {
 			if tc.cut > 0 {
 				u = first(u, tc.cut)
 			}
-			runBoth(t, tc.name+"/"+[]string{"stuck-all", "transition"}[i], u, vs)
+			tag := tc.name + "/" + []string{"stuck-all", "transition"}[i]
+			runBoth(t, tag, u, vs)
+			if !tc.idle {
+				continue
+			}
+			sim, err := newSim(u)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sim.Run(vs)
+			if st := sim.Stats(); st.Evals != 0 {
+				t.Errorf("%s: %d evaluations, want none", tag, st.Evals)
+			}
 		}
 	}
 }

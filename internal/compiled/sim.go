@@ -50,7 +50,7 @@ const nodeBytes, slotBytes, diffBytes = 64, 56, 8
 // Node flags.
 const (
 	flagSched   uint8 = 1 << iota // queued for evaluation
-	flagFeedsFF                   // some flip-flop samples this gate
+	flagFeedsFF                   // some observable flip-flop samples this gate
 	flagPO                        // the gate is a primary output
 	flagDirty                     // written in the running pass: on the worker's undo list
 	flagLoop                      // XOR/XNOR or over four inputs: evaluated by eval's fanin loop
@@ -122,6 +122,7 @@ type worker struct {
 	// the chunks it pulled, and counts its own detections.
 	res       *faults.Result
 	simulated int // faults of the chunks this worker ran
+	opened    int // of those, the ones some output can see: the rest are never simulated
 	detected  int // of those, the ones it detected
 	evals     int // gates evaluated; each was scheduled exactly once for it
 	passes    int // fresh propagations
@@ -147,8 +148,10 @@ type worker struct {
 // their events propagate, lane by lane until the fault is detected or
 // the block ends. Output-cone restriction falls out of the event
 // discipline: only gates downstream of an injected difference are ever
-// evaluated. Chunks are independent, so workers pull them off a shared
-// counter.
+// evaluated. Nor is a gate no primary output can see: the Program's
+// fanout and flip-flop maps stop at the observable gates, and a fault
+// sited outside them is never opened. Chunks are independent, so
+// workers pull them off a shared counter.
 type Sim struct {
 	u     *faults.Universe
 	pool  *Pool
@@ -330,7 +333,7 @@ func (w *worker) reset(u *faults.Universe, tr *Trace, ids []int32, res *faults.R
 	if cap(w.live) < n {
 		w.live = make([]int32, 0, n)
 	}
-	w.simulated, w.detected, w.evals, w.passes, w.steps, w.curDiffs, w.peakDiffs = 0, 0, 0, 0, 0, 0, 0
+	w.simulated, w.opened, w.detected, w.evals, w.passes, w.steps, w.curDiffs, w.peakDiffs = 0, 0, 0, 0, 0, 0, 0, 0
 }
 
 // memBytes accounts the worker's fault-pass state at its peak.
@@ -365,12 +368,18 @@ func (w *worker) runChunk(ctx context.Context, ids []int32) error {
 	for i, id := range ids {
 		fs := &w.slots[i]
 		fs.f = &w.u.Faults[id]
+		if !w.p.observable[fs.f.Gate] {
+			// No output can see the site, so nothing the fault does can be
+			// detected: it is never opened.
+			continue
+		}
 		fs.st, fs.drv = w.classify(fs.f)
 		fs.prevDrv = logic.X
 		fs.cyc = 0
 		fs.diffs = fs.diffs[:0]
 		live = append(live, int32(i))
 	}
+	w.opened += len(live)
 	for b := 0; b < w.tr.blocks && len(live) > 0; b++ {
 		if err := ctx.Err(); err != nil {
 			return err

@@ -69,7 +69,9 @@ func sameView(a, b *DetectionsView) bool {
 
 // FuzzDetectionsView throws raw bytes at the payload decode a coordinator
 // runs on every shard reply: whatever JSON decodes, Result either refuses
-// it or rebuilds a result that detects exactly the listed faults.
+// it or rebuilds a result that detects exactly the listed faults, and a
+// payload it accepts comes back unchanged from the packed form a
+// retained job keeps it in.
 // `go test ./internal/service -run '^$' -fuzz=FuzzDetectionsView` searches;
 // testdata/fuzz/FuzzDetectionsView is the seed corpus.
 func FuzzDetectionsView(f *testing.F) {
@@ -99,6 +101,9 @@ func FuzzDetectionsView(f *testing.F) {
 		if res.NumDet != len(dv.IDs) {
 			t.Fatalf("payload lists %d detected faults, result counts %d", len(dv.IDs), res.NumDet)
 		}
+		if back := packDetections(&dv).unpack(); !sameView(back, &dv) {
+			t.Fatalf("packed round trip %+v, want %+v", back, dv)
+		}
 		n := 0
 		for i, d := range res.Detected {
 			if d != (res.DetectedAt[i] >= 0) {
@@ -120,12 +125,13 @@ func FuzzDetectionsView(f *testing.F) {
 // half of a two-way fault split over 256 random vectors, read as
 // HeapAlloc after runtime.GC() before and after. A worker keeps up to
 // Config.Retained of these, so the weight is what that bound multiplies.
-// A shard detects some 2,570 of the 9,914 faults; its job reads 27-29 KB
-// (2.5 KB without the payload), and read 45-47 KB when the payload
-// carried a first-detection entry for every fault of the universe, the
-// shard's or not.
+// A shard detects some 2,570 of the 9,914 faults; its job reads 7.8-8.3
+// KB with the payload packed (packedDetections), 27-29 KB when it kept
+// the view's three int32 slices, 2.5 KB without the payload, and read
+// 45-47 KB when the payload carried a first-detection entry for every
+// fault of the universe, the shard's or not.
 func TestRetainedShardWeight(t *testing.T) {
-	const jobs, maxPerJob = 64, 32 << 10
+	const jobs, maxPerJob = 64, 12 << 10
 	s, cl := startServer(t, Config{Workers: 1})
 	// Each job has a deadline of its own: under -race on a busy host 65
 	// jobs can outlast one shared deadline while every one of them is

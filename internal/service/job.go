@@ -12,6 +12,7 @@
 package service
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"strings"
@@ -257,6 +258,66 @@ func (dv *DetectionsView) Result(u *faults.Universe) (*faults.Result, error) {
 	return res, nil
 }
 
+// packedDetections is a DetectionsView as a retained job keeps it: IDs
+// and Pot as uvarint deltas from the entry before (taken mod 2^32, so
+// any order packs), At as uvarints. Most entries take one or two bytes
+// where the view's slices take four, and a worker keeps thousands of
+// finished shard jobs.
+type packedDetections struct {
+	faults, ids, pot int
+	buf              []byte
+}
+
+// packDetections packs dv; unpack returns an equal view.
+func packDetections(dv *DetectionsView) *packedDetections {
+	buf := make([]byte, 0, 5*(2*len(dv.IDs)+len(dv.Pot)))
+	buf = appendDeltas(buf, dv.IDs)
+	for _, at := range dv.At {
+		buf = binary.AppendUvarint(buf, uint64(uint32(at)))
+	}
+	buf = appendDeltas(buf, dv.Pot)
+	return &packedDetections{faults: dv.Faults, ids: len(dv.IDs), pot: len(dv.Pot), buf: slices.Clone(buf)}
+}
+
+// appendDeltas appends each entry of xs as the uvarint of its difference
+// from the one before, the first from -1.
+func appendDeltas(buf []byte, xs []int32) []byte {
+	prev := ^uint32(0)
+	for _, x := range xs {
+		buf = binary.AppendUvarint(buf, uint64(uint32(x)-prev))
+		prev = uint32(x)
+	}
+	return buf
+}
+
+// unpack rebuilds the view: IDs and At empty rather than nil, as
+// NewDetectionsView leaves them, so the JSON is the same.
+func (pd *packedDetections) unpack() *DetectionsView {
+	buf := pd.buf
+	next := func() uint32 {
+		v, n := binary.Uvarint(buf)
+		buf = buf[n:]
+		return uint32(v)
+	}
+	deltas := func(xs []int32) {
+		prev := ^uint32(0)
+		for i := range xs {
+			prev += next()
+			xs[i] = int32(prev)
+		}
+	}
+	dv := &DetectionsView{Faults: pd.faults, IDs: make([]int32, pd.ids), At: make([]int32, pd.ids)}
+	deltas(dv.IDs)
+	for i := range dv.At {
+		dv.At[i] = int32(next())
+	}
+	if pd.pot > 0 {
+		dv.Pot = make([]int32, pd.pot)
+		deltas(dv.Pot)
+	}
+	return dv
+}
+
 // ResultView is a finished job's payload: the detections and counters a
 // harness.Measurement would carry, as JSON.
 type ResultView struct {
@@ -404,7 +465,10 @@ type job struct {
 	started   time.Time
 	finished  time.Time
 	err       string
-	result    *ResultView
+	// result is the finished job's view without its detections payload,
+	// which dets holds packed.
+	result *ResultView
+	dets   *packedDetections
 	// cancelRun cancels the running job's context; nil until running.
 	// Cancelling a queued job goes through the queue instead.
 	cancelRun func()
@@ -431,6 +495,11 @@ func (j *job) view() JobView {
 		Submitted: j.submitted.Format(time.RFC3339Nano),
 		Error:     j.err,
 		Result:    j.result,
+	}
+	if j.dets != nil {
+		r := *j.result
+		r.Detections = j.dets.unpack()
+		v.Result = &r
 	}
 	v.Spec.Bench = ""
 	if !j.started.IsZero() {
@@ -484,10 +553,11 @@ func (j *job) setRunning(now time.Time, cancel func()) bool {
 }
 
 // finish moves the job to a terminal state exactly once, clips its
-// flight ring to the events it holds, since a retained job is kept for
-// lookups long after, adds it to counted (nil counts nowhere) and only
-// then wakes the requests held on it, so a client that reads the
-// server's counters after its job's view finds the job counted.
+// flight ring to the events it holds and packs its detections payload,
+// since a retained job is kept for lookups long after, adds it to
+// counted (nil counts nowhere) and only then wakes the requests held on
+// it, so a client that reads the server's counters after its job's view
+// finds the job counted.
 func (j *job) finish(status Status, now time.Time, res *ResultView, err string, counted *obs.Counter) {
 	j.mu.Lock()
 	if j.status.Terminal() {
@@ -496,6 +566,12 @@ func (j *job) finish(status Status, now time.Time, res *ResultView, err string, 
 	}
 	j.status = status
 	j.finished = now
+	if res != nil && res.Detections != nil {
+		r := *res
+		j.dets = packDetections(r.Detections)
+		r.Detections = nil
+		res = &r
+	}
 	j.result = res
 	j.err = err
 	j.cancelRun = nil
