@@ -44,11 +44,11 @@ func BenchmarkRunFaults(b *testing.B) {
 				b.Fatal(err)
 			}
 			tr, _ := sim.pool.p.Trace(vectors.Random(c, tc.nv, 1))
-			ids, res := u.IDs(), faults.NewResult(u)
+			res := faults.NewResult(u)
 			evals, live := 0, 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ws, err := sim.runWorkers(context.Background(), tr, ids, res, 1, nil)
+				ws, err := sim.runWorkers(context.Background(), tr, 0, 1, res, 1, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -58,6 +58,35 @@ func BenchmarkRunFaults(b *testing.B) {
 			b.ReportMetric(float64(evals)/float64(b.N), "evals/op")
 			b.ReportMetric(float64(live)/float64(b.N), "live/op")
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(evals), "ns/eval")
+		})
+	}
+}
+
+// BenchmarkTrace times the good-machine pass every compiled run starts
+// with: the packed trace of the seed-1 random vectors over a Program
+// compiled outside the timer. good_evals/op is the pass's exact
+// evaluation count.
+//
+//	go test ./internal/compiled -run '^$' -bench Trace -benchtime 1x
+func BenchmarkTrace(b *testing.B) {
+	for _, tc := range []struct {
+		circuit string
+		nv      int
+	}{
+		{"s298", 64},
+		{"s5378", 256},
+		{"s35932", 64},
+	} {
+		b.Run(fmt.Sprintf("%s/rand:%d", tc.circuit, tc.nv), func(b *testing.B) {
+			c := iscastest.MustGet(tc.circuit)
+			p, vs := Compile(c), vectors.Random(c, tc.nv, 1)
+			var gevals int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_, gevals = p.Trace(vs)
+			}
+			b.ReportMetric(float64(gevals), "good_evals/op")
 		})
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"repro/internal/iscas/iscastest"
 	"repro/internal/logic"
 	"repro/internal/netlist"
-	"repro/internal/parallel"
 	"repro/internal/serial"
 	"repro/internal/vectors"
 )
@@ -42,33 +41,21 @@ func genCircuit(t *testing.T, seed int64, pis, pos, ffs, gates int) *netlist.Cir
 func compare(t *testing.T, tag string, want, got *faults.Result) {
 	t.Helper()
 	if d := want.Diff(got); d != "" {
-		t.Fatalf("%s: detections differ:\n%s", tag, d)
-	}
-	for i := range want.DetectedAt {
-		if want.DetectedAt[i] != got.DetectedAt[i] {
-			t.Fatalf("%s: fault %s first detected at %d, oracle %d", tag,
-				want.Universe.Faults[i].Name(want.Universe.Circuit),
-				got.DetectedAt[i], want.DetectedAt[i])
-		}
-		if want.PotDetected[i] != got.PotDetected[i] {
-			t.Fatalf("%s: fault %s potential %v, oracle %v", tag,
-				want.Universe.Faults[i].Name(want.Universe.Circuit),
-				got.PotDetected[i], want.PotDetected[i])
-		}
+		t.Fatalf("%s: results differ:\n%s", tag, d)
 	}
 }
 
-// checkClean runs the faults ids on nw workers and requires every node
-// of every worker to be good again afterwards: current planes equal to
-// the good ones, neither dirty nor scheduled.
-func checkClean(t *testing.T, tag string, u *faults.Universe, vs *vectors.Set, ids []int32, nw int) {
+// checkClean runs the whole universe on nw workers and requires every
+// node of every worker to be good again afterwards: current planes equal
+// to the good ones, neither dirty nor scheduled.
+func checkClean(t *testing.T, tag string, u *faults.Universe, vs *vectors.Set, nw int) {
 	t.Helper()
 	sim, err := newSim(u)
 	if err != nil {
 		t.Fatalf("%s: %v", tag, err)
 	}
 	tr, _ := sim.pool.p.Trace(vs)
-	ws, err := sim.runWorkers(context.Background(), tr, ids, faults.NewResult(u), nw, nil)
+	ws, err := sim.runWorkers(context.Background(), tr, 0, 1, faults.NewResult(u), nw, nil)
 	if err != nil {
 		t.Fatalf("%s: %v", tag, err)
 	}
@@ -91,20 +78,20 @@ func checkClean(t *testing.T, tag string, u *faults.Universe, vs *vectors.Set, i
 // requires bit-identical results on 1, 2, 3 and 7 workers — asked for
 // outright, so a universe of one chunk also covers more workers than
 // chunks — with counters that do not depend on the worker count. The
-// universe dealt into three ID lists, and a fourth empty one, must merge
-// to the same result and the same counters. No run may leave a node
-// dirty.
+// three shards of a three-way split, and an empty shard past the last
+// fault, must merge to the same result and the same counters. No run may
+// leave a node dirty.
 func runBoth(t *testing.T, tag string, u *faults.Universe, vs *vectors.Set) {
 	t.Helper()
 	want, _ := serial.Simulate(context.Background(), u, vs)
-	checkClean(t, tag, u, vs, u.IDs(), 3)
-	run := func(ids []int32, nw int) (*faults.Result, csim.Stats) {
+	checkClean(t, tag, u, vs, 3)
+	run := func(shard, of, nw int) (*faults.Result, csim.Stats) {
 		t.Helper()
 		sim, err := newSim(u)
 		if err != nil {
 			t.Fatalf("%s: %v", tag, err)
 		}
-		got, err := sim.RunFaults(context.Background(), vs, ids, nw, nil)
+		got, err := sim.RunFaults(context.Background(), vs, shard, of, nw, nil)
 		if err != nil {
 			t.Fatalf("%s: %d workers: %v", tag, nw, err)
 		}
@@ -116,7 +103,7 @@ func runBoth(t *testing.T, tag string, u *faults.Universe, vs *vectors.Set) {
 	}
 	var one csim.Stats
 	for _, nw := range []int{1, 2, 3, 7} {
-		got, st := run(u.IDs(), nw)
+		got, st := run(0, 1, nw)
 		compare(t, fmt.Sprintf("%s/w%d", tag, nw), want, got)
 		if nw == 1 {
 			one = st
@@ -125,22 +112,19 @@ func runBoth(t *testing.T, tag string, u *faults.Universe, vs *vectors.Set) {
 		}
 	}
 
-	lists := make([][]int32, 4)
-	for i := u.NumFaults() - 1; i >= 0; i-- {
-		lists[i%3] = append(lists[i%3], int32(i))
-	}
+	n := u.NumFaults()
 	var parts []*faults.Result
 	var stats []csim.Stats
-	for _, ids := range lists {
-		got, st := run(ids, 2)
-		if got.NumDet > len(ids) {
-			t.Fatalf("%s: %d detections from a list of %d faults", tag, got.NumDet, len(ids))
+	for _, sh := range [][2]int{{0, 3}, {1, 3}, {2, 3}, {n, n + 1}} {
+		got, st := run(sh[0], sh[1], 2)
+		if size := faults.ShardSize(n, sh[0], sh[1]); got.NumDet > size {
+			t.Fatalf("%s: %d detections from shard %d of %d, which holds %d faults", tag, got.NumDet, sh[0], sh[1], size)
 		}
 		parts, stats = append(parts, got), append(stats, st)
 	}
-	compare(t, tag+"/lists", want, faults.MergeResults(parts...))
+	compare(t, tag+"/shards", want, faults.MergeResults(parts...))
 	if sum := csim.MergeStats(stats...); !same(sum, one) {
-		t.Fatalf("%s: counters over ID lists %+v, over the universe %+v", tag, sum, one)
+		t.Fatalf("%s: counters over the shards %+v, over the universe %+v", tag, sum, one)
 	}
 }
 
@@ -559,7 +543,7 @@ func TestUnobservableFaultsAreUndetectable(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := sim.RunFaults(context.Background(), vs, u.IDs(), 2, nil)
+				got, err := sim.RunFaults(context.Background(), vs, 0, 1, 2, nil)
 				if err != nil {
 					t.Fatalf("%s: %v", tag, err)
 				}
@@ -596,7 +580,7 @@ func TestUnobservableFaultsAreUndetectable(t *testing.T) {
 // exactly one chunk, and an only output that a primary input drives, so
 // nothing any fault does reaches a gate that an output can see and no
 // gate is ever evaluated. runBoth adds more workers than chunks, an
-// empty ID list, and the check that no node stays dirty.
+// empty shard, and the check that no node stays dirty.
 func TestDegenerateShapes(t *testing.T) {
 	const chain = `
 INPUT(a)
@@ -661,7 +645,7 @@ r1 = DFF(r0)
 func TestWorkerPanicIsAnError(t *testing.T) {
 	c := genCircuit(t, 8, 6, 5, 10, 130)
 	u := faults.StuckAll(c)
-	ids := u.IDs()[:3*ChunkFaults]
+	u = &faults.Universe{Circuit: c, Faults: u.Faults[:3*ChunkFaults]}
 	vs := vectors.Random(c, 70, 1)
 	sim, err := newSim(u)
 	if err != nil {
@@ -672,7 +656,7 @@ func TestWorkerPanicIsAnError(t *testing.T) {
 			panic("boom")
 		}
 	}
-	res, err := sim.RunFaults(context.Background(), vs, ids, 3, watch)
+	res, err := sim.RunFaults(context.Background(), vs, 0, 1, 3, watch)
 	if err == nil || res != nil {
 		t.Fatalf("run with a panicking worker returned result %v, error %v", res, err)
 	}
@@ -681,17 +665,12 @@ func TestWorkerPanicIsAnError(t *testing.T) {
 			t.Errorf("error %q does not contain %q", err, want)
 		}
 	}
-	got, err := sim.RunFaults(context.Background(), vs, ids, 3, nil)
+	got, err := sim.RunFaults(context.Background(), vs, 0, 1, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := serial.Simulate(context.Background(), &faults.Universe{Circuit: c, Faults: u.Faults[:len(ids)]}, vs)
-	for _, id := range ids {
-		if got.DetectedAt[id] != want.DetectedAt[id] || got.PotDetected[id] != want.PotDetected[id] {
-			t.Fatalf("fault %d after the failed run: detected at %d (potential %v), oracle %d (%v)",
-				id, got.DetectedAt[id], got.PotDetected[id], want.DetectedAt[id], want.PotDetected[id])
-		}
-	}
+	want, _ := serial.Simulate(context.Background(), u, vs)
+	compare(t, "after the failed run", want, got)
 }
 
 // TestNewPooledRejectsMismatch pins the Program/Universe circuit check.
@@ -705,10 +684,10 @@ func TestNewPooledRejectsMismatch(t *testing.T) {
 
 // TestOneResultPerRun: every worker of a run writes its own chunks'
 // faults into the run's one result and counts its own detections. On 1,
-// 2, 3 and 7 workers over the universe, and on 2 workers over each of
-// three pinned Partition lists, the result's NumDet must equal the
-// number of set Detected entries and the sum of the per-worker counts
-// watch reports, and every listed fault must read as the serial oracle's
+// 2, 3 and 7 workers over the universe, and on 2 workers over each
+// shard of a three-way split, the result's NumDet must equal the number
+// of set Detected entries and the sum of the per-worker counts watch
+// reports, and every fault of the shard must read as the serial oracle's
 // while no other is detected.
 func TestOneResultPerRun(t *testing.T) {
 	c := genCircuit(t, 9, 6, 5, 10, 300)
@@ -725,15 +704,15 @@ func TestOneResultPerRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	check := func(tag string, ids []int32, nw int) {
+	check := func(tag string, shard, of, nw int) {
 		t.Helper()
-		counts := make([]int, Workers(nw, len(ids)))
+		counts := make([]int, Workers(nw, faults.ShardSize(u.NumFaults(), shard, of)))
 		watch := func(worker int, done bool, _, detected int) {
 			if done {
 				counts[worker] = detected
 			}
 		}
-		got, err := sim.RunFaults(context.Background(), vs, ids, nw, watch)
+		got, err := sim.RunFaults(context.Background(), vs, shard, of, nw, watch)
 		if err != nil {
 			t.Fatalf("%s: %v", tag, err)
 		}
@@ -749,13 +728,9 @@ func TestOneResultPerRun(t *testing.T) {
 		if got.NumDet != set || got.NumDet != sum {
 			t.Fatalf("%s: NumDet %d, %d Detected entries set, workers counted %v", tag, got.NumDet, set, counts)
 		}
-		listed := make([]bool, u.NumFaults())
-		for _, id := range ids {
-			listed[id] = true
-		}
-		for i := range listed {
+		for i := range got.Detected {
 			wantDet, wantAt, wantPot := want.Detected[i], want.DetectedAt[i], want.PotDetected[i]
-			if !listed[i] {
+			if i%of != shard {
 				wantDet, wantAt, wantPot = false, -1, false
 			}
 			if got.Detected[i] != wantDet || got.DetectedAt[i] != wantAt || got.PotDetected[i] != wantPot {
@@ -765,9 +740,9 @@ func TestOneResultPerRun(t *testing.T) {
 		}
 	}
 	for _, nw := range []int{1, 2, 3, 7} {
-		check(fmt.Sprintf("w%d", nw), u.IDs(), nw)
+		check(fmt.Sprintf("w%d", nw), 0, 1, nw)
 	}
-	for k, ids := range parallel.Partition(u, 3) {
-		check(fmt.Sprintf("partition %d of 3", k), ids, 2)
+	for k := range 3 {
+		check(fmt.Sprintf("shard %d of 3", k), k, 3, 2)
 	}
 }

@@ -12,8 +12,8 @@ import (
 // borrows them instead of building them: a reused worker keeps its node
 // array, built once from the Program, and whatever capacity its level
 // buckets, undo and output lists, fault slots and state-difference lists
-// grew to in earlier runs. Everything a run sets — universe, trace, ID
-// list, counters, result — is reset when the worker is borrowed. Every
+// grew to in earlier runs. Everything a run sets — universe, trace, shard,
+// counters, result — is reset when the worker is borrowed. Every
 // Sim runs on a Pool: the engine layer keeps one beside each circuit's
 // Program; the Program itself stays immutable and holds none.
 //
@@ -56,14 +56,14 @@ func (pl *Pool) get() *worker {
 }
 
 // put makes the workers of a finished run idle. They drop the run's
-// trace, ID list and result, so an idle worker keeps no job's data
+// universe, trace and result, so an idle worker keeps no job's data
 // alive. The first run's workers are dropped.
 func (pl *Pool) put(ws []*worker) {
 	if !pl.ran.Swap(true) {
 		return
 	}
 	for _, w := range ws {
-		w.tr, w.ids, w.res = nil, nil, nil
+		w.u, w.tr, w.res = nil, nil, nil
 		pl.idle.Put(w)
 	}
 }

@@ -13,7 +13,7 @@ import (
 
 // idleWorkers takes every idle worker out of the pool, requires each to
 // be clean — nothing scheduled, dirty or listed, every bucket empty, the
-// current planes the good ones, no trace, ID list or result kept — and
+// current planes the good ones, no universe, trace or result kept — and
 // puts them back.
 func idleWorkers(t *testing.T, tag string, pl *Pool) int {
 	t.Helper()
@@ -26,9 +26,9 @@ func idleWorkers(t *testing.T, tag string, pl *Pool) int {
 		ws = append(ws, w)
 	}
 	for wi, w := range ws {
-		if w.p != pl.p || w.tr != nil || w.ids != nil || w.res != nil {
-			t.Fatalf("%s: idle worker %d keeps program %p (pool's %p), trace %p, %d IDs, result %p",
-				tag, wi, w.p, pl.p, w.tr, len(w.ids), w.res)
+		if w.p != pl.p || w.u != nil || w.tr != nil || w.res != nil {
+			t.Fatalf("%s: idle worker %d keeps program %p (pool's %p), universe %p, trace %p, result %p",
+				tag, wi, w.p, pl.p, w.u, w.tr, w.res)
 		}
 		if len(w.dirty)+len(w.touched)+len(w.pos) != 0 {
 			t.Fatalf("%s: idle worker %d lists %d dirty, %d touched, %d output gates",
@@ -54,8 +54,8 @@ func idleWorkers(t *testing.T, tag string, pl *Pool) int {
 // TestPooledWorkersReuse runs every run below on one Program's pool, so
 // each borrows workers an earlier run left: stuck and transition
 // universes in turn (results of two sizes), vector counts on both sides
-// of the 64-cycle block, one to three workers, and the universe dealt
-// into three pinned ID lists. Every result must equal the serial
+// of the 64-cycle block, one to three workers, and the three shards of
+// a three-way split. Every result must equal the serial
 // oracle's, and every idle worker must be clean. A run cancelled halfway
 // and one whose watch panics must return their error and put no worker
 // back, and the runs after them must still be exact.
@@ -86,27 +86,23 @@ func TestPooledWorkersReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, nw := range []int{1, 2, 3} {
-			got, err := sim.RunFaults(ctx, vs, u.IDs(), nw, nil)
+			got, err := sim.RunFaults(ctx, vs, 0, 1, nw, nil)
 			if err != nil {
 				t.Fatalf("%s/w%d: %v", tag, nw, err)
 			}
 			compare(t, fmt.Sprintf("%s/w%d", tag, nw), want, got)
 			idleWorkers(t, fmt.Sprintf("%s/w%d", tag, nw), pl)
 		}
-		lists := make([][]int32, 3)
-		for i := u.NumFaults() - 1; i >= 0; i-- {
-			lists[i%3] = append(lists[i%3], int32(i))
-		}
 		var parts []*faults.Result
-		for _, ids := range lists {
-			got, err := sim.RunFaults(ctx, vs, ids, 2, nil)
+		for k := range 3 {
+			got, err := sim.RunFaults(ctx, vs, k, 3, 2, nil)
 			if err != nil {
-				t.Fatalf("%s/lists: %v", tag, err)
+				t.Fatalf("%s/shards: %v", tag, err)
 			}
 			parts = append(parts, got)
 		}
-		compare(t, tag+"/lists", want, faults.MergeResults(parts...))
-		idleWorkers(t, tag+"/lists", pl)
+		compare(t, tag+"/shards", want, faults.MergeResults(parts...))
+		idleWorkers(t, tag+"/shards", pl)
 	}
 	models := []string{"stuck-all", "transition"}
 	for _, nv := range []int{1, 63, 64, 65, 130} {
@@ -144,7 +140,7 @@ func TestPooledWorkersReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 		rctx, cancel := context.WithCancel(ctx)
-		res, err := sim.RunFaults(rctx, sets[130], u.IDs(), 3, tc.watch(cancel))
+		res, err := sim.RunFaults(rctx, sets[130], 0, 1, 3, tc.watch(cancel))
 		cancel()
 		if res != nil || !tc.want(err) {
 			t.Fatalf("%s run returned result %v, error %v", tc.name, res, err)
@@ -170,13 +166,13 @@ func TestPoolKeepsWorkersFromSecondRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sim.RunFaults(context.Background(), vs, u.IDs(), 3, nil); err != nil {
+	if _, err := sim.RunFaults(context.Background(), vs, 0, 1, 3, nil); err != nil {
 		t.Fatal(err)
 	}
 	if n := idleWorkers(t, "first run", sim.pool); n != 0 {
 		t.Errorf("after the first run the pool holds %d idle workers, want none", n)
 	}
-	if _, err := sim.RunFaults(context.Background(), vs, u.IDs(), 3, nil); err != nil {
+	if _, err := sim.RunFaults(context.Background(), vs, 0, 1, 3, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Get reaches the other Ps' shared lists but not their private slots,

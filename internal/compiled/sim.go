@@ -102,10 +102,12 @@ type worker struct {
 	// halves two-worker speed.
 	_ [64]byte
 
-	p   *Program
-	u   *faults.Universe
-	tr  *Trace
-	ids []int32 // the run's faults, in simulation order; chunks are ranges of it
+	p  *Program
+	u  *faults.Universe
+	tr *Trace
+	// The run's faults are shard of an of-way split, n of them: the j-th
+	// is fault shard + j*of, and a chunk is a range of j.
+	shard, of, n int
 
 	nodes   []node
 	base    int  // first cycle of the loaded block
@@ -183,33 +185,38 @@ func numChunks(nfaults int) int { return (nfaults + ChunkFaults - 1) / ChunkFaul
 type WorkerFunc func(worker int, done bool, simulated, detected int)
 
 // Run simulates every fault of the universe over the vector sequence on
-// the calling goroutine: RunFaults over all fault IDs with one worker and
+// the calling goroutine: RunFaults over shard 0 of 1 with one worker and
 // no cancellation.
 func (s *Sim) Run(vs *vectors.Set) *faults.Result {
-	res, _ := s.RunFaults(context.Background(), vs, s.u.IDs(), 1, nil) // a background context is never cancelled
+	res, _ := s.RunFaults(context.Background(), vs, 0, 1, 1, nil) // a background context is never cancelled
 	return res
 }
 
-// RunFaults simulates the faults ids, which must be distinct, in that
-// order over the vector sequence: one compiled good-machine pass building
-// the packed trace, then the fault chunks on Workers(workers, len(ids))
+// RunFaults simulates shard shard of an of-way split of the universe —
+// the faults whose ID ≡ shard (mod of), in ascending order — over the
+// vector sequence: one compiled good-machine pass building the packed
+// trace, then the shard's fault chunks on Workers(workers, its size)
 // workers that share it — the caller's goroutine is the first of them.
-// The run's one result spans the whole universe; only the listed faults
+// The run's one result spans the whole universe; only the shard's faults
 // can be detected in it, and each is written only by the worker that ran
 // its chunk. Detections are bit-identical to serial.Simulate, including
 // first-detection vector indices and potential (X at a sampled output)
 // detections, and neither they nor the evaluation counts depend on the
-// worker count or on how the universe is cut into ID lists. ctx is
-// checked between chunks and between a chunk's 64-cycle blocks; a
-// cancelled run returns ctx.Err(). A panic on a worker, watch's included,
-// comes back as an error with the stack. watch may be nil.
-func (s *Sim) RunFaults(ctx context.Context, vs *vectors.Set, ids []int32, workers int, watch WorkerFunc) (*faults.Result, error) {
+// worker count; the counts of the of shards add up to those of shard 0
+// of 1. ctx is checked between chunks and between a chunk's 64-cycle
+// blocks; a cancelled run returns ctx.Err(). A panic on a worker,
+// watch's included, comes back as an error with the stack. watch may be
+// nil.
+func (s *Sim) RunFaults(ctx context.Context, vs *vectors.Set, shard, of, workers int, watch WorkerFunc) (*faults.Result, error) {
+	if shard < 0 || shard >= of {
+		return nil, fmt.Errorf("compiled: shard %d outside [0, %d)", shard, of)
+	}
 	tr, gevals, err := s.pool.p.trace(ctx, vs)
 	if err != nil {
 		return nil, err
 	}
 	res := faults.NewResult(s.u)
-	ws, err := s.runWorkers(ctx, tr, ids, res, workers, watch)
+	ws, err := s.runWorkers(ctx, tr, shard, of, res, workers, watch)
 	if err != nil {
 		return nil, err
 	}
@@ -234,19 +241,20 @@ func (s *Sim) RunFaults(ctx context.Context, vs *vectors.Set, ids []int32, worke
 	return res, nil
 }
 
-// runWorkers runs the chunks of ids over the trace, writing their
-// detections into res, and returns the workers that ran them: borrowed
-// from the Sim's pool, or built when it has none idle. A worker that
-// panics ends the run with an error carrying the stack instead of
-// taking the process down. Only RunFaults returns workers to the pool,
+// runWorkers runs the chunks of shard shard of an of-way split over the
+// trace, writing their detections into res, and returns the workers
+// that ran them: borrowed from the Sim's pool, or built when it has none
+// idle. A worker that panics ends the run with an error carrying the
+// stack instead of taking the process down. Only RunFaults returns workers to the pool,
 // after it has read their counts and only from a run that ended without
 // error, so one that stopped halfway through a pass is never used again.
-func (s *Sim) runWorkers(ctx context.Context, tr *Trace, ids []int32, res *faults.Result, workers int, watch WorkerFunc) ([]*worker, error) {
-	chunks := numChunks(len(ids))
-	ws := make([]*worker, Workers(workers, len(ids)))
+func (s *Sim) runWorkers(ctx context.Context, tr *Trace, shard, of int, res *faults.Result, workers int, watch WorkerFunc) ([]*worker, error) {
+	n := faults.ShardSize(s.u.NumFaults(), shard, of)
+	chunks := numChunks(n)
+	ws := make([]*worker, Workers(workers, n))
 	for i := range ws {
 		ws[i] = s.pool.get()
-		ws[i].reset(s.u, tr, ids, res)
+		ws[i].reset(s.u, tr, shard, of, n, res)
 	}
 	var (
 		next atomic.Int64
@@ -317,21 +325,21 @@ func newWorker(p *Program) *worker {
 	return w
 }
 
-// reset readies the worker for a run over the faults ids of u on trace
-// tr, detecting into res: its counters start from zero, while its nodes,
-// buckets, lists, slots and their state-difference lists keep what
-// earlier runs grew them to.
-func (w *worker) reset(u *faults.Universe, tr *Trace, ids []int32, res *faults.Result) {
-	w.u, w.tr, w.ids, w.res = u, tr, ids, res
-	n := min(ChunkFaults, len(ids))
-	if cap(w.slots) < n {
-		grown := make([]faultState, n)
+// reset readies the worker for a run over the n faults of shard shard of
+// an of-way split of u on trace tr, detecting into res: its counters
+// start from zero, while its nodes, buckets, lists, slots and their
+// state-difference lists keep what earlier runs grew them to.
+func (w *worker) reset(u *faults.Universe, tr *Trace, shard, of, n int, res *faults.Result) {
+	w.u, w.tr, w.shard, w.of, w.n, w.res = u, tr, shard, of, n, res
+	m := min(ChunkFaults, n)
+	if cap(w.slots) < m {
+		grown := make([]faultState, m)
 		copy(grown, w.slots[:cap(w.slots)])
 		w.slots = grown
 	}
-	w.slots = w.slots[:n]
-	if cap(w.live) < n {
-		w.live = make([]int32, 0, n)
+	w.slots = w.slots[:m]
+	if cap(w.live) < m {
+		w.live = make([]int32, 0, m)
 	}
 	w.simulated, w.opened, w.detected, w.evals, w.passes, w.steps, w.curDiffs, w.peakDiffs = 0, 0, 0, 0, 0, 0, 0, 0
 }
@@ -349,25 +357,25 @@ func (w *worker) run(ctx context.Context, next *atomic.Int64, chunks int) error 
 			return nil
 		}
 		lo := k * ChunkFaults
-		chunk := w.ids[lo:min(lo+ChunkFaults, len(w.ids))]
-		if err := w.runChunk(ctx, chunk); err != nil {
+		hi := min(lo+ChunkFaults, w.n)
+		if err := w.runChunk(ctx, lo, hi); err != nil {
 			return err
 		}
-		w.simulated += len(chunk)
+		w.simulated += hi - lo
 	}
 }
 
-// runChunk simulates the faults ids to detection or vector exhaustion,
-// block-major: a block's good planes are loaded once for the whole
-// chunk, and each live fault runs the block to its end before the next
-// fault gets its turn.
+// runChunk simulates the run's faults lo to hi-1 to detection or vector
+// exhaustion, block-major: a block's good planes are loaded once for the
+// whole chunk, and each live fault runs the block to its end before the
+// next fault gets its turn.
 //
 //simlint:hotpath
-func (w *worker) runChunk(ctx context.Context, ids []int32) error {
+func (w *worker) runChunk(ctx context.Context, lo, hi int) error {
 	live := w.live[:0]
-	for i, id := range ids {
+	for i := range hi - lo {
 		fs := &w.slots[i]
-		fs.f = &w.u.Faults[id]
+		fs.f = &w.u.Faults[w.shard+(lo+i)*w.of]
 		if !w.p.observable[fs.f.Gate] {
 			// No output can see the site, so nothing the fault does can be
 			// detected: it is never opened.

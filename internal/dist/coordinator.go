@@ -149,32 +149,26 @@ func (c *Coordinator) RunJob(ctx context.Context, req *service.RunRequest) (rv *
 	}
 
 	phase("merging")
-	res, st, err := mergeShards(u, views)
-	if err != nil {
-		return nil, err
-	}
+	res, st := mergeShards(u, views)
 
 	rv = service.NewResultView(req.Spec, res, vs.Len(), k, st, time.Since(start).Nanoseconds())
 	phase("done")
 	return rv, nil
 }
 
-// mergeShards rebuilds each shard's result over u from its detections
-// payload and folds them, in shard order, with the deterministic
-// first-detection-wins merge; it returns the combined result and the
-// merged engine stats. faults.MergeResults is permutation-invariant, so
-// the merge does not depend on which shard finished first.
-func mergeShards(u *faults.Universe, views []*service.ResultView) (*faults.Result, csim.Stats, error) {
-	parts := make([]*faults.Result, len(views))
+// mergeShards writes every shard's detections payload, checked by
+// runShard against its shard, into one result over u, and merges the
+// shards' engine stats. The shards hold disjoint faults, so the result
+// does not depend on the order the payloads are written in, nor on
+// which shard finished first.
+func mergeShards(u *faults.Universe, views []*service.ResultView) (*faults.Result, csim.Stats) {
+	res := faults.NewResult(u)
 	stats := make([]csim.Stats, len(views))
 	for k, rv := range views {
-		res, err := rv.Detections.Result(u)
-		if err != nil {
-			return nil, csim.Stats{}, fmt.Errorf("dist: shard %d payload: %w", k, err)
-		}
-		parts[k], stats[k] = res, rv.Stats
+		rv.Detections.AddTo(res)
+		stats[k] = rv.Stats
 	}
-	return faults.MergeResults(parts...), csim.MergeStats(stats...), nil
+	return res, csim.MergeStats(stats...)
 }
 
 // firstRealError drains a closed error channel preferring a
@@ -206,10 +200,10 @@ func (e *permanentError) Unwrap() error { return e.err }
 // runShard drives one shard to completion: pick a worker, attempt,
 // and on retryable failure re-queue to a different worker with the
 // failed one excluded, up to maxAttempts. A reply whose detections
-// payload is not well formed over the job's nFaults-fault universe is
-// such a failure. When exclusions cover the whole fleet with attempts
-// still in hand, the slate is wiped — a previously failed worker may
-// have recovered.
+// payload is not well formed over the job's nFaults-fault universe, or
+// names a fault outside the shard, is such a failure. When exclusions
+// cover the whole fleet with attempts still in hand, the slate is wiped —
+// a previously failed worker may have recovered.
 func (c *Coordinator) runShard(ctx context.Context, req *service.RunRequest, nFaults, shard, of int) (*service.ResultView, error) {
 	spec := shardSpec(req.Spec, shard, of, shardTimeout)
 	id := jobid.Shard(req.ID, shard, of, shardHash(req.CC.Key, spec))
@@ -225,7 +219,7 @@ func (c *Coordinator) runShard(ctx context.Context, req *service.RunRequest, nFa
 		rv, err := c.attemptShard(ctx, w, id, spec)
 		c.reg.release(w)
 		if err == nil {
-			if err = rv.Detections.Check(nFaults); err == nil {
+			if err = rv.Detections.Check(nFaults, shard, of); err == nil {
 				return rv, nil
 			}
 			err = fmt.Errorf("worker %s: %w", w.addr, err)

@@ -2,12 +2,12 @@
 // accepts jobs on the ordinary service API, splits each into
 // fault-partition shards (one per chunk of 256 faults, within the
 // fleet's capacity), fans the shards out to a fleet of worker csimd
-// nodes over the same HTTP/JSON job API, and merges the streamed-back
-// shard results with the deterministic first-detection-wins merge the
-// compiled kernel already uses. Because parallel.Partition is a pure
-// function of (universe, K), every node agrees on shard contents, and
-// faults.MergeResults over the K shard payloads is bit-identical to a
-// local csim-C run — and therefore to the serial oracle.
+// nodes over the same HTTP/JSON job API, and writes the streamed-back
+// shard results into the job's one result. Shard k of K is the faults
+// whose ID ≡ k (mod K), so every node agrees on shard contents, the
+// shards are disjoint, and the K shard payloads together are
+// bit-identical to a local csim-C run — and therefore to the serial
+// oracle.
 //
 // Fault tolerance: workers are health-probed against /readyz; a shard
 // whose worker dies, times out, or fails is re-queued to a different

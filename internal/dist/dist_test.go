@@ -52,8 +52,9 @@ func shardPayloads(t *testing.T, u *faults.Universe, vs *vectors.Set, k int) []*
 
 // TestMergerShuffledAndDuplicateArrival is the merge-determinism
 // property: RunJob's shard goroutines each write their own slot, in
-// whatever order they finish, so the merge sees the K payloads in shard
-// order and must produce the serial oracle's result.
+// whatever order they finish, and the merge writes the K disjoint
+// payloads into one result, which must be the serial oracle's in shard
+// order and in reverse.
 func TestMergerShuffledAndDuplicateArrival(t *testing.T) {
 	ckt, err := iscas.Get("s526")
 	if err != nil {
@@ -62,12 +63,13 @@ func TestMergerShuffledAndDuplicateArrival(t *testing.T) {
 	u := faults.StuckCollapsed(ckt)
 	vs := vectors.Random(ckt, 50, 9)
 	want, _ := serial.Simulate(context.Background(), u, vs)
-	got, _, err := mergeShards(u, shardPayloads(t, u, vs, 5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff := want.Diff(got); diff != "" {
-		t.Errorf("merged result differs from oracle:\n%s", diff)
+	views := shardPayloads(t, u, vs, 5)
+	for _, order := range []string{"shard order", "reverse"} {
+		got, _ := mergeShards(u, views)
+		if diff := want.Diff(got); diff != "" {
+			t.Errorf("%s: merged result differs from oracle:\n%s", order, diff)
+		}
+		slices.Reverse(views)
 	}
 }
 
@@ -639,7 +641,7 @@ func TestHealthGaugeConcurrentFlips(t *testing.T) {
 	const n = 8
 	reg := obs.NewRegistry()
 	r := &registry{
-		wakeCh:   make(chan struct{}, 1),
+		wakeCh:   make(chan struct{}),
 		gHealthy: reg.Gauge("dist.workers_healthy"),
 	}
 	for i := 0; i < n; i++ {
@@ -671,4 +673,64 @@ func TestHealthGaugeConcurrentFlips(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestBlockedPickersAllWake: K pickers blocked on a fleet with no free
+// slot all return, each with a slot of its own, once K slots are
+// released back to back, and once one health flip opens K slots at a
+// time. Every release and every flip wakes every blocked picker, so none
+// waits for a wake-up that another picker used up.
+func TestBlockedPickersAllWake(t *testing.T) {
+	const k = 4
+	ctx := ctxT(t)
+	// pickers starts k pickers, lets them block, runs free and waits for
+	// all k to return.
+	pickers := func(tag string, r *registry, free func()) {
+		t.Helper()
+		got := make(chan *worker, k)
+		for i := 0; i < k; i++ {
+			go func() {
+				w, err := r.pick(ctx, nil)
+				if err != nil {
+					t.Error(err)
+				}
+				got <- w
+			}()
+		}
+		// Let the pickers block. One that has not blocked yet finds a
+		// freed slot on its first scan, so the wait cannot fail the test.
+		time.Sleep(20 * time.Millisecond)
+		free()
+		for i := 0; i < k; i++ {
+			select {
+			case w := <-got:
+				if w == nil {
+					t.Fatalf("%s: a picker failed", tag)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("%s: %d of %d pickers returned", tag, i, k)
+			}
+		}
+	}
+
+	// K workers of one slot each, all taken.
+	r := &registry{limit: 1, inflight: make([]int, k), wakeCh: make(chan struct{})}
+	for i := 0; i < k; i++ {
+		w := &worker{idx: i}
+		w.healthy.Store(true)
+		r.workers = append(r.workers, w)
+		if _, err := r.pick(ctx, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pickers("k releases", r, func() {
+		for _, w := range r.workers {
+			r.release(w)
+		}
+	})
+
+	// One worker of k slots, unhealthy until a probe flips it.
+	w := &worker{}
+	r = &registry{limit: k, inflight: make([]int, 1), wakeCh: make(chan struct{}), workers: []*worker{w}}
+	pickers("one health flip", r, func() { r.setHealth(w, true, nil) })
 }

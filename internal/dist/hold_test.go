@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -222,10 +223,21 @@ func (g *garbler) RoundTrip(r *http.Request) (*http.Response, error) {
 	return resp, nil
 }
 
+// foreignFault returns the first fault of the universe that the shard
+// job v ran does not hold.
+func foreignFault(v *service.JobView) int32 {
+	if v.Spec.FaultShard == 0 {
+		return 1
+	}
+	return 0
+}
+
 // TestGarbledShardPayloadRequeues: a shard reply whose detections name a
-// fault outside the universe, or whose body is cut in half, fails that
-// attempt, not the job; the shard is re-queued once and the merged
-// result is a local csim-grid run's.
+// fault outside the universe, a well-formed reply that names a fault of
+// another shard as detected or as potentially detected, and a reply
+// whose body is cut in half each fail that attempt, not the job; the
+// shard is re-queued once and the merged result is a local csim-grid
+// run's.
 func TestGarbledShardPayloadRequeues(t *testing.T) {
 	ckt, err := iscas.Get("s1494")
 	if err != nil {
@@ -244,6 +256,18 @@ func TestGarbledShardPayloadRequeues(t *testing.T) {
 		{"fault_out_of_range", "out of range", func(_ []byte, v *service.JobView) ([]byte, error) {
 			dv := v.Result.Detections
 			dv.IDs, dv.At = append(dv.IDs, int32(dv.Faults)), append(dv.At, 0)
+			return json.Marshal(v)
+		}},
+		{"fault_of_another_shard", "outside shard", func(_ []byte, v *service.JobView) ([]byte, error) {
+			dv, id := v.Result.Detections, foreignFault(v)
+			i, _ := slices.BinarySearch(dv.IDs, id)
+			dv.IDs, dv.At = slices.Insert(dv.IDs, i, id), slices.Insert(dv.At, i, 0)
+			return json.Marshal(v)
+		}},
+		{"pot_of_another_shard", "outside shard", func(_ []byte, v *service.JobView) ([]byte, error) {
+			dv := v.Result.Detections
+			dv.Pot = append(dv.Pot, foreignFault(v))
+			slices.Sort(dv.Pot)
 			return json.Marshal(v)
 		}},
 		{"truncated_body", "unexpected EOF", func(body []byte, _ *service.JobView) ([]byte, error) {

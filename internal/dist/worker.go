@@ -38,9 +38,9 @@ type registry struct {
 	mu sync.Mutex
 	//simlint:guarded_by(mu)
 	inflight []int
-
-	// wakeCh pulses when a slot frees or health flips, re-arming
-	// blocked pickers.
+	// wakeCh is closed, and replaced, when a slot frees or health flips:
+	// every picker blocked on it scans again.
+	//simlint:guarded_by(mu)
 	wakeCh chan struct{}
 
 	// healthMu makes a health transition and its publication one step:
@@ -62,7 +62,7 @@ func newRegistry(cfg Config) *registry {
 		limit:    cfg.PerWorkerInflight,
 		log:      cfg.Log,
 		inflight: make([]int, len(cfg.Workers)),
-		wakeCh:   make(chan struct{}, 1),
+		wakeCh:   make(chan struct{}),
 		gHealthy: reg.Gauge("dist.workers_healthy"),
 		stop:     make(chan struct{}),
 	}
@@ -132,7 +132,9 @@ func (r *registry) setHealth(w *worker, healthy bool, cause error) {
 	}
 	r.gHealthy.Set(r.countHealthy())
 	r.healthMu.Unlock()
+	r.mu.Lock()
 	r.wake()
+	r.mu.Unlock()
 	if healthy {
 		r.log.Info("dist worker healthy",
 			slog.String("phase", "probe"),
@@ -160,12 +162,10 @@ func (r *registry) countHealthy() int64 {
 	return n
 }
 
-// wake pulses the picker wake channel (non-blocking).
+// wake wakes every blocked picker. The caller holds r.mu.
 func (r *registry) wake() {
-	select {
-	case r.wakeCh <- struct{}{}:
-	default:
-	}
+	close(r.wakeCh)
+	r.wakeCh = make(chan struct{})
 }
 
 // pick blocks until a healthy, non-excluded worker has a free slot,
@@ -193,14 +193,14 @@ func (r *registry) pick(ctx context.Context, excluded map[int]bool) (*worker, er
 			r.mu.Unlock()
 			return r.workers[best], nil
 		}
+		// Taken under the lock of the scan that found nothing, the
+		// channel is closed by any release or health flip after it.
+		wake := r.wakeCh
 		r.mu.Unlock()
 		select {
 		case <-ctx.Done():
 			return nil, ctx.Err()
-		case <-r.wakeCh:
-		case <-time.After(100 * time.Millisecond):
-			// Defensive re-scan: a missed wake pulse only delays, never
-			// deadlocks, a picker.
+		case <-wake:
 		}
 	}
 }
@@ -210,6 +210,6 @@ func (r *registry) release(w *worker) {
 	r.mu.Lock()
 	r.inflight[w.idx]--
 	w.gInflight.Set(int64(r.inflight[w.idx]))
-	r.mu.Unlock()
 	r.wake()
+	r.mu.Unlock()
 }

@@ -11,7 +11,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/logic"
 	"repro/internal/obs"
-	"repro/internal/parallel"
 	"repro/internal/proofs"
 	"repro/internal/serial"
 	"repro/internal/vectors"
@@ -25,9 +24,9 @@ type Options struct {
 	// own faults. Other engines ignore it.
 	Workers int
 	// Shard and Of pin the run to fault shard Shard of an Of-way split —
-	// parallel.Partition(u, Of)[Shard], what a coordinator dispatches to
-	// a worker node. Of == 0 simulates the whole universe. Only a
-	// compiled engine takes coordinates.
+	// the faults whose ID ≡ Shard (mod Of), what a coordinator dispatches
+	// to a worker node. Of == 0 simulates the whole universe, shard 0 of
+	// 1. Only a compiled engine takes coordinates.
 	Shard, Of int
 	// Artifacts is the circuit's artifact set: the run reads the engine's
 	// macro plan or compiled program from it, building one it lacks; nil
@@ -41,15 +40,21 @@ type Options struct {
 	Obs *obs.Observer
 }
 
-// Workers reports how many kernel workers Run uses for a whole-universe
-// job over nfaults faults: the count a result reports. It is 0 for an
-// engine that runs on the calling goroutine alone.
+// Workers reports how many kernel workers Run uses for a job over a
+// universe of nfaults faults, or over opt's shard of it: the count a
+// result reports. It is 0 for an engine that runs on the calling
+// goroutine alone.
 func Workers(name string, nfaults int, opt Options) int {
 	switch name {
 	case CsimC, CsimGrid:
-		return compiled.Workers(opt.Workers, nfaults)
+		return compiled.Workers(opt.Workers, shardSize(nfaults, opt))
 	}
 	return 0
+}
+
+// shardSize is how many of nfaults faults opt's shard holds.
+func shardSize(nfaults int, opt Options) int {
+	return faults.ShardSize(nfaults, opt.Shard, max(opt.Of, 1))
 }
 
 // Run simulates the vector set on the named engine and returns the
@@ -82,12 +87,12 @@ func Run(ctx context.Context, name string, u *faults.Universe, vs *vectors.Set, 
 			return nil, csim.Stats{}, fmt.Errorf("engine: shard index %d outside [0, %d)", opt.Shard, opt.Of)
 		}
 	}
-	// A whole compiled job's worker count is recorded before the
-	// cancellation check: a job that times out before its engine starts
-	// still carries the decision in its postmortem.
+	// A compiled run's worker count is recorded before the cancellation
+	// check: a job that times out before its engine starts still carries
+	// the decision in its postmortem.
 	ob := opt.Obs
-	if isCompiled && opt.Of == 0 {
-		procs, nf := max(opt.Workers, 1), u.NumFaults()
+	if isCompiled {
+		procs, nf := max(opt.Workers, 1), shardSize(u.NumFaults(), opt)
 		k := compiled.Workers(procs, nf)
 		ob.Recorder().Recordf("decide", "plan %dx1 (procs=%d faults=%d: one compiled worker per chunk of 256 faults at most)", k, procs, nf)
 		ob.Logger().Info("decide",
@@ -144,57 +149,42 @@ func cycles(ctx context.Context, vs *vectors.Set, cycle func(vec []logic.V)) err
 	return nil
 }
 
-// runCompiled is the compiled engines' one path: fault IDs on the
-// workers of one compiled run, borrowed from the circuit's pool and
-// returned to it once the run has read their counts. A whole job runs the
-// universe on compiled.Workers(opt.Workers, faults) workers and records
+// runCompiled is the compiled engines' one path: opt's shard of the
+// universe — all of it when opt.Of is 0 — on compiled.Workers(opt.Workers,
+// its faults) workers of one compiled run, borrowed from the circuit's
+// pool and returned to it once the run has read their counts. It records
 // one shard_start/shard_finish pair per worker and a merge event, each
-// detail starting with the engine's name. A pinned shard
-// runs its slice of the partition on its own budget and records one
-// pair for the shard; every shard computes its own packed trace, so
-// merged shard stats count one trace per non-empty shard in GoodEvals.
-// The "csim-grid shard %d" detail prefix is pinned by benchmark/ and
-// goes with the `[benchmark]` yardstick refresh.
+// detail starting with the engine's name. Every pinned shard computes its
+// own packed trace, so merged shard stats count one trace per non-empty
+// shard in GoodEvals. The "csim-grid shard %d" detail prefix is pinned by
+// benchmark/ and goes with the `[benchmark]` yardstick refresh.
 func runCompiled(ctx context.Context, name string, pool *compiled.Pool, u *faults.Universe, vs *vectors.Set, opt Options) (*faults.Result, csim.Stats, error) {
+	nf := shardSize(u.NumFaults(), opt)
+	if opt.Of > 0 && nf == 0 {
+		// More shards than faults: this one holds nothing, and an empty
+		// result merges as a no-op.
+		return faults.NewResult(u), csim.Stats{}, nil
+	}
 	rec := opt.Obs.Recorder()
-	var ids []int32
-	var workers int
-	var watch compiled.WorkerFunc
-	if opt.Of > 0 {
-		ids = parallel.Partition(u, opt.Of)[opt.Shard]
-		if len(ids) == 0 {
-			// More shards than faults: this one holds nothing, and an
-			// empty result merges as a no-op.
-			return faults.NewResult(u), csim.Stats{}, nil
+	workers := compiled.Workers(opt.Workers, nf)
+	chunk := min(compiled.ChunkFaults, nf)
+	watch := func(i int, done bool, simulated, detected int) {
+		if !done {
+			rec.Recordf("shard_start", "%s shard %d: compiled worker pulling chunks of %d faults", name, i, chunk)
+			return
 		}
-		workers = compiled.Workers(opt.Workers, len(ids))
-		rec.Recordf("shard_start", "shard %d of %d: %d faults on %d compiled workers", opt.Shard, opt.Of, len(ids), workers)
-	} else {
-		ids, workers = u.IDs(), compiled.Workers(opt.Workers, u.NumFaults())
-		chunk := min(compiled.ChunkFaults, len(ids))
-		watch = func(i int, done bool, simulated, detected int) {
-			if !done {
-				rec.Recordf("shard_start", "%s shard %d: compiled worker pulling chunks of %d faults", name, i, chunk)
-				return
-			}
-			rec.Recordf("shard_finish", "%s shard %d: %d faults, %d detected", name, i, simulated, detected)
-		}
+		rec.Recordf("shard_finish", "%s shard %d: %d faults, %d detected", name, i, simulated, detected)
 	}
 
 	sim, err := compiled.NewPooled(pool, u)
 	if err != nil {
 		return nil, csim.Stats{}, err
 	}
-	res, err := sim.RunFaults(ctx, vs, ids, workers, watch)
+	res, err := sim.RunFaults(ctx, vs, opt.Shard, max(opt.Of, 1), workers, watch)
 	if err != nil {
 		return nil, csim.Stats{}, err
 	}
-
-	if opt.Of > 0 {
-		rec.Recordf("shard_finish", "shard %d of %d: %d detected", opt.Shard, opt.Of, res.NumDet)
-	} else {
-		rec.Recordf("merge", "%s: %d shards merged, %d detected", name, workers, res.NumDet)
-	}
+	rec.Recordf("merge", "%s: %d shards merged, %d detected", name, workers, res.NumDet)
 	return res, sim.Stats(), nil
 }
 

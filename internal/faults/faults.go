@@ -92,14 +92,16 @@ type Universe struct {
 // NumFaults returns the number of faults simulators must target.
 func (u *Universe) NumFaults() int { return len(u.Faults) }
 
-// IDs lists every fault ID of the universe in order, freshly allocated:
-// the whole universe in the form engines take a fault subset in.
-func (u *Universe) IDs() []int32 {
-	ids := make([]int32, len(u.Faults))
-	for i := range ids {
-		ids[i] = int32(i)
+// ShardSize returns how many faults of an n-fault universe shard k of an
+// of-way split holds. Shard k of of is the faults whose ID ≡ k (mod of),
+// in ascending ID order; the whole universe is shard 0 of 1. It is the one
+// split rule: the compiled kernel, a pinned shard job and the
+// coordinator's check of its reply all use it.
+func ShardSize(n, k, of int) int {
+	if k >= n {
+		return 0
 	}
-	return ids
+	return (n - k + of - 1) / of
 }
 
 // StuckAll builds the complete (uncollapsed) single stuck-at universe:

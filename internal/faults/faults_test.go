@@ -274,6 +274,15 @@ func TestResult(t *testing.T) {
 	if d := r.Diff(r2); d != "" {
 		t.Errorf("Diff of equal results = %q", d)
 	}
+	r2.DetectedAt[3] = 6
+	if d := r.Diff(r2); d == "" {
+		t.Error("Diff of results detecting a fault at different vectors is empty")
+	}
+	r2.DetectedAt[3] = 7
+	r2.PotDetect(4)
+	if d := r.Diff(r2); d == "" {
+		t.Error("Diff of results that differ in a potential detection is empty")
+	}
 }
 
 func TestCoverageEmptyUniverse(t *testing.T) {

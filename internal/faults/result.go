@@ -102,8 +102,10 @@ func MergeResults(parts ...*Result) *Result {
 	return out
 }
 
-// Diff returns a human-readable description of the first few disagreements
-// between two results over the same universe, for cross-validation tests.
+// Diff returns a human-readable description of the first few faults on
+// which two results over the same universe disagree — detected or not,
+// first detecting vector, potentially detected or not — for
+// cross-validation tests. It is empty when the results are equal.
 func (r *Result) Diff(other *Result) string {
 	if len(r.Detected) != len(other.Detected) {
 		return fmt.Sprintf("universe sizes differ: %d vs %d", len(r.Detected), len(other.Detected))
@@ -111,9 +113,11 @@ func (r *Result) Diff(other *Result) string {
 	var out string
 	n := 0
 	for i := range r.Detected {
-		if r.Detected[i] != other.Detected[i] {
-			out += fmt.Sprintf("fault %s: %v vs %v\n",
-				r.Universe.Faults[i].Name(r.Universe.Circuit), r.Detected[i], other.Detected[i])
+		if r.Detected[i] != other.Detected[i] || r.DetectedAt[i] != other.DetectedAt[i] || r.PotDetected[i] != other.PotDetected[i] {
+			out += fmt.Sprintf("fault %s: detected %v at %d (potential %v) vs %v at %d (%v)\n",
+				r.Universe.Faults[i].Name(r.Universe.Circuit),
+				r.Detected[i], r.DetectedAt[i], r.PotDetected[i],
+				other.Detected[i], other.DetectedAt[i], other.PotDetected[i])
 			n++
 			if n >= 10 {
 				out += "...\n"

@@ -60,6 +60,25 @@ func TestDetectionsViewValidation(t *testing.T) {
 			t.Errorf("%s: round trip %+v, want %+v", tc.name, back, tc.dv)
 		}
 	}
+
+	// A shard's reply names only faults of its shard.
+	for _, tc := range []struct {
+		name      string
+		dv        DetectionsView
+		shard, of int
+		ok        bool
+	}{
+		{"even shard", DetectionsView{Faults: 26, IDs: []int32{10, 12, 14}, At: []int32{3, 0, 3}, Pot: []int32{0, 24}}, 0, 2, true},
+		{"odd shard", DetectionsView{Faults: 26, IDs: []int32{1, 25}, At: []int32{3, 0}, Pot: []int32{7}}, 1, 2, true},
+		{"third of three", DetectionsView{Faults: 26, IDs: []int32{2, 5, 23}, At: []int32{0, 0, 1}}, 2, 3, true},
+		{"id of another shard", DetectionsView{Faults: 26, IDs: []int32{10, 13, 14}, At: []int32{3, 0, 3}}, 0, 2, false},
+		{"pot of another shard", DetectionsView{Faults: 26, IDs: []int32{10}, At: []int32{3}, Pot: []int32{0, 3}}, 0, 2, false},
+		{"id of another third", DetectionsView{Faults: 26, IDs: []int32{2, 4}, At: []int32{0, 0}}, 2, 3, false},
+	} {
+		if err := tc.dv.Check(26, tc.shard, tc.of); (err == nil) != tc.ok {
+			t.Errorf("%s: shard %d of %d: err %v, want ok %t", tc.name, tc.shard, tc.of, err, tc.ok)
+		}
+	}
 }
 
 // sameView compares payloads; slices.Equal reads a nil list as an empty one.
@@ -71,7 +90,9 @@ func sameView(a, b *DetectionsView) bool {
 // runs on every shard reply: whatever JSON decodes, Result either refuses
 // it or rebuilds a result that detects exactly the listed faults, and a
 // payload it accepts comes back unchanged from the packed form a
-// retained job keeps it in.
+// retained job keeps it in. Of such a payload, Check accepts as the
+// reply of shard k of a two- or three-way split exactly those whose
+// detected and pot entries all lie in the shard.
 // `go test ./internal/service -run '^$' -fuzz=FuzzDetectionsView` searches;
 // testdata/fuzz/FuzzDetectionsView is the seed corpus.
 func FuzzDetectionsView(f *testing.F) {
@@ -115,6 +136,17 @@ func FuzzDetectionsView(f *testing.F) {
 		}
 		if n != res.NumDet {
 			t.Fatalf("%d faults marked detected, NumDet %d", n, res.NumDet)
+		}
+		for of := 2; of <= 3; of++ {
+			for k := range of {
+				in := true
+				for _, id := range slices.Concat(dv.IDs, dv.Pot) {
+					in = in && int(id)%of == k
+				}
+				if err := dv.Check(u.NumFaults(), k, of); (err == nil) != in {
+					t.Fatalf("shard %d of %d: Check says %v, entries all in the shard: %t", k, of, err, in)
+				}
+			}
 		}
 	})
 }

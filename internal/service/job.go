@@ -74,13 +74,11 @@ type JobSpec struct {
 	// TimeoutMS bounds the job's run time in milliseconds; 0 means the
 	// server default. The server caps it at its configured maximum.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// FaultShards restricts the job to one fault partition of a K-way
-	// split: the universe is dealt by the deterministic partitioner
-	// (parallel.Partition) into FaultShards groups and only group
-	// FaultShard is simulated. 0 (the default) simulates the whole
-	// universe. Shard specs require a compiled engine, csim-C or
-	// csim-grid — they are what a distributed coordinator submits to
-	// worker nodes.
+	// FaultShards restricts the job to one fault shard of a K-way
+	// split: only the faults whose ID ≡ FaultShard (mod FaultShards)
+	// are simulated. 0 (the default) simulates the whole universe.
+	// Shard specs require a compiled engine, csim-C or csim-grid — they
+	// are what a distributed coordinator submits to worker nodes.
 	FaultShards int `json:"fault_shards,omitempty"`
 	// FaultShard is the partition index in [0, FaultShards) when
 	// FaultShards > 0.
@@ -208,12 +206,15 @@ func NewDetectionsView(res *faults.Result) *DetectionsView {
 	return dv
 }
 
-// Check reports whether the payload is well formed over a universe of n
-// faults: the size matches, every ID is in range and strictly above the
-// one before, each has a first vector that is not negative, and every
-// pot index is in range. Result runs it first; the coordinator runs it on
-// a shard's reply, so a garbled one fails that attempt, not the merge.
-func (dv *DetectionsView) Check(n int) error {
+// Check reports whether the payload is well formed as the reply of
+// shard shard of an of-way split of a universe of n faults: the size
+// matches, every ID is in range, in the shard (≡ shard mod of) and
+// strictly above the one before, each has a first vector that is not
+// negative, and every pot index is in range and in the shard. Shard 0 of
+// 1 is the whole universe. Result runs it first; the coordinator runs it
+// on a shard's reply, so a garbled one fails that attempt, not the
+// merge.
+func (dv *DetectionsView) Check(n, shard, of int) error {
 	if dv.Faults != n {
 		return fmt.Errorf("service: detections payload covers %d faults, universe has %d", dv.Faults, n)
 	}
@@ -224,6 +225,8 @@ func (dv *DetectionsView) Check(n int) error {
 		switch {
 		case id < 0 || int(id) >= n:
 			return fmt.Errorf("service: detected fault index %d out of range (universe %d)", id, n)
+		case int(id)%of != shard:
+			return fmt.Errorf("service: detected fault index %d outside shard %d of %d", id, shard, of)
 		case i > 0 && id <= dv.IDs[i-1]:
 			return fmt.Errorf("service: detected fault index %d after %d, want ascending", id, dv.IDs[i-1])
 		case dv.At[i] < 0:
@@ -231,31 +234,41 @@ func (dv *DetectionsView) Check(n int) error {
 		}
 	}
 	for _, id := range dv.Pot {
-		if id < 0 || int(id) >= n {
+		switch {
+		case id < 0 || int(id) >= n:
 			return fmt.Errorf("service: pot fault index %d out of range (universe %d)", id, n)
+		case int(id)%of != shard:
+			return fmt.Errorf("service: pot fault index %d outside shard %d of %d", id, shard, of)
 		}
 	}
 	return nil
 }
 
 // Result reconstructs the faults.Result the payload was taken from,
-// over a universe of the same (circuit, model). The round trip is
-// exact, so coordinator-side MergeResults over reconstructed shard
-// payloads equals a local merge of the in-process shard results.
+// over a universe of the same (circuit, model). The round trip is exact.
 func (dv *DetectionsView) Result(u *faults.Universe) (*faults.Result, error) {
-	if err := dv.Check(u.NumFaults()); err != nil {
+	if err := dv.Check(u.NumFaults(), 0, 1); err != nil {
 		return nil, err
 	}
 	res := faults.NewResult(u)
+	dv.AddTo(res)
+	return res, nil
+}
+
+// AddTo writes the payload's detections into res, a result over the
+// universe the payload was checked against, whose entries for the
+// payload's faults are still empty: the coordinator writes every shard's
+// checked reply into the job's one result, and the shards' faults are
+// disjoint.
+func (dv *DetectionsView) AddTo(res *faults.Result) {
 	for i, id := range dv.IDs {
 		res.Detected[id] = true
 		res.DetectedAt[id] = dv.At[i]
 	}
-	res.NumDet = len(dv.IDs)
+	res.NumDet += len(dv.IDs)
 	for _, id := range dv.Pot {
 		res.PotDetected[id] = true
 	}
-	return res, nil
 }
 
 // packedDetections is a DetectionsView as a retained job keeps it: IDs
@@ -337,8 +350,8 @@ type ResultView struct {
 	PotOnly int `json:"pot_only"`
 	// Coverage is hard coverage in [0,1].
 	Coverage float64 `json:"coverage"`
-	// Workers is the csim-C / csim-grid worker count the run used, or
-	// on a pinned shard the split it belongs to (0 otherwise).
+	// Workers is the csim-C / csim-grid worker count the run used (0
+	// otherwise): on a coordinator, the number of fleet shards.
 	Workers int `json:"workers,omitempty"`
 	// Windows is 1 on every csim-grid result (0 otherwise). Pinned by
 	// benchmark/ (it reads the plan as workers x windows); goes with

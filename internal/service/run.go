@@ -46,17 +46,10 @@ func execute(ctx context.Context, spec *JobSpec, cc *Compiled, ob *obs.Observer,
 		Workers: spec.Workers, Shard: spec.FaultShard, Of: spec.FaultShards,
 		Artifacts: cc.Artifacts, Obs: ob,
 	}
-	// A pinned shard runs on the node's own budget whatever the
-	// coordinator's spec said about the fleet-wide split.
-	if opt.Workers <= 0 || opt.Of > 0 {
+	if opt.Workers <= 0 {
 		opt.Workers = workersDefault
 	}
-	// One fault-partition slice of a distributed grid reports the split
-	// it belongs to.
-	workers := opt.Of
-	if workers == 0 {
-		workers = engine.Workers(spec.Engine, u.NumFaults(), opt)
-	}
+	workers := engine.Workers(spec.Engine, u.NumFaults(), opt)
 	start := time.Now()
 	res, st, err := engine.Run(ctx, spec.Engine, u, vs, opt)
 	if err != nil {

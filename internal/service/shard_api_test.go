@@ -14,9 +14,11 @@ import (
 // TestFaultShardJobsMergeToOracle runs every shard of a K-way split as
 // its own job — exactly the coordinator's dispatch pattern — and checks
 // the merged detections against the serial oracle, under either compiled
-// engine's name, below and above one 64-vector word; the job's flight
-// record names the shard and the kernel, and only csim-grid results
-// report a vector window.
+// engine's name, below and above one 64-vector word. Each shard holds
+// under 256 faults, so its view reports the one kernel worker it ran on,
+// and its flight record shows that worker's decide, shard_start /
+// shard_finish pair and merge; only csim-grid results report a vector
+// window.
 func TestFaultShardJobsMergeToOracle(t *testing.T) {
 	_, cl := startServer(t, Config{Workers: 2})
 	ctx := ctxT(t)
@@ -57,8 +59,8 @@ func TestFaultShardJobsMergeToOracle(t *testing.T) {
 				t.Fatalf("shard %d: payload counts %d/%d disagree with result %d/%d",
 					shard, part.NumDet, part.NumPotOnly(), v.Result.Detected, v.Result.PotOnly)
 			}
-			if v.Result.Workers != k || v.Result.Windows != tc.windows {
-				t.Errorf("%s shard %d: shape %dx%d, want %dx%d", tc.engine, shard, v.Result.Workers, v.Result.Windows, k, tc.windows)
+			if v.Result.Workers != 1 || v.Result.Windows != tc.windows {
+				t.Errorf("%s shard %d: shape %dx%d, want 1x%d", tc.engine, shard, v.Result.Workers, v.Result.Windows, tc.windows)
 			}
 			merged = faults.MergeResults(merged, part)
 
@@ -66,16 +68,17 @@ func TestFaultShardJobsMergeToOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			prefix := fmt.Sprintf("shard %d of %d: ", shard, k)
-			started, finished := false, false
+			var kernel []string
 			for _, ev := range pm.Events {
-				if strings.HasPrefix(ev.Detail, prefix) {
-					started = started || ev.Kind == "shard_start" && strings.Contains(ev.Detail, "compiled workers")
-					finished = finished || ev.Kind == "shard_finish"
+				switch {
+				case ev.Kind == "decide" && strings.HasPrefix(ev.Detail, "plan 1x1 "),
+					(ev.Kind == "shard_start" || ev.Kind == "shard_finish") && strings.HasPrefix(ev.Detail, tc.engine+" shard 0: "),
+					ev.Kind == "merge" && strings.HasPrefix(ev.Detail, tc.engine+": 1 shards merged"):
+					kernel = append(kernel, ev.Kind)
 				}
 			}
-			if !started || !finished {
-				t.Errorf("shard %d at %d vectors: no shard_start / shard_finish pair in %+v", shard, nvec, pm.Events)
+			if fmt.Sprint(kernel) != "[decide shard_start shard_finish merge]" {
+				t.Errorf("shard %d at %d vectors: kernel events %v in %+v", shard, nvec, kernel, pm.Events)
 			}
 		}
 		if diff := want.Diff(merged); diff != "" {
